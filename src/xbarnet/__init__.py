@@ -26,8 +26,6 @@ from .hardware import (
     core_count,
     map_to_mcas,
     mca_energy,
-    quantize_model,
-    quantize_weights,
 )
 from .mlp import MlpModel, TrainConfig, evaluate, forward, init_model, magnitude_prune
 from .sizecluster import SizeClusterConfig, size_constrained_cluster, split_oversized, utilization

@@ -22,7 +22,6 @@ import numpy as np
 
 from .config import ConfigError, load_config
 from .connectivity import (
-    ClusterSet,
     ConnectivityMatrix,
     cluster_sets_from_json,
     cluster_sets_to_json,
@@ -94,19 +93,8 @@ def cmd_cluster(args) -> int:
 def cmd_map(args) -> int:
     cfg = _load(args)
     model, _ = load_checkpoint(args.checkpoint)
-    residuals = []
-    covered_union = []
-    records = json.loads(Path(args.clusters).read_text())
-    for layer_id, layer in enumerate(model.layers):
-        live = layer.weights != 0
-        mask = np.zeros(live.shape, dtype=bool)
-        for rec in records:
-            if rec["layer"] == layer_id:
-                for i, j in rec.get("covered", []):
-                    mask[i, j] = True
-        residuals.append(ConnectivityMatrix((live & ~mask).astype(np.uint8)))
-        covered_union.append(mask)
-    sets = cluster_sets_from_json(Path(args.clusters).read_text(), residuals)
+    live = [ConnectivityMatrix((layer.weights != 0).astype(np.uint8)) for layer in model.layers]
+    sets = cluster_sets_from_json(Path(args.clusters).read_text(), live)
     report = map_to_mcas(sets, cfg.tech)
     out = Path(args.out or cfg.out_dir or "mapping.json")
     out.parent.mkdir(parents=True, exist_ok=True)

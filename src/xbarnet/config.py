@@ -13,6 +13,7 @@ from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
+from .datasets import BlobSpec, PlantedSpec
 from .hardware import CmosConfig, TechConfig
 from .mlp import TrainConfig
 from .sizecluster import SizeClusterConfig
@@ -20,6 +21,7 @@ from .transform import TransformConfig
 
 MODES = ("original", "prune", "offline_cluster", "transform")
 DATASET_KINDS = ("mnist", "surrogate_digits", "blobs", "planted")
+DATASET_SPECS = {"blobs": BlobSpec, "planted": PlantedSpec}
 
 
 class ConfigError(ValueError):
@@ -80,6 +82,11 @@ def build_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
         problems.append(f"dataset.kind: {dataset['kind']!r} not one of {DATASET_KINDS}")
     if dataset.get("kind") in ("mnist", "surrogate_digits") and "dir" not in dataset:
         problems.append(f"dataset.dir: required for kind {dataset.get('kind')!r}")
+    if dataset.get("kind") in DATASET_SPECS:
+        known = {f.name for f in fields(DATASET_SPECS[dataset["kind"]])}
+        for key in dataset:
+            if key not in known and key != "kind":
+                problems.append(f"dataset.{key}: unknown field (expected one of {sorted(known)})")
 
     topology = raw.get("topology")
     if (
@@ -135,27 +142,27 @@ def build_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     # constructor range checks, gathered rather than raised one by one
     try:
         tech = TechConfig(**tech_kwargs)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         problems.append(f"tech: {exc}")
         tech = TechConfig()
     try:
         cmos = CmosConfig(**cmos_kwargs)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         problems.append(f"cmos: {exc}")
         cmos = CmosConfig()
     try:
         train = TrainConfig(**train_kwargs)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         problems.append(f"train: {exc}")
         train = TrainConfig(seed=seed)
     try:
         scic = SizeClusterConfig(**scic_kwargs)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         problems.append(f"scic: {exc}")
         scic = SizeClusterConfig()
     try:
         transform = TransformConfig(scic=scic, train=train, seed=seed, **transform_kwargs)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         problems.append(f"transform: {exc}")
         transform = TransformConfig(scic=scic, train=train, seed=seed)
 

@@ -5,7 +5,8 @@ between two neuron layers: entry (i, j) = 1 iff input neuron i feeds output
 neuron j. Masks share the shape of the weight matrix they gate and carry a
 role tag so pruning decisions and cluster membership stay distinguishable.
 Clusters are row/column index groups whose induced submatrix maps onto one
-crossbar.
+crossbar; a ClusterSet records which cluster owns each synapse in one int32
+owner matrix per layer.
 
 All types are immutable after construction; operations return new values.
 """
@@ -13,7 +14,7 @@ All types are immutable after construction; operations return new values.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -129,40 +130,64 @@ class Cluster:
 
 @dataclass(frozen=True)
 class ClusterSet:
-    """Accepted clusters plus the connectivity left unclustered.
+    """Accepted clusters of one layer plus who owns each synapse.
 
-    ``covered`` holds, per cluster, the (row, col) coordinates of the synapses
-    that cluster captured from the source matrix. The full induced submatrix
-    footprint of an accepted cluster is spent (its 0-entries are unusable
-    cross-points), so coverage is recorded explicitly rather than re-derived.
+    ``owner`` is an int32 matrix shaped like ``source``: -1 marks a cell in no
+    cluster, ``k`` a cell covered by ``clusters[k]``. An accepted cluster
+    spends its full induced-submatrix footprint (its 0-entries are unusable
+    cross-points), so ownership is stored per cell rather than re-derived
+    from the footprint. The residual is every source synapse no cluster owns;
+    ``owner=None`` means no cell is owned.
     """
 
     clusters: tuple[Cluster, ...]
-    residual: ConnectivityMatrix
-    covered: tuple[np.ndarray, ...] = field(default=())
+    source: ConnectivityMatrix
+    owner: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "clusters", tuple(self.clusters))
-        if not self.covered:
-            object.__setattr__(
-                self, "covered", tuple(np.empty((0, 2), dtype=np.int64) for _ in self.clusters)
-            )
-        else:
-            frozen = []
-            for idx in self.covered:
-                arr = np.asarray(idx, dtype=np.int64).reshape(-1, 2)
-                arr.flags.writeable = False
-                frozen.append(arr)
-            object.__setattr__(self, "covered", tuple(frozen))
-        if len(self.covered) != len(self.clusters):
-            raise ValueError("one coverage array per cluster required")
+        shape = self.source.bits.shape
+        owner = np.full(shape, -1) if self.owner is None else self.owner
+        owner = np.array(owner, dtype=np.int32)
+        if owner.shape != shape:
+            raise ShapeError(f"owner {owner.shape} does not match source {shape}")
+        if owner.min() < -1 or owner.max() >= len(self.clusters):
+            raise ValueError(f"owner entries must lie in [-1, {len(self.clusters)})")
+        owner.flags.writeable = False
+        object.__setattr__(self, "owner", owner)
 
     @property
     def n_clusters(self) -> int:
         return len(self.clusters)
 
+    @property
+    def residual(self) -> ConnectivityMatrix:
+        return ConnectivityMatrix(self.source.bits & (self.owner < 0))
+
+    def cell_counts(self) -> np.ndarray:
+        """Number of cells each cluster owns."""
+        return np.bincount(self.owner[self.owner >= 0], minlength=self.n_clusters)
+
     def covered_nnz(self) -> int:
-        return sum(len(idx) for idx in self.covered)
+        return int((self.owner >= 0).sum())
+
+    def cells(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        return owner_cells(self.owner, self.n_clusters)
+
+
+def owner_cells(owner: np.ndarray, n_clusters: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(rows, cols) of each cluster's cells; entry k equals ``np.nonzero(owner == k)``.
+
+    One stable sort groups the owned cells by owner, keeping row-major order
+    inside each group.
+    """
+    if n_clusters == 0:
+        return []
+    flat = owner.ravel()
+    idx = np.flatnonzero(flat >= 0)
+    idx = idx[np.argsort(flat[idx], kind="stable")]
+    bounds = np.cumsum(np.bincount(flat[idx], minlength=n_clusters))[:-1]
+    return [np.unravel_index(group, owner.shape) for group in np.split(idx, bounds)]
 
 
 def from_weights(weights, epsilon: float = 0.0) -> ConnectivityMatrix:
@@ -237,72 +262,53 @@ def load_sparse(path) -> ConnectivityMatrix:
 
 
 def cluster_sets_to_json(cluster_sets: list[ClusterSet]) -> str:
-    """Serialize per-layer cluster sets as a JSON list of {layer, rows, cols}.
+    """Serialize per-layer cluster sets as a JSON list of {layer, rows, cols, covered}.
 
-    Coverage coordinates ride along under the optional "covered" key so
-    mapping reports can be rebuilt without the source matrix.
+    ``covered`` lists each cluster's owned cells in row-major order, so
+    mapping reports can be rebuilt from the live weights alone.
     """
     records = []
     for layer_id, cs in enumerate(cluster_sets):
-        for cluster, idx in zip(cs.clusters, cs.covered):
+        for cluster, (ii, jj) in zip(cs.clusters, cs.cells()):
             records.append(
                 {
                     "layer": layer_id,
                     "rows": list(cluster.row_ids),
                     "cols": list(cluster.col_ids),
-                    "covered": [[int(i), int(j)] for i, j in idx],
+                    "covered": [[i, j] for i, j in zip(ii.tolist(), jj.tolist())],
                 }
             )
     return json.dumps(records, indent=1)
 
 
-def cluster_sets_from_json(text: str, residuals: list[ConnectivityMatrix]) -> list[ClusterSet]:
-    """Rebuild per-layer ClusterSets from JSON plus externally stored residuals."""
+def cluster_sets_from_json(text: str, sources: list[ConnectivityMatrix]) -> list[ClusterSet]:
+    """Rebuild per-layer ClusterSets from JSON plus each layer's source connectivity."""
     records = json.loads(text)
-    per_layer: dict[int, list] = {i: [] for i in range(len(residuals))}
+    clusters: list[list[Cluster]] = [[] for _ in sources]
+    owners = [np.full(s.bits.shape, -1, dtype=np.int32) for s in sources]
     for rec in records:
         layer = int(rec["layer"])
-        if layer not in per_layer:
+        if not 0 <= layer < len(sources):
             raise ValueError(f"cluster record for unknown layer {layer}")
-        cluster = Cluster(tuple(rec["rows"]), tuple(rec["cols"]), layer_id=layer)
         covered = np.asarray(rec.get("covered", []), dtype=np.int64).reshape(-1, 2)
-        per_layer[layer].append((cluster, covered))
-    out = []
-    for layer, residual in enumerate(residuals):
-        pairs = per_layer[layer]
-        out.append(
-            ClusterSet(
-                clusters=tuple(c for c, _ in pairs),
-                residual=residual,
-                covered=tuple(idx for _, idx in pairs),
-            )
-        )
-    return out
+        owners[layer][covered[:, 0], covered[:, 1]] = len(clusters[layer])
+        clusters[layer].append(Cluster(tuple(rec["rows"]), tuple(rec["cols"]), layer_id=layer))
+    return [ClusterSet(tuple(c), s, o) for c, s, o in zip(clusters, sources, owners)]
 
 
 def audit_cluster_set(cs: ClusterSet, original: ConnectivityMatrix) -> None:
-    """Check disjointness and coverage of a ClusterSet against its source matrix.
+    """Check a ClusterSet against the matrix it was built from.
 
-    Every 1-entry of ``original`` must sit in exactly one cluster's coverage or
-    in the residual, never both; cluster coverage must lie inside the cluster's
-    row/col footprint. Raises AssertionError with a diagnostic on violation.
+    Disjointness, and coverage plus residual reproducing the source, hold by
+    construction of the owner matrix. What is left: the set was built from
+    ``original``, every owned cell is a source synapse inside its cluster's
+    row/col footprint, and no cluster is empty. Raises AssertionError with a
+    diagnostic on violation.
     """
-    claimed = np.zeros(original.bits.shape, dtype=np.int32)
-    for cluster, idx in zip(cs.clusters, cs.covered):
-        rows = set(cluster.row_ids)
-        cols = set(cluster.col_ids)
-        for i, j in idx:
-            assert i in rows and j in cols, (
-                f"covered synapse ({i},{j}) outside cluster footprint"
-            )
-            assert original.bits[i, j] == 1, f"covered synapse ({i},{j}) absent from source"
-            claimed[i, j] += 1
-    assert (claimed <= 1).all(), "a synapse is covered by more than one cluster"
-    if cs.residual.bits.shape != original.bits.shape:
-        raise AssertionError("residual shape differs from source matrix")
-    both = (claimed > 0) & (cs.residual.bits == 1)
-    assert not both.any(), "a synapse appears both in a cluster and in the residual"
-    total = claimed.astype(np.uint8) | cs.residual.bits
-    assert np.array_equal(total, original.bits), (
-        "cluster coverage plus residual does not reproduce the source 1-entries"
-    )
+    assert np.array_equal(cs.source.bits, original.bits), "cluster set built from another matrix"
+    assert original.bits[cs.owner >= 0].all(), "a covered synapse is absent from the source"
+    for k, (cluster, (ii, jj)) in enumerate(zip(cs.clusters, cs.cells())):
+        assert len(ii), f"cluster {k} covers no synapses"
+        assert np.isin(ii, cluster.row_ids).all() and np.isin(jj, cluster.col_ids).all(), (
+            f"cluster {k}: covered synapse outside its footprint"
+        )

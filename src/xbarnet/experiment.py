@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .connectivity import ClusterSet, ConnectivityMatrix, cluster_sets_to_json
 from .datasets import Dataset, BlobSpec, PlantedSpec, gen_blobs, gen_planted, load_mnist, write_surrogate_digits
 from .hardware import cmos_energy, map_to_mcas, mca_energy
@@ -39,14 +39,18 @@ def build_dataset(cfg: ExperimentConfig) -> Dataset:
         return load_mnist(spec["dir"])
     if kind == "surrogate_digits":
         directory = Path(spec["dir"])
+        n_train, n_test = spec.get("n_train", 20000), spec.get("n_test", 10000)
         if not (directory / "train-images-idx3-ubyte").exists():
             write_surrogate_digits(
-                directory,
-                seed=spec.get("gen_seed", cfg.seed),
-                n_train=spec.get("n_train", 20000),
-                n_test=spec.get("n_test", 10000),
+                directory, seed=spec.get("gen_seed", cfg.seed), n_train=n_train, n_test=n_test
             )
-        return load_mnist(directory)
+        data = load_mnist(directory)
+        if (len(data.x_train), len(data.x_test)) != (n_train, n_test):
+            raise ConfigError([
+                f"dataset.dir: {directory} holds {len(data.x_train)} train and {len(data.x_test)} test "
+                f"samples, the config asks for {n_train} and {n_test}"
+            ])
+        return data
     if kind == "blobs":
         fields = {k: v for k, v in spec.items() if k != "kind"}
         return gen_blobs(BlobSpec(**fields), cfg.seed)
@@ -66,10 +70,7 @@ def _fmt(value) -> str:
 def dense_cluster_sets(model) -> list[ClusterSet]:
     """No clusters at all: every live synapse is residual."""
     return [
-        ClusterSet(
-            clusters=(),
-            residual=ConnectivityMatrix((layer.weights != 0).astype(np.uint8)),
-        )
+        ClusterSet((), ConnectivityMatrix((layer.weights != 0).astype(np.uint8)))
         for layer in model.layers
     ]
 

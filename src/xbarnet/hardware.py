@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connectivity import ClusterSet, Mask
-from .mlp import Layer, MlpModel
+from .connectivity import ClusterSet
 
 
 @dataclass(frozen=True)
@@ -28,18 +27,11 @@ class TechConfig:
 
     crossbar_rows: int = 16
     crossbar_cols: int = 16
-    weight_levels: int = 16
-    r_min_ohm: float = 20e3
-    r_max_ohm: float = 200e3
     mca_energy_per_active_crosspoint_j: float = 1e-12
     peripheral_energy_per_mca_eval_j: float = 5e-10
     cores_k: int = 4
 
     def __post_init__(self):
-        if self.r_min_ohm >= self.r_max_ohm:
-            raise ValueError("r_min_ohm must be below r_max_ohm")
-        if self.weight_levels < 2:
-            raise ValueError("weight_levels must be at least 2")
         if self.mca_energy_per_active_crosspoint_j < 0 or self.peripheral_energy_per_mca_eval_j < 0:
             raise ValueError("energies must be non-negative")
         if self.cores_k < 1:
@@ -223,16 +215,14 @@ def map_to_mcas(cluster_sets: list[ClusterSet], tech: TechConfig) -> MappingRepo
     layers = []
     area = tech.crossbar_area
     for cs in cluster_sets:
-        cluster_active = []
-        cluster_areas = []
-        for cluster, idx in zip(cs.clusters, cs.covered):
+        for cluster in cs.clusters:
             if not cluster.fits(tech.crossbar_rows, tech.crossbar_cols):
                 raise ValueError(
                     f"cluster {cluster.n_rows}x{cluster.n_cols} exceeds crossbar "
                     f"{tech.crossbar_rows}x{tech.crossbar_cols}"
                 )
-            cluster_active.append(len(idx))
-            cluster_areas.append(cluster.footprint_area())
+        cluster_active = cs.cell_counts().tolist()
+        cluster_areas = [cluster.footprint_area() for cluster in cs.clusters]
         residual_active = grid_tiles(cs.residual.bits, tech.crossbar_rows, tech.crossbar_cols)
         cluster_utils = [a / area for a in cluster_active]
         residual_utils = [a / area for a in residual_active]
@@ -248,7 +238,7 @@ def map_to_mcas(cluster_sets: list[ClusterSet], tech: TechConfig) -> MappingRepo
                 cluster_active=cluster_active,
                 residual_active=residual_active,
                 cluster_areas=cluster_areas,
-                matrix_shape=cs.residual.bits.shape,
+                matrix_shape=cs.source.bits.shape,
             )
         )
     num_mca = sum(l.mca_count for l in layers)
@@ -295,41 +285,3 @@ def cmos_energy(
         leakage=n_stored_weights * cmos.bits_per_weight * cmos.p_leak_per_bit_j,
         sync=n_clusters * cmos.sync_overhead_per_cluster_j,
     )
-
-
-def stored_weight_count(cluster_sets: list[ClusterSet]) -> int:
-    """Storage for a clustered net: cluster footprint areas + residual synapses."""
-    total = 0
-    for cs in cluster_sets:
-        total += sum(c.footprint_area() for c in cs.clusters)
-        total += cs.residual.nnz
-    return total
-
-
-def quantize_weights(weights: np.ndarray, tech: TechConfig) -> tuple[np.ndarray, float]:
-    """Snap nonzero weights to uniform levels over [-w_max, +w_max].
-
-    Zeros stay exactly zero; returns (quantized copy, max absolute error).
-    The error never exceeds w_max / (weight_levels - 1).
-    """
-    w = np.asarray(weights, dtype=np.float64)
-    nz = w != 0
-    if not nz.any():
-        return w.copy(), 0.0
-    w_max = np.abs(w[nz]).max()
-    levels = np.linspace(-w_max, w_max, tech.weight_levels)
-    step = levels[1] - levels[0]
-    idx = np.clip(np.round((w - levels[0]) / step), 0, tech.weight_levels - 1).astype(int)
-    q = np.where(nz, levels[idx], 0.0)
-    return q, float(np.abs(q - w)[nz].max())
-
-
-def quantize_model(model: MlpModel, tech: TechConfig) -> tuple[MlpModel, float]:
-    """Quantize every layer; biases are left analog. Returns (model copy, max error)."""
-    layers = []
-    worst = 0.0
-    for layer in model.layers:
-        q, err = quantize_weights(layer.weights, tech)
-        worst = max(worst, err)
-        layers.append(Layer(weights=q, bias=layer.bias.copy(), mask=Mask(np.array(layer.mask.bits))))
-    return MlpModel(layers), worst

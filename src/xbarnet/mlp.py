@@ -61,7 +61,6 @@ class MlpModel:
 class TrainConfig:
     learning_rate: float = 0.1
     batch_size: int = 64
-    epochs: int = 10
     seed: int = 0
     prune_quality: float = 0.7
 

@@ -5,8 +5,9 @@ greedily accepts groups that fit the crossbar and clear a decaying
 utilization threshold, and splits oversized groups until everything fits.
 Accepted clusters spend their full induced-submatrix footprint: the 0-entries
 inside an accepted block become unusable cross-points and never return to the
-pool. Synapses of rejected groups go back to the residual and get another
-chance in later rounds.
+pool. Acceptance writes the cluster's index into the owner matrix at every
+still-unowned synapse of its footprint. Synapses of rejected groups stay
+unowned and get another chance in later rounds.
 
 Splitting works on spectrally ordered rows and columns: the second Laplacian
 eigenvector orders each side, consecutive chunks of crossbar size pair up in
@@ -151,7 +152,6 @@ def split_oversized(
     cluster: Cluster,
     c: ConnectivityMatrix,
     cfg: SizeClusterConfig,
-    seed: int,
 ) -> list[Cluster]:
     """Split a too-large cluster into crossbar-sized children.
 
@@ -160,8 +160,7 @@ def split_oversized(
     become the children, so the ceil(rows/crossbar_rows) *
     ceil(cols/crossbar_cols) pieces partition the parent's footprint and each
     fits the crossbar. Synapse-free rows/cols and empty pairings are dropped.
-    The split is deterministic; ``seed`` is accepted for signature parity with
-    the other clustering entry points.
+    The split is deterministic.
     """
     if cluster.fits(cfg.crossbar_rows, cfg.crossbar_cols):
         raise ValueError("cluster already fits the crossbar; nothing to split")
@@ -183,12 +182,13 @@ def size_constrained_cluster(
     decays the utilization threshold, and the loop stops once the threshold
     would fall below ``min_util_factor``, the residual empties, or
     ``max_rounds`` is hit. Every accepted cluster fits the crossbar and has
-    utilization >= min_util_factor. ``trace``, when given, receives one dict
-    per round for auditing.
+    utilization >= min_util_factor. The returned set's owner matrix holds,
+    per synapse of ``c``, the index of the cluster that took it or -1.
+    ``trace``, when given, receives one dict per round for auditing.
     """
     residual = np.array(c.bits, dtype=np.uint8)
+    owner = np.full(c.bits.shape, -1, dtype=np.int32)
     accepted: list[Cluster] = []
-    covered: list[np.ndarray] = []
     util_factor = cfg.base_util_factor
 
     def try_accept(rows: np.ndarray, cols: np.ndarray) -> bool:
@@ -202,11 +202,10 @@ def size_constrained_cluster(
             return False
         if sub_nnz / cfg.crossbar_area < util_factor:
             return False
-        footprint = residual[np.ix_(live_rows, live_cols)]
-        ii, jj = np.nonzero(footprint)
-        covered.append(np.column_stack((live_rows[ii], live_cols[jj])))
+        block = np.ix_(live_rows, live_cols)
+        owner[block] = np.where(residual[block] == 1, len(accepted), owner[block])
         accepted.append(Cluster(tuple(live_rows.tolist()), tuple(live_cols.tolist()), layer_id))
-        residual[np.ix_(live_rows, live_cols)] = 0
+        residual[block] = 0
         return True
 
     def handle(rows: np.ndarray, cols: np.ndarray) -> int:
@@ -268,8 +267,4 @@ def size_constrained_cluster(
             if util_factor < cfg.min_util_factor:
                 break
 
-    return ClusterSet(
-        clusters=tuple(accepted),
-        residual=ConnectivityMatrix(residual),
-        covered=tuple(covered),
-    )
+    return ClusterSet(tuple(accepted), c, owner)

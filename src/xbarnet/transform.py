@@ -4,7 +4,9 @@ Each epoch trains the network once, then (while enough synapses remain
 unclustered and the epoch improved the training loss) refreshes the prune
 maps, runs size-constrained clustering on the still-unclustered synapses, and
 zeroes every synapse that is marked prunable and sits outside all clusters.
-The model mask is always the union of prune map and cluster map, so clustered
+Cluster membership lives in one int32 owner matrix per layer: -1 for an
+unclustered cell, otherwise the index of its cluster in that layer's record
+list. The model mask is always the prune map OR the owned cells, so clustered
 synapses are shielded from magnitude pruning. Once the unclustered fraction
 falls below the threshold the loop switches to cluster pruning: per improving
 epoch it removes the lowest-scoring clusters outright and lets subsequent
@@ -22,7 +24,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .connectivity import Cluster, ClusterSet, ConnectivityMatrix, Mask
+from .connectivity import (
+    Cluster,
+    ClusterSet,
+    ConnectivityMatrix,
+    Mask,
+    audit_cluster_set,
+    owner_cells,
+)
 from .mlp import MlpModel, TrainConfig, evaluate, init_model, magnitude_prune, train_epoch
 from .sizecluster import SizeClusterConfig, size_constrained_cluster
 from .util import STREAM_CLUSTER, seed_for
@@ -60,36 +69,36 @@ class TransformConfig:
 
 @dataclass
 class ClusterRecord:
-    """An accepted cluster plus its covered synapses and frozen utilization."""
+    """An accepted cluster and its utilization, frozen at acceptance."""
 
     cluster: Cluster
-    covered: np.ndarray
     util: float
-    ordinal: int
 
 
 @dataclass
 class TransformState:
+    """Model, prune maps, and per layer the cluster records and owner matrix.
+
+    ``owner[layer][i, j]`` is -1 or the index into ``records[layer]`` of the
+    cluster covering synapse (i, j).
+    """
+
     model: MlpModel
     prune_maps: list[np.ndarray]
-    cluster_maps: list[np.ndarray]
+    owner: list[np.ndarray]
     records: list[list[ClusterRecord]]
     epoch: int = 0
     training_error_previous: float = float("inf")
     phase: str = PHASE_CLUSTERING
-    next_ordinal: list[int] = field(default_factory=list)
 
     @classmethod
     def fresh(cls, topology: list[int], seed: int) -> "TransformState":
         model = init_model(topology, seed)
-        prune = [np.ones(l.weights.shape, dtype=np.uint8) for l in model.layers]
-        cluster = [np.zeros(l.weights.shape, dtype=np.uint8) for l in model.layers]
         return cls(
             model=model,
-            prune_maps=prune,
-            cluster_maps=cluster,
+            prune_maps=[np.ones(l.weights.shape, dtype=np.uint8) for l in model.layers],
+            owner=[np.full(l.weights.shape, -1, dtype=np.int32) for l in model.layers],
             records=[[] for _ in model.layers],
-            next_ordinal=[0 for _ in model.layers],
         )
 
     def n_clusters(self) -> int:
@@ -104,10 +113,10 @@ def unclustered_fraction(state: TransformState) -> float:
     """Unclustered live synapses over all live synapses (0 when nothing lives)."""
     live = 0
     unclustered = 0
-    for layer, cmap in zip(state.model.layers, state.cluster_maps):
+    for layer, owner in zip(state.model.layers, state.owner):
         nz = layer.weights != 0
         live += int(nz.sum())
-        unclustered += int((nz & (cmap == 0)).sum())
+        unclustered += int((nz & (owner < 0)).sum())
     return unclustered / live if live else 0.0
 
 
@@ -123,62 +132,66 @@ def _epoch_scic_config(cfg: TransformConfig, epoch: int) -> SizeClusterConfig:
     )
 
 
-def cluster_score(state: TransformState, cfg: TransformConfig, layer_id: int, ordinal: int) -> float:
+def _layer_scores(state: TransformState, cfg: TransformConfig, layer_id: int) -> list[float]:
+    """Scores of every cluster of one layer, in record order (see cluster_score)."""
+    records = state.records[layer_id]
+    weights = state.model.layers[layer_id].weights
+    means = []
+    for index, cells in enumerate(owner_cells(state.owner[layer_id], len(records))):
+        if len(cells[0]) == 0:
+            raise ValueError(f"cluster {index} of layer {layer_id} covers no synapses")
+        means.append(np.abs(weights[cells]).mean())
+    top = max(means, default=0.0)
+    alpha = cfg.cluster_prune_alpha
+    return [
+        alpha * rec.util + (1 - alpha) * (mean / top if top > 0 else 0.0)
+        for rec, mean in zip(records, means)
+    ]
+
+
+def cluster_score(state: TransformState, cfg: TransformConfig, layer_id: int, index: int) -> float:
     """alpha * utilization + (1 - alpha) * normalized mean |w| of the cluster.
 
     The magnitude term divides the cluster's mean |w| over its covered
     synapses by the largest such mean among the clusters of the same layer,
     so each layer's strongest cluster scores 1.0 on that term.
     """
-    records = state.records[layer_id]
-    target = next((r for r in records if r.ordinal == ordinal), None)
-    if target is None:
-        raise ValueError(f"no cluster with ordinal {ordinal} in layer {layer_id}")
-    if len(target.covered) == 0:
-        raise ValueError("cluster covers no synapses")
-    weights = state.model.layers[layer_id].weights
-    means = [
-        np.abs(weights[rec.covered[:, 0], rec.covered[:, 1]]).mean() for rec in records
-    ]
-    top = max(means)
-    mine = np.abs(weights[target.covered[:, 0], target.covered[:, 1]]).mean()
-    magnitude = mine / top if top > 0 else 0.0
-    alpha = cfg.cluster_prune_alpha
-    return alpha * target.util + (1 - alpha) * magnitude
+    if not 0 <= index < len(state.records[layer_id]):
+        raise ValueError(f"no cluster with index {index} in layer {layer_id}")
+    return _layer_scores(state, cfg, layer_id)[index]
 
 
 def cluster_prune(state: TransformState, cfg: TransformConfig) -> int:
     """Remove the lowest-scoring clusters globally; returns how many were cut.
 
-    The removed clusters' synapses are zeroed and dropped from both maps, so
-    the following epochs can neither train nor re-prune them; ties break by
-    (layer, ordinal). No-op on an empty cluster set.
+    Every layer is scored once per event. The removed clusters' synapses are
+    zeroed and dropped from the prune map and the owner matrix, so the
+    following epochs can neither train nor re-prune them; ties break by
+    (layer, index). No-op on an empty cluster set.
     """
-    scored = []
-    for layer_id, records in enumerate(state.records):
-        for rec in records:
-            scored.append((cluster_score(state, cfg, layer_id, rec.ordinal), layer_id, rec.ordinal))
-    if not scored:
-        return 0
-    scored.sort()
-    removed = 0
-    for _, layer_id, ordinal in scored[: cfg.clusters_pruned_per_event]:
-        records = state.records[layer_id]
-        rec = next(r for r in records if r.ordinal == ordinal)
-        ii, jj = rec.covered[:, 0], rec.covered[:, 1]
-        state.model.layers[layer_id].weights[ii, jj] = 0.0
-        state.prune_maps[layer_id][ii, jj] = 0
-        state.cluster_maps[layer_id][ii, jj] = 0
-        records.remove(rec)
-        removed += 1
-    return removed
+    scored = [
+        (score, layer_id, index)
+        for layer_id in range(len(state.records))
+        for index, score in enumerate(_layer_scores(state, cfg, layer_id))
+    ]
+    chosen = sorted(scored)[: cfg.clusters_pruned_per_event]
+    # highest index first, so a removal never shifts a cluster still to be removed
+    for _, layer_id, index in sorted(chosen, key=lambda t: t[2], reverse=True):
+        owner = state.owner[layer_id]
+        cells = owner == index
+        state.model.layers[layer_id].weights[cells] = 0.0
+        state.prune_maps[layer_id][cells] = 0
+        owner[cells] = -1
+        owner[owner > index] -= 1
+        del state.records[layer_id][index]
+    return len(chosen)
 
 
 def _refresh_masks(state: TransformState) -> int:
-    """mask <- prune map OR cluster map; zero weights outside; count casualties."""
+    """mask <- prune map OR owned cells; zero weights outside; count casualties."""
     zeroed = 0
-    for layer, pmap, cmap in zip(state.model.layers, state.prune_maps, state.cluster_maps):
-        union = pmap | cmap
+    for layer, pmap, owner in zip(state.model.layers, state.prune_maps, state.owner):
+        union = pmap | (owner >= 0)
         zeroed += int(((layer.weights != 0) & (union == 0)).sum())
         layer.mask = Mask(union)
         layer.weights *= union
@@ -214,9 +227,8 @@ def transform_epoch(
             if enable_cluster:
                 scic_cfg = _epoch_scic_config(cfg, epoch)
                 for layer_id, layer in enumerate(state.model.layers):
-                    residual_bits = (
-                        (layer.weights != 0) & (state.cluster_maps[layer_id] == 0)
-                    ).astype(np.uint8)
+                    owner = state.owner[layer_id]
+                    residual_bits = ((layer.weights != 0) & (owner < 0)).astype(np.uint8)
                     if not residual_bits.any():
                         continue
                     cs = size_constrained_cluster(
@@ -225,17 +237,13 @@ def transform_epoch(
                         seed_for(cfg.seed, STREAM_CLUSTER, epoch, layer_id),
                         layer_id=layer_id,
                     )
-                    for cluster, idx in zip(cs.clusters, cs.covered):
-                        state.records[layer_id].append(
-                            ClusterRecord(
-                                cluster=cluster,
-                                covered=idx,
-                                util=len(idx) / scic_cfg.crossbar_area,
-                                ordinal=state.next_ordinal[layer_id],
-                            )
-                        )
-                        state.next_ordinal[layer_id] += 1
-                        state.cluster_maps[layer_id][idx[:, 0], idx[:, 1]] = 1
+                    records = state.records[layer_id]
+                    owned = cs.owner >= 0
+                    owner[owned] = cs.owner[owned] + len(records)
+                    records.extend(
+                        ClusterRecord(cluster, int(n) / scic_cfg.crossbar_area)
+                        for cluster, n in zip(cs.clusters, cs.cell_counts())
+                    )
 
     n_zeroed = _refresh_masks(state)
     state.training_error_previous = loss
@@ -320,38 +328,25 @@ def offline_cluster(model: MlpModel, scic_cfg: SizeClusterConfig, seed: int) -> 
 def audit_state(state: TransformState) -> None:
     """Exact consistency checks between model, maps, and cluster records.
 
-    cluster_map must equal the union of per-cluster covered synapses, the
-    model mask must equal prune_map OR cluster_map, weights outside the mask
-    must be zero, and covered synapses must be live and claimed exactly once.
+    The model mask must equal prune map OR owned cells, weights outside the
+    mask must be zero, and each layer's cluster set must pass
+    :func:`audit_cluster_set` against the live synapses: owned cells are live
+    and inside their cluster's footprint, and no cluster is empty.
     """
-    for layer_id, layer in enumerate(state.model.layers):
-        claimed = np.zeros(layer.weights.shape, dtype=np.int32)
-        for rec in state.records[layer_id]:
-            claimed[rec.covered[:, 0], rec.covered[:, 1]] += 1
-        assert (claimed <= 1).all(), f"layer {layer_id}: overlapping cluster coverage"
-        assert np.array_equal(
-            (claimed > 0).astype(np.uint8), state.cluster_maps[layer_id]
-        ), f"layer {layer_id}: cluster_map out of sync with cluster records"
-        union = state.prune_maps[layer_id] | state.cluster_maps[layer_id]
+    for layer_id, (layer, cs) in enumerate(zip(state.model.layers, final_cluster_sets(state))):
+        union = state.prune_maps[layer_id] | (cs.owner >= 0)
         assert np.array_equal(layer.mask.bits, union), f"layer {layer_id}: mask is not the map union"
         assert not layer.weights[union == 0].any(), f"layer {layer_id}: live weight outside mask"
-        covered_weights = layer.weights[claimed > 0]
-        assert covered_weights.all(), f"layer {layer_id}: covered synapse with zero weight"
+        audit_cluster_set(cs, cs.source)
 
 
 def final_cluster_sets(state: TransformState) -> list[ClusterSet]:
     """Per-layer ClusterSets of the current state for mapping and reports."""
-    sets = []
-    for layer_id, layer in enumerate(state.model.layers):
-        residual = (
-            (layer.weights != 0) & (state.cluster_maps[layer_id] == 0)
-        ).astype(np.uint8)
-        records = state.records[layer_id]
-        sets.append(
-            ClusterSet(
-                clusters=tuple(r.cluster for r in records),
-                residual=ConnectivityMatrix(residual),
-                covered=tuple(r.covered for r in records),
-            )
+    return [
+        ClusterSet(
+            clusters=tuple(r.cluster for r in records),
+            source=ConnectivityMatrix((layer.weights != 0).astype(np.uint8)),
+            owner=owner,
         )
-    return sets
+        for layer, records, owner in zip(state.model.layers, state.records, state.owner)
+    ]

@@ -1,5 +1,7 @@
 """Connectivity matrix, mask, and sparse-format tests."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -161,16 +163,22 @@ class TestClusterTypes:
         with pytest.raises(ValueError):
             Cluster((), (0,))
 
-    def test_audit_catches_double_coverage(self):
+    def test_audit_catches_cell_outside_footprint(self):
         bits = np.ones((4, 4), dtype=np.uint8)
         original = ConnectivityMatrix(bits)
-        c1 = Cluster((0, 1), (0, 1))
-        c2 = Cluster((0, 1), (0, 1))
-        covered = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
-        residual = bits.copy()
-        residual[:2, :2] = 0
-        cs = ClusterSet((c1, c2), ConnectivityMatrix(residual), covered=(covered, covered))
-        with pytest.raises(AssertionError, match="more than one cluster"):
+        owner = np.full((4, 4), -1)
+        owner[:2, :2] = 0
+        owner[2, 2] = 0  # on the source, but outside cluster 0's rows and cols
+        cs = ClusterSet((Cluster((0, 1), (0, 1)),), original, owner)
+        with pytest.raises(AssertionError, match="outside its footprint"):
+            audit_cluster_set(cs, original)
+
+    def test_audit_catches_empty_cluster(self):
+        original = ConnectivityMatrix(np.ones((4, 4), dtype=np.uint8))
+        owner = np.full((4, 4), -1)
+        owner[:2, :2] = 0
+        cs = ClusterSet((Cluster((0, 1), (0, 1)), Cluster((2, 3), (2, 3))), original, owner)
+        with pytest.raises(AssertionError, match="cluster 1 covers no synapses"):
             audit_cluster_set(cs, original)
 
     def test_audit_accepts_consistent_set(self):
@@ -178,20 +186,39 @@ class TestClusterTypes:
         bits[:2, :2] = 1
         bits[3, 3] = 1
         original = ConnectivityMatrix(bits)
-        covered = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
-        residual = np.zeros((4, 4), dtype=np.uint8)
-        residual[3, 3] = 1
-        cs = ClusterSet(
-            (Cluster((0, 1), (0, 1)),), ConnectivityMatrix(residual), covered=(covered,)
-        )
+        owner = np.full((4, 4), -1)
+        owner[:2, :2] = 0
+        cs = ClusterSet((Cluster((0, 1), (0, 1)),), original, owner)
         audit_cluster_set(cs, original)
+        assert cs.residual.nnz == 1 and cs.residual.bits[3, 3] == 1
+
+    def test_cells_match_nonzero_of_owner(self):
+        rng = np.random.default_rng(4)
+        owner = rng.integers(-1, 3, size=(5, 7))
+        owner[0, 0], owner[0, 1], owner[0, 2] = 0, 1, 2
+        cs = ClusterSet(
+            tuple(Cluster(tuple(range(5)), tuple(range(7))) for _ in range(3)),
+            ConnectivityMatrix(np.ones((5, 7), dtype=np.uint8)),
+            owner,
+        )
+        for k, (ii, jj) in enumerate(cs.cells()):
+            ok_i, ok_j = np.nonzero(owner == k)
+            assert np.array_equal(ii, ok_i) and np.array_equal(jj, ok_j)
+        assert cs.cell_counts().tolist() == [int((owner == k).sum()) for k in range(3)]
+
+    def test_owner_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="owner entries"):
+            ClusterSet((), ConnectivityMatrix(np.ones((2, 2), dtype=np.uint8)), np.zeros((2, 2)))
 
     def test_json_round_trip(self):
         bits = np.zeros((4, 4), dtype=np.uint8)
-        bits[3, 3] = 1
-        covered = np.array([[0, 0], [1, 1]])
-        cs = ClusterSet((Cluster((0, 1), (0, 1)),), ConnectivityMatrix(bits), covered=(covered,))
+        bits[0, 0] = bits[1, 1] = bits[3, 3] = 1
+        owner = np.full((4, 4), -1)
+        owner[0, 0] = owner[1, 1] = 0
+        cs = ClusterSet((Cluster((0, 1), (0, 1)),), ConnectivityMatrix(bits), owner)
         text = cluster_sets_to_json([cs])
-        back = cluster_sets_from_json(text, [cs.residual])[0]
+        assert json.loads(text)[0]["covered"] == [[0, 0], [1, 1]]
+        back = cluster_sets_from_json(text, [cs.source])[0]
         assert back.clusters == cs.clusters
-        assert np.array_equal(back.covered[0], covered)
+        assert np.array_equal(back.owner, cs.owner)
+        assert np.array_equal(back.residual.bits, cs.residual.bits)

@@ -1,9 +1,7 @@
-"""Mapping and cost-model tests: tiling, energy decomposition, quantization."""
+"""Mapping and cost-model tests: tiling, energy decomposition."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from xbarnet.connectivity import Cluster, ClusterSet, ConnectivityMatrix
 from xbarnet.hardware import (
@@ -14,21 +12,19 @@ from xbarnet.hardware import (
     grid_tiles,
     map_to_mcas,
     mca_energy,
-    quantize_model,
-    quantize_weights,
 )
-from xbarnet.mlp import init_model
 
 
 def full_cluster_set(shape, blocks, residual_bits=None):
     """Helper: clusters over all-ones blocks plus an explicit residual."""
     clusters = []
-    covered = []
-    for rows, cols in blocks:
+    source = residual_bits.copy() if residual_bits is not None else np.zeros(shape, dtype=np.uint8)
+    owner = np.full(shape, -1)
+    for k, (rows, cols) in enumerate(blocks):
         clusters.append(Cluster(tuple(rows), tuple(cols)))
-        covered.append(np.array([(i, j) for i in rows for j in cols]))
-    residual = residual_bits if residual_bits is not None else np.zeros(shape, dtype=np.uint8)
-    return ClusterSet(tuple(clusters), ConnectivityMatrix(residual), covered=tuple(covered))
+        source[np.ix_(rows, cols)] = 1
+        owner[np.ix_(rows, cols)] = k
+    return ClusterSet(tuple(clusters), ConnectivityMatrix(source), owner)
 
 
 class TestCoreCount:
@@ -86,14 +82,9 @@ class TestMapToMcas:
         rng = np.random.default_rng(3)
         bits = (rng.random((12, 12)) < 0.5).astype(np.uint8)
         bits[:4, :4] = 1
-        covered = np.array([(i, j) for i in range(4) for j in range(4)])
-        residual = bits.copy()
-        residual[:4, :4] = 0
-        cs = ClusterSet(
-            (Cluster(tuple(range(4)), tuple(range(4))),),
-            ConnectivityMatrix(residual),
-            covered=(covered,),
-        )
+        owner = np.full(bits.shape, -1)
+        owner[:4, :4] = 0
+        cs = ClusterSet((Cluster(tuple(range(4)), tuple(range(4))),), ConnectivityMatrix(bits), owner)
         tech = TechConfig(crossbar_rows=4, crossbar_cols=4)
         report = map_to_mcas([cs], tech)
         mapped = sum(report.layers[0].cluster_active) + sum(report.layers[0].residual_active)
@@ -187,65 +178,7 @@ class TestCmosEnergy:
             cmos_energy(-1, 0, CmosConfig())
 
 
-class TestQuantize:
-    def test_grid_fixed_point(self):
-        tech = TechConfig(weight_levels=16)
-        levels = np.linspace(-2.0, 2.0, 16)
-        w = np.array([levels[[0, 3, 8, 15]], levels[[15, 12, 7, 0]]])
-        q, err = quantize_weights(w, tech)
-        assert np.array_equal(q, w)
-        assert err == 0.0
-
-    def test_single_weight_endpoint(self):
-        tech = TechConfig(weight_levels=16)
-        w = np.array([[0.7]])
-        q, err = quantize_weights(w, tech)
-        assert q[0, 0] == 0.7
-        assert err == 0.0
-
-    def test_zeros_stay_zero(self):
-        tech = TechConfig(weight_levels=16)
-        w = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        q, _ = quantize_weights(w, tech)
-        assert q[0, 0] == 0.0 and q[1, 1] == 0.0
-
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 64))
-    @settings(max_examples=40, deadline=None)
-    def test_error_bound_property(self, seed, levels):
-        rng = np.random.default_rng(seed)
-        w = rng.normal(size=(6, 6)) * (rng.random((6, 6)) < 0.8)
-        if not (w != 0).any():
-            return
-        tech = TechConfig(weight_levels=levels)
-        q, err = quantize_weights(w, tech)
-        w_max = np.abs(w[w != 0]).max()
-        assert err <= w_max / (levels - 1) + 1e-12
-        nz = w != 0
-        assert np.abs(q - w)[nz].max() <= w_max / (levels - 1) + 1e-12
-        assert not q[~nz].any()
-
-    def test_quantize_model_reports_worst_error(self):
-        model = init_model([6, 5, 4], seed=3)
-        tech = TechConfig(weight_levels=16)
-        q_model, err = quantize_model(model, tech)
-        worst = 0.0
-        for a, b in zip(model.layers, q_model.layers):
-            nz = a.weights != 0
-            if nz.any():
-                worst = max(worst, np.abs(a.weights - b.weights)[nz].max())
-        assert err == pytest.approx(worst)
-        assert np.array_equal(model.layers[0].bias, q_model.layers[0].bias)
-
-
 class TestConfigValidation:
-    def test_resistance_range(self):
-        with pytest.raises(ValueError, match="r_min"):
-            TechConfig(r_min_ohm=5e5, r_max_ohm=2e5)
-
-    def test_levels(self):
-        with pytest.raises(ValueError, match="weight_levels"):
-            TechConfig(weight_levels=1)
-
     def test_cmos_nonnegative(self):
         with pytest.raises(ValueError):
             CmosConfig(e_compute_j=-1.0)

@@ -23,9 +23,9 @@ def block_diagonal(blocks, block_shape):
 def check_contract(cs, original, cfg):
     """Threshold soundness, crossbar fit, and exact disjointness/coverage."""
     audit_cluster_set(cs, original)
-    for cluster, idx in zip(cs.clusters, cs.covered):
+    for cluster, n_cells in zip(cs.clusters, cs.cell_counts()):
         assert cluster.fits(cfg.crossbar_rows, cfg.crossbar_cols)
-        util = len(idx) / cfg.crossbar_area
+        util = n_cells / cfg.crossbar_area
         assert util >= cfg.min_util_factor
 
 
@@ -60,7 +60,7 @@ class TestSplitOversized:
         c = ConnectivityMatrix(np.ones((8, 8), dtype=np.uint8))
         cfg = SizeClusterConfig(crossbar_rows=4, crossbar_cols=4)
         parent = Cluster(tuple(range(8)), tuple(range(8)))
-        children = split_oversized(parent, c, cfg, seed=0)
+        children = split_oversized(parent, c, cfg)
         assert len(children) == 4
         claimed = np.zeros((8, 8), dtype=int)
         for child in children:
@@ -73,7 +73,7 @@ class TestSplitOversized:
         c = ConnectivityMatrix(np.ones((4, 4), dtype=np.uint8))
         cfg = SizeClusterConfig(crossbar_rows=4, crossbar_cols=4)
         with pytest.raises(ValueError, match="already fits"):
-            split_oversized(Cluster((0, 1), (0, 1)), c, cfg, seed=0)
+            split_oversized(Cluster((0, 1), (0, 1)), c, cfg)
 
     def test_tall_cluster_children_dimensions(self):
         rng = np.random.default_rng(2)
@@ -82,7 +82,7 @@ class TestSplitOversized:
         c = ConnectivityMatrix(bits)
         cfg = SizeClusterConfig(crossbar_rows=4, crossbar_cols=4)
         parent = Cluster(tuple(range(5)), tuple(range(3)))
-        children = split_oversized(parent, c, cfg, seed=1)
+        children = split_oversized(parent, c, cfg)
         for child in children:
             assert child.n_rows <= 5 and child.n_cols <= 3
         union_rows = set(i for ch in children for i in ch.row_ids)
@@ -95,8 +95,7 @@ class TestSizeConstrainedCluster:
         cfg = SizeClusterConfig(crossbar_rows=4, crossbar_cols=4, base_util_factor=0.8)
         cs = size_constrained_cluster(c, cfg, seed=0)
         assert cs.n_clusters == 2
-        for idx in cs.covered:
-            assert len(idx) == 16
+        assert cs.cell_counts().tolist() == [16, 16]
         assert cs.residual.nnz == 0
         check_contract(cs, c, cfg)
         groups = {(cl.row_ids, cl.col_ids) for cl in cs.clusters}
@@ -144,8 +143,7 @@ class TestSizeConstrainedCluster:
         b = size_constrained_cluster(c, cfg, seed=9)
         assert a.clusters == b.clusters
         assert np.array_equal(a.residual.bits, b.residual.bits)
-        for ia, ib in zip(a.covered, b.covered):
-            assert np.array_equal(ia, ib)
+        assert np.array_equal(a.owner, b.owner)
 
     def test_random_configs_contract(self):
         # 20 random configs: crossbars in {4,8,16}^2, densities 0.1-0.9

@@ -40,22 +40,14 @@ def tiny_data(seed=0, n=200, dim=6, classes=3):
     return x, y
 
 
-def add_record(state, layer_id, rows, cols, ordinal=None):
+def add_record(state, layer_id, rows, cols):
     """Install a cluster record over currently-live synapses of the block."""
-    w = state.model.layers[layer_id].weights
-    sub = w[np.ix_(rows, cols)] != 0
-    ii, jj = np.nonzero(sub)
-    idx = np.column_stack((np.asarray(rows)[ii], np.asarray(cols)[jj]))
-    ordinal = state.next_ordinal[layer_id] if ordinal is None else ordinal
-    rec = ClusterRecord(
-        cluster=Cluster(tuple(rows), tuple(cols), layer_id),
-        covered=idx,
-        util=len(idx) / 16,
-        ordinal=ordinal,
-    )
+    block = np.ix_(rows, cols)
+    live = state.model.layers[layer_id].weights[block] != 0
+    owner = state.owner[layer_id]
+    owner[block] = np.where(live, len(state.records[layer_id]), owner[block])
+    rec = ClusterRecord(cluster=Cluster(tuple(rows), tuple(cols), layer_id), util=int(live.sum()) / 16)
     state.records[layer_id].append(rec)
-    state.next_ordinal[layer_id] = max(state.next_ordinal[layer_id], ordinal + 1)
-    state.cluster_maps[layer_id][idx[:, 0], idx[:, 1]] = 1
     return rec
 
 
@@ -86,12 +78,12 @@ class TestBranchLogic:
         state = TransformState.fresh([6, 8, 3], seed=0)
         state.training_error_previous = -1.0  # any loss counts as worse
         prune_before = [p.copy() for p in state.prune_maps]
-        cluster_before = [c.copy() for c in state.cluster_maps]
+        owner_before = [o.copy() for o in state.owner]
         record = transform_epoch(state, x, y, cfg)
         assert not record["improved"]
         for a, b in zip(state.prune_maps, prune_before):
             assert np.array_equal(a, b)
-        for a, b in zip(state.cluster_maps, cluster_before):
+        for a, b in zip(state.owner, owner_before):
             assert np.array_equal(a, b)
         assert state.n_clusters() == 0
 
@@ -120,31 +112,45 @@ class TestClusterScore:
     def test_alpha_one_is_utilization(self):
         state, rec_a, _ = self.build_state()
         cfg = small_config(cluster_prune_alpha=1.0)
-        assert cluster_score(state, cfg, 0, rec_a.ordinal) == pytest.approx(rec_a.util)
+        assert cluster_score(state, cfg, 0, 0) == pytest.approx(rec_a.util)
 
     def test_alpha_zero_best_cluster_scores_one(self):
         state, rec_a, rec_b = self.build_state()
         w = state.model.layers[0].weights
-        w[rec_a.covered[:, 0], rec_a.covered[:, 1]] = 2.0  # layer's largest weights
+        w[state.owner[0] == 0] = 2.0  # cluster a holds the layer's largest weights
         cfg = small_config(cluster_prune_alpha=0.0)
-        assert cluster_score(state, cfg, 0, rec_a.ordinal) == pytest.approx(1.0)
-        assert cluster_score(state, cfg, 0, rec_b.ordinal) < 1.0
+        assert cluster_score(state, cfg, 0, 0) == pytest.approx(1.0)
+        assert cluster_score(state, cfg, 0, 1) < 1.0
 
     def test_equal_magnitude_difference_is_alpha_scaled(self):
         state, rec_a, rec_b = self.build_state()
         rec_a.util = 0.9
         rec_b.util = 0.5
         cfg = small_config(cluster_prune_alpha=0.5)
-        sa = cluster_score(state, cfg, 0, rec_a.ordinal)
-        sb = cluster_score(state, cfg, 0, rec_b.ordinal)
+        sa = cluster_score(state, cfg, 0, 0)
+        sb = cluster_score(state, cfg, 0, 1)
         assert sa - sb == pytest.approx(0.5 * (0.9 - 0.5))
 
+    def test_matches_per_cluster_reference(self):
+        # reference: each cluster's mean |w| over np.nonzero(owner == k), scored
+        # one cluster at a time; the grouped computation must agree exactly
+        x, y = tiny_data(n=200)
+        state = run(small_config(max_epochs=3), [6, 8, 3], x, y, x, y).state
+        assert state.n_clusters() > 1
+        cfg = small_config(cluster_prune_alpha=0.3)
+        for layer_id, records in enumerate(state.records):
+            absw = np.abs(state.model.layers[layer_id].weights)
+            means = [absw[np.nonzero(state.owner[layer_id] == k)].mean() for k in range(len(records))]
+            for k, rec in enumerate(records):
+                want = 0.3 * rec.util + 0.7 * (means[k] / max(means))
+                assert cluster_score(state, cfg, layer_id, k) == want
+
     def test_empty_cluster_errors(self):
-        state, rec_a, _ = self.build_state()
-        rec_a.covered = rec_a.covered[:0]
+        state, _, _ = self.build_state()
+        state.owner[0][state.owner[0] == 0] = -1
         cfg = small_config()
         with pytest.raises(ValueError, match="covers no synapses"):
-            cluster_score(state, cfg, 0, rec_a.ordinal)
+            cluster_score(state, cfg, 0, 0)
 
 
 class TestClusterPrune:
@@ -157,7 +163,7 @@ class TestClusterPrune:
         assert removed == 1
         assert state.n_clusters() == 0
         assert not state.model.layers[0].weights[:4, :4].any()
-        assert not state.cluster_maps[0][:4, :4].any()
+        assert (state.owner[0] == -1).all()
 
     def test_lowest_score_pruned_first(self):
         state = TransformState.fresh([8, 8, 3], seed=3)
@@ -170,8 +176,9 @@ class TestClusterPrune:
         rec_high.util = 0.9
         cfg = small_config(cluster_prune_alpha=1.0)
         cluster_prune(state, cfg)
-        remaining = [r.ordinal for r in state.records[0]]
-        assert remaining == [rec_high.ordinal]
+        assert state.records[0] == [rec_high]
+        assert (state.owner[0][4:8, 4:8] == 0).all()  # the survivor moved down to index 0
+        assert (state.owner[0][:4, :4] == -1).all()
 
     def test_empty_set_noop(self):
         state = TransformState.fresh([6, 4, 3], seed=4)
