@@ -11,12 +11,10 @@ from .connectivity import (
     ClusterSet,
     ConnectivityMatrix,
     Mask,
-    apply_mask,
     audit_cluster_set,
     from_weights,
     load_sparse,
     save_sparse,
-    union_masks,
 )
 from .hardware import (
     CmosConfig,
@@ -28,12 +26,10 @@ from .hardware import (
     mca_energy,
 )
 from .mlp import MlpModel, TrainConfig, evaluate, forward, init_model, magnitude_prune
-from .sizecluster import SizeClusterConfig, size_constrained_cluster, split_oversized, utilization
+from .sizecluster import SizeClusterConfig, size_constrained_cluster, split_oversized
 from .spectral import (
     SimilarityMatrix,
-    SpectralEmbedding,
     build_similarity,
-    degree_matrix,
     eig_smallest,
     kmeans,
     normalized_laplacian,

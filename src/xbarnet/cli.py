@@ -18,15 +18,8 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .config import ConfigError, load_config
-from .connectivity import (
-    ConnectivityMatrix,
-    cluster_sets_from_json,
-    cluster_sets_to_json,
-    load_sparse,
-)
+from .connectivity import cluster_sets_from_json, cluster_sets_to_json, from_weights, load_sparse
 from .experiment import compare, run_experiment
 from .hardware import cmos_energy, map_to_mcas, mca_energy
 from .mlp import load_checkpoint
@@ -93,7 +86,7 @@ def cmd_cluster(args) -> int:
 def cmd_map(args) -> int:
     cfg = _load(args)
     model, _ = load_checkpoint(args.checkpoint)
-    live = [ConnectivityMatrix((layer.weights != 0).astype(np.uint8)) for layer in model.layers]
+    live = [from_weights(layer.weights) for layer in model.layers]
     sets = cluster_sets_from_json(Path(args.clusters).read_text(), live)
     report = map_to_mcas(sets, cfg.tech)
     out = Path(args.out or cfg.out_dir or "mapping.json")

@@ -70,6 +70,11 @@ def _check_section(raw: dict, name: str, cls, problems: list[str]) -> dict:
     return {k: v for k, v in section.items() if k in known}
 
 
+def _matches_type(value, expected: type) -> bool:
+    """JSON value check against a field default's type; an int may stand for a float."""
+    return isinstance(value, expected) or (expected is float and isinstance(value, int))
+
+
 def build_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     """Validate a raw config dict and assemble the typed configuration."""
     problems: list[str] = []
@@ -82,11 +87,19 @@ def build_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
         problems.append(f"dataset.kind: {dataset['kind']!r} not one of {DATASET_KINDS}")
     if dataset.get("kind") in ("mnist", "surrogate_digits") and "dir" not in dataset:
         problems.append(f"dataset.dir: required for kind {dataset.get('kind')!r}")
-    if dataset.get("kind") in DATASET_SPECS:
-        known = {f.name for f in fields(DATASET_SPECS[dataset["kind"]])}
-        for key in dataset:
-            if key not in known and key != "kind":
-                problems.append(f"dataset.{key}: unknown field (expected one of {sorted(known)})")
+    spec_cls = DATASET_SPECS.get(dataset.get("kind"))
+    spec_kwargs = {}
+    if spec_cls is not None:
+        defaults = {f.name: f.default for f in fields(spec_cls)}
+        for key, value in dataset.items():
+            if key == "kind":
+                continue
+            if key not in defaults:
+                problems.append(f"dataset.{key}: unknown field (expected one of {sorted(defaults)})")
+            elif not _matches_type(value, type(defaults[key])):
+                problems.append(f"dataset.{key}: must be {type(defaults[key]).__name__}, got {value!r}")
+            else:
+                spec_kwargs[key] = value
 
     topology = raw.get("topology")
     if (
@@ -165,6 +178,11 @@ def build_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     except (TypeError, ValueError) as exc:
         problems.append(f"transform: {exc}")
         transform = TransformConfig(scic=scic, train=train, seed=seed)
+    if spec_cls is not None:
+        try:
+            spec_cls(**spec_kwargs)
+        except ValueError as exc:
+            problems.append(f"dataset: {exc}")
 
     if problems:
         raise ConfigError(problems)

@@ -2,8 +2,7 @@
 
 A connectivity matrix is a dense (0,1) matrix recording which synapses exist
 between two neuron layers: entry (i, j) = 1 iff input neuron i feeds output
-neuron j. Masks share the shape of the weight matrix they gate and carry a
-role tag so pruning decisions and cluster membership stay distinguishable.
+neuron j. Masks share the shape of the weight matrix they gate.
 Clusters are row/column index groups whose induced submatrix maps onto one
 crossbar; a ClusterSet records which cluster owns each synapse in one int32
 owner matrix per layer.
@@ -19,9 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-MASK_ROLES = ("prune_map", "cluster_map", "combined")
-
-
 class ShapeError(ValueError):
     """Raised when matrix shapes are degenerate or do not line up."""
 
@@ -36,7 +32,7 @@ class SparseFormatError(ValueError):
         super().__init__(message)
 
 
-def _as_bits(values, rows=None, cols=None) -> np.ndarray:
+def _as_bits(values) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 2 or arr.size == 0:
         raise ShapeError(f"degenerate shape {arr.shape}; need a non-empty 2-d matrix")
@@ -68,21 +64,15 @@ class ConnectivityMatrix:
     def nnz(self) -> int:
         return int(self.bits.sum())
 
-    def density(self) -> float:
-        return self.nnz / self.bits.size
-
 
 @dataclass(frozen=True)
 class Mask:
     """(0,1) gate with the same shape as the weight matrix it masks."""
 
     bits: np.ndarray
-    role: str = "combined"
 
     def __post_init__(self):
         object.__setattr__(self, "bits", _as_bits(self.bits))
-        if self.role not in MASK_ROLES:
-            raise ValueError(f"unknown mask role {self.role!r}; expected one of {MASK_ROLES}")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -168,9 +158,6 @@ class ClusterSet:
         """Number of cells each cluster owns."""
         return np.bincount(self.owner[self.owner >= 0], minlength=self.n_clusters)
 
-    def covered_nnz(self) -> int:
-        return int((self.owner >= 0).sum())
-
     def cells(self) -> list[tuple[np.ndarray, np.ndarray]]:
         return owner_cells(self.owner, self.n_clusters)
 
@@ -190,29 +177,9 @@ def owner_cells(owner: np.ndarray, n_clusters: int) -> list[tuple[np.ndarray, np
     return [np.unravel_index(group, owner.shape) for group in np.split(idx, bounds)]
 
 
-def from_weights(weights, epsilon: float = 0.0) -> ConnectivityMatrix:
-    """Binarize a weight matrix: entry (i,j)=1 iff |w(i,j)| > epsilon."""
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 2 or w.size == 0:
-        raise ShapeError(f"degenerate shape {w.shape}; need a non-empty 2-d matrix")
-    if epsilon < 0:
-        raise ValueError("epsilon must be non-negative")
-    return ConnectivityMatrix((np.abs(w) > epsilon).astype(np.uint8))
-
-
-def union_masks(a: Mask, b: Mask) -> Mask:
-    """Entry-wise OR of two masks; the result carries the 'combined' role."""
-    if a.shape != b.shape:
-        raise ShapeError(f"mask shapes differ: {a.shape} vs {b.shape}")
-    return Mask(a.bits | b.bits, role="combined")
-
-
-def apply_mask(weights, mask: Mask) -> np.ndarray:
-    """Zero the weight entries where the mask is 0; the input is not modified."""
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != mask.shape:
-        raise ShapeError(f"weights {w.shape} do not match mask {mask.shape}")
-    return w * mask.bits
+def from_weights(weights) -> ConnectivityMatrix:
+    """The synapses of a weight matrix: entry (i, j) = 1 iff w(i, j) != 0."""
+    return ConnectivityMatrix((np.asarray(weights) != 0).astype(np.uint8))
 
 
 def save_sparse(path, matrix: ConnectivityMatrix) -> None:

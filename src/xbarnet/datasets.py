@@ -201,6 +201,10 @@ class BlobSpec:
     separation: float = 10.0
     sigma: float = 1.0
 
+    def __post_init__(self):
+        if min(self.n_classes, self.dim, self.n_train, self.n_test) < 1:
+            raise ValueError("n_classes, dim, n_train and n_test must be positive")
+
 
 def gen_blobs(spec: BlobSpec, seed: int) -> Dataset:
     """Gaussian clusters with centers ``separation * sigma`` apart (expected)."""
@@ -236,8 +240,10 @@ class PlantedSpec:
     n_test: int = 1000
 
     def __post_init__(self):
-        if self.in_dim % self.block or self.hidden % self.block:
-            raise ValueError("block must divide both first-layer dimensions")
+        if min(self.n_classes, self.n_train, self.n_test) < 1:
+            raise ValueError("n_classes, n_train and n_test must be positive")
+        if self.block < 1 or self.in_dim % self.block or self.hidden % self.block:
+            raise ValueError("block must be positive and divide both first-layer dimensions")
         if not 0 <= self.noise_density < 1:
             raise ValueError("noise_density must lie in [0, 1)")
 

@@ -15,10 +15,8 @@ import io
 import json
 from pathlib import Path
 
-import numpy as np
-
 from .config import ConfigError, ExperimentConfig
-from .connectivity import ClusterSet, ConnectivityMatrix, cluster_sets_to_json
+from .connectivity import ClusterSet, cluster_sets_to_json, from_weights
 from .datasets import Dataset, BlobSpec, PlantedSpec, gen_blobs, gen_planted, load_mnist, write_surrogate_digits
 from .hardware import cmos_energy, map_to_mcas, mca_energy
 from .mlp import evaluate, save_checkpoint
@@ -33,6 +31,21 @@ NORMALIZED = ["num_mca", "total_E", "cmos_E"]
 
 
 def build_dataset(cfg: ExperimentConfig) -> Dataset:
+    """Load or generate the configured dataset and check it against the topology."""
+    data = _load_dataset(cfg)
+    problems = []
+    if data.n_features != cfg.topology[0]:
+        problems.append(f"topology: input width {cfg.topology[0]} != dataset width {data.n_features}")
+    if data.n_classes > cfg.topology[-1]:
+        problems.append(
+            f"topology: output width {cfg.topology[-1]} cannot hold label {data.n_classes - 1}"
+        )
+    if problems:
+        raise ConfigError(problems)
+    return data
+
+
+def _load_dataset(cfg: ExperimentConfig) -> Dataset:
     spec = cfg.dataset
     kind = spec["kind"]
     if kind == "mnist":
@@ -51,13 +64,11 @@ def build_dataset(cfg: ExperimentConfig) -> Dataset:
                 f"samples, the config asks for {n_train} and {n_test}"
             ])
         return data
+    fields = {k: v for k, v in spec.items() if k != "kind"}
     if kind == "blobs":
-        fields = {k: v for k, v in spec.items() if k != "kind"}
         return gen_blobs(BlobSpec(**fields), cfg.seed)
     if kind == "planted":
-        fields = {k: v for k, v in spec.items() if k != "kind"}
-        data, _, _ = gen_planted(PlantedSpec(**fields), cfg.seed)
-        return data
+        return gen_planted(PlantedSpec(**fields), cfg.seed)[0]
     raise ValueError(f"unknown dataset kind {kind!r}")
 
 
@@ -69,10 +80,7 @@ def _fmt(value) -> str:
 
 def dense_cluster_sets(model) -> list[ClusterSet]:
     """No clusters at all: every live synapse is residual."""
-    return [
-        ClusterSet((), ConnectivityMatrix((layer.weights != 0).astype(np.uint8)))
-        for layer in model.layers
-    ]
+    return [ClusterSet((), from_weights(layer.weights)) for layer in model.layers]
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir, dataset: Dataset | None = None) -> dict:

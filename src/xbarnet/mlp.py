@@ -193,7 +193,7 @@ def magnitude_prune(model: MlpModel, prune_quality: float) -> list[Mask]:
     for layer in model.layers:
         live = layer.weights[layer.weights != 0]
         t = prune_quality * live.std() if live.size else 0.0
-        maps.append(Mask((np.abs(layer.weights) >= t).astype(np.uint8), role="prune_map"))
+        maps.append(Mask((np.abs(layer.weights) >= t).astype(np.uint8)))
     return maps
 
 

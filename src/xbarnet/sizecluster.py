@@ -9,13 +9,15 @@ pool. Acceptance writes the cluster's index into the owner matrix at every
 still-unowned synapse of its footprint. Synapses of rejected groups stay
 unowned and get another chance in later rounds.
 
-Splitting works on spectrally ordered rows and columns: the second Laplacian
-eigenvector orders each side, consecutive chunks of crossbar size pair up in
-a grid, so child footprints partition the parent's footprint even when the
-graph has no cut structure at all (a complete block splits into full
-crossbars). When a round's spectral groups yield nothing, the same ordered
-split runs once on the whole residual as a fallback before the threshold
-decays.
+Finding groups and ordering a group for splitting use one graph path:
+the active block goes through ``build_similarity``, ``normalized_laplacian``
+and ``eig_smallest`` (see ``spectral``). Splitting orders each side by the
+second Laplacian eigenvector of the candidate's bipartite graph; consecutive
+chunks of crossbar size pair up in a grid, so child footprints partition the
+parent's footprint even when the graph has no cut structure at all (a
+complete block splits into full crossbars). When a round's spectral groups
+yield nothing, the same ordered split runs once on the whole residual as a
+fallback before the threshold decays.
 
 Utilization is counted against the full crossbar the cluster will occupy
 (crossbar_rows x crossbar_cols), not against the submatrix size, so a small
@@ -30,14 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connectivity import Cluster, ClusterSet, ConnectivityMatrix
-from .spectral import (
-    SimilarityMatrix,
-    build_similarity,
-    eig_smallest,
-    normalized_laplacian,
-    spectral_cluster,
-    split_bipartite,
-)
+from .spectral import build_similarity, eig_smallest, normalized_laplacian, spectral_cluster
 from .util import seed_for
 
 
@@ -45,8 +40,8 @@ from .util import seed_for
 class SizeClusterConfig:
     """Knobs for the iterative clustering loop.
 
-    ``k_per_round=None`` derives the spectral group count per round: the
-    smaller of nnz / (crossbar area * base threshold) and node count /
+    The spectral group count per round is derived, not set: the smaller of
+    nnz / (crossbar area * base threshold) and node count /
     (crossbar_rows + crossbar_cols), clamped to [2, active nodes]. The first
     term aims each cluster at one well-filled crossbar; the second keeps
     groups large enough to span a full block on matrices with many more
@@ -58,7 +53,6 @@ class SizeClusterConfig:
     base_util_factor: float = 0.8
     min_util_factor: float = 0.4
     decay_rate: float = 0.9
-    k_per_round: int | None = None
     max_rounds: int = 50
 
     def __post_init__(self):
@@ -78,24 +72,10 @@ class SizeClusterConfig:
         return self.crossbar_rows * self.crossbar_cols
 
 
-def utilization(cluster: Cluster, c: ConnectivityMatrix, crossbar_rows: int, crossbar_cols: int) -> float:
-    """Fraction of the occupied crossbar's cross-points holding a synapse."""
-    rows = np.fromiter(cluster.row_ids, dtype=np.int64)
-    cols = np.fromiter(cluster.col_ids, dtype=np.int64)
-    if rows.max() >= c.rows or cols.max() >= c.cols:
-        raise ValueError("cluster indices out of matrix bounds")
-    ones = int(c.bits[np.ix_(rows, cols)].sum())
-    return ones / (crossbar_rows * crossbar_cols)
-
-
 def _derived_k(nnz: int, n_active: int, cfg: SizeClusterConfig) -> int:
-    if cfg.k_per_round is not None:
-        k = cfg.k_per_round
-    else:
-        k_nnz = math.ceil(nnz / (cfg.crossbar_area * cfg.base_util_factor))
-        k_nodes = math.ceil(n_active / (cfg.crossbar_rows + cfg.crossbar_cols))
-        k = min(k_nnz, k_nodes)
-    return max(2, min(k, n_active))
+    k_nnz = math.ceil(nnz / (cfg.crossbar_area * cfg.base_util_factor))
+    k_nodes = math.ceil(n_active / (cfg.crossbar_rows + cfg.crossbar_cols))
+    return max(2, min(k_nnz, k_nodes, n_active))
 
 
 def _spectral_order(bits: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -104,16 +84,10 @@ def _spectral_order(bits: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tup
     Ties (and degenerate graphs) fall back to index order; the eigenvector
     sign is canonicalized so the ordering is reproducible.
     """
-    sub = bits[np.ix_(rows, cols)].astype(np.float64)
     m = len(rows)
-    size = m + len(cols)
-    sim = np.zeros((size, size))
-    sim[:m, m:] = sub
-    sim[m:, :m] = sub.T
-    lap = normalized_laplacian(SimilarityMatrix(sim))
-    k = min(2, size)
-    emb = eig_smallest(lap.matrix, k)
-    v = emb.vectors[:, -1]
+    lap = normalized_laplacian(build_similarity(ConnectivityMatrix(bits[np.ix_(rows, cols)])))
+    _, vectors = eig_smallest(lap, min(2, m + len(cols)))
+    v = vectors[:, -1]
     anchor = int(np.abs(v).argmax())
     if v[anchor] < 0:
         v = -v
@@ -239,12 +213,9 @@ def size_constrained_cluster(
             accepted_this_round += int(try_accept(active_rows, active_cols))
         else:
             # structure stage: spectral groups over the residual graph
-            sim = build_similarity(ConnectivityMatrix(residual))
-            n_active = len(active_rows) + len(active_cols)
-            k = _derived_k(nnz_before, n_active, cfg)
-            groups = spectral_cluster(sim, k, seed_for(seed, round_no))
-            for group in groups.groups:
-                g_rows, g_cols = split_bipartite(group, c.rows)
+            k = _derived_k(nnz_before, len(active_rows) + len(active_cols), cfg)
+            groups = spectral_cluster(ConnectivityMatrix(residual), k, seed_for(seed, round_no))
+            for g_rows, g_cols in groups:
                 if len(g_rows) == 0 or len(g_cols) == 0:
                     continue  # one-sided group: synapses stay residual
                 accepted_this_round += handle(g_rows, g_cols)

@@ -1,11 +1,12 @@
-"""Spectral clustering of a similarity graph.
+"""Spectral clustering of a connectivity matrix seen as a bipartite graph.
 
-Pipeline: degree matrix, symmetric normalized Laplacian
-L = I - D^{-1/2} S D^{-1/2}, eigendecomposition, the K eigenvectors of the
-smallest eigenvalues, row normalization, then seeded k-means on the embedded
-rows. Connectivity matrices enter as bipartite graphs: the m input neurons and
-n output neurons are the nodes, each synapse an edge, so one cluster yields a
-row group and a column group jointly.
+The m input neurons and n output neurons are the nodes and each synapse is
+an edge, so one cluster yields a row group and a column group jointly. There
+is one path from connectivity to eigenvectors, used both to find clusters
+and to order a cluster for splitting: the block of active (non-empty) rows
+and columns -> :func:`build_similarity` -> :func:`normalized_laplacian`
+L = I - D^{-1/2} S D^{-1/2} -> :func:`eig_smallest`. Clustering then
+row-normalizes the K smallest eigenvectors and runs seeded k-means on them.
 
 Determinism: all randomness flows from the seed argument; a fixed seed gives
 bit-stable assignments, and k-means is invariant to the ordering of its input
@@ -32,7 +33,7 @@ class SimilarityMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        v = np.array(self.values, dtype=np.float64)
         if v.ndim != 2 or v.shape[0] != v.shape[1] or v.size == 0:
             raise ValueError(f"similarity matrix must be square and non-empty, got {v.shape}")
         if np.abs(v - v.T).max() > 1e-12:
@@ -41,49 +42,12 @@ class SimilarityMatrix:
             raise ValueError("similarity entries must be non-negative")
         if np.abs(np.diag(v)).max() != 0:
             raise ValueError("similarity diagonal must be exactly zero")
-        v = (v + v.T) / 2.0
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
     @property
     def size(self) -> int:
         return self.values.shape[0]
-
-
-@dataclass(frozen=True)
-class SpectralEmbedding:
-    """K smallest eigenpairs of a symmetric matrix, eigenvalues ascending."""
-
-    vectors: np.ndarray
-    eigenvalues: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.eigenvalues, dtype=np.float64)
-        vecs = np.asarray(self.vectors, dtype=np.float64)
-        if np.any(np.diff(vals) < -1e-12):
-            raise ValueError("eigenvalues must be ascending")
-        if vecs.shape[1] != vals.shape[0]:
-            raise ValueError("one eigenvector column per eigenvalue required")
-        vals.flags.writeable = False
-        vecs.flags.writeable = False
-        object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "vectors", vecs)
-
-
-@dataclass(frozen=True)
-class LaplacianResult:
-    """Normalized Laplacian plus the isolated (degree-zero) node indices."""
-
-    matrix: np.ndarray
-    isolated: np.ndarray
-
-
-@dataclass(frozen=True)
-class NodeGroups:
-    """spectral_cluster output: k node groups plus the isolated-node group."""
-
-    groups: tuple[np.ndarray, ...]
-    isolated: np.ndarray
 
 
 def build_similarity(c: ConnectivityMatrix) -> SimilarityMatrix:
@@ -95,33 +59,28 @@ def build_similarity(c: ConnectivityMatrix) -> SimilarityMatrix:
     return SimilarityMatrix(s)
 
 
-def degree_matrix(s: SimilarityMatrix) -> np.ndarray:
-    """Diagonal matrix of row sums."""
-    return np.diag(s.values.sum(axis=1))
-
-
-def normalized_laplacian(s: SimilarityMatrix) -> LaplacianResult:
+def normalized_laplacian(s: SimilarityMatrix) -> np.ndarray:
     """L = I - D^{-1/2} S D^{-1/2}; isolated nodes take D^{-1/2}(i,i) = 0.
 
     With the zero convention an isolated node contributes an identity row, so
-    an empty graph maps to L = I. Isolated node ids are reported alongside.
+    an empty graph maps to L = I. L is exactly symmetric: entry (i, j) is the
+    product d_i * s_ij * d_j, and IEEE multiplication commutes.
     """
     degrees = s.values.sum(axis=1)
-    isolated = np.flatnonzero(degrees == 0)
     inv_sqrt = np.zeros_like(degrees)
     live = degrees > 0
     inv_sqrt[live] = 1.0 / np.sqrt(degrees[live])
-    lap = np.eye(s.size) - (inv_sqrt[:, None] * s.values) * inv_sqrt[None, :]
-    lap = (lap + lap.T) / 2.0
-    return LaplacianResult(matrix=lap, isolated=isolated)
+    return np.eye(s.size) - (inv_sqrt[:, None] * s.values) * inv_sqrt[None, :]
 
 
-def eig_smallest(l: np.ndarray, k: int) -> SpectralEmbedding:
-    """The k algebraically smallest eigenvalues and orthonormal eigenvectors.
+def eig_smallest(l: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors) of the k algebraically smallest eigenpairs.
 
-    The input must be symmetric within tolerance. Backed by the dense
-    symmetric solver (LAPACK); residuals ||Lv - lambda v|| land near machine
-    precision, well inside the 1e-8 * ||L|| contract.
+    Eigenvalues come ascending, one eigenvector column per eigenvalue, as
+    from ``np.linalg.eigh``. The input must be symmetric within tolerance.
+    Backed by the dense symmetric solver (LAPACK); residuals
+    ||Lv - lambda v|| land near machine precision, well inside the
+    1e-8 * ||L|| contract.
     """
     l = np.asarray(l, dtype=np.float64)
     if l.ndim != 2 or l.shape[0] != l.shape[1]:
@@ -132,8 +91,8 @@ def eig_smallest(l: np.ndarray, k: int) -> SpectralEmbedding:
     scale = max(1.0, np.abs(l).max())
     if asym > SYMMETRY_TOL * scale:
         raise ValueError(f"matrix asymmetry {asym:.3e} beyond tolerance")
-    vals, vecs = np.linalg.eigh((l + l.T) / 2.0)
-    return SpectralEmbedding(vectors=vecs[:, :k], eigenvalues=vals[:k])
+    vals, vecs = np.linalg.eigh(l)
+    return vals[:k], vecs[:, :k]
 
 
 def row_normalize(vectors: np.ndarray) -> np.ndarray:
@@ -200,29 +159,19 @@ def kmeans(points: np.ndarray, k: int, seed: int, objective_trace: list | None =
     return labels
 
 
-def spectral_cluster(s: SimilarityMatrix, k: int, seed: int) -> NodeGroups:
-    """Full pipeline: Laplacian, k smallest eigenvectors, row-normalized k-means.
+def spectral_cluster(c: ConnectivityMatrix, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Group the bipartite graph of ``c`` into k (row ids, col ids) pairs.
 
-    Isolated (degree-zero) nodes are excluded before the embedding and come
-    back in the separate ``isolated`` group; k counts only the embedded nodes.
+    Empty rows and columns are isolated nodes: they are left out of the graph
+    and of every group, and k counts only the active nodes. Ids are ascending
+    indices into ``c``; a group may hold rows only or columns only.
     """
-    degrees = s.values.sum(axis=1)
-    active = np.flatnonzero(degrees > 0)
-    isolated = np.flatnonzero(degrees == 0)
-    if k > len(active):
-        raise ValueError(f"k={k} exceeds the {len(active)} non-isolated nodes")
-    sub = SimilarityMatrix(s.values[np.ix_(active, active)])
-    lap = normalized_laplacian(sub)
-    emb = eig_smallest(lap.matrix, k)
-    points = row_normalize(emb.vectors)
-    labels = kmeans(points, k, seed)
-    groups = tuple(active[labels == c] for c in range(k))
-    return NodeGroups(groups=groups, isolated=isolated)
-
-
-def split_bipartite(group: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split bipartite node ids into (row ids, col ids); cols were offset by n_rows."""
-    group = np.asarray(group)
-    rows = group[group < n_rows]
-    cols = group[group >= n_rows] - n_rows
-    return rows, cols
+    rows = np.flatnonzero(c.bits.any(axis=1))
+    cols = np.flatnonzero(c.bits.any(axis=0))
+    if k > len(rows) + len(cols):
+        raise ValueError(f"k={k} exceeds the {len(rows) + len(cols)} non-isolated nodes")
+    block = ConnectivityMatrix(c.bits[np.ix_(rows, cols)])
+    _, vectors = eig_smallest(normalized_laplacian(build_similarity(block)), k)
+    labels = kmeans(row_normalize(vectors), k, seed)
+    row_labels, col_labels = labels[: len(rows)], labels[len(rows) :]
+    return [(rows[row_labels == g], cols[col_labels == g]) for g in range(k)]

@@ -6,7 +6,9 @@ maps, runs size-constrained clustering on the still-unclustered synapses, and
 zeroes every synapse that is marked prunable and sits outside all clusters.
 Cluster membership lives in one int32 owner matrix per layer: -1 for an
 unclustered cell, otherwise the index of its cluster in that layer's record
-list. The model mask is always the prune map OR the owned cells, so clustered
+list. A cluster's utilization is its owned-cell count over the crossbar
+area; the cells it owns never change between acceptance and removal. The
+model mask is always the prune map OR the owned cells, so clustered
 synapses are shielded from magnitude pruning. Once the unclustered fraction
 falls below the threshold the loop switches to cluster pruning: per improving
 epoch it removes the lowest-scoring clusters outright and lets subsequent
@@ -20,7 +22,7 @@ the cluster-after-training arm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +32,7 @@ from .connectivity import (
     ConnectivityMatrix,
     Mask,
     audit_cluster_set,
+    from_weights,
     owner_cells,
 )
 from .mlp import MlpModel, TrainConfig, evaluate, init_model, magnitude_prune, train_epoch
@@ -49,10 +52,6 @@ class TransformConfig:
     clusters_pruned_per_event: int = 1
     max_epochs: int = 20
     seed: int = 0
-    # Per-epoch decay of the clustering acceptance threshold: early epochs
-    # accept only dense blocks, later ones absorb the stubborn remainder.
-    # 1.0 keeps the threshold fixed at scic.base_util_factor.
-    threshold_anneal: float = 1.0
 
     def __post_init__(self):
         if not 0 < self.unclustered_threshold < 1:
@@ -63,21 +62,11 @@ class TransformConfig:
             raise ValueError("clusters_pruned_per_event must be positive")
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be non-negative")
-        if not 0 < self.threshold_anneal <= 1:
-            raise ValueError("threshold_anneal must lie in (0, 1]")
-
-
-@dataclass
-class ClusterRecord:
-    """An accepted cluster and its utilization, frozen at acceptance."""
-
-    cluster: Cluster
-    util: float
 
 
 @dataclass
 class TransformState:
-    """Model, prune maps, and per layer the cluster records and owner matrix.
+    """Model, prune maps, and per layer the accepted clusters and owner matrix.
 
     ``owner[layer][i, j]`` is -1 or the index into ``records[layer]`` of the
     cluster covering synapse (i, j).
@@ -86,7 +75,7 @@ class TransformState:
     model: MlpModel
     prune_maps: list[np.ndarray]
     owner: list[np.ndarray]
-    records: list[list[ClusterRecord]]
+    records: list[list[Cluster]]
     epoch: int = 0
     training_error_previous: float = float("inf")
     phase: str = PHASE_CLUSTERING
@@ -104,8 +93,13 @@ class TransformState:
     def n_clusters(self) -> int:
         return sum(len(r) for r in self.records)
 
-    def mean_util(self) -> float:
-        utils = [rec.util for recs in self.records for rec in recs]
+    def mean_util(self, crossbar_area: int) -> float:
+        """Mean cluster utilization: owned cells over the crossbar area."""
+        utils = [
+            n / crossbar_area
+            for recs, owner in zip(self.records, self.owner)
+            for n in np.bincount(owner[owner >= 0], minlength=len(recs)).tolist()
+        ]
         return float(np.mean(utils)) if utils else 0.0
 
 
@@ -120,39 +114,28 @@ def unclustered_fraction(state: TransformState) -> float:
     return unclustered / live if live else 0.0
 
 
-def _epoch_scic_config(cfg: TransformConfig, epoch: int) -> SizeClusterConfig:
-    base = max(
-        cfg.scic.min_util_factor,
-        cfg.scic.base_util_factor * cfg.threshold_anneal ** (epoch - 1),
-    )
-    return replace(
-        cfg.scic,
-        base_util_factor=base,
-        min_util_factor=min(cfg.scic.min_util_factor, base),
-    )
-
-
 def _layer_scores(state: TransformState, cfg: TransformConfig, layer_id: int) -> list[float]:
     """Scores of every cluster of one layer, in record order (see cluster_score)."""
-    records = state.records[layer_id]
     weights = state.model.layers[layer_id].weights
-    means = []
-    for index, cells in enumerate(owner_cells(state.owner[layer_id], len(records))):
+    utils, means = [], []
+    for index, cells in enumerate(owner_cells(state.owner[layer_id], len(state.records[layer_id]))):
         if len(cells[0]) == 0:
             raise ValueError(f"cluster {index} of layer {layer_id} covers no synapses")
+        utils.append(len(cells[0]) / cfg.scic.crossbar_area)
         means.append(np.abs(weights[cells]).mean())
     top = max(means, default=0.0)
     alpha = cfg.cluster_prune_alpha
     return [
-        alpha * rec.util + (1 - alpha) * (mean / top if top > 0 else 0.0)
-        for rec, mean in zip(records, means)
+        alpha * util + (1 - alpha) * (mean / top if top > 0 else 0.0)
+        for util, mean in zip(utils, means)
     ]
 
 
 def cluster_score(state: TransformState, cfg: TransformConfig, layer_id: int, index: int) -> float:
     """alpha * utilization + (1 - alpha) * normalized mean |w| of the cluster.
 
-    The magnitude term divides the cluster's mean |w| over its covered
+    Utilization is the cluster's owned-cell count over the crossbar area. The
+    magnitude term divides the cluster's mean |w| over its covered
     synapses by the largest such mean among the clusters of the same layer,
     so each layer's strongest cluster scores 1.0 on that term.
     """
@@ -225,7 +208,6 @@ def transform_epoch(
                 maps = magnitude_prune(state.model, cfg.train.prune_quality)
                 state.prune_maps = [np.array(m.bits) for m in maps]
             if enable_cluster:
-                scic_cfg = _epoch_scic_config(cfg, epoch)
                 for layer_id, layer in enumerate(state.model.layers):
                     owner = state.owner[layer_id]
                     residual_bits = ((layer.weights != 0) & (owner < 0)).astype(np.uint8)
@@ -233,17 +215,13 @@ def transform_epoch(
                         continue
                     cs = size_constrained_cluster(
                         ConnectivityMatrix(residual_bits),
-                        scic_cfg,
+                        cfg.scic,
                         seed_for(cfg.seed, STREAM_CLUSTER, epoch, layer_id),
                         layer_id=layer_id,
                     )
-                    records = state.records[layer_id]
                     owned = cs.owner >= 0
-                    owner[owned] = cs.owner[owned] + len(records)
-                    records.extend(
-                        ClusterRecord(cluster, int(n) / scic_cfg.crossbar_area)
-                        for cluster, n in zip(cs.clusters, cs.cell_counts())
-                    )
+                    owner[owned] = cs.owner[owned] + len(state.records[layer_id])
+                    state.records[layer_id].extend(cs.clusters)
 
     n_zeroed = _refresh_masks(state)
     state.training_error_previous = loss
@@ -254,7 +232,7 @@ def transform_epoch(
         "sparsity": state.model.sparsity(),
         "unclustered_frac": unclustered_fraction(state),
         "n_clusters": state.n_clusters(),
-        "mean_util": state.mean_util(),
+        "mean_util": state.mean_util(cfg.scic.crossbar_area),
         "phase": state.phase,
         "improved": improved,
         "n_zeroed_unprotected": n_zeroed,
@@ -316,10 +294,12 @@ def offline_cluster(model: MlpModel, scic_cfg: SizeClusterConfig, seed: int) -> 
     """One post-hoc clustering pass per layer on the final connectivity."""
     sets = []
     for layer_id, layer in enumerate(model.layers):
-        c = ConnectivityMatrix((layer.weights != 0).astype(np.uint8))
         sets.append(
             size_constrained_cluster(
-                c, scic_cfg, seed_for(seed, STREAM_CLUSTER, 0, layer_id), layer_id=layer_id
+                from_weights(layer.weights),
+                scic_cfg,
+                seed_for(seed, STREAM_CLUSTER, 0, layer_id),
+                layer_id=layer_id,
             )
         )
     return sets
@@ -344,8 +324,8 @@ def final_cluster_sets(state: TransformState) -> list[ClusterSet]:
     """Per-layer ClusterSets of the current state for mapping and reports."""
     return [
         ClusterSet(
-            clusters=tuple(r.cluster for r in records),
-            source=ConnectivityMatrix((layer.weights != 0).astype(np.uint8)),
+            clusters=tuple(records),
+            source=from_weights(layer.weights),
             owner=owner,
         )
         for layer, records, owner in zip(state.model.layers, state.records, state.owner)

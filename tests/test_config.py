@@ -50,6 +50,25 @@ class TestConfigErrors:
         with pytest.raises(ConfigError, match=f"{section}.{key}: unknown field"):
             build_config(base_config(**{section: {key: value}}))
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"dataset": {"kind": "planted", "in_dim": 4, "hidden": 4, "block": 3}, "topology": [4, 4, 2]},
+             "dataset: block must be positive and divide"),
+            ({"dataset": {**BLOBS, "dim": "x"}}, "dataset.dim: must be int"),
+            ({"dataset": {**BLOBS, "n_classes": 0}}, "dataset: n_classes, dim, n_train and n_test must be positive"),
+            ({"topology": [5, 3, 2]}, "topology: input width 5 != dataset width 4"),
+            ({"dataset": {**BLOBS, "n_classes": 4, "dim": 8}, "topology": [8, 4, 2]},
+             "topology: output width 2 cannot hold label 3"),
+            ({"scic": {"k_per_round": 3}}, "scic.k_per_round: unknown field"),
+            ({"transform": {"max_epochs": 1, "threshold_anneal": 0.9}}, "transform.threshold_anneal: unknown field"),
+        ],
+        ids=["planted_block", "blobs_dim_type", "blobs_no_classes", "input_width", "label_range", "k_per_round", "threshold_anneal"],
+    )
+    def test_dataset_and_topology_mistakes_exit_2(self, tmp_path, capsys, overrides, message):
+        assert run_train(tmp_path, base_config(**overrides)) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestSurrogateDigitCounts:
     def test_reused_directory_with_other_counts_rejected(self, tmp_path):

@@ -1,4 +1,4 @@
-"""Connectivity matrix, mask, and sparse-format tests."""
+"""Connectivity matrix, cluster set, and sparse-format tests."""
 
 import json
 
@@ -11,110 +11,38 @@ from xbarnet.connectivity import (
     Cluster,
     ClusterSet,
     ConnectivityMatrix,
-    Mask,
     ShapeError,
     SparseFormatError,
-    apply_mask,
     audit_cluster_set,
     cluster_sets_from_json,
     cluster_sets_to_json,
     from_weights,
     load_sparse,
     save_sparse,
-    union_masks,
 )
-
-
-def random_mask(rng, shape):
-    return Mask((rng.random(shape) < 0.5).astype(np.uint8))
 
 
 class TestFromWeights:
     def test_threshold_definition(self):
-        w = [[0.5, 0.0], [-0.2, 0.01]]
-        c = from_weights(w, epsilon=0.05)
+        w = [[0.5, 0.0], [-0.2, -0.0]]
+        c = from_weights(w)
         assert c.bits.tolist() == [[1, 0], [1, 0]]
 
     def test_zero_matrix_identity_case(self):
-        c = from_weights(np.zeros((3, 4)), epsilon=0.0)
+        c = from_weights(np.zeros((3, 4)))
         assert c.nnz == 0
-
-    def test_median_epsilon_gives_half_density(self):
-        # oracle: count the entries strictly above the exact median by sorting
-        rng = np.random.default_rng(7)
-        w = rng.normal(size=(100, 100))
-        eps = float(np.median(np.abs(w)))
-        expected = int((np.sort(np.abs(w).ravel()) > eps).sum())
-        c = from_weights(w, epsilon=eps)
-        assert abs(c.nnz - 5000) <= 1
-        assert c.nnz == expected
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ShapeError, match="degenerate"):
             from_weights(np.zeros((0, 3)))
-
-    def test_negative_epsilon_rejected(self):
-        with pytest.raises(ValueError):
-            from_weights(np.ones((2, 2)), epsilon=-1.0)
-
-
-class TestMaskAlgebra:
-    def test_or_truth_table(self):
-        a = Mask([[1, 0], [0, 0]], role="prune_map")
-        b = Mask([[0, 0], [0, 1]], role="cluster_map")
-        assert union_masks(a, b).bits.tolist() == [[1, 0], [0, 1]]
-        assert union_masks(a, b).role == "combined"
-
-    def test_identity_and_absorbing(self):
-        rng = np.random.default_rng(0)
-        m = random_mask(rng, (5, 7))
-        zeros = Mask(np.zeros((5, 7), dtype=np.uint8))
-        ones = Mask(np.ones((5, 7), dtype=np.uint8))
-        assert np.array_equal(union_masks(m, zeros).bits, m.bits)
-        assert union_masks(m, ones).bits.all()
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            union_masks(Mask(np.ones((2, 2), dtype=np.uint8)), Mask(np.ones((2, 3), dtype=np.uint8)))
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_commutative_associative_idempotent(self, seed):
-        rng = np.random.default_rng(seed)
-        a, b, c = (random_mask(rng, (4, 6)) for _ in range(3))
-        ab = union_masks(a, b)
-        ba = union_masks(b, a)
-        assert np.array_equal(ab.bits, ba.bits)
-        left = union_masks(union_masks(a, b), c)
-        right = union_masks(a, union_masks(b, c))
-        assert np.array_equal(left.bits, right.bits)
-        assert np.array_equal(union_masks(a, a).bits, a.bits)
-
-
-class TestApplyMask:
-    def test_definition(self):
-        out = apply_mask([[2.0, 3.0], [4.0, 5.0]], Mask([[1, 0], [0, 1]]))
-        assert out.tolist() == [[2.0, 0.0], [0.0, 5.0]]
-
-    def test_identity_and_annihilator(self):
-        rng = np.random.default_rng(1)
-        w = rng.normal(size=(3, 5))
-        assert np.array_equal(apply_mask(w, Mask(np.ones((3, 5), dtype=np.uint8))), w)
-        assert not apply_mask(w, Mask(np.zeros((3, 5), dtype=np.uint8))).any()
-
-    def test_input_unmodified(self):
-        w = np.ones((2, 2))
-        apply_mask(w, Mask([[0, 0], [0, 0]]))
-        assert w.all()
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_binarization_idempotent(self, seed):
         rng = np.random.default_rng(seed)
         w = rng.normal(size=(6, 6)) * (rng.random((6, 6)) < 0.7)
-        eps = 0.1
-        c = from_weights(w, eps)
-        again = from_weights(apply_mask(w, Mask(c.bits)), eps)
+        c = from_weights(w)
+        again = from_weights(w * c.bits)
         assert np.array_equal(again.bits, c.bits)
 
 

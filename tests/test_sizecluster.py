@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from xbarnet.connectivity import Cluster, ConnectivityMatrix, audit_cluster_set
-from xbarnet.sizecluster import (
-    SizeClusterConfig,
-    size_constrained_cluster,
-    split_oversized,
-    utilization,
-)
+from xbarnet.sizecluster import SizeClusterConfig, size_constrained_cluster, split_oversized
 
 
 def block_diagonal(blocks, block_shape):
@@ -29,30 +24,6 @@ def check_contract(cs, original, cfg):
         assert util >= cfg.min_util_factor
 
 
-class TestUtilization:
-    def test_ratio(self):
-        bits = np.zeros((6, 6), dtype=np.uint8)
-        bits[:4, :3] = 1
-        c = ConnectivityMatrix(bits)
-        cluster = Cluster(tuple(range(4)), tuple(range(4)))
-        assert utilization(cluster, c, 4, 4) == pytest.approx(12 / 16)
-
-    def test_full_crossbar(self):
-        c = ConnectivityMatrix(np.ones((4, 4), dtype=np.uint8))
-        cluster = Cluster(tuple(range(4)), tuple(range(4)))
-        assert utilization(cluster, c, 4, 4) == 1.0
-
-    def test_empty_submatrix(self):
-        c = ConnectivityMatrix(np.eye(4, dtype=np.uint8))
-        cluster = Cluster((0, 1), (2, 3))
-        assert utilization(cluster, c, 4, 4) == 0.0
-
-    def test_out_of_bounds(self):
-        c = ConnectivityMatrix(np.ones((2, 2), dtype=np.uint8))
-        with pytest.raises(ValueError, match="bounds"):
-            utilization(Cluster((0, 5), (0,)), c, 4, 4)
-
-
 class TestSplitOversized:
     def test_complete_block_splits_into_full_crossbars(self):
         # oracle: audit the children; a balanced partition of an all-ones
@@ -65,7 +36,7 @@ class TestSplitOversized:
         claimed = np.zeros((8, 8), dtype=int)
         for child in children:
             assert child.fits(4, 4)
-            assert utilization(child, c, 4, 4) == 1.0
+            assert c.bits[np.ix_(child.row_ids, child.col_ids)].sum() == 16  # a full 4x4 crossbar
             claimed[np.ix_(child.row_ids, child.col_ids)] += 1
         assert (claimed == 1).all()  # footprints partition the parent
 

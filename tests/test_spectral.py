@@ -7,7 +7,6 @@ from xbarnet.connectivity import ConnectivityMatrix
 from xbarnet.spectral import (
     SimilarityMatrix,
     build_similarity,
-    degree_matrix,
     eig_smallest,
     kmeans,
     normalized_laplacian,
@@ -39,21 +38,21 @@ def union_find_components(adj: np.ndarray) -> list[set]:
     return list(groups.values())
 
 
-def random_component_graph(rng, sizes):
-    """Block-diagonal adjacency of random connected components (tree + extras)."""
-    n = sum(sizes)
-    adj = np.zeros((n, n))
-    offset = 0
-    for size in sizes:
-        nodes = np.arange(offset, offset + size)
-        perm = rng.permutation(nodes)
-        for a, b in zip(perm[:-1], perm[1:]):  # spanning path keeps it connected
-            adj[a, b] = adj[b, a] = 1
-        for _ in range(size):
-            a, b = rng.choice(nodes, size=2, replace=False)
-            adj[a, b] = adj[b, a] = 1
-        offset += size
-    return adj
+def random_block_bits(rng, shapes):
+    """Block-diagonal connectivity; each (rows, cols) block is one connected component.
+
+    Every block holds its first row and first column in full (a spanning
+    double star) plus random extra synapses.
+    """
+    bits = np.zeros((sum(r for r, _ in shapes), sum(c for _, c in shapes)), dtype=np.uint8)
+    r0 = c0 = 0
+    for rows, cols in shapes:
+        block = (rng.random((rows, cols)) < 0.3).astype(np.uint8)
+        block[0, :] = 1
+        block[:, 0] = 1
+        bits[r0 : r0 + rows, c0 : c0 + cols] = block
+        r0, c0 = r0 + rows, c0 + cols
+    return bits
 
 
 class TestSimilarity:
@@ -79,30 +78,14 @@ class TestSimilarity:
 
 
 class TestDegreeAndLaplacian:
-    def test_degree_row_sums(self):
-        s = SimilarityMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.array_equal(degree_matrix(s), np.eye(2))
-
-    def test_degree_of_zero_graph(self):
-        s = SimilarityMatrix(np.zeros((3, 3)))
-        assert not degree_matrix(s).any()
-
-    def test_degree_general(self):
-        v = np.array([[0, 1.5, 0.5], [1.5, 0, 1.5], [0.5, 1.5, 0]])
-        d = degree_matrix(SimilarityMatrix(v))
-        assert np.allclose(np.diag(d), [2.0, 3.0, 2.0])
-
     def test_two_node_path(self):
-        s = SimilarityMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        lap = normalized_laplacian(s)
-        assert np.allclose(lap.matrix, [[1.0, -1.0], [-1.0, 1.0]])
-        assert np.allclose(np.sort(np.linalg.eigvalsh(lap.matrix)), [0.0, 2.0])
+        lap = normalized_laplacian(build_similarity(ConnectivityMatrix([[1]])))
+        assert np.allclose(lap, [[1.0, -1.0], [-1.0, 1.0]])
+        assert np.allclose(np.sort(np.linalg.eigvalsh(lap)), [0.0, 2.0])
 
     def test_zero_graph_gives_identity(self):
-        s = SimilarityMatrix(np.zeros((4, 4)))
-        lap = normalized_laplacian(s)
-        assert np.array_equal(lap.matrix, np.eye(4))
-        assert lap.isolated.tolist() == [0, 1, 2, 3]
+        s = build_similarity(ConnectivityMatrix(np.zeros((1, 3), dtype=np.uint8)))
+        assert np.array_equal(normalized_laplacian(s), np.eye(4))
 
     def test_triangle_eigenvalues(self):
         # oracle: for K3, det(L - t I) = (1-t)^3 - 3(1-t)/4 - 1/4, roots {0, 1.5, 1.5}
@@ -112,58 +95,65 @@ class TestDegreeAndLaplacian:
         char = t**3 - 0.75 * t - 0.25
         roots = np.sort_complex(char.roots()).real
         assert np.allclose(np.sort(roots), [0.0, 1.5, 1.5], atol=1e-9)
-        assert np.allclose(np.sort(np.linalg.eigvalsh(lap.matrix)), np.sort(roots), atol=1e-9)
+        assert np.allclose(np.sort(np.linalg.eigvalsh(lap)), np.sort(roots), atol=1e-9)
 
     def test_psd_and_upper_bound_on_random_graphs(self):
+        # bipartite graphs reach the upper bound 2 exactly, once per component
         rng = np.random.default_rng(5)
         for _ in range(20):
-            adj = random_component_graph(rng, rng.integers(2, 6, size=rng.integers(1, 4)))
-            lap = normalized_laplacian(SimilarityMatrix(adj))
-            vals = np.linalg.eigvalsh(lap.matrix)
+            c = ConnectivityMatrix(random_block_bits(rng, rng.integers(2, 6, size=(rng.integers(1, 4), 2))))
+            s = build_similarity(c)
+            vals = np.linalg.eigvalsh(normalized_laplacian(s))
             assert vals.min() >= -1e-9
             assert vals.max() <= 2 + 1e-9
+            assert int((vals > 2 - 1e-9).sum()) == len(union_find_components(s.values))
 
     def test_zero_eigenvalue_multiplicity_counts_components(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
-            sizes = rng.integers(2, 7, size=rng.integers(2, 5))
-            adj = random_component_graph(rng, sizes)
-            lap = normalized_laplacian(SimilarityMatrix(adj))
-            vals = np.linalg.eigvalsh(lap.matrix)
-            n_components = len(union_find_components(adj))
-            assert int((vals < 1e-10).sum()) >= n_components
+            c = ConnectivityMatrix(random_block_bits(rng, rng.integers(2, 7, size=(rng.integers(2, 5), 2))))
+            s = build_similarity(c)
+            vals = np.linalg.eigvalsh(normalized_laplacian(s))
+            assert int((vals < 1e-10).sum()) == len(union_find_components(s.values))
+
+    def test_exactly_symmetric(self):
+        rng = np.random.default_rng(13)
+        bits = (rng.random((9, 14)) < 0.4).astype(np.uint8)
+        bits[2] = 0
+        lap = normalized_laplacian(build_similarity(ConnectivityMatrix(bits)))
+        assert np.array_equal(lap, lap.T)
 
 
 class TestEigSmallest:
     def test_identity_eigenvalues(self):
-        emb = eig_smallest(np.eye(5), 2)
-        assert np.allclose(emb.eigenvalues, [1.0, 1.0])
+        vals, _ = eig_smallest(np.eye(5), 2)
+        assert np.allclose(vals, [1.0, 1.0])
 
     def test_two_node_path_ground_vector(self):
         lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        emb = eig_smallest(lap, 1)
-        assert abs(emb.eigenvalues[0]) < 1e-12
-        v = emb.vectors[:, 0]
-        assert np.allclose(np.abs(v), [np.sqrt(0.5), np.sqrt(0.5)])
+        vals, vecs = eig_smallest(lap, 1)
+        assert abs(vals[0]) < 1e-12
+        assert np.allclose(np.abs(vecs[:, 0]), [np.sqrt(0.5), np.sqrt(0.5)])
 
     def test_reconstruction_oracle(self):
         rng = np.random.default_rng(9)
         a = rng.normal(size=(8, 8))
         sym = (a + a.T) / 2
-        emb = eig_smallest(sym, 8)
-        rebuilt = emb.vectors @ np.diag(emb.eigenvalues) @ emb.vectors.T
+        vals, vecs = eig_smallest(sym, 8)
+        rebuilt = vecs @ np.diag(vals) @ vecs.T
         assert np.abs(rebuilt - sym).max() < 1e-8
 
     def test_orthonormal_and_residuals(self):
         rng = np.random.default_rng(10)
         a = rng.normal(size=(12, 12))
         sym = (a + a.T) / 2
-        emb = eig_smallest(sym, 6)
-        gram = emb.vectors.T @ emb.vectors
+        vals, vecs = eig_smallest(sym, 6)
+        assert np.all(np.diff(vals) >= 0)
+        gram = vecs.T @ vecs
         assert np.abs(gram - np.eye(6)).max() <= 1e-8
         norm = np.linalg.norm(sym)
         for i in range(6):
-            r = sym @ emb.vectors[:, i] - emb.eigenvalues[i] * emb.vectors[:, i]
+            r = sym @ vecs[:, i] - vals[i] * vecs[:, i]
             assert np.linalg.norm(r) <= 1e-8 * norm
 
     def test_rejects_asymmetric(self):
@@ -215,15 +205,55 @@ class TestKmeans:
         assert np.array_equal(kmeans(pts, 4, seed=7), kmeans(pts, 4, seed=7))
 
 
+def as_sets(groups):
+    """(row ids, col ids) pairs as a set of frozensets of bipartite node ids."""
+    return {frozenset(r.tolist()) | frozenset(("c", j) for j in c.tolist()) for r, c in groups}
+
+
+def component_sets(bits: np.ndarray):
+    """Oracle groups: union-find components of the bipartite graph, isolated nodes dropped."""
+    m = bits.shape[0]
+    s = build_similarity(ConnectivityMatrix(bits))
+    return {
+        frozenset(i for i in comp if i < m) | frozenset(("c", i - m) for i in comp if i >= m)
+        for comp in union_find_components(s.values)
+        if len(comp) > 1
+    }
+
+
+def reference_spectral_groups(bits: np.ndarray, k: int, seed: int):
+    """The former full-graph path, kept as an oracle.
+
+    Similarity over all m+n nodes, the active submatrix of it, a symmetrized
+    Laplacian, the full eigendecomposition, then the same k-means; groups are
+    split back into row and column ids.
+    """
+    m, n = bits.shape
+    s = np.zeros((m + n, m + n))
+    s[:m, m:] = bits
+    s[m:, :m] = bits.T
+    active = np.flatnonzero(s.sum(axis=1) > 0)
+    sub = s[np.ix_(active, active)]
+    sub = (sub + sub.T) / 2.0
+    degrees = sub.sum(axis=1)
+    inv_sqrt = np.zeros_like(degrees)
+    inv_sqrt[degrees > 0] = 1.0 / np.sqrt(degrees[degrees > 0])
+    lap = np.eye(len(active)) - (inv_sqrt[:, None] * sub) * inv_sqrt[None, :]
+    lap = (lap + lap.T) / 2.0
+    _, vecs = np.linalg.eigh((lap + lap.T) / 2.0)
+    labels = kmeans(row_normalize(vecs[:, :k]), k, seed)
+    groups = [active[labels == g] for g in range(k)]
+    return [(g[g < m], g[g >= m] - m) for g in groups]
+
+
 class TestSpectralCluster:
     def test_two_disconnected_cliques(self):
-        adj = np.zeros((8, 8))
-        adj[:4, :4] = 1 - np.eye(4)
-        adj[4:, 4:] = 1 - np.eye(4)
-        result = spectral_cluster(SimilarityMatrix(adj), 2, seed=0)
-        groups = {frozenset(g.tolist()) for g in result.groups}
-        oracle = {frozenset(c) for c in union_find_components(adj)}
-        assert groups == oracle
+        # two complete bipartite blocks, K(4,3) and K(2,5)
+        bits = np.zeros((6, 8), dtype=np.uint8)
+        bits[:4, :3] = 1
+        bits[4:, 3:] = 1
+        groups = spectral_cluster(ConnectivityMatrix(bits), 2, seed=0)
+        assert as_sets(groups) == component_sets(bits)
 
     def test_planted_bipartite_blocks(self):
         rng = np.random.default_rng(3)
@@ -232,34 +262,44 @@ class TestSpectralCluster:
             block = (rng.random((4, 3)) < 0.9).astype(np.uint8)
             block[0, 0] = 1
             bits[b * 4 : (b + 1) * 4, b * 3 : (b + 1) * 3] = block
-        s = build_similarity(ConnectivityMatrix(bits))
-        result = spectral_cluster(s, 3, seed=1)
-        groups = {frozenset(g.tolist()) for g in result.groups}
-        oracle = {frozenset(c) for c in union_find_components(s.values)}
-        assert groups == oracle
+        groups = spectral_cluster(ConnectivityMatrix(bits), 3, seed=1)
+        assert as_sets(groups) == component_sets(bits)
 
     def test_single_edge_single_cluster(self):
-        s = build_similarity(ConnectivityMatrix([[1]]))
-        result = spectral_cluster(s, 1, seed=0)
-        assert frozenset(result.groups[0].tolist()) == {0, 1}
-        assert len(result.isolated) == 0
+        (rows, cols), = spectral_cluster(ConnectivityMatrix([[1]]), 1, seed=0)
+        assert rows.tolist() == [0] and cols.tolist() == [0]
 
     def test_isolated_nodes_separated(self):
-        adj = np.zeros((5, 5))
-        adj[0, 1] = adj[1, 0] = 1
-        adj[2, 3] = adj[3, 2] = 1
-        result = spectral_cluster(SimilarityMatrix(adj), 2, seed=0)
-        assert result.isolated.tolist() == [4]
-        assert {frozenset(g.tolist()) for g in result.groups} == {
-            frozenset({0, 1}),
-            frozenset({2, 3}),
-        }
+        # row 1 and column 2 have no synapse: they join no group
+        bits = np.zeros((3, 3), dtype=np.uint8)
+        bits[0, 0] = 1
+        bits[2, 1] = 1
+        groups = spectral_cluster(ConnectivityMatrix(bits), 2, seed=0)
+        assert as_sets(groups) == {frozenset({0, ("c", 0)}), frozenset({2, ("c", 1)})}
 
     def test_k_exceeding_active_nodes(self):
-        adj = np.zeros((4, 4))
-        adj[0, 1] = adj[1, 0] = 1
+        bits = np.zeros((2, 2), dtype=np.uint8)
+        bits[0, 1] = 1
         with pytest.raises(ValueError, match="non-isolated"):
-            spectral_cluster(SimilarityMatrix(adj), 3, seed=0)
+            spectral_cluster(ConnectivityMatrix(bits), 3, seed=0)
+
+    def test_matches_full_graph_reference(self):
+        # seeded residuals with empty rows and columns; the active-block path
+        # must return exactly the groups of the former full-graph path
+        rng = np.random.default_rng(41)
+        for trial in range(30):
+            m, n = (int(v) for v in rng.integers(6, 40, size=2))
+            bits = (rng.random((m, n)) < rng.uniform(0.05, 0.6)).astype(np.uint8)
+            bits[rng.random(m) < 0.25] = 0
+            bits[:, rng.random(n) < 0.25] = 0
+            bits[0, 0] = bits[-1, -1] = 1
+            n_active = int(bits.any(axis=1).sum() + bits.any(axis=0).sum())
+            k = int(rng.integers(2, min(8, n_active) + 1))
+            got = spectral_cluster(ConnectivityMatrix(bits), k, seed=trial)
+            want = reference_spectral_groups(bits, k, seed=trial)
+            assert len(got) == len(want) == k
+            for (gr, gc), (wr, wc) in zip(got, want):
+                assert np.array_equal(gr, wr) and np.array_equal(gc, wc)
 
     def test_row_normalize_keeps_zero_rows(self):
         v = np.array([[3.0, 4.0], [0.0, 0.0]])

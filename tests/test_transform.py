@@ -8,7 +8,6 @@ from xbarnet.datasets import PlantedSpec, gen_planted
 from xbarnet.mlp import TrainConfig, evaluate
 from xbarnet.sizecluster import SizeClusterConfig
 from xbarnet.transform import (
-    ClusterRecord,
     TransformConfig,
     TransformState,
     audit_state,
@@ -41,14 +40,14 @@ def tiny_data(seed=0, n=200, dim=6, classes=3):
 
 
 def add_record(state, layer_id, rows, cols):
-    """Install a cluster record over currently-live synapses of the block."""
+    """Install a cluster over the currently-live synapses of the block."""
     block = np.ix_(rows, cols)
     live = state.model.layers[layer_id].weights[block] != 0
     owner = state.owner[layer_id]
     owner[block] = np.where(live, len(state.records[layer_id]), owner[block])
-    rec = ClusterRecord(cluster=Cluster(tuple(rows), tuple(cols), layer_id), util=int(live.sum()) / 16)
-    state.records[layer_id].append(rec)
-    return rec
+    cluster = Cluster(tuple(rows), tuple(cols), layer_id)
+    state.records[layer_id].append(cluster)
+    return cluster
 
 
 class TestBranchLogic:
@@ -100,19 +99,22 @@ class TestBranchLogic:
 
 
 class TestClusterScore:
-    def build_state(self):
+    def build_state(self, b_live_rows=4):
+        """Cluster a owns a full 4x4 block; cluster b owns ``b_live_rows`` rows of one."""
         state = TransformState.fresh([8, 8, 3], seed=1)
         w = state.model.layers[0].weights
         w[:4, :4] = 0.5
         w[4:8, 4:8] = 0.5
+        w[4 + b_live_rows : 8, 4:8] = 0.0
         rec_a = add_record(state, 0, range(4), range(4))
         rec_b = add_record(state, 0, range(4, 8), range(4, 8))
         return state, rec_a, rec_b
 
     def test_alpha_one_is_utilization(self):
-        state, rec_a, _ = self.build_state()
+        state, _, _ = self.build_state(b_live_rows=3)
         cfg = small_config(cluster_prune_alpha=1.0)
-        assert cluster_score(state, cfg, 0, 0) == pytest.approx(rec_a.util)
+        assert cluster_score(state, cfg, 0, 0) == 1.0
+        assert cluster_score(state, cfg, 0, 1) == 12 / 16  # owned cells over the 4x4 crossbar
 
     def test_alpha_zero_best_cluster_scores_one(self):
         state, rec_a, rec_b = self.build_state()
@@ -123,13 +125,11 @@ class TestClusterScore:
         assert cluster_score(state, cfg, 0, 1) < 1.0
 
     def test_equal_magnitude_difference_is_alpha_scaled(self):
-        state, rec_a, rec_b = self.build_state()
-        rec_a.util = 0.9
-        rec_b.util = 0.5
+        state, _, _ = self.build_state(b_live_rows=2)
         cfg = small_config(cluster_prune_alpha=0.5)
         sa = cluster_score(state, cfg, 0, 0)
         sb = cluster_score(state, cfg, 0, 1)
-        assert sa - sb == pytest.approx(0.5 * (0.9 - 0.5))
+        assert sa - sb == pytest.approx(0.5 * (1.0 - 0.5))
 
     def test_matches_per_cluster_reference(self):
         # reference: each cluster's mean |w| over np.nonzero(owner == k), scored
@@ -140,9 +140,10 @@ class TestClusterScore:
         cfg = small_config(cluster_prune_alpha=0.3)
         for layer_id, records in enumerate(state.records):
             absw = np.abs(state.model.layers[layer_id].weights)
-            means = [absw[np.nonzero(state.owner[layer_id] == k)].mean() for k in range(len(records))]
-            for k, rec in enumerate(records):
-                want = 0.3 * rec.util + 0.7 * (means[k] / max(means))
+            cells = [np.nonzero(state.owner[layer_id] == k) for k in range(len(records))]
+            means = [absw[c].mean() for c in cells]
+            for k, c in enumerate(cells):
+                want = 0.3 * (len(c[0]) / cfg.scic.crossbar_area) + 0.7 * (means[k] / max(means))
                 assert cluster_score(state, cfg, layer_id, k) == want
 
     def test_empty_cluster_errors(self):
@@ -157,7 +158,7 @@ class TestClusterPrune:
     def test_single_cluster_removed_and_zeroed(self):
         state = TransformState.fresh([8, 8, 3], seed=2)
         state.model.layers[0].weights[:4, :4] = 0.7
-        rec = add_record(state, 0, range(4), range(4))
+        add_record(state, 0, range(4), range(4))
         cfg = small_config()
         removed = cluster_prune(state, cfg)
         assert removed == 1
@@ -169,11 +170,10 @@ class TestClusterPrune:
         state = TransformState.fresh([8, 8, 3], seed=3)
         w = state.model.layers[0].weights
         w[:4, :4] = 0.5
+        w[1:4, :4] = 0.0  # the first cluster owns 4 cells, the second 16
         w[4:8, 4:8] = 0.5
-        rec_low = add_record(state, 0, range(4), range(4))
+        add_record(state, 0, range(4), range(4))
         rec_high = add_record(state, 0, range(4, 8), range(4, 8))
-        rec_low.util = 0.2
-        rec_high.util = 0.9
         cfg = small_config(cluster_prune_alpha=1.0)
         cluster_prune(state, cfg)
         assert state.records[0] == [rec_high]
@@ -235,6 +235,14 @@ class TestRunLoop:
         for record in result.log:
             assert wanted <= set(record)
 
+    def test_mean_util_is_mean_cell_count_over_area(self):
+        x, y = tiny_data(n=200)
+        cfg = small_config(max_epochs=3)
+        result = run(cfg, [6, 8, 3], x, y, x, y)
+        counts = np.concatenate([cs.cell_counts() for cs in final_cluster_sets(result.state)])
+        assert len(counts) > 1
+        assert result.log[-1]["mean_util"] == float(np.mean(counts / cfg.scic.crossbar_area))
+
 
 class TestPlantedRecovery:
     def test_blocks_recovered_quickly(self):
@@ -283,6 +291,6 @@ class TestOfflineCluster:
         result = run(cfg, [6, 8, 3], x, y, x, y)
         sets = final_cluster_sets(result.state)
         live = result.model.n_live()
-        covered = sum(cs.covered_nnz() for cs in sets)
+        covered = sum(int((cs.owner >= 0).sum()) for cs in sets)
         residual = sum(cs.residual.nnz for cs in sets)
         assert covered + residual == live
