@@ -22,6 +22,7 @@ from .hardware import (
     TechConfig,
     cmos_energy,
     core_count,
+    energy_document,
     map_to_mcas,
     mca_energy,
 )

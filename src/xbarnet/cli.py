@@ -19,9 +19,10 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, load_config
-from .connectivity import cluster_sets_from_json, cluster_sets_to_json, from_weights, load_sparse
-from .experiment import compare, run_experiment
-from .hardware import cmos_energy, map_to_mcas, mca_energy
+from .connectivity import InputFormatError, cluster_sets_from_json, cluster_sets_to_json, from_weights
+from .connectivity import load_sparse
+from .experiment import compare, run_experiment, write_json
+from .hardware import MappingReport, energy_document, map_to_mcas
 from .mlp import load_checkpoint
 from .sizecluster import size_constrained_cluster
 from .transform import offline_cluster
@@ -66,9 +67,7 @@ def cmd_cluster(args) -> int:
     cfg = _load(args)
     out = Path(args.out or cfg.out_dir or "clusters.json")
     if args.matrix:
-        matrix = load_sparse(args.matrix)
-        cs = size_constrained_cluster(matrix, cfg.scic, cfg.seed)
-        sets = [cs]
+        sets = [size_constrained_cluster(load_sparse(args.matrix), cfg.scic, cfg.seed)]
     elif args.checkpoint:
         model, _ = load_checkpoint(args.checkpoint)
         sets = offline_cluster(model, cfg.scic, cfg.seed)
@@ -90,40 +89,18 @@ def cmd_map(args) -> int:
     sets = cluster_sets_from_json(Path(args.clusters).read_text(), live)
     report = map_to_mcas(sets, cfg.tech)
     out = Path(args.out or cfg.out_dir or "mapping.json")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(report.to_dict(), indent=1))
+    write_json(out, report.to_dict())
     print(f"wrote {out}: num_mca={report.num_mca} num_core={report.num_core}")
     return 0
 
 
 def cmd_report(args) -> int:
     cfg = _load(args)
-    from .hardware import MappingReport
-
     report = MappingReport.from_dict(json.loads(Path(args.mapping).read_text()))
-    energy = mca_energy(report, cfg.tech, cfg.evals_per_inference)
-    storage = args.storage
-    if storage == "auto":
-        storage = "clustered" if report.n_clusters() else "dense"
-    stored = report.clustered_storage() if storage == "clustered" else report.dense_storage()
-    cmos = cmos_energy(report.n_live(), stored, cfg.cmos, report.n_clusters())
-    doc = {
-        "mca_component_j": energy.mca_component,
-        "peripheral_component_j": energy.peripheral_component,
-        "total_j": energy.total,
-        "storage_model": storage,
-        "cmos": {
-            "compute_j": cmos.compute,
-            "memory_access_j": cmos.memory_access,
-            "leakage_j": cmos.leakage,
-            "sync_j": cmos.sync,
-            "total_j": cmos.total,
-        },
-    }
+    doc = energy_document(report, cfg.tech, cfg.cmos, cfg.evals_per_inference, args.storage)
     out = Path(args.out or cfg.out_dir or "energy.json")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(doc, indent=1))
-    print(f"wrote {out}: total_E={energy.total:.3e} cmos_E={cmos.total:.3e}")
+    write_json(out, doc)
+    print(f"wrote {out}: total_E={doc['total_j']:.3e} cmos_E={doc['cmos']['total_j']:.3e}")
     return 0
 
 
@@ -189,7 +166,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, InputFormatError) as exc:
         print(exc, file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

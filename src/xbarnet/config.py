@@ -45,10 +45,6 @@ class ExperimentConfig:
     evals_per_inference: list[int] | None = None
 
     @property
-    def train(self) -> TrainConfig:
-        return self.transform.train
-
-    @property
     def scic(self) -> SizeClusterConfig:
         return self.transform.scic
 
@@ -58,21 +54,44 @@ def default_profile() -> dict:
     return json.loads(text)
 
 
-def _check_section(raw: dict, name: str, cls, problems: list[str]) -> dict:
-    section = raw.get(name, {})
-    if not isinstance(section, dict):
-        problems.append(f"{name}: must be an object, got {type(section).__name__}")
-        return {}
-    known = {f.name for f in fields(cls)}
-    for key in section:
-        if key not in known:
-            problems.append(f"{name}.{key}: unknown field (expected one of {sorted(known)})")
-    return {k: v for k, v in section.items() if k in known}
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _matches_type(value, expected: type) -> bool:
-    """JSON value check against a field default's type; an int may stand for a float."""
+    """JSON value check against a field default's type: an int may stand for a float, a bool only for a bool."""
+    if isinstance(value, bool):
+        return expected is bool
     return isinstance(value, expected) or (expected is float and isinstance(value, int))
+
+
+def _check_fields(section, name: str, cls, problems: list[str], set_elsewhere=()) -> dict:
+    """The known, well-typed fields of one config section; reports the rest to ``problems``.
+
+    Types come from the field defaults; fields in ``set_elsewhere`` take their values elsewhere.
+    """
+    if not isinstance(section, dict):
+        problems.append(f"{name}: must be an object, got {type(section).__name__}")
+        return {}
+    defaults = {f.name: f.default for f in fields(cls) if f.name not in set_elsewhere}
+    kwargs = {}
+    for key, value in section.items():
+        if key not in defaults:
+            problems.append(f"{name}.{key}: unknown field (expected one of {sorted(defaults)})")
+        elif not _matches_type(value, type(defaults[key])):
+            problems.append(f"{name}.{key}: must be {type(defaults[key]).__name__}, got {value!r}")
+        else:
+            kwargs[key] = value
+    return kwargs
+
+
+def _construct(cls, name: str, problems: list[str], **kwargs):
+    """``cls(**kwargs)``, or None with its range error added to ``problems``."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        problems.append(f"{name}: {exc}")
+        return None
 
 
 def build_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
@@ -85,27 +104,19 @@ def build_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
         dataset = {"kind": "blobs"}
     elif dataset["kind"] not in DATASET_KINDS:
         problems.append(f"dataset.kind: {dataset['kind']!r} not one of {DATASET_KINDS}")
+        dataset = {"kind": None}
     if dataset.get("kind") in ("mnist", "surrogate_digits") and "dir" not in dataset:
         problems.append(f"dataset.dir: required for kind {dataset.get('kind')!r}")
     spec_cls = DATASET_SPECS.get(dataset.get("kind"))
-    spec_kwargs = {}
     if spec_cls is not None:
-        defaults = {f.name: f.default for f in fields(spec_cls)}
-        for key, value in dataset.items():
-            if key == "kind":
-                continue
-            if key not in defaults:
-                problems.append(f"dataset.{key}: unknown field (expected one of {sorted(defaults)})")
-            elif not _matches_type(value, type(defaults[key])):
-                problems.append(f"dataset.{key}: must be {type(defaults[key]).__name__}, got {value!r}")
-            else:
-                spec_kwargs[key] = value
+        fields_given = {k: v for k, v in dataset.items() if k != "kind"}
+        spec_kwargs = _check_fields(fields_given, "dataset", spec_cls, problems)
 
     topology = raw.get("topology")
     if (
         not isinstance(topology, list)
         or len(topology) < 2
-        or not all(isinstance(w, int) and w >= 1 for w in topology)
+        or not all(_is_int(w) and w >= 1 for w in topology)
     ):
         problems.append("topology: need a list of >=2 integer widths, all >=1")
         topology = [4, 2]
@@ -116,8 +127,8 @@ def build_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
         mode = "transform"
 
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
-        problems.append("seed: must be an integer")
+    if not (_is_int(seed) and seed >= 0):
+        problems.append("seed: must be a non-negative integer")
         seed = 0
 
     out_dir = raw.get("out_dir")
@@ -126,20 +137,18 @@ def build_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
         out_dir = None
 
     profile = default_profile()
-    tech_kwargs = {**profile["tech"], **_check_section(raw, "tech", TechConfig, problems)}
-    cmos_kwargs = {**profile["cmos"], **_check_section(raw, "cmos", CmosConfig, problems)}
-    train_kwargs = _check_section(raw, "train", TrainConfig, problems)
-    scic_kwargs = _check_section(raw, "scic", SizeClusterConfig, problems)
-    transform_kwargs = _check_section(raw, "transform", TransformConfig, problems)
-    transform_kwargs.pop("scic", None)
-    transform_kwargs.pop("train", None)
-    transform_kwargs.pop("seed", None)
-    train_kwargs["seed"] = seed
+    tech_kwargs = {**profile["tech"], **_check_fields(raw.get("tech", {}), "tech", TechConfig, problems)}
+    cmos_kwargs = {**profile["cmos"], **_check_fields(raw.get("cmos", {}), "cmos", CmosConfig, problems)}
+    train_kwargs = _check_fields(raw.get("train", {}), "train", TrainConfig, problems, ("seed",))
+    scic_kwargs = _check_fields(raw.get("scic", {}), "scic", SizeClusterConfig, problems)
+    transform_kwargs = _check_fields(
+        raw.get("transform", {}), "transform", TransformConfig, problems, ("scic", "train", "seed")
+    )
 
     evals = raw.get("evals_per_inference")
     if evals is not None:
         if not isinstance(evals, list) or len(evals) != len(topology) - 1 or not all(
-            isinstance(e, int) and e >= 1 for e in evals
+            _is_int(e) and e >= 1 for e in evals
         ):
             problems.append("evals_per_inference: need one integer >=1 per layer")
             evals = None
@@ -153,36 +162,15 @@ def build_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
             problems.append(f"{key}: unknown top-level key")
 
     # constructor range checks, gathered rather than raised one by one
-    try:
-        tech = TechConfig(**tech_kwargs)
-    except (TypeError, ValueError) as exc:
-        problems.append(f"tech: {exc}")
-        tech = TechConfig()
-    try:
-        cmos = CmosConfig(**cmos_kwargs)
-    except (TypeError, ValueError) as exc:
-        problems.append(f"cmos: {exc}")
-        cmos = CmosConfig()
-    try:
-        train = TrainConfig(**train_kwargs)
-    except (TypeError, ValueError) as exc:
-        problems.append(f"train: {exc}")
-        train = TrainConfig(seed=seed)
-    try:
-        scic = SizeClusterConfig(**scic_kwargs)
-    except (TypeError, ValueError) as exc:
-        problems.append(f"scic: {exc}")
-        scic = SizeClusterConfig()
-    try:
-        transform = TransformConfig(scic=scic, train=train, seed=seed, **transform_kwargs)
-    except (TypeError, ValueError) as exc:
-        problems.append(f"transform: {exc}")
-        transform = TransformConfig(scic=scic, train=train, seed=seed)
+    tech = _construct(TechConfig, "tech", problems, **tech_kwargs)
+    cmos = _construct(CmosConfig, "cmos", problems, **cmos_kwargs)
+    train = _construct(TrainConfig, "train", problems, seed=seed, **train_kwargs)
+    scic = _construct(SizeClusterConfig, "scic", problems, **scic_kwargs)
+    transform = _construct(
+        TransformConfig, "transform", problems, scic=scic, train=train, seed=seed, **transform_kwargs
+    )
     if spec_cls is not None:
-        try:
-            spec_cls(**spec_kwargs)
-        except ValueError as exc:
-            problems.append(f"dataset: {exc}")
+        _construct(spec_cls, "dataset", problems, **spec_kwargs)
 
     if problems:
         raise ConfigError(problems)

@@ -22,7 +22,11 @@ class ShapeError(ValueError):
     """Raised when matrix shapes are degenerate or do not line up."""
 
 
-class SparseFormatError(ValueError):
+class InputFormatError(ValueError):
+    """Base of the errors raised on a malformed input file."""
+
+
+class SparseFormatError(InputFormatError):
     """Raised on malformed sparse coordinate files; carries the line number."""
 
     def __init__(self, message: str, line: int | None = None):
@@ -30,6 +34,10 @@ class SparseFormatError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+class ClusterFormatError(InputFormatError):
+    """Raised on a ``clusters.json`` record that does not fit the layer it names."""
 
 
 def _as_bits(values) -> np.ndarray:
@@ -83,13 +91,12 @@ class Mask:
 class Cluster:
     """Row/column index groups whose induced submatrix maps onto one crossbar.
 
-    Indices are kept sorted ascending; identity is (layer_id, position in its
-    ClusterSet).
+    Indices are kept sorted ascending; identity is the position in its
+    ClusterSet.
     """
 
     row_ids: tuple[int, ...]
     col_ids: tuple[int, ...]
-    layer_id: int = 0
 
     def __post_init__(self):
         rows = tuple(int(i) for i in self.row_ids)
@@ -197,13 +204,7 @@ def load_sparse(path) -> ConnectivityMatrix:
     if not lines:
         raise SparseFormatError("empty file", line=1)
     header_no, header = lines[0]
-    parts = header.split()
-    if len(parts) != 3:
-        raise SparseFormatError(f"header must be 'rows cols nnz', got {header!r}", line=header_no)
-    try:
-        n_rows, n_cols, nnz = (int(p) for p in parts)
-    except ValueError:
-        raise SparseFormatError(f"non-integer header field in {header!r}", line=header_no) from None
+    n_rows, n_cols, nnz = _int_fields(header, "rows cols nnz", header_no)
     if n_rows < 1 or n_cols < 1 or nnz < 0:
         raise SparseFormatError(f"invalid dimensions {header!r}", line=header_no)
     entries = lines[1:]
@@ -213,19 +214,24 @@ def load_sparse(path) -> ConnectivityMatrix:
         )
     bits = np.zeros((n_rows, n_cols), dtype=np.uint8)
     for line_no, text in entries:
-        parts = text.split()
-        if len(parts) != 2:
-            raise SparseFormatError(f"entry must be 'row col', got {text!r}", line=line_no)
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise SparseFormatError(f"non-integer coordinate in {text!r}", line=line_no) from None
+        i, j = _int_fields(text, "row col", line_no)
         if not (0 <= i < n_rows and 0 <= j < n_cols):
             raise SparseFormatError(
                 f"coordinate out of bounds: ({i}, {j}) vs shape ({n_rows}, {n_cols})", line=line_no
             )
         bits[i, j] = 1
     return ConnectivityMatrix(bits)
+
+
+def _int_fields(text: str, form: str, line_no: int) -> list[int]:
+    """The integers of one line shaped like ``form``, or a SparseFormatError."""
+    parts = text.split()
+    try:
+        if len(parts) != len(form.split()):
+            raise ValueError
+        return [int(p) for p in parts]
+    except ValueError:
+        raise SparseFormatError(f"expected integers '{form}', got {text!r}", line=line_no) from None
 
 
 def cluster_sets_to_json(cluster_sets: list[ClusterSet]) -> str:
@@ -249,33 +255,79 @@ def cluster_sets_to_json(cluster_sets: list[ClusterSet]) -> str:
 
 
 def cluster_sets_from_json(text: str, sources: list[ConnectivityMatrix]) -> list[ClusterSet]:
-    """Rebuild per-layer ClusterSets from JSON plus each layer's source connectivity."""
-    records = json.loads(text)
+    """Rebuild per-layer ClusterSets from JSON plus each layer's source connectivity.
+
+    The file is outside input: each record must name a layer and list its
+    covered cells as [row, col] pairs, and each layer's clusters and cells
+    must pass :func:`_placement_problem`. A violation raises
+    :class:`ClusterFormatError`.
+    """
     clusters: list[list[Cluster]] = [[] for _ in sources]
-    owners = [np.full(s.bits.shape, -1, dtype=np.int32) for s in sources]
-    for rec in records:
-        layer = int(rec["layer"])
-        if not 0 <= layer < len(sources):
-            raise ValueError(f"cluster record for unknown layer {layer}")
-        covered = np.asarray(rec.get("covered", []), dtype=np.int64).reshape(-1, 2)
-        owners[layer][covered[:, 0], covered[:, 1]] = len(clusters[layer])
-        clusters[layer].append(Cluster(tuple(rec["rows"]), tuple(rec["cols"]), layer_id=layer))
-    return [ClusterSet(tuple(c), s, o) for c, s, o in zip(clusters, sources, owners)]
+    cells: list[list[np.ndarray]] = [[] for _ in sources]
+    try:
+        for rec in json.loads(text):
+            layer = rec["layer"]
+            if not (type(layer) is int and 0 <= layer < len(sources)):
+                raise ValueError(f"unknown layer {layer!r}")
+            cluster = Cluster(tuple(rec["rows"]), tuple(rec["cols"]))
+            covered = np.asarray(rec["covered"], dtype=np.int64).reshape(-1, 2)
+            cells[layer].append(covered)
+            clusters[layer].append(cluster)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ClusterFormatError(f"record {sum(map(len, clusters))}: {type(exc).__name__}: {exc}") from None
+    sets = []
+    for layer, (source, layer_cells) in enumerate(zip(sources, cells)):
+        ii, jj = np.concatenate(layer_cells or [np.empty((0, 2), dtype=np.int64)]).T
+        kk = np.repeat(np.arange(len(layer_cells)), [len(c) for c in layer_cells])
+        problem = _placement_problem(clusters[layer], source.bits, ii, jj, kk)
+        if problem:
+            raise ClusterFormatError(f"layer {layer}: {problem}")
+        owner = np.full(source.bits.shape, -1, dtype=np.int32)
+        owner[ii, jj] = kk
+        sets.append(ClusterSet(tuple(clusters[layer]), source, owner))
+    return sets
+
+
+def _placement_problem(clusters, bits: np.ndarray, ii, jj, kk) -> str | None:
+    """The first reason cluster ``kk[c]`` may not own cell ``(ii[c], jj[c])`` of ``bits``, or None.
+
+    Every cluster must lie inside the matrix and own at least one cell. Every
+    cell must lie inside the matrix, be a synapse, be owned once, and lie
+    inside its cluster's rows and cols.
+    """
+    m, n = bits.shape
+    beyond = [k for k, c in enumerate(clusters) if c.row_ids[-1] >= m or c.col_ids[-1] >= n]
+    if beyond:
+        return f"cluster {beyond[0]} reaches beyond the {m}x{n} matrix"
+    if ((ii < 0) | (ii >= m) | (jj < 0) | (jj >= n)).any():
+        return f"a covered cell lies outside the {m}x{n} matrix"
+    flat = ii * n + jj
+    if (np.bincount(flat) > 1).any():
+        return "a cell is covered twice"
+    if not bits.ravel()[flat].all():
+        return "a covered cell is not a synapse"
+    empty = np.flatnonzero(np.bincount(kk, minlength=len(clusters)) == 0)
+    if len(empty):
+        return f"cluster {empty[0]} covers no synapses"
+    in_rows = np.zeros(len(clusters) * m, dtype=bool)
+    in_rows[[k * m + i for k, c in enumerate(clusters) for i in c.row_ids]] = True
+    in_cols = np.zeros(len(clusters) * n, dtype=bool)
+    in_cols[[k * n + j for k, c in enumerate(clusters) for j in c.col_ids]] = True
+    outside = np.flatnonzero(~(in_rows[kk * m + ii] & in_cols[kk * n + jj]))
+    if len(outside):
+        return f"cluster {kk[outside[0]]}: covered synapse outside its footprint"
+    return None
 
 
 def audit_cluster_set(cs: ClusterSet, original: ConnectivityMatrix) -> None:
     """Check a ClusterSet against the matrix it was built from.
 
-    Disjointness, and coverage plus residual reproducing the source, hold by
-    construction of the owner matrix. What is left: the set was built from
-    ``original``, every owned cell is a source synapse inside its cluster's
-    row/col footprint, and no cluster is empty. Raises AssertionError with a
-    diagnostic on violation.
+    It must be built from ``original``, and its owned cells must pass
+    :func:`_placement_problem`; disjointness, and coverage plus residual
+    reproducing the source, hold by construction of the owner matrix. Raises
+    AssertionError with a diagnostic on violation.
     """
     assert np.array_equal(cs.source.bits, original.bits), "cluster set built from another matrix"
-    assert original.bits[cs.owner >= 0].all(), "a covered synapse is absent from the source"
-    for k, (cluster, (ii, jj)) in enumerate(zip(cs.clusters, cs.cells())):
-        assert len(ii), f"cluster {k} covers no synapses"
-        assert np.isin(ii, cluster.row_ids).all() and np.isin(jj, cluster.col_ids).all(), (
-            f"cluster {k}: covered synapse outside its footprint"
-        )
+    ii, jj = np.nonzero(cs.owner >= 0)
+    problem = _placement_problem(cs.clusters, cs.source.bits, ii, jj, cs.owner[ii, jj])
+    assert problem is None, problem

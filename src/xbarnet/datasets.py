@@ -14,14 +14,15 @@ full ingestion path is exercised even where the originals are unavailable.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import mlp
-from .connectivity import Mask
+from .connectivity import InputFormatError, Mask
 from .util import STREAM_DATA, rng_for
 
 IDX_IMAGES_MAGIC = 2051
@@ -34,7 +35,6 @@ class Dataset:
     y_train: np.ndarray
     x_test: np.ndarray
     y_test: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     @property
     def n_features(self) -> int:
@@ -45,7 +45,7 @@ class Dataset:
         return int(max(self.y_train.max(), self.y_test.max())) + 1
 
 
-class IdxFormatError(ValueError):
+class IdxFormatError(InputFormatError):
     pass
 
 
@@ -57,53 +57,39 @@ def _open_maybe_gzip(path: Path):
     return open(path, "rb")
 
 
-def read_idx_images(path) -> np.ndarray:
+def _read_idx(path, magic: int, n_dims: int) -> tuple[list[int], bytes]:
+    """(dimensions, payload) of an IDX file, its magic and byte count checked."""
     path = Path(path)
     with _open_maybe_gzip(path) as fh:
-        header = fh.read(16)
-        if len(header) != 16:
+        header = fh.read(4 * (n_dims + 1))
+        if len(header) != 4 * (n_dims + 1):
             raise IdxFormatError(f"{path.name}: truncated header, got {len(header)} bytes")
-        magic, count, rows, cols = struct.unpack(">IIII", header)
-        if magic != IDX_IMAGES_MAGIC:
-            raise IdxFormatError(f"{path.name}: not an IDX image file (magic {magic})")
-        expected = count * rows * cols
+        got, *dims = struct.unpack(f">{n_dims + 1}I", header)
+        if got != magic:
+            raise IdxFormatError(f"{path.name}: magic {got}, expected {magic}")
         data = fh.read()
-        if len(data) != expected:
-            raise IdxFormatError(
-                f"{path.name}: truncated data, expected {expected} bytes, got {len(data)}"
-            )
+    if len(data) != math.prod(dims):
+        raise IdxFormatError(
+            f"{path.name}: truncated data, expected {math.prod(dims)} bytes, got {len(data)}"
+        )
+    return dims, data
+
+
+def read_idx_images(path) -> np.ndarray:
+    (count, rows, cols), data = _read_idx(path, IDX_IMAGES_MAGIC, 3)
     return np.frombuffer(data, dtype=np.uint8).reshape(count, rows * cols)
 
 
 def read_idx_labels(path) -> np.ndarray:
-    path = Path(path)
-    with _open_maybe_gzip(path) as fh:
-        header = fh.read(8)
-        if len(header) != 8:
-            raise IdxFormatError(f"{path.name}: truncated header, got {len(header)} bytes")
-        magic, count = struct.unpack(">II", header)
-        if magic != IDX_LABELS_MAGIC:
-            raise IdxFormatError(f"{path.name}: not an IDX label file (magic {magic})")
-        data = fh.read()
-        if len(data) != count:
-            raise IdxFormatError(
-                f"{path.name}: truncated data, expected {count} bytes, got {len(data)}"
-            )
+    _, data = _read_idx(path, IDX_LABELS_MAGIC, 1)
     return np.frombuffer(data, dtype=np.uint8).astype(np.int64)
 
 
-def write_idx_images(path, images: np.ndarray) -> None:
-    """images: uint8 array (n, rows, cols), written big-endian per the IDX standard."""
-    n, rows, cols = images.shape
+def _write_idx(path, magic: int, values: np.ndarray) -> None:
+    """uint8 ``values`` under a header of ``magic`` and their dimensions, big-endian per the IDX standard."""
     with open(path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, rows, cols))
-        fh.write(np.ascontiguousarray(images, dtype=np.uint8).tobytes())
-
-
-def write_idx_labels(path, labels: np.ndarray) -> None:
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">II", IDX_LABELS_MAGIC, len(labels)))
-        fh.write(np.ascontiguousarray(labels, dtype=np.uint8).tobytes())
+        fh.write(struct.pack(f">{values.ndim + 1}I", magic, *values.shape))
+        fh.write(np.ascontiguousarray(values, dtype=np.uint8).tobytes())
 
 
 _IDX_NAMES = {
@@ -136,7 +122,6 @@ def load_mnist(directory) -> Dataset:
         y_train=y_train,
         x_test=x_test.astype(np.float64) / 255.0,
         y_test=y_test,
-        meta={"source": str(directory)},
     )
 
 
@@ -185,10 +170,10 @@ def write_surrogate_digits(
 
     train_x, train_y = batch(n_train)
     test_x, test_y = batch(n_test)
-    write_idx_images(directory / _IDX_NAMES["train_images"][0], train_x)
-    write_idx_labels(directory / _IDX_NAMES["train_labels"][0], train_y)
-    write_idx_images(directory / _IDX_NAMES["test_images"][0], test_x)
-    write_idx_labels(directory / _IDX_NAMES["test_labels"][0], test_y)
+    _write_idx(directory / _IDX_NAMES["train_images"][0], IDX_IMAGES_MAGIC, train_x)
+    _write_idx(directory / _IDX_NAMES["train_labels"][0], IDX_LABELS_MAGIC, train_y)
+    _write_idx(directory / _IDX_NAMES["test_images"][0], IDX_IMAGES_MAGIC, test_x)
+    _write_idx(directory / _IDX_NAMES["test_labels"][0], IDX_LABELS_MAGIC, test_y)
     return directory
 
 
@@ -204,6 +189,8 @@ class BlobSpec:
     def __post_init__(self):
         if min(self.n_classes, self.dim, self.n_train, self.n_test) < 1:
             raise ValueError("n_classes, dim, n_train and n_test must be positive")
+        if self.sigma < 0:
+            raise ValueError("sigma must be non-negative")
 
 
 def gen_blobs(spec: BlobSpec, seed: int) -> Dataset:
@@ -219,7 +206,7 @@ def gen_blobs(spec: BlobSpec, seed: int) -> Dataset:
 
     x_train, y_train = batch(spec.n_train)
     x_test, y_test = batch(spec.n_test)
-    return Dataset(x_train, y_train, x_test, y_test, meta={"kind": "blobs"})
+    return Dataset(x_train, y_train, x_test, y_test)
 
 
 @dataclass(frozen=True)
@@ -240,8 +227,8 @@ class PlantedSpec:
     n_test: int = 1000
 
     def __post_init__(self):
-        if min(self.n_classes, self.n_train, self.n_test) < 1:
-            raise ValueError("n_classes, n_train and n_test must be positive")
+        if min(self.in_dim, self.hidden, self.n_classes, self.n_train, self.n_test) < 1:
+            raise ValueError("in_dim, hidden, n_classes, n_train and n_test must be positive")
         if self.block < 1 or self.in_dim % self.block or self.hidden % self.block:
             raise ValueError("block must be positive and divide both first-layer dimensions")
         if not 0 <= self.noise_density < 1:
@@ -295,4 +282,4 @@ def gen_planted(spec: PlantedSpec, seed: int) -> tuple[Dataset, mlp.MlpModel, di
         "block": spec.block,
         "n_blocks": n_blocks,
     }
-    return Dataset(x_train, y_train, x_test, y_test, meta={"kind": "planted"}), teacher, info
+    return Dataset(x_train, y_train, x_test, y_test), teacher, info

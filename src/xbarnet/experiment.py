@@ -18,7 +18,7 @@ from pathlib import Path
 from .config import ConfigError, ExperimentConfig
 from .connectivity import ClusterSet, cluster_sets_to_json, from_weights
 from .datasets import Dataset, BlobSpec, PlantedSpec, gen_blobs, gen_planted, load_mnist, write_surrogate_digits
-from .hardware import cmos_energy, map_to_mcas, mca_energy
+from .hardware import energy_document, map_to_mcas
 from .mlp import evaluate, save_checkpoint
 from .transform import final_cluster_sets, offline_cluster, run
 
@@ -111,17 +111,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir, dataset: Dataset | None = Non
         cluster_sets = dense_cluster_sets(model)
 
     mapping = map_to_mcas(cluster_sets, cfg.tech)
-    xbar_energy = mca_energy(mapping, cfg.tech, cfg.evals_per_inference)
-    if cfg.mode in ("offline_cluster", "transform"):
-        stored = mapping.clustered_storage()
-    else:
-        stored = mapping.dense_storage()
-    cmos = cmos_energy(
-        n_live_synapses=model.n_live(),
-        n_stored_weights=stored,
-        cmos=cfg.cmos,
-        n_clusters=mapping.n_clusters(),
-    )
+    storage = "clustered" if cfg.mode in ("offline_cluster", "transform") else "dense"
+    energy = energy_document(mapping, cfg.tech, cfg.cmos, cfg.evals_per_inference, storage)
 
     accuracy = result.log[-1]["val_acc"] if result.log else evaluate(model, data.x_test, data.y_test)[0]
     summary = {
@@ -130,10 +121,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir, dataset: Dataset | None = Non
         "sparsity": model.sparsity(),
         "num_mca": mapping.num_mca,
         "num_core": mapping.num_core,
-        "mca_E": xbar_energy.mca_component,
-        "periph_E": xbar_energy.peripheral_component,
-        "total_E": xbar_energy.total,
-        "cmos_E": cmos.total,
+        "mca_E": energy["mca_component_j"],
+        "periph_E": energy["peripheral_component_j"],
+        "total_E": energy["total_j"],
+        "cmos_E": energy["cmos"]["total_j"],
     }
 
     save_checkpoint(out / "checkpoint", model, cfg.seed, config={"mode": cfg.mode})
@@ -141,22 +132,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir, dataset: Dataset | None = Non
         for record in result.log:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
     (out / "clusters.json").write_text(cluster_sets_to_json(cluster_sets))
-    (out / "mapping.json").write_text(json.dumps(mapping.to_dict(), indent=1))
-    energy_doc = {
-        "mca_component_j": xbar_energy.mca_component,
-        "peripheral_component_j": xbar_energy.peripheral_component,
-        "total_j": xbar_energy.total,
-        "cmos": {
-            "compute_j": cmos.compute,
-            "memory_access_j": cmos.memory_access,
-            "leakage_j": cmos.leakage,
-            "sync_j": cmos.sync,
-            "total_j": cmos.total,
-        },
-    }
-    (out / "energy.json").write_text(json.dumps(energy_doc, indent=1))
+    write_json(out / "mapping.json", mapping.to_dict())
+    write_json(out / "energy.json", energy)
     _write_csv(out / "summary.csv", [summary], SUMMARY_COLUMNS)
     return summary
+
+
+def write_json(path: Path, doc: dict) -> None:
+    """Write ``mapping.json`` or ``energy.json``; runs and the CLI share this format."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc, indent=1))
 
 
 def _write_csv(path, rows: list[dict], columns: list[str]) -> None:

@@ -9,6 +9,16 @@ scales with active cross-points and a peripheral component that scales with
 the number of arrays (buffers, communication, control); the CMOS model
 charges compute and memory access per live synapse, leakage per stored bit,
 and a synchronization surcharge per cluster.
+
+A mapping stores only what it measured per layer: ``cluster_active``,
+``residual_active``, ``cluster_areas`` and ``matrix_shape``. The other keys
+of ``mapping.json`` are derived when the document is built
+(:meth:`MappingReport.to_dict`) and ignored when it is read back: per layer
+``clustered_mca_count``, ``residual_mca_count``, ``histogram``,
+``unclustered_fraction``, ``cluster_utils`` and ``residual_utils``; at the top
+``num_mca``, ``n_live``, ``n_clusters``, ``clustered_storage`` and
+``dense_storage``. :func:`energy_document` builds ``energy.json`` for both a
+run and the ``report`` command.
 """
 
 from __future__ import annotations
@@ -39,10 +49,6 @@ class TechConfig:
         if self.crossbar_rows < 1 or self.crossbar_cols < 1:
             raise ValueError("crossbar dimensions must be positive")
 
-    @property
-    def crossbar_area(self) -> int:
-        return self.crossbar_rows * self.crossbar_cols
-
 
 @dataclass(frozen=True)
 class CmosConfig:
@@ -64,12 +70,8 @@ class CmosConfig:
 
 @dataclass
 class LayerMapping:
-    clustered_mca_count: int
-    residual_mca_count: int
-    histogram: list[int]
-    unclustered_fraction: float
-    cluster_utils: list[float]
-    residual_utils: list[float]
+    """What one layer's mapping measured; every other per-layer figure derives from it."""
+
     cluster_active: list[int]
     residual_active: list[int]
     cluster_areas: list[int]
@@ -77,22 +79,25 @@ class LayerMapping:
 
     @property
     def mca_count(self) -> int:
-        return self.clustered_mca_count + self.residual_mca_count
+        return len(self.cluster_active) + len(self.residual_active)
 
 
 @dataclass
 class MappingReport:
     layers: list[LayerMapping]
-    num_mca: int
     num_core: int
     crossbar_rows: int
     crossbar_cols: int
+
+    @property
+    def num_mca(self) -> int:
+        return sum(l.mca_count for l in self.layers)
 
     def n_live(self) -> int:
         return sum(sum(l.cluster_active) + sum(l.residual_active) for l in self.layers)
 
     def n_clusters(self) -> int:
-        return sum(l.clustered_mca_count for l in self.layers)
+        return sum(len(l.cluster_active) for l in self.layers)
 
     def clustered_storage(self) -> int:
         """Cluster footprint areas plus individually stored residual synapses."""
@@ -102,6 +107,26 @@ class MappingReport:
         return sum(l.matrix_shape[0] * l.matrix_shape[1] for l in self.layers)
 
     def to_dict(self) -> dict:
+        """The ``mapping.json`` document, derived figures included."""
+        area = self.crossbar_rows * self.crossbar_cols
+        layers = []
+        for l in self.layers:
+            cluster_utils = [a / area for a in l.cluster_active]
+            live = sum(l.cluster_active) + sum(l.residual_active)
+            layers.append(
+                {
+                    "clustered_mca_count": len(l.cluster_active),
+                    "residual_mca_count": len(l.residual_active),
+                    "histogram": _histogram(cluster_utils),
+                    "unclustered_fraction": (sum(l.residual_active) / live) if live else 0.0,
+                    "cluster_utils": cluster_utils,
+                    "residual_utils": [a / area for a in l.residual_active],
+                    "cluster_active": l.cluster_active,
+                    "residual_active": l.residual_active,
+                    "cluster_areas": l.cluster_areas,
+                    "matrix_shape": list(l.matrix_shape),
+                }
+            )
         return {
             "num_mca": self.num_mca,
             "num_core": self.num_core,
@@ -111,47 +136,19 @@ class MappingReport:
             "n_clusters": self.n_clusters(),
             "clustered_storage": self.clustered_storage(),
             "dense_storage": self.dense_storage(),
-            "layers": [
-                {
-                    "clustered_mca_count": l.clustered_mca_count,
-                    "residual_mca_count": l.residual_mca_count,
-                    "histogram": l.histogram,
-                    "unclustered_fraction": l.unclustered_fraction,
-                    "cluster_utils": l.cluster_utils,
-                    "residual_utils": l.residual_utils,
-                    "cluster_active": l.cluster_active,
-                    "residual_active": l.residual_active,
-                    "cluster_areas": l.cluster_areas,
-                    "matrix_shape": list(l.matrix_shape),
-                }
-                for l in self.layers
-            ],
+            "layers": layers,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "MappingReport":
+        """Parse the measured fields of a ``mapping.json`` document; derived ones are ignored."""
         layers = [
             LayerMapping(
-                clustered_mca_count=d["clustered_mca_count"],
-                residual_mca_count=d["residual_mca_count"],
-                histogram=d["histogram"],
-                unclustered_fraction=d["unclustered_fraction"],
-                cluster_utils=d["cluster_utils"],
-                residual_utils=d["residual_utils"],
-                cluster_active=d["cluster_active"],
-                residual_active=d["residual_active"],
-                cluster_areas=d["cluster_areas"],
-                matrix_shape=tuple(d["matrix_shape"]),
+                d["cluster_active"], d["residual_active"], d["cluster_areas"], tuple(d["matrix_shape"])
             )
             for d in data["layers"]
         ]
-        return cls(
-            layers=layers,
-            num_mca=data["num_mca"],
-            num_core=data["num_core"],
-            crossbar_rows=data["crossbar_rows"],
-            crossbar_cols=data["crossbar_cols"],
-        )
+        return cls(layers, data["num_core"], data["crossbar_rows"], data["crossbar_cols"])
 
 
 @dataclass(frozen=True)
@@ -213,7 +210,6 @@ def map_to_mcas(cluster_sets: list[ClusterSet], tech: TechConfig) -> MappingRepo
     cluster's, or the grid tile holding it.
     """
     layers = []
-    area = tech.crossbar_area
     for cs in cluster_sets:
         for cluster in cs.clusters:
             if not cluster.fits(tech.crossbar_rows, tech.crossbar_cols):
@@ -221,30 +217,17 @@ def map_to_mcas(cluster_sets: list[ClusterSet], tech: TechConfig) -> MappingRepo
                     f"cluster {cluster.n_rows}x{cluster.n_cols} exceeds crossbar "
                     f"{tech.crossbar_rows}x{tech.crossbar_cols}"
                 )
-        cluster_active = cs.cell_counts().tolist()
-        cluster_areas = [cluster.footprint_area() for cluster in cs.clusters]
-        residual_active = grid_tiles(cs.residual.bits, tech.crossbar_rows, tech.crossbar_cols)
-        cluster_utils = [a / area for a in cluster_active]
-        residual_utils = [a / area for a in residual_active]
-        live = sum(cluster_active) + sum(residual_active)
         layers.append(
             LayerMapping(
-                clustered_mca_count=len(cluster_active),
-                residual_mca_count=len(residual_active),
-                histogram=_histogram(cluster_utils),
-                unclustered_fraction=(sum(residual_active) / live) if live else 0.0,
-                cluster_utils=cluster_utils,
-                residual_utils=residual_utils,
-                cluster_active=cluster_active,
-                residual_active=residual_active,
-                cluster_areas=cluster_areas,
+                cluster_active=cs.cell_counts().tolist(),
+                residual_active=grid_tiles(cs.residual.bits, tech.crossbar_rows, tech.crossbar_cols),
+                cluster_areas=[cluster.footprint_area() for cluster in cs.clusters],
                 matrix_shape=cs.source.bits.shape,
             )
         )
     num_mca = sum(l.mca_count for l in layers)
     return MappingReport(
         layers=layers,
-        num_mca=num_mca,
         num_core=core_count(num_mca, tech.cores_k),
         crossbar_rows=tech.crossbar_rows,
         crossbar_cols=tech.crossbar_cols,
@@ -285,3 +268,29 @@ def cmos_energy(
         leakage=n_stored_weights * cmos.bits_per_weight * cmos.p_leak_per_bit_j,
         sync=n_clusters * cmos.sync_overhead_per_cluster_j,
     )
+
+
+def energy_document(
+    report: MappingReport,
+    tech: TechConfig,
+    cmos: CmosConfig,
+    evals_per_inference: list[int] | None = None,
+    storage: str = "auto",
+) -> dict:
+    """The ``energy.json`` document: crossbar energy and the CMOS baseline.
+
+    ``storage`` is how the baseline stores weights: "dense" (the full
+    matrices), "clustered" (footprints plus residual synapses), or "auto",
+    which is clustered exactly when the mapping holds a cluster.
+    """
+    if storage == "auto":
+        storage = "clustered" if report.n_clusters() else "dense"
+    stored = {"clustered": report.clustered_storage, "dense": report.dense_storage}[storage]()
+    xbar = mca_energy(report, tech, evals_per_inference)
+    base = cmos_energy(report.n_live(), stored, cmos, report.n_clusters())
+    return {**_joules(xbar), "storage_model": storage, "cmos": _joules(base)}
+
+
+def _joules(energy: McaEnergyReport | CmosEnergyReport) -> dict:
+    """Each component as ``<field>_j``, then ``total_j``."""
+    return {**{f"{name}_j": value for name, value in vars(energy).items()}, "total_j": energy.total}

@@ -97,7 +97,7 @@ def _spectral_order(bits: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tup
 
 
 def _ordered_grid_children(
-    bits: np.ndarray, rows: np.ndarray, cols: np.ndarray, cfg: SizeClusterConfig, layer_id: int
+    bits: np.ndarray, rows: np.ndarray, cols: np.ndarray, cfg: SizeClusterConfig
 ) -> list[Cluster]:
     """Pair crossbar-sized chunks of spectrally ordered rows/cols into children."""
     sub = bits[np.ix_(rows, cols)]
@@ -118,7 +118,7 @@ def _ordered_grid_children(
     for rc in row_chunks:
         for cc in col_chunks:
             if bits[np.ix_(rc, cc)].any():
-                children.append(Cluster(tuple(rc.tolist()), tuple(cc.tolist()), layer_id))
+                children.append(Cluster(tuple(rc.tolist()), tuple(cc.tolist())))
     return children
 
 
@@ -140,14 +140,14 @@ def split_oversized(
         raise ValueError("cluster already fits the crossbar; nothing to split")
     rows = np.fromiter(cluster.row_ids, dtype=np.int64)
     cols = np.fromiter(cluster.col_ids, dtype=np.int64)
-    return _ordered_grid_children(c.bits, rows, cols, cfg, cluster.layer_id)
+    return _ordered_grid_children(c.bits, rows, cols, cfg)
 
 
 def size_constrained_cluster(
     c: ConnectivityMatrix,
     cfg: SizeClusterConfig,
     seed: int,
-    layer_id: int = 0,
+    *,
     trace: list | None = None,
 ) -> ClusterSet:
     """Iteratively cluster ``c`` into crossbar-sized, well-utilized blocks.
@@ -178,7 +178,7 @@ def size_constrained_cluster(
             return False
         block = np.ix_(live_rows, live_cols)
         owner[block] = np.where(residual[block] == 1, len(accepted), owner[block])
-        accepted.append(Cluster(tuple(live_rows.tolist()), tuple(live_cols.tolist()), layer_id))
+        accepted.append(Cluster(tuple(live_rows.tolist()), tuple(live_cols.tolist())))
         residual[block] = 0
         return True
 
@@ -192,7 +192,7 @@ def size_constrained_cluster(
         if len(live_rows) <= cfg.crossbar_rows and len(live_cols) <= cfg.crossbar_cols:
             return int(try_accept(live_rows, live_cols))
         count = 0
-        for child in _ordered_grid_children(residual, live_rows, live_cols, cfg, layer_id):
+        for child in _ordered_grid_children(residual, live_rows, live_cols, cfg):
             count += int(
                 try_accept(
                     np.fromiter(child.row_ids, dtype=np.int64),

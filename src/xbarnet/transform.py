@@ -217,7 +217,6 @@ def transform_epoch(
                         ConnectivityMatrix(residual_bits),
                         cfg.scic,
                         seed_for(cfg.seed, STREAM_CLUSTER, epoch, layer_id),
-                        layer_id=layer_id,
                     )
                     owned = cs.owner >= 0
                     owner[owned] = cs.owner[owned] + len(state.records[layer_id])
@@ -299,7 +298,6 @@ def offline_cluster(model: MlpModel, scic_cfg: SizeClusterConfig, seed: int) -> 
                 from_weights(layer.weights),
                 scic_cfg,
                 seed_for(seed, STREAM_CLUSTER, 0, layer_id),
-                layer_id=layer_id,
             )
         )
     return sets

@@ -2,9 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from xbarnet import cli
+from xbarnet.connectivity import ConnectivityMatrix, save_sparse
+from xbarnet.datasets import write_surrogate_digits
 
 CONFIG = {
     "dataset": {"kind": "planted", "in_dim": 32, "hidden": 32, "n_classes": 2, "block": 8,
@@ -42,9 +45,14 @@ def test_map_and_report_rebuild_the_saved_artifacts(tmp_path, config):
     assert cli.main(["report", "--config", config, "--mapping", str(rebuilt / "mapping.json"),
                      "--storage", "clustered", "--out", str(rebuilt / "energy.json")]) == 0
     saved = json.loads((run / "energy.json").read_text())
-    again = json.loads((rebuilt / "energy.json").read_text())
-    assert again.pop("storage_model") == "clustered"
-    assert again == saved
+    assert saved["storage_model"] == "clustered"
+    assert json.loads((rebuilt / "energy.json").read_text()) == saved
+
+    records = json.loads((run / "clusters.json").read_text())
+    records[1]["covered"].append(records[0]["covered"][0])  # cluster 1 also claims a cell of cluster 0
+    (tmp_path / "bad.json").write_text(json.dumps(records))
+    assert cli.main(["map", "--config", config, "--checkpoint", str(run / "checkpoint"),
+                     "--clusters", str(tmp_path / "bad.json"), "--out", str(tmp_path / "m.json")]) == 2
 
 
 def test_compare_reruns_are_byte_identical(tmp_path, config):
@@ -53,3 +61,45 @@ def test_compare_reruns_are_byte_identical(tmp_path, config):
     a, b = tree(tmp_path / "a"), tree(tmp_path / "b")
     assert "summary.csv" in a and "transform/clusters.json" in a
     assert a == b
+
+
+class TestClusterCommand:
+    def test_matrix_file(self, tmp_path, config):
+        bits = np.zeros((16, 16), dtype=np.uint8)
+        bits[:8, :8] = bits[8:, 8:] = 1
+        save_sparse(tmp_path / "m.txt", ConnectivityMatrix(bits))
+        out = tmp_path / "clusters.json"
+        assert cli.main(["cluster", "--config", config, "--matrix", str(tmp_path / "m.txt"), "--out", str(out)]) == 0
+        records = json.loads(out.read_text())
+        assert sorted(len(r["covered"]) for r in records) == [64, 64]
+
+    def test_bad_matrix_file_exits_2(self, tmp_path, config, capsys):
+        (tmp_path / "m.txt").write_text("4 4 1\n0 x\n")
+        assert cli.main(["cluster", "--config", config, "--matrix", str(tmp_path / "m.txt"),
+                         "--out", str(tmp_path / "c.json")]) == 2
+        assert "line 2: expected integers 'row col', got '0 x'" in capsys.readouterr().err
+
+    def test_checkpoint(self, tmp_path, config):
+        run = tmp_path / "run"
+        assert cli.main(["train", "--config", config, "--mode", "prune", "--out", str(run)]) == 0
+        out = tmp_path / "clusters.json"
+        assert cli.main(["cluster", "--config", config, "--checkpoint", str(run / "checkpoint"),
+                         "--out", str(out)]) == 0
+        assert cli.main(["map", "--config", config, "--checkpoint", str(run / "checkpoint"),
+                         "--clusters", str(out), "--out", str(tmp_path / "mapping.json")]) == 0
+        mapping = json.loads((tmp_path / "mapping.json").read_text())
+        assert mapping["n_clusters"] == len(json.loads(out.read_text())) > 0
+
+    def test_neither_input_exits_2(self, tmp_path, config):
+        assert cli.main(["cluster", "--config", config, "--out", str(tmp_path / "c.json")]) == 2
+
+
+def test_truncated_idx_file_exits_2(tmp_path, capsys):
+    write_surrogate_digits(tmp_path / "digits", seed=0, n_train=20, n_test=10)
+    images = tmp_path / "digits" / "t10k-images-idx3-ubyte"
+    images.write_bytes(images.read_bytes()[:-5])
+    raw = {"dataset": {"kind": "mnist", "dir": str(tmp_path / "digits")}, "topology": [784, 4, 10],
+           "mode": "original", "transform": {"max_epochs": 1}}
+    (tmp_path / "config.json").write_text(json.dumps(raw))
+    assert cli.main(["train", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]) == 2
+    assert "truncated data" in capsys.readouterr().err

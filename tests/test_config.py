@@ -1,13 +1,25 @@
 """Config mistakes end as a ConfigError with exit code 2, never a traceback."""
 
+import contextlib
+import copy
+import io
 import json
+import tempfile
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xbarnet import cli
 from xbarnet.config import ConfigError, build_config
-from xbarnet.datasets import write_surrogate_digits
+from xbarnet.datasets import BlobSpec, PlantedSpec, write_surrogate_digits
 from xbarnet.experiment import build_dataset
+from xbarnet.hardware import CmosConfig, TechConfig
+from xbarnet.mlp import TrainConfig
+from xbarnet.sizecluster import SizeClusterConfig
+from xbarnet.transform import TransformConfig
 
 BLOBS = {"kind": "blobs", "n_classes": 2, "dim": 4, "n_train": 40, "n_test": 20}
 
@@ -30,7 +42,7 @@ class TestConfigErrors:
 
     def test_non_numeric_learning_rate(self, tmp_path, capsys):
         assert run_train(tmp_path, base_config(train={"learning_rate": "x"})) == 2
-        assert "train:" in capsys.readouterr().err
+        assert "train.learning_rate: must be float, got 'x'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["blobs", "planted"])
     def test_unknown_dataset_field(self, tmp_path, capsys, kind):
@@ -62,8 +74,24 @@ class TestConfigErrors:
              "topology: output width 2 cannot hold label 3"),
             ({"scic": {"k_per_round": 3}}, "scic.k_per_round: unknown field"),
             ({"transform": {"max_epochs": 1, "threshold_anneal": 0.9}}, "transform.threshold_anneal: unknown field"),
+            ({"scic": {"max_rounds": 2.5}}, "scic.max_rounds: must be int, got 2.5"),
+            ({"train": {"batch_size": 2.5}}, "train.batch_size: must be int, got 2.5"),
+            ({"transform": {"max_epochs": 1.5}}, "transform.max_epochs: must be int, got 1.5"),
+            ({"tech": {"crossbar_rows": 16.0}}, "tech.crossbar_rows: must be int, got 16.0"),
+            ({"topology": [4, True, 2]}, "topology: need a list of >=2 integer widths"),
+            ({"dataset": {**BLOBS, "n_train": True}}, "dataset.n_train: must be int, got True"),
+            ({"train": {"seed": 7}, "seed": 1}, "train.seed: unknown field"),
+            ({"transform": {"max_epochs": 1, "seed": 7}}, "transform.seed: unknown field"),
+            ({"transform": {"max_epochs": 1, "scic": {}}}, "transform.scic: unknown field"),
+            ({"seed": -1}, "seed: must be a non-negative integer"),
+            ({"dataset": {**BLOBS, "sigma": -1}}, "dataset: sigma must be non-negative"),
+            ({"dataset": {"kind": "planted", "in_dim": 4, "hidden": 0, "block": 2}}, "dataset: in_dim, hidden"),
+            ({"dataset": {"kind": ["blobs"]}}, "dataset.kind: ['blobs'] not one of"),
         ],
-        ids=["planted_block", "blobs_dim_type", "blobs_no_classes", "input_width", "label_range", "k_per_round", "threshold_anneal"],
+        ids=["planted_block", "blobs_dim_type", "blobs_no_classes", "input_width", "label_range", "k_per_round",
+             "threshold_anneal", "max_rounds_float", "batch_size_float", "max_epochs_float", "crossbar_rows_float",
+             "topology_bool", "n_train_bool", "train_seed", "transform_seed", "transform_scic", "negative_seed",
+             "negative_sigma", "planted_no_hidden", "kind_list"],
     )
     def test_dataset_and_topology_mistakes_exit_2(self, tmp_path, capsys, overrides, message):
         assert run_train(tmp_path, base_config(**overrides)) == 2
@@ -88,3 +116,66 @@ class TestSurrogateDigitCounts:
         write_surrogate_digits(tmp_path / "digits", seed=0, n_train=30, n_test=10)
         dataset = {"kind": "surrogate_digits", "dir": str(tmp_path / "digits"), "n_train": 30, "n_test": 20}
         assert run_train(tmp_path, base_config(dataset=dataset, topology=[784, 4, 10])) == 2
+
+
+FUZZ_BASES = [
+    {
+        "dataset": {"kind": "blobs", "n_classes": 2, "dim": 4, "n_train": 32, "n_test": 16,
+                    "separation": 10.0, "sigma": 1.0},
+        "topology": [4, 3, 2], "mode": "prune", "seed": 0,
+        "train": {"learning_rate": 0.1, "batch_size": 8, "prune_quality": 0.7},
+        "transform": {"max_epochs": 2, "unclustered_threshold": 0.1, "cluster_prune_alpha": 0.5,
+                      "clusters_pruned_per_event": 1},
+        "scic": {"crossbar_rows": 4, "crossbar_cols": 4, "base_util_factor": 0.8, "min_util_factor": 0.4,
+                 "decay_rate": 0.9, "max_rounds": 2},
+        "evals_per_inference": [1, 1],
+    },
+    {
+        "dataset": {"kind": "planted", "in_dim": 8, "hidden": 8, "n_classes": 2, "block": 4,
+                    "noise_density": 0.05, "noise_scale": 0.15, "n_train": 32, "n_test": 16},
+        "topology": [8, 8, 2], "mode": "original", "seed": 1,
+        "train": {"batch_size": 16}, "transform": {"max_epochs": 2},
+        "tech": {"crossbar_rows": 4, "crossbar_cols": 4, "mca_energy_per_active_crosspoint_j": 1e-12,
+                 "peripheral_energy_per_mca_eval_j": 5e-10, "cores_k": 4},
+        "cmos": {"e_compute_j": 4.6e-12, "e_mem_access_j": 2.6e-11, "p_leak_per_bit_j": 1e-15,
+                 "bits_per_weight": 4, "sync_overhead_per_cluster_j": 1e-11},
+    },
+]
+# small values only: every count, width, epoch and round count stays <= 64
+FUZZ_VALUES = st.one_of(
+    st.integers(-2, 64),
+    st.floats(-2.0, 64.0),
+    st.sampled_from(["", "x", "blobs", "planted", "original", "prune"]),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(-1, 64), max_size=4),
+)
+FUZZ_SECTIONS = (BlobSpec, PlantedSpec, TrainConfig, TransformConfig, SizeClusterConfig, TechConfig, CmosConfig)
+FUZZ_NEW_KEYS = sorted({f.name for cls in FUZZ_SECTIONS for f in fields(cls)} | {"bogus", "kind", "mode", "epochs"})
+
+
+@st.composite
+def mutated_configs(draw):
+    """A valid train config with one to three keys dropped, added or given a new value."""
+    raw = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
+    for _ in range(draw(st.integers(1, 3))):
+        target = draw(st.sampled_from([raw] + [v for v in raw.values() if isinstance(v, dict)]))
+        op = draw(st.sampled_from(["drop", "add", "replace"]))
+        if op == "add" or not target:
+            target[draw(st.sampled_from(FUZZ_NEW_KEYS))] = draw(FUZZ_VALUES)
+        elif op == "drop":
+            del target[draw(st.sampled_from(sorted(target)))]
+        else:
+            target[draw(st.sampled_from(sorted(target)))] = draw(FUZZ_VALUES)
+    return raw
+
+
+@settings(max_examples=40, deadline=None)
+@given(raw=mutated_configs())
+def test_mutated_configs_exit_0_or_2(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(raw))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["train", "--config", str(path), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 2)

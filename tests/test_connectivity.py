@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from xbarnet.connectivity import (
     Cluster,
+    ClusterFormatError,
     ClusterSet,
     ConnectivityMatrix,
     ShapeError,
@@ -81,7 +82,7 @@ class TestSparseFormat:
 
 class TestClusterTypes:
     def test_cluster_canonical_order(self):
-        c = Cluster((3, 1, 2), (9, 4), layer_id=1)
+        c = Cluster((3, 1, 2), (9, 4))
         assert c.row_ids == (1, 2, 3)
         assert c.col_ids == (4, 9)
 
@@ -150,3 +151,27 @@ class TestClusterTypes:
         assert back.clusters == cs.clusters
         assert np.array_equal(back.owner, cs.owner)
         assert np.array_equal(back.residual.bits, cs.residual.bits)
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ({"rows": [0, 3], "cols": [0, 3], "covered": [[0, 0], [-1, -1]]}, "a covered cell lies outside"),
+            ({"rows": [0, 1], "cols": [0, 1], "covered": [[0, 0], [0, 1]]}, "a covered cell is not a synapse"),
+            ({"rows": [0, 1], "cols": [0, 1], "covered": [[0, 0], [1, 1]]}, "a cell is covered twice"),
+            ({"rows": [2], "cols": [2], "covered": [[3, 3]]}, "cluster 1: covered synapse outside its footprint"),
+            ({"rows": [9], "cols": [0], "covered": [[9, 0]]}, "cluster 1 reaches beyond the 4x4 matrix"),
+            ({"rows": [2], "cols": [2, 9], "covered": [[2, 2]]}, "cluster 1 reaches beyond the 4x4 matrix"),
+            ({"rows": [2], "cols": [2], "covered": []}, "cluster 1 covers no synapses"),
+            ({"rows": [2], "cols": [2], "covered": [[2, 2], [2, 2]]}, "a cell is covered twice"),
+            ({"layer": 1, "rows": [2], "cols": [2], "covered": [[2, 2]]}, "record 1: ValueError: unknown layer 1"),
+            ({"rows": [2], "cols": [2]}, "record 1: KeyError: 'covered'"),
+        ],
+        ids=["negative_cell", "dead_synapse", "claimed_twice", "outside_footprint", "beyond_matrix",
+             "cols_beyond_matrix", "empty", "repeated_cell", "unknown_layer", "no_covered"],
+    )
+    def test_json_malformed_record_rejected(self, record, message):
+        """A second record is checked against a 4x4 identity whose (1, 1) the first record owns."""
+        first = {"layer": 0, "rows": [1], "cols": [1], "covered": [[1, 1]]}
+        text = json.dumps([first, {"layer": 0, **record}])
+        with pytest.raises(ClusterFormatError, match=message):
+            cluster_sets_from_json(text, [ConnectivityMatrix(np.eye(4, dtype=np.uint8))])

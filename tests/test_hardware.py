@@ -1,4 +1,6 @@
-"""Mapping and cost-model tests: tiling, energy decomposition."""
+"""Mapping and cost-model tests: tiling, energy decomposition, artifact documents."""
+
+import json
 
 import numpy as np
 import pytest
@@ -6,9 +8,11 @@ import pytest
 from xbarnet.connectivity import Cluster, ClusterSet, ConnectivityMatrix
 from xbarnet.hardware import (
     CmosConfig,
+    MappingReport,
     TechConfig,
     cmos_energy,
     core_count,
+    energy_document,
     grid_tiles,
     map_to_mcas,
     mca_energy,
@@ -50,17 +54,18 @@ class TestMapToMcas:
         )
         report = map_to_mcas([cs], tech)
         assert report.num_mca == 2
-        assert report.layers[0].histogram[9] == 2
-        assert sum(report.layers[0].histogram) == 2
-        assert report.layers[0].unclustered_fraction == 0.0
+        layer = report.to_dict()["layers"][0]
+        assert layer["histogram"][9] == 2
+        assert sum(layer["histogram"]) == 2
+        assert layer["unclustered_fraction"] == 0.0
 
     def test_grid_tiling_of_dense_residual(self):
         tech = TechConfig(crossbar_rows=4, crossbar_cols=4)
         cs = ClusterSet((), ConnectivityMatrix(np.ones((8, 8), dtype=np.uint8)))
-        report = map_to_mcas([cs], tech)
-        assert report.layers[0].residual_mca_count == 4
-        assert report.layers[0].cluster_utils == []
-        assert report.layers[0].residual_utils == [1.0] * 4
+        layer = map_to_mcas([cs], tech).to_dict()["layers"][0]
+        assert layer["residual_mca_count"] == 4
+        assert layer["cluster_utils"] == []
+        assert layer["residual_utils"] == [1.0] * 4
 
     def test_sparse_residual_utilization_near_density(self):
         # 70% sparsity on 32x32 tiled by 8x8 -> 16 tiles at ~0.3 mean utilization
@@ -68,9 +73,9 @@ class TestMapToMcas:
         bits = (rng.random((32, 32)) < 0.3).astype(np.uint8)
         tech = TechConfig(crossbar_rows=8, crossbar_cols=8)
         report = map_to_mcas([ClusterSet((), ConnectivityMatrix(bits))], tech)
-        layer = report.layers[0]
-        assert layer.residual_mca_count == 16
-        assert abs(np.mean(layer.residual_utils) - 0.3) < 0.05
+        layer = report.to_dict()["layers"][0]
+        assert layer["residual_mca_count"] == 16
+        assert abs(np.mean(layer["residual_utils"]) - 0.3) < 0.05
 
     def test_oversized_cluster_rejected(self):
         tech = TechConfig(crossbar_rows=2, crossbar_cols=2)
@@ -182,3 +187,34 @@ class TestConfigValidation:
     def test_cmos_nonnegative(self):
         with pytest.raises(ValueError):
             CmosConfig(e_compute_j=-1.0)
+
+
+class TestDocuments:
+    def mixed_report(self):
+        residual = np.zeros((8, 8), dtype=np.uint8)
+        residual[6, 1] = residual[7, 7] = 1
+        cs = full_cluster_set((8, 8), [(range(3), range(4))], residual)
+        return map_to_mcas([cs], TechConfig(crossbar_rows=4, crossbar_cols=4))
+
+    def test_mapping_document_round_trip(self):
+        doc = self.mixed_report().to_dict()
+        assert doc["layers"][0]["cluster_utils"] == [12 / 16]
+        assert doc["layers"][0]["unclustered_fraction"] == 2 / 14
+        assert MappingReport.from_dict(json.loads(json.dumps(doc))).to_dict() == doc
+
+    @pytest.mark.parametrize(
+        "storage, stored", [("auto", 12 + 2), ("clustered", 12 + 2), ("dense", 64)]
+    )
+    def test_energy_document(self, storage, stored):
+        report, tech, cmos = self.mixed_report(), TechConfig(), CmosConfig()
+        doc = energy_document(report, tech, cmos, storage=storage)
+        xbar, base = mca_energy(report, tech), cmos_energy(14, stored, cmos, 1)
+        assert doc["storage_model"] == ("clustered" if storage == "auto" else storage)
+        assert (doc["mca_component_j"], doc["peripheral_component_j"], doc["total_j"]) == (
+            xbar.mca_component, xbar.peripheral_component, xbar.total)
+        assert doc["cmos"] == {"compute_j": base.compute, "memory_access_j": base.memory_access,
+                               "leakage_j": base.leakage, "sync_j": base.sync, "total_j": base.total}
+
+    def test_auto_storage_without_clusters_is_dense(self):
+        report = map_to_mcas([ClusterSet((), ConnectivityMatrix(np.ones((4, 4), dtype=np.uint8)))], TechConfig())
+        assert energy_document(report, TechConfig(), CmosConfig())["storage_model"] == "dense"

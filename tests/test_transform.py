@@ -45,7 +45,7 @@ def add_record(state, layer_id, rows, cols):
     live = state.model.layers[layer_id].weights[block] != 0
     owner = state.owner[layer_id]
     owner[block] = np.where(live, len(state.records[layer_id]), owner[block])
-    cluster = Cluster(tuple(rows), tuple(cols), layer_id)
+    cluster = Cluster(tuple(rows), tuple(cols))
     state.records[layer_id].append(cluster)
     return cluster
 
