@@ -10,7 +10,6 @@ from .connectivity import (
     Cluster,
     ClusterSet,
     ConnectivityMatrix,
-    Mask,
     audit_cluster_set,
     from_weights,
     load_sparse,

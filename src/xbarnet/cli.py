@@ -86,7 +86,8 @@ def cmd_map(args) -> int:
     cfg = _load(args)
     model, _ = load_checkpoint(args.checkpoint)
     live = [from_weights(layer.weights) for layer in model.layers]
-    sets = cluster_sets_from_json(Path(args.clusters).read_text(), live)
+    crossbar = (cfg.tech.crossbar_rows, cfg.tech.crossbar_cols)
+    sets = cluster_sets_from_json(Path(args.clusters).read_text(), live, crossbar)
     report = map_to_mcas(sets, cfg.tech)
     out = Path(args.out or cfg.out_dir or "mapping.json")
     write_json(out, report.to_dict())

@@ -2,7 +2,8 @@
 
 A config file has flat sections (dataset, topology, mode, seed, train, scic,
 transform, tech, cmos); missing tech/cmos sections fall back to the shipped
-default profile. Validation collects every problem before raising, so a bad
+default profile. The crossbar size is set in tech only; clustering sizes its
+clusters to it. Validation collects every problem before raising, so a bad
 file reports all its errors at once instead of one per run attempt.
 """
 
@@ -13,15 +14,18 @@ from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
-from .datasets import BlobSpec, PlantedSpec
+from .datasets import BlobSpec, DigitsSpec, MnistSpec, PlantedSpec
 from .hardware import CmosConfig, TechConfig
 from .mlp import TrainConfig
 from .sizecluster import SizeClusterConfig
 from .transform import TransformConfig
 
 MODES = ("original", "prune", "offline_cluster", "transform")
-DATASET_KINDS = ("mnist", "surrogate_digits", "blobs", "planted")
-DATASET_SPECS = {"blobs": BlobSpec, "planted": PlantedSpec}
+DATASET_SPECS = {
+    "mnist": MnistSpec, "surrogate_digits": DigitsSpec, "blobs": BlobSpec, "planted": PlantedSpec,
+}
+DATASET_KINDS = tuple(DATASET_SPECS)
+CROSSBAR = ("crossbar_rows", "crossbar_cols")  # set in ``tech`` only; clustering sizes clusters to it
 
 
 class ConfigError(ValueError):
@@ -52,10 +56,6 @@ class ExperimentConfig:
 def default_profile() -> dict:
     text = resources.files("xbarnet").joinpath("profiles/default_profile.json").read_text()
     return json.loads(text)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _matches_type(value, expected: type) -> bool:
@@ -116,7 +116,7 @@ def build_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     if (
         not isinstance(topology, list)
         or len(topology) < 2
-        or not all(_is_int(w) and w >= 1 for w in topology)
+        or not all(_matches_type(w, int) and w >= 1 for w in topology)
     ):
         problems.append("topology: need a list of >=2 integer widths, all >=1")
         topology = [4, 2]
@@ -127,7 +127,7 @@ def build_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
         mode = "transform"
 
     seed = raw.get("seed", 0)
-    if not (_is_int(seed) and seed >= 0):
+    if not (_matches_type(seed, int) and seed >= 0):
         problems.append("seed: must be a non-negative integer")
         seed = 0
 
@@ -140,7 +140,7 @@ def build_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     tech_kwargs = {**profile["tech"], **_check_fields(raw.get("tech", {}), "tech", TechConfig, problems)}
     cmos_kwargs = {**profile["cmos"], **_check_fields(raw.get("cmos", {}), "cmos", CmosConfig, problems)}
     train_kwargs = _check_fields(raw.get("train", {}), "train", TrainConfig, problems, ("seed",))
-    scic_kwargs = _check_fields(raw.get("scic", {}), "scic", SizeClusterConfig, problems)
+    scic_kwargs = _check_fields(raw.get("scic", {}), "scic", SizeClusterConfig, problems, CROSSBAR)
     transform_kwargs = _check_fields(
         raw.get("transform", {}), "transform", TransformConfig, problems, ("scic", "train", "seed")
     )
@@ -148,7 +148,7 @@ def build_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     evals = raw.get("evals_per_inference")
     if evals is not None:
         if not isinstance(evals, list) or len(evals) != len(topology) - 1 or not all(
-            _is_int(e) and e >= 1 for e in evals
+            _matches_type(e, int) and e >= 1 for e in evals
         ):
             problems.append("evals_per_inference: need one integer >=1 per layer")
             evals = None
@@ -165,7 +165,9 @@ def build_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     tech = _construct(TechConfig, "tech", problems, **tech_kwargs)
     cmos = _construct(CmosConfig, "cmos", problems, **cmos_kwargs)
     train = _construct(TrainConfig, "train", problems, seed=seed, **train_kwargs)
-    scic = _construct(SizeClusterConfig, "scic", problems, **scic_kwargs)
+    scic = _construct(
+        SizeClusterConfig, "scic", problems, **{k: getattr(tech, k) for k in CROSSBAR if tech}, **scic_kwargs
+    )
     transform = _construct(
         TransformConfig, "transform", problems, scic=scic, train=train, seed=seed, **transform_kwargs
     )

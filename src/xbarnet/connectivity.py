@@ -1,8 +1,8 @@
-"""Connectivity matrices, masks, clusters, and their file formats.
+"""Connectivity matrices, clusters, and their file formats.
 
 A connectivity matrix is a dense (0,1) matrix recording which synapses exist
 between two neuron layers: entry (i, j) = 1 iff input neuron i feeds output
-neuron j. Masks share the shape of the weight matrix they gate.
+neuron j. A layer's training mask is one too, shaped like the weights it gates.
 Clusters are row/column index groups whose induced submatrix maps onto one
 crossbar; a ClusterSet records which cluster owns each synapse in one int32
 owner matrix per layer.
@@ -71,20 +71,6 @@ class ConnectivityMatrix:
     @property
     def nnz(self) -> int:
         return int(self.bits.sum())
-
-
-@dataclass(frozen=True)
-class Mask:
-    """(0,1) gate with the same shape as the weight matrix it masks."""
-
-    bits: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "bits", _as_bits(self.bits))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.bits.shape
 
 
 @dataclass(frozen=True)
@@ -254,13 +240,15 @@ def cluster_sets_to_json(cluster_sets: list[ClusterSet]) -> str:
     return json.dumps(records, indent=1)
 
 
-def cluster_sets_from_json(text: str, sources: list[ConnectivityMatrix]) -> list[ClusterSet]:
+def cluster_sets_from_json(
+    text: str, sources: list[ConnectivityMatrix], crossbar: tuple[int, int]
+) -> list[ClusterSet]:
     """Rebuild per-layer ClusterSets from JSON plus each layer's source connectivity.
 
-    The file is outside input: each record must name a layer and list its
-    covered cells as [row, col] pairs, and each layer's clusters and cells
-    must pass :func:`_placement_problem`. A violation raises
-    :class:`ClusterFormatError`.
+    The file is outside input: each record must name a layer, fit the
+    ``(rows, cols)`` crossbar, and list its covered cells as [row, col]
+    pairs, and each layer's clusters and cells must pass
+    :func:`_placement_problem`. A violation raises :class:`ClusterFormatError`.
     """
     clusters: list[list[Cluster]] = [[] for _ in sources]
     cells: list[list[np.ndarray]] = [[] for _ in sources]
@@ -270,6 +258,9 @@ def cluster_sets_from_json(text: str, sources: list[ConnectivityMatrix]) -> list
             if not (type(layer) is int and 0 <= layer < len(sources)):
                 raise ValueError(f"unknown layer {layer!r}")
             cluster = Cluster(tuple(rec["rows"]), tuple(rec["cols"]))
+            if not cluster.fits(*crossbar):
+                shapes = (cluster.n_rows, cluster.n_cols, *crossbar)
+                raise ValueError("cluster %dx%d exceeds crossbar %dx%d" % shapes)
             covered = np.asarray(rec["covered"], dtype=np.int64).reshape(-1, 2)
             cells[layer].append(covered)
             clusters[layer].append(cluster)

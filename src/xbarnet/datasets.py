@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import mlp
-from .connectivity import InputFormatError, Mask
+from .connectivity import ConnectivityMatrix, InputFormatError
 from .util import STREAM_DATA, rng_for
 
 IDX_IMAGES_MAGIC = 2051
@@ -142,9 +142,27 @@ def _render_prototypes(rng: np.random.Generator, n_classes: int, side: int) -> n
     return protos
 
 
-def write_surrogate_digits(
-    directory, seed: int = 0, n_train: int = 20000, n_test: int = 10000, side: int = 28
-) -> Path:
+@dataclass(frozen=True)
+class MnistSpec:
+    """The standard IDX digit files, read from ``dir``."""
+
+    dir: str = ""
+
+
+@dataclass(frozen=True)
+class DigitsSpec(MnistSpec):
+    """Surrogate digits in ``dir``, written if absent; a config's ``gen_seed`` defaults to the run seed."""
+
+    n_train: int = 20000
+    n_test: int = 10000
+    gen_seed: int = 0
+
+    def __post_init__(self):
+        if min(self.n_train, self.n_test) < 1 or self.gen_seed < 0:
+            raise ValueError("n_train and n_test must be positive and gen_seed non-negative")
+
+
+def write_surrogate_digits(directory, seed: int, n_train: int, n_test: int, side: int = 28) -> Path:
     """Write a deterministic IDX-format digit surrogate into ``directory``.
 
     Samples are shifted, dropout-thinned, noisy renderings of per-class
@@ -263,8 +281,8 @@ def gen_planted(spec: PlantedSpec, seed: int) -> tuple[Dataset, mlp.MlpModel, di
 
     teacher = mlp.MlpModel(
         [
-            mlp.Layer(w1, np.zeros(spec.hidden), Mask(np.ones(w1.shape, dtype=np.uint8))),
-            mlp.Layer(w2, rng.normal(0, 0.01, size=spec.n_classes), Mask(np.ones(w2.shape, dtype=np.uint8))),
+            mlp.Layer(w, b, ConnectivityMatrix(np.ones_like(w, dtype=np.uint8)))
+            for w, b in ((w1, np.zeros(spec.hidden)), (w2, rng.normal(0, 0.01, size=spec.n_classes)))
         ]
     )
 

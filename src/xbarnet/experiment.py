@@ -16,8 +16,10 @@ import json
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig
-from .connectivity import ClusterSet, cluster_sets_to_json, from_weights
-from .datasets import Dataset, BlobSpec, PlantedSpec, gen_blobs, gen_planted, load_mnist, write_surrogate_digits
+from .connectivity import cluster_sets_to_json
+from .datasets import (
+    BlobSpec, Dataset, DigitsSpec, PlantedSpec, gen_blobs, gen_planted, load_mnist, write_surrogate_digits,
+)
 from .hardware import energy_document, map_to_mcas
 from .mlp import evaluate, save_checkpoint
 from .transform import final_cluster_sets, offline_cluster, run
@@ -46,25 +48,22 @@ def build_dataset(cfg: ExperimentConfig) -> Dataset:
 
 
 def _load_dataset(cfg: ExperimentConfig) -> Dataset:
-    spec = cfg.dataset
-    kind = spec["kind"]
+    kind = cfg.dataset["kind"]
+    fields = {k: v for k, v in cfg.dataset.items() if k != "kind"}
     if kind == "mnist":
-        return load_mnist(spec["dir"])
+        return load_mnist(fields["dir"])
     if kind == "surrogate_digits":
-        directory = Path(spec["dir"])
-        n_train, n_test = spec.get("n_train", 20000), spec.get("n_test", 10000)
+        spec = DigitsSpec(**{"gen_seed": cfg.seed, **fields})
+        directory = Path(spec.dir)
         if not (directory / "train-images-idx3-ubyte").exists():
-            write_surrogate_digits(
-                directory, seed=spec.get("gen_seed", cfg.seed), n_train=n_train, n_test=n_test
-            )
+            write_surrogate_digits(directory, seed=spec.gen_seed, n_train=spec.n_train, n_test=spec.n_test)
         data = load_mnist(directory)
-        if (len(data.x_train), len(data.x_test)) != (n_train, n_test):
+        if (len(data.x_train), len(data.x_test)) != (spec.n_train, spec.n_test):
             raise ConfigError([
                 f"dataset.dir: {directory} holds {len(data.x_train)} train and {len(data.x_test)} test "
-                f"samples, the config asks for {n_train} and {n_test}"
+                f"samples, the config asks for {spec.n_train} and {spec.n_test}"
             ])
         return data
-    fields = {k: v for k, v in spec.items() if k != "kind"}
     if kind == "blobs":
         return gen_blobs(BlobSpec(**fields), cfg.seed)
     if kind == "planted":
@@ -76,11 +75,6 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.12g}"
     return str(value)
-
-
-def dense_cluster_sets(model) -> list[ClusterSet]:
-    """No clusters at all: every live synapse is residual."""
-    return [ClusterSet((), from_weights(layer.weights)) for layer in model.layers]
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir, dataset: Dataset | None = None) -> dict:
@@ -101,14 +95,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir, dataset: Dataset | None = Non
         enable_prune=enable_prune,
         enable_cluster=enable_cluster,
     )
-    model = result.model
+    model = result.state.model
 
-    if cfg.mode == "transform":
-        cluster_sets = final_cluster_sets(result.state)
-    elif cfg.mode == "offline_cluster":
+    if cfg.mode == "offline_cluster":
         cluster_sets = offline_cluster(model, cfg.scic, cfg.seed)
     else:
-        cluster_sets = dense_cluster_sets(model)
+        cluster_sets = final_cluster_sets(result.state)  # no clusters unless the loop made them
 
     mapping = map_to_mcas(cluster_sets, cfg.tech)
     storage = "clustered" if cfg.mode in ("offline_cluster", "transform") else "dense"

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connectivity import ClusterSet
+from .connectivity import ClusterSet, InputFormatError
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,10 @@ class CmosConfig:
                 raise ValueError(f"{name} must be non-negative")
         if self.bits_per_weight < 1:
             raise ValueError("bits_per_weight must be positive")
+
+
+class MappingFormatError(InputFormatError):
+    """Raised on a ``mapping.json`` document that lacks a measured field."""
 
 
 @dataclass
@@ -142,13 +146,16 @@ class MappingReport:
     @classmethod
     def from_dict(cls, data: dict) -> "MappingReport":
         """Parse the measured fields of a ``mapping.json`` document; derived ones are ignored."""
-        layers = [
-            LayerMapping(
-                d["cluster_active"], d["residual_active"], d["cluster_areas"], tuple(d["matrix_shape"])
-            )
-            for d in data["layers"]
-        ]
-        return cls(layers, data["num_core"], data["crossbar_rows"], data["crossbar_cols"])
+        try:
+            layers = [
+                LayerMapping(
+                    d["cluster_active"], d["residual_active"], d["cluster_areas"], tuple(d["matrix_shape"])
+                )
+                for d in data["layers"]
+            ]
+            return cls(layers, data["num_core"], data["crossbar_rows"], data["crossbar_cols"])
+        except (KeyError, TypeError) as exc:
+            raise MappingFormatError(f"mapping document: {type(exc).__name__}: {exc}") from None
 
 
 @dataclass(frozen=True)

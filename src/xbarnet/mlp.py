@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .connectivity import Mask, ShapeError
+from .connectivity import ConnectivityMatrix, InputFormatError, ShapeError
 from .util import STREAM_INIT, STREAM_SHUFFLE, rng_for
 
 
@@ -24,12 +24,12 @@ from .util import STREAM_INIT, STREAM_SHUFFLE, rng_for
 class Layer:
     weights: np.ndarray
     bias: np.ndarray
-    mask: Mask
+    mask: ConnectivityMatrix
 
     def __post_init__(self):
-        if self.weights.shape != self.mask.shape:
+        if self.weights.shape != self.mask.bits.shape:
             raise ShapeError(
-                f"mask {self.mask.shape} does not match weights {self.weights.shape}"
+                f"mask {self.mask.bits.shape} does not match weights {self.weights.shape}"
             )
         if self.bias.shape != (self.weights.shape[1],):
             raise ShapeError("bias length must equal the layer fan-out")
@@ -86,7 +86,7 @@ def init_model(topology: list[int], seed: int) -> MlpModel:
             Layer(
                 weights=w,
                 bias=np.zeros(fan_out),
-                mask=Mask(np.ones((fan_in, fan_out), dtype=np.uint8)),
+                mask=ConnectivityMatrix(np.ones((fan_in, fan_out), dtype=np.uint8)),
             )
         )
     return MlpModel(layers)
@@ -181,11 +181,12 @@ def evaluate(model: MlpModel, x: np.ndarray, y: np.ndarray, batch: int = 2048) -
     return correct / len(x), total_loss / len(x)
 
 
-def magnitude_prune(model: MlpModel, prune_quality: float) -> list[Mask]:
-    """Per-layer prune maps: entry 0 iff |w| < prune_quality * std(nonzero w).
+def magnitude_prune(model: MlpModel, prune_quality: float) -> list[ConnectivityMatrix]:
+    """Per-layer prune maps: entry 1 iff w != 0 and |w| >= prune_quality * std(nonzero w).
 
-    Maps are advisory; the caller decides when to apply them. A layer with no
-    nonzero weights takes threshold 0 (nothing marked).
+    Maps are advisory; the caller decides when to apply them. A dead synapse
+    is never marked to keep, even at threshold 0 (quality 0, or live weights
+    without spread), so applying a map never revives a synapse.
     """
     if prune_quality < 0:
         raise ValueError("prune_quality must be non-negative")
@@ -193,11 +194,16 @@ def magnitude_prune(model: MlpModel, prune_quality: float) -> list[Mask]:
     for layer in model.layers:
         live = layer.weights[layer.weights != 0]
         t = prune_quality * live.std() if live.size else 0.0
-        maps.append(Mask((np.abs(layer.weights) >= t).astype(np.uint8)))
+        keep = (np.abs(layer.weights) >= t) & (layer.weights != 0)
+        maps.append(ConnectivityMatrix(keep.astype(np.uint8)))
     return maps
 
 
 _CHECKPOINT_FORMAT = "xbarnet-checkpoint-v1"
+
+
+class CheckpointFormatError(InputFormatError):
+    """Raised on a checkpoint pair that does not read back as a model."""
 
 
 def save_checkpoint(path, model: MlpModel, seed: int, config: dict | None = None) -> None:
@@ -210,7 +216,7 @@ def save_checkpoint(path, model: MlpModel, seed: int, config: dict | None = None
         names += [
             {"name": f"layer{i}.weights", "shape": list(layer.weights.shape)},
             {"name": f"layer{i}.bias", "shape": list(layer.bias.shape)},
-            {"name": f"layer{i}.mask", "shape": list(layer.mask.shape)},
+            {"name": f"layer{i}.mask", "shape": list(layer.mask.bits.shape)},
         ]
     manifest = {
         "format": _CHECKPOINT_FORMAT,
@@ -230,25 +236,27 @@ def save_checkpoint(path, model: MlpModel, seed: int, config: dict | None = None
 def load_checkpoint(path) -> tuple[MlpModel, dict]:
     """Read a checkpoint pair; returns (model, manifest)."""
     path = Path(path)
-    manifest = json.loads(path.with_suffix(".json").read_text())
-    if manifest.get("format") != _CHECKPOINT_FORMAT:
-        raise ValueError(f"unrecognized checkpoint format {manifest.get('format')!r}")
-    blocks = []
-    with open(path.with_suffix(".bin"), "rb") as fh:
-        for spec in manifest["blocks"]:
-            header = fh.read(8)
-            if len(header) != 8:
-                raise ValueError(f"truncated checkpoint: missing block {spec['name']}")
-            (length,) = struct.unpack("<Q", header)
-            data = fh.read(length)
-            if len(data) != length:
-                raise ValueError(
-                    f"truncated block {spec['name']}: expected {length} bytes, got {len(data)}"
-                )
-            arr = np.frombuffer(data, dtype="<f8").reshape(spec["shape"]).copy()
-            blocks.append(arr)
-    layers = []
-    for i in range(0, len(blocks), 3):
-        w, b, m = blocks[i : i + 3]
-        layers.append(Layer(weights=w, bias=b, mask=Mask(m.astype(np.uint8))))
+    try:
+        manifest = json.loads(path.with_suffix(".json").read_text())
+        if manifest.get("format") != _CHECKPOINT_FORMAT:
+            raise ValueError(f"unrecognized checkpoint format {manifest.get('format')!r}")
+        blocks = []
+        with open(path.with_suffix(".bin"), "rb") as fh:
+            for spec in manifest["blocks"]:
+                header = fh.read(8)
+                if len(header) != 8:
+                    raise ValueError(f"truncated checkpoint: missing block {spec['name']}")
+                (length,) = struct.unpack("<Q", header)
+                data = fh.read(length)
+                if len(data) != length:
+                    raise ValueError(
+                        f"truncated block {spec['name']}: expected {length} bytes, got {len(data)}"
+                    )
+                blocks.append(np.frombuffer(data, dtype="<f8").reshape(spec["shape"]).copy())
+        layers = [
+            Layer(weights=w, bias=b, mask=ConnectivityMatrix(m.astype(np.uint8)))
+            for w, b, m in zip(blocks[0::3], blocks[1::3], blocks[2::3], strict=True)
+        ]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CheckpointFormatError(f"checkpoint {path}: {exc}") from None
     return MlpModel(layers), manifest

@@ -1,18 +1,20 @@
 """Integrated training loop: train, prune, cluster, and prune whole clusters.
 
 Each epoch trains the network once, then (while enough synapses remain
-unclustered and the epoch improved the training loss) refreshes the prune
-maps, runs size-constrained clustering on the still-unclustered synapses, and
-zeroes every synapse that is marked prunable and sits outside all clusters.
-Cluster membership lives in one int32 owner matrix per layer: -1 for an
-unclustered cell, otherwise the index of its cluster in that layer's record
-list. A cluster's utilization is its owned-cell count over the crossbar
-area; the cells it owns never change between acceptance and removal. The
-model mask is always the prune map OR the owned cells, so clustered
-synapses are shielded from magnitude pruning. Once the unclustered fraction
-falls below the threshold the loop switches to cluster pruning: per improving
-epoch it removes the lowest-scoring clusters outright and lets subsequent
-epochs recover the accuracy.
+unclustered and the epoch improved the training loss) computes a fresh
+magnitude prune map, runs size-constrained clustering on the
+still-unclustered synapses, and sets each layer's mask to the map OR the
+owned cells, zeroing every weight outside it. The layer mask is the only
+record of which synapses may live: an epoch without a prune only adds the
+owned cells to it, and cluster pruning clears the cells it cuts. Clustered
+synapses are thus shielded from magnitude pruning. Cluster membership lives
+in one int32 owner matrix per layer: -1 for an unclustered cell, otherwise
+the index of its cluster in that layer's record list. A cluster's
+utilization is its owned-cell count over the crossbar area; the cells it
+owns never change between acceptance and removal. Once the unclustered
+fraction falls below the threshold the loop switches to cluster pruning: per
+improving epoch it removes the lowest-scoring clusters outright and lets
+subsequent epochs recover the accuracy.
 
 Two switches (``enable_prune``, ``enable_cluster``) turn the same loop into
 the baselines: both off is plain training, prune-only is the magnitude
@@ -30,7 +32,6 @@ from .connectivity import (
     Cluster,
     ClusterSet,
     ConnectivityMatrix,
-    Mask,
     audit_cluster_set,
     from_weights,
     owner_cells,
@@ -38,9 +39,6 @@ from .connectivity import (
 from .mlp import MlpModel, TrainConfig, evaluate, init_model, magnitude_prune, train_epoch
 from .sizecluster import SizeClusterConfig, size_constrained_cluster
 from .util import STREAM_CLUSTER, seed_for
-
-PHASE_CLUSTERING = "clustering"
-PHASE_CLUSTER_PRUNING = "cluster_pruning"
 
 
 @dataclass(frozen=True)
@@ -66,26 +64,23 @@ class TransformConfig:
 
 @dataclass
 class TransformState:
-    """Model, prune maps, and per layer the accepted clusters and owner matrix.
+    """Model (its layer masks say which synapses may live), and per layer the clusters and owner matrix.
 
     ``owner[layer][i, j]`` is -1 or the index into ``records[layer]`` of the
     cluster covering synapse (i, j).
     """
 
     model: MlpModel
-    prune_maps: list[np.ndarray]
     owner: list[np.ndarray]
     records: list[list[Cluster]]
     epoch: int = 0
     training_error_previous: float = float("inf")
-    phase: str = PHASE_CLUSTERING
 
     @classmethod
     def fresh(cls, topology: list[int], seed: int) -> "TransformState":
         model = init_model(topology, seed)
         return cls(
             model=model,
-            prune_maps=[np.ones(l.weights.shape, dtype=np.uint8) for l in model.layers],
             owner=[np.full(l.weights.shape, -1, dtype=np.int32) for l in model.layers],
             records=[[] for _ in model.layers],
         )
@@ -148,8 +143,8 @@ def cluster_prune(state: TransformState, cfg: TransformConfig) -> int:
     """Remove the lowest-scoring clusters globally; returns how many were cut.
 
     Every layer is scored once per event. The removed clusters' synapses are
-    zeroed and dropped from the prune map and the owner matrix, so the
-    following epochs can neither train nor re-prune them; ties break by
+    zeroed and cleared from the layer mask and the owner matrix, so the
+    following epochs can neither train nor revive them; ties break by
     (layer, index). No-op on an empty cluster set.
     """
     scored = [
@@ -160,23 +155,25 @@ def cluster_prune(state: TransformState, cfg: TransformConfig) -> int:
     chosen = sorted(scored)[: cfg.clusters_pruned_per_event]
     # highest index first, so a removal never shifts a cluster still to be removed
     for _, layer_id, index in sorted(chosen, key=lambda t: t[2], reverse=True):
-        owner = state.owner[layer_id]
+        owner, layer = state.owner[layer_id], state.model.layers[layer_id]
         cells = owner == index
-        state.model.layers[layer_id].weights[cells] = 0.0
-        state.prune_maps[layer_id][cells] = 0
+        layer.weights[cells] = 0.0
+        layer.mask = ConnectivityMatrix(layer.mask.bits & ~cells)
         owner[cells] = -1
         owner[owner > index] -= 1
         del state.records[layer_id][index]
     return len(chosen)
 
 
-def _refresh_masks(state: TransformState) -> int:
-    """mask <- prune map OR owned cells; zero weights outside; count casualties."""
+def _refresh_masks(state: TransformState, maps: list[ConnectivityMatrix] | None) -> int:
+    """mask <- fresh prune map (else the mask) OR owned cells; zero weights outside; count them."""
+    if maps is None:
+        maps = [layer.mask for layer in state.model.layers]
     zeroed = 0
-    for layer, pmap, owner in zip(state.model.layers, state.prune_maps, state.owner):
-        union = pmap | (owner >= 0)
+    for layer, pmap, owner in zip(state.model.layers, maps, state.owner):
+        union = pmap.bits | (owner >= 0)
         zeroed += int(((layer.weights != 0) & (union == 0)).sum())
-        layer.mask = Mask(union)
+        layer.mask = ConnectivityMatrix(union)
         layer.weights *= union
     return zeroed
 
@@ -193,36 +190,32 @@ def transform_epoch(
     epoch = state.epoch + 1
     loss = train_epoch(state.model, x, y, cfg.train, epoch)
     improved = loss < state.training_error_previous
-    frac_before = unclustered_fraction(state)
-    n_zeroed = 0
+    cluster_pruning = unclustered_fraction(state) < cfg.unclustered_threshold
+    maps = None
     pruned_clusters = 0
 
-    if frac_before < cfg.unclustered_threshold:
-        state.phase = PHASE_CLUSTER_PRUNING
+    if cluster_pruning:
         if improved and enable_cluster:
             pruned_clusters = cluster_prune(state, cfg)
-    else:
-        state.phase = PHASE_CLUSTERING
-        if improved:
-            if enable_prune:
-                maps = magnitude_prune(state.model, cfg.train.prune_quality)
-                state.prune_maps = [np.array(m.bits) for m in maps]
-            if enable_cluster:
-                for layer_id, layer in enumerate(state.model.layers):
-                    owner = state.owner[layer_id]
-                    residual_bits = ((layer.weights != 0) & (owner < 0)).astype(np.uint8)
-                    if not residual_bits.any():
-                        continue
-                    cs = size_constrained_cluster(
-                        ConnectivityMatrix(residual_bits),
-                        cfg.scic,
-                        seed_for(cfg.seed, STREAM_CLUSTER, epoch, layer_id),
-                    )
-                    owned = cs.owner >= 0
-                    owner[owned] = cs.owner[owned] + len(state.records[layer_id])
-                    state.records[layer_id].extend(cs.clusters)
+    elif improved:
+        if enable_prune:
+            maps = magnitude_prune(state.model, cfg.train.prune_quality)
+        if enable_cluster:
+            for layer_id, layer in enumerate(state.model.layers):
+                owner = state.owner[layer_id]
+                residual_bits = ((layer.weights != 0) & (owner < 0)).astype(np.uint8)
+                if not residual_bits.any():
+                    continue
+                cs = size_constrained_cluster(
+                    ConnectivityMatrix(residual_bits),
+                    cfg.scic,
+                    seed_for(cfg.seed, STREAM_CLUSTER, epoch, layer_id),
+                )
+                owned = cs.owner >= 0
+                owner[owned] = cs.owner[owned] + len(state.records[layer_id])
+                state.records[layer_id].extend(cs.clusters)
 
-    n_zeroed = _refresh_masks(state)
+    n_zeroed = _refresh_masks(state, maps)
     state.training_error_previous = loss
     state.epoch = epoch
     return {
@@ -232,7 +225,7 @@ def transform_epoch(
         "unclustered_frac": unclustered_fraction(state),
         "n_clusters": state.n_clusters(),
         "mean_util": state.mean_util(cfg.scic.crossbar_area),
-        "phase": state.phase,
+        "phase": "cluster_pruning" if cluster_pruning else "clustering",
         "improved": improved,
         "n_zeroed_unprotected": n_zeroed,
         "n_clusters_pruned": pruned_clusters,
@@ -241,7 +234,6 @@ def transform_epoch(
 
 @dataclass
 class TransformResult:
-    model: MlpModel
     state: TransformState
     log: list[dict]
 
@@ -269,7 +261,7 @@ def run(
     enable_prune: bool = True,
     enable_cluster: bool = True,
 ) -> TransformResult:
-    """Run the loop until max_epochs or convergence; returns model, state, log.
+    """Run the loop until max_epochs or convergence; returns the state and the log.
 
     Convergence: validation accuracy moved by < 0.1% absolute and the
     unclustered fraction by < 1% over five consecutive epochs.
@@ -280,51 +272,39 @@ def run(
         record = transform_epoch(
             state, x_train, y_train, cfg, enable_prune=enable_prune, enable_cluster=enable_cluster
         )
-        val_acc, val_loss = evaluate(state.model, x_val, y_val)
-        record["val_acc"] = val_acc
-        record["val_loss"] = val_loss
+        record["val_acc"], record["val_loss"] = evaluate(state.model, x_val, y_val)
         log.append(record)
         if _converged(log):
             break
-    return TransformResult(model=state.model, state=state, log=log)
+    return TransformResult(state=state, log=log)
 
 
 def offline_cluster(model: MlpModel, scic_cfg: SizeClusterConfig, seed: int) -> list[ClusterSet]:
     """One post-hoc clustering pass per layer on the final connectivity."""
-    sets = []
-    for layer_id, layer in enumerate(model.layers):
-        sets.append(
-            size_constrained_cluster(
-                from_weights(layer.weights),
-                scic_cfg,
-                seed_for(seed, STREAM_CLUSTER, 0, layer_id),
-            )
-        )
-    return sets
+    return [
+        size_constrained_cluster(from_weights(layer.weights), scic_cfg, seed_for(seed, STREAM_CLUSTER, 0, i))
+        for i, layer in enumerate(model.layers)
+    ]
 
 
 def audit_state(state: TransformState) -> None:
-    """Exact consistency checks between model, maps, and cluster records.
+    """Exact consistency checks between the layer masks, weights and cluster records.
 
-    The model mask must equal prune map OR owned cells, weights outside the
-    mask must be zero, and each layer's cluster set must pass
-    :func:`audit_cluster_set` against the live synapses: owned cells are live
-    and inside their cluster's footprint, and no cluster is empty.
+    Owned cells must lie inside the layer mask, weights outside the mask must
+    be zero, and each layer's cluster set must pass :func:`audit_cluster_set`
+    against the live synapses: owned cells are live and inside their
+    cluster's footprint, and no cluster is empty.
     """
     for layer_id, (layer, cs) in enumerate(zip(state.model.layers, final_cluster_sets(state))):
-        union = state.prune_maps[layer_id] | (cs.owner >= 0)
-        assert np.array_equal(layer.mask.bits, union), f"layer {layer_id}: mask is not the map union"
-        assert not layer.weights[union == 0].any(), f"layer {layer_id}: live weight outside mask"
+        outside = layer.mask.bits == 0
+        assert not (cs.owner[outside] >= 0).any(), f"layer {layer_id}: owned cell outside mask"
+        assert not layer.weights[outside].any(), f"layer {layer_id}: live weight outside mask"
         audit_cluster_set(cs, cs.source)
 
 
 def final_cluster_sets(state: TransformState) -> list[ClusterSet]:
     """Per-layer ClusterSets of the current state for mapping and reports."""
     return [
-        ClusterSet(
-            clusters=tuple(records),
-            source=from_weights(layer.weights),
-            owner=owner,
-        )
+        ClusterSet(tuple(records), from_weights(layer.weights), owner)
         for layer, records, owner in zip(state.model.layers, state.records, state.owner)
     ]

@@ -8,6 +8,7 @@ import pytest
 from xbarnet import cli
 from xbarnet.connectivity import ConnectivityMatrix, save_sparse
 from xbarnet.datasets import write_surrogate_digits
+from xbarnet.mlp import load_checkpoint
 
 CONFIG = {
     "dataset": {"kind": "planted", "in_dim": 32, "hidden": 32, "n_classes": 2, "block": 8,
@@ -16,7 +17,7 @@ CONFIG = {
     "seed": 3,
     "train": {"learning_rate": 0.2, "batch_size": 32},
     "transform": {"max_epochs": 4},
-    "scic": {"crossbar_rows": 8, "crossbar_cols": 8, "max_rounds": 8},
+    "scic": {"max_rounds": 8},
     "tech": {"crossbar_rows": 8, "crossbar_cols": 8},
 }
 
@@ -61,6 +62,51 @@ def test_compare_reruns_are_byte_identical(tmp_path, config):
     a, b = tree(tmp_path / "a"), tree(tmp_path / "b")
     assert "summary.csv" in a and "transform/clusters.json" in a
     assert a == b
+
+
+@pytest.fixture(scope="module")
+def pruned_run(tmp_path_factory):
+    """A prune-only run on an 8x8 crossbar, and its config file."""
+    root = tmp_path_factory.mktemp("pruned")
+    (root / "config.json").write_text(json.dumps(CONFIG))
+    config = str(root / "config.json")
+    assert cli.main(["train", "--config", config, "--mode", "prune", "--out", str(root / "run")]) == 0
+    return root
+
+
+def damage_clusters(run, bad):
+    """A 9-row cluster on the 8x8 crossbar; its one covered cell is a live synapse."""
+    w = load_checkpoint(run / "checkpoint")[0].layers[0].weights
+    i, j = (int(v) for v in np.argwhere(w[:9] != 0)[0])
+    record = {"layer": 0, "rows": list(range(9)), "cols": [j], "covered": [[i, j]]}
+    (bad / "clusters.json").write_text(json.dumps([record]))
+    return ["map", "--checkpoint", str(run / "checkpoint"), "--clusters", str(bad / "clusters.json")]
+
+
+def damage_mapping(run, bad):
+    mapping = json.loads((run / "mapping.json").read_text())
+    del mapping["layers"][0]["cluster_areas"]
+    (bad / "mapping.json").write_text(json.dumps(mapping))
+    return ["report", "--mapping", str(bad / "mapping.json")]
+
+
+def damage_checkpoint(run, bad):
+    for suffix in (".json", ".bin"):
+        (bad / f"checkpoint{suffix}").write_bytes((run / f"checkpoint{suffix}").read_bytes())
+    (bad / "checkpoint.bin").write_bytes((run / "checkpoint.bin").read_bytes()[:-4])
+    return ["map", "--checkpoint", str(bad / "checkpoint"), "--clusters", str(run / "clusters.json")]
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [(damage_clusters, "cluster 9x1 exceeds crossbar 8x8"), (damage_mapping, "KeyError: 'cluster_areas'"),
+     (damage_checkpoint, "truncated block layer1.mask")],
+    ids=["oversized_cluster", "mapping_missing_key", "truncated_checkpoint"],
+)
+def test_damaged_input_files_exit_2(tmp_path, pruned_run, capsys, damage, message):
+    args = damage(pruned_run / "run", tmp_path)
+    assert cli.main(args + ["--config", str(pruned_run / "config.json"), "--out", str(tmp_path / "out.json")]) == 2
+    assert message in capsys.readouterr().err
 
 
 class TestClusterCommand:

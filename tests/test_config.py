@@ -22,6 +22,7 @@ from xbarnet.sizecluster import SizeClusterConfig
 from xbarnet.transform import TransformConfig
 
 BLOBS = {"kind": "blobs", "n_classes": 2, "dim": 4, "n_train": 40, "n_test": 20}
+DIGITS = {"kind": "surrogate_digits", "dir": "digits"}  # each mistake is caught before the directory is read
 
 
 def run_train(tmp_path, raw: dict) -> int:
@@ -87,15 +88,27 @@ class TestConfigErrors:
             ({"dataset": {**BLOBS, "sigma": -1}}, "dataset: sigma must be non-negative"),
             ({"dataset": {"kind": "planted", "in_dim": 4, "hidden": 0, "block": 2}}, "dataset: in_dim, hidden"),
             ({"dataset": {"kind": ["blobs"]}}, "dataset.kind: ['blobs'] not one of"),
+            ({"scic": {"crossbar_rows": 8}}, "scic.crossbar_rows: unknown field"),
+            ({"dataset": {**DIGITS, "n_train": "x"}, "topology": [784, 4, 10]}, "dataset.n_train: must be int, got 'x'"),
+            ({"dataset": {**DIGITS, "bogus": 1}, "topology": [784, 4, 10]}, "dataset.bogus: unknown field"),
+            ({"dataset": {**DIGITS, "n_test": 0}, "topology": [784, 4, 10]}, "dataset: n_train and n_test must be"),
+            ({"dataset": {"kind": "mnist", "dir": "digits", "n_train": 5}, "topology": [784, 4, 10]},
+             "dataset.n_train: unknown field"),
         ],
         ids=["planted_block", "blobs_dim_type", "blobs_no_classes", "input_width", "label_range", "k_per_round",
              "threshold_anneal", "max_rounds_float", "batch_size_float", "max_epochs_float", "crossbar_rows_float",
              "topology_bool", "n_train_bool", "train_seed", "transform_seed", "transform_scic", "negative_seed",
-             "negative_sigma", "planted_no_hidden", "kind_list"],
+             "negative_sigma", "planted_no_hidden", "kind_list", "scic_crossbar", "digits_n_train_str", "digits_unknown",
+             "digits_no_test", "mnist_n_train"],
     )
     def test_dataset_and_topology_mistakes_exit_2(self, tmp_path, capsys, overrides, message):
         assert run_train(tmp_path, base_config(**overrides)) == 2
         assert message in capsys.readouterr().err
+
+
+def test_crossbar_size_comes_from_tech():
+    cfg = build_config(base_config(tech={"crossbar_rows": 8, "crossbar_cols": 4}))
+    assert (cfg.scic.crossbar_rows, cfg.scic.crossbar_cols) == (8, 4)
 
 
 class TestSurrogateDigitCounts:
@@ -126,8 +139,7 @@ FUZZ_BASES = [
         "train": {"learning_rate": 0.1, "batch_size": 8, "prune_quality": 0.7},
         "transform": {"max_epochs": 2, "unclustered_threshold": 0.1, "cluster_prune_alpha": 0.5,
                       "clusters_pruned_per_event": 1},
-        "scic": {"crossbar_rows": 4, "crossbar_cols": 4, "base_util_factor": 0.8, "min_util_factor": 0.4,
-                 "decay_rate": 0.9, "max_rounds": 2},
+        "scic": {"base_util_factor": 0.8, "min_util_factor": 0.4, "decay_rate": 0.9, "max_rounds": 2},
         "evals_per_inference": [1, 1],
     },
     {

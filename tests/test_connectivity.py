@@ -147,7 +147,7 @@ class TestClusterTypes:
         cs = ClusterSet((Cluster((0, 1), (0, 1)),), ConnectivityMatrix(bits), owner)
         text = cluster_sets_to_json([cs])
         assert json.loads(text)[0]["covered"] == [[0, 0], [1, 1]]
-        back = cluster_sets_from_json(text, [cs.source])[0]
+        back = cluster_sets_from_json(text, [cs.source], (2, 2))[0]
         assert back.clusters == cs.clusters
         assert np.array_equal(back.owner, cs.owner)
         assert np.array_equal(back.residual.bits, cs.residual.bits)
@@ -165,13 +165,16 @@ class TestClusterTypes:
             ({"rows": [2], "cols": [2], "covered": [[2, 2], [2, 2]]}, "a cell is covered twice"),
             ({"layer": 1, "rows": [2], "cols": [2], "covered": [[2, 2]]}, "record 1: ValueError: unknown layer 1"),
             ({"rows": [2], "cols": [2]}, "record 1: KeyError: 'covered'"),
+            ({"rows": [0, 2, 3], "cols": [2], "covered": [[2, 2]]},
+             "record 1: ValueError: cluster 3x1 exceeds crossbar 2x2"),
         ],
         ids=["negative_cell", "dead_synapse", "claimed_twice", "outside_footprint", "beyond_matrix",
-             "cols_beyond_matrix", "empty", "repeated_cell", "unknown_layer", "no_covered"],
+             "cols_beyond_matrix", "empty", "repeated_cell", "unknown_layer", "no_covered",
+             "beyond_crossbar"],
     )
     def test_json_malformed_record_rejected(self, record, message):
-        """A second record is checked against a 4x4 identity whose (1, 1) the first record owns."""
+        """A second record is checked on a 2x2 crossbar against a 4x4 identity whose (1, 1) the first owns."""
         first = {"layer": 0, "rows": [1], "cols": [1], "covered": [[1, 1]]}
         text = json.dumps([first, {"layer": 0, **record}])
         with pytest.raises(ClusterFormatError, match=message):
-            cluster_sets_from_json(text, [ConnectivityMatrix(np.eye(4, dtype=np.uint8))])
+            cluster_sets_from_json(text, [ConnectivityMatrix(np.eye(4, dtype=np.uint8))], (2, 2))

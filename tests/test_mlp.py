@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from xbarnet.connectivity import Mask, ShapeError
+from xbarnet.connectivity import ConnectivityMatrix, ShapeError
 from xbarnet.datasets import BlobSpec, gen_blobs
 from xbarnet.mlp import (
     Layer,
@@ -131,7 +131,7 @@ class TestBackward:
         model = init_model([6, 5, 3], seed=4)
         for layer in model.layers:
             bits = (rng.random(layer.weights.shape) < 0.6).astype(np.uint8)
-            layer.mask = Mask(bits)
+            layer.mask = ConnectivityMatrix(bits)
             layer.weights *= bits
         x = rng.normal(size=(40, 6))
         y = rng.integers(0, 3, size=40)
@@ -213,6 +213,17 @@ class TestMagnitudePrune:
         maps = magnitude_prune(model, 0.0)
         assert maps[0].bits.all()
 
+    @pytest.mark.parametrize("quality, spread", [(0.0, True), (0.7, False)], ids=["quality_0", "zero_spread"])
+    def test_dead_synapses_are_never_kept(self, quality, spread):
+        # either way the threshold is 0, and |w| >= 0 holds on dead cells as well
+        model = init_model([4, 3], seed=0)
+        w = model.layers[0].weights
+        if not spread:
+            w[:] = 0.5
+        w[1, :] = 0.0
+        maps = magnitude_prune(model, quality)
+        assert np.array_equal(maps[0].bits, (w != 0).astype(np.uint8))
+
     def test_threshold_marks_small_weights(self):
         model = init_model([2, 4], seed=0)
         model.layers[0].weights[:] = np.array([[1.0, -1.0, 0.01, -0.02], [1.0, -1.0, 0.03, 0.01]])
@@ -235,7 +246,7 @@ class TestMagnitudePrune:
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         model = init_model([6, 5, 4], seed=11)
-        model.layers[0].mask = Mask((model.layers[0].weights > 0).astype(np.uint8))
+        model.layers[0].mask = ConnectivityMatrix((model.layers[0].weights > 0).astype(np.uint8))
         model.layers[0].weights *= model.layers[0].mask.bits
         save_checkpoint(tmp_path / "ck", model, seed=11, config={"note": "test"})
         back, manifest = load_checkpoint(tmp_path / "ck")

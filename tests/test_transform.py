@@ -76,12 +76,12 @@ class TestBranchLogic:
         cfg = small_config()
         state = TransformState.fresh([6, 8, 3], seed=0)
         state.training_error_previous = -1.0  # any loss counts as worse
-        prune_before = [p.copy() for p in state.prune_maps]
+        masks_before = [layer.mask.bits for layer in state.model.layers]
         owner_before = [o.copy() for o in state.owner]
         record = transform_epoch(state, x, y, cfg)
         assert not record["improved"]
-        for a, b in zip(state.prune_maps, prune_before):
-            assert np.array_equal(a, b)
+        for layer, before in zip(state.model.layers, masks_before):
+            assert np.array_equal(layer.mask.bits, before)
         for a, b in zip(state.owner, owner_before):
             assert np.array_equal(a, b)
         assert state.n_clusters() == 0
@@ -180,6 +180,20 @@ class TestClusterPrune:
         assert (state.owner[0][4:8, 4:8] == 0).all()  # the survivor moved down to index 0
         assert (state.owner[0][:4, :4] == -1).all()
 
+    def test_cut_cluster_stays_dead_at_prune_quality_zero(self):
+        x, y = tiny_data()
+        cfg = small_config(train=TrainConfig(learning_rate=0.05, batch_size=16, seed=0, prune_quality=0.0))
+        state = TransformState.fresh([6, 8, 3], seed=0)
+        add_record(state, 0, range(4), range(4))
+        assert state.model.n_live() == 72
+        cluster_prune(state, cfg)
+        assert state.model.n_live() == 56
+        for _ in range(2):
+            transform_epoch(state, x, y, cfg)
+            audit_state(state)
+            assert not state.model.layers[0].weights[:4, :4].any()
+        assert state.model.n_live() <= 56
+
     def test_empty_set_noop(self):
         state = TransformState.fresh([6, 4, 3], seed=4)
         assert cluster_prune(state, small_config()) == 0
@@ -215,13 +229,13 @@ class TestRunLoop:
         result = run(cfg, [6, 8, 3], x, y, x, y, enable_prune=True, enable_cluster=False)
         assert result.state.n_clusters() == 0
         assert all(r["n_clusters"] == 0 for r in result.log)
-        assert result.model.sparsity() > 0
+        assert result.state.model.sparsity() > 0
 
     def test_original_mode_keeps_dense(self):
         x, y = tiny_data(n=300)
         cfg = small_config(max_epochs=3)
         result = run(cfg, [6, 8, 3], x, y, x, y, enable_prune=False, enable_cluster=False)
-        assert result.model.sparsity() == 0.0
+        assert result.state.model.sparsity() == 0.0
         assert all(r["sparsity"] == 0.0 for r in result.log)
 
     def test_log_schema(self):
@@ -290,7 +304,7 @@ class TestOfflineCluster:
         cfg = small_config(max_epochs=3)
         result = run(cfg, [6, 8, 3], x, y, x, y)
         sets = final_cluster_sets(result.state)
-        live = result.model.n_live()
+        live = result.state.model.n_live()
         covered = sum(int((cs.owner >= 0).sum()) for cs in sets)
         residual = sum(cs.residual.nnz for cs in sets)
         assert covered + residual == live
