@@ -32,7 +32,6 @@ from .spectral import (
     build_similarity,
     eig_smallest,
     kmeans,
-    normalized_laplacian,
     spectral_cluster,
 )
 from .transform import (

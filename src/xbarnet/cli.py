@@ -22,7 +22,7 @@ from .config import ConfigError, load_config
 from .connectivity import InputFormatError, cluster_sets_from_json, cluster_sets_to_json, from_weights
 from .connectivity import load_sparse
 from .experiment import compare, run_experiment, write_json
-from .hardware import MappingReport, energy_document, map_to_mcas
+from .hardware import MappingFormatError, MappingReport, energy_document, map_to_mcas
 from .mlp import load_checkpoint
 from .sizecluster import size_constrained_cluster
 from .transform import offline_cluster
@@ -97,7 +97,11 @@ def cmd_map(args) -> int:
 
 def cmd_report(args) -> int:
     cfg = _load(args)
-    report = MappingReport.from_dict(json.loads(Path(args.mapping).read_text()))
+    try:
+        data = json.loads(Path(args.mapping).read_text())
+    except ValueError as exc:
+        raise MappingFormatError(f"mapping document: {type(exc).__name__}: {exc}") from None
+    report = MappingReport.from_dict(data)
     doc = energy_document(report, cfg.tech, cfg.cmos, cfg.evals_per_inference, args.storage)
     out = Path(args.out or cfg.out_dir or "energy.json")
     write_json(out, doc)

@@ -69,7 +69,8 @@ class CmosConfig:
 
 
 class MappingFormatError(InputFormatError):
-    """Raised on a ``mapping.json`` document that lacks a measured field."""
+    """Raised on a ``mapping.json`` document that is not JSON, lacks a well-typed
+    measured field, or has another layer count than ``evals_per_inference``."""
 
 
 @dataclass
@@ -145,17 +146,30 @@ class MappingReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MappingReport":
-        """Parse the measured fields of a ``mapping.json`` document; derived ones are ignored."""
+        """Parse the measured fields of a ``mapping.json`` document; derived ones are ignored.
+
+        Each measured field must hold non-negative integers.
+        """
         try:
             layers = [
                 LayerMapping(
-                    d["cluster_active"], d["residual_active"], d["cluster_areas"], tuple(d["matrix_shape"])
+                    *(_counts(d[key], key) for key in ("cluster_active", "residual_active", "cluster_areas")),
+                    tuple(_counts(d["matrix_shape"], "matrix_shape", length=2)),
                 )
                 for d in data["layers"]
             ]
-            return cls(layers, data["num_core"], data["crossbar_rows"], data["crossbar_cols"])
+            scalars = [data["num_core"], data["crossbar_rows"], data["crossbar_cols"]]
+            return cls(layers, *_counts(scalars, "num_core, crossbar_rows and crossbar_cols"))
         except (KeyError, TypeError) as exc:
             raise MappingFormatError(f"mapping document: {type(exc).__name__}: {exc}") from None
+
+
+def _counts(value, name: str, length: int | None = None) -> list[int]:
+    """``value`` if it is a list of non-negative ints (``length`` of them, if given), else TypeError."""
+    valid = type(value) is list and all(type(x) is int and x >= 0 for x in value)
+    if not valid or length not in (None, len(value)):
+        raise TypeError(f"{name} must be {length or 'a list of'} non-negative integers, got {value!r:.40}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -248,7 +262,8 @@ def mca_energy(
     if evals_per_inference is None:
         evals_per_inference = [1] * len(report.layers)
     if len(evals_per_inference) != len(report.layers):
-        raise ValueError("one evals_per_inference entry per layer required")
+        counts = (len(report.layers), len(evals_per_inference))
+        raise MappingFormatError("mapping has %d layers, evals_per_inference %d" % counts)
     array_e = 0.0
     periph_e = 0.0
     for layer, evals in zip(report.layers, evals_per_inference):

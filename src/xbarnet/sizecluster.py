@@ -10,14 +10,17 @@ still-unowned synapse of its footprint. Synapses of rejected groups stay
 unowned and get another chance in later rounds.
 
 Finding groups and ordering a group for splitting use one graph path:
-the active block goes through ``build_similarity``, ``normalized_laplacian``
-and ``eig_smallest`` (see ``spectral``). Splitting orders each side by the
-second Laplacian eigenvector of the candidate's bipartite graph; consecutive
+the active block goes through ``build_similarity`` and ``eig_smallest``,
+which solves the bipartite Laplacian by one SVD of the degree-scaled
+biadjacency (see ``spectral``). Splitting orders each side by the second
+Laplacian eigenvector of the candidate's bipartite graph; consecutive
 chunks of crossbar size pair up in a grid, so child footprints partition the
 parent's footprint even when the graph has no cut structure at all (a
-complete block splits into full crossbars). When a round's spectral groups
-yield nothing, the same ordered split runs once on the whole residual as a
-fallback before the threshold decays.
+complete block splits into full crossbars). A residual that is one complete
+block, as every layer is before its first prune, goes straight to that split:
+its graph has no cut structure for spectral groups to find. When a round's
+spectral groups yield nothing, the same ordered split runs once on the whole
+residual as a fallback before the threshold decays.
 
 Utilization is counted against the full crossbar the cluster will occupy
 (crossbar_rows x crossbar_cols), not against the submatrix size, so a small
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connectivity import Cluster, ClusterSet, ConnectivityMatrix
-from .spectral import build_similarity, eig_smallest, normalized_laplacian, spectral_cluster
+from .spectral import build_similarity, eig_smallest, spectral_cluster
 from .util import seed_for
 
 
@@ -81,16 +84,15 @@ def _derived_k(nnz: int, n_active: int, cfg: SizeClusterConfig) -> int:
 def _spectral_order(bits: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Order rows and cols by the second Laplacian eigenvector of the subgraph.
 
-    Ties (and degenerate graphs) fall back to index order; the eigenvector
-    sign is canonicalized so the ordering is reproducible.
+    Equal entries keep index order, and ``eig_smallest`` fixes the vector's
+    sign. When the second eigenvalue is repeated, as for a complete block
+    (rank-1 B, eigenvalue 1 on all but two dimensions), the vector is
+    whichever one the SVD returns in that eigenspace: fixed for a given
+    LAPACK build, but not determined by the graph.
     """
     m = len(rows)
-    lap = normalized_laplacian(build_similarity(ConnectivityMatrix(bits[np.ix_(rows, cols)])))
-    _, vectors = eig_smallest(lap, min(2, m + len(cols)))
-    v = vectors[:, -1]
-    anchor = int(np.abs(v).argmax())
-    if v[anchor] < 0:
-        v = -v
+    b = build_similarity(ConnectivityMatrix(bits[np.ix_(rows, cols)])).values
+    v = eig_smallest(b, 2)[1][:, -1]
     row_order = np.lexsort((rows, v[:m]))
     col_order = np.lexsort((cols, v[m:]))
     return rows[row_order], cols[col_order]
@@ -98,28 +100,17 @@ def _spectral_order(bits: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tup
 
 def _ordered_grid_children(
     bits: np.ndarray, rows: np.ndarray, cols: np.ndarray, cfg: SizeClusterConfig
-) -> list[Cluster]:
-    """Pair crossbar-sized chunks of spectrally ordered rows/cols into children."""
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Pair crossbar-sized chunks of spectrally ordered rows/cols into (rows, cols) children."""
     sub = bits[np.ix_(rows, cols)]
     live_rows = rows[sub.any(axis=1)]
     live_cols = cols[sub.any(axis=0)]
     if len(live_rows) == 0 or len(live_cols) == 0:
         return []
     ordered_rows, ordered_cols = _spectral_order(bits, live_rows, live_cols)
-    row_chunks = [
-        ordered_rows[i : i + cfg.crossbar_rows]
-        for i in range(0, len(ordered_rows), cfg.crossbar_rows)
-    ]
-    col_chunks = [
-        ordered_cols[j : j + cfg.crossbar_cols]
-        for j in range(0, len(ordered_cols), cfg.crossbar_cols)
-    ]
-    children = []
-    for rc in row_chunks:
-        for cc in col_chunks:
-            if bits[np.ix_(rc, cc)].any():
-                children.append(Cluster(tuple(rc.tolist()), tuple(cc.tolist())))
-    return children
+    row_chunks = np.split(ordered_rows, range(cfg.crossbar_rows, len(ordered_rows), cfg.crossbar_rows))
+    col_chunks = np.split(ordered_cols, range(cfg.crossbar_cols, len(ordered_cols), cfg.crossbar_cols))
+    return [(rc, cc) for rc in row_chunks for cc in col_chunks if bits[np.ix_(rc, cc)].any()]
 
 
 def split_oversized(
@@ -140,7 +131,8 @@ def split_oversized(
         raise ValueError("cluster already fits the crossbar; nothing to split")
     rows = np.fromiter(cluster.row_ids, dtype=np.int64)
     cols = np.fromiter(cluster.col_ids, dtype=np.int64)
-    return _ordered_grid_children(c.bits, rows, cols, cfg)
+    children = _ordered_grid_children(c.bits, rows, cols, cfg)
+    return [Cluster(tuple(rc.tolist()), tuple(cc.tolist())) for rc, cc in children]
 
 
 def size_constrained_cluster(
@@ -185,21 +177,12 @@ def size_constrained_cluster(
     def handle(rows: np.ndarray, cols: np.ndarray) -> int:
         """Fit-test a candidate, splitting it first when oversized."""
         sub = residual[np.ix_(rows, cols)]
-        if not sub.any():
-            return 0
         live_rows = rows[sub.any(axis=1)]
         live_cols = cols[sub.any(axis=0)]
         if len(live_rows) <= cfg.crossbar_rows and len(live_cols) <= cfg.crossbar_cols:
             return int(try_accept(live_rows, live_cols))
-        count = 0
-        for child in _ordered_grid_children(residual, live_rows, live_cols, cfg):
-            count += int(
-                try_accept(
-                    np.fromiter(child.row_ids, dtype=np.int64),
-                    np.fromiter(child.col_ids, dtype=np.int64),
-                )
-            )
-        return count
+        children = _ordered_grid_children(residual, live_rows, live_cols, cfg)
+        return sum(try_accept(rc, cc) for rc, cc in children)
 
     for round_no in range(1, cfg.max_rounds + 1):
         nnz_before = int(residual.sum())
@@ -211,6 +194,9 @@ def size_constrained_cluster(
 
         if len(active_rows) <= cfg.crossbar_rows and len(active_cols) <= cfg.crossbar_cols:
             accepted_this_round += int(try_accept(active_rows, active_cols))
+        elif nnz_before == len(active_rows) * len(active_cols):
+            # a complete block has no cut structure to find: split it in order
+            accepted_this_round += handle(active_rows, active_cols)
         else:
             # structure stage: spectral groups over the residual graph
             k = _derived_k(nnz_before, len(active_rows) + len(active_cols), cfg)

@@ -4,9 +4,12 @@ The m input neurons and n output neurons are the nodes and each synapse is
 an edge, so one cluster yields a row group and a column group jointly. There
 is one path from connectivity to eigenvectors, used both to find clusters
 and to order a cluster for splitting: the block of active (non-empty) rows
-and columns -> :func:`build_similarity` -> :func:`normalized_laplacian`
-L = I - D^{-1/2} S D^{-1/2} -> :func:`eig_smallest`. Clustering then
-row-normalizes the K smallest eigenvectors and runs seeded k-means on them.
+and columns -> :func:`build_similarity`, the degree-scaled biadjacency
+B = D_r^{-1/2} C D_c^{-1/2} -> :func:`eig_smallest`. The graph's normalized
+Laplacian is L = I - [[0, B], [B^T, 0]], and its eigenpairs come from one SVD
+of the m x n matrix B (Dhillon, KDD 2001); the (m+n) x (m+n) graph is never
+built. Clustering then row-normalizes the K smallest eigenvectors and runs
+seeded k-means on them.
 
 Determinism: all randomness flows from the seed argument; a fixed seed gives
 bit-stable assignments, and k-means is invariant to the ordering of its input
@@ -21,78 +24,65 @@ import numpy as np
 
 from .connectivity import ConnectivityMatrix
 
-SYMMETRY_TOL = 1e-8
 KMEANS_TOL = 1e-8
 KMEANS_MAX_ITER = 300
 
 
 @dataclass(frozen=True)
 class SimilarityMatrix:
-    """Symmetric non-negative affinity matrix with a zero diagonal."""
+    """Degree-scaled m x n biadjacency of a bipartite graph; finite and non-negative."""
 
     values: np.ndarray
 
     def __post_init__(self):
         v = np.array(self.values, dtype=np.float64)
-        if v.ndim != 2 or v.shape[0] != v.shape[1] or v.size == 0:
-            raise ValueError(f"similarity matrix must be square and non-empty, got {v.shape}")
-        if np.abs(v - v.T).max() > 1e-12:
-            raise ValueError("similarity matrix must be symmetric within 1e-12")
-        if v.min() < 0:
-            raise ValueError("similarity entries must be non-negative")
-        if np.abs(np.diag(v)).max() != 0:
-            raise ValueError("similarity diagonal must be exactly zero")
+        if v.ndim != 2 or v.size == 0:
+            raise ValueError(f"similarity matrix must be 2-d and non-empty, got {v.shape}")
+        if not (np.isfinite(v) & (v >= 0)).all():
+            raise ValueError("similarity entries must be finite and non-negative")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
-    @property
-    def size(self) -> int:
-        return self.values.shape[0]
-
 
 def build_similarity(c: ConnectivityMatrix) -> SimilarityMatrix:
-    """Bipartite adjacency of size (m+n): S(i, m+j) = S(m+j, i) = C(i, j)."""
-    m, n = c.rows, c.cols
-    s = np.zeros((m + n, m + n), dtype=np.float64)
-    s[:m, m:] = c.bits
-    s[m:, :m] = c.bits.T
-    return SimilarityMatrix(s)
+    """B = D_r^{-1/2} C D_c^{-1/2}: C scaled by its row and column degrees.
 
-
-def normalized_laplacian(s: SimilarityMatrix) -> np.ndarray:
-    """L = I - D^{-1/2} S D^{-1/2}; isolated nodes take D^{-1/2}(i,i) = 0.
-
-    With the zero convention an isolated node contributes an identity row, so
-    an empty graph maps to L = I. L is exactly symmetric: entry (i, j) is the
-    product d_i * s_ij * d_j, and IEEE multiplication commutes.
+    An empty row or column is an isolated node and takes D^{-1/2} = 0, so an
+    empty graph maps to B = 0 and L = I.
     """
-    degrees = s.values.sum(axis=1)
-    inv_sqrt = np.zeros_like(degrees)
-    live = degrees > 0
-    inv_sqrt[live] = 1.0 / np.sqrt(degrees[live])
-    return np.eye(s.size) - (inv_sqrt[:, None] * s.values) * inv_sqrt[None, :]
+    bits = c.bits.astype(np.float64)
+    d_r, d_c = bits.sum(axis=1), bits.sum(axis=0)
+    inv_r = np.divide(1.0, np.sqrt(d_r), out=np.zeros_like(d_r), where=d_r > 0)
+    inv_c = np.divide(1.0, np.sqrt(d_c), out=np.zeros_like(d_c), where=d_c > 0)
+    return SimilarityMatrix((inv_r[:, None] * bits) * inv_c[None, :])
 
 
-def eig_smallest(l: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenvalues, eigenvectors) of the k algebraically smallest eigenpairs.
+def eig_smallest(b: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors) of the k smallest eigenpairs of L = I - [[0, B], [B^T, 0]].
 
-    Eigenvalues come ascending, one eigenvector column per eigenvalue, as
-    from ``np.linalg.eigh``. The input must be symmetric within tolerance.
-    Backed by the dense symmetric solver (LAPACK); residuals
-    ||Lv - lambda v|| land near machine precision, well inside the
-    1e-8 * ||L|| contract.
+    ``b`` is the m x n matrix B; eigenvalues come ascending with one
+    (m+n)-vector column each, as from ``np.linalg.eigh`` of L. One SVD
+    B = U S V^T gives them all: (1 - s_i, [u_i; v_i]/sqrt2), then eigenvalue 1
+    on [u_j; 0] and [0; v_j] for j >= min(m, n), then (1 + s_i, [u_i; -v_i]/sqrt2),
+    sorted stably. The thin SVD suffices for k <= min(m, n). Each column's
+    largest-magnitude entry (the first on ties) is made positive.
     """
-    l = np.asarray(l, dtype=np.float64)
-    if l.ndim != 2 or l.shape[0] != l.shape[1]:
-        raise ValueError(f"expected a square matrix, got {l.shape}")
-    if not 1 <= k <= l.shape[0]:
-        raise ValueError(f"k={k} out of range for size {l.shape[0]}")
-    asym = np.abs(l - l.T).max()
-    scale = max(1.0, np.abs(l).max())
-    if asym > SYMMETRY_TOL * scale:
-        raise ValueError(f"matrix asymmetry {asym:.3e} beyond tolerance")
-    vals, vecs = np.linalg.eigh(l)
-    return vals[:k], vecs[:, :k]
+    b = np.asarray(b, dtype=np.float64)
+    if b.ndim != 2 or not 1 <= k <= sum(b.shape):
+        raise ValueError(f"need a 2-d matrix and 1 <= k <= m+n, got shape {b.shape} and k={k}")
+    (m, n), p = b.shape, min(b.shape)
+    u, s, vt = np.linalg.svd(b, full_matrices=k > p)
+    if k <= p:  # the k smallest are the first k (1 - s_i) pairs; build no other columns
+        u, s, vt, p = u[:, :k], s[:k], vt[:k], k
+    left = np.vstack([u, np.zeros((n, u.shape[1]))])
+    right = np.vstack([np.zeros((m, vt.shape[0])), vt.T])
+    paired = (left[:, :p] + right[:, :p]) / np.sqrt(2.0)
+    flipped = (left[:, :p] - right[:, :p]) / np.sqrt(2.0)
+    vals = np.concatenate([1.0 - s, np.ones(left.shape[1] + right.shape[1] - 2 * p), 1.0 + s])
+    order = np.argsort(vals, kind="stable")[:k]
+    vecs = np.hstack([paired, left[:, p:], right[:, p:], flipped])[:, order]
+    anchors = np.abs(vecs).argmax(axis=0)
+    return vals[order], vecs * np.where(vecs[anchors, np.arange(k)] < 0, -1.0, 1.0)
 
 
 def row_normalize(vectors: np.ndarray) -> np.ndarray:
@@ -171,7 +161,7 @@ def spectral_cluster(c: ConnectivityMatrix, k: int, seed: int) -> list[tuple[np.
     if k > len(rows) + len(cols):
         raise ValueError(f"k={k} exceeds the {len(rows) + len(cols)} non-isolated nodes")
     block = ConnectivityMatrix(c.bits[np.ix_(rows, cols)])
-    _, vectors = eig_smallest(normalized_laplacian(build_similarity(block)), k)
+    _, vectors = eig_smallest(build_similarity(block).values, k)
     labels = kmeans(row_normalize(vectors), k, seed)
     row_labels, col_labels = labels[: len(rows)], labels[len(rows) :]
     return [(rows[row_labels == g], cols[col_labels == g]) for g in range(k)]

@@ -90,6 +90,18 @@ def damage_mapping(run, bad):
     return ["report", "--mapping", str(bad / "mapping.json")]
 
 
+def mapping_not_json(run, bad):
+    (bad / "mapping.json").write_text((run / "mapping.json").read_text()[:-2])
+    return ["report", "--mapping", str(bad / "mapping.json")]
+
+
+def mapping_wrong_type(run, bad):
+    mapping = json.loads((run / "mapping.json").read_text())
+    mapping["layers"][0]["cluster_active"] = "x"
+    (bad / "mapping.json").write_text(json.dumps(mapping))
+    return ["report", "--mapping", str(bad / "mapping.json")]
+
+
 def damage_checkpoint(run, bad):
     for suffix in (".json", ".bin"):
         (bad / f"checkpoint{suffix}").write_bytes((run / f"checkpoint{suffix}").read_bytes())
@@ -100,13 +112,26 @@ def damage_checkpoint(run, bad):
 @pytest.mark.parametrize(
     "damage, message",
     [(damage_clusters, "cluster 9x1 exceeds crossbar 8x8"), (damage_mapping, "KeyError: 'cluster_areas'"),
+     (mapping_not_json, "JSONDecodeError"), (mapping_wrong_type, "cluster_active must be a list of non-negative integers, got 'x'"),
      (damage_checkpoint, "truncated block layer1.mask")],
-    ids=["oversized_cluster", "mapping_missing_key", "truncated_checkpoint"],
+    ids=["oversized_cluster", "mapping_missing_key", "mapping_not_json", "mapping_wrong_type",
+         "truncated_checkpoint"],
 )
 def test_damaged_input_files_exit_2(tmp_path, pruned_run, capsys, damage, message):
     args = damage(pruned_run / "run", tmp_path)
     assert cli.main(args + ["--config", str(pruned_run / "config.json"), "--out", str(tmp_path / "out.json")]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_report_on_mapping_of_other_depth_exits_2(tmp_path, pruned_run, capsys):
+    # the config's evals_per_inference names two layers, the mapping holds one
+    mapping = json.loads((pruned_run / "run" / "mapping.json").read_text())
+    mapping["layers"] = mapping["layers"][:1]
+    (tmp_path / "mapping.json").write_text(json.dumps(mapping))
+    (tmp_path / "config.json").write_text(json.dumps({**CONFIG, "evals_per_inference": [1, 1]}))
+    assert cli.main(["report", "--config", str(tmp_path / "config.json"), "--mapping", str(tmp_path / "mapping.json"),
+                     "--out", str(tmp_path / "energy.json")]) == 2
+    assert "mapping has 1 layers, evals_per_inference 2" in capsys.readouterr().err
 
 
 class TestClusterCommand:

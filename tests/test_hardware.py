@@ -8,6 +8,7 @@ import pytest
 from xbarnet.connectivity import Cluster, ClusterSet, ConnectivityMatrix
 from xbarnet.hardware import (
     CmosConfig,
+    MappingFormatError,
     MappingReport,
     TechConfig,
     cmos_energy,
@@ -201,6 +202,22 @@ class TestDocuments:
         assert doc["layers"][0]["cluster_utils"] == [12 / 16]
         assert doc["layers"][0]["unclustered_fraction"] == 2 / 14
         assert MappingReport.from_dict(json.loads(json.dumps(doc))).to_dict() == doc
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [(lambda d: d["layers"][0].update(residual_active=[1, "2"]), "residual_active must be a list of non-negative"),
+         (lambda d: d["layers"][0].update(cluster_areas=[-12]), "cluster_areas must be a list of non-negative"),
+         (lambda d: d["layers"][0].update(cluster_active=[True]), "cluster_active must be a list of non-negative"),
+         (lambda d: d["layers"][0].update(matrix_shape=[8]), "matrix_shape must be 2 non-negative"),
+         (lambda d: d.update(num_core=1.5), "num_core, crossbar_rows and crossbar_cols must"),
+         (lambda d: d.update(layers=[7]), "TypeError")],
+        ids=["element", "negative", "bool", "shape", "num_core", "layer"],
+    )
+    def test_from_dict_rejects_mistyped_fields(self, edit, message):
+        doc = self.mixed_report().to_dict()
+        edit(doc)
+        with pytest.raises(MappingFormatError, match=message):
+            MappingReport.from_dict(doc)
 
     @pytest.mark.parametrize(
         "storage, stored", [("auto", 12 + 2), ("clustered", 12 + 2), ("dense", 64)]

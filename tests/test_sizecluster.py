@@ -75,6 +75,18 @@ class TestSizeConstrainedCluster:
             ((4, 5, 6, 7), (4, 5, 6, 7)),
         }
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_complete_block_fills_crossbars_in_one_round(self, seed):
+        # every layer is one complete block before its first prune
+        c = ConnectivityMatrix(np.ones((128, 128), dtype=np.uint8))
+        cfg = SizeClusterConfig()
+        trace: list = []
+        cs = size_constrained_cluster(c, cfg, seed=seed, trace=trace)
+        assert cs.residual.nnz == 0
+        assert cs.cell_counts().tolist() == [cfg.crossbar_area] * 64
+        assert len(trace) == 1
+        check_contract(cs, c, cfg)
+
     def test_all_zero_matrix(self):
         c = ConnectivityMatrix(np.zeros((6, 6), dtype=np.uint8))
         cs = size_constrained_cluster(c, SizeClusterConfig(), seed=0)

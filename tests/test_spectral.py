@@ -1,4 +1,9 @@
-"""Spectral pipeline tests: Laplacian, eigensolve, k-means, end-to-end groups."""
+"""Spectral pipeline tests: similarity, eigensolve, k-means, end-to-end groups.
+
+The oracle throughout is the explicit (m+n) x (m+n) bipartite graph and its
+normalized Laplacian solved by ``np.linalg.eigh``; the code under test never
+builds either.
+"""
 
 import numpy as np
 import pytest
@@ -9,7 +14,6 @@ from xbarnet.spectral import (
     build_similarity,
     eig_smallest,
     kmeans,
-    normalized_laplacian,
     row_normalize,
     spectral_cluster,
 )
@@ -38,6 +42,34 @@ def union_find_components(adj: np.ndarray) -> list[set]:
     return list(groups.values())
 
 
+def bipartite_adjacency(bits: np.ndarray) -> np.ndarray:
+    """The (m+n) x (m+n) graph: S(i, m+j) = S(m+j, i) = C(i, j)."""
+    m, n = bits.shape
+    s = np.zeros((m + n, m + n))
+    s[:m, m:] = bits
+    s[m:, :m] = bits.T
+    return s
+
+
+def explicit_laplacian(bits: np.ndarray) -> np.ndarray:
+    """Oracle L = I - D^{-1/2} S D^{-1/2} over the full graph; isolated nodes take D^{-1/2} = 0."""
+    s = bipartite_adjacency(bits)
+    degrees = s.sum(axis=1)
+    inv_sqrt = np.zeros_like(degrees)
+    inv_sqrt[degrees > 0] = 1.0 / np.sqrt(degrees[degrees > 0])
+    return np.eye(len(s)) - (inv_sqrt[:, None] * s) * inv_sqrt[None, :]
+
+
+def signed(vecs: np.ndarray) -> np.ndarray:
+    """The sign rule: each column's largest-magnitude entry (first on ties) is positive."""
+    anchors = np.abs(vecs).argmax(axis=0)
+    return vecs * np.where(vecs[anchors, np.arange(vecs.shape[1])] < 0, -1.0, 1.0)
+
+
+def solve(bits, k):
+    return eig_smallest(build_similarity(ConnectivityMatrix(bits)).values, k)
+
+
 def random_block_bits(rng, shapes):
     """Block-diagonal connectivity; each (rows, cols) block is one connected component.
 
@@ -58,108 +90,160 @@ def random_block_bits(rng, shapes):
 class TestSimilarity:
     def test_single_edge(self):
         s = build_similarity(ConnectivityMatrix([[1]]))
-        assert s.values.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        assert s.values.tolist() == [[1.0]]
 
     def test_empty_graph(self):
         s = build_similarity(ConnectivityMatrix(np.zeros((2, 2), dtype=np.uint8)))
-        assert s.size == 4 and not s.values.any()
+        assert s.values.shape == (2, 2) and not s.values.any()
 
     def test_symmetry_count(self):
-        rng = np.random.default_rng(0)
+        # one entry of B per synapse; the full graph held each edge twice
         bits = np.zeros((2, 3), dtype=np.uint8)
         bits[[0, 0, 1, 1], [0, 2, 1, 2]] = 1
         s = build_similarity(ConnectivityMatrix(bits))
-        assert s.size == 5
-        assert int((s.values != 0).sum()) == 8
+        assert s.values.shape == (2, 3)
+        assert np.array_equal(s.values != 0, bits == 1)
+        assert int((bipartite_adjacency(bits) != 0).sum()) == 2 * int((s.values != 0).sum())
 
-    def test_rejects_nonzero_diagonal(self):
-        with pytest.raises(ValueError, match="diagonal"):
-            SimilarityMatrix(np.eye(3))
+    def test_degree_scaling_matches_full_graph(self):
+        rng = np.random.default_rng(3)
+        bits = (rng.random((7, 5)) < 0.5).astype(np.uint8)
+        bits[1] = 0
+        b = build_similarity(ConnectivityMatrix(bits)).values
+        assert np.array_equal(np.eye(12) - explicit_laplacian(bits), bipartite_adjacency(b))
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [([[0.5, -0.1]], "non-negative"), ([[np.nan]], "finite"), ([[np.inf, 0.0]], "finite"),
+         (np.zeros((0, 3)), "non-empty"), (np.ones(3), "2-d")],
+        ids=["negative", "nan", "inf", "empty", "one_d"],
+    )
+    def test_rejects_negative_non_finite_and_bad_shapes(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            SimilarityMatrix(values)
 
 
 class TestDegreeAndLaplacian:
     def test_two_node_path(self):
-        lap = normalized_laplacian(build_similarity(ConnectivityMatrix([[1]])))
-        assert np.allclose(lap, [[1.0, -1.0], [-1.0, 1.0]])
-        assert np.allclose(np.sort(np.linalg.eigvalsh(lap)), [0.0, 2.0])
+        vals, _ = solve(np.ones((1, 1), dtype=np.uint8), 2)
+        assert np.allclose(vals, [0.0, 2.0])
+        assert np.allclose(np.linalg.eigvalsh(explicit_laplacian(np.ones((1, 1)))), [0.0, 2.0])
 
     def test_zero_graph_gives_identity(self):
-        s = build_similarity(ConnectivityMatrix(np.zeros((1, 3), dtype=np.uint8)))
-        assert np.array_equal(normalized_laplacian(s), np.eye(4))
+        # L = I: every eigenvalue is exactly 1 and any orthonormal basis is an eigenbasis
+        vals, vecs = solve(np.zeros((1, 3), dtype=np.uint8), 4)
+        assert np.array_equal(vals, np.ones(4))
+        assert np.allclose(vecs.T @ vecs, np.eye(4))
 
-    def test_triangle_eigenvalues(self):
-        # oracle: for K3, det(L - t I) = (1-t)^3 - 3(1-t)/4 - 1/4, roots {0, 1.5, 1.5}
-        s = SimilarityMatrix(np.ones((3, 3)) - np.eye(3))
-        lap = normalized_laplacian(s)
-        t = np.polynomial.Polynomial([1, -1])  # (1 - t)
-        char = t**3 - 0.75 * t - 0.25
-        roots = np.sort_complex(char.roots()).real
-        assert np.allclose(np.sort(roots), [0.0, 1.5, 1.5], atol=1e-9)
-        assert np.allclose(np.sort(np.linalg.eigvalsh(lap)), np.sort(roots), atol=1e-9)
+    def test_complete_bipartite_eigenvalues(self):
+        # oracle: K(p, q) has B = J / sqrt(pq) of rank 1 with singular value 1,
+        # so L has eigenvalues 0, 1 (p + q - 2 times) and 2
+        for p, q in [(2, 3), (4, 4), (1, 6), (5, 2)]:
+            vals, _ = solve(np.ones((p, q), dtype=np.uint8), p + q)
+            assert np.allclose(vals, [0.0] + [1.0] * (p + q - 2) + [2.0], atol=1e-12)
 
     def test_psd_and_upper_bound_on_random_graphs(self):
         # bipartite graphs reach the upper bound 2 exactly, once per component
         rng = np.random.default_rng(5)
         for _ in range(20):
-            c = ConnectivityMatrix(random_block_bits(rng, rng.integers(2, 6, size=(rng.integers(1, 4), 2))))
-            s = build_similarity(c)
-            vals = np.linalg.eigvalsh(normalized_laplacian(s))
+            bits = random_block_bits(rng, rng.integers(2, 6, size=(rng.integers(1, 4), 2)))
+            vals, _ = solve(bits, sum(bits.shape))
             assert vals.min() >= -1e-9
             assert vals.max() <= 2 + 1e-9
-            assert int((vals > 2 - 1e-9).sum()) == len(union_find_components(s.values))
+            assert int((vals > 2 - 1e-9).sum()) == len(union_find_components(bipartite_adjacency(bits)))
 
     def test_zero_eigenvalue_multiplicity_counts_components(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
-            c = ConnectivityMatrix(random_block_bits(rng, rng.integers(2, 7, size=(rng.integers(2, 5), 2))))
-            s = build_similarity(c)
-            vals = np.linalg.eigvalsh(normalized_laplacian(s))
-            assert int((vals < 1e-10).sum()) == len(union_find_components(s.values))
+            bits = random_block_bits(rng, rng.integers(2, 7, size=(rng.integers(2, 5), 2)))
+            vals, _ = solve(bits, sum(bits.shape))
+            assert int((vals < 1e-10).sum()) == len(union_find_components(bipartite_adjacency(bits)))
 
     def test_exactly_symmetric(self):
+        # swapping the two sides of the graph transposes B bit for bit
         rng = np.random.default_rng(13)
         bits = (rng.random((9, 14)) < 0.4).astype(np.uint8)
         bits[2] = 0
-        lap = normalized_laplacian(build_similarity(ConnectivityMatrix(bits)))
-        assert np.array_equal(lap, lap.T)
+        b = build_similarity(ConnectivityMatrix(bits)).values
+        assert np.array_equal(build_similarity(ConnectivityMatrix(bits.T)).values, b.T)
 
 
 class TestEigSmallest:
     def test_identity_eigenvalues(self):
-        vals, _ = eig_smallest(np.eye(5), 2)
-        assert np.allclose(vals, [1.0, 1.0])
+        # B = I: five disjoint edges, each with eigenvalues 0 and 2
+        vals, _ = eig_smallest(np.eye(5), 7)
+        assert np.allclose(vals, [0.0] * 5 + [2.0] * 2)
 
     def test_two_node_path_ground_vector(self):
-        lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        vals, vecs = eig_smallest(lap, 1)
+        vals, vecs = eig_smallest(np.ones((1, 1)), 1)
         assert abs(vals[0]) < 1e-12
-        assert np.allclose(np.abs(vecs[:, 0]), [np.sqrt(0.5), np.sqrt(0.5)])
+        assert np.allclose(vecs[:, 0], [np.sqrt(0.5), np.sqrt(0.5)])
 
     def test_reconstruction_oracle(self):
         rng = np.random.default_rng(9)
-        a = rng.normal(size=(8, 8))
-        sym = (a + a.T) / 2
-        vals, vecs = eig_smallest(sym, 8)
+        b = rng.random((5, 3))
+        vals, vecs = eig_smallest(b, 8)
         rebuilt = vecs @ np.diag(vals) @ vecs.T
-        assert np.abs(rebuilt - sym).max() < 1e-8
+        assert np.abs(rebuilt - (np.eye(8) - bipartite_adjacency(b))).max() < 1e-12
 
     def test_orthonormal_and_residuals(self):
         rng = np.random.default_rng(10)
-        a = rng.normal(size=(12, 12))
-        sym = (a + a.T) / 2
-        vals, vecs = eig_smallest(sym, 6)
+        b = rng.random((7, 5))
+        lap = np.eye(12) - bipartite_adjacency(b)
+        vals, vecs = eig_smallest(b, 6)
         assert np.all(np.diff(vals) >= 0)
         gram = vecs.T @ vecs
         assert np.abs(gram - np.eye(6)).max() <= 1e-8
-        norm = np.linalg.norm(sym)
+        norm = np.linalg.norm(lap)
         for i in range(6):
-            r = sym @ vecs[:, i] - vals[i] * vecs[:, i]
+            r = lap @ vecs[:, i] - vals[i] * vecs[:, i]
             assert np.linalg.norm(r) <= 1e-8 * norm
 
-    def test_rejects_asymmetric(self):
-        m = np.array([[0.0, 1.0], [0.5, 0.0]])
-        with pytest.raises(ValueError, match="asymmetry"):
-            eig_smallest(m, 1)
+    @pytest.mark.parametrize(
+        "shape, k", [((300, 3), 5), ((3, 300), 5), ((6, 6), 12), ((9, 4), 13), ((4, 9), 9)],
+        ids=["300x3", "3x300", "square_all", "tall_all", "wide"],
+    )
+    def test_k_beyond_min_side(self, shape, k):
+        # the full SVD path: null-space pairs and the 1 + s pairs join the sort
+        rng = np.random.default_rng(sum(shape) + k)
+        bits = (rng.random(shape) < 0.5).astype(np.uint8)
+        lap = explicit_laplacian(bits)
+        vals, vecs = solve(bits, k)
+        assert np.allclose(vals, np.linalg.eigvalsh(lap)[:k], atol=1e-10)
+        assert np.abs(lap @ vecs - vecs * vals).max() < 1e-12
+        assert np.abs(vecs.T @ vecs - np.eye(k)).max() < 1e-12
+
+    def test_matches_full_graph_eigh(self):
+        # seeded blocks, rank-deficient ones included (repeated and empty
+        # rows or columns), against eigh of the explicit (m+n)^2 Laplacian
+        rng = np.random.default_rng(19)
+        for trial in range(60):
+            m, n = (int(v) for v in rng.integers(1, 30, size=2))
+            bits = (rng.random((m, n)) < rng.uniform(0.05, 0.9)).astype(np.uint8)
+            if trial % 3 == 0:
+                bits = bits[rng.integers(min(2, m), size=m)]  # every row copies row 0 or 1: rank <= 2
+                bits[rng.random(m) < 0.3] = 0
+            lap = explicit_laplacian(bits)
+            k = int(rng.integers(1, m + n + 1))
+            vals, vecs = solve(bits, k)
+            assert np.allclose(vals, np.linalg.eigvalsh(lap)[:k], atol=1e-10)
+            assert np.abs(lap @ vecs - vecs * vals).max() < 1e-12
+            assert np.abs(vecs.T @ vecs - np.eye(k)).max() < 1e-12
+
+    def test_sign_rule(self):
+        rng = np.random.default_rng(21)
+        for shape, k in [((8, 5), 4), ((5, 8), 13), ((1, 1), 2)]:
+            _, vecs = eig_smallest(rng.random(shape), k)
+            assert np.array_equal(vecs, signed(vecs))
+            anchors = np.abs(vecs).argmax(axis=0)
+            assert (vecs[anchors, np.arange(k)] > 0).all()
+
+    @pytest.mark.parametrize(
+        "b, k", [(np.ones((2, 3)), 0), (np.ones((2, 3)), 6), (np.ones(3), 1)], ids=["k_0", "k_above_m_n", "one_d"]
+    )
+    def test_rejects_k_out_of_range_and_bad_shape(self, b, k):
+        with pytest.raises(ValueError, match="need a 2-d matrix and 1 <= k <= m"):
+            eig_smallest(b, k)
 
 
 class TestKmeans:
@@ -213,10 +297,9 @@ def as_sets(groups):
 def component_sets(bits: np.ndarray):
     """Oracle groups: union-find components of the bipartite graph, isolated nodes dropped."""
     m = bits.shape[0]
-    s = build_similarity(ConnectivityMatrix(bits))
     return {
         frozenset(i for i in comp if i < m) | frozenset(("c", i - m) for i in comp if i >= m)
-        for comp in union_find_components(s.values)
+        for comp in union_find_components(bipartite_adjacency(bits))
         if len(comp) > 1
     }
 
@@ -224,26 +307,17 @@ def component_sets(bits: np.ndarray):
 def reference_spectral_groups(bits: np.ndarray, k: int, seed: int):
     """The former full-graph path, kept as an oracle.
 
-    Similarity over all m+n nodes, the active submatrix of it, a symmetrized
-    Laplacian, the full eigendecomposition, then the same k-means; groups are
-    split back into row and column ids.
+    The explicit Laplacian over all m+n nodes, its active submatrix, the full
+    ``eigh`` with the sign rule applied, then the same k-means; groups are
+    split back into row and column ids. Also returns the eigenvalues.
     """
-    m, n = bits.shape
-    s = np.zeros((m + n, m + n))
-    s[:m, m:] = bits
-    s[m:, :m] = bits.T
-    active = np.flatnonzero(s.sum(axis=1) > 0)
-    sub = s[np.ix_(active, active)]
-    sub = (sub + sub.T) / 2.0
-    degrees = sub.sum(axis=1)
-    inv_sqrt = np.zeros_like(degrees)
-    inv_sqrt[degrees > 0] = 1.0 / np.sqrt(degrees[degrees > 0])
-    lap = np.eye(len(active)) - (inv_sqrt[:, None] * sub) * inv_sqrt[None, :]
-    lap = (lap + lap.T) / 2.0
-    _, vecs = np.linalg.eigh((lap + lap.T) / 2.0)
-    labels = kmeans(row_normalize(vecs[:, :k]), k, seed)
+    m = bits.shape[0]
+    active = np.flatnonzero(bipartite_adjacency(bits).any(axis=1))
+    lap = explicit_laplacian(bits)[np.ix_(active, active)]
+    vals, vecs = np.linalg.eigh(lap)
+    labels = kmeans(row_normalize(signed(vecs[:, :k])), k, seed)
     groups = [active[labels == g] for g in range(k)]
-    return [(g[g < m], g[g >= m] - m) for g in groups]
+    return [(g[g < m], g[g >= m] - m) for g in groups], vals
 
 
 class TestSpectralCluster:
@@ -284,9 +358,13 @@ class TestSpectralCluster:
             spectral_cluster(ConnectivityMatrix(bits), 3, seed=0)
 
     def test_matches_full_graph_reference(self):
-        # seeded residuals with empty rows and columns; the active-block path
-        # must return exactly the groups of the former full-graph path
+        # seeded residuals with empty rows and columns. Where the k+1 smallest
+        # eigenvalues are pairwise separated, the embedding is unique up to the
+        # sign rule and the groups must equal the full-graph path's exactly;
+        # elsewhere the basis of a repeated eigenvalue is arbitrary, and only
+        # the eigenvalues must agree.
         rng = np.random.default_rng(41)
+        exact = 0
         for trial in range(30):
             m, n = (int(v) for v in rng.integers(6, 40, size=2))
             bits = (rng.random((m, n)) < rng.uniform(0.05, 0.6)).astype(np.uint8)
@@ -296,10 +374,16 @@ class TestSpectralCluster:
             n_active = int(bits.any(axis=1).sum() + bits.any(axis=0).sum())
             k = int(rng.integers(2, min(8, n_active) + 1))
             got = spectral_cluster(ConnectivityMatrix(bits), k, seed=trial)
-            want = reference_spectral_groups(bits, k, seed=trial)
+            want, ref_vals = reference_spectral_groups(bits, k, seed=trial)
+            block = bits[np.ix_(bits.any(axis=1), bits.any(axis=0))]
+            vals, _ = solve(block, min(k + 1, n_active))
+            assert np.allclose(vals, ref_vals[: len(vals)], atol=1e-10)
             assert len(got) == len(want) == k
-            for (gr, gc), (wr, wc) in zip(got, want):
-                assert np.array_equal(gr, wr) and np.array_equal(gc, wc)
+            if len(vals) == k + 1 and np.diff(ref_vals[: k + 1]).min() > 1e-8:
+                exact += 1
+                for (gr, gc), (wr, wc) in zip(got, want):
+                    assert np.array_equal(gr, wr) and np.array_equal(gc, wc)
+        assert exact >= 15  # 17 of the 30 seeded trials qualify
 
     def test_row_normalize_keeps_zero_rows(self):
         v = np.array([[3.0, 4.0], [0.0, 0.0]])
