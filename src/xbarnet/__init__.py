@@ -7,7 +7,6 @@ pruning-only and cluster-after-training baselines.
 """
 
 from .connectivity import (
-    Cluster,
     ClusterSet,
     ConnectivityMatrix,
     audit_cluster_set,

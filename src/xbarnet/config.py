@@ -199,9 +199,11 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     """Read a JSON config file; ``overrides`` (e.g. CLI flags) win over file values."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError([f"{path}: not valid JSON ({exc})"]) from None
+    except (IsADirectoryError, UnicodeDecodeError) as exc:
+        raise ConfigError([f"{path}: unreadable config file ({type(exc).__name__}: {exc})"]) from None
     if not isinstance(raw, dict):
         raise ConfigError([f"{path}: top level must be a JSON object"])
     for key, value in (overrides or {}).items():

@@ -3,9 +3,10 @@
 A connectivity matrix is a dense (0,1) matrix recording which synapses exist
 between two neuron layers: entry (i, j) = 1 iff input neuron i feeds output
 neuron j. A layer's training mask is one too, shaped like the weights it gates.
-Clusters are row/column index groups whose induced submatrix maps onto one
-crossbar; a ClusterSet records which cluster owns each synapse in one int32
-owner matrix per layer.
+A cluster is a group of synapses that maps onto one crossbar. A ClusterSet
+records which cluster owns each synapse in one int32 owner matrix per layer,
+and that matrix is the only record of the clusters: a cluster's footprint,
+the rows and columns its crossbar spans, is derived from the cells it owns.
 
 All types are immutable after construction; operations return new values.
 """
@@ -74,74 +75,38 @@ class ConnectivityMatrix:
 
 
 @dataclass(frozen=True)
-class Cluster:
-    """Row/column index groups whose induced submatrix maps onto one crossbar.
-
-    Indices are kept sorted ascending; identity is the position in its
-    ClusterSet.
-    """
-
-    row_ids: tuple[int, ...]
-    col_ids: tuple[int, ...]
-
-    def __post_init__(self):
-        rows = tuple(int(i) for i in self.row_ids)
-        cols = tuple(int(j) for j in self.col_ids)
-        if not rows or not cols:
-            raise ValueError("cluster needs at least one row and one column")
-        if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
-            raise ValueError("cluster indices must be duplicate-free")
-        if min(rows) < 0 or min(cols) < 0:
-            raise ValueError("cluster indices must be non-negative")
-        object.__setattr__(self, "row_ids", tuple(sorted(rows)))
-        object.__setattr__(self, "col_ids", tuple(sorted(cols)))
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.row_ids)
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.col_ids)
-
-    def footprint_area(self) -> int:
-        return self.n_rows * self.n_cols
-
-    def fits(self, crossbar_rows: int, crossbar_cols: int) -> bool:
-        return self.n_rows <= crossbar_rows and self.n_cols <= crossbar_cols
-
-
-@dataclass(frozen=True)
 class ClusterSet:
-    """Accepted clusters of one layer plus who owns each synapse.
+    """Accepted clusters of one layer, held as who owns each synapse.
 
     ``owner`` is an int32 matrix shaped like ``source``: -1 marks a cell in no
-    cluster, ``k`` a cell covered by ``clusters[k]``. An accepted cluster
-    spends its full induced-submatrix footprint (its 0-entries are unusable
-    cross-points), so ownership is stored per cell rather than re-derived
-    from the footprint. The residual is every source synapse no cluster owns;
-    ``owner=None`` means no cell is owned.
+    cluster, ``k`` a cell that cluster ``k`` owns. The owner matrix is the
+    only record of the clusters: cluster ``k``'s footprint is the distinct
+    rows and cols of its owned cells (:meth:`footprints`), and the clusters
+    are numbered 0..n_clusters-1 without gaps, so none is empty. The
+    residual is every source synapse no cluster owns; ``owner=None`` means no
+    cell is owned.
     """
 
-    clusters: tuple[Cluster, ...]
     source: ConnectivityMatrix
     owner: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "clusters", tuple(self.clusters))
         shape = self.source.bits.shape
         owner = np.full(shape, -1) if self.owner is None else self.owner
         owner = np.array(owner, dtype=np.int32)
         if owner.shape != shape:
             raise ShapeError(f"owner {owner.shape} does not match source {shape}")
-        if owner.min() < -1 or owner.max() >= len(self.clusters):
-            raise ValueError(f"owner entries must lie in [-1, {len(self.clusters)})")
+        if owner.min() < -1:
+            raise ValueError("owner entries must be -1 or a cluster index")
+        empty = np.flatnonzero(np.bincount(owner[owner >= 0]) == 0)
+        if len(empty):
+            raise ValueError(f"cluster {empty[0]} owns no cell; cluster indices must have no gaps")
         owner.flags.writeable = False
         object.__setattr__(self, "owner", owner)
 
     @property
     def n_clusters(self) -> int:
-        return len(self.clusters)
+        return int(self.owner.max()) + 1
 
     @property
     def residual(self) -> ConnectivityMatrix:
@@ -152,15 +117,39 @@ class ClusterSet:
         return np.bincount(self.owner[self.owner >= 0], minlength=self.n_clusters)
 
     def cells(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return owner_cells(self.owner, self.n_clusters)
+        return owner_cells(self.owner)
+
+    def footprints(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(rows, cols) of each cluster: the sorted distinct rows and cols of its owned cells."""
+        if self.n_clusters == 0:
+            return []
+        m, n = self.owner.shape
+        flat = self.owner.ravel()
+        cells = np.flatnonzero(flat >= 0)
+        kk = flat[cells].astype(np.intp)
+        rows = _lines_per_cluster(kk, cells // n, m, self.n_clusters)
+        return list(zip(rows, _lines_per_cluster(kk, cells % n, n, self.n_clusters)))
 
 
-def owner_cells(owner: np.ndarray, n_clusters: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def _lines_per_cluster(kk: np.ndarray, lines: np.ndarray, size: int, n_clusters: int) -> list[np.ndarray]:
+    """Sorted distinct ``lines`` (each < ``size``) of each cluster in ``kk``.
+
+    A (clusters x size) boolean table marks each hit; its row k lists cluster
+    k's lines in order.
+    """
+    hit = np.zeros((n_clusters, size), dtype=bool)
+    hit.ravel()[kk * size + lines] = True
+    return np.split(np.flatnonzero(hit) % size, np.cumsum(np.count_nonzero(hit, axis=1))[:-1])
+
+
+def owner_cells(owner: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """(rows, cols) of each cluster's cells; entry k equals ``np.nonzero(owner == k)``.
 
-    One stable sort groups the owned cells by owner, keeping row-major order
-    inside each group.
+    There is one entry per index up to the largest owner. One stable sort
+    groups the owned cells by owner, keeping row-major order inside each
+    group.
     """
+    n_clusters = int(owner.max()) + 1
     if n_clusters == 0:
         return []
     flat = owner.ravel()
@@ -205,6 +194,8 @@ def load_sparse(path) -> ConnectivityMatrix:
             raise SparseFormatError(
                 f"coordinate out of bounds: ({i}, {j}) vs shape ({n_rows}, {n_cols})", line=line_no
             )
+        if bits[i, j]:
+            raise SparseFormatError(f"repeated coordinate ({i}, {j})", line=line_no)
         bits[i, j] = 1
     return ConnectivityMatrix(bits)
 
@@ -223,17 +214,18 @@ def _int_fields(text: str, form: str, line_no: int) -> list[int]:
 def cluster_sets_to_json(cluster_sets: list[ClusterSet]) -> str:
     """Serialize per-layer cluster sets as a JSON list of {layer, rows, cols, covered}.
 
-    ``covered`` lists each cluster's owned cells in row-major order, so
-    mapping reports can be rebuilt from the live weights alone.
+    ``rows`` and ``cols`` are each cluster's footprint, derived from its owned
+    cells; ``covered`` lists those cells in row-major order, so mapping
+    reports can be rebuilt from the live weights alone.
     """
     records = []
     for layer_id, cs in enumerate(cluster_sets):
-        for cluster, (ii, jj) in zip(cs.clusters, cs.cells()):
+        for (rows, cols), (ii, jj) in zip(cs.footprints(), cs.cells()):
             records.append(
                 {
                     "layer": layer_id,
-                    "rows": list(cluster.row_ids),
-                    "cols": list(cluster.col_ids),
+                    "rows": rows.tolist(),
+                    "cols": cols.tolist(),
                     "covered": [[i, j] for i, j in zip(ii.tolist(), jj.tolist())],
                 }
             )
@@ -245,51 +237,67 @@ def cluster_sets_from_json(
 ) -> list[ClusterSet]:
     """Rebuild per-layer ClusterSets from JSON plus each layer's source connectivity.
 
-    The file is outside input: each record must name a layer, fit the
-    ``(rows, cols)`` crossbar, and list its covered cells as [row, col]
-    pairs, and each layer's clusters and cells must pass
-    :func:`_placement_problem`. A violation raises :class:`ClusterFormatError`.
+    The file is outside input. Each record must name a layer, list its
+    covered cells as [row, col] integer pairs, and name in ``rows`` and
+    ``cols`` (lists of JSON integers, in any order) each row and column of
+    those cells exactly once, a footprint that fits the ``(rows, cols)``
+    crossbar. Each layer's cells must pass :func:`_placement_problem`. A
+    violation raises :class:`ClusterFormatError`.
     """
-    clusters: list[list[Cluster]] = [[] for _ in sources]
+    named: list[list[tuple[list[int], list[int]]]] = [[] for _ in sources]
     cells: list[list[np.ndarray]] = [[] for _ in sources]
+    n = 0
     try:
-        for rec in json.loads(text):
+        for n, rec in enumerate(json.loads(text)):
             layer = rec["layer"]
             if not (type(layer) is int and 0 <= layer < len(sources)):
                 raise ValueError(f"unknown layer {layer!r}")
-            cluster = Cluster(tuple(rec["rows"]), tuple(rec["cols"]))
-            if not cluster.fits(*crossbar):
-                shapes = (cluster.n_rows, cluster.n_cols, *crossbar)
-                raise ValueError("cluster %dx%d exceeds crossbar %dx%d" % shapes)
-            covered = np.asarray(rec["covered"], dtype=np.int64).reshape(-1, 2)
-            cells[layer].append(covered)
-            clusters[layer].append(cluster)
+            rows, cols = _json_ints(rec["rows"], "rows"), _json_ints(rec["cols"], "cols")
+            if len(rows) > crossbar[0] or len(cols) > crossbar[1]:
+                raise ValueError("cluster %dx%d exceeds crossbar %dx%d" % (len(rows), len(cols), *crossbar))
+            covered = np.asarray(rec["covered"])
+            if covered.shape == (0,):
+                covered = np.empty((0, 2), dtype=np.int64)
+            elif covered.dtype.kind not in "iu" or covered.ndim != 2 or covered.shape[1] != 2:
+                raise TypeError(f"covered must be a list of [row, col] integer pairs, got {rec['covered']!r:.40}")
+            cells[layer].append(covered.astype(np.int64, copy=False))
+            named[layer].append((sorted(rows), sorted(cols)))
     except (KeyError, TypeError, ValueError) as exc:
-        raise ClusterFormatError(f"record {sum(map(len, clusters))}: {type(exc).__name__}: {exc}") from None
+        raise ClusterFormatError(f"record {n}: {type(exc).__name__}: {exc}") from None
     sets = []
     for layer, (source, layer_cells) in enumerate(zip(sources, cells)):
         ii, jj = np.concatenate(layer_cells or [np.empty((0, 2), dtype=np.int64)]).T
         kk = np.repeat(np.arange(len(layer_cells)), [len(c) for c in layer_cells])
-        problem = _placement_problem(clusters[layer], source.bits, ii, jj, kk)
+        problem = _placement_problem(source.bits, ii, jj, kk, len(layer_cells))
         if problem:
             raise ClusterFormatError(f"layer {layer}: {problem}")
         owner = np.full(source.bits.shape, -1, dtype=np.int32)
         owner[ii, jj] = kk
-        sets.append(ClusterSet(tuple(clusters[layer]), source, owner))
+        cs = ClusterSet(source, owner)
+        for k, ((rows, cols), (fp_rows, fp_cols)) in enumerate(zip(named[layer], cs.footprints())):
+            if rows != fp_rows.tolist() or cols != fp_cols.tolist():
+                raise ClusterFormatError(
+                    f"layer {layer}: cluster {k}: rows and cols must name each row and column "
+                    "of its covered cells exactly once"
+                )
+        sets.append(cs)
     return sets
 
 
-def _placement_problem(clusters, bits: np.ndarray, ii, jj, kk) -> str | None:
+def _json_ints(value, name: str) -> list[int]:
+    """``value`` if it is a list of JSON integers (no bools, floats or strings), else TypeError."""
+    if type(value) is not list or not all(type(v) is int for v in value):
+        raise TypeError(f"{name} must be a list of integers, got {value!r:.40}")
+    return value
+
+
+def _placement_problem(bits: np.ndarray, ii, jj, kk, n_clusters: int) -> str | None:
     """The first reason cluster ``kk[c]`` may not own cell ``(ii[c], jj[c])`` of ``bits``, or None.
 
-    Every cluster must lie inside the matrix and own at least one cell. Every
-    cell must lie inside the matrix, be a synapse, be owned once, and lie
-    inside its cluster's rows and cols.
+    Every cell must lie inside the matrix, be a synapse and be owned once,
+    and each of the ``n_clusters`` clusters must own at least one cell.
     """
     m, n = bits.shape
-    beyond = [k for k, c in enumerate(clusters) if c.row_ids[-1] >= m or c.col_ids[-1] >= n]
-    if beyond:
-        return f"cluster {beyond[0]} reaches beyond the {m}x{n} matrix"
     if ((ii < 0) | (ii >= m) | (jj < 0) | (jj >= n)).any():
         return f"a covered cell lies outside the {m}x{n} matrix"
     flat = ii * n + jj
@@ -297,28 +305,19 @@ def _placement_problem(clusters, bits: np.ndarray, ii, jj, kk) -> str | None:
         return "a cell is covered twice"
     if not bits.ravel()[flat].all():
         return "a covered cell is not a synapse"
-    empty = np.flatnonzero(np.bincount(kk, minlength=len(clusters)) == 0)
+    empty = np.flatnonzero(np.bincount(kk, minlength=n_clusters) == 0)
     if len(empty):
         return f"cluster {empty[0]} covers no synapses"
-    in_rows = np.zeros(len(clusters) * m, dtype=bool)
-    in_rows[[k * m + i for k, c in enumerate(clusters) for i in c.row_ids]] = True
-    in_cols = np.zeros(len(clusters) * n, dtype=bool)
-    in_cols[[k * n + j for k, c in enumerate(clusters) for j in c.col_ids]] = True
-    outside = np.flatnonzero(~(in_rows[kk * m + ii] & in_cols[kk * n + jj]))
-    if len(outside):
-        return f"cluster {kk[outside[0]]}: covered synapse outside its footprint"
     return None
 
 
 def audit_cluster_set(cs: ClusterSet, original: ConnectivityMatrix) -> None:
     """Check a ClusterSet against the matrix it was built from.
 
-    It must be built from ``original``, and its owned cells must pass
-    :func:`_placement_problem`; disjointness, and coverage plus residual
-    reproducing the source, hold by construction of the owner matrix. Raises
-    AssertionError with a diagnostic on violation.
+    It must be built from ``original``, and every owned cell must be a
+    synapse of it. The owner matrix guarantees the rest: each cell is owned
+    at most once, footprints hold only owned rows and cols, and no cluster
+    is empty. Raises AssertionError with a diagnostic on violation.
     """
     assert np.array_equal(cs.source.bits, original.bits), "cluster set built from another matrix"
-    ii, jj = np.nonzero(cs.owner >= 0)
-    problem = _placement_problem(cs.clusters, cs.source.bits, ii, jj, cs.owner[ii, jj])
-    assert problem is None, problem
+    assert cs.source.bits[cs.owner >= 0].all(), "a covered cell is not a synapse"

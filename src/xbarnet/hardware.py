@@ -1,8 +1,10 @@
 """Crossbar mapping and cost models.
 
-Accepted clusters occupy one crossbar array each; whatever stays unclustered
-is tiled onto the fixed ceil(m/rows) x ceil(n/cols) grid of the layer matrix
-and only non-empty tiles count. That tiler is deliberately pessimistic:
+Accepted clusters occupy one crossbar array each. A cluster's footprint, the
+rows and columns its array spans, is derived from the cells it owns
+(:meth:`ClusterSet.footprints`). Whatever stays unclustered is tiled onto
+the fixed ceil(m/rows) x ceil(n/cols) grid of the layer matrix, and only
+non-empty tiles count. That tiler is deliberately pessimistic:
 irregular sparsity should map poorly, which is the effect the cost models are
 meant to expose. Energy per inference splits into an array component that
 scales with active cross-points and a peripheral component that scales with
@@ -226,23 +228,23 @@ def core_count(num_mca: int, k: int) -> int:
 def map_to_mcas(cluster_sets: list[ClusterSet], tech: TechConfig) -> MappingReport:
     """Assign each cluster one crossbar and grid-tile the residual synapses.
 
-    Raises if a cluster exceeds the crossbar (a violated clustering
-    contract). Every live synapse lands in exactly one crossbar: its
+    Raises if a cluster's footprint exceeds the crossbar (a violated
+    clustering contract). Every live synapse lands in exactly one crossbar: its
     cluster's, or the grid tile holding it.
     """
     layers = []
     for cs in cluster_sets:
-        for cluster in cs.clusters:
-            if not cluster.fits(tech.crossbar_rows, tech.crossbar_cols):
+        shapes = [(len(rows), len(cols)) for rows, cols in cs.footprints()]
+        for rows, cols in shapes:
+            if rows > tech.crossbar_rows or cols > tech.crossbar_cols:
                 raise ValueError(
-                    f"cluster {cluster.n_rows}x{cluster.n_cols} exceeds crossbar "
-                    f"{tech.crossbar_rows}x{tech.crossbar_cols}"
+                    f"cluster {rows}x{cols} exceeds crossbar {tech.crossbar_rows}x{tech.crossbar_cols}"
                 )
         layers.append(
             LayerMapping(
                 cluster_active=cs.cell_counts().tolist(),
                 residual_active=grid_tiles(cs.residual.bits, tech.crossbar_rows, tech.crossbar_cols),
-                cluster_areas=[cluster.footprint_area() for cluster in cs.clusters],
+                cluster_areas=[rows * cols for rows, cols in shapes],
                 matrix_shape=cs.source.bits.shape,
             )
         )

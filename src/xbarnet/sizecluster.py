@@ -5,9 +5,11 @@ greedily accepts groups that fit the crossbar and clear a decaying
 utilization threshold, and splits oversized groups until everything fits.
 Accepted clusters spend their full induced-submatrix footprint: the 0-entries
 inside an accepted block become unusable cross-points and never return to the
-pool. Acceptance writes the cluster's index into the owner matrix at every
-still-unowned synapse of its footprint. Synapses of rejected groups stay
-unowned and get another chance in later rounds.
+pool. Acceptance trims a candidate to the rows and cols that hold a
+still-unowned synapse and writes the cluster's index into the owner matrix at
+each of those synapses, so every footprint row and column holds an owned cell
+and the owner matrix alone records the cluster. Synapses of rejected groups
+stay unowned and get another chance in later rounds.
 
 Finding groups and ordering a group for splitting use one graph path:
 the active block goes through ``build_similarity`` and ``eig_smallest``,
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connectivity import Cluster, ClusterSet, ConnectivityMatrix
+from .connectivity import ClusterSet, ConnectivityMatrix
 from .spectral import build_similarity, eig_smallest, spectral_cluster
 from .util import seed_for
 
@@ -98,10 +100,18 @@ def _spectral_order(bits: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tup
     return rows[row_order], cols[col_order]
 
 
-def _ordered_grid_children(
+def split_oversized(
     bits: np.ndarray, rows: np.ndarray, cols: np.ndarray, cfg: SizeClusterConfig
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Pair crossbar-sized chunks of spectrally ordered rows/cols into (rows, cols) children."""
+    """Split the block ``bits[rows][:, cols]`` into crossbar-sized (rows, cols) children.
+
+    Rows and columns are ordered by the subgraph's second Laplacian
+    eigenvector and cut into consecutive crossbar-sized chunks whose pairings
+    become the children, so the ceil(rows/crossbar_rows) *
+    ceil(cols/crossbar_cols) pieces partition the block and each fits the
+    crossbar. Synapse-free rows/cols and empty pairings are dropped. The
+    split is deterministic.
+    """
     sub = bits[np.ix_(rows, cols)]
     live_rows = rows[sub.any(axis=1)]
     live_cols = cols[sub.any(axis=0)]
@@ -111,28 +121,6 @@ def _ordered_grid_children(
     row_chunks = np.split(ordered_rows, range(cfg.crossbar_rows, len(ordered_rows), cfg.crossbar_rows))
     col_chunks = np.split(ordered_cols, range(cfg.crossbar_cols, len(ordered_cols), cfg.crossbar_cols))
     return [(rc, cc) for rc in row_chunks for cc in col_chunks if bits[np.ix_(rc, cc)].any()]
-
-
-def split_oversized(
-    cluster: Cluster,
-    c: ConnectivityMatrix,
-    cfg: SizeClusterConfig,
-) -> list[Cluster]:
-    """Split a too-large cluster into crossbar-sized children.
-
-    Rows and columns are ordered by the subgraph's second Laplacian
-    eigenvector and cut into consecutive crossbar-sized chunks whose pairings
-    become the children, so the ceil(rows/crossbar_rows) *
-    ceil(cols/crossbar_cols) pieces partition the parent's footprint and each
-    fits the crossbar. Synapse-free rows/cols and empty pairings are dropped.
-    The split is deterministic.
-    """
-    if cluster.fits(cfg.crossbar_rows, cfg.crossbar_cols):
-        raise ValueError("cluster already fits the crossbar; nothing to split")
-    rows = np.fromiter(cluster.row_ids, dtype=np.int64)
-    cols = np.fromiter(cluster.col_ids, dtype=np.int64)
-    children = _ordered_grid_children(c.bits, rows, cols, cfg)
-    return [Cluster(tuple(rc.tolist()), tuple(cc.tolist())) for rc, cc in children]
 
 
 def size_constrained_cluster(
@@ -154,10 +142,11 @@ def size_constrained_cluster(
     """
     residual = np.array(c.bits, dtype=np.uint8)
     owner = np.full(c.bits.shape, -1, dtype=np.int32)
-    accepted: list[Cluster] = []
+    n_accepted = 0
     util_factor = cfg.base_util_factor
 
     def try_accept(rows: np.ndarray, cols: np.ndarray) -> bool:
+        nonlocal n_accepted
         sub = residual[np.ix_(rows, cols)]
         sub_nnz = int(sub.sum())
         if sub_nnz == 0:
@@ -169,8 +158,8 @@ def size_constrained_cluster(
         if sub_nnz / cfg.crossbar_area < util_factor:
             return False
         block = np.ix_(live_rows, live_cols)
-        owner[block] = np.where(residual[block] == 1, len(accepted), owner[block])
-        accepted.append(Cluster(tuple(live_rows.tolist()), tuple(live_cols.tolist())))
+        owner[block] = np.where(residual[block] == 1, n_accepted, owner[block])
+        n_accepted += 1
         residual[block] = 0
         return True
 
@@ -181,7 +170,7 @@ def size_constrained_cluster(
         live_cols = cols[sub.any(axis=0)]
         if len(live_rows) <= cfg.crossbar_rows and len(live_cols) <= cfg.crossbar_cols:
             return int(try_accept(live_rows, live_cols))
-        children = _ordered_grid_children(residual, live_rows, live_cols, cfg)
+        children = split_oversized(residual, live_rows, live_cols, cfg)
         return sum(try_accept(rc, cc) for rc, cc in children)
 
     for round_no in range(1, cfg.max_rounds + 1):
@@ -224,4 +213,4 @@ def size_constrained_cluster(
             if util_factor < cfg.min_util_factor:
                 break
 
-    return ClusterSet(tuple(accepted), c, owner)
+    return ClusterSet(c, owner)

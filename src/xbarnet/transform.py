@@ -8,13 +8,14 @@ owned cells, zeroing every weight outside it. The layer mask is the only
 record of which synapses may live: an epoch without a prune only adds the
 owned cells to it, and cluster pruning clears the cells it cuts. Clustered
 synapses are thus shielded from magnitude pruning. Cluster membership lives
-in one int32 owner matrix per layer: -1 for an unclustered cell, otherwise
-the index of its cluster in that layer's record list. A cluster's
-utilization is its owned-cell count over the crossbar area; the cells it
-owns never change between acceptance and removal. Once the unclustered
-fraction falls below the threshold the loop switches to cluster pruning: per
-improving epoch it removes the lowest-scoring clusters outright and lets
-subsequent epochs recover the accuracy.
+in one int32 owner matrix per layer, the only record of its clusters: -1 for
+an unclustered cell, otherwise the index of its cluster, numbered from 0
+without gaps. A cluster's utilization is its owned-cell count over the
+crossbar area; the cells it owns never change between acceptance and
+removal. Once the unclustered fraction falls below the threshold the loop
+switches to cluster pruning: per improving epoch it removes the
+lowest-scoring clusters outright and lets subsequent epochs recover the
+accuracy.
 
 Two switches (``enable_prune``, ``enable_cluster``) turn the same loop into
 the baselines: both off is plain training, prune-only is the magnitude
@@ -29,7 +30,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .connectivity import (
-    Cluster,
     ClusterSet,
     ConnectivityMatrix,
     audit_cluster_set,
@@ -64,15 +64,14 @@ class TransformConfig:
 
 @dataclass
 class TransformState:
-    """Model (its layer masks say which synapses may live), and per layer the clusters and owner matrix.
+    """Model (its layer masks say which synapses may live), and per layer the owner matrix.
 
-    ``owner[layer][i, j]`` is -1 or the index into ``records[layer]`` of the
-    cluster covering synapse (i, j).
+    ``owner[layer][i, j]`` is -1 or the index of the cluster covering synapse
+    (i, j); a layer's clusters are numbered 0..owner.max() without gaps.
     """
 
     model: MlpModel
     owner: list[np.ndarray]
-    records: list[list[Cluster]]
     epoch: int = 0
     training_error_previous: float = float("inf")
 
@@ -82,18 +81,17 @@ class TransformState:
         return cls(
             model=model,
             owner=[np.full(l.weights.shape, -1, dtype=np.int32) for l in model.layers],
-            records=[[] for _ in model.layers],
         )
 
     def n_clusters(self) -> int:
-        return sum(len(r) for r in self.records)
+        return sum(int(owner.max()) + 1 for owner in self.owner)
 
     def mean_util(self, crossbar_area: int) -> float:
         """Mean cluster utilization: owned cells over the crossbar area."""
         utils = [
             n / crossbar_area
-            for recs, owner in zip(self.records, self.owner)
-            for n in np.bincount(owner[owner >= 0], minlength=len(recs)).tolist()
+            for owner in self.owner
+            for n in np.bincount(owner[owner >= 0]).tolist()
         ]
         return float(np.mean(utils)) if utils else 0.0
 
@@ -110,10 +108,10 @@ def unclustered_fraction(state: TransformState) -> float:
 
 
 def _layer_scores(state: TransformState, cfg: TransformConfig, layer_id: int) -> list[float]:
-    """Scores of every cluster of one layer, in record order (see cluster_score)."""
+    """Scores of every cluster of one layer, in index order (see cluster_score)."""
     weights = state.model.layers[layer_id].weights
     utils, means = [], []
-    for index, cells in enumerate(owner_cells(state.owner[layer_id], len(state.records[layer_id]))):
+    for index, cells in enumerate(owner_cells(state.owner[layer_id])):
         if len(cells[0]) == 0:
             raise ValueError(f"cluster {index} of layer {layer_id} covers no synapses")
         utils.append(len(cells[0]) / cfg.scic.crossbar_area)
@@ -134,7 +132,7 @@ def cluster_score(state: TransformState, cfg: TransformConfig, layer_id: int, in
     synapses by the largest such mean among the clusters of the same layer,
     so each layer's strongest cluster scores 1.0 on that term.
     """
-    if not 0 <= index < len(state.records[layer_id]):
+    if not 0 <= index <= state.owner[layer_id].max():
         raise ValueError(f"no cluster with index {index} in layer {layer_id}")
     return _layer_scores(state, cfg, layer_id)[index]
 
@@ -149,7 +147,7 @@ def cluster_prune(state: TransformState, cfg: TransformConfig) -> int:
     """
     scored = [
         (score, layer_id, index)
-        for layer_id in range(len(state.records))
+        for layer_id in range(len(state.owner))
         for index, score in enumerate(_layer_scores(state, cfg, layer_id))
     ]
     chosen = sorted(scored)[: cfg.clusters_pruned_per_event]
@@ -161,7 +159,6 @@ def cluster_prune(state: TransformState, cfg: TransformConfig) -> int:
         layer.mask = ConnectivityMatrix(layer.mask.bits & ~cells)
         owner[cells] = -1
         owner[owner > index] -= 1
-        del state.records[layer_id][index]
     return len(chosen)
 
 
@@ -212,8 +209,7 @@ def transform_epoch(
                     seed_for(cfg.seed, STREAM_CLUSTER, epoch, layer_id),
                 )
                 owned = cs.owner >= 0
-                owner[owned] = cs.owner[owned] + len(state.records[layer_id])
-                state.records[layer_id].extend(cs.clusters)
+                owner[owned] = cs.owner[owned] + owner.max() + 1
 
     n_zeroed = _refresh_masks(state, maps)
     state.training_error_previous = loss
@@ -288,12 +284,12 @@ def offline_cluster(model: MlpModel, scic_cfg: SizeClusterConfig, seed: int) -> 
 
 
 def audit_state(state: TransformState) -> None:
-    """Exact consistency checks between the layer masks, weights and cluster records.
+    """Exact consistency checks between the layer masks, weights and owner matrices.
 
     Owned cells must lie inside the layer mask, weights outside the mask must
     be zero, and each layer's cluster set must pass :func:`audit_cluster_set`
-    against the live synapses: owned cells are live and inside their
-    cluster's footprint, and no cluster is empty.
+    against the live synapses: owned cells are live. Building the cluster
+    sets checks that no cluster is empty.
     """
     for layer_id, (layer, cs) in enumerate(zip(state.model.layers, final_cluster_sets(state))):
         outside = layer.mask.bits == 0
@@ -305,6 +301,6 @@ def audit_state(state: TransformState) -> None:
 def final_cluster_sets(state: TransformState) -> list[ClusterSet]:
     """Per-layer ClusterSets of the current state for mapping and reports."""
     return [
-        ClusterSet(tuple(records), from_weights(layer.weights), owner)
-        for layer, records, owner in zip(state.model.layers, state.records, state.owner)
+        ClusterSet(from_weights(layer.weights), owner)
+        for layer, owner in zip(state.model.layers, state.owner)
     ]

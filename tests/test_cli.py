@@ -83,6 +83,15 @@ def damage_clusters(run, bad):
     return ["map", "--checkpoint", str(run / "checkpoint"), "--clusters", str(bad / "clusters.json")]
 
 
+def clusters_float_cell(run, bad):
+    """A one-cell cluster on a live synapse whose covered cell is written as floats."""
+    w = load_checkpoint(run / "checkpoint")[0].layers[0].weights
+    i, j = (int(v) for v in np.argwhere(w != 0)[0])
+    record = {"layer": 0, "rows": [i], "cols": [j], "covered": [[i + 0.25, float(j)]]}
+    (bad / "clusters.json").write_text(json.dumps([record]))
+    return ["map", "--checkpoint", str(run / "checkpoint"), "--clusters", str(bad / "clusters.json")]
+
+
 def damage_mapping(run, bad):
     mapping = json.loads((run / "mapping.json").read_text())
     del mapping["layers"][0]["cluster_areas"]
@@ -111,10 +120,12 @@ def damage_checkpoint(run, bad):
 
 @pytest.mark.parametrize(
     "damage, message",
-    [(damage_clusters, "cluster 9x1 exceeds crossbar 8x8"), (damage_mapping, "KeyError: 'cluster_areas'"),
+    [(damage_clusters, "cluster 9x1 exceeds crossbar 8x8"),
+     (clusters_float_cell, "record 0: TypeError: covered must be a list of [row, col] integer pairs"),
+     (damage_mapping, "KeyError: 'cluster_areas'"),
      (mapping_not_json, "JSONDecodeError"), (mapping_wrong_type, "cluster_active must be a list of non-negative integers, got 'x'"),
      (damage_checkpoint, "truncated block layer1.mask")],
-    ids=["oversized_cluster", "mapping_missing_key", "mapping_not_json", "mapping_wrong_type",
+    ids=["oversized_cluster", "clusters_float_cell", "mapping_missing_key", "mapping_not_json", "mapping_wrong_type",
          "truncated_checkpoint"],
 )
 def test_damaged_input_files_exit_2(tmp_path, pruned_run, capsys, damage, message):

@@ -106,6 +106,17 @@ class TestConfigErrors:
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+def test_unreadable_config_file_exits_2(tmp_path, capsys, kind):
+    path = tmp_path / "config.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(json.dumps(base_config()).encode().replace(b"blobs", b"blob\xff"))
+    assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"{path}: unreadable config file" in capsys.readouterr().err
+
+
 def test_crossbar_size_comes_from_tech():
     cfg = build_config(base_config(tech={"crossbar_rows": 8, "crossbar_cols": 4}))
     assert (cfg.scic.crossbar_rows, cfg.scic.crossbar_cols) == (8, 4)
@@ -182,12 +193,23 @@ def mutated_configs(draw):
     return raw
 
 
-@settings(max_examples=40, deadline=None)
-@given(raw=mutated_configs())
-def test_mutated_configs_exit_0_or_2(raw):
+def run_mutated(command: str, raw: dict) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(raw))
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main(["train", "--config", str(path), "--out", str(Path(tmp) / "out")])
-    assert code in (0, 2)
+            return cli.main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
+
+
+@settings(max_examples=40, deadline=None)
+@given(raw=mutated_configs())
+def test_mutated_configs_exit_0_or_2(raw):
+    assert run_mutated("train", raw) in (0, 2)
+
+
+# fewer examples: transform clusters, and compare runs all four arms
+@pytest.mark.parametrize("command", ["transform", "compare"])
+@settings(max_examples=30, deadline=None)
+@given(raw=mutated_configs())
+def test_mutated_configs_exit_0_or_2_on_clustering_runs(command, raw):
+    assert run_mutated(command, raw) in (0, 2)

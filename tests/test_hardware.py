@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from xbarnet.connectivity import Cluster, ClusterSet, ConnectivityMatrix
+from xbarnet.connectivity import ClusterSet, ConnectivityMatrix
 from xbarnet.hardware import (
     CmosConfig,
     MappingFormatError,
@@ -22,14 +22,12 @@ from xbarnet.hardware import (
 
 def full_cluster_set(shape, blocks, residual_bits=None):
     """Helper: clusters over all-ones blocks plus an explicit residual."""
-    clusters = []
     source = residual_bits.copy() if residual_bits is not None else np.zeros(shape, dtype=np.uint8)
     owner = np.full(shape, -1)
     for k, (rows, cols) in enumerate(blocks):
-        clusters.append(Cluster(tuple(rows), tuple(cols)))
         source[np.ix_(rows, cols)] = 1
         owner[np.ix_(rows, cols)] = k
-    return ClusterSet(tuple(clusters), ConnectivityMatrix(source), owner)
+    return ClusterSet(ConnectivityMatrix(source), owner)
 
 
 class TestCoreCount:
@@ -62,7 +60,7 @@ class TestMapToMcas:
 
     def test_grid_tiling_of_dense_residual(self):
         tech = TechConfig(crossbar_rows=4, crossbar_cols=4)
-        cs = ClusterSet((), ConnectivityMatrix(np.ones((8, 8), dtype=np.uint8)))
+        cs = ClusterSet(ConnectivityMatrix(np.ones((8, 8), dtype=np.uint8)))
         layer = map_to_mcas([cs], tech).to_dict()["layers"][0]
         assert layer["residual_mca_count"] == 4
         assert layer["cluster_utils"] == []
@@ -73,7 +71,7 @@ class TestMapToMcas:
         rng = np.random.default_rng(0)
         bits = (rng.random((32, 32)) < 0.3).astype(np.uint8)
         tech = TechConfig(crossbar_rows=8, crossbar_cols=8)
-        report = map_to_mcas([ClusterSet((), ConnectivityMatrix(bits))], tech)
+        report = map_to_mcas([ClusterSet(ConnectivityMatrix(bits))], tech)
         layer = report.to_dict()["layers"][0]
         assert layer["residual_mca_count"] == 16
         assert abs(np.mean(layer["residual_utils"]) - 0.3) < 0.05
@@ -90,7 +88,7 @@ class TestMapToMcas:
         bits[:4, :4] = 1
         owner = np.full(bits.shape, -1)
         owner[:4, :4] = 0
-        cs = ClusterSet((Cluster(tuple(range(4)), tuple(range(4))),), ConnectivityMatrix(bits), owner)
+        cs = ClusterSet(ConnectivityMatrix(bits), owner)
         tech = TechConfig(crossbar_rows=4, crossbar_cols=4)
         report = map_to_mcas([cs], tech)
         mapped = sum(report.layers[0].cluster_active) + sum(report.layers[0].residual_active)
@@ -106,7 +104,7 @@ class TestMcaEnergy:
     def test_zero_mcas(self):
         tech = TechConfig()
         report = map_to_mcas(
-            [ClusterSet((), ConnectivityMatrix(np.zeros((4, 4), dtype=np.uint8)))], tech
+            [ClusterSet(ConnectivityMatrix(np.zeros((4, 4), dtype=np.uint8)))], tech
         )
         energy = mca_energy(report, tech)
         assert energy.total == 0.0
@@ -125,7 +123,7 @@ class TestMcaEnergy:
         bits = np.zeros((8, 8), dtype=np.uint8)
         bits[:4, :4] = ten.reshape(4, 4)
         bits[4:8, 4:8] = ten.reshape(4, 4)
-        report = map_to_mcas([ClusterSet((), ConnectivityMatrix(bits))], tech)
+        report = map_to_mcas([ClusterSet(ConnectivityMatrix(bits))], tech)
         assert report.num_mca == 2
         assert report.layers[0].residual_active == [10, 10]
         energy = mca_energy(report, tech)
@@ -139,7 +137,7 @@ class TestMcaEnergy:
         bits_small = (rng.random((8, 8)) < 0.6).astype(np.uint8)
         bits_big = (rng.random((16, 16)) < 0.6).astype(np.uint8)
         reports = [
-            map_to_mcas([ClusterSet((), ConnectivityMatrix(b))], tech)
+            map_to_mcas([ClusterSet(ConnectivityMatrix(b))], tech)
             for b in (bits_small, bits_big)
         ]
         energies = [mca_energy(r, tech) for r in reports]
@@ -151,7 +149,7 @@ class TestMcaEnergy:
     def test_evals_scale(self):
         tech = TechConfig(crossbar_rows=4, crossbar_cols=4)
         bits = np.ones((4, 4), dtype=np.uint8)
-        report = map_to_mcas([ClusterSet((), ConnectivityMatrix(bits))], tech)
+        report = map_to_mcas([ClusterSet(ConnectivityMatrix(bits))], tech)
         one = mca_energy(report, tech, [1])
         three = mca_energy(report, tech, [3])
         assert three.total == pytest.approx(3 * one.total)
@@ -233,5 +231,5 @@ class TestDocuments:
                                "leakage_j": base.leakage, "sync_j": base.sync, "total_j": base.total}
 
     def test_auto_storage_without_clusters_is_dense(self):
-        report = map_to_mcas([ClusterSet((), ConnectivityMatrix(np.ones((4, 4), dtype=np.uint8)))], TechConfig())
+        report = map_to_mcas([ClusterSet(ConnectivityMatrix(np.ones((4, 4), dtype=np.uint8)))], TechConfig())
         assert energy_document(report, TechConfig(), CmosConfig())["storage_model"] == "dense"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from xbarnet.connectivity import Cluster, ConnectivityMatrix, audit_cluster_set
+from xbarnet.connectivity import ConnectivityMatrix, audit_cluster_set
 from xbarnet.sizecluster import SizeClusterConfig, size_constrained_cluster, split_oversized
 
 
@@ -18,8 +18,8 @@ def block_diagonal(blocks, block_shape):
 def check_contract(cs, original, cfg):
     """Threshold soundness, crossbar fit, and exact disjointness/coverage."""
     audit_cluster_set(cs, original)
-    for cluster, n_cells in zip(cs.clusters, cs.cell_counts()):
-        assert cluster.fits(cfg.crossbar_rows, cfg.crossbar_cols)
+    for (rows, cols), n_cells in zip(cs.footprints(), cs.cell_counts()):
+        assert len(rows) <= cfg.crossbar_rows and len(cols) <= cfg.crossbar_cols
         util = n_cells / cfg.crossbar_area
         assert util >= cfg.min_util_factor
 
@@ -30,21 +30,14 @@ class TestSplitOversized:
         # block yields full-utilization crossbar-sized pieces
         c = ConnectivityMatrix(np.ones((8, 8), dtype=np.uint8))
         cfg = SizeClusterConfig(crossbar_rows=4, crossbar_cols=4)
-        parent = Cluster(tuple(range(8)), tuple(range(8)))
-        children = split_oversized(parent, c, cfg)
+        children = split_oversized(c.bits, np.arange(8), np.arange(8), cfg)
         assert len(children) == 4
         claimed = np.zeros((8, 8), dtype=int)
-        for child in children:
-            assert child.fits(4, 4)
-            assert c.bits[np.ix_(child.row_ids, child.col_ids)].sum() == 16  # a full 4x4 crossbar
-            claimed[np.ix_(child.row_ids, child.col_ids)] += 1
+        for rows, cols in children:
+            assert len(rows) <= 4 and len(cols) <= 4
+            assert c.bits[np.ix_(rows, cols)].sum() == 16  # a full 4x4 crossbar
+            claimed[np.ix_(rows, cols)] += 1
         assert (claimed == 1).all()  # footprints partition the parent
-
-    def test_fitting_cluster_rejected(self):
-        c = ConnectivityMatrix(np.ones((4, 4), dtype=np.uint8))
-        cfg = SizeClusterConfig(crossbar_rows=4, crossbar_cols=4)
-        with pytest.raises(ValueError, match="already fits"):
-            split_oversized(Cluster((0, 1), (0, 1)), c, cfg)
 
     def test_tall_cluster_children_dimensions(self):
         rng = np.random.default_rng(2)
@@ -52,11 +45,10 @@ class TestSplitOversized:
         bits[0, 0] = 1
         c = ConnectivityMatrix(bits)
         cfg = SizeClusterConfig(crossbar_rows=4, crossbar_cols=4)
-        parent = Cluster(tuple(range(5)), tuple(range(3)))
-        children = split_oversized(parent, c, cfg)
-        for child in children:
-            assert child.n_rows <= 5 and child.n_cols <= 3
-        union_rows = set(i for ch in children for i in ch.row_ids)
+        children = split_oversized(c.bits, np.arange(5), np.arange(3), cfg)
+        for rows, cols in children:
+            assert len(rows) <= 4 and len(cols) <= 3
+        union_rows = set(i for rows, _ in children for i in rows.tolist())
         assert union_rows <= set(range(5))
 
 
@@ -69,7 +61,7 @@ class TestSizeConstrainedCluster:
         assert cs.cell_counts().tolist() == [16, 16]
         assert cs.residual.nnz == 0
         check_contract(cs, c, cfg)
-        groups = {(cl.row_ids, cl.col_ids) for cl in cs.clusters}
+        groups = {(tuple(rows.tolist()), tuple(cols.tolist())) for rows, cols in cs.footprints()}
         assert groups == {
             ((0, 1, 2, 3), (0, 1, 2, 3)),
             ((4, 5, 6, 7), (4, 5, 6, 7)),
@@ -124,7 +116,6 @@ class TestSizeConstrainedCluster:
         cfg = SizeClusterConfig(crossbar_rows=4, crossbar_cols=4, min_util_factor=0.3)
         a = size_constrained_cluster(c, cfg, seed=9)
         b = size_constrained_cluster(c, cfg, seed=9)
-        assert a.clusters == b.clusters
         assert np.array_equal(a.residual.bits, b.residual.bits)
         assert np.array_equal(a.owner, b.owner)
 

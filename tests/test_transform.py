@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from xbarnet.connectivity import Cluster
 from xbarnet.datasets import PlantedSpec, gen_planted
 from xbarnet.mlp import TrainConfig, evaluate
 from xbarnet.sizecluster import SizeClusterConfig
@@ -39,15 +38,14 @@ def tiny_data(seed=0, n=200, dim=6, classes=3):
     return x, y
 
 
-def add_record(state, layer_id, rows, cols):
-    """Install a cluster over the currently-live synapses of the block."""
+def add_cluster(state, layer_id, rows, cols):
+    """Give a new cluster the currently-live synapses of the block; returns its index."""
     block = np.ix_(rows, cols)
     live = state.model.layers[layer_id].weights[block] != 0
     owner = state.owner[layer_id]
-    owner[block] = np.where(live, len(state.records[layer_id]), owner[block])
-    cluster = Cluster(tuple(rows), tuple(cols))
-    state.records[layer_id].append(cluster)
-    return cluster
+    index = int(owner.max()) + 1
+    owner[block] = np.where(live, index, owner[block])
+    return index
 
 
 class TestBranchLogic:
@@ -55,14 +53,14 @@ class TestBranchLogic:
         x, y = tiny_data()
         cfg = small_config()
         state = TransformState.fresh([6, 8, 3], seed=0)
-        # cover every live synapse of every layer with synthetic records
+        # cover every live synapse of every layer with synthetic clusters
         for layer_id, layer in enumerate(state.model.layers):
             m, n = layer.weights.shape
             for r0 in range(0, m, 4):
                 for c0 in range(0, n, 4):
                     rows = list(range(r0, min(r0 + 4, m)))
                     cols = list(range(c0, min(c0 + 4, n)))
-                    add_record(state, layer_id, rows, cols)
+                    add_cluster(state, layer_id, rows, cols)
         assert unclustered_fraction(state) == 0.0
         n_before = state.n_clusters()
         record = transform_epoch(state, x, y, cfg)
@@ -106,18 +104,18 @@ class TestClusterScore:
         w[:4, :4] = 0.5
         w[4:8, 4:8] = 0.5
         w[4 + b_live_rows : 8, 4:8] = 0.0
-        rec_a = add_record(state, 0, range(4), range(4))
-        rec_b = add_record(state, 0, range(4, 8), range(4, 8))
-        return state, rec_a, rec_b
+        add_cluster(state, 0, range(4), range(4))
+        add_cluster(state, 0, range(4, 8), range(4, 8))
+        return state
 
     def test_alpha_one_is_utilization(self):
-        state, _, _ = self.build_state(b_live_rows=3)
+        state = self.build_state(b_live_rows=3)
         cfg = small_config(cluster_prune_alpha=1.0)
         assert cluster_score(state, cfg, 0, 0) == 1.0
         assert cluster_score(state, cfg, 0, 1) == 12 / 16  # owned cells over the 4x4 crossbar
 
     def test_alpha_zero_best_cluster_scores_one(self):
-        state, rec_a, rec_b = self.build_state()
+        state = self.build_state()
         w = state.model.layers[0].weights
         w[state.owner[0] == 0] = 2.0  # cluster a holds the layer's largest weights
         cfg = small_config(cluster_prune_alpha=0.0)
@@ -125,7 +123,7 @@ class TestClusterScore:
         assert cluster_score(state, cfg, 0, 1) < 1.0
 
     def test_equal_magnitude_difference_is_alpha_scaled(self):
-        state, _, _ = self.build_state(b_live_rows=2)
+        state = self.build_state(b_live_rows=2)
         cfg = small_config(cluster_prune_alpha=0.5)
         sa = cluster_score(state, cfg, 0, 0)
         sb = cluster_score(state, cfg, 0, 1)
@@ -138,16 +136,16 @@ class TestClusterScore:
         state = run(small_config(max_epochs=3), [6, 8, 3], x, y, x, y).state
         assert state.n_clusters() > 1
         cfg = small_config(cluster_prune_alpha=0.3)
-        for layer_id, records in enumerate(state.records):
+        for layer_id, owner in enumerate(state.owner):
             absw = np.abs(state.model.layers[layer_id].weights)
-            cells = [np.nonzero(state.owner[layer_id] == k) for k in range(len(records))]
+            cells = [np.nonzero(owner == k) for k in range(owner.max() + 1)]
             means = [absw[c].mean() for c in cells]
             for k, c in enumerate(cells):
                 want = 0.3 * (len(c[0]) / cfg.scic.crossbar_area) + 0.7 * (means[k] / max(means))
                 assert cluster_score(state, cfg, layer_id, k) == want
 
     def test_empty_cluster_errors(self):
-        state, _, _ = self.build_state()
+        state = self.build_state()
         state.owner[0][state.owner[0] == 0] = -1
         cfg = small_config()
         with pytest.raises(ValueError, match="covers no synapses"):
@@ -158,7 +156,7 @@ class TestClusterPrune:
     def test_single_cluster_removed_and_zeroed(self):
         state = TransformState.fresh([8, 8, 3], seed=2)
         state.model.layers[0].weights[:4, :4] = 0.7
-        add_record(state, 0, range(4), range(4))
+        add_cluster(state, 0, range(4), range(4))
         cfg = small_config()
         removed = cluster_prune(state, cfg)
         assert removed == 1
@@ -172,11 +170,11 @@ class TestClusterPrune:
         w[:4, :4] = 0.5
         w[1:4, :4] = 0.0  # the first cluster owns 4 cells, the second 16
         w[4:8, 4:8] = 0.5
-        add_record(state, 0, range(4), range(4))
-        rec_high = add_record(state, 0, range(4, 8), range(4, 8))
+        add_cluster(state, 0, range(4), range(4))
+        add_cluster(state, 0, range(4, 8), range(4, 8))
         cfg = small_config(cluster_prune_alpha=1.0)
         cluster_prune(state, cfg)
-        assert state.records[0] == [rec_high]
+        assert state.n_clusters() == 1
         assert (state.owner[0][4:8, 4:8] == 0).all()  # the survivor moved down to index 0
         assert (state.owner[0][:4, :4] == -1).all()
 
@@ -184,7 +182,7 @@ class TestClusterPrune:
         x, y = tiny_data()
         cfg = small_config(train=TrainConfig(learning_rate=0.05, batch_size=16, seed=0, prune_quality=0.0))
         state = TransformState.fresh([6, 8, 3], seed=0)
-        add_record(state, 0, range(4), range(4))
+        add_cluster(state, 0, range(4), range(4))
         assert state.model.n_live() == 72
         cluster_prune(state, cfg)
         assert state.model.n_live() == 56
