@@ -2,7 +2,8 @@
 
 A connectivity matrix is a dense (0,1) matrix recording which synapses exist
 between two neuron layers: entry (i, j) = 1 iff input neuron i feeds output
-neuron j. A layer's training mask is one too, shaped like the weights it gates.
+neuron j. A layer's live synapses, the non-zero entries of its weights, form
+one (see :func:`from_weights`).
 A cluster is a group of synapses that maps onto one crossbar. A ClusterSet
 records which cluster owns each synapse in one int32 owner matrix per layer,
 and that matrix is the only record of the clusters: a cluster's footprint,
@@ -13,6 +14,7 @@ All types are immutable after construction; operations return new values.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,7 +47,7 @@ def _as_bits(values) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 2 or arr.size == 0:
         raise ShapeError(f"degenerate shape {arr.shape}; need a non-empty 2-d matrix")
-    if not np.isin(arr, (0, 1)).all():
+    if not ((arr == 0) | (arr == 1)).all():
         raise ValueError("entries must be exactly 0 or 1")
     bits = arr.astype(np.uint8)
     bits.flags.writeable = False
@@ -255,14 +257,9 @@ def cluster_sets_from_json(
             rows, cols = _json_ints(rec["rows"], "rows"), _json_ints(rec["cols"], "cols")
             if len(rows) > crossbar[0] or len(cols) > crossbar[1]:
                 raise ValueError("cluster %dx%d exceeds crossbar %dx%d" % (len(rows), len(cols), *crossbar))
-            covered = np.asarray(rec["covered"])
-            if covered.shape == (0,):
-                covered = np.empty((0, 2), dtype=np.int64)
-            elif covered.dtype.kind not in "iu" or covered.ndim != 2 or covered.shape[1] != 2:
-                raise TypeError(f"covered must be a list of [row, col] integer pairs, got {rec['covered']!r:.40}")
-            cells[layer].append(covered.astype(np.int64, copy=False))
+            cells[layer].append(_json_cells(rec["covered"]))
             named[layer].append((sorted(rows), sorted(cols)))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ClusterFormatError(f"record {n}: {type(exc).__name__}: {exc}") from None
     sets = []
     for layer, (source, layer_cells) in enumerate(zip(sources, cells)):
@@ -289,6 +286,19 @@ def _json_ints(value, name: str) -> list[int]:
     if type(value) is not list or not all(type(v) is int for v in value):
         raise TypeError(f"{name} must be a list of integers, got {value!r:.40}")
     return value
+
+
+def _json_cells(value) -> np.ndarray:
+    """``value`` as an (n, 2) int64 array if it is a list of [row, col] pairs of JSON integers, else TypeError.
+
+    Each entry's type is checked before conversion, so a bool beside an
+    integer is rejected rather than promoted to 0 or 1.
+    """
+    pairs = type(value) is list and set(map(type, value)) <= {list} and set(map(len, value)) <= {2}
+    flat = list(itertools.chain.from_iterable(value)) if pairs else []
+    if not pairs or not set(map(type, flat)) <= {int}:
+        raise TypeError(f"covered must be a list of [row, col] integer pairs, got {value!r:.40}")
+    return np.array(flat, dtype=np.int64).reshape(-1, 2)
 
 
 def _placement_problem(bits: np.ndarray, ii, jj, kk, n_clusters: int) -> str | None:

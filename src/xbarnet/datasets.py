@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import mlp
-from .connectivity import ConnectivityMatrix, InputFormatError
+from .connectivity import InputFormatError
 from .util import STREAM_DATA, rng_for
 
 IDX_IMAGES_MAGIC = 2051
@@ -280,10 +280,7 @@ def gen_planted(spec: PlantedSpec, seed: int) -> tuple[Dataset, mlp.MlpModel, di
     w2 = rng.normal(0, 1.0 / np.sqrt(spec.hidden), size=(spec.hidden, spec.n_classes))
 
     teacher = mlp.MlpModel(
-        [
-            mlp.Layer(w, b, ConnectivityMatrix(np.ones_like(w, dtype=np.uint8)))
-            for w, b in ((w1, np.zeros(spec.hidden)), (w2, rng.normal(0, 0.01, size=spec.n_classes)))
-        ]
+        [mlp.Layer(w1, np.zeros(spec.hidden)), mlp.Layer(w2, rng.normal(0, 0.01, size=spec.n_classes))]
     )
 
     def batch(n: int):

@@ -1,10 +1,11 @@
-"""Minimal MLP training core: forward, backward, masked SGD, pruning.
+"""Minimal MLP training core: forward, backward, SGD on live weights, pruning.
 
-Layers are dense (fan_in x fan_out) float64 matrices with a per-layer (0,1)
-mask; hidden layers use the rectifier, the output layer a softmax over
-classes. Updates apply only where the mask is 1, so masked synapses stay at
-exactly zero, and weight support never grows during training: pruning and
-cluster removal are the only operations that change which synapses exist.
+Layers are dense (fan_in x fan_out) float64 matrices; hidden layers use the
+rectifier, the output layer a softmax over classes. A synapse exists exactly
+when its weight is non-zero: the live weights are the only prune record.
+Updates apply only to non-zero weights, so a zeroed synapse stays at exactly
+zero, and weight support never grows during training: pruning and cluster
+removal are the only operations that change which synapses exist.
 """
 
 from __future__ import annotations
@@ -24,20 +25,17 @@ from .util import STREAM_INIT, STREAM_SHUFFLE, rng_for
 class Layer:
     weights: np.ndarray
     bias: np.ndarray
-    mask: ConnectivityMatrix
 
     def __post_init__(self):
-        if self.weights.shape != self.mask.bits.shape:
-            raise ShapeError(
-                f"mask {self.mask.bits.shape} does not match weights {self.weights.shape}"
-            )
+        if self.weights.ndim != 2 or self.weights.size == 0:
+            raise ShapeError(f"degenerate weights shape {self.weights.shape}; need a non-empty 2-d matrix")
         if self.bias.shape != (self.weights.shape[1],):
             raise ShapeError("bias length must equal the layer fan-out")
 
 
 @dataclass
 class MlpModel:
-    """Stack of masked dense layers; rectifier hidden units, softmax output."""
+    """Stack of dense layers; rectifier hidden units, softmax output."""
 
     layers: list[Layer]
 
@@ -74,7 +72,7 @@ class TrainConfig:
 
 
 def init_model(topology: list[int], seed: int) -> MlpModel:
-    """Seeded uniform init in +-sqrt(6 / (fan_in + fan_out)), all-ones masks."""
+    """Seeded uniform init in +-sqrt(6 / (fan_in + fan_out)), zero biases."""
     if len(topology) < 2 or min(topology) < 1:
         raise ValueError(f"topology needs >=2 positive widths, got {topology}")
     rng = rng_for(seed, STREAM_INIT)
@@ -82,13 +80,7 @@ def init_model(topology: list[int], seed: int) -> MlpModel:
     for fan_in, fan_out in zip(topology[:-1], topology[1:]):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-        layers.append(
-            Layer(
-                weights=w,
-                bias=np.zeros(fan_out),
-                mask=ConnectivityMatrix(np.ones((fan_in, fan_out), dtype=np.uint8)),
-            )
-        )
+        layers.append(Layer(weights=w, bias=np.zeros(fan_out)))
     return MlpModel(layers)
 
 
@@ -124,10 +116,10 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
 def backward_step(
     model: MlpModel, batch: np.ndarray, labels: np.ndarray, lr: float
 ) -> tuple[MlpModel, float]:
-    """One masked SGD step on the cross-entropy loss; returns (model, mean loss).
+    """One SGD step on the cross-entropy loss; returns (model, mean loss).
 
-    Gradients flow everywhere but the update touches only mask=1 entries, so
-    masked weights remain exactly zero. The model is updated in place and
+    Gradients flow everywhere but the update touches only non-zero weights,
+    so zeroed synapses remain exactly zero. The model is updated in place and
     returned.
     """
     labels = np.asarray(labels, dtype=np.int64)
@@ -143,7 +135,7 @@ def backward_step(
         grad_b = delta.sum(axis=0)
         if depth > 0:
             delta = (delta @ layer.weights.T) * (activations[depth] > 0)
-        layer.weights -= lr * grad_w * layer.mask.bits
+        layer.weights -= lr * grad_w * (layer.weights != 0)
         layer.bias -= lr * grad_b
     return model, loss
 
@@ -199,7 +191,7 @@ def magnitude_prune(model: MlpModel, prune_quality: float) -> list[ConnectivityM
     return maps
 
 
-_CHECKPOINT_FORMAT = "xbarnet-checkpoint-v1"
+_CHECKPOINT_FORMAT = "xbarnet-checkpoint-v2"
 
 
 class CheckpointFormatError(InputFormatError):
@@ -207,16 +199,19 @@ class CheckpointFormatError(InputFormatError):
 
 
 def save_checkpoint(path, model: MlpModel, seed: int, config: dict | None = None) -> None:
-    """Write <path>.json manifest + <path>.bin length-prefixed float64 blocks."""
+    """Write <path>.json manifest + <path>.bin length-prefixed float64 blocks.
+
+    Each layer has two blocks, weights then bias; a zero weight is a pruned
+    synapse.
+    """
     path = Path(path)
     blocks = []
     names = []
     for i, layer in enumerate(model.layers):
-        blocks += [layer.weights, layer.bias, layer.mask.bits.astype(np.float64)]
+        blocks += [layer.weights, layer.bias]
         names += [
             {"name": f"layer{i}.weights", "shape": list(layer.weights.shape)},
             {"name": f"layer{i}.bias", "shape": list(layer.bias.shape)},
-            {"name": f"layer{i}.mask", "shape": list(layer.mask.bits.shape)},
         ]
     manifest = {
         "format": _CHECKPOINT_FORMAT,
@@ -234,7 +229,11 @@ def save_checkpoint(path, model: MlpModel, seed: int, config: dict | None = None
 
 
 def load_checkpoint(path) -> tuple[MlpModel, dict]:
-    """Read a checkpoint pair; returns (model, manifest)."""
+    """Read a checkpoint pair; returns (model, manifest).
+
+    Only the current format is read: a file of any other format, the v1
+    layout with its third per-layer mask block included, is rejected.
+    """
     path = Path(path)
     try:
         manifest = json.loads(path.with_suffix(".json").read_text())
@@ -253,10 +252,7 @@ def load_checkpoint(path) -> tuple[MlpModel, dict]:
                         f"truncated block {spec['name']}: expected {length} bytes, got {len(data)}"
                     )
                 blocks.append(np.frombuffer(data, dtype="<f8").reshape(spec["shape"]).copy())
-        layers = [
-            Layer(weights=w, bias=b, mask=ConnectivityMatrix(m.astype(np.uint8)))
-            for w, b, m in zip(blocks[0::3], blocks[1::3], blocks[2::3], strict=True)
-        ]
+        layers = [Layer(weights=w, bias=b) for w, b in zip(blocks[0::2], blocks[1::2], strict=True)]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointFormatError(f"checkpoint {path}: {exc}") from None
     return MlpModel(layers), manifest

@@ -181,10 +181,10 @@ def size_constrained_cluster(
         active_cols = np.flatnonzero(residual.any(axis=0))
         accepted_this_round = 0
 
-        if len(active_rows) <= cfg.crossbar_rows and len(active_cols) <= cfg.crossbar_cols:
-            accepted_this_round += int(try_accept(active_rows, active_cols))
-        elif nnz_before == len(active_rows) * len(active_cols):
-            # a complete block has no cut structure to find: split it in order
+        fits = len(active_rows) <= cfg.crossbar_rows and len(active_cols) <= cfg.crossbar_cols
+        if fits or nnz_before == len(active_rows) * len(active_cols):
+            # a residual that fits one crossbar is one candidate; a complete
+            # block has no cut structure to find, so it is split in order
             accepted_this_round += handle(active_rows, active_cols)
         else:
             # structure stage: spectral groups over the residual graph

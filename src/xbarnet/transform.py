@@ -3,11 +3,12 @@
 Each epoch trains the network once, then (while enough synapses remain
 unclustered and the epoch improved the training loss) computes a fresh
 magnitude prune map, runs size-constrained clustering on the
-still-unclustered synapses, and sets each layer's mask to the map OR the
-owned cells, zeroing every weight outside it. The layer mask is the only
-record of which synapses may live: an epoch without a prune only adds the
-owned cells to it, and cluster pruning clears the cells it cuts. Clustered
-synapses are thus shielded from magnitude pruning. Cluster membership lives
+still-unclustered synapses, and zeroes every weight outside the map OR the
+owned cells. A synapse lives exactly when its weight is non-zero, and the
+live weights are the only record of which synapses may live: training
+never revives a zero weight, an epoch without a prune zeroes nothing, and
+cluster pruning zeroes the cells it cuts. Clustered synapses are thus
+shielded from magnitude pruning. Cluster membership lives
 in one int32 owner matrix per layer, the only record of its clusters: -1 for
 an unclustered cell, otherwise the index of its cluster, numbered from 0
 without gaps. A cluster's utilization is its owned-cell count over the
@@ -64,7 +65,7 @@ class TransformConfig:
 
 @dataclass
 class TransformState:
-    """Model (its layer masks say which synapses may live), and per layer the owner matrix.
+    """Model (its non-zero weights are the live synapses), and per layer the owner matrix.
 
     ``owner[layer][i, j]`` is -1 or the index of the cluster covering synapse
     (i, j); a layer's clusters are numbered 0..owner.max() without gaps.
@@ -141,8 +142,8 @@ def cluster_prune(state: TransformState, cfg: TransformConfig) -> int:
     """Remove the lowest-scoring clusters globally; returns how many were cut.
 
     Every layer is scored once per event. The removed clusters' synapses are
-    zeroed and cleared from the layer mask and the owner matrix, so the
-    following epochs can neither train nor revive them; ties break by
+    zeroed and cleared from the owner matrix, so the following epochs can
+    neither train nor revive them; ties break by
     (layer, index). No-op on an empty cluster set.
     """
     scored = [
@@ -156,22 +157,18 @@ def cluster_prune(state: TransformState, cfg: TransformConfig) -> int:
         owner, layer = state.owner[layer_id], state.model.layers[layer_id]
         cells = owner == index
         layer.weights[cells] = 0.0
-        layer.mask = ConnectivityMatrix(layer.mask.bits & ~cells)
         owner[cells] = -1
         owner[owner > index] -= 1
     return len(chosen)
 
 
-def _refresh_masks(state: TransformState, maps: list[ConnectivityMatrix] | None) -> int:
-    """mask <- fresh prune map (else the mask) OR owned cells; zero weights outside; count them."""
-    if maps is None:
-        maps = [layer.mask for layer in state.model.layers]
+def _apply_prune_maps(state: TransformState, maps: list[ConnectivityMatrix]) -> int:
+    """Zero the live weights outside each layer's prune map OR owned cells; count them."""
     zeroed = 0
     for layer, pmap, owner in zip(state.model.layers, maps, state.owner):
-        union = pmap.bits | (owner >= 0)
-        zeroed += int(((layer.weights != 0) & (union == 0)).sum())
-        layer.mask = ConnectivityMatrix(union)
-        layer.weights *= union
+        keep = pmap.bits | (owner >= 0)
+        zeroed += int(((layer.weights != 0) & (keep == 0)).sum())
+        layer.weights *= keep
     return zeroed
 
 
@@ -211,7 +208,8 @@ def transform_epoch(
                 owned = cs.owner >= 0
                 owner[owned] = cs.owner[owned] + owner.max() + 1
 
-    n_zeroed = _refresh_masks(state, maps)
+    # owned cells are live already, so an epoch without a prune zeroes nothing
+    n_zeroed = 0 if maps is None else _apply_prune_maps(state, maps)
     state.training_error_previous = loss
     state.epoch = epoch
     return {
@@ -284,17 +282,13 @@ def offline_cluster(model: MlpModel, scic_cfg: SizeClusterConfig, seed: int) -> 
 
 
 def audit_state(state: TransformState) -> None:
-    """Exact consistency checks between the layer masks, weights and owner matrices.
+    """Exact consistency check between the live weights and the owner matrices.
 
-    Owned cells must lie inside the layer mask, weights outside the mask must
-    be zero, and each layer's cluster set must pass :func:`audit_cluster_set`
-    against the live synapses: owned cells are live. Building the cluster
-    sets checks that no cluster is empty.
+    Each layer's cluster set must pass :func:`audit_cluster_set` against the
+    live synapses: every owned cell has a non-zero weight. Building the
+    cluster sets checks that no cluster is empty.
     """
-    for layer_id, (layer, cs) in enumerate(zip(state.model.layers, final_cluster_sets(state))):
-        outside = layer.mask.bits == 0
-        assert not (cs.owner[outside] >= 0).any(), f"layer {layer_id}: owned cell outside mask"
-        assert not layer.weights[outside].any(), f"layer {layer_id}: live weight outside mask"
+    for cs in final_cluster_sets(state):
         audit_cluster_set(cs, cs.source)
 
 

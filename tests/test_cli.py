@@ -1,6 +1,7 @@
 """End-to-end CLI runs on a tiny planted config: artifact round trips and reruns."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -118,15 +119,32 @@ def damage_checkpoint(run, bad):
     return ["map", "--checkpoint", str(bad / "checkpoint"), "--clusters", str(run / "clusters.json")]
 
 
+def v1_checkpoint(run, bad):
+    """The same model in the v1 layout, which stored a float64 mask block after each layer's bias."""
+    model, manifest = load_checkpoint(run / "checkpoint")
+    blocks, names = [], []
+    for i, layer in enumerate(model.layers):
+        live = (layer.weights != 0).astype(np.float64)
+        blocks += [layer.weights, layer.bias, live]
+        names += [{"name": f"layer{i}.{part}", "shape": list(block.shape)}
+                  for part, block in (("weights", layer.weights), ("bias", layer.bias), ("mask", live))]
+    (bad / "checkpoint.json").write_text(json.dumps({**manifest, "format": "xbarnet-checkpoint-v1", "blocks": names}))
+    (bad / "checkpoint.bin").write_bytes(
+        b"".join(struct.pack("<Q", block.nbytes) + block.astype("<f8").tobytes() for block in blocks)
+    )
+    return ["map", "--checkpoint", str(bad / "checkpoint"), "--clusters", str(run / "clusters.json")]
+
+
 @pytest.mark.parametrize(
     "damage, message",
     [(damage_clusters, "cluster 9x1 exceeds crossbar 8x8"),
      (clusters_float_cell, "record 0: TypeError: covered must be a list of [row, col] integer pairs"),
      (damage_mapping, "KeyError: 'cluster_areas'"),
      (mapping_not_json, "JSONDecodeError"), (mapping_wrong_type, "cluster_active must be a list of non-negative integers, got 'x'"),
-     (damage_checkpoint, "truncated block layer1.mask")],
+     (damage_checkpoint, "truncated block layer1.bias"),
+     (v1_checkpoint, "unrecognized checkpoint format 'xbarnet-checkpoint-v1'")],
     ids=["oversized_cluster", "clusters_float_cell", "mapping_missing_key", "mapping_not_json", "mapping_wrong_type",
-         "truncated_checkpoint"],
+         "truncated_checkpoint", "v1_checkpoint"],
 )
 def test_damaged_input_files_exit_2(tmp_path, pruned_run, capsys, damage, message):
     args = damage(pruned_run / "run", tmp_path)

@@ -48,6 +48,24 @@ class TestFromWeights:
         assert np.array_equal(again.bits, c.bits)
 
 
+class TestBits:
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan], ids=["two", "minus_one", "half", "nan"])
+    def test_entries_other_than_0_or_1_rejected(self, bad):
+        values = np.zeros((3, 4))
+        values[1, 2] = bad
+        with pytest.raises(ValueError, match="exactly 0 or 1"):
+            ConnectivityMatrix(values)
+
+    @pytest.mark.parametrize(
+        "values",
+        [[[0, 1], [1, 0]], [[0.0, 1.0], [1.0, 0.0]], [[False, True], [True, False]]],
+        ids=["ints", "floats", "bools"],
+    )
+    def test_0_1_values_accepted(self, values):
+        c = ConnectivityMatrix(values)
+        assert c.bits.dtype == np.uint8 and c.bits.tolist() == [[0, 1], [1, 0]]
+
+
 class TestSparseFormat:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -183,6 +201,8 @@ class TestClusterTypes:
             ({"rows": [0], "cols": [0], "covered": [[0.7, 0.2]]},
              "record 1: TypeError: covered must be a list of \\[row, col\\] integer pairs"),
             ({"rows": [0], "cols": [0], "covered": [[False, False]]}, "record 1: TypeError: covered must be"),
+            ({"rows": [0], "cols": [1], "covered": [[0, True]]}, "record 1: TypeError: covered must be"),
+            ({"rows": [0], "cols": [0], "covered": [[2**70, 0]]}, "record 1: OverflowError"),
             ({"rows": [0], "cols": [0], "covered": [["0", "0"]]}, "record 1: TypeError: covered must be"),
             ({"rows": [0], "cols": [0], "covered": [[0, 0, 0]]}, "record 1: TypeError: covered must be"),
             ({"rows": ["0"], "cols": [0], "covered": [[0, 0]]},
@@ -195,8 +215,9 @@ class TestClusterTypes:
         ],
         ids=["negative_cell", "dead_synapse", "claimed_twice", "outside_footprint", "beyond_matrix",
              "cols_beyond_matrix", "empty", "repeated_cell", "unknown_layer", "no_covered",
-             "beyond_crossbar", "covered_float", "covered_bool", "covered_string", "covered_triple",
-             "rows_string", "cols_float", "rows_bool", "rows_not_list", "rows_repeated", "row_without_cell"],
+             "beyond_crossbar", "covered_float", "covered_bool", "covered_int_bool", "covered_huge_int",
+             "covered_string", "covered_triple", "rows_string", "cols_float", "rows_bool", "rows_not_list",
+             "rows_repeated", "row_without_cell"],
     )
     def test_json_malformed_record_rejected(self, record, message):
         """A second record is checked on a 2x2 crossbar against a 4x4 identity whose (1, 1) the first owns."""

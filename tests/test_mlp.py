@@ -1,11 +1,14 @@
 """Training-core tests: forward/backward oracles, pruning, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
-from xbarnet.connectivity import ConnectivityMatrix, ShapeError
+from xbarnet.connectivity import ShapeError
 from xbarnet.datasets import BlobSpec, gen_blobs
 from xbarnet.mlp import (
+    CheckpointFormatError,
     Layer,
     MlpModel,
     TrainConfig,
@@ -118,6 +121,11 @@ class TestForward:
         with pytest.raises(ShapeError):
             forward(model, np.zeros((2, 5)))
 
+    @pytest.mark.parametrize("shape", [(6,), (0, 2)], ids=["one_d", "empty"])
+    def test_degenerate_layer_rejected(self, shape):
+        with pytest.raises(ShapeError, match="degenerate weights shape"):
+            Layer(np.zeros(shape), np.zeros(2))
+
 
 class TestBackward:
     def test_zero_lr_leaves_model_unchanged(self):
@@ -126,21 +134,21 @@ class TestBackward:
         backward_step(model, np.ones((2, 4)), np.array([0, 1]), lr=0.0)
         assert np.array_equal(model.layers[0].weights, w0)
 
-    def test_masked_entries_stay_zero(self):
+    def test_zeroed_weights_stay_zero(self):
         rng = np.random.default_rng(4)
         model = init_model([6, 5, 3], seed=4)
+        kept = []
         for layer in model.layers:
-            bits = (rng.random(layer.weights.shape) < 0.6).astype(np.uint8)
-            layer.mask = ConnectivityMatrix(bits)
-            layer.weights *= bits
+            kept.append(rng.random(layer.weights.shape) < 0.6)
+            layer.weights *= kept[-1]
         x = rng.normal(size=(40, 6))
         y = rng.integers(0, 3, size=40)
         for _ in range(100):
             backward_step(model, x, y, lr=0.1)
-        for layer in model.layers:
-            assert not layer.weights[layer.mask.bits == 0].any()
-            # mask conservation: live weights survive masking untouched
-            assert np.array_equal(layer.weights * layer.mask.bits, layer.weights)
+        for layer, keep in zip(model.layers, kept):
+            assert not layer.weights[~keep].any()
+            # the kept weights still train and none lands on exactly zero
+            assert np.array_equal(layer.weights != 0, keep)
 
     def test_gradcheck_6_4_3(self):
         # finite-difference oracle, h=1e-5, rel err <= 1e-4 where |g| > 1e-8
@@ -246,16 +254,26 @@ class TestMagnitudePrune:
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         model = init_model([6, 5, 4], seed=11)
-        model.layers[0].mask = ConnectivityMatrix((model.layers[0].weights > 0).astype(np.uint8))
-        model.layers[0].weights *= model.layers[0].mask.bits
+        model.layers[0].weights *= model.layers[0].weights > 0
         save_checkpoint(tmp_path / "ck", model, seed=11, config={"note": "test"})
         back, manifest = load_checkpoint(tmp_path / "ck")
+        assert manifest["format"] == "xbarnet-checkpoint-v2"
         assert manifest["topology"] == [6, 5, 4]
         assert manifest["seed"] == 11
+        assert [b["name"] for b in manifest["blocks"]] == [
+            "layer0.weights", "layer0.bias", "layer1.weights", "layer1.bias"
+        ]
         for a, b in zip(model.layers, back.layers):
             assert np.array_equal(a.weights, b.weights)
             assert np.array_equal(a.bias, b.bias)
-            assert np.array_equal(a.mask.bits, b.mask.bits)
+
+    def test_one_d_weights_rejected(self, tmp_path):
+        save_checkpoint(tmp_path / "ck", init_model([3, 2], seed=0), seed=0)
+        manifest = json.loads((tmp_path / "ck.json").read_text())
+        manifest["blocks"][0]["shape"] = [6]
+        (tmp_path / "ck.json").write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointFormatError, match="degenerate"):
+            load_checkpoint(tmp_path / "ck")
 
     def test_truncated_rejected(self, tmp_path):
         model = init_model([3, 2], seed=0)

@@ -74,12 +74,13 @@ class TestBranchLogic:
         cfg = small_config()
         state = TransformState.fresh([6, 8, 3], seed=0)
         state.training_error_previous = -1.0  # any loss counts as worse
-        masks_before = [layer.mask.bits for layer in state.model.layers]
+        live_before = [layer.weights != 0 for layer in state.model.layers]
         owner_before = [o.copy() for o in state.owner]
         record = transform_epoch(state, x, y, cfg)
         assert not record["improved"]
-        for layer, before in zip(state.model.layers, masks_before):
-            assert np.array_equal(layer.mask.bits, before)
+        assert record["n_zeroed_unprotected"] == 0
+        for layer, before in zip(state.model.layers, live_before):
+            assert np.array_equal(layer.weights != 0, before)
         for a, b in zip(state.owner, owner_before):
             assert np.array_equal(a, b)
         assert state.n_clusters() == 0
