@@ -19,8 +19,8 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, load_config
-from .connectivity import InputFormatError, cluster_sets_from_json, cluster_sets_to_json, from_weights
-from .connectivity import load_sparse
+from .connectivity import ClusterFormatError, InputFormatError, cluster_sets_from_json, cluster_sets_to_json
+from .connectivity import from_weights, load_sparse
 from .experiment import compare, run_experiment, write_json
 from .hardware import MappingFormatError, MappingReport, energy_document, map_to_mcas
 from .mlp import load_checkpoint
@@ -87,7 +87,11 @@ def cmd_map(args) -> int:
     model, _ = load_checkpoint(args.checkpoint)
     live = [from_weights(layer.weights) for layer in model.layers]
     crossbar = (cfg.tech.crossbar_rows, cfg.tech.crossbar_cols)
-    sets = cluster_sets_from_json(Path(args.clusters).read_text(), live, crossbar)
+    try:
+        text = Path(args.clusters).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ClusterFormatError(f"{args.clusters}: not UTF-8 text ({exc})") from None
+    sets = cluster_sets_from_json(text, live, crossbar)
     report = map_to_mcas(sets, cfg.tech)
     out = Path(args.out or cfg.out_dir or "mapping.json")
     write_json(out, report.to_dict())
@@ -176,6 +180,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except FileNotFoundError as exc:
         print(f"missing input: {exc}", file=sys.stderr)
+        return 2
+    except IsADirectoryError as exc:
+        print(f"{exc.filename}: is a directory, not a file", file=sys.stderr)
         return 2
 
 

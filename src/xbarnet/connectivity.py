@@ -176,7 +176,10 @@ def save_sparse(path, matrix: ConnectivityMatrix) -> None:
 
 def load_sparse(path) -> ConnectivityMatrix:
     """Read the coordinate text format written by :func:`save_sparse`."""
-    raw = Path(path).read_text().splitlines()
+    try:
+        raw = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise SparseFormatError(f"{path}: not UTF-8 text ({exc})") from None
     lines = [(n + 1, s.strip()) for n, s in enumerate(raw) if s.strip()]
     if not lines:
         raise SparseFormatError("empty file", line=1)
@@ -213,25 +216,37 @@ def _int_fields(text: str, form: str, line_no: int) -> list[int]:
         raise SparseFormatError(f"expected integers '{form}', got {text!r}", line=line_no) from None
 
 
+_ITEM_SEP = ",\n   "  # between the items of a record's lists, as indent=1 lays them out
+_PAIR = "[\n    {},\n    {}\n   ]"  # one covered [row, col] cell inside ``covered``
+
+
 def cluster_sets_to_json(cluster_sets: list[ClusterSet]) -> str:
     """Serialize per-layer cluster sets as a JSON list of {layer, rows, cols, covered}.
 
     ``rows`` and ``cols`` are each cluster's footprint, derived from its owned
     cells; ``covered`` lists those cells in row-major order, so mapping
     reports can be rebuilt from the live weights alone.
+
+    The text is formatted directly and equals ``json.dumps(records,
+    indent=1)`` of those records byte for byte. The layout stays because
+    ``perfbench/checks.py`` and files already written parse it, and because
+    ``json.loads`` costs the same on any layout: building the objects is its
+    cost. Formatting skips the pure-Python encoder that ``json.dumps`` runs
+    when ``indent`` is set, which takes several times as long on the 5.8 MB
+    of a digits run. No list is ever empty (no cluster is), so every list
+    takes the multi-line form.
     """
     records = []
     for layer_id, cs in enumerate(cluster_sets):
         for (rows, cols), (ii, jj) in zip(cs.footprints(), cs.cells()):
+            rows = _ITEM_SEP.join(map(str, rows.tolist()))
+            cols = _ITEM_SEP.join(map(str, cols.tolist()))
+            covered = _ITEM_SEP.join(map(_PAIR.format, ii.tolist(), jj.tolist()))
             records.append(
-                {
-                    "layer": layer_id,
-                    "rows": rows.tolist(),
-                    "cols": cols.tolist(),
-                    "covered": [[i, j] for i, j in zip(ii.tolist(), jj.tolist())],
-                }
+                f' {{\n  "layer": {layer_id},\n  "rows": [\n   {rows}\n  ],\n  "cols": [\n   {cols}\n  ],\n'
+                f'  "covered": [\n   {covered}\n  ]\n }}'
             )
-    return json.dumps(records, indent=1)
+    return "[\n" + ",\n".join(records) + "\n]" if records else "[]"
 
 
 def cluster_sets_from_json(

@@ -93,6 +93,11 @@ def clusters_float_cell(run, bad):
     return ["map", "--checkpoint", str(run / "checkpoint"), "--clusters", str(bad / "clusters.json")]
 
 
+def clusters_not_utf8(run, bad):
+    (bad / "clusters.json").write_bytes(b"\xff\xfe" + (run / "clusters.json").read_bytes())
+    return ["map", "--checkpoint", str(run / "checkpoint"), "--clusters", str(bad / "clusters.json")]
+
+
 def damage_mapping(run, bad):
     mapping = json.loads((run / "mapping.json").read_text())
     del mapping["layers"][0]["cluster_areas"]
@@ -139,12 +144,13 @@ def v1_checkpoint(run, bad):
     "damage, message",
     [(damage_clusters, "cluster 9x1 exceeds crossbar 8x8"),
      (clusters_float_cell, "record 0: TypeError: covered must be a list of [row, col] integer pairs"),
+     (clusters_not_utf8, "clusters.json: not UTF-8 text"),
      (damage_mapping, "KeyError: 'cluster_areas'"),
      (mapping_not_json, "JSONDecodeError"), (mapping_wrong_type, "cluster_active must be a list of non-negative integers, got 'x'"),
      (damage_checkpoint, "truncated block layer1.bias"),
      (v1_checkpoint, "unrecognized checkpoint format 'xbarnet-checkpoint-v1'")],
-    ids=["oversized_cluster", "clusters_float_cell", "mapping_missing_key", "mapping_not_json", "mapping_wrong_type",
-         "truncated_checkpoint", "v1_checkpoint"],
+    ids=["oversized_cluster", "clusters_float_cell", "clusters_not_utf8", "mapping_missing_key", "mapping_not_json",
+         "mapping_wrong_type", "truncated_checkpoint", "v1_checkpoint"],
 )
 def test_damaged_input_files_exit_2(tmp_path, pruned_run, capsys, damage, message):
     args = damage(pruned_run / "run", tmp_path)
@@ -163,6 +169,28 @@ def test_report_on_mapping_of_other_depth_exits_2(tmp_path, pruned_run, capsys):
     assert "mapping has 1 layers, evals_per_inference 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["map", "--checkpoint", "{run}/checkpoint", "--clusters", "{dir}", "--out", "{out}"], "{dir}: is a directory"),
+     (["report", "--mapping", "{dir}", "--out", "{out}"], "{dir}: is a directory"),
+     (["cluster", "--checkpoint", "{run}/checkpoint", "--out", "{dir}"], "{dir}: is a directory"),
+     (["map", "--checkpoint", "{run}/checkpoint", "--clusters", "{run}/clusters.json", "--out", "{dir}"],
+      "{dir}: is a directory"),
+     (["report", "--mapping", "{run}/mapping.json", "--out", "{dir}"], "{dir}: is a directory"),
+     (["map", "--checkpoint", "{run}/checkpoint", "--clusters", "{dir}/none.json", "--out", "{out}"],
+      "missing input: [Errno 2] No such file or directory: '{dir}/none.json'")],
+    ids=["map_clusters_dir", "report_mapping_dir", "cluster_out_dir", "map_out_dir", "report_out_dir",
+         "map_clusters_missing"],
+)
+def test_unusable_paths_exit_2(tmp_path, pruned_run, capsys, argv, message):
+    """A directory where a file is read or written, or a missing input file, exits 2 naming the path."""
+    (tmp_path / "dir").mkdir()
+    names = {"run": pruned_run / "run", "dir": tmp_path / "dir", "out": tmp_path / "out.json"}
+    args = [arg.format(**names) for arg in argv]
+    assert cli.main(args + ["--config", str(pruned_run / "config.json")]) == 2
+    assert message.format(**names) in capsys.readouterr().err
+
+
 class TestClusterCommand:
     def test_matrix_file(self, tmp_path, config):
         bits = np.zeros((16, 16), dtype=np.uint8)
@@ -173,11 +201,17 @@ class TestClusterCommand:
         records = json.loads(out.read_text())
         assert sorted(len(r["covered"]) for r in records) == [64, 64]
 
-    def test_bad_matrix_file_exits_2(self, tmp_path, config, capsys):
-        (tmp_path / "m.txt").write_text("4 4 1\n0 x\n")
+    @pytest.mark.parametrize(
+        "content, message",
+        [(b"4 4 1\n0 x\n", "line 2: expected integers 'row col', got '0 x'"),
+         (b"\xff\xfe4 4 0\n", "m.txt: not UTF-8 text")],
+        ids=["not_integers", "not_utf8"],
+    )
+    def test_bad_matrix_file_exits_2(self, tmp_path, config, capsys, content, message):
+        (tmp_path / "m.txt").write_bytes(content)
         assert cli.main(["cluster", "--config", config, "--matrix", str(tmp_path / "m.txt"),
                          "--out", str(tmp_path / "c.json")]) == 2
-        assert "line 2: expected integers 'row col', got '0 x'" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_checkpoint(self, tmp_path, config):
         run = tmp_path / "run"

@@ -248,3 +248,44 @@ def test_clustering_round_trips_through_json_and_mapping(seed):
             assert owned[rows].any(axis=1).all() and owned[:, cols].any(axis=0).all()
     assert map_to_mcas(back, tech).to_dict() == map_to_mcas(sets, tech).to_dict()
     assert cluster_sets_to_json(back) == text
+
+
+def reference_cluster_json(cluster_sets):
+    """The records ``json.dumps(indent=1)`` wrote before ``cluster_sets_to_json`` formatted its text directly."""
+    records = []
+    for layer_id, cs in enumerate(cluster_sets):
+        for (rows, cols), (ii, jj) in zip(cs.footprints(), cs.cells()):
+            records.append(
+                {
+                    "layer": layer_id,
+                    "rows": rows.tolist(),
+                    "cols": cols.tolist(),
+                    "covered": [[i, j] for i, j in zip(ii.tolist(), jj.tolist())],
+                }
+            )
+    return json.dumps(records, indent=1)
+
+
+@pytest.mark.parametrize("crossbar", [(1, 1), (1, 5), (3, 2), (8, 8), None], ids=["1x1", "1x5", "3x2", "8x8", "random"])
+@pytest.mark.parametrize("seed", range(4))
+def test_cluster_json_matches_json_dumps_byte_for_byte(seed, crossbar):
+    """Three clustered layers around one without clusters write exactly the ``json.dumps(indent=1)`` text."""
+    rng = np.random.default_rng(seed)
+    rows, cols = crossbar or (int(v) for v in rng.integers(1, 9, size=2))
+    cfg = SizeClusterConfig(crossbar_rows=rows, crossbar_cols=cols, min_util_factor=0.2, max_rounds=10)
+    sources = [ConnectivityMatrix((rng.random(tuple(rng.integers(1, 40, size=2))) < rng.uniform(0.1, 0.8))
+                                  .astype(np.uint8)) for _ in range(4)]
+    sources[2] = ConnectivityMatrix(np.ones((5, 7), dtype=np.uint8))
+    sets = [size_constrained_cluster(c, cfg, seed=seed) for c in sources]
+    sets[2] = ClusterSet(sources[2])
+    assert sum(cs.n_clusters for cs in sets) > 0
+    text = cluster_sets_to_json(sets)
+    assert text == reference_cluster_json(sets)
+    if crossbar == (1, 1):
+        assert all(len(r["covered"]) == 1 for r in json.loads(text))
+
+
+def test_cluster_json_without_clusters_is_an_empty_list():
+    sets = [ClusterSet(ConnectivityMatrix(np.ones((3, 4), dtype=np.uint8))) for _ in range(2)]
+    assert cluster_sets_to_json(sets) == reference_cluster_json(sets) == "[]"
+    assert cluster_sets_to_json([]) == "[]"
