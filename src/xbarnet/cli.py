@@ -8,7 +8,7 @@ Subcommands:
   report     energy reports from a saved mapping report
   compare    run all four modes and emit the normalized summary CSV
 
-Every subcommand takes --config (JSON); --seed/--out/--mode override the file.
+Every subcommand takes --config (JSON); --seed/--out (and train's --mode) override the file.
 """
 
 from __future__ import annotations
@@ -28,13 +28,8 @@ from .sizecluster import size_constrained_cluster
 from .transform import offline_cluster
 
 
-def _load(args, forced_mode: str | None = None) -> "ExperimentConfig":
-    overrides = {"seed": args.seed, "out_dir": args.out}
-    if forced_mode is not None:
-        overrides["mode"] = forced_mode
-    elif getattr(args, "mode", None):
-        overrides["mode"] = args.mode
-    return load_config(args.config, overrides)
+def _load(args, mode: str | None = None) -> "ExperimentConfig":
+    return load_config(args.config, {"seed": args.seed, "out_dir": args.out, "mode": mode})
 
 
 def _out_dir(cfg, args, default: str) -> Path:
@@ -42,7 +37,7 @@ def _out_dir(cfg, args, default: str) -> Path:
 
 
 def cmd_train(args) -> int:
-    cfg = _load(args)
+    cfg = _load(args, args.mode)
     if cfg.mode not in ("original", "prune"):
         print(f"train runs modes original|prune; got {cfg.mode!r}", file=sys.stderr)
         return 2
@@ -53,7 +48,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    cfg = _load(args, forced_mode="transform")
+    cfg = _load(args, "transform")
     out = _out_dir(cfg, args, "run_transform")
     summary = run_experiment(cfg, out)
     print(
@@ -130,19 +125,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="xbarnet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, mode_flag=True):
+    def common(p):
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="output directory or file")
-        if mode_flag:
-            p.add_argument("--mode", default=None, help="override the config mode")
 
     p = sub.add_parser("train", help="plain or pruning-only training")
     common(p)
+    p.add_argument("--mode", default=None, help="override the config mode")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("transform", help="integrated prune+cluster training")
-    common(p, mode_flag=False)
+    common(p)
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("cluster", help="one-shot clustering of a model or matrix")
@@ -176,14 +170,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ConfigError, InputFormatError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
+        message = str(exc)
     except FileNotFoundError as exc:
-        print(f"missing input: {exc}", file=sys.stderr)
-        return 2
+        message = f"missing input: {exc}"
     except IsADirectoryError as exc:
-        print(f"{exc.filename}: is a directory, not a file", file=sys.stderr)
-        return 2
+        message = f"{exc.filename}: is a directory, not a file"
+    except (NotADirectoryError, FileExistsError) as exc:
+        message = f"{exc.filename}: a file stands where the path needs a directory"
+    print(message, file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

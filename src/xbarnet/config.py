@@ -1,8 +1,8 @@
 """Experiment configuration: JSON loading with exhaustive validation.
 
 A config file has flat sections (dataset, topology, mode, seed, train, scic,
-transform, tech, cmos); missing tech/cmos sections fall back to the shipped
-default profile. The crossbar size is set in tech only; clustering sizes its
+transform, tech, cmos); every field a section leaves out takes its dataclass
+default. The crossbar size is set in tech only; clustering sizes its
 clusters to it. Validation collects every problem before raising, so a bad
 file reports all its errors at once instead of one per run attempt.
 """
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
-from importlib import resources
 from pathlib import Path
 
 from .datasets import BlobSpec, DigitsSpec, MnistSpec, PlantedSpec
@@ -51,11 +50,6 @@ class ExperimentConfig:
     @property
     def scic(self) -> SizeClusterConfig:
         return self.transform.scic
-
-
-def default_profile() -> dict:
-    text = resources.files("xbarnet").joinpath("profiles/default_profile.json").read_text()
-    return json.loads(text)
 
 
 def _matches_type(value, expected: type) -> bool:
@@ -136,9 +130,8 @@ def build_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
         problems.append("out_dir: must be a string path")
         out_dir = None
 
-    profile = default_profile()
-    tech_kwargs = {**profile["tech"], **_check_fields(raw.get("tech", {}), "tech", TechConfig, problems)}
-    cmos_kwargs = {**profile["cmos"], **_check_fields(raw.get("cmos", {}), "cmos", CmosConfig, problems)}
+    tech_kwargs = _check_fields(raw.get("tech", {}), "tech", TechConfig, problems)
+    cmos_kwargs = _check_fields(raw.get("cmos", {}), "cmos", CmosConfig, problems)
     train_kwargs = _check_fields(raw.get("train", {}), "train", TrainConfig, problems, ("seed",))
     scic_kwargs = _check_fields(raw.get("scic", {}), "scic", SizeClusterConfig, problems, CROSSBAR)
     transform_kwargs = _check_fields(

@@ -15,7 +15,7 @@ import io
 import json
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig
+from .config import MODES, ConfigError, ExperimentConfig
 from .connectivity import cluster_sets_to_json
 from .datasets import (
     BlobSpec, Dataset, DigitsSpec, PlantedSpec, gen_blobs, gen_planted, load_mnist, write_surrogate_digits,
@@ -28,7 +28,6 @@ SUMMARY_COLUMNS = [
     "mode", "accuracy", "sparsity", "num_mca", "num_core",
     "mca_E", "periph_E", "total_E", "cmos_E",
 ]
-COMPARE_MODES = ["original", "prune", "offline_cluster", "transform"]
 NORMALIZED = ["num_mca", "total_E", "cmos_E"]
 
 
@@ -153,7 +152,7 @@ def compare(cfg: ExperimentConfig, out_dir, dataset: Dataset | None = None) -> l
     out.mkdir(parents=True, exist_ok=True)
     data = dataset if dataset is not None else build_dataset(cfg)
     rows = []
-    for mode in COMPARE_MODES:
+    for mode in MODES:
         mode_cfg = replace(cfg, mode=mode)
         rows.append(run_experiment(mode_cfg, out / mode, dataset=data))
     base = rows[0]

@@ -35,7 +35,10 @@ from .connectivity import ClusterSet, InputFormatError
 
 @dataclass(frozen=True)
 class TechConfig:
-    """Memristive technology and architecture constants (units in field names)."""
+    """Memristive technology and architecture constants (units in field names).
+
+    The energy defaults are representative placeholders, not measurements; override them where absolute numbers matter.
+    """
 
     crossbar_rows: int = 16
     crossbar_cols: int = 16
@@ -54,7 +57,10 @@ class TechConfig:
 
 @dataclass(frozen=True)
 class CmosConfig:
-    """Per-operation energy constants for the general-purpose baseline."""
+    """Per-operation energy constants for the general-purpose baseline.
+
+    The defaults are representative placeholders, not measurements; override them where absolute numbers matter.
+    """
 
     e_compute_j: float = 4.6e-12
     e_mem_access_j: float = 2.6e-11
@@ -174,46 +180,18 @@ def _counts(value, name: str, length: int | None = None) -> list[int]:
     return value
 
 
-@dataclass(frozen=True)
-class McaEnergyReport:
-    mca_component: float
-    peripheral_component: float
-
-    @property
-    def total(self) -> float:
-        return self.mca_component + self.peripheral_component
-
-
-@dataclass(frozen=True)
-class CmosEnergyReport:
-    compute: float
-    memory_access: float
-    leakage: float
-    sync: float
-
-    @property
-    def total(self) -> float:
-        return self.compute + self.memory_access + self.leakage + self.sync
-
-
 def _histogram(utils: list[float]) -> list[int]:
-    bins = [0] * 10
-    for u in utils:
-        bins[min(9, int(u * 10))] += 1
-    return bins
+    """Counts of utilizations in the ten bins [0, 0.1), ..., [0.9, 1]."""
+    return np.bincount(np.minimum((np.asarray(utils) * 10).astype(int), 9), minlength=10).tolist()
 
 
 def grid_tiles(bits: np.ndarray, rows: int, cols: int) -> list[int]:
-    """Active-synapse counts of non-empty tiles in the fixed grid tiling."""
+    """Active-synapse counts of non-empty tiles in the fixed grid tiling, in row-major tile order."""
     m, n = bits.shape
-    counts = []
-    for bi in range(math.ceil(m / rows)):
-        for bj in range(math.ceil(n / cols)):
-            tile = bits[bi * rows : (bi + 1) * rows, bj * cols : (bj + 1) * cols]
-            active = int(tile.sum())
-            if active:
-                counts.append(active)
-    return counts
+    bm, bn = math.ceil(m / rows), math.ceil(n / cols)
+    padded = np.pad(bits, ((0, bm * rows - m), (0, bn * cols - n)))
+    counts = padded.reshape(bm, rows, bn, cols).sum(axis=(1, 3)).ravel()
+    return counts[counts > 0].tolist()
 
 
 def core_count(num_mca: int, k: int) -> int:
@@ -259,7 +237,7 @@ def map_to_mcas(cluster_sets: list[ClusterSet], tech: TechConfig) -> MappingRepo
 
 def mca_energy(
     report: MappingReport, tech: TechConfig, evals_per_inference: list[int] | None = None
-) -> McaEnergyReport:
+) -> dict:
     """Per-inference energy: active cross-points plus a peripheral charge per array."""
     if evals_per_inference is None:
         evals_per_inference = [1] * len(report.layers)
@@ -272,12 +250,12 @@ def mca_energy(
         actives = layer.cluster_active + layer.residual_active
         array_e += evals * sum(actives) * tech.mca_energy_per_active_crosspoint_j
         periph_e += evals * len(actives) * tech.peripheral_energy_per_mca_eval_j
-    return McaEnergyReport(mca_component=array_e, peripheral_component=periph_e)
+    return {"mca_component_j": array_e, "peripheral_component_j": periph_e, "total_j": array_e + periph_e}
 
 
 def cmos_energy(
     n_live_synapses: int, n_stored_weights: int, cmos: CmosConfig, n_clusters: int = 0
-) -> CmosEnergyReport:
+) -> dict:
     """General-purpose baseline energy per inference.
 
     Unclustered nets store the full dense weight matrix (zeros are part of the
@@ -286,12 +264,12 @@ def cmos_energy(
     """
     if min(n_live_synapses, n_stored_weights, n_clusters) < 0:
         raise ValueError("counts must be non-negative")
-    return CmosEnergyReport(
-        compute=n_live_synapses * cmos.e_compute_j,
-        memory_access=n_live_synapses * cmos.e_mem_access_j,
-        leakage=n_stored_weights * cmos.bits_per_weight * cmos.p_leak_per_bit_j,
-        sync=n_clusters * cmos.sync_overhead_per_cluster_j,
-    )
+    compute = n_live_synapses * cmos.e_compute_j
+    memory_access = n_live_synapses * cmos.e_mem_access_j
+    leakage = n_stored_weights * cmos.bits_per_weight * cmos.p_leak_per_bit_j
+    sync = n_clusters * cmos.sync_overhead_per_cluster_j
+    return {"compute_j": compute, "memory_access_j": memory_access, "leakage_j": leakage, "sync_j": sync,
+            "total_j": compute + memory_access + leakage + sync}
 
 
 def energy_document(
@@ -312,9 +290,4 @@ def energy_document(
     stored = {"clustered": report.clustered_storage, "dense": report.dense_storage}[storage]()
     xbar = mca_energy(report, tech, evals_per_inference)
     base = cmos_energy(report.n_live(), stored, cmos, report.n_clusters())
-    return {**_joules(xbar), "storage_model": storage, "cmos": _joules(base)}
-
-
-def _joules(energy: McaEnergyReport | CmosEnergyReport) -> dict:
-    """Each component as ``<field>_j``, then ``total_j``."""
-    return {**{f"{name}_j": value for name, value in vars(energy).items()}, "total_j": energy.total}
+    return {**xbar, "storage_model": storage, "cmos": base}

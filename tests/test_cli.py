@@ -178,17 +178,38 @@ def test_report_on_mapping_of_other_depth_exits_2(tmp_path, pruned_run, capsys):
       "{dir}: is a directory"),
      (["report", "--mapping", "{run}/mapping.json", "--out", "{dir}"], "{dir}: is a directory"),
      (["map", "--checkpoint", "{run}/checkpoint", "--clusters", "{dir}/none.json", "--out", "{out}"],
-      "missing input: [Errno 2] No such file or directory: '{dir}/none.json'")],
+      "missing input: [Errno 2] No such file or directory: '{dir}/none.json'"),
+     (["map", "--checkpoint", "{run}/checkpoint", "--clusters", "{file}/x", "--out", "{out}"],
+      "{file}/x: a file stands where the path needs a directory"),
+     (["cluster", "--checkpoint", "{run}/checkpoint", "--out", "{file}/c.json"],
+      "{file}: a file stands where the path needs a directory"),
+     (["compare", "--out", "{file}/x"], "{file}/x: a file stands where the path needs a directory")],
     ids=["map_clusters_dir", "report_mapping_dir", "cluster_out_dir", "map_out_dir", "report_out_dir",
-         "map_clusters_missing"],
+         "map_clusters_missing", "map_clusters_under_file", "cluster_out_under_file", "compare_out_under_file"],
 )
 def test_unusable_paths_exit_2(tmp_path, pruned_run, capsys, argv, message):
-    """A directory where a file is read or written, or a missing input file, exits 2 naming the path."""
+    """A directory where a file is read or written, a file where a directory is needed,
+    or a missing input file, exits 2 naming the path."""
     (tmp_path / "dir").mkdir()
-    names = {"run": pruned_run / "run", "dir": tmp_path / "dir", "out": tmp_path / "out.json"}
+    (tmp_path / "file").write_text("")
+    names = {"run": pruned_run / "run", "dir": tmp_path / "dir", "file": tmp_path / "file",
+             "out": tmp_path / "out.json"}
     args = [arg.format(**names) for arg in argv]
     assert cli.main(args + ["--config", str(pruned_run / "config.json")]) == 2
     assert message.format(**names) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["cluster"], ["map", "--checkpoint", "c", "--clusters", "c.json"], ["report", "--mapping", "m.json"],
+     ["compare"]],
+    ids=["cluster", "map", "report", "compare"],
+)
+def test_mode_flag_is_only_on_train(config, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--config", config, "--mode", "prune"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --mode prune" in capsys.readouterr().err
 
 
 class TestClusterCommand:

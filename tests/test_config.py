@@ -122,6 +122,14 @@ def test_crossbar_size_comes_from_tech():
     assert (cfg.scic.crossbar_rows, cfg.scic.crossbar_cols) == (8, 4)
 
 
+@pytest.mark.parametrize("sections", [{}, {"tech": {}, "cmos": {}}], ids=["absent", "empty"])
+def test_tech_and_cmos_defaults(sections):
+    cfg = build_config(base_config(**sections))
+    # repr tells 16 from 16.0, so the field types are pinned along with the values
+    assert repr(cfg.tech) == repr(TechConfig(16, 16, 1e-12, 5e-10, 4))
+    assert repr(cfg.cmos) == repr(CmosConfig(4.6e-12, 2.6e-11, 1e-15, 4, 1e-11))
+
+
 class TestSurrogateDigitCounts:
     def test_reused_directory_with_other_counts_rejected(self, tmp_path):
         write_surrogate_digits(tmp_path / "digits", seed=0, n_train=30, n_test=10)
@@ -163,6 +171,16 @@ FUZZ_BASES = [
         "cmos": {"e_compute_j": 4.6e-12, "e_mem_access_j": 2.6e-11, "p_leak_per_bit_j": 1e-15,
                  "bits_per_weight": 4, "sync_overhead_per_cluster_j": 1e-11},
     },
+    {  # written into the run's temporary directory, next to the config
+        "dataset": {"kind": "surrogate_digits", "dir": "digits", "n_train": 24, "n_test": 8, "gen_seed": 1},
+        "topology": [784, 4, 10], "mode": "prune", "seed": 2,
+        "transform": {"max_epochs": 1}, "scic": {"max_rounds": 2},
+    },
+    {  # the files of the ``mnist_dir`` fixture, linked next to the config
+        "dataset": {"kind": "mnist", "dir": "mnist"},
+        "topology": [784, 4, 10], "mode": "original", "seed": 0,
+        "train": {"batch_size": 8}, "transform": {"max_epochs": 1}, "scic": {"max_rounds": 2},
+    },
 ]
 # small values only: every count, width, epoch and round count stays <= 64
 FUZZ_VALUES = st.one_of(
@@ -193,8 +211,15 @@ def mutated_configs(draw):
     return raw
 
 
-def run_mutated(command: str, raw: dict) -> int:
+@pytest.fixture(scope="module")
+def mnist_dir(tmp_path_factory):
+    """IDX digit files for the ``mnist`` fuzz base, written once."""
+    return write_surrogate_digits(tmp_path_factory.mktemp("mnist"), seed=0, n_train=24, n_test=8)
+
+
+def run_mutated(command: str, raw: dict, mnist_dir: Path) -> int:
     with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "mnist").symlink_to(mnist_dir, target_is_directory=True)
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(raw))
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -203,13 +228,13 @@ def run_mutated(command: str, raw: dict) -> int:
 
 @settings(max_examples=40, deadline=None)
 @given(raw=mutated_configs())
-def test_mutated_configs_exit_0_or_2(raw):
-    assert run_mutated("train", raw) in (0, 2)
+def test_mutated_configs_exit_0_or_2(raw, mnist_dir):
+    assert run_mutated("train", raw, mnist_dir) in (0, 2)
 
 
 # fewer examples: transform clusters, and compare runs all four arms
 @pytest.mark.parametrize("command", ["transform", "compare"])
 @settings(max_examples=30, deadline=None)
 @given(raw=mutated_configs())
-def test_mutated_configs_exit_0_or_2_on_clustering_runs(command, raw):
-    assert run_mutated(command, raw) in (0, 2)
+def test_mutated_configs_exit_0_or_2_on_clustering_runs(command, raw, mnist_dir):
+    assert run_mutated(command, raw, mnist_dir) in (0, 2)

@@ -107,7 +107,7 @@ class TestMcaEnergy:
             [ClusterSet(ConnectivityMatrix(np.zeros((4, 4), dtype=np.uint8)))], tech
         )
         energy = mca_energy(report, tech)
-        assert energy.total == 0.0
+        assert energy["total_j"] == 0.0
 
     def test_arithmetic_example(self):
         # 2 crossbars with 10 active cross-points each, e_xpt=1, e_periph=5,
@@ -127,9 +127,9 @@ class TestMcaEnergy:
         assert report.num_mca == 2
         assert report.layers[0].residual_active == [10, 10]
         energy = mca_energy(report, tech)
-        assert energy.mca_component == 20.0
-        assert energy.peripheral_component == 10.0
-        assert energy.total == 30.0
+        assert energy["mca_component_j"] == 20.0
+        assert energy["peripheral_component_j"] == 10.0
+        assert energy["total_j"] == 30.0
 
     def test_decomposition_exact_and_peripheral_linear(self):
         rng = np.random.default_rng(1)
@@ -142,8 +142,8 @@ class TestMcaEnergy:
         ]
         energies = [mca_energy(r, tech) for r in reports]
         for e in energies:
-            assert e.mca_component + e.peripheral_component == e.total
-        ratio = energies[1].peripheral_component / energies[0].peripheral_component
+            assert e["mca_component_j"] + e["peripheral_component_j"] == e["total_j"]
+        ratio = energies[1]["peripheral_component_j"] / energies[0]["peripheral_component_j"]
         assert ratio == pytest.approx(reports[1].num_mca / reports[0].num_mca)
 
     def test_evals_scale(self):
@@ -152,19 +152,19 @@ class TestMcaEnergy:
         report = map_to_mcas([ClusterSet(ConnectivityMatrix(bits))], tech)
         one = mca_energy(report, tech, [1])
         three = mca_energy(report, tech, [3])
-        assert three.total == pytest.approx(3 * one.total)
+        assert three["total_j"] == pytest.approx(3 * one["total_j"])
 
 
 class TestCmosEnergy:
     def test_all_zero(self):
-        assert cmos_energy(0, 0, CmosConfig(), 0).total == 0.0
+        assert cmos_energy(0, 0, CmosConfig(), 0)["total_j"] == 0.0
 
     def test_arithmetic(self):
         cfg = CmosConfig(
             e_compute_j=2.0, e_mem_access_j=3.0, p_leak_per_bit_j=0.0,
             bits_per_weight=4, sync_overhead_per_cluster_j=0.0,
         )
-        assert cmos_energy(100, 100, cfg, 0).total == 500.0
+        assert cmos_energy(100, 100, cfg, 0)["total_j"] == 500.0
 
     def test_clustered_storage_wins_when_sync_below_leak_savings(self):
         cfg = CmosConfig(
@@ -174,8 +174,8 @@ class TestCmosEnergy:
         dense = cmos_energy(100, 1000, cfg, 0)
         clustered = cmos_energy(100, 500, cfg, 10)
         saved = (1000 - 500) * 4 * 0.5
-        assert clustered.total < dense.total
-        assert dense.total - clustered.total == pytest.approx(saved - 10 * 1.0)
+        assert clustered["total_j"] < dense["total_j"]
+        assert dense["total_j"] - clustered["total_j"] == pytest.approx(saved - 10 * 1.0)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
@@ -226,9 +226,18 @@ class TestDocuments:
         xbar, base = mca_energy(report, tech), cmos_energy(14, stored, cmos, 1)
         assert doc["storage_model"] == ("clustered" if storage == "auto" else storage)
         assert (doc["mca_component_j"], doc["peripheral_component_j"], doc["total_j"]) == (
-            xbar.mca_component, xbar.peripheral_component, xbar.total)
-        assert doc["cmos"] == {"compute_j": base.compute, "memory_access_j": base.memory_access,
-                               "leakage_j": base.leakage, "sync_j": base.sync, "total_j": base.total}
+            xbar["mca_component_j"], xbar["peripheral_component_j"], xbar["total_j"])
+        assert doc["cmos"] == base
+
+    @pytest.mark.parametrize("storage", ["dense", "clustered"])
+    def test_energy_document_key_order_and_exact_totals(self, storage):
+        doc = energy_document(self.mixed_report(), TechConfig(), CmosConfig(), storage=storage)
+        assert list(doc) == ["mca_component_j", "peripheral_component_j", "total_j", "storage_model", "cmos"]
+        base = doc["cmos"]
+        assert list(base) == ["compute_j", "memory_access_j", "leakage_j", "sync_j", "total_j"]
+        # each total is the left-to-right sum of its parts, bit for bit
+        assert doc["total_j"] == doc["mca_component_j"] + doc["peripheral_component_j"]
+        assert base["total_j"] == base["compute_j"] + base["memory_access_j"] + base["leakage_j"] + base["sync_j"]
 
     def test_auto_storage_without_clusters_is_dense(self):
         report = map_to_mcas([ClusterSet(ConnectivityMatrix(np.ones((4, 4), dtype=np.uint8)))], TechConfig())
