@@ -9,7 +9,6 @@ pruning-only and cluster-after-training baselines.
 from .connectivity import (
     ClusterSet,
     ConnectivityMatrix,
-    audit_cluster_set,
     from_weights,
     load_sparse,
     save_sparse,

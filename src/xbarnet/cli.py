@@ -36,6 +36,11 @@ def _out_dir(cfg, args, default: str) -> Path:
     return Path(args.out or cfg.out_dir or default)
 
 
+def _out_file(cfg, args, name: str) -> Path:
+    """``--out`` is the output file itself; a config's ``out_dir`` is the directory that gets ``name``."""
+    return Path(args.out) if args.out else Path(cfg.out_dir or "") / name
+
+
 def cmd_train(args) -> int:
     cfg = _load(args, args.mode)
     if cfg.mode not in ("original", "prune"):
@@ -60,15 +65,12 @@ def cmd_transform(args) -> int:
 
 def cmd_cluster(args) -> int:
     cfg = _load(args)
-    out = Path(args.out or cfg.out_dir or "clusters.json")
+    out = _out_file(cfg, args, "clusters.json")
     if args.matrix:
         sets = [size_constrained_cluster(load_sparse(args.matrix), cfg.scic, cfg.seed)]
-    elif args.checkpoint:
+    else:
         model, _ = load_checkpoint(args.checkpoint)
         sets = offline_cluster(model, cfg.scic, cfg.seed)
-    else:
-        print("cluster needs --matrix or --checkpoint", file=sys.stderr)
-        return 2
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(cluster_sets_to_json(sets))
     total = sum(s.n_clusters for s in sets)
@@ -88,7 +90,7 @@ def cmd_map(args) -> int:
         raise ClusterFormatError(f"{args.clusters}: not UTF-8 text ({exc})") from None
     sets = cluster_sets_from_json(text, live, crossbar)
     report = map_to_mcas(sets, cfg.tech)
-    out = Path(args.out or cfg.out_dir or "mapping.json")
+    out = _out_file(cfg, args, "mapping.json")
     write_json(out, report.to_dict())
     print(f"wrote {out}: num_mca={report.num_mca} num_core={report.num_core}")
     return 0
@@ -102,7 +104,7 @@ def cmd_report(args) -> int:
         raise MappingFormatError(f"mapping document: {type(exc).__name__}: {exc}") from None
     report = MappingReport.from_dict(data)
     doc = energy_document(report, cfg.tech, cfg.cmos, cfg.evals_per_inference, args.storage)
-    out = Path(args.out or cfg.out_dir or "energy.json")
+    out = _out_file(cfg, args, "energy.json")
     write_json(out, doc)
     print(f"wrote {out}: total_E={doc['total_j']:.3e} cmos_E={doc['cmos']['total_j']:.3e}")
     return 0
@@ -141,8 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="one-shot clustering of a model or matrix")
     common(p)
-    p.add_argument("--checkpoint", default=None, help="checkpoint path (without suffix)")
-    p.add_argument("--matrix", default=None, help="sparse coordinate matrix file")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--checkpoint", help="checkpoint path (without suffix)")
+    source.add_argument("--matrix", help="sparse coordinate matrix file")
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("map", help="crossbar mapping report from saved artifacts")

@@ -83,10 +83,10 @@ class ClusterSet:
     ``owner`` is an int32 matrix shaped like ``source``: -1 marks a cell in no
     cluster, ``k`` a cell that cluster ``k`` owns. The owner matrix is the
     only record of the clusters: cluster ``k``'s footprint is the distinct
-    rows and cols of its owned cells (:meth:`footprints`), and the clusters
-    are numbered 0..n_clusters-1 without gaps, so none is empty. The
-    residual is every source synapse no cluster owns; ``owner=None`` means no
-    cell is owned.
+    rows and cols of its owned cells (:meth:`footprints`). The residual is
+    every source synapse no cluster owns; ``owner=None`` means no cell is
+    owned. The constructor enforces the invariants: the clusters are
+    numbered 0..n_clusters-1 without gaps, and every owned cell is a synapse.
     """
 
     source: ConnectivityMatrix
@@ -103,6 +103,8 @@ class ClusterSet:
         empty = np.flatnonzero(np.bincount(owner[owner >= 0]) == 0)
         if len(empty):
             raise ValueError(f"cluster {empty[0]} owns no cell; cluster indices must have no gaps")
+        if not self.source.bits[owner >= 0].all():
+            raise ValueError("a covered cell is not a synapse")
         owner.flags.writeable = False
         object.__setattr__(self, "owner", owner)
 
@@ -258,8 +260,8 @@ def cluster_sets_from_json(
     covered cells as [row, col] integer pairs, and name in ``rows`` and
     ``cols`` (lists of JSON integers, in any order) each row and column of
     those cells exactly once, a footprint that fits the ``(rows, cols)``
-    crossbar. Each layer's cells must pass :func:`_placement_problem`. A
-    violation raises :class:`ClusterFormatError`.
+    crossbar. Each layer's cells must pass :func:`_placement_problem` and
+    the ClusterSet constructor. A violation raises :class:`ClusterFormatError`.
     """
     named: list[list[tuple[list[int], list[int]]]] = [[] for _ in sources]
     cells: list[list[np.ndarray]] = [[] for _ in sources]
@@ -280,12 +282,15 @@ def cluster_sets_from_json(
     for layer, (source, layer_cells) in enumerate(zip(sources, cells)):
         ii, jj = np.concatenate(layer_cells or [np.empty((0, 2), dtype=np.int64)]).T
         kk = np.repeat(np.arange(len(layer_cells)), [len(c) for c in layer_cells])
-        problem = _placement_problem(source.bits, ii, jj, kk, len(layer_cells))
+        problem = _placement_problem(source.bits.shape, ii, jj, kk, len(layer_cells))
         if problem:
             raise ClusterFormatError(f"layer {layer}: {problem}")
         owner = np.full(source.bits.shape, -1, dtype=np.int32)
         owner[ii, jj] = kk
-        cs = ClusterSet(source, owner)
+        try:
+            cs = ClusterSet(source, owner)
+        except ValueError as exc:
+            raise ClusterFormatError(f"layer {layer}: {exc}") from None
         for k, ((rows, cols), (fp_rows, fp_cols)) in enumerate(zip(named[layer], cs.footprints())):
             if rows != fp_rows.tolist() or cols != fp_cols.tolist():
                 raise ClusterFormatError(
@@ -316,33 +321,19 @@ def _json_cells(value) -> np.ndarray:
     return np.array(flat, dtype=np.int64).reshape(-1, 2)
 
 
-def _placement_problem(bits: np.ndarray, ii, jj, kk, n_clusters: int) -> str | None:
-    """The first reason cluster ``kk[c]`` may not own cell ``(ii[c], jj[c])`` of ``bits``, or None.
+def _placement_problem(shape: tuple[int, int], ii, jj, kk, n_clusters: int) -> str | None:
+    """The first reason cluster ``kk[c]`` may not own cell ``(ii[c], jj[c])`` of a ``shape`` matrix, or None.
 
-    Every cell must lie inside the matrix, be a synapse and be owned once,
-    and each of the ``n_clusters`` clusters must own at least one cell.
+    Every cell must lie inside the matrix and be owned once, and each of the
+    ``n_clusters`` clusters must own a cell: a trailing empty record leaves
+    no trace in the owner matrix that the ClusterSet constructor checks.
     """
-    m, n = bits.shape
+    m, n = shape
     if ((ii < 0) | (ii >= m) | (jj < 0) | (jj >= n)).any():
         return f"a covered cell lies outside the {m}x{n} matrix"
-    flat = ii * n + jj
-    if (np.bincount(flat) > 1).any():
+    if (np.bincount(ii * n + jj) > 1).any():
         return "a cell is covered twice"
-    if not bits.ravel()[flat].all():
-        return "a covered cell is not a synapse"
     empty = np.flatnonzero(np.bincount(kk, minlength=n_clusters) == 0)
     if len(empty):
         return f"cluster {empty[0]} covers no synapses"
     return None
-
-
-def audit_cluster_set(cs: ClusterSet, original: ConnectivityMatrix) -> None:
-    """Check a ClusterSet against the matrix it was built from.
-
-    It must be built from ``original``, and every owned cell must be a
-    synapse of it. The owner matrix guarantees the rest: each cell is owned
-    at most once, footprints hold only owned rows and cols, and no cluster
-    is empty. Raises AssertionError with a diagnostic on violation.
-    """
-    assert np.array_equal(cs.source.bits, original.bits), "cluster set built from another matrix"
-    assert cs.source.bits[cs.owner >= 0].all(), "a covered cell is not a synapse"

@@ -77,7 +77,7 @@ def _read_idx(path, magic: int, n_dims: int) -> tuple[list[int], bytes]:
 
 def read_idx_images(path) -> np.ndarray:
     (count, rows, cols), data = _read_idx(path, IDX_IMAGES_MAGIC, 3)
-    return np.frombuffer(data, dtype=np.uint8).reshape(count, rows * cols)
+    return np.frombuffer(data, dtype=np.uint8).reshape(count, rows, cols)
 
 
 def read_idx_labels(path) -> np.ndarray:
@@ -117,10 +117,14 @@ def load_mnist(directory) -> Dataset:
     y_test = read_idx_labels(_find_idx_file(directory, _IDX_NAMES["test_labels"]))
     if len(x_train) != len(y_train) or len(x_test) != len(y_test):
         raise IdxFormatError("image/label counts disagree")
+    if x_train.shape[1:] != x_test.shape[1:]:
+        sizes = (*x_train.shape[1:], *x_test.shape[1:])
+        raise IdxFormatError("train images are %dx%d but test images are %dx%d" % sizes)
+    n_pixels = x_train.shape[1] * x_train.shape[2]
     return Dataset(
-        x_train=x_train.astype(np.float64) / 255.0,
+        x_train=x_train.reshape(len(x_train), n_pixels).astype(np.float64) / 255.0,
         y_train=y_train,
-        x_test=x_test.astype(np.float64) / 255.0,
+        x_test=x_test.reshape(len(x_test), n_pixels).astype(np.float64) / 255.0,
         y_test=y_test,
     )
 

@@ -5,12 +5,14 @@ greedily accepts groups that fit the crossbar and clear a decaying
 utilization threshold, and splits oversized groups until everything fits.
 Accepted clusters spend their full induced-submatrix footprint: the 0-entries
 inside an accepted block become unusable cross-points and never return to the
-pool. Acceptance trims a candidate to the rows and cols that hold a
-still-unowned synapse and writes the cluster's index into the owner matrix at
-each of those synapses, so every footprint row and column holds an owned cell
-and the owner matrix alone records the cluster. Synapses of rejected groups
-stay unowned and get another chance in later rounds.
+pool. Acceptance writes the cluster's index into the owner matrix at each
+still-unowned synapse of the candidate, so the owner matrix alone records
+the cluster. Synapses of rejected groups stay unowned and get another
+chance in later rounds.
 
+Every candidate takes one path: ``split_oversized`` drops its synapse-free
+rows and cols and, unless the rest fits the crossbar, splits it; each piece
+then faces only the utilization test.
 Finding groups and ordering a group for splitting use one graph path:
 the active block goes through ``build_similarity`` and ``eig_smallest``,
 which solves the bipartite Laplacian by one SVD of the degree-scaled
@@ -18,11 +20,11 @@ biadjacency (see ``spectral``). Splitting orders each side by the second
 Laplacian eigenvector of the candidate's bipartite graph; consecutive
 chunks of crossbar size pair up in a grid, so child footprints partition the
 parent's footprint even when the graph has no cut structure at all (a
-complete block splits into full crossbars). A residual that is one complete
-block, as every layer is before its first prune, goes straight to that split:
-its graph has no cut structure for spectral groups to find. When a round's
-spectral groups yield nothing, the same ordered split runs once on the whole
-residual as a fallback before the threshold decays.
+complete block splits into full crossbars). Spectral groups are sought only
+when the residual neither fits one crossbar nor is one complete block, as
+every layer is before its first prune: such a graph has no cut structure for
+them to find. When there are no groups to seek, or they yield nothing, the
+whole residual is the round's one candidate before the threshold decays.
 
 Utilization is counted against the full crossbar the cluster will occupy
 (crossbar_rows x crossbar_cols), not against the submatrix size, so a small
@@ -105,18 +107,21 @@ def split_oversized(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Split the block ``bits[rows][:, cols]`` into crossbar-sized (rows, cols) children.
 
-    Rows and columns are ordered by the subgraph's second Laplacian
-    eigenvector and cut into consecutive crossbar-sized chunks whose pairings
-    become the children, so the ceil(rows/crossbar_rows) *
+    Synapse-free rows and cols are dropped; a block whose remaining rows and
+    cols fit the crossbar is its own only child, and one without a synapse
+    has none. Otherwise rows and columns are ordered by the subgraph's second
+    Laplacian eigenvector and cut into consecutive crossbar-sized chunks
+    whose pairings become the children, so the ceil(rows/crossbar_rows) *
     ceil(cols/crossbar_cols) pieces partition the block and each fits the
-    crossbar. Synapse-free rows/cols and empty pairings are dropped. The
-    split is deterministic.
+    crossbar. Empty pairings are dropped. The split is deterministic.
     """
     sub = bits[np.ix_(rows, cols)]
     live_rows = rows[sub.any(axis=1)]
     live_cols = cols[sub.any(axis=0)]
     if len(live_rows) == 0 or len(live_cols) == 0:
         return []
+    if len(live_rows) <= cfg.crossbar_rows and len(live_cols) <= cfg.crossbar_cols:
+        return [(live_rows, live_cols)]
     ordered_rows, ordered_cols = _spectral_order(bits, live_rows, live_cols)
     row_chunks = np.split(ordered_rows, range(cfg.crossbar_rows, len(ordered_rows), cfg.crossbar_rows))
     col_chunks = np.split(ordered_cols, range(cfg.crossbar_cols, len(ordered_cols), cfg.crossbar_cols))
@@ -147,31 +152,16 @@ def size_constrained_cluster(
 
     def try_accept(rows: np.ndarray, cols: np.ndarray) -> bool:
         nonlocal n_accepted
-        sub = residual[np.ix_(rows, cols)]
-        sub_nnz = int(sub.sum())
-        if sub_nnz == 0:
+        block = np.ix_(rows, cols)
+        if int(residual[block].sum()) / cfg.crossbar_area < util_factor:
             return False
-        live_rows = rows[sub.any(axis=1)]
-        live_cols = cols[sub.any(axis=0)]
-        if len(live_rows) > cfg.crossbar_rows or len(live_cols) > cfg.crossbar_cols:
-            return False
-        if sub_nnz / cfg.crossbar_area < util_factor:
-            return False
-        block = np.ix_(live_rows, live_cols)
         owner[block] = np.where(residual[block] == 1, n_accepted, owner[block])
         n_accepted += 1
         residual[block] = 0
         return True
 
     def handle(rows: np.ndarray, cols: np.ndarray) -> int:
-        """Fit-test a candidate, splitting it first when oversized."""
-        sub = residual[np.ix_(rows, cols)]
-        live_rows = rows[sub.any(axis=1)]
-        live_cols = cols[sub.any(axis=0)]
-        if len(live_rows) <= cfg.crossbar_rows and len(live_cols) <= cfg.crossbar_cols:
-            return int(try_accept(live_rows, live_cols))
-        children = split_oversized(residual, live_rows, live_cols, cfg)
-        return sum(try_accept(rc, cc) for rc, cc in children)
+        return sum(try_accept(rc, cc) for rc, cc in split_oversized(residual, rows, cols, cfg))
 
     for round_no in range(1, cfg.max_rounds + 1):
         nnz_before = int(residual.sum())
@@ -182,21 +172,14 @@ def size_constrained_cluster(
         accepted_this_round = 0
 
         fits = len(active_rows) <= cfg.crossbar_rows and len(active_cols) <= cfg.crossbar_cols
-        if fits or nnz_before == len(active_rows) * len(active_cols):
-            # a residual that fits one crossbar is one candidate; a complete
-            # block has no cut structure to find, so it is split in order
-            accepted_this_round += handle(active_rows, active_cols)
-        else:
+        if not fits and nnz_before < len(active_rows) * len(active_cols):
             # structure stage: spectral groups over the residual graph
             k = _derived_k(nnz_before, len(active_rows) + len(active_cols), cfg)
             groups = spectral_cluster(ConnectivityMatrix(residual), k, seed_for(seed, round_no))
-            for g_rows, g_cols in groups:
-                if len(g_rows) == 0 or len(g_cols) == 0:
-                    continue  # one-sided group: synapses stay residual
-                accepted_this_round += handle(g_rows, g_cols)
-            if accepted_this_round == 0:
-                # fallback: ordered grid split of the whole residual
-                accepted_this_round += handle(active_rows, active_cols)
+            accepted_this_round = sum(handle(g_rows, g_cols) for g_rows, g_cols in groups)
+        if accepted_this_round == 0:
+            # the whole residual as one candidate, split in order when oversized
+            accepted_this_round = handle(active_rows, active_cols)
 
         if trace is not None:
             trace.append(

@@ -30,13 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connectivity import (
-    ClusterSet,
-    ConnectivityMatrix,
-    audit_cluster_set,
-    from_weights,
-    owner_cells,
-)
+from .connectivity import ClusterSet, ConnectivityMatrix, from_weights, owner_cells
 from .mlp import MlpModel, TrainConfig, evaluate, init_model, magnitude_prune, train_epoch
 from .sizecluster import SizeClusterConfig, size_constrained_cluster
 from .util import STREAM_CLUSTER, seed_for
@@ -281,19 +275,8 @@ def offline_cluster(model: MlpModel, scic_cfg: SizeClusterConfig, seed: int) -> 
     ]
 
 
-def audit_state(state: TransformState) -> None:
-    """Exact consistency check between the live weights and the owner matrices.
-
-    Each layer's cluster set must pass :func:`audit_cluster_set` against the
-    live synapses: every owned cell has a non-zero weight. Building the
-    cluster sets checks that no cluster is empty.
-    """
-    for cs in final_cluster_sets(state):
-        audit_cluster_set(cs, cs.source)
-
-
 def final_cluster_sets(state: TransformState) -> list[ClusterSet]:
-    """Per-layer ClusterSets of the current state for mapping and reports."""
+    """Per-layer ClusterSets of the current state; building them checks that every owned cell is live."""
     return [
         ClusterSet(from_weights(layer.weights), owner)
         for layer, owner in zip(state.model.layers, state.owner)

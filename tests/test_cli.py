@@ -201,8 +201,8 @@ def test_unusable_paths_exit_2(tmp_path, pruned_run, capsys, argv, message):
 
 @pytest.mark.parametrize(
     "argv",
-    [["cluster"], ["map", "--checkpoint", "c", "--clusters", "c.json"], ["report", "--mapping", "m.json"],
-     ["compare"]],
+    [["cluster", "--matrix", "m.txt"], ["map", "--checkpoint", "c", "--clusters", "c.json"],
+     ["report", "--mapping", "m.json"], ["compare"]],
     ids=["cluster", "map", "report", "compare"],
 )
 def test_mode_flag_is_only_on_train(config, capsys, argv):
@@ -245,8 +245,30 @@ class TestClusterCommand:
         mapping = json.loads((tmp_path / "mapping.json").read_text())
         assert mapping["n_clusters"] == len(json.loads(out.read_text())) > 0
 
-    def test_neither_input_exits_2(self, tmp_path, config):
-        assert cli.main(["cluster", "--config", config, "--out", str(tmp_path / "c.json")]) == 2
+    @pytest.mark.parametrize("inputs", [[], ["--matrix", "m.txt", "--checkpoint", "run/checkpoint"]],
+                             ids=["neither", "both"])
+    def test_not_exactly_one_input_exits_2(self, tmp_path, config, capsys, inputs):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["cluster", "--config", config, "--out", str(tmp_path / "c.json"), *inputs])
+        assert exc.value.code == 2
+        assert "--checkpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [(["cluster", "--checkpoint", "{run}/checkpoint"], "clusters.json"),
+     (["map", "--checkpoint", "{run}/checkpoint", "--clusters", "{run}/clusters.json"], "mapping.json"),
+     (["report", "--mapping", "{run}/mapping.json"], "energy.json")],
+    ids=["cluster", "map", "report"],
+)
+def test_config_out_dir_is_the_output_directory(tmp_path, pruned_run, argv, name):
+    """Without --out, the file goes into the config's out_dir, a directory as `compare` leaves it."""
+    out_dir = tmp_path / "runs"
+    out_dir.mkdir()
+    (tmp_path / "config.json").write_text(json.dumps({**CONFIG, "out_dir": str(out_dir)}))
+    args = [arg.format(run=pruned_run / "run") for arg in argv]
+    assert cli.main(args + ["--config", str(tmp_path / "config.json")]) == 0
+    assert json.loads((out_dir / name).read_text()) is not None
 
 
 def test_truncated_idx_file_exits_2(tmp_path, capsys):
@@ -258,3 +280,25 @@ def test_truncated_idx_file_exits_2(tmp_path, capsys):
     (tmp_path / "config.json").write_text(json.dumps(raw))
     assert cli.main(["train", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]) == 2
     assert "truncated data" in capsys.readouterr().err
+
+
+def write_idx_images(path, images):
+    """IDX image file: magic 2051, count, rows, cols (big-endian), then the uint8 pixels."""
+    path.write_bytes(struct.pack(">4I", 2051, *images.shape) + images.astype(np.uint8).tobytes())
+
+
+def write_idx_labels(path, labels):
+    path.write_bytes(struct.pack(">2I", 2049, len(labels)) + labels.astype(np.uint8).tobytes())
+
+
+def test_test_images_of_another_size_exit_2(tmp_path, capsys):
+    digits = tmp_path / "digits"
+    digits.mkdir()
+    write_idx_images(digits / "train-images-idx3-ubyte", np.zeros((8, 4, 4)))
+    write_idx_labels(digits / "train-labels-idx1-ubyte", np.arange(8) % 2)
+    write_idx_images(digits / "t10k-images-idx3-ubyte", np.zeros((4, 3, 3)))
+    write_idx_labels(digits / "t10k-labels-idx1-ubyte", np.arange(4) % 2)
+    raw = {"dataset": {"kind": "mnist", "dir": str(digits)}, "topology": [16, 4, 2], "transform": {"max_epochs": 1}}
+    (tmp_path / "config.json").write_text(json.dumps(raw))
+    assert cli.main(["transform", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]) == 2
+    assert "train images are 4x4 but test images are 3x3" in capsys.readouterr().err

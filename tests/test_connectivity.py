@@ -13,7 +13,6 @@ from xbarnet.connectivity import (
     ConnectivityMatrix,
     ShapeError,
     SparseFormatError,
-    audit_cluster_set,
     cluster_sets_from_json,
     cluster_sets_to_json,
     from_weights,
@@ -112,24 +111,21 @@ class TestClusterTypes:
         with pytest.raises(ValueError, match="cluster 0 owns no cell"):
             ClusterSet(ConnectivityMatrix(np.ones((4, 4), dtype=np.uint8)), owner)
 
-    def test_audit_catches_cell_not_a_synapse(self):
+    def test_owned_cell_not_a_synapse_rejected(self):
         bits = np.ones((4, 4), dtype=np.uint8)
         bits[1, 1] = 0
-        original = ConnectivityMatrix(bits)
         owner = np.full((4, 4), -1)
         owner[:2, :2] = 0
-        with pytest.raises(AssertionError, match="a covered cell is not a synapse"):
-            audit_cluster_set(ClusterSet(original, owner), original)
+        with pytest.raises(ValueError, match="a covered cell is not a synapse"):
+            ClusterSet(ConnectivityMatrix(bits), owner)
 
-    def test_audit_accepts_consistent_set(self):
+    def test_consistent_set_accepted(self):
         bits = np.zeros((4, 4), dtype=np.uint8)
         bits[:2, :2] = 1
         bits[3, 3] = 1
-        original = ConnectivityMatrix(bits)
         owner = np.full((4, 4), -1)
         owner[:2, :2] = 0
-        cs = ClusterSet(original, owner)
-        audit_cluster_set(cs, original)
+        cs = ClusterSet(ConnectivityMatrix(bits), owner)
         assert cs.n_clusters == 1
         assert cs.residual.nnz == 1 and cs.residual.bits[3, 3] == 1
 

@@ -1,9 +1,9 @@
-"""Iterative clustering: acceptance thresholds, splitting, audits, determinism."""
+"""Iterative clustering: acceptance thresholds, splitting, the candidate path, determinism."""
 
 import numpy as np
 import pytest
 
-from xbarnet.connectivity import ConnectivityMatrix, audit_cluster_set
+from xbarnet.connectivity import ClusterSet, ConnectivityMatrix
 from xbarnet.sizecluster import SizeClusterConfig, size_constrained_cluster, split_oversized
 
 
@@ -17,7 +17,8 @@ def block_diagonal(blocks, block_shape):
 
 def check_contract(cs, original, cfg):
     """Threshold soundness, crossbar fit, and exact disjointness/coverage."""
-    audit_cluster_set(cs, original)
+    assert np.array_equal(cs.source.bits, original.bits)
+    ClusterSet(original, cs.owner)  # every owned cell is a synapse, indices have no gaps
     for (rows, cols), n_cells in zip(cs.footprints(), cs.cell_counts()):
         assert len(rows) <= cfg.crossbar_rows and len(cols) <= cfg.crossbar_cols
         util = n_cells / cfg.crossbar_area
@@ -51,8 +52,37 @@ class TestSplitOversized:
         union_rows = set(i for rows, _ in children for i in rows.tolist())
         assert union_rows <= set(range(5))
 
+    @pytest.mark.parametrize("rows, cols", [([], [0, 1]), ([0, 1], []), ([0, 1], [2, 3])])
+    def test_one_sided_or_synapse_free_block_yields_nothing(self, rows, cols):
+        bits = np.zeros((4, 4), dtype=np.uint8)
+        bits[2:, :2] = 1
+        cfg = SizeClusterConfig(crossbar_rows=2, crossbar_cols=2)
+        assert split_oversized(bits, np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), cfg) == []
+
+    def test_fitting_block_is_its_synapse_bearing_lines(self):
+        bits = np.zeros((6, 6), dtype=np.uint8)
+        bits[1, 4] = bits[3, 0] = bits[5, 4] = 1
+        bits[2, 2] = 1  # outside the block
+        cfg = SizeClusterConfig(crossbar_rows=3, crossbar_cols=2)
+        children = split_oversized(bits, np.array([0, 1, 3, 4, 5]), np.array([0, 1, 3, 4, 5]), cfg)
+        assert len(children) == 1
+        rows, cols = children[0]
+        assert rows.tolist() == [1, 3, 5] and cols.tolist() == [0, 4]
+
 
 class TestSizeConstrainedCluster:
+    def test_fitting_residual_accepted_whole_in_round_one(self):
+        bits = np.zeros((20, 20), dtype=np.uint8)
+        bits[np.ix_([1, 5, 9, 13], [2, 3, 7, 11])] = 1
+        bits[5, 3] = 0  # not one complete block
+        c = ConnectivityMatrix(bits)
+        cfg = SizeClusterConfig(crossbar_rows=4, crossbar_cols=4)
+        trace: list = []
+        cs = size_constrained_cluster(c, cfg, seed=0, trace=trace)
+        assert trace[0]["round"] == 1 and trace[0]["accepted"] == 1
+        assert cs.n_clusters == 1
+        assert np.array_equal(cs.owner == 0, bits == 1)
+
     def test_two_planted_blocks(self):
         c = block_diagonal(2, (4, 4))
         cfg = SizeClusterConfig(crossbar_rows=4, crossbar_cols=4, base_util_factor=0.8)

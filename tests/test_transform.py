@@ -9,7 +9,6 @@ from xbarnet.sizecluster import SizeClusterConfig
 from xbarnet.transform import (
     TransformConfig,
     TransformState,
-    audit_state,
     cluster_prune,
     cluster_score,
     final_cluster_sets,
@@ -67,7 +66,7 @@ class TestBranchLogic:
         assert record["phase"] == "cluster_pruning"
         assert record["n_clusters_pruned"] == 1
         assert state.n_clusters() == n_before - 1
-        audit_state(state)
+        final_cluster_sets(state)
 
     def test_worse_error_freezes_maps(self):
         x, y = tiny_data()
@@ -94,7 +93,7 @@ class TestBranchLogic:
             if record["phase"] == "cluster_pruning":
                 break
             assert record["n_clusters_pruned"] == 0
-        audit_state(state)
+        final_cluster_sets(state)
 
 
 class TestClusterScore:
@@ -189,7 +188,7 @@ class TestClusterPrune:
         assert state.model.n_live() == 56
         for _ in range(2):
             transform_epoch(state, x, y, cfg)
-            audit_state(state)
+            final_cluster_sets(state)
             assert not state.model.layers[0].weights[:4, :4].any()
         assert state.model.n_live() <= 56
 
@@ -218,7 +217,7 @@ class TestRunLoop:
         live_counts = [state.model.n_live()]
         for _ in range(cfg.max_epochs):
             transform_epoch(state, data.x_train, data.y_train, cfg)
-            audit_state(state)
+            final_cluster_sets(state)
             live_counts.append(state.model.n_live())
         assert all(b <= a for a, b in zip(live_counts[:-1], live_counts[1:]))
 
@@ -274,7 +273,7 @@ class TestPlantedRecovery:
         final = result.log[-1]
         assert final["unclustered_frac"] < 0.35
         assert result.state.n_clusters() >= 3
-        audit_state(result.state)
+        final_cluster_sets(result.state)
 
 
 class TestOfflineCluster:
@@ -307,3 +306,10 @@ class TestOfflineCluster:
         covered = sum(int((cs.owner >= 0).sum()) for cs in sets)
         residual = sum(cs.residual.nnz for cs in sets)
         assert covered + residual == live
+
+    def test_final_cluster_sets_reject_an_owned_dead_weight(self):
+        state = TransformState.fresh([6, 8, 3], seed=0)
+        add_cluster(state, 0, range(4), range(4))
+        state.model.layers[0].weights[1, 1] = 0.0  # owned by cluster 0, no longer a synapse
+        with pytest.raises(ValueError, match="a covered cell is not a synapse"):
+            final_cluster_sets(state)
