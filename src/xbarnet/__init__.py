@@ -15,7 +15,6 @@ from .connectivity import (
 )
 from .hardware import (
     CmosConfig,
-    MappingReport,
     TechConfig,
     cmos_energy,
     core_count,

@@ -14,7 +14,6 @@ Every subcommand takes --config (JSON); --seed/--out (and train's --mode) overri
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -22,7 +21,7 @@ from .config import ConfigError, load_config
 from .connectivity import ClusterFormatError, InputFormatError, cluster_sets_from_json, cluster_sets_to_json
 from .connectivity import from_weights, load_sparse
 from .experiment import compare, run_experiment, write_json
-from .hardware import MappingFormatError, MappingReport, energy_document, map_to_mcas
+from .hardware import energy_document, map_to_mcas, mapping_from_json
 from .mlp import load_checkpoint
 from .sizecluster import size_constrained_cluster
 from .transform import offline_cluster
@@ -89,21 +88,17 @@ def cmd_map(args) -> int:
     except UnicodeDecodeError as exc:
         raise ClusterFormatError(f"{args.clusters}: not UTF-8 text ({exc})") from None
     sets = cluster_sets_from_json(text, live, crossbar)
-    report = map_to_mcas(sets, cfg.tech)
+    mapping = map_to_mcas(sets, cfg.tech)
     out = _out_file(cfg, args, "mapping.json")
-    write_json(out, report.to_dict())
-    print(f"wrote {out}: num_mca={report.num_mca} num_core={report.num_core}")
+    write_json(out, mapping)
+    print(f"wrote {out}: num_mca={mapping['num_mca']} num_core={mapping['num_core']}")
     return 0
 
 
 def cmd_report(args) -> int:
     cfg = _load(args)
-    try:
-        data = json.loads(Path(args.mapping).read_text())
-    except ValueError as exc:
-        raise MappingFormatError(f"mapping document: {type(exc).__name__}: {exc}") from None
-    report = MappingReport.from_dict(data)
-    doc = energy_document(report, cfg.tech, cfg.cmos, cfg.evals_per_inference, args.storage)
+    mapping = mapping_from_json(Path(args.mapping).read_bytes())
+    doc = energy_document(mapping, cfg.tech, cfg.cmos, cfg.evals_per_inference, args.storage)
     out = _out_file(cfg, args, "energy.json")
     write_json(out, doc)
     print(f"wrote {out}: total_E={doc['total_j']:.3e} cmos_E={doc['cmos']['total_j']:.3e}")

@@ -77,6 +77,8 @@ def _read_idx(path, magic: int, n_dims: int) -> tuple[list[int], bytes]:
 
 def read_idx_images(path) -> np.ndarray:
     (count, rows, cols), data = _read_idx(path, IDX_IMAGES_MAGIC, 3)
+    if not count:
+        raise IdxFormatError(f"{Path(path).name}: no images")
     return np.frombuffer(data, dtype=np.uint8).reshape(count, rows, cols)
 
 

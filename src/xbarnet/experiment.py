@@ -110,8 +110,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir, dataset: Dataset | None = Non
         "mode": cfg.mode,
         "accuracy": accuracy,
         "sparsity": model.sparsity(),
-        "num_mca": mapping.num_mca,
-        "num_core": mapping.num_core,
+        "num_mca": mapping["num_mca"],
+        "num_core": mapping["num_core"],
         "mca_E": energy["mca_component_j"],
         "periph_E": energy["peripheral_component_j"],
         "total_E": energy["total_j"],
@@ -123,7 +123,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, dataset: Dataset | None = Non
         for record in result.log:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
     (out / "clusters.json").write_text(cluster_sets_to_json(cluster_sets))
-    write_json(out / "mapping.json", mapping.to_dict())
+    write_json(out / "mapping.json", mapping)
     write_json(out / "energy.json", energy)
     _write_csv(out / "summary.csv", [summary], SUMMARY_COLUMNS)
     return summary

@@ -12,19 +12,20 @@ the number of arrays (buffers, communication, control); the CMOS model
 charges compute and memory access per live synapse, leakage per stored bit,
 and a synchronization surcharge per cluster.
 
-A mapping stores only what it measured per layer: ``cluster_active``,
-``residual_active``, ``cluster_areas`` and ``matrix_shape``. The other keys
-of ``mapping.json`` are derived when the document is built
-(:meth:`MappingReport.to_dict`) and ignored when it is read back: per layer
-``clustered_mca_count``, ``residual_mca_count``, ``histogram``,
+A mapping is held as its ``mapping.json`` document. Per layer it measures
+``cluster_active``, ``residual_active``, ``cluster_areas`` and
+``matrix_shape``; one builder, which :func:`map_to_mcas` and
+:func:`mapping_from_json` share, derives every other key from those,
+``num_core`` and the crossbar, so derived keys in a file are ignored: per
+layer ``clustered_mca_count``, ``residual_mca_count``, ``histogram``,
 ``unclustered_fraction``, ``cluster_utils`` and ``residual_utils``; at the top
 ``num_mca``, ``n_live``, ``n_clusters``, ``clustered_storage`` and
-``dense_storage``. :func:`energy_document` builds ``energy.json`` for both a
-run and the ``report`` command.
+``dense_storage``. :func:`energy_document` reads the document.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -77,99 +78,75 @@ class CmosConfig:
 
 
 class MappingFormatError(InputFormatError):
-    """Raised on a ``mapping.json`` document that is not JSON, lacks a well-typed
-    measured field, or has another layer count than ``evals_per_inference``."""
+    """Raised on a ``mapping.json`` document that is not UTF-8 JSON, lacks a
+    well-typed measured field, holds measured fields that contradict each other
+    or the crossbar, or has another layer count than ``evals_per_inference``."""
 
 
-@dataclass
-class LayerMapping:
-    """What one layer's mapping measured; every other per-layer figure derives from it."""
+def _mapping_document(layers: list[tuple], num_core: int, crossbar_rows: int, crossbar_cols: int) -> dict:
+    """``mapping.json`` of ``layers``, each (cluster_active, residual_active, cluster_areas, matrix_shape)."""
+    area = crossbar_rows * crossbar_cols
+    docs = []
+    for active, residual, areas, shape in layers:
+        cluster_utils = [a / area for a in active]
+        live = sum(active) + sum(residual)
+        docs.append(
+            {
+                "clustered_mca_count": len(active),
+                "residual_mca_count": len(residual),
+                "histogram": _histogram(cluster_utils),
+                "unclustered_fraction": (sum(residual) / live) if live else 0.0,
+                "cluster_utils": cluster_utils,
+                "residual_utils": [a / area for a in residual],
+                "cluster_active": active,
+                "residual_active": residual,
+                "cluster_areas": areas,
+                "matrix_shape": list(shape),
+            }
+        )
+    return {
+        "num_mca": sum(len(active) + len(residual) for active, residual, _, _ in layers),
+        "num_core": num_core,
+        "crossbar_rows": crossbar_rows,
+        "crossbar_cols": crossbar_cols,
+        "n_live": sum(sum(active) + sum(residual) for active, residual, _, _ in layers),
+        "n_clusters": sum(len(active) for active, _, _, _ in layers),
+        "clustered_storage": sum(sum(areas) + sum(residual) for _, residual, areas, _ in layers),
+        "dense_storage": sum(shape[0] * shape[1] for _, _, _, shape in layers),
+        "layers": docs,
+    }
 
-    cluster_active: list[int]
-    residual_active: list[int]
-    cluster_areas: list[int]
-    matrix_shape: tuple[int, int]
 
-    @property
-    def mca_count(self) -> int:
-        return len(self.cluster_active) + len(self.residual_active)
+def mapping_from_json(text: str | bytes) -> dict:
+    """The ``mapping.json`` document of ``text``, rebuilt from its measured fields; derived keys are ignored.
 
-
-@dataclass
-class MappingReport:
-    layers: list[LayerMapping]
-    num_core: int
-    crossbar_rows: int
-    crossbar_cols: int
-
-    @property
-    def num_mca(self) -> int:
-        return sum(l.mca_count for l in self.layers)
-
-    def n_live(self) -> int:
-        return sum(sum(l.cluster_active) + sum(l.residual_active) for l in self.layers)
-
-    def n_clusters(self) -> int:
-        return sum(len(l.cluster_active) for l in self.layers)
-
-    def clustered_storage(self) -> int:
-        """Cluster footprint areas plus individually stored residual synapses."""
-        return sum(sum(l.cluster_areas) + sum(l.residual_active) for l in self.layers)
-
-    def dense_storage(self) -> int:
-        return sum(l.matrix_shape[0] * l.matrix_shape[1] for l in self.layers)
-
-    def to_dict(self) -> dict:
-        """The ``mapping.json`` document, derived figures included."""
-        area = self.crossbar_rows * self.crossbar_cols
+    Raises :class:`MappingFormatError` on text that is not UTF-8 JSON, a
+    measured field that is not a list of non-negative integers, an empty
+    crossbar, or a layer whose counts no mapping onto that crossbar yields.
+    """
+    try:
+        data = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+        scalars = [data["num_core"], data["crossbar_rows"], data["crossbar_cols"]]
+        num_core, rows, cols = _counts(scalars, "num_core, crossbar_rows and crossbar_cols")
+        if not rows * cols:
+            raise ValueError(f"crossbar {rows}x{cols} is empty")
         layers = []
-        for l in self.layers:
-            cluster_utils = [a / area for a in l.cluster_active]
-            live = sum(l.cluster_active) + sum(l.residual_active)
-            layers.append(
-                {
-                    "clustered_mca_count": len(l.cluster_active),
-                    "residual_mca_count": len(l.residual_active),
-                    "histogram": _histogram(cluster_utils),
-                    "unclustered_fraction": (sum(l.residual_active) / live) if live else 0.0,
-                    "cluster_utils": cluster_utils,
-                    "residual_utils": [a / area for a in l.residual_active],
-                    "cluster_active": l.cluster_active,
-                    "residual_active": l.residual_active,
-                    "cluster_areas": l.cluster_areas,
-                    "matrix_shape": list(l.matrix_shape),
-                }
+        for i, d in enumerate(data["layers"]):
+            active, residual, areas = (
+                _counts(d[key], key) for key in ("cluster_active", "residual_active", "cluster_areas")
             )
-        return {
-            "num_mca": self.num_mca,
-            "num_core": self.num_core,
-            "crossbar_rows": self.crossbar_rows,
-            "crossbar_cols": self.crossbar_cols,
-            "n_live": self.n_live(),
-            "n_clusters": self.n_clusters(),
-            "clustered_storage": self.clustered_storage(),
-            "dense_storage": self.dense_storage(),
-            "layers": layers,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MappingReport":
-        """Parse the measured fields of a ``mapping.json`` document; derived ones are ignored.
-
-        Each measured field must hold non-negative integers.
-        """
-        try:
-            layers = [
-                LayerMapping(
-                    *(_counts(d[key], key) for key in ("cluster_active", "residual_active", "cluster_areas")),
-                    tuple(_counts(d["matrix_shape"], "matrix_shape", length=2)),
-                )
-                for d in data["layers"]
-            ]
-            scalars = [data["num_core"], data["crossbar_rows"], data["crossbar_cols"]]
-            return cls(layers, *_counts(scalars, "num_core, crossbar_rows and crossbar_cols"))
-        except (KeyError, TypeError) as exc:
-            raise MappingFormatError(f"mapping document: {type(exc).__name__}: {exc}") from None
+            layers.append((active, residual, areas, _counts(d["matrix_shape"], "matrix_shape", length=2)))
+            if len(areas) != len(active):
+                raise ValueError(f"layer {i}: {len(areas)} cluster_areas for {len(active)} cluster_active")
+            if max(areas, default=0) > rows * cols:
+                raise ValueError(f"layer {i}: cluster area {max(areas)} exceeds crossbar {rows}x{cols}")
+            if not all(1 <= a <= area for a, area in zip(active, areas)):
+                raise ValueError(f"layer {i}: a cluster_active lies outside 1..its cluster area")
+            if not all(1 <= a <= rows * cols for a in residual):
+                raise ValueError(f"layer {i}: a residual_active lies outside 1..{rows * cols}")
+        return _mapping_document(layers, num_core, rows, cols)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MappingFormatError(f"mapping document: {type(exc).__name__}: {exc}") from None
 
 
 def _counts(value, name: str, length: int | None = None) -> list[int]:
@@ -203,8 +180,8 @@ def core_count(num_mca: int, k: int) -> int:
     return math.ceil(num_mca / k)
 
 
-def map_to_mcas(cluster_sets: list[ClusterSet], tech: TechConfig) -> MappingReport:
-    """Assign each cluster one crossbar and grid-tile the residual synapses.
+def map_to_mcas(cluster_sets: list[ClusterSet], tech: TechConfig) -> dict:
+    """The ``mapping.json`` document: each cluster on one crossbar, the residual synapses grid-tiled.
 
     Raises if a cluster's footprint exceeds the crossbar (a violated
     clustering contract). Every live synapse lands in exactly one crossbar: its
@@ -218,36 +195,28 @@ def map_to_mcas(cluster_sets: list[ClusterSet], tech: TechConfig) -> MappingRepo
                 raise ValueError(
                     f"cluster {rows}x{cols} exceeds crossbar {tech.crossbar_rows}x{tech.crossbar_cols}"
                 )
-        layers.append(
-            LayerMapping(
-                cluster_active=cs.cell_counts().tolist(),
-                residual_active=grid_tiles(cs.residual.bits, tech.crossbar_rows, tech.crossbar_cols),
-                cluster_areas=[rows * cols for rows, cols in shapes],
-                matrix_shape=cs.source.bits.shape,
-            )
-        )
-    num_mca = sum(l.mca_count for l in layers)
-    return MappingReport(
-        layers=layers,
-        num_core=core_count(num_mca, tech.cores_k),
-        crossbar_rows=tech.crossbar_rows,
-        crossbar_cols=tech.crossbar_cols,
-    )
+        layers.append((
+            cs.cell_counts().tolist(),
+            grid_tiles(cs.residual.bits, tech.crossbar_rows, tech.crossbar_cols),
+            [rows * cols for rows, cols in shapes],
+            cs.source.bits.shape,
+        ))
+    num_core = core_count(sum(len(active) + len(residual) for active, residual, _, _ in layers), tech.cores_k)
+    return _mapping_document(layers, num_core, tech.crossbar_rows, tech.crossbar_cols)
 
 
-def mca_energy(
-    report: MappingReport, tech: TechConfig, evals_per_inference: list[int] | None = None
-) -> dict:
+def mca_energy(mapping: dict, tech: TechConfig, evals_per_inference: list[int] | None = None) -> dict:
     """Per-inference energy: active cross-points plus a peripheral charge per array."""
+    layers = mapping["layers"]
     if evals_per_inference is None:
-        evals_per_inference = [1] * len(report.layers)
-    if len(evals_per_inference) != len(report.layers):
-        counts = (len(report.layers), len(evals_per_inference))
+        evals_per_inference = [1] * len(layers)
+    if len(evals_per_inference) != len(layers):
+        counts = (len(layers), len(evals_per_inference))
         raise MappingFormatError("mapping has %d layers, evals_per_inference %d" % counts)
     array_e = 0.0
     periph_e = 0.0
-    for layer, evals in zip(report.layers, evals_per_inference):
-        actives = layer.cluster_active + layer.residual_active
+    for layer, evals in zip(layers, evals_per_inference):
+        actives = layer["cluster_active"] + layer["residual_active"]
         array_e += evals * sum(actives) * tech.mca_energy_per_active_crosspoint_j
         periph_e += evals * len(actives) * tech.peripheral_energy_per_mca_eval_j
     return {"mca_component_j": array_e, "peripheral_component_j": periph_e, "total_j": array_e + periph_e}
@@ -273,21 +242,21 @@ def cmos_energy(
 
 
 def energy_document(
-    report: MappingReport,
+    mapping: dict,
     tech: TechConfig,
     cmos: CmosConfig,
     evals_per_inference: list[int] | None = None,
     storage: str = "auto",
 ) -> dict:
-    """The ``energy.json`` document: crossbar energy and the CMOS baseline.
+    """The ``energy.json`` document of a ``mapping.json`` document: crossbar energy and the CMOS baseline.
 
     ``storage`` is how the baseline stores weights: "dense" (the full
     matrices), "clustered" (footprints plus residual synapses), or "auto",
     which is clustered exactly when the mapping holds a cluster.
     """
     if storage == "auto":
-        storage = "clustered" if report.n_clusters() else "dense"
-    stored = {"clustered": report.clustered_storage, "dense": report.dense_storage}[storage]()
-    xbar = mca_energy(report, tech, evals_per_inference)
-    base = cmos_energy(report.n_live(), stored, cmos, report.n_clusters())
+        storage = "clustered" if mapping["n_clusters"] else "dense"
+    stored = {"clustered": mapping["clustered_storage"], "dense": mapping["dense_storage"]}[storage]
+    xbar = mca_energy(mapping, tech, evals_per_inference)
+    base = cmos_energy(mapping["n_live"], stored, cmos, mapping["n_clusters"])
     return {**xbar, "storage_model": storage, "cmos": base}

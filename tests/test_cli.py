@@ -110,11 +110,20 @@ def mapping_not_json(run, bad):
     return ["report", "--mapping", str(bad / "mapping.json")]
 
 
-def mapping_wrong_type(run, bad):
-    mapping = json.loads((run / "mapping.json").read_text())
-    mapping["layers"][0]["cluster_active"] = "x"
-    (bad / "mapping.json").write_text(json.dumps(mapping))
+def mapping_not_utf8(run, bad):
+    (bad / "mapping.json").write_bytes(b"\xff\xfe" + (run / "mapping.json").read_bytes())
     return ["report", "--mapping", str(bad / "mapping.json")]
+
+
+def edited_mapping(top=(), **layer0):
+    """A damage that overwrites ``top`` keys of mapping.json and ``layer0`` keys of its first layer."""
+    def damage(run, bad):
+        mapping = json.loads((run / "mapping.json").read_text())
+        mapping.update(top)
+        mapping["layers"][0].update(layer0)
+        (bad / "mapping.json").write_text(json.dumps(mapping))
+        return ["report", "--mapping", str(bad / "mapping.json")]
+    return damage
 
 
 def damage_checkpoint(run, bad):
@@ -146,11 +155,21 @@ def v1_checkpoint(run, bad):
      (clusters_float_cell, "record 0: TypeError: covered must be a list of [row, col] integer pairs"),
      (clusters_not_utf8, "clusters.json: not UTF-8 text"),
      (damage_mapping, "KeyError: 'cluster_areas'"),
-     (mapping_not_json, "JSONDecodeError"), (mapping_wrong_type, "cluster_active must be a list of non-negative integers, got 'x'"),
+     (mapping_not_json, "JSONDecodeError"),
+     (edited_mapping(cluster_active="x"), "cluster_active must be a list of non-negative integers, got 'x'"),
+     (mapping_not_utf8, "mapping document: UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff"),
+     (edited_mapping(cluster_active=[3, 4], cluster_areas=[4]), "layer 0: 1 cluster_areas for 2 cluster_active"),
+     (edited_mapping(cluster_active=[65], cluster_areas=[64]), "layer 0: a cluster_active lies outside 1..its cluster area"),
+     (edited_mapping(cluster_active=[0], cluster_areas=[4]), "layer 0: a cluster_active lies outside 1..its cluster area"),
+     (edited_mapping(cluster_active=[1], cluster_areas=[65]), "layer 0: cluster area 65 exceeds crossbar 8x8"),
+     (edited_mapping(residual_active=[999999]), "layer 0: a residual_active lies outside 1..64"),
+     (edited_mapping(top={"crossbar_rows": 0}), "crossbar 0x8 is empty"),
      (damage_checkpoint, "truncated block layer1.bias"),
      (v1_checkpoint, "unrecognized checkpoint format 'xbarnet-checkpoint-v1'")],
     ids=["oversized_cluster", "clusters_float_cell", "clusters_not_utf8", "mapping_missing_key", "mapping_not_json",
-         "mapping_wrong_type", "truncated_checkpoint", "v1_checkpoint"],
+         "mapping_wrong_type", "mapping_not_utf8", "mapping_areas_count", "mapping_active_above_area",
+         "mapping_active_zero", "mapping_area_above_crossbar", "mapping_residual_above_crossbar",
+         "mapping_zero_crossbar", "truncated_checkpoint", "v1_checkpoint"],
 )
 def test_damaged_input_files_exit_2(tmp_path, pruned_run, capsys, damage, message):
     args = damage(pruned_run / "run", tmp_path)
@@ -271,15 +290,33 @@ def test_config_out_dir_is_the_output_directory(tmp_path, pruned_run, argv, name
     assert json.loads((out_dir / name).read_text()) is not None
 
 
-def test_truncated_idx_file_exits_2(tmp_path, capsys):
-    write_surrogate_digits(tmp_path / "digits", seed=0, n_train=20, n_test=10)
-    images = tmp_path / "digits" / "t10k-images-idx3-ubyte"
+def truncate_test_images(digits):
+    images = digits / "t10k-images-idx3-ubyte"
     images.write_bytes(images.read_bytes()[:-5])
+
+
+def empty_idx_files(prefix):
+    def damage(digits):
+        write_idx_images(digits / f"{prefix}-images-idx3-ubyte", np.zeros((0, 28, 28)))
+        write_idx_labels(digits / f"{prefix}-labels-idx1-ubyte", np.zeros(0))
+    return damage
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [(truncate_test_images, "truncated data"),
+     (empty_idx_files("train"), "train-images-idx3-ubyte: no images"),
+     (empty_idx_files("t10k"), "t10k-images-idx3-ubyte: no images")],
+    ids=["truncated", "empty_train", "empty_test"],
+)
+def test_truncated_idx_file_exits_2(tmp_path, capsys, damage, message):
+    write_surrogate_digits(tmp_path / "digits", seed=0, n_train=20, n_test=10)
+    damage(tmp_path / "digits")
     raw = {"dataset": {"kind": "mnist", "dir": str(tmp_path / "digits")}, "topology": [784, 4, 10],
            "mode": "original", "transform": {"max_epochs": 1}}
     (tmp_path / "config.json").write_text(json.dumps(raw))
     assert cli.main(["train", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]) == 2
-    assert "truncated data" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def write_idx_images(path, images):

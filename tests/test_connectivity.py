@@ -19,7 +19,7 @@ from xbarnet.connectivity import (
     load_sparse,
     save_sparse,
 )
-from xbarnet.hardware import TechConfig, map_to_mcas
+from xbarnet.hardware import TechConfig, map_to_mcas, mapping_from_json
 from xbarnet.sizecluster import SizeClusterConfig, size_constrained_cluster
 
 
@@ -225,7 +225,8 @@ class TestClusterTypes:
 
 @pytest.mark.parametrize("seed", range(10))
 def test_clustering_round_trips_through_json_and_mapping(seed):
-    """size_constrained_cluster -> clusters.json -> reload -> map_to_mcas rebuilds the same owners and mapping."""
+    """size_constrained_cluster -> clusters.json -> reload -> map_to_mcas rebuilds the same owners and mapping,
+    and the mapping reader accepts that mapping unchanged."""
     rng = np.random.default_rng(seed)
     shapes = [tuple(int(v) for v in rng.integers(6, 48, size=2)) for _ in range(2)]
     sources = [ConnectivityMatrix((rng.random(shape) < rng.uniform(0.1, 0.8)).astype(np.uint8)) for shape in shapes]
@@ -242,7 +243,9 @@ def test_clustering_round_trips_through_json_and_mapping(seed):
         for k, (rows, cols) in enumerate(again.footprints()):
             owned = again.owner == k
             assert owned[rows].any(axis=1).all() and owned[:, cols].any(axis=0).all()
-    assert map_to_mcas(back, tech).to_dict() == map_to_mcas(sets, tech).to_dict()
+    mapping = map_to_mcas(back, tech)
+    assert mapping == map_to_mcas(sets, tech)
+    assert mapping_from_json(json.dumps(mapping)) == mapping
     assert cluster_sets_to_json(back) == text
 
 

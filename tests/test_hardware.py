@@ -9,13 +9,13 @@ from xbarnet.connectivity import ClusterSet, ConnectivityMatrix
 from xbarnet.hardware import (
     CmosConfig,
     MappingFormatError,
-    MappingReport,
     TechConfig,
     cmos_energy,
     core_count,
     energy_document,
     grid_tiles,
     map_to_mcas,
+    mapping_from_json,
     mca_energy,
 )
 
@@ -51,9 +51,9 @@ class TestMapToMcas:
         cs = full_cluster_set(
             (8, 8), [(range(4), range(4)), (range(4, 8), range(4, 8))]
         )
-        report = map_to_mcas([cs], tech)
-        assert report.num_mca == 2
-        layer = report.to_dict()["layers"][0]
+        mapping = map_to_mcas([cs], tech)
+        assert mapping["num_mca"] == 2
+        layer = mapping["layers"][0]
         assert layer["histogram"][9] == 2
         assert sum(layer["histogram"]) == 2
         assert layer["unclustered_fraction"] == 0.0
@@ -61,7 +61,7 @@ class TestMapToMcas:
     def test_grid_tiling_of_dense_residual(self):
         tech = TechConfig(crossbar_rows=4, crossbar_cols=4)
         cs = ClusterSet(ConnectivityMatrix(np.ones((8, 8), dtype=np.uint8)))
-        layer = map_to_mcas([cs], tech).to_dict()["layers"][0]
+        layer = map_to_mcas([cs], tech)["layers"][0]
         assert layer["residual_mca_count"] == 4
         assert layer["cluster_utils"] == []
         assert layer["residual_utils"] == [1.0] * 4
@@ -71,8 +71,7 @@ class TestMapToMcas:
         rng = np.random.default_rng(0)
         bits = (rng.random((32, 32)) < 0.3).astype(np.uint8)
         tech = TechConfig(crossbar_rows=8, crossbar_cols=8)
-        report = map_to_mcas([ClusterSet(ConnectivityMatrix(bits))], tech)
-        layer = report.to_dict()["layers"][0]
+        layer = map_to_mcas([ClusterSet(ConnectivityMatrix(bits))], tech)["layers"][0]
         assert layer["residual_mca_count"] == 16
         assert abs(np.mean(layer["residual_utils"]) - 0.3) < 0.05
 
@@ -90,8 +89,8 @@ class TestMapToMcas:
         owner[:4, :4] = 0
         cs = ClusterSet(ConnectivityMatrix(bits), owner)
         tech = TechConfig(crossbar_rows=4, crossbar_cols=4)
-        report = map_to_mcas([cs], tech)
-        mapped = sum(report.layers[0].cluster_active) + sum(report.layers[0].residual_active)
+        layer = map_to_mcas([cs], tech)["layers"][0]
+        mapped = sum(layer["cluster_active"]) + sum(layer["residual_active"])
         assert mapped == int(bits.sum())
 
     def test_grid_tiles_respects_partial_edges(self):
@@ -103,10 +102,10 @@ class TestMapToMcas:
 class TestMcaEnergy:
     def test_zero_mcas(self):
         tech = TechConfig()
-        report = map_to_mcas(
+        mapping = map_to_mcas(
             [ClusterSet(ConnectivityMatrix(np.zeros((4, 4), dtype=np.uint8)))], tech
         )
-        energy = mca_energy(report, tech)
+        energy = mca_energy(mapping, tech)
         assert energy["total_j"] == 0.0
 
     def test_arithmetic_example(self):
@@ -123,10 +122,10 @@ class TestMcaEnergy:
         bits = np.zeros((8, 8), dtype=np.uint8)
         bits[:4, :4] = ten.reshape(4, 4)
         bits[4:8, 4:8] = ten.reshape(4, 4)
-        report = map_to_mcas([ClusterSet(ConnectivityMatrix(bits))], tech)
-        assert report.num_mca == 2
-        assert report.layers[0].residual_active == [10, 10]
-        energy = mca_energy(report, tech)
+        mapping = map_to_mcas([ClusterSet(ConnectivityMatrix(bits))], tech)
+        assert mapping["num_mca"] == 2
+        assert mapping["layers"][0]["residual_active"] == [10, 10]
+        energy = mca_energy(mapping, tech)
         assert energy["mca_component_j"] == 20.0
         assert energy["peripheral_component_j"] == 10.0
         assert energy["total_j"] == 30.0
@@ -136,22 +135,22 @@ class TestMcaEnergy:
         tech = TechConfig(crossbar_rows=4, crossbar_cols=4)
         bits_small = (rng.random((8, 8)) < 0.6).astype(np.uint8)
         bits_big = (rng.random((16, 16)) < 0.6).astype(np.uint8)
-        reports = [
+        mappings = [
             map_to_mcas([ClusterSet(ConnectivityMatrix(b))], tech)
             for b in (bits_small, bits_big)
         ]
-        energies = [mca_energy(r, tech) for r in reports]
+        energies = [mca_energy(m, tech) for m in mappings]
         for e in energies:
             assert e["mca_component_j"] + e["peripheral_component_j"] == e["total_j"]
         ratio = energies[1]["peripheral_component_j"] / energies[0]["peripheral_component_j"]
-        assert ratio == pytest.approx(reports[1].num_mca / reports[0].num_mca)
+        assert ratio == pytest.approx(mappings[1]["num_mca"] / mappings[0]["num_mca"])
 
     def test_evals_scale(self):
         tech = TechConfig(crossbar_rows=4, crossbar_cols=4)
         bits = np.ones((4, 4), dtype=np.uint8)
-        report = map_to_mcas([ClusterSet(ConnectivityMatrix(bits))], tech)
-        one = mca_energy(report, tech, [1])
-        three = mca_energy(report, tech, [3])
+        mapping = map_to_mcas([ClusterSet(ConnectivityMatrix(bits))], tech)
+        one = mca_energy(mapping, tech, [1])
+        three = mca_energy(mapping, tech, [3])
         assert three["total_j"] == pytest.approx(3 * one["total_j"])
 
 
@@ -189,17 +188,31 @@ class TestConfigValidation:
 
 
 class TestDocuments:
-    def mixed_report(self):
+    def mixed_mapping(self):
         residual = np.zeros((8, 8), dtype=np.uint8)
         residual[6, 1] = residual[7, 7] = 1
         cs = full_cluster_set((8, 8), [(range(3), range(4))], residual)
         return map_to_mcas([cs], TechConfig(crossbar_rows=4, crossbar_cols=4))
 
     def test_mapping_document_round_trip(self):
-        doc = self.mixed_report().to_dict()
+        doc = self.mixed_mapping()
         assert doc["layers"][0]["cluster_utils"] == [12 / 16]
         assert doc["layers"][0]["unclustered_fraction"] == 2 / 14
-        assert MappingReport.from_dict(json.loads(json.dumps(doc))).to_dict() == doc
+        assert mapping_from_json(json.dumps(doc)) == doc
+        assert mapping_from_json(json.dumps(doc).encode()) == doc
+
+    def test_derived_keys_are_ignored_on_read(self):
+        doc = self.mixed_mapping()
+        tampered = json.loads(json.dumps(doc))
+        tampered.update(num_mca=99, n_live=99, n_clusters=0, clustered_storage=99, dense_storage=99)
+        tampered["layers"][0].update(
+            histogram=[9] * 10, cluster_utils=[0.5], residual_utils=[], unclustered_fraction=0.5,
+            clustered_mca_count=9, residual_mca_count=9,
+        )
+        assert mapping_from_json(json.dumps(tampered)) == doc
+        for storage in ("auto", "dense", "clustered"):
+            assert energy_document(mapping_from_json(json.dumps(tampered)), TechConfig(), CmosConfig(),
+                                   storage=storage) == energy_document(doc, TechConfig(), CmosConfig(), storage=storage)
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -211,19 +224,19 @@ class TestDocuments:
          (lambda d: d.update(layers=[7]), "TypeError")],
         ids=["element", "negative", "bool", "shape", "num_core", "layer"],
     )
-    def test_from_dict_rejects_mistyped_fields(self, edit, message):
-        doc = self.mixed_report().to_dict()
+    def test_reader_rejects_mistyped_fields(self, edit, message):
+        doc = self.mixed_mapping()
         edit(doc)
         with pytest.raises(MappingFormatError, match=message):
-            MappingReport.from_dict(doc)
+            mapping_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize(
         "storage, stored", [("auto", 12 + 2), ("clustered", 12 + 2), ("dense", 64)]
     )
     def test_energy_document(self, storage, stored):
-        report, tech, cmos = self.mixed_report(), TechConfig(), CmosConfig()
-        doc = energy_document(report, tech, cmos, storage=storage)
-        xbar, base = mca_energy(report, tech), cmos_energy(14, stored, cmos, 1)
+        mapping, tech, cmos = self.mixed_mapping(), TechConfig(), CmosConfig()
+        doc = energy_document(mapping, tech, cmos, storage=storage)
+        xbar, base = mca_energy(mapping, tech), cmos_energy(14, stored, cmos, 1)
         assert doc["storage_model"] == ("clustered" if storage == "auto" else storage)
         assert (doc["mca_component_j"], doc["peripheral_component_j"], doc["total_j"]) == (
             xbar["mca_component_j"], xbar["peripheral_component_j"], xbar["total_j"])
@@ -231,7 +244,7 @@ class TestDocuments:
 
     @pytest.mark.parametrize("storage", ["dense", "clustered"])
     def test_energy_document_key_order_and_exact_totals(self, storage):
-        doc = energy_document(self.mixed_report(), TechConfig(), CmosConfig(), storage=storage)
+        doc = energy_document(self.mixed_mapping(), TechConfig(), CmosConfig(), storage=storage)
         assert list(doc) == ["mca_component_j", "peripheral_component_j", "total_j", "storage_model", "cmos"]
         base = doc["cmos"]
         assert list(base) == ["compute_j", "memory_access_j", "leakage_j", "sync_j", "total_j"]
@@ -240,5 +253,5 @@ class TestDocuments:
         assert base["total_j"] == base["compute_j"] + base["memory_access_j"] + base["leakage_j"] + base["sync_j"]
 
     def test_auto_storage_without_clusters_is_dense(self):
-        report = map_to_mcas([ClusterSet(ConnectivityMatrix(np.ones((4, 4), dtype=np.uint8)))], TechConfig())
-        assert energy_document(report, TechConfig(), CmosConfig())["storage_model"] == "dense"
+        mapping = map_to_mcas([ClusterSet(ConnectivityMatrix(np.ones((4, 4), dtype=np.uint8)))], TechConfig())
+        assert energy_document(mapping, TechConfig(), CmosConfig())["storage_model"] == "dense"
