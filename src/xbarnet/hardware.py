@@ -122,7 +122,8 @@ def mapping_from_json(text: str | bytes) -> dict:
 
     Raises :class:`MappingFormatError` on text that is not UTF-8 JSON, a
     measured field that is not a list of non-negative integers, an empty
-    crossbar, or a layer whose counts no mapping onto that crossbar yields.
+    crossbar, or a layer whose counts no mapping of a ``matrix_shape`` matrix
+    onto that crossbar yields.
     """
     try:
         data = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
@@ -135,7 +136,8 @@ def mapping_from_json(text: str | bytes) -> dict:
             active, residual, areas = (
                 _counts(d[key], key) for key in ("cluster_active", "residual_active", "cluster_areas")
             )
-            layers.append((active, residual, areas, _counts(d["matrix_shape"], "matrix_shape", length=2)))
+            (m, n), live = _counts(d["matrix_shape"], "matrix_shape", length=2), sum(active) + sum(residual)
+            layers.append((active, residual, areas, [m, n]))
             if len(areas) != len(active):
                 raise ValueError(f"layer {i}: {len(areas)} cluster_areas for {len(active)} cluster_active")
             if max(areas, default=0) > rows * cols:
@@ -144,6 +146,8 @@ def mapping_from_json(text: str | bytes) -> dict:
                 raise ValueError(f"layer {i}: a cluster_active lies outside 1..its cluster area")
             if not all(1 <= a <= rows * cols for a in residual):
                 raise ValueError(f"layer {i}: a residual_active lies outside 1..{rows * cols}")
+            if live > m * n:
+                raise ValueError(f"layer {i}: {live} live synapses exceed matrix_shape {m}x{n}")
         return _mapping_document(layers, num_core, rows, cols)
     except (KeyError, TypeError, ValueError) as exc:
         raise MappingFormatError(f"mapping document: {type(exc).__name__}: {exc}") from None

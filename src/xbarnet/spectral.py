@@ -9,7 +9,11 @@ B = D_r^{-1/2} C D_c^{-1/2} -> :func:`eig_smallest`. The graph's normalized
 Laplacian is L = I - [[0, B], [B^T, 0]], and its eigenpairs come from one SVD
 of the m x n matrix B (Dhillon, KDD 2001); the (m+n) x (m+n) graph is never
 built. Clustering then row-normalizes the K smallest eigenvectors and runs
-seeded k-means on them.
+seeded k-means on them. Each Lloyd step ranks the centroids by the Gram form
+of the squared distance, one matrix product, and recomputes near ties
+directly, so the labels are bit-equal to those of the direct
+(points x k x dims) form. That array is built only for the near-tie rows, for
+a reseed of an empty cluster, or for an objective trace.
 
 Determinism: all randomness flows from the seed argument; a fixed seed gives
 bit-stable assignments, and k-means is invariant to the ordering of its input
@@ -98,7 +102,13 @@ def kmeans(points: np.ndarray, k: int, seed: int, objective_trace: list | None =
     Deterministic for a fixed seed and invariant (up to label renaming) to the
     ordering of the points: initialization runs over a canonical lexicographic
     ordering and assignment ties break toward the lowest centroid index.
-    Empty clusters are reseeded to the point farthest from its centroid.
+    Assignment takes squared distances in the Gram form
+    ||x||^2 + ||c||^2 - 2 x.c, one matrix product per iteration, and
+    recomputes them directly as sum((x - c)^2) for every point whose two
+    nearest centroids lie within the Gram form's rounding error; so the labels
+    are bit-equal to the argmin of the direct form. An empty cluster is
+    reseeded to the point farthest from its centroid among clusters of two or
+    more points, so a reseed never empties another cluster.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
@@ -125,20 +135,29 @@ def kmeans(points: np.ndarray, k: int, seed: int, objective_trace: list | None =
             centers[c] = sorted_pts[int(rng.choice(n, p=d2 / total))]
         d2 = np.minimum(d2, ((sorted_pts - centers[c]) ** 2).sum(axis=1))
 
-    labels_sorted = np.zeros(n, dtype=np.int64)
+    norms = np.sqrt((sorted_pts**2).sum(axis=1))
     for _ in range(KMEANS_MAX_ITER):
-        dists = ((sorted_pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        labels_sorted = dists.argmin(axis=1)
-        if objective_trace is not None:
-            objective_trace.append(float(dists[np.arange(n), labels_sorted].sum()))
-        for c in range(k):
-            if not (labels_sorted == c).any():
-                farthest = int(dists[np.arange(n), labels_sorted].argmax())
+        labels_sorted = _nearest(sorted_pts, norms, centers)
+        counts = np.bincount(labels_sorted, minlength=k)
+        if objective_trace is not None or not counts.all():
+            dists = _sq_dists(sorted_pts, centers)
+            own = dists[np.arange(n), labels_sorted]
+            if objective_trace is not None:
+                objective_trace.append(float(own.sum()))
+            for c in np.flatnonzero(counts == 0):
+                farthest = int(np.where(counts[labels_sorted] > 1, own, -np.inf).argmax())
+                counts[labels_sorted[farthest]] -= 1
+                counts[c] = 1
                 centers[c] = sorted_pts[farthest]
                 labels_sorted[farthest] = c
-        new_centers = np.stack(
-            [sorted_pts[labels_sorted == c].mean(axis=0) for c in range(k)]
-        )
+                own[farthest] = dists[farthest, c]
+        # each cluster's points in index order form one slice, laid out as the
+        # mask selection sorted_pts[labels_sorted == c] is; add.reduce over it
+        # divided by the count is what .mean(axis=0) computes, bit for bit
+        grouped = sorted_pts[np.argsort(labels_sorted, kind="stable")]
+        ends = np.cumsum(counts)
+        sums = [np.add.reduce(grouped[end - size : end], axis=0) for end, size in zip(ends, counts)]
+        new_centers = np.stack(sums) / counts[:, None]
         shift = ((new_centers - centers) ** 2).sum(axis=1).max()
         centers = new_centers
         if shift <= KMEANS_TOL:
@@ -146,6 +165,43 @@ def kmeans(points: np.ndarray, k: int, seed: int, objective_trace: list | None =
 
     labels = np.empty(n, dtype=np.int64)
     labels[order] = labels_sorted
+    return labels
+
+
+def _sq_dists(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances sum((x - c)^2), one independent reduction per (point, centroid) pair."""
+    return ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+
+
+def _nearest(pts: np.ndarray, norms: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Index of each point's nearest centroid by :func:`_sq_dists`, lowest index on ties.
+
+    ``norms`` holds the points' Euclidean norms. The centroids are ranked by
+    G = ||c||^2 - 2 x.c, one matrix product; ||x||^2 is the same for every
+    centroid of a point, so it changes neither the ranking nor the gaps.
+    Bound, with unit roundoff u = eps/2 and s = ||x|| + ||c||: ||c||^2 and
+    x.c are length-d dot products, off by at most d u ||c||^2 and d u ||x|| ||c||,
+    and the final sum adds u s^2, so G + ||x||^2 is within (d + 1) u s^2 of the
+    exact squared distance D (first order). The direct form takes d
+    differences, d squares and d - 1 sums of terms totalling at most s^2, so
+    it is within (d + 2) u s^2 of D. Each entry of G + ||x||^2 is therefore
+    within (d + 2) eps s^2 of the direct form's, and a runner-up more than
+    twice that above the best in G is above it in the direct form too. The
+    slack below is four times that margin, covering the higher-order terms
+    and the rounding of the norms; only the rows within it are recomputed
+    directly. Each direct reduction runs on one (point, centroid) pair alone,
+    so the recomputed rows have the bits of the full (n x k) direct array.
+    """
+    c2 = (centers**2).sum(axis=1)
+    gram = pts @ (-2.0 * centers.T)
+    gram += c2
+    labels = gram.argmin(axis=1)
+    every = np.arange(len(pts))
+    best = gram[every, labels]
+    gram[every, labels] = np.inf
+    slack = 8.0 * (pts.shape[1] + 2) * np.finfo(np.float64).eps * (norms + np.sqrt(c2.max())) ** 2
+    near = np.flatnonzero(gram.min(axis=1) - best <= slack)
+    labels[near] = _sq_dists(pts[near], centers).argmin(axis=1)
     return labels
 
 

@@ -164,12 +164,13 @@ def v1_checkpoint(run, bad):
      (edited_mapping(cluster_active=[1], cluster_areas=[65]), "layer 0: cluster area 65 exceeds crossbar 8x8"),
      (edited_mapping(residual_active=[999999]), "layer 0: a residual_active lies outside 1..64"),
      (edited_mapping(top={"crossbar_rows": 0}), "crossbar 0x8 is empty"),
+     (edited_mapping(matrix_shape=[1, 1]), "live synapses exceed matrix_shape 1x1"),
      (damage_checkpoint, "truncated block layer1.bias"),
      (v1_checkpoint, "unrecognized checkpoint format 'xbarnet-checkpoint-v1'")],
     ids=["oversized_cluster", "clusters_float_cell", "clusters_not_utf8", "mapping_missing_key", "mapping_not_json",
          "mapping_wrong_type", "mapping_not_utf8", "mapping_areas_count", "mapping_active_above_area",
          "mapping_active_zero", "mapping_area_above_crossbar", "mapping_residual_above_crossbar",
-         "mapping_zero_crossbar", "truncated_checkpoint", "v1_checkpoint"],
+         "mapping_zero_crossbar", "mapping_shape_below_live", "truncated_checkpoint", "v1_checkpoint"],
 )
 def test_damaged_input_files_exit_2(tmp_path, pruned_run, capsys, damage, message):
     args = damage(pruned_run / "run", tmp_path)

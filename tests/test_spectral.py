@@ -10,7 +10,10 @@ import pytest
 
 from xbarnet.connectivity import ConnectivityMatrix
 from xbarnet.spectral import (
+    KMEANS_MAX_ITER,
+    KMEANS_TOL,
     SimilarityMatrix,
+    _nearest,
     build_similarity,
     eig_smallest,
     kmeans,
@@ -246,6 +249,64 @@ class TestEigSmallest:
             eig_smallest(b, k)
 
 
+def reference_kmeans(points, k: int, seed: int, objective_trace: list | None = None) -> np.ndarray:
+    """The former k-means, kept as an oracle: direct (n x k x d) distances and per-cluster masks.
+
+    It produces NaN centres when a reseed empties a singleton cluster, so the
+    oracle tests use inputs where that never happens.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    n = pts.shape[0]
+    order = np.lexsort(pts.T[::-1])
+    sorted_pts = pts[order]
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed)))
+
+    centers = np.empty((k, pts.shape[1]))
+    centers[0] = sorted_pts[int(rng.integers(n))]
+    d2 = ((sorted_pts - centers[0]) ** 2).sum(axis=1)
+    for c in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            centers[c] = sorted_pts[int(rng.integers(n))]
+        else:
+            centers[c] = sorted_pts[int(rng.choice(n, p=d2 / total))]
+        d2 = np.minimum(d2, ((sorted_pts - centers[c]) ** 2).sum(axis=1))
+
+    labels_sorted = np.zeros(n, dtype=np.int64)
+    for _ in range(KMEANS_MAX_ITER):
+        dists = ((sorted_pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        labels_sorted = dists.argmin(axis=1)
+        if objective_trace is not None:
+            objective_trace.append(float(dists[np.arange(n), labels_sorted].sum()))
+        for c in range(k):
+            if not (labels_sorted == c).any():
+                farthest = int(dists[np.arange(n), labels_sorted].argmax())
+                centers[c] = sorted_pts[farthest]
+                labels_sorted[farthest] = c
+        new_centers = np.stack(
+            [sorted_pts[labels_sorted == c].mean(axis=0) for c in range(k)]
+        )
+        shift = ((new_centers - centers) ** 2).sum(axis=1).max()
+        centers = new_centers
+        if shift <= KMEANS_TOL:
+            break
+
+    labels = np.empty(n, dtype=np.int64)
+    labels[order] = labels_sorted
+    return labels
+
+
+def assert_matches_reference(pts, k: int, seed: int):
+    """Equal labels and an equal objective trace, value for value, against :func:`reference_kmeans`."""
+    want_trace: list = []
+    got_trace: list = []
+    want = reference_kmeans(pts, k, seed, want_trace)
+    assert np.isfinite(want_trace).all()
+    assert np.array_equal(kmeans(pts, k, seed), want)
+    assert np.array_equal(kmeans(pts, k, seed, got_trace), want)
+    assert got_trace == want_trace
+
+
 class TestKmeans:
     def test_well_separated_pairs(self):
         pts = np.array([[0.0, 0.0], [0.1, 0.0], [10.0, 10.0], [10.1, 10.0]])
@@ -287,6 +348,59 @@ class TestKmeans:
         rng = np.random.default_rng(29)
         pts = rng.normal(size=(40, 2))
         assert np.array_equal(kmeans(pts, 4, seed=7), kmeans(pts, 4, seed=7))
+
+    def test_matches_reference_on_spectral_embedding(self):
+        # the shape of a 784x256 layer's clustering: 1040 points, 33 dimensions, k = 33
+        rng = np.random.default_rng(31)
+        bits = (rng.random((784, 256)) < 0.05).astype(np.uint8)
+        _, vectors = eig_smallest(build_similarity(ConnectivityMatrix(bits)).values, 33)
+        assert_matches_reference(row_normalize(vectors), 33, seed=0)
+
+    @pytest.mark.parametrize(
+        "kind, seed", [("gaussian", 0), ("row_normalized", 1), ("small_integers", 2), ("signs", 3)]
+    )
+    def test_matches_reference_on_random_points(self, kind, seed):
+        # small integers and normalized {-1, 0, 1} rows put many points at
+        # exactly equal distances from two centroids
+        rng = np.random.default_rng(seed)
+        draw = {
+            "gaussian": lambda n, d: rng.normal(size=(n, d)),
+            "row_normalized": lambda n, d: row_normalize(rng.normal(size=(n, d))),
+            "small_integers": lambda n, d: rng.integers(0, 4, size=(n, d)).astype(np.float64),
+            "signs": lambda n, d: row_normalize(rng.integers(-1, 2, size=(n, d)).astype(np.float64)),
+        }[kind]
+        for trial in range(40):
+            n, d = int(rng.integers(8, 120)), int(rng.integers(1, 12))
+            k = int(rng.integers(1, max(2, n // 8) + 1))
+            pts = draw(n, d)
+            # the oracle turns NaN when k nears the count of distinct points
+            k = min(k, len(np.unique(pts, axis=0)) // 2 or 1)
+            assert_matches_reference(pts, k, seed=trial)
+
+    def test_equidistant_point_goes_to_lowest_index(self):
+        # the point is 24 from both centroids; at this magnitude the Gram
+        # form's rounding ranks centroid 1 first, so only the direct
+        # recomputation of the near tie gives the lowest index
+        a, h = 3004121786.0, 24.0
+        pts, centers = np.array([[a]]), np.array([[a - h], [a + h]])
+        assert (pts @ (-2.0 * centers.T) + (centers**2).sum(axis=1)).argmin() == 1
+        assert ((pts[:, None, :] - centers[None]) ** 2).sum(axis=2).tolist() == [[h * h, h * h]]
+        assert _nearest(pts, np.abs(pts[:, 0]), centers).tolist() == [0]
+        assert_matches_reference(np.array([[a - h], [a], [a + h], [a + 2 * h]]), 2, seed=0)
+
+    @pytest.mark.parametrize(
+        "pts, k, seed",
+        [([[0, 0], [1, 0], [0, 0], [1, 0], [1, 0], [0, 1], [1, 1], [1, 0]], 8, 1),
+         ([[0, 0], [1, 0], [0, 1], [0, 1], [0, 0], [1, 0], [0, 0]], 6, 14)],
+        ids=["k_8_of_4_distinct", "k_6_of_3_distinct"],
+    )
+    def test_k_above_distinct_points_uses_every_label(self, pts, k, seed):
+        # a reseed takes its point from a cluster of two or more, so it never
+        # empties a singleton cluster and leaves a NaN centre behind
+        trace: list = []
+        labels = kmeans(np.array(pts, dtype=np.float64), k, seed=seed, objective_trace=trace)
+        assert np.isfinite(trace).all()
+        assert sorted(set(labels.tolist())) == list(range(k))
 
 
 def as_sets(groups):
