@@ -4,8 +4,11 @@ Every run writes the same artifact set into its output directory: a model
 checkpoint, a per-epoch JSON-lines log, the cluster sets, the crossbar
 mapping report, the energy reports, and a one-row summary CSV. ``compare``
 runs all four modes into per-mode subdirectories and emits a combined CSV
-with columns normalized against the plain-training arm. Reruns with the same
-config and seed reproduce every artifact byte for byte.
+with columns normalized against the plain-training arm. It trains each
+distinct network once: the ``prune`` and ``offline_cluster`` arms run the
+same prune-only training, so the offline arm clusters the network that the
+prune arm trained, and writes the same checkpoint and log. Reruns with the
+same config and seed reproduce every artifact byte for byte.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from dataclasses import replace
 from pathlib import Path
 
 from .config import MODES, ConfigError, ExperimentConfig
@@ -22,13 +26,20 @@ from .datasets import (
 )
 from .hardware import energy_document, map_to_mcas
 from .mlp import evaluate, save_checkpoint
-from .transform import final_cluster_sets, offline_cluster, run
+from .transform import TransformResult, final_cluster_sets, offline_cluster, run
 
 SUMMARY_COLUMNS = [
     "mode", "accuracy", "sparsity", "num_mca", "num_core",
     "mca_E", "periph_E", "total_E", "cmos_E",
 ]
 NORMALIZED = ["num_mca", "total_E", "cmos_E"]
+# (enable_prune, enable_cluster) of each mode's training loop; modes with equal switches train the same network
+_TRAINING_SWITCHES = {
+    "original": (False, False),
+    "prune": (True, False),
+    "offline_cluster": (True, False),
+    "transform": (True, True),
+}
 
 
 def build_dataset(cfg: ExperimentConfig) -> Dataset:
@@ -76,24 +87,38 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir, dataset: Dataset | None = None) -> dict:
-    """Run one mode end to end; writes artifacts and returns the summary row."""
+def run_experiment(
+    cfg: ExperimentConfig,
+    out_dir,
+    dataset: Dataset | None = None,
+    trained: dict[tuple[bool, bool], TransformResult] | None = None,
+) -> dict:
+    """Run one mode end to end; writes artifacts and returns the summary row.
+
+    ``trained`` caches training results by the mode's training switches
+    (see ``_TRAINING_SWITCHES``): a cached result is reused, a new one is added.
+    One cache must serve only runs of one config and dataset that differ in
+    mode alone. Nothing here writes to a cached result, so arms can share it.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     data = dataset if dataset is not None else build_dataset(cfg)
 
-    enable_prune = cfg.mode in ("prune", "offline_cluster", "transform")
-    enable_cluster = cfg.mode == "transform"
-    result = run(
-        cfg.transform,
-        cfg.topology,
-        data.x_train,
-        data.y_train,
-        data.x_test,
-        data.y_test,
-        enable_prune=enable_prune,
-        enable_cluster=enable_cluster,
-    )
+    trained = {} if trained is None else trained
+    switches = _TRAINING_SWITCHES[cfg.mode]
+    if switches not in trained:
+        enable_prune, enable_cluster = switches
+        trained[switches] = run(
+            cfg.transform,
+            cfg.topology,
+            data.x_train,
+            data.y_train,
+            data.x_test,
+            data.y_test,
+            enable_prune=enable_prune,
+            enable_cluster=enable_cluster,
+        )
+    result = trained[switches]
     model = result.state.model
 
     if cfg.mode == "offline_cluster":
@@ -145,16 +170,20 @@ def _write_csv(path, rows: list[dict], columns: list[str]) -> None:
 
 
 def compare(cfg: ExperimentConfig, out_dir, dataset: Dataset | None = None) -> list[dict]:
-    """Run all four modes on one dataset; emit a normalized combined summary."""
-    from dataclasses import replace
+    """Run all four modes on one dataset; emit a normalized combined summary.
 
+    The arms share one training cache, so the prune-only training runs once:
+    the ``offline_cluster`` arm clusters the network the ``prune`` arm
+    trained. Three networks are trained, not four.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     data = dataset if dataset is not None else build_dataset(cfg)
+    trained: dict[tuple[bool, bool], TransformResult] = {}
     rows = []
     for mode in MODES:
         mode_cfg = replace(cfg, mode=mode)
-        rows.append(run_experiment(mode_cfg, out / mode, dataset=data))
+        rows.append(run_experiment(mode_cfg, out / mode, dataset=data, trained=trained))
     base = rows[0]
     for row in rows:
         for col in NORMALIZED:

@@ -84,14 +84,12 @@ def init_model(topology: list[int], seed: int) -> MlpModel:
     return MlpModel(layers)
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def forward(model: MlpModel, batch: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Per-layer activations plus output probabilities (rows sum to 1)."""
+    """Per-layer activations plus output probabilities (rows sum to 1).
+
+    Each layer's pre-activation is a fresh array that the rectifier or the
+    softmax then overwrites in place; the input batch is never written.
+    """
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.layers[0].weights.shape[0]:
         raise ShapeError(
@@ -99,18 +97,29 @@ def forward(model: MlpModel, batch: np.ndarray) -> tuple[list[np.ndarray], np.nd
             f"{model.layers[0].weights.shape[0]}"
         )
     activations = [x]
+    last = len(model.layers) - 1
     for depth, layer in enumerate(model.layers):
-        z = activations[-1] @ layer.weights + layer.bias
-        if depth < len(model.layers) - 1:
-            activations.append(np.maximum(z, 0.0))
+        z = activations[-1] @ layer.weights
+        z += layer.bias
+        if depth < last:
+            np.maximum(z, 0.0, out=z)
         else:
-            activations.append(_softmax(z))
+            z -= z.max(axis=1, keepdims=True)
+            np.exp(z, out=z)
+            z /= z.sum(axis=1, keepdims=True)
+        activations.append(z)
     return activations, activations[-1]
 
 
+def _mean_nll(p: np.ndarray) -> float:
+    """Mean of -log(p) over the true-class probabilities ``p``; overwrites ``p``."""
+    np.maximum(p, 1e-300, out=p)
+    np.log(p, out=p)
+    return float(-np.add.reduce(p) / len(p))
+
+
 def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
-    p = probs[np.arange(len(labels)), labels]
-    return float(-np.log(np.clip(p, 1e-300, None)).mean())
+    return _mean_nll(probs[np.arange(len(labels)), labels])
 
 
 def backward_step(
@@ -119,25 +128,39 @@ def backward_step(
     """One SGD step on the cross-entropy loss; returns (model, mean loss).
 
     Gradients flow everywhere but the update touches only non-zero weights,
-    so zeroed synapses remain exactly zero. The model is updated in place and
-    returned.
+    so zeroed synapses remain exactly zero. The update multiplies by the
+    live mask rather than skipping dead cells, so a -0.0 weight may come out
+    as +0.0; the checkpoint stores that sign bit. The model is updated in
+    place and returned.
     """
     labels = np.asarray(labels, dtype=np.int64)
     activations, probs = forward(model, batch)
-    loss = cross_entropy(probs, labels)
     n = len(labels)
-    delta = probs.copy()
-    delta[np.arange(n), labels] -= 1.0
+    rows = np.arange(n)
+    loss = _mean_nll(probs[rows, labels])
+    delta = probs  # forward's own output; the backward pass reads only the earlier activations
+    delta[rows, labels] -= 1.0
     delta /= n
     for depth in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[depth]
         grad_w = activations[depth].T @ delta
-        grad_b = delta.sum(axis=0)
+        grad_b = np.add.reduce(delta, axis=0)
         if depth > 0:
-            delta = (delta @ layer.weights.T) * (activations[depth] > 0)
-        layer.weights -= lr * grad_w * (layer.weights != 0)
-        layer.bias -= lr * grad_b
+            delta = delta @ layer.weights.T
+            delta *= activations[depth] > 0
+        grad_w *= lr
+        grad_w *= layer.weights != 0
+        layer.weights -= grad_w
+        grad_b *= lr
+        layer.bias -= grad_b
     return model, loss
+
+
+def _check_dataset(x: np.ndarray, y: np.ndarray) -> None:
+    if len(x) == 0:
+        raise ValueError("dataset must be non-empty")
+    if len(x) != len(y):
+        raise ValueError(f"dataset has {len(x)} samples but {len(y)} labels")
 
 
 def train_epoch(
@@ -148,6 +171,7 @@ def train_epoch(
     epoch: int,
 ) -> float:
     """One pass over the data in seeded-shuffled minibatches; mean epoch loss."""
+    _check_dataset(x, y)
     rng = rng_for(cfg.seed, STREAM_SHUFFLE, epoch)
     order = rng.permutation(len(x))
     total, count = 0.0, 0
@@ -161,8 +185,7 @@ def train_epoch(
 
 def evaluate(model: MlpModel, x: np.ndarray, y: np.ndarray, batch: int = 2048) -> tuple[float, float]:
     """(accuracy, mean loss); argmax ties break toward the lowest class index."""
-    if len(x) == 0:
-        raise ValueError("dataset must be non-empty")
+    _check_dataset(x, y)
     correct = 0
     total_loss = 0.0
     for start in range(0, len(x), batch):

@@ -1,0 +1,88 @@
+"""Experiment orchestration: `compare` trains each distinct network once, and arms share it read-only."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from xbarnet import experiment
+from xbarnet.config import build_config
+
+RAW = {
+    "dataset": {"kind": "planted", "in_dim": 32, "hidden": 32, "n_classes": 2, "block": 8,
+                "n_train": 400, "n_test": 100},
+    "topology": [32, 32, 2],
+    "seed": 3,
+    "train": {"learning_rate": 0.2, "batch_size": 32},
+    "transform": {"max_epochs": 3},
+    "scic": {"max_rounds": 8},
+    "tech": {"crossbar_rows": 8, "crossbar_cols": 8},
+}
+
+
+def tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.fixture(scope="module")
+def cfg():
+    return build_config(RAW)
+
+
+@pytest.fixture(scope="module")
+def data(cfg):
+    return experiment.build_dataset(cfg)
+
+
+@pytest.fixture(scope="module")
+def compared(cfg, data, tmp_path_factory):
+    """One `compare` tree, and how many times it ran the training loop."""
+    out = tmp_path_factory.mktemp("compare")
+    calls = []
+    original_run = experiment.run
+
+    def counting_run(*args, **kwargs):
+        calls.append((kwargs["enable_prune"], kwargs["enable_cluster"]))
+        return original_run(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiment, "run", counting_run)
+        experiment.compare(cfg, out, dataset=data)
+    return out, calls
+
+
+def test_compare_trains_three_networks(compared):
+    _, calls = compared
+    assert calls == [(False, False), (True, False), (True, True)]
+
+
+def test_prune_and_offline_arms_share_checkpoint_and_log(compared):
+    out, _ = compared
+    for name in ("checkpoint.bin", "log.jsonl"):
+        assert (out / "prune" / name).read_bytes() == (out / "offline_cluster" / name).read_bytes()
+
+
+def test_standalone_offline_run_matches_compare_subtree(compared, cfg, data, tmp_path):
+    out, _ = compared
+    experiment.run_experiment(replace(cfg, mode="offline_cluster"), tmp_path / "alone", dataset=data)
+    alone = tree(tmp_path / "alone")
+    assert set(alone) >= {"checkpoint.bin", "checkpoint.json", "log.jsonl", "clusters.json", "summary.csv"}
+    assert alone == tree(out / "offline_cluster")
+
+
+def test_arms_leave_a_shared_training_result_unchanged(cfg, data, tmp_path):
+    trained = {}
+    experiment.run_experiment(replace(cfg, mode="prune"), tmp_path / "prune", dataset=data, trained=trained)
+    (result,) = trained.values()
+    state = result.state
+
+    def snapshot():
+        layers = [(l.weights.tobytes(), l.bias.tobytes()) for l in state.model.layers]
+        return layers, [o.tobytes() for o in state.owner], repr(result.log)
+
+    before = snapshot()
+    for mode in ("offline_cluster", "prune"):
+        experiment.run_experiment(replace(cfg, mode=mode), tmp_path / f"again_{mode}", dataset=data, trained=trained)
+    assert list(trained.values()) == [result]
+    assert snapshot() == before
+    assert np.count_nonzero(state.model.layers[0].weights) < state.model.layers[0].weights.size  # really pruned

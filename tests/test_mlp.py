@@ -89,6 +89,115 @@ def analytic_grads(model, x, y):
     return grads
 
 
+def oracle_forward(model, batch):
+    """The step as first written, with a temporary per operation; the lean step must match it bit for bit."""
+    x = np.asarray(batch, dtype=np.float64)
+    activations = [x]
+    for depth, layer in enumerate(model.layers):
+        z = activations[-1] @ layer.weights + layer.bias
+        if depth < len(model.layers) - 1:
+            activations.append(np.maximum(z, 0.0))
+        else:
+            shifted = z - z.max(axis=1, keepdims=True)
+            e = np.exp(shifted)
+            activations.append(e / e.sum(axis=1, keepdims=True))
+    return activations, activations[-1]
+
+
+def oracle_cross_entropy(probs, labels):
+    p = probs[np.arange(len(labels)), labels]
+    return float(-np.log(np.clip(p, 1e-300, None)).mean())
+
+
+def oracle_backward_step(model, batch, labels, lr):
+    labels = np.asarray(labels, dtype=np.int64)
+    activations, probs = oracle_forward(model, batch)
+    loss = oracle_cross_entropy(probs, labels)
+    n = len(labels)
+    delta = probs.copy()
+    delta[np.arange(n), labels] -= 1.0
+    delta /= n
+    for depth in range(len(model.layers) - 1, -1, -1):
+        layer = model.layers[depth]
+        grad_w = activations[depth].T @ delta
+        grad_b = delta.sum(axis=0)
+        if depth > 0:
+            delta = (delta @ layer.weights.T) * (activations[depth] > 0)
+        layer.weights -= lr * grad_w * (layer.weights != 0)
+        layer.bias -= lr * grad_b
+    return model, loss
+
+
+def oracle_evaluate(model, x, y, batch):
+    correct = 0
+    total_loss = 0.0
+    for start in range(0, len(x), batch):
+        _, probs = oracle_forward(model, x[start : start + batch])
+        labels = np.asarray(y[start : start + batch], dtype=np.int64)
+        correct += int((probs.argmax(axis=1) == labels).sum())
+        total_loss += oracle_cross_entropy(probs, labels) * len(labels)
+    return correct / len(x), total_loss / len(x)
+
+
+def model_bytes(model):
+    return [(layer.weights.tobytes(), layer.bias.tobytes()) for layer in model.layers]
+
+
+def signed_zero_model(topology, seed):
+    """A model with a dead hidden unit and a share of its weights at +0.0 and at -0.0."""
+    import copy
+
+    rng = np.random.default_rng(seed)
+    model = init_model(topology, seed)
+    for layer in model.layers:
+        cut = rng.random(layer.weights.shape)
+        layer.weights[cut < 0.2] = 0.0
+        layer.weights[(cut >= 0.2) & (cut < 0.4)] = -0.0
+    model.layers[0].weights[:, 0] = 0.0  # hidden unit 0 gets no input ...
+    model.layers[0].bias[0] = -1.0  # ... and a negative bias, so the rectifier never lets it through
+    return model, copy.deepcopy(model)
+
+
+class TestLeanStepOracle:
+    @pytest.mark.parametrize("topology", [[6, 5, 3], [6, 7, 5, 3]], ids=["two_layers", "three_layers"])
+    @pytest.mark.parametrize("batch", [1, 9])
+    def test_steps_match_bit_for_bit(self, topology, batch):
+        model, oracle = signed_zero_model(topology, seed=len(topology) + batch)
+        rng = np.random.default_rng(batch)
+        x = rng.normal(size=(60, topology[0]))
+        y = rng.integers(0, topology[-1], size=60)
+        neg_zero_before = sum(int(np.signbit(l.weights[l.weights == 0]).sum()) for l in model.layers)
+        for step in range(150):
+            idx = rng.choice(60, size=batch, replace=False)
+            _, loss = backward_step(model, x[idx], y[idx], lr=0.3)
+            _, oracle_loss = oracle_backward_step(oracle, x[idx], y[idx], lr=0.3)
+            assert np.float64(loss).tobytes() == np.float64(oracle_loss).tobytes(), step
+            assert model_bytes(model) == model_bytes(oracle), step
+        # the sign of a zero weight did move, so byte equality covered it
+        neg_zero_after = sum(int(np.signbit(l.weights[l.weights == 0]).sum()) for l in model.layers)
+        assert neg_zero_after < neg_zero_before
+        assert not model.layers[0].weights[:, 0].any()
+
+    def test_evaluate_matches(self):
+        model, _ = signed_zero_model([6, 7, 4], seed=5)
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(50, 6))
+        y = rng.integers(0, 4, size=50)
+        for batch in (1, 16, 2048):
+            assert evaluate(model, x, y, batch=batch) == oracle_evaluate(model, x, y, batch)
+
+    def test_input_batch_is_not_written(self):
+        model, _ = signed_zero_model([6, 5, 3], seed=6)
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(8, 6))
+        x[0, :] = -0.0
+        y = rng.integers(0, 3, size=8)
+        before = x.tobytes()
+        forward(model, x)
+        backward_step(model, x, y, lr=0.5)
+        assert x.tobytes() == before
+
+
 class TestForward:
     def test_zero_weights_uniform_probs(self):
         model = init_model([4, 3], seed=0)
@@ -201,6 +310,22 @@ class TestTraining:
         assert losses[1] < losses[0]
         assert losses[2] < losses[1]
         assert losses[3] < losses[2]
+
+    def test_empty_dataset_rejected(self):
+        model = init_model([3, 2], seed=0)
+        with pytest.raises(ValueError, match="dataset must be non-empty"):
+            train_epoch(model, np.zeros((0, 3)), np.zeros(0, dtype=int), TrainConfig(), epoch=1)
+
+    @pytest.mark.parametrize("n_labels", [9, 11], ids=["fewer_labels", "more_labels"])
+    @pytest.mark.parametrize("fn", ["train_epoch", "evaluate"])
+    def test_length_mismatch_rejected(self, n_labels, fn):
+        model = init_model([3, 2], seed=0)
+        x, y = np.ones((10, 3)), np.zeros(n_labels, dtype=int)
+        with pytest.raises(ValueError, match="10 samples but"):
+            if fn == "train_epoch":
+                train_epoch(model, x, y, TrainConfig(batch_size=4), epoch=1)
+            else:
+                evaluate(model, x, y)
 
     def test_deterministic_training(self):
         data = gen_blobs(BlobSpec(n_classes=3, dim=8, n_train=300, n_test=50), seed=2)
