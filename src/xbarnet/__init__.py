@@ -26,9 +26,11 @@ from .mlp import MlpModel, TrainConfig, evaluate, forward, init_model, magnitude
 from .sizecluster import SizeClusterConfig, size_constrained_cluster, split_oversized
 from .spectral import (
     SimilarityMatrix,
+    SpectralBasis,
     build_similarity,
     eig_smallest,
     kmeans,
+    spectral_basis,
     spectral_cluster,
 )
 from .transform import (

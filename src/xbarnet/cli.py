@@ -1,8 +1,7 @@
 """Command-line front end.
 
 Subcommands:
-  train      run the plain or pruning-only training mode
-  transform  run the integrated prune+cluster training mode
+  train      run one mode: original, prune, offline_cluster or transform
   cluster    one-shot clustering of a saved checkpoint or a raw sparse matrix
   map        rebuild the crossbar mapping report from saved artifacts
   report     energy reports from a saved mapping report
@@ -17,7 +16,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ConfigError, load_config
+from .config import MODES, ConfigError, load_config
 from .connectivity import ClusterFormatError, InputFormatError, cluster_sets_from_json, cluster_sets_to_json
 from .connectivity import from_weights, load_sparse
 from .experiment import compare, run_experiment, write_json
@@ -42,21 +41,10 @@ def _out_file(cfg, args, name: str) -> Path:
 
 def cmd_train(args) -> int:
     cfg = _load(args, args.mode)
-    if cfg.mode not in ("original", "prune"):
-        print(f"train runs modes original|prune; got {cfg.mode!r}", file=sys.stderr)
-        return 2
     out = _out_dir(cfg, args, f"run_{cfg.mode}")
     summary = run_experiment(cfg, out)
-    print(f"wrote {out}: accuracy={summary['accuracy']:.4f} sparsity={summary['sparsity']:.3f}")
-    return 0
-
-
-def cmd_transform(args) -> int:
-    cfg = _load(args, "transform")
-    out = _out_dir(cfg, args, "run_transform")
-    summary = run_experiment(cfg, out)
     print(
-        f"wrote {out}: accuracy={summary['accuracy']:.4f} "
+        f"wrote {out}: accuracy={summary['accuracy']:.4f} sparsity={summary['sparsity']:.3f} "
         f"num_mca={summary['num_mca']} total_E={summary['total_E']:.3e}"
     )
     return 0
@@ -127,14 +115,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="output directory or file")
 
-    p = sub.add_parser("train", help="plain or pruning-only training")
+    p = sub.add_parser("train", help="run one mode end to end")
     common(p)
-    p.add_argument("--mode", default=None, help="override the config mode")
+    p.add_argument("--mode", default=None, help=f"override the config mode: one of {', '.join(MODES)}")
     p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("transform", help="integrated prune+cluster training")
-    common(p)
-    p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("cluster", help="one-shot clustering of a model or matrix")
     common(p)

@@ -26,6 +26,15 @@ every layer is before its first prune: such a graph has no cut structure for
 them to find. When there are no groups to seek, or they yield nothing, the
 whole residual is the round's one candidate before the threshold decays.
 
+Each graph is solved once per call. The residual's spectral basis (its
+active rows and cols and their eigenvectors) is solved once per residual
+state: a round that accepts nothing leaves the residual unchanged, and the
+next round runs k-means on the same basis under its own seed. Only an
+acceptance changes the residual and drops the basis. A block's second
+eigenvector is kept by the block's bits, so no block is solved twice either;
+the whole residual's comes from column 1 of its basis, which is the same
+vector bit for bit.
+
 Utilization is counted against the full crossbar the cluster will occupy
 (crossbar_rows x crossbar_cols), not against the submatrix size, so a small
 cluster on a big crossbar scores low by construction.
@@ -39,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connectivity import ClusterSet, ConnectivityMatrix
-from .spectral import build_similarity, eig_smallest, spectral_cluster
+from .spectral import build_similarity, eig_smallest, spectral_basis, spectral_cluster
 from .util import seed_for
 
 
@@ -85,25 +94,30 @@ def _derived_k(nnz: int, n_active: int, cfg: SizeClusterConfig) -> int:
     return max(2, min(k_nnz, k_nodes, n_active))
 
 
-def _spectral_order(bits: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Order rows and cols by the second Laplacian eigenvector of the subgraph.
+def _second_vector(block: np.ndarray) -> np.ndarray:
+    """Second Laplacian eigenvector of the bipartite graph of a 0/1 block: rows, then cols.
 
-    Equal entries keep index order, and ``eig_smallest`` fixes the vector's
-    sign. When the second eigenvalue is repeated, as for a complete block
-    (rank-1 B, eigenvalue 1 on all but two dimensions), the vector is
-    whichever one the SVD returns in that eigenspace: fixed for a given
-    LAPACK build, but not determined by the graph.
+    ``eig_smallest`` fixes the vector's sign. When the second eigenvalue is
+    repeated, as for a complete block (rank-1 B, eigenvalue 1 on all but two
+    dimensions), the vector is whichever one the SVD returns in that
+    eigenspace: fixed for a given LAPACK build, but not determined by the
+    graph.
     """
+    return eig_smallest(build_similarity(ConnectivityMatrix(block)).values, 2)[1][:, -1]
+
+
+def _spectral_order(v: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Order rows by ``v[:len(rows)]`` and cols by the rest; equal entries keep index order."""
     m = len(rows)
-    b = build_similarity(ConnectivityMatrix(bits[np.ix_(rows, cols)])).values
-    v = eig_smallest(b, 2)[1][:, -1]
-    row_order = np.lexsort((rows, v[:m]))
-    col_order = np.lexsort((cols, v[m:]))
-    return rows[row_order], cols[col_order]
+    return rows[np.lexsort((rows, v[:m]))], cols[np.lexsort((cols, v[m:]))]
 
 
 def split_oversized(
-    bits: np.ndarray, rows: np.ndarray, cols: np.ndarray, cfg: SizeClusterConfig
+    bits: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    cfg: SizeClusterConfig,
+    second_vector=_second_vector,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Split the block ``bits[rows][:, cols]`` into crossbar-sized (rows, cols) children.
 
@@ -114,6 +128,8 @@ def split_oversized(
     whose pairings become the children, so the ceil(rows/crossbar_rows) *
     ceil(cols/crossbar_cols) pieces partition the block and each fits the
     crossbar. Empty pairings are dropped. The split is deterministic.
+    ``second_vector`` maps the live block to that eigenvector; a caller may
+    answer it from what it has solved already.
     """
     sub = bits[np.ix_(rows, cols)]
     live_rows = rows[sub.any(axis=1)]
@@ -122,7 +138,8 @@ def split_oversized(
         return []
     if len(live_rows) <= cfg.crossbar_rows and len(live_cols) <= cfg.crossbar_cols:
         return [(live_rows, live_cols)]
-    ordered_rows, ordered_cols = _spectral_order(bits, live_rows, live_cols)
+    v = second_vector(bits[np.ix_(live_rows, live_cols)])
+    ordered_rows, ordered_cols = _spectral_order(v, live_rows, live_cols)
     row_chunks = np.split(ordered_rows, range(cfg.crossbar_rows, len(ordered_rows), cfg.crossbar_rows))
     col_chunks = np.split(ordered_cols, range(cfg.crossbar_cols, len(ordered_cols), cfg.crossbar_cols))
     return [(rc, cc) for rc in row_chunks for cc in col_chunks if bits[np.ix_(rc, cc)].any()]
@@ -149,19 +166,28 @@ def size_constrained_cluster(
     owner = np.full(c.bits.shape, -1, dtype=np.int32)
     n_accepted = 0
     util_factor = cfg.base_util_factor
+    basis = None  # the residual's spectral basis; dropped when an acceptance changes the residual
+    solved: dict[tuple, np.ndarray] = {}  # (shape, bits) of a block -> its second vector
 
     def try_accept(rows: np.ndarray, cols: np.ndarray) -> bool:
-        nonlocal n_accepted
+        nonlocal n_accepted, basis
         block = np.ix_(rows, cols)
         if int(residual[block].sum()) / cfg.crossbar_area < util_factor:
             return False
         owner[block] = np.where(residual[block] == 1, n_accepted, owner[block])
         n_accepted += 1
         residual[block] = 0
+        basis = None
         return True
 
+    def second_vector(block: np.ndarray) -> np.ndarray:
+        key = (block.shape, block.tobytes())
+        if key not in solved:
+            solved[key] = _second_vector(block)
+        return solved[key]
+
     def handle(rows: np.ndarray, cols: np.ndarray) -> int:
-        return sum(try_accept(rc, cc) for rc, cc in split_oversized(residual, rows, cols, cfg))
+        return sum(try_accept(rc, cc) for rc, cc in split_oversized(residual, rows, cols, cfg, second_vector))
 
     for round_no in range(1, cfg.max_rounds + 1):
         nnz_before = int(residual.sum())
@@ -173,9 +199,18 @@ def size_constrained_cluster(
 
         fits = len(active_rows) <= cfg.crossbar_rows and len(active_cols) <= cfg.crossbar_cols
         if not fits and nnz_before < len(active_rows) * len(active_cols):
-            # structure stage: spectral groups over the residual graph
-            k = _derived_k(nnz_before, len(active_rows) + len(active_cols), cfg)
-            groups = spectral_cluster(ConnectivityMatrix(residual), k, seed_for(seed, round_no))
+            # structure stage: spectral groups over the residual graph; k is
+            # fixed by the residual, so an unchanged residual reuses its basis
+            if basis is None:
+                k = _derived_k(nnz_before, len(active_rows) + len(active_cols), cfg)
+                basis = spectral_basis(ConnectivityMatrix(residual), k)
+                if k <= min(len(active_rows), len(active_cols)):
+                    # then column 1 is _second_vector's bit for bit: both take
+                    # the same thin SVD of the same block, and the sign rule
+                    # and the eigenvalue sort act per column
+                    block = residual[np.ix_(active_rows, active_cols)]
+                    solved[block.shape, block.tobytes()] = basis.vectors[:, 1]
+            groups = spectral_cluster(basis, seed_for(seed, round_no))
             accepted_this_round = sum(handle(g_rows, g_cols) for g_rows, g_cols in groups)
         if accepted_this_round == 0:
             # the whole residual as one candidate, split in order when oversized

@@ -8,11 +8,13 @@ and columns -> :func:`build_similarity`, the degree-scaled biadjacency
 B = D_r^{-1/2} C D_c^{-1/2} -> :func:`eig_smallest`. The graph's normalized
 Laplacian is L = I - [[0, B], [B^T, 0]], and its eigenpairs come from one SVD
 of the m x n matrix B (Dhillon, KDD 2001); the (m+n) x (m+n) graph is never
-built. Clustering then row-normalizes the K smallest eigenvectors and runs
-seeded k-means on them. Each Lloyd step ranks the centroids by the Gram form
-of the squared distance, one matrix product, and recomputes near ties
-directly, so the labels are bit-equal to those of the direct
-(points x k x dims) form. That array is built only for the near-tie rows, for
+built. :func:`spectral_basis` solves a graph for its K smallest eigenvectors,
+and :func:`spectral_cluster` row-normalizes them and runs seeded k-means on
+them; so one basis serves every seed, and a caller solves a graph that does
+not change once (``sizecluster`` keeps one basis per residual state). Each
+Lloyd step ranks the centroids by the Gram form of the squared distance, one
+matrix product, and recomputes near ties directly, so the labels are
+bit-equal to those of the direct (points x k x dims) form. That array is built only for the near-tie rows, for
 a reseed of an empty cluster, or for an objective trace.
 
 Determinism: all randomness flows from the seed argument; a fixed seed gives
@@ -23,6 +25,7 @@ points (up to label renaming) via an internal canonical sort.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -205,12 +208,25 @@ def _nearest(pts: np.ndarray, norms: np.ndarray, centers: np.ndarray) -> np.ndar
     return labels
 
 
-def spectral_cluster(c: ConnectivityMatrix, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Group the bipartite graph of ``c`` into k (row ids, col ids) pairs.
+class SpectralBasis(NamedTuple):
+    """Active rows and cols of a connectivity matrix and the k smallest eigenvectors of their graph.
 
-    Empty rows and columns are isolated nodes: they are left out of the graph
-    and of every group, and k counts only the active nodes. Ids are ascending
-    indices into ``c``; a group may hold rows only or columns only.
+    ``vectors`` is the (rows + cols) x k output of :func:`eig_smallest` for
+    the :func:`build_similarity` block of the active rows and cols; row i of
+    it embeds ``rows[i]`` for i < len(rows), and ``cols[i - len(rows)]``
+    after that.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vectors: np.ndarray
+
+
+def spectral_basis(c: ConnectivityMatrix, k: int) -> SpectralBasis:
+    """Solve the bipartite graph of ``c`` for its k smallest Laplacian eigenvectors.
+
+    Empty rows and columns are isolated nodes: they are left out of the
+    graph, and k counts only the active nodes.
     """
     rows = np.flatnonzero(c.bits.any(axis=1))
     cols = np.flatnonzero(c.bits.any(axis=0))
@@ -218,6 +234,20 @@ def spectral_cluster(c: ConnectivityMatrix, k: int, seed: int) -> list[tuple[np.
         raise ValueError(f"k={k} exceeds the {len(rows) + len(cols)} non-isolated nodes")
     block = ConnectivityMatrix(c.bits[np.ix_(rows, cols)])
     _, vectors = eig_smallest(build_similarity(block).values, k)
+    return SpectralBasis(rows, cols, vectors)
+
+
+def spectral_cluster(basis: SpectralBasis, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Group a solved bipartite graph into k (row ids, col ids) pairs, k the basis's width.
+
+    Runs k-means only: the eigensolve is :func:`spectral_basis`'s, so one
+    basis serves any number of seeds, and ``size_constrained_cluster``
+    solves one basis per residual state for all the rounds that leave the
+    residual unchanged. Ids are ascending indices into the matrix the basis
+    was solved from; a group may hold rows only or columns only.
+    """
+    rows, cols, vectors = basis
+    k = vectors.shape[1]
     labels = kmeans(row_normalize(vectors), k, seed)
     row_labels, col_labels = labels[: len(rows)], labels[len(rows) :]
     return [(rows[row_labels == g], cols[col_labels == g]) for g in range(k)]

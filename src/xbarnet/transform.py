@@ -174,13 +174,21 @@ def transform_epoch(
     enable_prune: bool = True,
     enable_cluster: bool = True,
 ) -> dict:
-    """One epoch of the integrated loop; mutates state, returns the log record."""
+    """One epoch of the integrated loop; mutates state, returns the log record.
+
+    With clustering enabled, the record also lists per layer the rounds that
+    ``size_constrained_cluster`` ran and the clusters it accepted
+    (``scic_rounds``, ``scic_accepted``); both are 0 for a layer this epoch
+    did not cluster.
+    """
     epoch = state.epoch + 1
     loss = train_epoch(state.model, x, y, cfg.train, epoch)
     improved = loss < state.training_error_previous
     cluster_pruning = unclustered_fraction(state) < cfg.unclustered_threshold
     maps = None
     pruned_clusters = 0
+    scic_rounds = [0] * len(state.owner)  # per layer: clustering rounds run, clusters accepted
+    scic_accepted = [0] * len(state.owner)
 
     if cluster_pruning:
         if improved and enable_cluster:
@@ -194,11 +202,15 @@ def transform_epoch(
                 residual_bits = ((layer.weights != 0) & (owner < 0)).astype(np.uint8)
                 if not residual_bits.any():
                     continue
+                trace: list[dict] = []
                 cs = size_constrained_cluster(
                     ConnectivityMatrix(residual_bits),
                     cfg.scic,
                     seed_for(cfg.seed, STREAM_CLUSTER, epoch, layer_id),
+                    trace=trace,
                 )
+                scic_rounds[layer_id] = len(trace)
+                scic_accepted[layer_id] = sum(r["accepted"] for r in trace)
                 owned = cs.owner >= 0
                 owner[owned] = cs.owner[owned] + owner.max() + 1
 
@@ -206,7 +218,7 @@ def transform_epoch(
     n_zeroed = 0 if maps is None else _apply_prune_maps(state, maps)
     state.training_error_previous = loss
     state.epoch = epoch
-    return {
+    record = {
         "epoch": epoch,
         "train_loss": loss,
         "sparsity": state.model.sparsity(),
@@ -218,6 +230,10 @@ def transform_epoch(
         "n_zeroed_unprotected": n_zeroed,
         "n_clusters_pruned": pruned_clusters,
     }
+    if enable_cluster:
+        record["scic_rounds"] = scic_rounds
+        record["scic_accepted"] = scic_accepted
+    return record
 
 
 @dataclass

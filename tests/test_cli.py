@@ -36,7 +36,7 @@ def tree(root):
 
 def test_map_and_report_rebuild_the_saved_artifacts(tmp_path, config):
     run = tmp_path / "run"
-    assert cli.main(["transform", "--config", config, "--out", str(run)]) == 0
+    assert cli.main(["train", "--config", config, "--mode", "transform", "--out", str(run)]) == 0
     assert json.loads((run / "clusters.json").read_text())  # the round trip carries clusters
 
     rebuilt = tmp_path / "rebuilt"
@@ -55,6 +55,15 @@ def test_map_and_report_rebuild_the_saved_artifacts(tmp_path, config):
     (tmp_path / "bad.json").write_text(json.dumps(records))
     assert cli.main(["map", "--config", config, "--checkpoint", str(run / "checkpoint"),
                      "--clusters", str(tmp_path / "bad.json"), "--out", str(tmp_path / "m.json")]) == 2
+
+
+def test_train_runs_the_offline_cluster_mode(tmp_path, config, capsys):
+    run = tmp_path / "run"
+    assert cli.main(["train", "--config", config, "--mode", "offline_cluster", "--out", str(run)]) == 0
+    assert json.loads((run / "clusters.json").read_text())
+    assert (run / "summary.csv").read_text().splitlines()[1].startswith("offline_cluster,")
+    assert cli.main(["train", "--config", config, "--mode", "tile", "--out", str(tmp_path / "x")]) == 2
+    assert "mode: 'tile' not one of" in capsys.readouterr().err
 
 
 def test_compare_reruns_are_byte_identical(tmp_path, config):
@@ -338,5 +347,6 @@ def test_test_images_of_another_size_exit_2(tmp_path, capsys):
     write_idx_labels(digits / "t10k-labels-idx1-ubyte", np.arange(4) % 2)
     raw = {"dataset": {"kind": "mnist", "dir": str(digits)}, "topology": [16, 4, 2], "transform": {"max_epochs": 1}}
     (tmp_path / "config.json").write_text(json.dumps(raw))
-    assert cli.main(["transform", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]) == 2
+    assert cli.main(["train", "--config", str(tmp_path / "config.json"), "--mode", "transform",
+                     "--out", str(tmp_path / "out")]) == 2
     assert "train images are 4x4 but test images are 3x3" in capsys.readouterr().err

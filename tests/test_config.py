@@ -217,23 +217,23 @@ def mnist_dir(tmp_path_factory):
     return write_surrogate_digits(tmp_path_factory.mktemp("mnist"), seed=0, n_train=24, n_test=8)
 
 
-def run_mutated(command: str, raw: dict, mnist_dir: Path) -> int:
+def run_mutated(command: list[str], raw: dict, mnist_dir: Path) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "mnist").symlink_to(mnist_dir, target_is_directory=True)
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(raw))
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            return cli.main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
+            return cli.main([*command, "--config", str(path), "--out", str(Path(tmp) / "out")])
 
 
 @settings(max_examples=40, deadline=None)
 @given(raw=mutated_configs())
 def test_mutated_configs_exit_0_or_2(raw, mnist_dir):
-    assert run_mutated("train", raw, mnist_dir) in (0, 2)
+    assert run_mutated(["train"], raw, mnist_dir) in (0, 2)
 
 
 # fewer examples: transform clusters, and compare runs all four arms
-@pytest.mark.parametrize("command", ["transform", "compare"])
+@pytest.mark.parametrize("command", [["train", "--mode", "transform"], ["compare"]], ids=["transform", "compare"])
 @settings(max_examples=30, deadline=None)
 @given(raw=mutated_configs())
 def test_mutated_configs_exit_0_or_2_on_clustering_runs(command, raw, mnist_dir):

@@ -1,5 +1,6 @@
 """Experiment orchestration: `compare` trains each distinct network once, and arms share it read-only."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -60,6 +61,16 @@ def test_prune_and_offline_arms_share_checkpoint_and_log(compared):
     out, _ = compared
     for name in ("checkpoint.bin", "log.jsonl"):
         assert (out / "prune" / name).read_bytes() == (out / "offline_cluster" / name).read_bytes()
+
+
+def test_only_the_transform_log_carries_the_clustering_trace(compared):
+    out, _ = compared
+    for mode in ("original", "prune", "offline_cluster", "transform"):
+        records = [json.loads(line) for line in (out / mode / "log.jsonl").read_text().splitlines()]
+        assert records
+        assert all(("scic_accepted" in r) == (mode == "transform") for r in records), mode
+    first = json.loads((out / "transform" / "log.jsonl").read_text().splitlines()[0])
+    assert sum(first["scic_accepted"]) == first["n_clusters"] > 0
 
 
 def test_standalone_offline_run_matches_compare_subtree(compared, cfg, data, tmp_path):

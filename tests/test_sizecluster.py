@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from xbarnet import sizecluster, spectral
 from xbarnet.connectivity import ClusterSet, ConnectivityMatrix
-from xbarnet.sizecluster import SizeClusterConfig, size_constrained_cluster, split_oversized
+from xbarnet.sizecluster import SizeClusterConfig, _derived_k, size_constrained_cluster, split_oversized
+from xbarnet.spectral import build_similarity, eig_smallest, kmeans, row_normalize
+from xbarnet.util import seed_for
 
 
 def block_diagonal(blocks, block_shape):
@@ -184,3 +187,196 @@ class TestSizeConstrainedCluster:
         )
         cs = size_constrained_cluster(c, cfg, seed=1)
         check_contract(cs, c, cfg)
+
+
+# -- reference: the loop as it was before it kept what it had solved --------
+#
+# Every round solved the residual afresh, and every split ordering solved its
+# block afresh. The current loop must give the same owner matrix and trace.
+
+
+def reference_spectral_cluster(c, k, seed):
+    rows = np.flatnonzero(c.bits.any(axis=1))
+    cols = np.flatnonzero(c.bits.any(axis=0))
+    if k > len(rows) + len(cols):
+        raise ValueError(f"k={k} exceeds the {len(rows) + len(cols)} non-isolated nodes")
+    block = ConnectivityMatrix(c.bits[np.ix_(rows, cols)])
+    _, vectors = eig_smallest(build_similarity(block).values, k)
+    labels = kmeans(row_normalize(vectors), k, seed)
+    row_labels, col_labels = labels[: len(rows)], labels[len(rows) :]
+    return [(rows[row_labels == g], cols[col_labels == g]) for g in range(k)]
+
+
+def reference_spectral_order(bits, rows, cols):
+    m = len(rows)
+    b = build_similarity(ConnectivityMatrix(bits[np.ix_(rows, cols)])).values
+    v = eig_smallest(b, 2)[1][:, -1]
+    row_order = np.lexsort((rows, v[:m]))
+    col_order = np.lexsort((cols, v[m:]))
+    return rows[row_order], cols[col_order]
+
+
+def reference_split_oversized(bits, rows, cols, cfg):
+    sub = bits[np.ix_(rows, cols)]
+    live_rows = rows[sub.any(axis=1)]
+    live_cols = cols[sub.any(axis=0)]
+    if len(live_rows) == 0 or len(live_cols) == 0:
+        return []
+    if len(live_rows) <= cfg.crossbar_rows and len(live_cols) <= cfg.crossbar_cols:
+        return [(live_rows, live_cols)]
+    ordered_rows, ordered_cols = reference_spectral_order(bits, live_rows, live_cols)
+    row_chunks = np.split(ordered_rows, range(cfg.crossbar_rows, len(ordered_rows), cfg.crossbar_rows))
+    col_chunks = np.split(ordered_cols, range(cfg.crossbar_cols, len(ordered_cols), cfg.crossbar_cols))
+    return [(rc, cc) for rc in row_chunks for cc in col_chunks if bits[np.ix_(rc, cc)].any()]
+
+
+def reference_size_constrained_cluster(c, cfg, seed, trace):
+    residual = np.array(c.bits, dtype=np.uint8)
+    owner = np.full(c.bits.shape, -1, dtype=np.int32)
+    n_accepted = 0
+    util_factor = cfg.base_util_factor
+
+    def try_accept(rows, cols):
+        nonlocal n_accepted
+        block = np.ix_(rows, cols)
+        if int(residual[block].sum()) / cfg.crossbar_area < util_factor:
+            return False
+        owner[block] = np.where(residual[block] == 1, n_accepted, owner[block])
+        n_accepted += 1
+        residual[block] = 0
+        return True
+
+    def handle(rows, cols):
+        return sum(try_accept(rc, cc) for rc, cc in reference_split_oversized(residual, rows, cols, cfg))
+
+    for round_no in range(1, cfg.max_rounds + 1):
+        nnz_before = int(residual.sum())
+        if nnz_before == 0:
+            break
+        active_rows = np.flatnonzero(residual.any(axis=1))
+        active_cols = np.flatnonzero(residual.any(axis=0))
+        accepted_this_round = 0
+        fits = len(active_rows) <= cfg.crossbar_rows and len(active_cols) <= cfg.crossbar_cols
+        if not fits and nnz_before < len(active_rows) * len(active_cols):
+            k = _derived_k(nnz_before, len(active_rows) + len(active_cols), cfg)
+            groups = reference_spectral_cluster(ConnectivityMatrix(residual), k, seed_for(seed, round_no))
+            accepted_this_round = sum(handle(g_rows, g_cols) for g_rows, g_cols in groups)
+        if accepted_this_round == 0:
+            accepted_this_round = handle(active_rows, active_cols)
+        trace.append(
+            {
+                "round": round_no,
+                "util_factor": util_factor,
+                "accepted": accepted_this_round,
+                "residual_before": nnz_before,
+                "residual_after": int(residual.sum()),
+            }
+        )
+        if accepted_this_round == 0:
+            util_factor *= cfg.decay_rate
+            if util_factor < cfg.min_util_factor:
+                break
+    return owner
+
+
+def random_config(rng, crossbar):
+    base = float(rng.uniform(0.4, 1.0))
+    return SizeClusterConfig(
+        crossbar_rows=crossbar[0],
+        crossbar_cols=crossbar[1],
+        base_util_factor=base,
+        min_util_factor=float(rng.uniform(0.1, base)),
+        decay_rate=float(rng.uniform(0.5, 0.95)),
+        max_rounds=int(rng.integers(1, 13)),
+    )
+
+
+def oracle_cases():
+    """(bits, cfg, seed) triples: 100 small crossbars, 40 at 16x16, 40 narrow, 40 complete or fitting."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for _ in range(100):  # crossbars 1x1 to 9x9, densities 0.05-1.0
+        shape = tuple(int(v) for v in rng.integers(1, 25, size=2))
+        bits = (rng.random(shape) < rng.uniform(0.05, 1.0)).astype(np.uint8)
+        cases.append((bits, random_config(rng, tuple(int(v) for v in rng.integers(1, 10, size=2)))))
+    for _ in range(40):  # 16x16 crossbars on residuals that overflow them
+        shape = tuple(int(v) for v in rng.integers(17, 56, size=2))
+        bits = (rng.random(shape) < rng.uniform(0.05, 1.0)).astype(np.uint8)
+        cases.append((bits, random_config(rng, (16, 16))))
+    for _ in range(40):  # two or three rows or cols: k exceeds min(m, n) on small crossbars
+        shape = (int(rng.integers(2, 4)), int(rng.integers(20, 60)))
+        bits = (rng.random(shape) < rng.uniform(0.3, 0.9)).astype(np.uint8)
+        crossbar = (1, int(rng.integers(1, 4)))
+        if rng.random() < 0.5:
+            bits, crossbar = bits.T.copy(), crossbar[::-1]
+        cases.append((bits, random_config(rng, crossbar)))
+    for i in range(40):  # complete blocks, and residuals that fit one crossbar
+        crossbar = tuple(int(v) for v in rng.integers(1, 10, size=2))
+        if i % 2:
+            shape = (int(rng.integers(1, crossbar[0] + 1)), int(rng.integers(1, crossbar[1] + 1)))
+            bits = (rng.random(shape) < rng.uniform(0.05, 1.0)).astype(np.uint8)
+        else:
+            bits = np.ones(tuple(int(v) for v in rng.integers(1, 30, size=2)), dtype=np.uint8)
+            if i % 4:  # a complete block inside stray synapses
+                bits = np.pad(bits, 4)
+                bits[rng.random(bits.shape) < 0.02] = 1
+        cases.append((bits, random_config(rng, crossbar)))
+    return [(bits, cfg, seed) for seed, (bits, cfg) in enumerate(cases)]
+
+
+class TestMatchesReference:
+    def test_owner_and_trace_equal_on_seeded_cases(self):
+        cases = oracle_cases()
+        assert len(cases) == 220
+        for bits, cfg, seed in cases:
+            want_trace: list = []
+            want = reference_size_constrained_cluster(ConnectivityMatrix(bits), cfg, seed, want_trace)
+            trace: list = []
+            got = size_constrained_cluster(ConnectivityMatrix(bits), cfg, seed, trace=trace)
+            assert got.owner.tobytes() == want.tobytes(), (seed, bits.shape, cfg)
+            assert trace == want_trace, (seed, bits.shape, cfg)
+
+    def test_narrow_cases_take_the_full_svd_path(self, monkeypatch):
+        # the oracle cases above must reach k > min(m, n) in the structure stage
+        widths = []
+
+        def recording(b, k):
+            widths.append(k > min(b.shape))
+            return eig_smallest(b, k)
+
+        monkeypatch.setattr(spectral, "eig_smallest", recording)
+        for bits, cfg, seed in oracle_cases()[140:180]:
+            size_constrained_cluster(ConnectivityMatrix(bits), cfg, seed)
+        assert any(widths)
+
+    def test_split_oversized_matches_reference(self):
+        rng = np.random.default_rng(6)
+        for _ in range(50):
+            shape = tuple(int(v) for v in rng.integers(1, 30, size=2))
+            bits = (rng.random(shape) < rng.uniform(0.05, 1.0)).astype(np.uint8)
+            rows = np.flatnonzero(rng.random(shape[0]) < 0.8)
+            cols = np.flatnonzero(rng.random(shape[1]) < 0.8)
+            cfg = SizeClusterConfig(*(int(v) for v in rng.integers(1, 8, size=2)))
+            got = split_oversized(bits, rows, cols, cfg)
+            want = reference_split_oversized(bits, rows, cols, cfg)
+            assert [(r.tolist(), c.tolist()) for r, c in got] == [(r.tolist(), c.tolist()) for r, c in want]
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_no_eigensolve_repeats_within_one_call(monkeypatch, case):
+    # residuals where rounds accept nothing: the loop used to solve them again
+    rng = np.random.default_rng(100 + case)
+    bits = (rng.random((48, 40)) < 0.3).astype(np.uint8)
+    cfg = SizeClusterConfig(crossbar_rows=4 + case, crossbar_cols=4, min_util_factor=0.2)
+    seen = []
+
+    def recording(b, k):
+        seen.append((b.shape, np.ascontiguousarray(b).tobytes(), k))
+        return eig_smallest(b, k)
+
+    monkeypatch.setattr(spectral, "eig_smallest", recording)
+    monkeypatch.setattr(sizecluster, "eig_smallest", recording)
+    trace: list = []
+    size_constrained_cluster(ConnectivityMatrix(bits), cfg, seed=case, trace=trace)
+    assert any(r["accepted"] == 0 for r in trace[:-1])  # some round left the residual to the next one
+    assert len(seen) - len(set(seen)) == 0

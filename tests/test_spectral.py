@@ -18,6 +18,7 @@ from xbarnet.spectral import (
     eig_smallest,
     kmeans,
     row_normalize,
+    spectral_basis,
     spectral_cluster,
 )
 
@@ -440,7 +441,7 @@ class TestSpectralCluster:
         bits = np.zeros((6, 8), dtype=np.uint8)
         bits[:4, :3] = 1
         bits[4:, 3:] = 1
-        groups = spectral_cluster(ConnectivityMatrix(bits), 2, seed=0)
+        groups = spectral_cluster(spectral_basis(ConnectivityMatrix(bits), 2), seed=0)
         assert as_sets(groups) == component_sets(bits)
 
     def test_planted_bipartite_blocks(self):
@@ -450,11 +451,11 @@ class TestSpectralCluster:
             block = (rng.random((4, 3)) < 0.9).astype(np.uint8)
             block[0, 0] = 1
             bits[b * 4 : (b + 1) * 4, b * 3 : (b + 1) * 3] = block
-        groups = spectral_cluster(ConnectivityMatrix(bits), 3, seed=1)
+        groups = spectral_cluster(spectral_basis(ConnectivityMatrix(bits), 3), seed=1)
         assert as_sets(groups) == component_sets(bits)
 
     def test_single_edge_single_cluster(self):
-        (rows, cols), = spectral_cluster(ConnectivityMatrix([[1]]), 1, seed=0)
+        (rows, cols), = spectral_cluster(spectral_basis(ConnectivityMatrix([[1]]), 1), seed=0)
         assert rows.tolist() == [0] and cols.tolist() == [0]
 
     def test_isolated_nodes_separated(self):
@@ -462,14 +463,25 @@ class TestSpectralCluster:
         bits = np.zeros((3, 3), dtype=np.uint8)
         bits[0, 0] = 1
         bits[2, 1] = 1
-        groups = spectral_cluster(ConnectivityMatrix(bits), 2, seed=0)
+        groups = spectral_cluster(spectral_basis(ConnectivityMatrix(bits), 2), seed=0)
         assert as_sets(groups) == {frozenset({0, ("c", 0)}), frozenset({2, ("c", 1)})}
 
     def test_k_exceeding_active_nodes(self):
         bits = np.zeros((2, 2), dtype=np.uint8)
         bits[0, 1] = 1
         with pytest.raises(ValueError, match="non-isolated"):
-            spectral_cluster(ConnectivityMatrix(bits), 3, seed=0)
+            spectral_basis(ConnectivityMatrix(bits), 3)
+
+    def test_basis_is_the_active_blocks_eigenvectors(self):
+        rng = np.random.default_rng(8)
+        bits = (rng.random((9, 7)) < 0.4).astype(np.uint8)
+        bits[2] = 0
+        bits[:, 5] = 0
+        bits[0, 0] = 1
+        rows, cols, vectors = spectral_basis(ConnectivityMatrix(bits), 4)
+        assert rows.tolist() == np.flatnonzero(bits.any(axis=1)).tolist()
+        assert cols.tolist() == np.flatnonzero(bits.any(axis=0)).tolist()
+        assert np.array_equal(vectors, solve(bits[np.ix_(rows, cols)], 4)[1])
 
     def test_matches_full_graph_reference(self):
         # seeded residuals with empty rows and columns. Where the k+1 smallest
@@ -487,7 +499,7 @@ class TestSpectralCluster:
             bits[0, 0] = bits[-1, -1] = 1
             n_active = int(bits.any(axis=1).sum() + bits.any(axis=0).sum())
             k = int(rng.integers(2, min(8, n_active) + 1))
-            got = spectral_cluster(ConnectivityMatrix(bits), k, seed=trial)
+            got = spectral_cluster(spectral_basis(ConnectivityMatrix(bits), k), seed=trial)
             want, ref_vals = reference_spectral_groups(bits, k, seed=trial)
             block = bits[np.ix_(bits.any(axis=1), bits.any(axis=0))]
             vals, _ = solve(block, min(k + 1, n_active))

@@ -247,6 +247,21 @@ class TestRunLoop:
         for record in result.log:
             assert wanted <= set(record)
 
+    def test_log_counts_clustering_rounds_per_layer(self):
+        x, y = tiny_data(n=200)
+        cfg = small_config(max_epochs=3)
+        log = run(cfg, [6, 8, 3], x, y, x, y).log
+        first = log[0]
+        assert len(first["scic_rounds"]) == len(first["scic_accepted"]) == 2
+        assert min(first["scic_rounds"]) > 0  # every layer is clustered in epoch 1
+        assert sum(first["scic_accepted"]) == first["n_clusters"]
+        for record in log:
+            if record["phase"] == "cluster_pruning" or not record["improved"]:
+                assert record["scic_rounds"] == record["scic_accepted"] == [0, 0]
+        # only a loop that clusters logs the trace
+        prune_only = run(cfg, [6, 8, 3], x, y, x, y, enable_cluster=False).log
+        assert not any("scic_rounds" in r or "scic_accepted" in r for r in prune_only)
+
     def test_mean_util_is_mean_cell_count_over_area(self):
         x, y = tiny_data(n=200)
         cfg = small_config(max_epochs=3)
