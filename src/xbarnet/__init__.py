@@ -6,13 +6,7 @@ onto memristive crossbar arrays, and scores area and energy against
 pruning-only and cluster-after-training baselines.
 """
 
-from .connectivity import (
-    ClusterSet,
-    ConnectivityMatrix,
-    from_weights,
-    load_sparse,
-    save_sparse,
-)
+from .connectivity import ClusterSet, ConnectivityMatrix, from_weights
 from .hardware import (
     CmosConfig,
     TechConfig,

@@ -2,7 +2,7 @@
 
 Subcommands:
   train      run one mode: original, prune, offline_cluster or transform
-  cluster    one-shot clustering of a saved checkpoint or a raw sparse matrix
+  cluster    one-shot clustering of a saved checkpoint
   map        rebuild the crossbar mapping report from saved artifacts
   report     energy reports from a saved mapping report
   compare    run all four modes and emit the normalized summary CSV
@@ -18,11 +18,10 @@ from pathlib import Path
 
 from .config import MODES, ConfigError, load_config
 from .connectivity import ClusterFormatError, InputFormatError, cluster_sets_from_json, cluster_sets_to_json
-from .connectivity import from_weights, load_sparse
+from .connectivity import from_weights
 from .experiment import compare, run_experiment, write_json
 from .hardware import energy_document, map_to_mcas, mapping_from_json
 from .mlp import load_checkpoint
-from .sizecluster import size_constrained_cluster
 from .transform import offline_cluster
 
 
@@ -53,11 +52,8 @@ def cmd_train(args) -> int:
 def cmd_cluster(args) -> int:
     cfg = _load(args)
     out = _out_file(cfg, args, "clusters.json")
-    if args.matrix:
-        sets = [size_constrained_cluster(load_sparse(args.matrix), cfg.scic, cfg.seed)]
-    else:
-        model, _ = load_checkpoint(args.checkpoint)
-        sets = offline_cluster(model, cfg.scic, cfg.seed)
+    model, _ = load_checkpoint(args.checkpoint)
+    sets = offline_cluster(model, cfg.scic, cfg.seed)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(cluster_sets_to_json(sets))
     total = sum(s.n_clusters for s in sets)
@@ -86,7 +82,7 @@ def cmd_map(args) -> int:
 def cmd_report(args) -> int:
     cfg = _load(args)
     mapping = mapping_from_json(Path(args.mapping).read_bytes())
-    doc = energy_document(mapping, cfg.tech, cfg.cmos, cfg.evals_per_inference, args.storage)
+    doc = energy_document(mapping, cfg.tech, cfg.cmos, args.storage)
     out = _out_file(cfg, args, "energy.json")
     write_json(out, doc)
     print(f"wrote {out}: total_E={doc['total_j']:.3e} cmos_E={doc['cmos']['total_j']:.3e}")
@@ -120,11 +116,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default=None, help=f"override the config mode: one of {', '.join(MODES)}")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("cluster", help="one-shot clustering of a model or matrix")
+    p = sub.add_parser("cluster", help="one-shot clustering of a saved checkpoint")
     common(p)
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--checkpoint", help="checkpoint path (without suffix)")
-    source.add_argument("--matrix", help="sparse coordinate matrix file")
+    p.add_argument("--checkpoint", required=True, help="checkpoint path (without suffix)")
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("map", help="crossbar mapping report from saved artifacts")

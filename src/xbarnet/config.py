@@ -10,6 +10,7 @@ file reports all its errors at once instead of one per run attempt.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -45,7 +46,6 @@ class ExperimentConfig:
     transform: TransformConfig
     tech: TechConfig
     cmos: CmosConfig
-    evals_per_inference: list[int] | None = None
 
     @property
     def scic(self) -> SizeClusterConfig:
@@ -63,6 +63,7 @@ def _check_fields(section, name: str, cls, problems: list[str], set_elsewhere=()
     """The known, well-typed fields of one config section; reports the rest to ``problems``.
 
     Types come from the field defaults; fields in ``set_elsewhere`` take their values elsewhere.
+    A float must be finite: ``json`` reads ``NaN`` and ``Infinity``, which slip past range checks.
     """
     if not isinstance(section, dict):
         problems.append(f"{name}: must be an object, got {type(section).__name__}")
@@ -74,6 +75,8 @@ def _check_fields(section, name: str, cls, problems: list[str], set_elsewhere=()
             problems.append(f"{name}.{key}: unknown field (expected one of {sorted(defaults)})")
         elif not _matches_type(value, type(defaults[key])):
             problems.append(f"{name}.{key}: must be {type(defaults[key]).__name__}, got {value!r}")
+        elif isinstance(value, float) and not math.isfinite(value):
+            problems.append(f"{name}.{key}: must be finite, got {value!r}")
         else:
             kwargs[key] = value
     return kwargs
@@ -138,17 +141,9 @@ def build_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
         raw.get("transform", {}), "transform", TransformConfig, problems, ("scic", "train", "seed")
     )
 
-    evals = raw.get("evals_per_inference")
-    if evals is not None:
-        if not isinstance(evals, list) or len(evals) != len(topology) - 1 or not all(
-            _matches_type(e, int) and e >= 1 for e in evals
-        ):
-            problems.append("evals_per_inference: need one integer >=1 per layer")
-            evals = None
-
     known_top = {
         "dataset", "topology", "mode", "seed", "out_dir",
-        "train", "scic", "transform", "tech", "cmos", "evals_per_inference", "_comment",
+        "train", "scic", "transform", "tech", "cmos", "_comment",
     }
     for key in raw:
         if key not in known_top:
@@ -184,7 +179,6 @@ def build_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
         transform=transform,
         tech=tech,
         cmos=cmos,
-        evals_per_inference=evals,
     )
 
 

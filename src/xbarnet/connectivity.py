@@ -1,4 +1,4 @@
-"""Connectivity matrices, clusters, and their file formats.
+"""Connectivity matrices, clusters, and the ``clusters.json`` format.
 
 A connectivity matrix is a dense (0,1) matrix recording which synapses exist
 between two neuron layers: entry (i, j) = 1 iff input neuron i feeds output
@@ -9,6 +9,10 @@ records which cluster owns each synapse in one int32 owner matrix per layer,
 and that matrix is the only record of the clusters: a cluster's footprint,
 the rows and columns its crossbar spans, is derived from the cells it owns.
 
+A run writes its clusters to ``clusters.json``, one record per cluster
+(:func:`cluster_sets_to_json`), and :func:`cluster_sets_from_json` rebuilds
+them against each layer's live synapses.
+
 All types are immutable after construction; operations return new values.
 """
 
@@ -17,7 +21,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -27,16 +30,6 @@ class ShapeError(ValueError):
 
 class InputFormatError(ValueError):
     """Base of the errors raised on a malformed input file."""
-
-
-class SparseFormatError(InputFormatError):
-    """Raised on malformed sparse coordinate files; carries the line number."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 class ClusterFormatError(InputFormatError):
@@ -62,14 +55,6 @@ class ConnectivityMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "bits", _as_bits(self.bits))
-
-    @property
-    def rows(self) -> int:
-        return self.bits.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.bits.shape[1]
 
     @property
     def nnz(self) -> int:
@@ -166,56 +151,6 @@ def owner_cells(owner: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 def from_weights(weights) -> ConnectivityMatrix:
     """The synapses of a weight matrix: entry (i, j) = 1 iff w(i, j) != 0."""
     return ConnectivityMatrix((np.asarray(weights) != 0).astype(np.uint8))
-
-
-def save_sparse(path, matrix: ConnectivityMatrix) -> None:
-    """Write the coordinate text format: 'rows cols nnz' then one 'row col' per 1-entry."""
-    rows, cols = np.nonzero(matrix.bits)
-    lines = [f"{matrix.rows} {matrix.cols} {len(rows)}"]
-    lines.extend(f"{i} {j}" for i, j in zip(rows.tolist(), cols.tolist()))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_sparse(path) -> ConnectivityMatrix:
-    """Read the coordinate text format written by :func:`save_sparse`."""
-    try:
-        raw = Path(path).read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise SparseFormatError(f"{path}: not UTF-8 text ({exc})") from None
-    lines = [(n + 1, s.strip()) for n, s in enumerate(raw) if s.strip()]
-    if not lines:
-        raise SparseFormatError("empty file", line=1)
-    header_no, header = lines[0]
-    n_rows, n_cols, nnz = _int_fields(header, "rows cols nnz", header_no)
-    if n_rows < 1 or n_cols < 1 or nnz < 0:
-        raise SparseFormatError(f"invalid dimensions {header!r}", line=header_no)
-    entries = lines[1:]
-    if len(entries) != nnz:
-        raise SparseFormatError(
-            f"header promises {nnz} entries but file has {len(entries)}", line=header_no
-        )
-    bits = np.zeros((n_rows, n_cols), dtype=np.uint8)
-    for line_no, text in entries:
-        i, j = _int_fields(text, "row col", line_no)
-        if not (0 <= i < n_rows and 0 <= j < n_cols):
-            raise SparseFormatError(
-                f"coordinate out of bounds: ({i}, {j}) vs shape ({n_rows}, {n_cols})", line=line_no
-            )
-        if bits[i, j]:
-            raise SparseFormatError(f"repeated coordinate ({i}, {j})", line=line_no)
-        bits[i, j] = 1
-    return ConnectivityMatrix(bits)
-
-
-def _int_fields(text: str, form: str, line_no: int) -> list[int]:
-    """The integers of one line shaped like ``form``, or a SparseFormatError."""
-    parts = text.split()
-    try:
-        if len(parts) != len(form.split()):
-            raise ValueError
-        return [int(p) for p in parts]
-    except ValueError:
-        raise SparseFormatError(f"expected integers '{form}', got {text!r}", line=line_no) from None
 
 
 _ITEM_SEP = ",\n   "  # between the items of a record's lists, as indent=1 lays them out

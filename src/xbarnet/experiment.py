@@ -128,7 +128,7 @@ def run_experiment(
 
     mapping = map_to_mcas(cluster_sets, cfg.tech)
     storage = "clustered" if cfg.mode in ("offline_cluster", "transform") else "dense"
-    energy = energy_document(mapping, cfg.tech, cfg.cmos, cfg.evals_per_inference, storage)
+    energy = energy_document(mapping, cfg.tech, cfg.cmos, storage)
 
     accuracy = result.log[-1]["val_acc"] if result.log else evaluate(model, data.x_test, data.y_test)[0]
     summary = {

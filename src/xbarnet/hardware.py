@@ -79,8 +79,8 @@ class CmosConfig:
 
 class MappingFormatError(InputFormatError):
     """Raised on a ``mapping.json`` document that is not UTF-8 JSON, lacks a
-    well-typed measured field, holds measured fields that contradict each other
-    or the crossbar, or has another layer count than ``evals_per_inference``."""
+    well-typed measured field, or holds measured fields that contradict each
+    other or the crossbar."""
 
 
 def _mapping_document(layers: list[tuple], num_core: int, crossbar_rows: int, crossbar_cols: int) -> dict:
@@ -209,20 +209,14 @@ def map_to_mcas(cluster_sets: list[ClusterSet], tech: TechConfig) -> dict:
     return _mapping_document(layers, num_core, tech.crossbar_rows, tech.crossbar_cols)
 
 
-def mca_energy(mapping: dict, tech: TechConfig, evals_per_inference: list[int] | None = None) -> dict:
+def mca_energy(mapping: dict, tech: TechConfig) -> dict:
     """Per-inference energy: active cross-points plus a peripheral charge per array."""
-    layers = mapping["layers"]
-    if evals_per_inference is None:
-        evals_per_inference = [1] * len(layers)
-    if len(evals_per_inference) != len(layers):
-        counts = (len(layers), len(evals_per_inference))
-        raise MappingFormatError("mapping has %d layers, evals_per_inference %d" % counts)
     array_e = 0.0
     periph_e = 0.0
-    for layer, evals in zip(layers, evals_per_inference):
+    for layer in mapping["layers"]:
         actives = layer["cluster_active"] + layer["residual_active"]
-        array_e += evals * sum(actives) * tech.mca_energy_per_active_crosspoint_j
-        periph_e += evals * len(actives) * tech.peripheral_energy_per_mca_eval_j
+        array_e += sum(actives) * tech.mca_energy_per_active_crosspoint_j
+        periph_e += len(actives) * tech.peripheral_energy_per_mca_eval_j
     return {"mca_component_j": array_e, "peripheral_component_j": periph_e, "total_j": array_e + periph_e}
 
 
@@ -245,13 +239,7 @@ def cmos_energy(
             "total_j": compute + memory_access + leakage + sync}
 
 
-def energy_document(
-    mapping: dict,
-    tech: TechConfig,
-    cmos: CmosConfig,
-    evals_per_inference: list[int] | None = None,
-    storage: str = "auto",
-) -> dict:
+def energy_document(mapping: dict, tech: TechConfig, cmos: CmosConfig, storage: str = "auto") -> dict:
     """The ``energy.json`` document of a ``mapping.json`` document: crossbar energy and the CMOS baseline.
 
     ``storage`` is how the baseline stores weights: "dense" (the full
@@ -261,6 +249,6 @@ def energy_document(
     if storage == "auto":
         storage = "clustered" if mapping["n_clusters"] else "dense"
     stored = {"clustered": mapping["clustered_storage"], "dense": mapping["dense_storage"]}[storage]
-    xbar = mca_energy(mapping, tech, evals_per_inference)
+    xbar = mca_energy(mapping, tech)
     base = cmos_energy(mapping["n_live"], stored, cmos, mapping["n_clusters"])
     return {**xbar, "storage_model": storage, "cmos": base}

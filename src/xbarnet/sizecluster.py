@@ -25,6 +25,9 @@ when the residual neither fits one crossbar nor is one complete block, as
 every layer is before its first prune: such a graph has no cut structure for
 them to find. When there are no groups to seek, or they yield nothing, the
 whole residual is the round's one candidate before the threshold decays.
+The loop stops once no crossbar-sized block of the residual can reach
+``min_util_factor``: the residual only shrinks and every acceptance clears
+at least that floor, so the rounds left could only decay the threshold.
 
 Each graph is solved once per call. The residual's spectral basis (its
 active rows and cols and their eigenvectors) is solved once per residual
@@ -156,10 +159,12 @@ def size_constrained_cluster(
 
     Each round re-clusters the whole residual; a round that accepts nothing
     decays the utilization threshold, and the loop stops once the threshold
-    would fall below ``min_util_factor``, the residual empties, or
-    ``max_rounds`` is hit. Every accepted cluster fits the crossbar and has
-    utilization >= min_util_factor. The returned set's owner matrix holds,
-    per synapse of ``c``, the index of the cluster that took it or -1.
+    would fall below ``min_util_factor``, the residual empties, no
+    crossbar-sized block of it holds enough synapses to reach
+    ``min_util_factor``, or ``max_rounds`` is hit. Every accepted cluster
+    fits the crossbar and has utilization >= min_util_factor. The returned
+    set's owner matrix holds, per synapse of ``c``, the index of the cluster
+    that took it or -1.
     ``trace``, when given, receives one dict per round for auditing.
     """
     residual = np.array(c.bits, dtype=np.uint8)
@@ -195,6 +200,10 @@ def size_constrained_cluster(
             break
         active_rows = np.flatnonzero(residual.any(axis=1))
         active_cols = np.flatnonzero(residual.any(axis=0))
+        # the most synapses a crossbar-sized candidate can hold; below the floor no round can accept
+        best = min(nnz_before, min(len(active_rows), cfg.crossbar_rows) * min(len(active_cols), cfg.crossbar_cols))
+        if best / cfg.crossbar_area < cfg.min_util_factor:
+            break
         accepted_this_round = 0
 
         fits = len(active_rows) <= cfg.crossbar_rows and len(active_cols) <= cfg.crossbar_cols

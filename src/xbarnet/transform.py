@@ -179,7 +179,8 @@ def transform_epoch(
     With clustering enabled, the record also lists per layer the rounds that
     ``size_constrained_cluster`` ran and the clusters it accepted
     (``scic_rounds``, ``scic_accepted``); both are 0 for a layer this epoch
-    did not cluster.
+    did not cluster. A round that starts with no crossbar fillable to
+    ``scic.min_util_factor`` does not run, so such a layer logs 0 rounds.
     """
     epoch = state.epoch + 1
     loss = train_epoch(state.model, x, y, cfg.train, epoch)

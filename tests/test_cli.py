@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from xbarnet import cli
-from xbarnet.connectivity import ConnectivityMatrix, save_sparse
 from xbarnet.datasets import write_surrogate_digits
 from xbarnet.mlp import load_checkpoint
 
@@ -187,17 +186,6 @@ def test_damaged_input_files_exit_2(tmp_path, pruned_run, capsys, damage, messag
     assert message in capsys.readouterr().err
 
 
-def test_report_on_mapping_of_other_depth_exits_2(tmp_path, pruned_run, capsys):
-    # the config's evals_per_inference names two layers, the mapping holds one
-    mapping = json.loads((pruned_run / "run" / "mapping.json").read_text())
-    mapping["layers"] = mapping["layers"][:1]
-    (tmp_path / "mapping.json").write_text(json.dumps(mapping))
-    (tmp_path / "config.json").write_text(json.dumps({**CONFIG, "evals_per_inference": [1, 1]}))
-    assert cli.main(["report", "--config", str(tmp_path / "config.json"), "--mapping", str(tmp_path / "mapping.json"),
-                     "--out", str(tmp_path / "energy.json")]) == 2
-    assert "mapping has 1 layers, evals_per_inference 2" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
     "argv, message",
     [(["map", "--checkpoint", "{run}/checkpoint", "--clusters", "{dir}", "--out", "{out}"], "{dir}: is a directory"),
@@ -230,7 +218,7 @@ def test_unusable_paths_exit_2(tmp_path, pruned_run, capsys, argv, message):
 
 @pytest.mark.parametrize(
     "argv",
-    [["cluster", "--matrix", "m.txt"], ["map", "--checkpoint", "c", "--clusters", "c.json"],
+    [["cluster", "--checkpoint", "c"], ["map", "--checkpoint", "c", "--clusters", "c.json"],
      ["report", "--mapping", "m.json"], ["compare"]],
     ids=["cluster", "map", "report", "compare"],
 )
@@ -242,27 +230,6 @@ def test_mode_flag_is_only_on_train(config, capsys, argv):
 
 
 class TestClusterCommand:
-    def test_matrix_file(self, tmp_path, config):
-        bits = np.zeros((16, 16), dtype=np.uint8)
-        bits[:8, :8] = bits[8:, 8:] = 1
-        save_sparse(tmp_path / "m.txt", ConnectivityMatrix(bits))
-        out = tmp_path / "clusters.json"
-        assert cli.main(["cluster", "--config", config, "--matrix", str(tmp_path / "m.txt"), "--out", str(out)]) == 0
-        records = json.loads(out.read_text())
-        assert sorted(len(r["covered"]) for r in records) == [64, 64]
-
-    @pytest.mark.parametrize(
-        "content, message",
-        [(b"4 4 1\n0 x\n", "line 2: expected integers 'row col', got '0 x'"),
-         (b"\xff\xfe4 4 0\n", "m.txt: not UTF-8 text")],
-        ids=["not_integers", "not_utf8"],
-    )
-    def test_bad_matrix_file_exits_2(self, tmp_path, config, capsys, content, message):
-        (tmp_path / "m.txt").write_bytes(content)
-        assert cli.main(["cluster", "--config", config, "--matrix", str(tmp_path / "m.txt"),
-                         "--out", str(tmp_path / "c.json")]) == 2
-        assert message in capsys.readouterr().err
-
     def test_checkpoint(self, tmp_path, config):
         run = tmp_path / "run"
         assert cli.main(["train", "--config", config, "--mode", "prune", "--out", str(run)]) == 0
@@ -274,8 +241,7 @@ class TestClusterCommand:
         mapping = json.loads((tmp_path / "mapping.json").read_text())
         assert mapping["n_clusters"] == len(json.loads(out.read_text())) > 0
 
-    @pytest.mark.parametrize("inputs", [[], ["--matrix", "m.txt", "--checkpoint", "run/checkpoint"]],
-                             ids=["neither", "both"])
+    @pytest.mark.parametrize("inputs", [[]], ids=["neither"])
     def test_not_exactly_one_input_exits_2(self, tmp_path, config, capsys, inputs):
         with pytest.raises(SystemExit) as exc:
             cli.main(["cluster", "--config", config, "--out", str(tmp_path / "c.json"), *inputs])

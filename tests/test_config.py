@@ -94,12 +94,23 @@ class TestConfigErrors:
             ({"dataset": {**DIGITS, "n_test": 0}, "topology": [784, 4, 10]}, "dataset: n_train and n_test must be"),
             ({"dataset": {"kind": "mnist", "dir": "digits", "n_train": 5}, "topology": [784, 4, 10]},
              "dataset.n_train: unknown field"),
+            ({"evals_per_inference": [1, 1]}, "evals_per_inference: unknown top-level key"),
+            # json reads NaN, Infinity and -Infinity as floats
+            ({"dataset": {**BLOBS, "sigma": float("nan")}}, "dataset.sigma: must be finite, got nan"),
+            ({"train": {"prune_quality": float("nan")}}, "train.prune_quality: must be finite, got nan"),
+            ({"scic": {"decay_rate": float("inf")}}, "scic.decay_rate: must be finite, got inf"),
+            ({"transform": {"max_epochs": 1, "cluster_prune_alpha": float("-inf")}},
+             "transform.cluster_prune_alpha: must be finite, got -inf"),
+            ({"tech": {"mca_energy_per_active_crosspoint_j": float("nan")}},
+             "tech.mca_energy_per_active_crosspoint_j: must be finite, got nan"),
+            ({"cmos": {"e_compute_j": float("inf")}}, "cmos.e_compute_j: must be finite, got inf"),
         ],
         ids=["planted_block", "blobs_dim_type", "blobs_no_classes", "input_width", "label_range", "k_per_round",
              "threshold_anneal", "max_rounds_float", "batch_size_float", "max_epochs_float", "crossbar_rows_float",
              "topology_bool", "n_train_bool", "train_seed", "transform_seed", "transform_scic", "negative_seed",
              "negative_sigma", "planted_no_hidden", "kind_list", "scic_crossbar", "digits_n_train_str", "digits_unknown",
-             "digits_no_test", "mnist_n_train"],
+             "digits_no_test", "mnist_n_train", "evals_per_inference", "nan_dataset", "nan_train", "inf_scic",
+             "inf_transform", "nan_tech", "inf_cmos"],
     )
     def test_dataset_and_topology_mistakes_exit_2(self, tmp_path, capsys, overrides, message):
         assert run_train(tmp_path, base_config(**overrides)) == 2
@@ -159,7 +170,6 @@ FUZZ_BASES = [
         "transform": {"max_epochs": 2, "unclustered_threshold": 0.1, "cluster_prune_alpha": 0.5,
                       "clusters_pruned_per_event": 1},
         "scic": {"base_util_factor": 0.8, "min_util_factor": 0.4, "decay_rate": 0.9, "max_rounds": 2},
-        "evals_per_inference": [1, 1],
     },
     {
         "dataset": {"kind": "planted", "in_dim": 8, "hidden": 8, "n_classes": 2, "block": 4,

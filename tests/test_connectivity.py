@@ -1,4 +1,4 @@
-"""Connectivity matrix, cluster set, and sparse-format tests."""
+"""Connectivity matrix, cluster set, and clusters.json tests."""
 
 import json
 
@@ -12,12 +12,9 @@ from xbarnet.connectivity import (
     ClusterSet,
     ConnectivityMatrix,
     ShapeError,
-    SparseFormatError,
     cluster_sets_from_json,
     cluster_sets_to_json,
     from_weights,
-    load_sparse,
-    save_sparse,
 )
 from xbarnet.hardware import TechConfig, map_to_mcas, mapping_from_json
 from xbarnet.sizecluster import SizeClusterConfig, size_constrained_cluster
@@ -63,45 +60,6 @@ class TestBits:
     def test_0_1_values_accepted(self, values):
         c = ConnectivityMatrix(values)
         assert c.bits.dtype == np.uint8 and c.bits.tolist() == [[0, 1], [1, 0]]
-
-
-class TestSparseFormat:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        c = ConnectivityMatrix((rng.random((50, 30)) < 0.2).astype(np.uint8))
-        path = tmp_path / "m.txt"
-        save_sparse(path, c)
-        assert np.array_equal(load_sparse(path).bits, c.bits)
-
-    def test_single_entry_by_definition(self, tmp_path):
-        path = tmp_path / "m.txt"
-        path.write_text("3 3 1\n1 1\n")
-        c = load_sparse(path)
-        assert c.bits[1, 1] == 1 and c.nnz == 1 and c.rows == 3 and c.cols == 3
-
-    def test_out_of_bounds(self, tmp_path):
-        path = tmp_path / "m.txt"
-        path.write_text("3 3 1\n5 1\n")
-        with pytest.raises(SparseFormatError, match="out of bounds"):
-            load_sparse(path)
-
-    def test_malformed_reports_line_number(self, tmp_path):
-        path = tmp_path / "m.txt"
-        path.write_text("3 3 2\n0 0\nnope nope\n")
-        with pytest.raises(SparseFormatError, match="line 3"):
-            load_sparse(path)
-
-    def test_repeated_coordinate_rejected(self, tmp_path):
-        path = tmp_path / "m.txt"
-        path.write_text("2 2 2\n0 0\n0 0\n")
-        with pytest.raises(SparseFormatError, match="line 3: repeated coordinate \\(0, 0\\)"):
-            load_sparse(path)
-
-    def test_wrong_count_rejected(self, tmp_path):
-        path = tmp_path / "m.txt"
-        path.write_text("2 2 3\n0 0\n")
-        with pytest.raises(SparseFormatError, match="promises 3"):
-            load_sparse(path)
 
 
 class TestClusterTypes:

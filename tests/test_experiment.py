@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from xbarnet import experiment
+from xbarnet import cli, experiment
 from xbarnet.config import build_config
 
 RAW = {
@@ -97,3 +97,14 @@ def test_arms_leave_a_shared_training_result_unchanged(cfg, data, tmp_path):
     assert list(trained.values()) == [result]
     assert snapshot() == before
     assert np.count_nonzero(state.model.layers[0].weights) < state.model.layers[0].weights.size  # really pruned
+
+
+def test_cluster_command_rebuilds_the_offline_arms_clusters(compared, tmp_path):
+    out, _ = compared
+    (tmp_path / "config.json").write_text(json.dumps(RAW))
+    rebuilt = tmp_path / "clusters.json"
+    assert cli.main(["cluster", "--config", str(tmp_path / "config.json"), "--checkpoint",
+                     str(out / "prune" / "checkpoint"), "--out", str(rebuilt)]) == 0
+    assert json.loads(rebuilt.read_text())  # the 8x8 crossbar yields clusters
+    assert rebuilt.read_bytes() == (out / "offline_cluster" / "clusters.json").read_bytes()
+

@@ -145,14 +145,6 @@ class TestMcaEnergy:
         ratio = energies[1]["peripheral_component_j"] / energies[0]["peripheral_component_j"]
         assert ratio == pytest.approx(mappings[1]["num_mca"] / mappings[0]["num_mca"])
 
-    def test_evals_scale(self):
-        tech = TechConfig(crossbar_rows=4, crossbar_cols=4)
-        bits = np.ones((4, 4), dtype=np.uint8)
-        mapping = map_to_mcas([ClusterSet(ConnectivityMatrix(bits))], tech)
-        one = mca_energy(mapping, tech, [1])
-        three = mca_energy(mapping, tech, [3])
-        assert three["total_j"] == pytest.approx(3 * one["total_j"])
-
 
 class TestCmosEnergy:
     def test_all_zero(self):
