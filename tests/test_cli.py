@@ -186,6 +186,15 @@ def test_damaged_input_files_exit_2(tmp_path, pruned_run, capsys, damage, messag
     assert message in capsys.readouterr().err
 
 
+def test_report_with_evals_per_inference_exits_2(tmp_path, pruned_run, capsys):
+    # the per-layer energy multiplier is gone; a config that still sets it is a mistake
+    (tmp_path / "config.json").write_text(json.dumps({**CONFIG, "evals_per_inference": [1, 1]}))
+    assert cli.main(["report", "--config", str(tmp_path / "config.json"), "--mapping",
+                     str(pruned_run / "run" / "mapping.json"), "--out", str(tmp_path / "energy.json")]) == 2
+    assert "evals_per_inference: unknown top-level key" in capsys.readouterr().err
+    assert not (tmp_path / "energy.json").exists()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [(["map", "--checkpoint", "{run}/checkpoint", "--clusters", "{dir}", "--out", "{out}"], "{dir}: is a directory"),
@@ -247,6 +256,13 @@ class TestClusterCommand:
             cli.main(["cluster", "--config", config, "--out", str(tmp_path / "c.json"), *inputs])
         assert exc.value.code == 2
         assert "--checkpoint" in capsys.readouterr().err
+
+    def test_matrix_input_is_gone_exits_2(self, tmp_path, config, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["cluster", "--config", config, "--checkpoint", "c", "--matrix", "m.txt",
+                      "--out", str(tmp_path / "c.json")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --matrix m.txt" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -98,6 +98,7 @@ class TestConfigErrors:
             # json reads NaN, Infinity and -Infinity as floats
             ({"dataset": {**BLOBS, "sigma": float("nan")}}, "dataset.sigma: must be finite, got nan"),
             ({"train": {"prune_quality": float("nan")}}, "train.prune_quality: must be finite, got nan"),
+            ({"train": {"learning_rate": float("inf")}}, "train.learning_rate: must be finite, got inf"),
             ({"scic": {"decay_rate": float("inf")}}, "scic.decay_rate: must be finite, got inf"),
             ({"transform": {"max_epochs": 1, "cluster_prune_alpha": float("-inf")}},
              "transform.cluster_prune_alpha: must be finite, got -inf"),
@@ -109,7 +110,7 @@ class TestConfigErrors:
              "threshold_anneal", "max_rounds_float", "batch_size_float", "max_epochs_float", "crossbar_rows_float",
              "topology_bool", "n_train_bool", "train_seed", "transform_seed", "transform_scic", "negative_seed",
              "negative_sigma", "planted_no_hidden", "kind_list", "scic_crossbar", "digits_n_train_str", "digits_unknown",
-             "digits_no_test", "mnist_n_train", "evals_per_inference", "nan_dataset", "nan_train", "inf_scic",
+             "digits_no_test", "mnist_n_train", "evals_per_inference", "nan_dataset", "nan_train", "inf_train", "inf_scic",
              "inf_transform", "nan_tech", "inf_cmos"],
     )
     def test_dataset_and_topology_mistakes_exit_2(self, tmp_path, capsys, overrides, message):

@@ -107,4 +107,3 @@ def test_cluster_command_rebuilds_the_offline_arms_clusters(compared, tmp_path):
                      str(out / "prune" / "checkpoint"), "--out", str(rebuilt)]) == 0
     assert json.loads(rebuilt.read_text())  # the 8x8 crossbar yields clusters
     assert rebuilt.read_bytes() == (out / "offline_cluster" / "clusters.json").read_bytes()
-

@@ -145,6 +145,17 @@ class TestMcaEnergy:
         ratio = energies[1]["peripheral_component_j"] / energies[0]["peripheral_component_j"]
         assert ratio == pytest.approx(mappings[1]["num_mca"] / mappings[0]["num_mca"])
 
+    def test_layers_add(self):
+        # each layer is evaluated once per inference, so a network's energy is the sum over its layers
+        rng = np.random.default_rng(2)
+        tech = TechConfig(crossbar_rows=4, crossbar_cols=4)
+        layers = [ClusterSet(ConnectivityMatrix((rng.random(shape) < 0.5).astype(np.uint8)))
+                  for shape in [(8, 12), (12, 4)]]
+        whole = mca_energy(map_to_mcas(layers, tech), tech)
+        parts = [mca_energy(map_to_mcas([layer], tech), tech) for layer in layers]
+        for key in ("mca_component_j", "peripheral_component_j", "total_j"):
+            assert whole[key] == pytest.approx(parts[0][key] + parts[1][key])
+
 
 class TestCmosEnergy:
     def test_all_zero(self):
