@@ -2,9 +2,11 @@
 
 A config file has flat sections (dataset, topology, mode, seed, train, scic,
 transform, tech, cmos); every field a section leaves out takes its dataclass
-default. The crossbar size is set in tech only; clustering sizes its
-clusters to it. Validation collects every problem before raising, so a bad
-file reports all its errors at once instead of one per run attempt.
+default. The top-level seed is the only seed: it draws the initial weights,
+the minibatch order and the clustering seeds. The crossbar size is set in
+tech only; clustering sizes its clusters to it. Validation collects every
+problem before raising, so a bad file reports all its errors at once
+instead of one per run attempt.
 """
 
 from __future__ import annotations
@@ -135,10 +137,10 @@ def build_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
 
     tech_kwargs = _check_fields(raw.get("tech", {}), "tech", TechConfig, problems)
     cmos_kwargs = _check_fields(raw.get("cmos", {}), "cmos", CmosConfig, problems)
-    train_kwargs = _check_fields(raw.get("train", {}), "train", TrainConfig, problems, ("seed",))
+    train_kwargs = _check_fields(raw.get("train", {}), "train", TrainConfig, problems)
     scic_kwargs = _check_fields(raw.get("scic", {}), "scic", SizeClusterConfig, problems, CROSSBAR)
     transform_kwargs = _check_fields(
-        raw.get("transform", {}), "transform", TransformConfig, problems, ("scic", "train", "seed")
+        raw.get("transform", {}), "transform", TransformConfig, problems, ("scic", "train")
     )
 
     known_top = {
@@ -152,13 +154,11 @@ def build_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     # constructor range checks, gathered rather than raised one by one
     tech = _construct(TechConfig, "tech", problems, **tech_kwargs)
     cmos = _construct(CmosConfig, "cmos", problems, **cmos_kwargs)
-    train = _construct(TrainConfig, "train", problems, seed=seed, **train_kwargs)
+    train = _construct(TrainConfig, "train", problems, **train_kwargs)
     scic = _construct(
         SizeClusterConfig, "scic", problems, **{k: getattr(tech, k) for k in CROSSBAR if tech}, **scic_kwargs
     )
-    transform = _construct(
-        TransformConfig, "transform", problems, scic=scic, train=train, seed=seed, **transform_kwargs
-    )
+    transform = _construct(TransformConfig, "transform", problems, scic=scic, train=train, **transform_kwargs)
     if spec_cls is not None:
         _construct(spec_cls, "dataset", problems, **spec_kwargs)
 

@@ -26,7 +26,7 @@ from .datasets import (
 )
 from .hardware import energy_document, map_to_mcas
 from .mlp import evaluate, save_checkpoint
-from .transform import TransformResult, final_cluster_sets, offline_cluster, run
+from .transform import TransformState, final_cluster_sets, offline_cluster, run
 
 SUMMARY_COLUMNS = [
     "mode", "accuracy", "sparsity", "num_mca", "num_core",
@@ -91,14 +91,14 @@ def run_experiment(
     cfg: ExperimentConfig,
     out_dir,
     dataset: Dataset | None = None,
-    trained: dict[tuple[bool, bool], TransformResult] | None = None,
+    trained: dict[tuple[bool, bool], TransformState] | None = None,
 ) -> dict:
     """Run one mode end to end; writes artifacts and returns the summary row.
 
-    ``trained`` caches training results by the mode's training switches
-    (see ``_TRAINING_SWITCHES``): a cached result is reused, a new one is added.
+    ``trained`` caches the trained states by the mode's training switches
+    (see ``_TRAINING_SWITCHES``): a cached state is reused, a new one is added.
     One cache must serve only runs of one config and dataset that differ in
-    mode alone. Nothing here writes to a cached result, so arms can share it.
+    mode alone. Nothing here writes to a cached state, so arms can share it.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -109,28 +109,22 @@ def run_experiment(
     if switches not in trained:
         enable_prune, enable_cluster = switches
         trained[switches] = run(
-            cfg.transform,
-            cfg.topology,
-            data.x_train,
-            data.y_train,
-            data.x_test,
-            data.y_test,
-            enable_prune=enable_prune,
-            enable_cluster=enable_cluster,
+            cfg.transform, cfg.topology, data.x_train, data.y_train, data.x_test, data.y_test, cfg.seed,
+            enable_prune=enable_prune, enable_cluster=enable_cluster,
         )
-    result = trained[switches]
-    model = result.state.model
+    state = trained[switches]
+    model = state.model
 
     if cfg.mode == "offline_cluster":
         cluster_sets = offline_cluster(model, cfg.scic, cfg.seed)
     else:
-        cluster_sets = final_cluster_sets(result.state)  # no clusters unless the loop made them
+        cluster_sets = final_cluster_sets(state)  # no clusters unless the loop made them
 
     mapping = map_to_mcas(cluster_sets, cfg.tech)
     storage = "clustered" if cfg.mode in ("offline_cluster", "transform") else "dense"
     energy = energy_document(mapping, cfg.tech, cfg.cmos, storage)
 
-    accuracy = result.log[-1]["val_acc"] if result.log else evaluate(model, data.x_test, data.y_test)[0]
+    accuracy = state.log[-1]["val_acc"] if state.log else evaluate(model, data.x_test, data.y_test)[0]
     summary = {
         "mode": cfg.mode,
         "accuracy": accuracy,
@@ -145,7 +139,7 @@ def run_experiment(
 
     save_checkpoint(out / "checkpoint", model, cfg.seed, config={"mode": cfg.mode})
     with open(out / "log.jsonl", "w") as fh:
-        for record in result.log:
+        for record in state.log:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
     (out / "clusters.json").write_text(cluster_sets_to_json(cluster_sets))
     write_json(out / "mapping.json", mapping)
@@ -179,7 +173,7 @@ def compare(cfg: ExperimentConfig, out_dir, dataset: Dataset | None = None) -> l
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     data = dataset if dataset is not None else build_dataset(cfg)
-    trained: dict[tuple[bool, bool], TransformResult] = {}
+    trained: dict[tuple[bool, bool], TransformState] = {}
     rows = []
     for mode in MODES:
         mode_cfg = replace(cfg, mode=mode)

@@ -59,7 +59,6 @@ class MlpModel:
 class TrainConfig:
     learning_rate: float = 0.1
     batch_size: int = 64
-    seed: int = 0
     prune_quality: float = 0.7
 
     def __post_init__(self):
@@ -169,10 +168,15 @@ def train_epoch(
     y: np.ndarray,
     cfg: TrainConfig,
     epoch: int,
+    seed: int,
 ) -> float:
-    """One pass over the data in seeded-shuffled minibatches; mean epoch loss."""
+    """One pass over the data in shuffled minibatches; mean epoch loss.
+
+    The order is drawn from the run's ``seed`` and the 1-based ``epoch``, so
+    each epoch of a run shuffles differently and a rerun shuffles the same.
+    """
     _check_dataset(x, y)
-    rng = rng_for(cfg.seed, STREAM_SHUFFLE, epoch)
+    rng = rng_for(seed, STREAM_SHUFFLE, epoch)
     order = rng.permutation(len(x))
     total, count = 0.0, 0
     for start in range(0, len(x), cfg.batch_size):

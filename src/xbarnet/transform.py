@@ -18,6 +18,10 @@ switches to cluster pruning: per improving epoch it removes the
 lowest-scoring clusters outright and lets subsequent epochs recover the
 accuracy.
 
+The state also holds the run's one seed (it draws the initial weights, each
+epoch's minibatch order and the clustering seeds) and the log of its epochs,
+the loop's only history: the next epoch number and the last loss come from it.
+
 Two switches (``enable_prune``, ``enable_cluster``) turn the same loop into
 the baselines: both off is plain training, prune-only is the magnitude
 pruning control, and a prune-only run followed by :func:`offline_cluster` is
@@ -44,7 +48,6 @@ class TransformConfig:
     cluster_prune_alpha: float = 0.5
     clusters_pruned_per_event: int = 1
     max_epochs: int = 20
-    seed: int = 0
 
     def __post_init__(self):
         if not 0 < self.unclustered_threshold < 1:
@@ -59,16 +62,18 @@ class TransformConfig:
 
 @dataclass
 class TransformState:
-    """Model (its non-zero weights are the live synapses), and per layer the owner matrix.
+    """Model (its non-zero weights are the live synapses), per layer the owner matrix, seed and log.
 
     ``owner[layer][i, j]`` is -1 or the index of the cluster covering synapse
     (i, j); a layer's clusters are numbered 0..owner.max() without gaps.
+    ``seed`` drives initialization, shuffling and clustering. ``log`` holds
+    one record per epoch run so far, so the next epoch is ``len(log) + 1``.
     """
 
     model: MlpModel
     owner: list[np.ndarray]
-    epoch: int = 0
-    training_error_previous: float = float("inf")
+    seed: int
+    log: list[dict] = field(default_factory=list)
 
     @classmethod
     def fresh(cls, topology: list[int], seed: int) -> "TransformState":
@@ -76,6 +81,7 @@ class TransformState:
         return cls(
             model=model,
             owner=[np.full(l.weights.shape, -1, dtype=np.int32) for l in model.layers],
+            seed=seed,
         )
 
     def n_clusters(self) -> int:
@@ -174,17 +180,18 @@ def transform_epoch(
     enable_prune: bool = True,
     enable_cluster: bool = True,
 ) -> dict:
-    """One epoch of the integrated loop; mutates state, returns the log record.
+    """One epoch of the integrated loop; mutates state, appends its log record and returns it.
 
-    With clustering enabled, the record also lists per layer the rounds that
-    ``size_constrained_cluster`` ran and the clusters it accepted
-    (``scic_rounds``, ``scic_accepted``); both are 0 for a layer this epoch
-    did not cluster. A round that starts with no crossbar fillable to
+    The epoch improved when its training loss is below the last record's; a
+    first epoch improves unless its loss is NaN. With clustering enabled, the
+    record also lists per layer the rounds that ``size_constrained_cluster``
+    ran and the clusters it accepted (``scic_rounds``, ``scic_accepted``);
+    both are 0 for a layer this epoch did not cluster. A round that starts with no crossbar fillable to
     ``scic.min_util_factor`` does not run, so such a layer logs 0 rounds.
     """
-    epoch = state.epoch + 1
-    loss = train_epoch(state.model, x, y, cfg.train, epoch)
-    improved = loss < state.training_error_previous
+    epoch = len(state.log) + 1
+    loss = train_epoch(state.model, x, y, cfg.train, epoch, state.seed)
+    improved = loss < (state.log[-1]["train_loss"] if state.log else float("inf"))
     cluster_pruning = unclustered_fraction(state) < cfg.unclustered_threshold
     maps = None
     pruned_clusters = 0
@@ -207,7 +214,7 @@ def transform_epoch(
                 cs = size_constrained_cluster(
                     ConnectivityMatrix(residual_bits),
                     cfg.scic,
-                    seed_for(cfg.seed, STREAM_CLUSTER, epoch, layer_id),
+                    seed_for(state.seed, STREAM_CLUSTER, epoch, layer_id),
                     trace=trace,
                 )
                 scic_rounds[layer_id] = len(trace)
@@ -217,8 +224,6 @@ def transform_epoch(
 
     # owned cells are live already, so an epoch without a prune zeroes nothing
     n_zeroed = 0 if maps is None else _apply_prune_maps(state, maps)
-    state.training_error_previous = loss
-    state.epoch = epoch
     record = {
         "epoch": epoch,
         "train_loss": loss,
@@ -234,13 +239,8 @@ def transform_epoch(
     if enable_cluster:
         record["scic_rounds"] = scic_rounds
         record["scic_accepted"] = scic_accepted
+    state.log.append(record)
     return record
-
-
-@dataclass
-class TransformResult:
-    state: TransformState
-    log: list[dict]
 
 
 def _converged(log: list[dict]) -> bool:
@@ -263,25 +263,25 @@ def run(
     y_train: np.ndarray,
     x_val: np.ndarray,
     y_val: np.ndarray,
+    seed: int,
     enable_prune: bool = True,
     enable_cluster: bool = True,
-) -> TransformResult:
-    """Run the loop until max_epochs or convergence; returns the state and the log.
+) -> TransformState:
+    """Run the loop from a fresh state until max_epochs or convergence; returns the state.
 
-    Convergence: validation accuracy moved by < 0.1% absolute and the
+    Each log record also carries the validation accuracy and loss after its
+    epoch. Convergence: validation accuracy moved by < 0.1% absolute and the
     unclustered fraction by < 1% over five consecutive epochs.
     """
-    state = TransformState.fresh(topology, cfg.seed)
-    log: list[dict] = []
+    state = TransformState.fresh(topology, seed)
     for _ in range(cfg.max_epochs):
         record = transform_epoch(
             state, x_train, y_train, cfg, enable_prune=enable_prune, enable_cluster=enable_cluster
         )
         record["val_acc"], record["val_loss"] = evaluate(state.model, x_val, y_val)
-        log.append(record)
-        if _converged(log):
+        if _converged(state.log):
             break
-    return TransformResult(state=state, log=log)
+    return state
 
 
 def offline_cluster(model: MlpModel, scic_cfg: SizeClusterConfig, seed: int) -> list[ClusterSet]:

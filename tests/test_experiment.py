@@ -84,17 +84,17 @@ def test_standalone_offline_run_matches_compare_subtree(compared, cfg, data, tmp
 def test_arms_leave_a_shared_training_result_unchanged(cfg, data, tmp_path):
     trained = {}
     experiment.run_experiment(replace(cfg, mode="prune"), tmp_path / "prune", dataset=data, trained=trained)
-    (result,) = trained.values()
-    state = result.state
+    (state,) = trained.values()
+    assert state.log
 
     def snapshot():
         layers = [(l.weights.tobytes(), l.bias.tobytes()) for l in state.model.layers]
-        return layers, [o.tobytes() for o in state.owner], repr(result.log)
+        return layers, [o.tobytes() for o in state.owner], state.seed, repr(state.log)
 
     before = snapshot()
     for mode in ("offline_cluster", "prune"):
         experiment.run_experiment(replace(cfg, mode=mode), tmp_path / f"again_{mode}", dataset=data, trained=trained)
-    assert list(trained.values()) == [result]
+    assert list(trained.values()) == [state]
     assert snapshot() == before
     assert np.count_nonzero(state.model.layers[0].weights) < state.model.layers[0].weights.size  # really pruned
 

@@ -305,8 +305,8 @@ class TestTraining:
     def test_loss_decreases_on_blobs(self):
         data = gen_blobs(BlobSpec(n_classes=3, dim=8, n_train=600, n_test=100), seed=1)
         model = init_model([8, 16, 3], seed=1)
-        cfg = TrainConfig(learning_rate=0.1, batch_size=32, seed=1)
-        losses = [train_epoch(model, data.x_train, data.y_train, cfg, epoch=e) for e in range(1, 5)]
+        cfg = TrainConfig(learning_rate=0.1, batch_size=32)
+        losses = [train_epoch(model, data.x_train, data.y_train, cfg, epoch=e, seed=1) for e in range(1, 5)]
         assert losses[1] < losses[0]
         assert losses[2] < losses[1]
         assert losses[3] < losses[2]
@@ -314,7 +314,7 @@ class TestTraining:
     def test_empty_dataset_rejected(self):
         model = init_model([3, 2], seed=0)
         with pytest.raises(ValueError, match="dataset must be non-empty"):
-            train_epoch(model, np.zeros((0, 3)), np.zeros(0, dtype=int), TrainConfig(), epoch=1)
+            train_epoch(model, np.zeros((0, 3)), np.zeros(0, dtype=int), TrainConfig(), epoch=1, seed=0)
 
     @pytest.mark.parametrize("n_labels", [9, 11], ids=["fewer_labels", "more_labels"])
     @pytest.mark.parametrize("fn", ["train_epoch", "evaluate"])
@@ -323,7 +323,7 @@ class TestTraining:
         x, y = np.ones((10, 3)), np.zeros(n_labels, dtype=int)
         with pytest.raises(ValueError, match="10 samples but"):
             if fn == "train_epoch":
-                train_epoch(model, x, y, TrainConfig(batch_size=4), epoch=1)
+                train_epoch(model, x, y, TrainConfig(batch_size=4), epoch=1, seed=0)
             else:
                 evaluate(model, x, y)
 
@@ -332,9 +332,9 @@ class TestTraining:
         outs = []
         for _ in range(2):
             model = init_model([8, 8, 3], seed=9)
-            cfg = TrainConfig(learning_rate=0.1, batch_size=16, seed=9)
+            cfg = TrainConfig(learning_rate=0.1, batch_size=16)
             for e in range(1, 4):
-                train_epoch(model, data.x_train, data.y_train, cfg, epoch=e)
+                train_epoch(model, data.x_train, data.y_train, cfg, epoch=e, seed=9)
             outs.append([layer.weights.copy() for layer in model.layers])
         for a, b in zip(*outs):
             assert np.array_equal(a, b)

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from xbarnet import transform
 from xbarnet.datasets import PlantedSpec, gen_planted
-from xbarnet.mlp import TrainConfig, evaluate
-from xbarnet.sizecluster import SizeClusterConfig
+from xbarnet.mlp import TrainConfig, init_model, train_epoch
+from xbarnet.sizecluster import SizeClusterConfig, size_constrained_cluster
 from xbarnet.transform import (
     TransformConfig,
     TransformState,
@@ -17,14 +18,14 @@ from xbarnet.transform import (
     transform_epoch,
     unclustered_fraction,
 )
+from xbarnet.util import STREAM_CLUSTER, seed_for
 
 
 def small_config(**kwargs):
     defaults = dict(
         scic=SizeClusterConfig(crossbar_rows=4, crossbar_cols=4, min_util_factor=0.3, max_rounds=6),
-        train=TrainConfig(learning_rate=0.05, batch_size=16, seed=0),
+        train=TrainConfig(learning_rate=0.05, batch_size=16),
         max_epochs=4,
-        seed=0,
     )
     defaults.update(kwargs)
     return TransformConfig(**defaults)
@@ -72,17 +73,29 @@ class TestBranchLogic:
         x, y = tiny_data()
         cfg = small_config()
         state = TransformState.fresh([6, 8, 3], seed=0)
-        state.training_error_previous = -1.0  # any loss counts as worse
+        state.log.append({"train_loss": -1.0})  # any loss counts as worse
         live_before = [layer.weights != 0 for layer in state.model.layers]
         owner_before = [o.copy() for o in state.owner]
         record = transform_epoch(state, x, y, cfg)
         assert not record["improved"]
+        assert record["epoch"] == 2  # the epoch counts the log's records
+        assert state.log[-1] is record
         assert record["n_zeroed_unprotected"] == 0
         for layer, before in zip(state.model.layers, live_before):
             assert np.array_equal(layer.weights != 0, before)
         for a, b in zip(state.owner, owner_before):
             assert np.array_equal(a, b)
         assert state.n_clusters() == 0
+
+    @pytest.mark.parametrize("loss, improved", [(0.5, True), (float("nan"), False)], ids=["finite", "nan"])
+    def test_first_epoch_improves_unless_its_loss_is_nan(self, monkeypatch, loss, improved):
+        x, y = tiny_data()
+        monkeypatch.setattr(transform, "train_epoch", lambda *args: loss)
+        state = TransformState.fresh([6, 8, 3], seed=0)
+        record = transform_epoch(state, x, y, small_config())
+        assert record["improved"] is improved
+        assert (state.n_clusters() > 0) is improved  # only an improving epoch clusters
+        assert state.log == [record]
 
     def test_no_cluster_prune_before_threshold(self):
         x, y = tiny_data()
@@ -94,6 +107,38 @@ class TestBranchLogic:
                 break
             assert record["n_clusters_pruned"] == 0
         final_cluster_sets(state)
+
+
+class TestSeed:
+    def test_one_seed_drives_init_shuffle_and_clustering(self, monkeypatch):
+        x, y = tiny_data()
+        cfg = small_config(max_epochs=1)
+        cluster_seeds = []
+
+        def recording_cluster(bits, scic, seed, **kwargs):
+            cluster_seeds.append(seed)
+            return size_constrained_cluster(bits, scic, seed, **kwargs)
+
+        # a dense layer clusters alike under any seed, so the clustering seeds are read off the calls
+        monkeypatch.setattr(transform, "size_constrained_cluster", recording_cluster)
+        losses = []
+        for seed in (0, 1):
+            cluster_seeds.clear()
+            state = TransformState.fresh([6, 8, 3], seed)
+            record = transform_epoch(state, x, y, cfg)
+            ran = run(cfg, [6, 8, 3], x, y, x, y, seed)
+            assert ran.seed == state.seed == seed
+            assert ran.n_clusters() > 0
+            first = {k: v for k, v in ran.log[0].items() if k not in ("val_acc", "val_loss")}
+            assert repr(record) == repr(first)
+            for a, b in zip(state.model.layers, ran.model.layers):
+                assert (a.weights.tobytes(), a.bias.tobytes()) == (b.weights.tobytes(), b.bias.tobytes())
+            assert [o.tobytes() for o in state.owner] == [o.tobytes() for o in ran.owner]
+            # reference: one plain epoch from the same init and shuffle, and every clustering seed
+            assert record["train_loss"] == train_epoch(init_model([6, 8, 3], seed), x, y, cfg.train, 1, seed)
+            assert cluster_seeds == 2 * [seed_for(seed, STREAM_CLUSTER, 1, layer_id) for layer_id in (0, 1)]
+            losses.append(record["train_loss"])
+        assert losses[0] != losses[1]
 
 
 class TestClusterScore:
@@ -133,7 +178,7 @@ class TestClusterScore:
         # reference: each cluster's mean |w| over np.nonzero(owner == k), scored
         # one cluster at a time; the grouped computation must agree exactly
         x, y = tiny_data(n=200)
-        state = run(small_config(max_epochs=3), [6, 8, 3], x, y, x, y).state
+        state = run(small_config(max_epochs=3), [6, 8, 3], x, y, x, y, 0)
         assert state.n_clusters() > 1
         cfg = small_config(cluster_prune_alpha=0.3)
         for layer_id, owner in enumerate(state.owner):
@@ -180,7 +225,7 @@ class TestClusterPrune:
 
     def test_cut_cluster_stays_dead_at_prune_quality_zero(self):
         x, y = tiny_data()
-        cfg = small_config(train=TrainConfig(learning_rate=0.05, batch_size=16, seed=0, prune_quality=0.0))
+        cfg = small_config(train=TrainConfig(learning_rate=0.05, batch_size=16, prune_quality=0.0))
         state = TransformState.fresh([6, 8, 3], seed=0)
         add_cluster(state, 0, range(4), range(4))
         assert state.model.n_live() == 72
@@ -201,17 +246,18 @@ class TestRunLoop:
     def test_zero_epochs_returns_initial(self):
         x, y = tiny_data()
         cfg = small_config(max_epochs=0)
-        result = run(cfg, [6, 8, 3], x, y, x, y)
-        assert result.log == []
-        assert result.state.epoch == 0
+        state = run(cfg, [6, 8, 3], x, y, x, y, 0)
+        assert state.log == []
+        initial = TransformState.fresh([6, 8, 3], seed=0)
+        for layer, fresh in zip(state.model.layers, initial.model.layers):
+            assert layer.weights.tobytes() == fresh.weights.tobytes()
 
     def test_mask_union_and_support_monotone(self):
         data, _, _ = gen_planted(PlantedSpec(in_dim=16, hidden=16, block=4, n_train=400, n_test=100), seed=5)
         cfg = TransformConfig(
             scic=SizeClusterConfig(crossbar_rows=4, crossbar_cols=4, min_util_factor=0.3, max_rounds=5),
-            train=TrainConfig(learning_rate=0.1, batch_size=32, seed=5),
+            train=TrainConfig(learning_rate=0.1, batch_size=32),
             max_epochs=6,
-            seed=5,
         )
         state = TransformState.fresh([16, 16, 2], seed=5)
         live_counts = [state.model.n_live()]
@@ -224,33 +270,33 @@ class TestRunLoop:
     def test_prune_only_control_is_subset(self):
         x, y = tiny_data(n=300)
         cfg = small_config(max_epochs=3)
-        result = run(cfg, [6, 8, 3], x, y, x, y, enable_prune=True, enable_cluster=False)
-        assert result.state.n_clusters() == 0
-        assert all(r["n_clusters"] == 0 for r in result.log)
-        assert result.state.model.sparsity() > 0
+        state = run(cfg, [6, 8, 3], x, y, x, y, 0, enable_prune=True, enable_cluster=False)
+        assert state.n_clusters() == 0
+        assert all(r["n_clusters"] == 0 for r in state.log)
+        assert state.model.sparsity() > 0
 
     def test_original_mode_keeps_dense(self):
         x, y = tiny_data(n=300)
         cfg = small_config(max_epochs=3)
-        result = run(cfg, [6, 8, 3], x, y, x, y, enable_prune=False, enable_cluster=False)
-        assert result.state.model.sparsity() == 0.0
-        assert all(r["sparsity"] == 0.0 for r in result.log)
+        state = run(cfg, [6, 8, 3], x, y, x, y, 0, enable_prune=False, enable_cluster=False)
+        assert state.model.sparsity() == 0.0
+        assert all(r["sparsity"] == 0.0 for r in state.log)
 
     def test_log_schema(self):
         x, y = tiny_data(n=200)
         cfg = small_config(max_epochs=2)
-        result = run(cfg, [6, 8, 3], x, y, x, y)
+        log = run(cfg, [6, 8, 3], x, y, x, y, 0).log
         wanted = {
             "epoch", "train_loss", "val_acc", "sparsity",
             "unclustered_frac", "n_clusters", "mean_util", "phase",
         }
-        for record in result.log:
+        for record in log:
             assert wanted <= set(record)
 
     def test_log_counts_clustering_rounds_per_layer(self):
         x, y = tiny_data(n=200)
         cfg = small_config(max_epochs=3)
-        log = run(cfg, [6, 8, 3], x, y, x, y).log
+        log = run(cfg, [6, 8, 3], x, y, x, y, 0).log
         first = log[0]
         assert len(first["scic_rounds"]) == len(first["scic_accepted"]) == 2
         assert min(first["scic_rounds"]) > 0  # every layer is clustered in epoch 1
@@ -259,16 +305,16 @@ class TestRunLoop:
             if record["phase"] == "cluster_pruning" or not record["improved"]:
                 assert record["scic_rounds"] == record["scic_accepted"] == [0, 0]
         # only a loop that clusters logs the trace
-        prune_only = run(cfg, [6, 8, 3], x, y, x, y, enable_cluster=False).log
+        prune_only = run(cfg, [6, 8, 3], x, y, x, y, 0, enable_cluster=False).log
         assert not any("scic_rounds" in r or "scic_accepted" in r for r in prune_only)
 
     def test_mean_util_is_mean_cell_count_over_area(self):
         x, y = tiny_data(n=200)
         cfg = small_config(max_epochs=3)
-        result = run(cfg, [6, 8, 3], x, y, x, y)
-        counts = np.concatenate([cs.cell_counts() for cs in final_cluster_sets(result.state)])
+        state = run(cfg, [6, 8, 3], x, y, x, y, 0)
+        counts = np.concatenate([cs.cell_counts() for cs in final_cluster_sets(state)])
         assert len(counts) > 1
-        assert result.log[-1]["mean_util"] == float(np.mean(counts / cfg.scic.crossbar_area))
+        assert state.log[-1]["mean_util"] == float(np.mean(counts / cfg.scic.crossbar_area))
 
 
 class TestPlantedRecovery:
@@ -280,15 +326,14 @@ class TestPlantedRecovery:
                 crossbar_rows=8, crossbar_cols=8, base_util_factor=0.85,
                 min_util_factor=0.7, decay_rate=0.95, max_rounds=8,
             ),
-            train=TrainConfig(learning_rate=0.25, batch_size=32, seed=7, prune_quality=0.6),
+            train=TrainConfig(learning_rate=0.25, batch_size=32, prune_quality=0.6),
             max_epochs=10,
-            seed=7,
         )
-        result = run(cfg, [32, 32, 2], x_train := data.x_train, data.y_train, data.x_test, data.y_test)
-        final = result.log[-1]
+        state = run(cfg, [32, 32, 2], data.x_train, data.y_train, data.x_test, data.y_test, 7)
+        final = state.log[-1]
         assert final["unclustered_frac"] < 0.35
-        assert result.state.n_clusters() >= 3
-        final_cluster_sets(result.state)
+        assert state.n_clusters() >= 3
+        final_cluster_sets(state)
 
 
 class TestOfflineCluster:
@@ -315,9 +360,9 @@ class TestOfflineCluster:
     def test_final_cluster_sets_consistent(self):
         x, y = tiny_data(n=200)
         cfg = small_config(max_epochs=3)
-        result = run(cfg, [6, 8, 3], x, y, x, y)
-        sets = final_cluster_sets(result.state)
-        live = result.state.model.n_live()
+        state = run(cfg, [6, 8, 3], x, y, x, y, 0)
+        sets = final_cluster_sets(state)
+        live = state.model.n_live()
         covered = sum(int((cs.owner >= 0).sum()) for cs in sets)
         residual = sum(cs.residual.nnz for cs in sets)
         assert covered + residual == live
