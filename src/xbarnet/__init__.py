@@ -8,7 +8,6 @@ pruning-only and cluster-after-training baselines.
 
 from .connectivity import ClusterSet, ConnectivityMatrix, from_weights
 from .hardware import (
-    CmosConfig,
     TechConfig,
     cmos_energy,
     core_count,

@@ -82,7 +82,7 @@ def cmd_map(args) -> int:
 def cmd_report(args) -> int:
     cfg = _load(args)
     mapping = mapping_from_json(Path(args.mapping).read_bytes())
-    doc = energy_document(mapping, cfg.tech, cfg.cmos, args.storage)
+    doc = energy_document(mapping, cfg.tech, args.storage)
     out = _out_file(cfg, args, "energy.json")
     write_json(out, doc)
     print(f"wrote {out}: total_E={doc['total_j']:.3e} cmos_E={doc['cmos']['total_j']:.3e}")

@@ -1,7 +1,7 @@
 """Experiment configuration: JSON loading with exhaustive validation.
 
 A config file has flat sections (dataset, topology, mode, seed, train, scic,
-transform, tech, cmos); every field a section leaves out takes its dataclass
+transform, tech); every field a section leaves out takes its dataclass
 default. The top-level seed is the only seed: it draws the initial weights,
 the minibatch order and the clustering seeds. The crossbar size is set in
 tech only; clustering sizes its clusters to it. Validation collects every
@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .datasets import BlobSpec, DigitsSpec, MnistSpec, PlantedSpec
-from .hardware import CmosConfig, TechConfig
+from .hardware import TechConfig
 from .mlp import TrainConfig
 from .sizecluster import SizeClusterConfig
 from .transform import TransformConfig
@@ -47,7 +47,6 @@ class ExperimentConfig:
     out_dir: str | None
     transform: TransformConfig
     tech: TechConfig
-    cmos: CmosConfig
 
     @property
     def scic(self) -> SizeClusterConfig:
@@ -136,7 +135,6 @@ def build_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
         out_dir = None
 
     tech_kwargs = _check_fields(raw.get("tech", {}), "tech", TechConfig, problems)
-    cmos_kwargs = _check_fields(raw.get("cmos", {}), "cmos", CmosConfig, problems)
     train_kwargs = _check_fields(raw.get("train", {}), "train", TrainConfig, problems)
     scic_kwargs = _check_fields(raw.get("scic", {}), "scic", SizeClusterConfig, problems, CROSSBAR)
     transform_kwargs = _check_fields(
@@ -145,7 +143,7 @@ def build_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
 
     known_top = {
         "dataset", "topology", "mode", "seed", "out_dir",
-        "train", "scic", "transform", "tech", "cmos", "_comment",
+        "train", "scic", "transform", "tech", "_comment",
     }
     for key in raw:
         if key not in known_top:
@@ -153,7 +151,6 @@ def build_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
 
     # constructor range checks, gathered rather than raised one by one
     tech = _construct(TechConfig, "tech", problems, **tech_kwargs)
-    cmos = _construct(CmosConfig, "cmos", problems, **cmos_kwargs)
     train = _construct(TrainConfig, "train", problems, **train_kwargs)
     scic = _construct(
         SizeClusterConfig, "scic", problems, **{k: getattr(tech, k) for k in CROSSBAR if tech}, **scic_kwargs
@@ -178,7 +175,6 @@ def build_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
         out_dir=out_dir,
         transform=transform,
         tech=tech,
-        cmos=cmos,
     )
 
 

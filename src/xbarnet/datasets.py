@@ -16,6 +16,7 @@ from __future__ import annotations
 import gzip
 import math
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -58,16 +59,19 @@ def _open_maybe_gzip(path: Path):
 
 
 def _read_idx(path, magic: int, n_dims: int) -> tuple[list[int], bytes]:
-    """(dimensions, payload) of an IDX file, its magic and byte count checked."""
+    """(dimensions, payload) of an IDX file; its magic, its byte count and any gzip stream are checked."""
     path = Path(path)
-    with _open_maybe_gzip(path) as fh:
-        header = fh.read(4 * (n_dims + 1))
-        if len(header) != 4 * (n_dims + 1):
-            raise IdxFormatError(f"{path.name}: truncated header, got {len(header)} bytes")
-        got, *dims = struct.unpack(f">{n_dims + 1}I", header)
-        if got != magic:
-            raise IdxFormatError(f"{path.name}: magic {got}, expected {magic}")
-        data = fh.read()
+    try:
+        with _open_maybe_gzip(path) as fh:
+            header = fh.read(4 * (n_dims + 1))
+            if len(header) != 4 * (n_dims + 1):
+                raise IdxFormatError(f"{path.name}: truncated header, got {len(header)} bytes")
+            got, *dims = struct.unpack(f">{n_dims + 1}I", header)
+            if got != magic:
+                raise IdxFormatError(f"{path.name}: magic {got}, expected {magic}")
+            data = fh.read()
+    except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+        raise IdxFormatError(f"{path.name}: damaged gzip stream ({type(exc).__name__}: {exc})") from None
     if len(data) != math.prod(dims):
         raise IdxFormatError(
             f"{path.name}: truncated data, expected {math.prod(dims)} bytes, got {len(data)}"

@@ -122,7 +122,7 @@ def run_experiment(
 
     mapping = map_to_mcas(cluster_sets, cfg.tech)
     storage = "clustered" if cfg.mode in ("offline_cluster", "transform") else "dense"
-    energy = energy_document(mapping, cfg.tech, cfg.cmos, storage)
+    energy = energy_document(mapping, cfg.tech, storage)
 
     accuracy = state.log[-1]["val_acc"] if state.log else evaluate(model, data.x_test, data.y_test)[0]
     summary = {

@@ -8,9 +8,11 @@ non-empty tiles count. That tiler is deliberately pessimistic:
 irregular sparsity should map poorly, which is the effect the cost models are
 meant to expose. Energy per inference splits into an array component that
 scales with active cross-points and a peripheral component that scales with
-the number of arrays (buffers, communication, control); the CMOS model
+the number of arrays (buffers, communication, control). The CMOS baseline
 charges compute and memory access per live synapse, leakage per stored bit,
-and a synchronization surcharge per cluster.
+and a synchronization surcharge per cluster, at fixed placeholder constants:
+no score of this project reads it, and it stays only until the benchmark
+stops pinning its outputs.
 
 A mapping is held as its ``mapping.json`` document. Per layer it measures
 ``cluster_active``, ``residual_active``, ``cluster_areas`` and
@@ -56,25 +58,12 @@ class TechConfig:
             raise ValueError("crossbar dimensions must be positive")
 
 
-@dataclass(frozen=True)
-class CmosConfig:
-    """Per-operation energy constants for the general-purpose baseline.
-
-    The defaults are representative placeholders, not measurements; override them where absolute numbers matter.
-    """
-
-    e_compute_j: float = 4.6e-12
-    e_mem_access_j: float = 2.6e-11
-    p_leak_per_bit_j: float = 1.0e-15
-    bits_per_weight: int = 4
-    sync_overhead_per_cluster_j: float = 1.0e-11
-
-    def __post_init__(self):
-        for name in ("e_compute_j", "e_mem_access_j", "p_leak_per_bit_j", "sync_overhead_per_cluster_j"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.bits_per_weight < 1:
-            raise ValueError("bits_per_weight must be positive")
+# CMOS baseline per-operation energies: fixed placeholders, not measurements, kept until the baseline goes
+CMOS_E_COMPUTE_J = 4.6e-12
+CMOS_E_MEM_ACCESS_J = 2.6e-11
+CMOS_LEAK_PER_BIT_J = 1.0e-15
+CMOS_BITS_PER_WEIGHT = 4
+CMOS_SYNC_PER_CLUSTER_J = 1.0e-11
 
 
 class MappingFormatError(InputFormatError):
@@ -220,9 +209,7 @@ def mca_energy(mapping: dict, tech: TechConfig) -> dict:
     return {"mca_component_j": array_e, "peripheral_component_j": periph_e, "total_j": array_e + periph_e}
 
 
-def cmos_energy(
-    n_live_synapses: int, n_stored_weights: int, cmos: CmosConfig, n_clusters: int = 0
-) -> dict:
+def cmos_energy(n_live_synapses: int, n_stored_weights: int, n_clusters: int = 0) -> dict:
     """General-purpose baseline energy per inference.
 
     Unclustered nets store the full dense weight matrix (zeros are part of the
@@ -231,15 +218,15 @@ def cmos_energy(
     """
     if min(n_live_synapses, n_stored_weights, n_clusters) < 0:
         raise ValueError("counts must be non-negative")
-    compute = n_live_synapses * cmos.e_compute_j
-    memory_access = n_live_synapses * cmos.e_mem_access_j
-    leakage = n_stored_weights * cmos.bits_per_weight * cmos.p_leak_per_bit_j
-    sync = n_clusters * cmos.sync_overhead_per_cluster_j
+    compute = n_live_synapses * CMOS_E_COMPUTE_J
+    memory_access = n_live_synapses * CMOS_E_MEM_ACCESS_J
+    leakage = n_stored_weights * CMOS_BITS_PER_WEIGHT * CMOS_LEAK_PER_BIT_J
+    sync = n_clusters * CMOS_SYNC_PER_CLUSTER_J
     return {"compute_j": compute, "memory_access_j": memory_access, "leakage_j": leakage, "sync_j": sync,
             "total_j": compute + memory_access + leakage + sync}
 
 
-def energy_document(mapping: dict, tech: TechConfig, cmos: CmosConfig, storage: str = "auto") -> dict:
+def energy_document(mapping: dict, tech: TechConfig, storage: str = "auto") -> dict:
     """The ``energy.json`` document of a ``mapping.json`` document: crossbar energy and the CMOS baseline.
 
     ``storage`` is how the baseline stores weights: "dense" (the full
@@ -250,5 +237,5 @@ def energy_document(mapping: dict, tech: TechConfig, cmos: CmosConfig, storage: 
         storage = "clustered" if mapping["n_clusters"] else "dense"
     stored = {"clustered": mapping["clustered_storage"], "dense": mapping["dense_storage"]}[storage]
     xbar = mca_energy(mapping, tech)
-    base = cmos_energy(mapping["n_live"], stored, cmos, mapping["n_clusters"])
+    base = cmos_energy(mapping["n_live"], stored, mapping["n_clusters"])
     return {**xbar, "storage_model": storage, "cmos": base}

@@ -14,8 +14,8 @@ an unclustered cell, otherwise the index of its cluster, numbered from 0
 without gaps. A cluster's utilization is its owned-cell count over the
 crossbar area; the cells it owns never change between acceptance and
 removal. Once the unclustered fraction falls below the threshold the loop
-switches to cluster pruning: per improving epoch it removes the
-lowest-scoring clusters outright and lets subsequent epochs recover the
+switches to cluster pruning: per improving epoch it removes the one
+lowest-scoring cluster outright and lets subsequent epochs recover the
 accuracy.
 
 The state also holds the run's one seed (it draws the initial weights, each
@@ -46,7 +46,6 @@ class TransformConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     unclustered_threshold: float = 0.10
     cluster_prune_alpha: float = 0.5
-    clusters_pruned_per_event: int = 1
     max_epochs: int = 20
 
     def __post_init__(self):
@@ -54,8 +53,6 @@ class TransformConfig:
             raise ValueError("unclustered_threshold must lie in (0, 1)")
         if not 0 <= self.cluster_prune_alpha <= 1:
             raise ValueError("cluster_prune_alpha must lie in [0, 1]")
-        if self.clusters_pruned_per_event < 1:
-            raise ValueError("clusters_pruned_per_event must be positive")
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be non-negative")
 
@@ -139,27 +136,27 @@ def cluster_score(state: TransformState, cfg: TransformConfig, layer_id: int, in
 
 
 def cluster_prune(state: TransformState, cfg: TransformConfig) -> int:
-    """Remove the lowest-scoring clusters globally; returns how many were cut.
+    """Remove the one lowest-scoring cluster of all layers; returns how many were cut (1, or 0 if none exist).
 
-    Every layer is scored once per event. The removed clusters' synapses are
-    zeroed and cleared from the owner matrix, so the following epochs can
-    neither train nor revive them; ties break by
-    (layer, index). No-op on an empty cluster set.
+    Every layer is scored once per event; ties break by (layer, index). The
+    cut cluster's synapses are zeroed and cleared from the owner matrix, so
+    the following epochs can neither train nor revive them, and the clusters
+    above it in its layer move down one index.
     """
     scored = [
         (score, layer_id, index)
         for layer_id in range(len(state.owner))
         for index, score in enumerate(_layer_scores(state, cfg, layer_id))
     ]
-    chosen = sorted(scored)[: cfg.clusters_pruned_per_event]
-    # highest index first, so a removal never shifts a cluster still to be removed
-    for _, layer_id, index in sorted(chosen, key=lambda t: t[2], reverse=True):
-        owner, layer = state.owner[layer_id], state.model.layers[layer_id]
-        cells = owner == index
-        layer.weights[cells] = 0.0
-        owner[cells] = -1
-        owner[owner > index] -= 1
-    return len(chosen)
+    if not scored:
+        return 0
+    _, layer_id, index = min(scored)
+    owner, layer = state.owner[layer_id], state.model.layers[layer_id]
+    cells = owner == index
+    layer.weights[cells] = 0.0
+    owner[cells] = -1
+    owner[owner > index] -= 1
+    return 1
 
 
 def _apply_prune_maps(state: TransformState, maps: list[ConnectivityMatrix]) -> int:

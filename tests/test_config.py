@@ -16,7 +16,7 @@ from xbarnet import cli
 from xbarnet.config import ConfigError, build_config
 from xbarnet.datasets import BlobSpec, PlantedSpec, write_surrogate_digits
 from xbarnet.experiment import build_dataset
-from xbarnet.hardware import CmosConfig, TechConfig
+from xbarnet.hardware import TechConfig
 from xbarnet.mlp import TrainConfig
 from xbarnet.sizecluster import SizeClusterConfig
 from xbarnet.transform import TransformConfig
@@ -104,14 +104,19 @@ class TestConfigErrors:
              "transform.cluster_prune_alpha: must be finite, got -inf"),
             ({"tech": {"mca_energy_per_active_crosspoint_j": float("nan")}},
              "tech.mca_energy_per_active_crosspoint_j: must be finite, got nan"),
-            ({"cmos": {"e_compute_j": float("inf")}}, "cmos.e_compute_j: must be finite, got inf"),
+            ({"tech": {"peripheral_energy_per_mca_eval_j": float("inf")}},
+             "tech.peripheral_energy_per_mca_eval_j: must be finite, got inf"),
+            # the CMOS baseline runs on fixed constants, and cluster_prune cuts one cluster per event
+            ({"cmos": {}}, "cmos: unknown top-level key"),
+            ({"transform": {"max_epochs": 1, "clusters_pruned_per_event": 1}},
+             "transform.clusters_pruned_per_event: unknown field"),
         ],
         ids=["planted_block", "blobs_dim_type", "blobs_no_classes", "input_width", "label_range", "k_per_round",
              "threshold_anneal", "max_rounds_float", "batch_size_float", "max_epochs_float", "crossbar_rows_float",
              "topology_bool", "n_train_bool", "train_seed", "transform_seed", "transform_scic", "negative_seed",
              "negative_sigma", "planted_no_hidden", "kind_list", "scic_crossbar", "digits_n_train_str", "digits_unknown",
              "digits_no_test", "mnist_n_train", "evals_per_inference", "nan_dataset", "nan_train", "inf_train", "inf_scic",
-             "inf_transform", "nan_tech", "inf_cmos"],
+             "inf_transform", "nan_tech", "inf_tech", "cmos_section", "clusters_pruned_per_event"],
     )
     def test_dataset_and_topology_mistakes_exit_2(self, tmp_path, capsys, overrides, message):
         assert run_train(tmp_path, base_config(**overrides)) == 2
@@ -134,12 +139,11 @@ def test_crossbar_size_comes_from_tech():
     assert (cfg.scic.crossbar_rows, cfg.scic.crossbar_cols) == (8, 4)
 
 
-@pytest.mark.parametrize("sections", [{}, {"tech": {}, "cmos": {}}], ids=["absent", "empty"])
-def test_tech_and_cmos_defaults(sections):
+@pytest.mark.parametrize("sections", [{}, {"tech": {}}], ids=["absent", "empty"])
+def test_tech_defaults(sections):
     cfg = build_config(base_config(**sections))
     # repr tells 16 from 16.0, so the field types are pinned along with the values
     assert repr(cfg.tech) == repr(TechConfig(16, 16, 1e-12, 5e-10, 4))
-    assert repr(cfg.cmos) == repr(CmosConfig(4.6e-12, 2.6e-11, 1e-15, 4, 1e-11))
 
 
 class TestSurrogateDigitCounts:
@@ -168,8 +172,7 @@ FUZZ_BASES = [
                     "separation": 10.0, "sigma": 1.0},
         "topology": [4, 3, 2], "mode": "prune", "seed": 0,
         "train": {"learning_rate": 0.1, "batch_size": 8, "prune_quality": 0.7},
-        "transform": {"max_epochs": 2, "unclustered_threshold": 0.1, "cluster_prune_alpha": 0.5,
-                      "clusters_pruned_per_event": 1},
+        "transform": {"max_epochs": 2, "unclustered_threshold": 0.1, "cluster_prune_alpha": 0.5},
         "scic": {"base_util_factor": 0.8, "min_util_factor": 0.4, "decay_rate": 0.9, "max_rounds": 2},
     },
     {
@@ -179,8 +182,6 @@ FUZZ_BASES = [
         "train": {"batch_size": 16}, "transform": {"max_epochs": 2},
         "tech": {"crossbar_rows": 4, "crossbar_cols": 4, "mca_energy_per_active_crosspoint_j": 1e-12,
                  "peripheral_energy_per_mca_eval_j": 5e-10, "cores_k": 4},
-        "cmos": {"e_compute_j": 4.6e-12, "e_mem_access_j": 2.6e-11, "p_leak_per_bit_j": 1e-15,
-                 "bits_per_weight": 4, "sync_overhead_per_cluster_j": 1e-11},
     },
     {  # written into the run's temporary directory, next to the config
         "dataset": {"kind": "surrogate_digits", "dir": "digits", "n_train": 24, "n_test": 8, "gen_seed": 1},
@@ -202,7 +203,7 @@ FUZZ_VALUES = st.one_of(
     st.none(),
     st.lists(st.integers(-1, 64), max_size=4),
 )
-FUZZ_SECTIONS = (BlobSpec, PlantedSpec, TrainConfig, TransformConfig, SizeClusterConfig, TechConfig, CmosConfig)
+FUZZ_SECTIONS = (BlobSpec, PlantedSpec, TrainConfig, TransformConfig, SizeClusterConfig, TechConfig)
 FUZZ_NEW_KEYS = sorted({f.name for cls in FUZZ_SECTIONS for f in fields(cls)} | {"bogus", "kind", "mode", "epochs"})
 
 

@@ -7,7 +7,9 @@ import pytest
 
 from xbarnet.connectivity import ClusterSet, ConnectivityMatrix
 from xbarnet.hardware import (
-    CmosConfig,
+    CMOS_BITS_PER_WEIGHT,
+    CMOS_LEAK_PER_BIT_J,
+    CMOS_SYNC_PER_CLUSTER_J,
     MappingFormatError,
     TechConfig,
     cmos_energy,
@@ -159,35 +161,25 @@ class TestMcaEnergy:
 
 class TestCmosEnergy:
     def test_all_zero(self):
-        assert cmos_energy(0, 0, CmosConfig(), 0)["total_j"] == 0.0
+        assert cmos_energy(0, 0, 0)["total_j"] == 0.0
 
     def test_arithmetic(self):
-        cfg = CmosConfig(
-            e_compute_j=2.0, e_mem_access_j=3.0, p_leak_per_bit_j=0.0,
-            bits_per_weight=4, sync_overhead_per_cluster_j=0.0,
-        )
-        assert cmos_energy(100, 100, cfg, 0)["total_j"] == 500.0
+        # the fixed constants, written out, so each part is pinned bit for bit
+        assert cmos_energy(100, 200, 3) == {
+            "compute_j": 100 * 4.6e-12, "memory_access_j": 100 * 2.6e-11, "leakage_j": 200 * 4 * 1e-15,
+            "sync_j": 3 * 1e-11, "total_j": 100 * 4.6e-12 + 100 * 2.6e-11 + 200 * 4 * 1e-15 + 3 * 1e-11,
+        }
 
     def test_clustered_storage_wins_when_sync_below_leak_savings(self):
-        cfg = CmosConfig(
-            e_compute_j=1.0, e_mem_access_j=1.0, p_leak_per_bit_j=0.5,
-            bits_per_weight=4, sync_overhead_per_cluster_j=1.0,
-        )
-        dense = cmos_energy(100, 1000, cfg, 0)
-        clustered = cmos_energy(100, 500, cfg, 10)
-        saved = (1000 - 500) * 4 * 0.5
+        dense = cmos_energy(100, 100_000, 0)
+        clustered = cmos_energy(100, 500, 10)
+        saved = (100_000 - 500) * CMOS_BITS_PER_WEIGHT * CMOS_LEAK_PER_BIT_J
         assert clustered["total_j"] < dense["total_j"]
-        assert dense["total_j"] - clustered["total_j"] == pytest.approx(saved - 10 * 1.0)
+        assert dense["total_j"] - clustered["total_j"] == pytest.approx(saved - 10 * CMOS_SYNC_PER_CLUSTER_J)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
-            cmos_energy(-1, 0, CmosConfig())
-
-
-class TestConfigValidation:
-    def test_cmos_nonnegative(self):
-        with pytest.raises(ValueError):
-            CmosConfig(e_compute_j=-1.0)
+            cmos_energy(-1, 0)
 
 
 class TestDocuments:
@@ -214,8 +206,8 @@ class TestDocuments:
         )
         assert mapping_from_json(json.dumps(tampered)) == doc
         for storage in ("auto", "dense", "clustered"):
-            assert energy_document(mapping_from_json(json.dumps(tampered)), TechConfig(), CmosConfig(),
-                                   storage=storage) == energy_document(doc, TechConfig(), CmosConfig(), storage=storage)
+            assert energy_document(mapping_from_json(json.dumps(tampered)), TechConfig(),
+                                   storage=storage) == energy_document(doc, TechConfig(), storage=storage)
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -237,9 +229,9 @@ class TestDocuments:
         "storage, stored", [("auto", 12 + 2), ("clustered", 12 + 2), ("dense", 64)]
     )
     def test_energy_document(self, storage, stored):
-        mapping, tech, cmos = self.mixed_mapping(), TechConfig(), CmosConfig()
-        doc = energy_document(mapping, tech, cmos, storage=storage)
-        xbar, base = mca_energy(mapping, tech), cmos_energy(14, stored, cmos, 1)
+        mapping, tech = self.mixed_mapping(), TechConfig()
+        doc = energy_document(mapping, tech, storage=storage)
+        xbar, base = mca_energy(mapping, tech), cmos_energy(14, stored, 1)
         assert doc["storage_model"] == ("clustered" if storage == "auto" else storage)
         assert (doc["mca_component_j"], doc["peripheral_component_j"], doc["total_j"]) == (
             xbar["mca_component_j"], xbar["peripheral_component_j"], xbar["total_j"])
@@ -247,7 +239,7 @@ class TestDocuments:
 
     @pytest.mark.parametrize("storage", ["dense", "clustered"])
     def test_energy_document_key_order_and_exact_totals(self, storage):
-        doc = energy_document(self.mixed_mapping(), TechConfig(), CmosConfig(), storage=storage)
+        doc = energy_document(self.mixed_mapping(), TechConfig(), storage=storage)
         assert list(doc) == ["mca_component_j", "peripheral_component_j", "total_j", "storage_model", "cmos"]
         base = doc["cmos"]
         assert list(base) == ["compute_j", "memory_access_j", "leakage_j", "sync_j", "total_j"]
@@ -257,4 +249,4 @@ class TestDocuments:
 
     def test_auto_storage_without_clusters_is_dense(self):
         mapping = map_to_mcas([ClusterSet(ConnectivityMatrix(np.ones((4, 4), dtype=np.uint8)))], TechConfig())
-        assert energy_document(mapping, TechConfig(), CmosConfig())["storage_model"] == "dense"
+        assert energy_document(mapping, TechConfig())["storage_model"] == "dense"

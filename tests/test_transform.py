@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from xbarnet import transform
-from xbarnet.datasets import PlantedSpec, gen_planted
+from xbarnet.datasets import BlobSpec, PlantedSpec, gen_blobs, gen_planted
 from xbarnet.mlp import TrainConfig, init_model, train_epoch
 from xbarnet.sizecluster import SizeClusterConfig, size_constrained_cluster
 from xbarnet.transform import (
@@ -241,6 +241,22 @@ class TestClusterPrune:
         state = TransformState.fresh([6, 4, 3], seed=4)
         assert cluster_prune(state, small_config()) == 0
 
+    def test_ties_cut_the_lowest_layer_then_index(self):
+        state = TransformState.fresh([8, 8, 8], seed=5)
+        for layer_id in (0, 1):
+            state.model.layers[layer_id].weights[:] = 0.5
+            add_cluster(state, layer_id, range(4), range(4))
+            add_cluster(state, layer_id, range(4, 8), range(4, 8))
+        cfg = small_config()
+        assert cluster_score(state, cfg, 0, 0) == cluster_score(state, cfg, 1, 1)  # four equal scores
+        assert cluster_prune(state, cfg) == 1
+        assert state.n_clusters() == 3
+        assert (state.owner[0][:4, :4] == -1).all() and (state.owner[0][4:, 4:] == 0).all()
+        assert not state.model.layers[0].weights[:4, :4].any()
+        assert (state.owner[1][:4, :4] == 0).all() and (state.owner[1][4:, 4:] == 1).all()
+        assert cluster_prune(state, cfg) == 1  # layer 0's last cluster, now at index 0
+        assert (state.owner[0] == -1).all() and state.owner[1].max() == 1
+
 
 class TestRunLoop:
     def test_zero_epochs_returns_initial(self):
@@ -315,6 +331,44 @@ class TestRunLoop:
         counts = np.concatenate([cs.cell_counts() for cs in final_cluster_sets(state)])
         assert len(counts) > 1
         assert state.log[-1]["mean_util"] == float(np.mean(counts / cfg.scic.crossbar_area))
+
+
+class TestConvergence:
+    @staticmethod
+    def log(acc, frac):
+        return [{"val_acc": a, "unclustered_frac": f} for a, f in zip(acc, frac)]
+
+    @pytest.mark.parametrize("switches", [(False, False), (True, False), (True, True)],
+                             ids=["original", "prune", "transform"])
+    def test_run_stops_after_five_stable_epochs(self, switches):
+        data = gen_blobs(BlobSpec(n_classes=2, dim=4, n_train=64, n_test=32), 0)
+        state = run(TransformConfig(max_epochs=20), [4, 4, 2], data.x_train, data.y_train,
+                    data.x_test, data.y_test, 0, *switches)
+        assert len(state.log) == 11
+        assert transform._converged(state.log)
+        assert not any(transform._converged(state.log[:k]) for k in range(len(state.log)))
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_fewer_than_six_records_never_stop(self, n):
+        assert not transform._converged(self.log([0.5] * n, [0.2] * n))
+
+    def test_six_equal_records_stop(self):
+        assert transform._converged(self.log([0.5] * 6, [0.2] * 6))
+        assert transform._converged(self.log([0.0] + [0.5] * 6, [1.0] + [0.2] * 6))  # only the last six count
+
+    @pytest.mark.parametrize("at", range(6))
+    def test_an_accuracy_step_of_one_thousandth_keeps_going(self, at):
+        acc = [0.0] * 6
+        acc[at:] = [0.001] * (6 - at)
+        assert transform._converged(self.log(acc, [0.2] * 6)) is (at == 0)
+        assert transform._converged(self.log([0.0009 * (i >= at) for i in range(6)], [0.2] * 6))
+
+    @pytest.mark.parametrize("at", range(6))
+    def test_an_unclustered_fraction_step_of_one_hundredth_keeps_going(self, at):
+        frac = [0.0] * 6
+        frac[at:] = [0.01] * (6 - at)
+        assert transform._converged(self.log([0.5] * 6, frac)) is (at == 0)
+        assert transform._converged(self.log([0.5] * 6, [0.009 * (i >= at) for i in range(6)]))
 
 
 class TestPlantedRecovery:
