@@ -172,28 +172,58 @@ class DigitsSpec(MnistSpec):
             raise ValueError("n_train and n_test must be positive and gen_seed non-negative")
 
 
+# samples rendered per array pass of write_surrogate_digits; it bounds the float buffers, not the bytes
+_SURROGATE_CHUNK = 256
+_MAX_SHIFT = 2  # surrogate samples roll their prototype by -2..2 pixels along each axis
+
+
 def write_surrogate_digits(directory, seed: int, n_train: int, n_test: int, side: int = 28) -> Path:
     """Write a deterministic IDX-format digit surrogate into ``directory``.
 
     Samples are shifted, dropout-thinned, noisy renderings of per-class
     prototypes; pixel statistics roughly follow handwritten digits (dead
     border, ~20% ink). Returns the directory.
+
+    The bytes are fixed by the order of the draws from the seed's data
+    stream: the prototypes, then per split (train, then test) all labels,
+    then all (row, col) shifts, then per sample its dropout field
+    ``random((side, side))``, its gain ``uniform(0.6, 1.0)`` and its noise
+    ``normal(0, 0.08, (side, side))``. Samples are drawn one at a time but
+    rendered a chunk at a time, so besides one table of every shifted
+    prototype the float buffers hold one chunk at most, whatever the sample
+    counts.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     rng = rng_for(seed, STREAM_DATA)
     protos = _render_prototypes(rng, 10, side)
+    # every (class, row shift, col shift) rendering; np.roll by d reads pixel (i - d) % side
+    moved = (np.arange(side) - np.arange(-_MAX_SHIFT, _MAX_SHIFT + 1)[:, None]) % side
+    n_shifts = len(moved)
+    rolled = protos[:, moved[:, None, :, None], moved[None, :, None, :]].reshape(-1, side, side)
+    chunk = min(_SURROGATE_CHUNK, max(n_train, n_test))
+    dropout = np.empty((chunk, side, side))
+    gain = np.empty((chunk, 1, 1))
+    noise = np.empty((chunk, side, side))
 
     def batch(n: int) -> tuple[np.ndarray, np.ndarray]:
         labels = rng.integers(0, 10, size=n)
         images = np.zeros((n, side, side), dtype=np.uint8)
-        shifts = rng.integers(-2, 3, size=(n, 2))
-        for i in range(n):
-            img = np.roll(protos[labels[i]], tuple(shifts[i]), axis=(0, 1))
-            keep = rng.random((side, side)) > 0.15
-            img = img * keep * rng.uniform(0.6, 1.0)
-            img = img + rng.normal(0, 0.08, size=(side, side))
-            images[i] = (np.clip(img, 0, 1) * 255).astype(np.uint8)
+        shifts = rng.integers(-_MAX_SHIFT, _MAX_SHIFT + 1, size=(n, 2))
+        renderings = (labels * n_shifts + shifts[:, 0] + _MAX_SHIFT) * n_shifts + shifts[:, 1] + _MAX_SHIFT
+        for start in range(0, n, chunk):
+            m = min(chunk, n - start)
+            for j in range(m):
+                rng.random(out=dropout[j])
+                gain[j] = rng.uniform(0.6, 1.0)
+                noise[j] = rng.normal(0, 0.08, size=(side, side))
+            img = rolled[renderings[start : start + m]]
+            img *= dropout[:m] > 0.15
+            img *= gain[:m]
+            img += noise[:m]
+            np.clip(img, 0, 1, out=img)
+            img *= 255
+            images[start : start + m] = img  # the unsafe float -> uint8 cast of astype
         return images, labels.astype(np.uint8)
 
     train_x, train_y = batch(n_train)

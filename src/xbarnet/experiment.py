@@ -100,9 +100,9 @@ def run_experiment(
     One cache must serve only runs of one config and dataset that differ in
     mode alone. Nothing here writes to a cached state, so arms can share it.
     """
+    data = dataset if dataset is not None else build_dataset(cfg)  # a bad dataset leaves no output directory
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    data = dataset if dataset is not None else build_dataset(cfg)
 
     trained = {} if trained is None else trained
     switches = _TRAINING_SWITCHES[cfg.mode]
@@ -170,9 +170,9 @@ def compare(cfg: ExperimentConfig, out_dir, dataset: Dataset | None = None) -> l
     the ``offline_cluster`` arm clusters the network the ``prune`` arm
     trained. Three networks are trained, not four.
     """
+    data = dataset if dataset is not None else build_dataset(cfg)  # a bad dataset leaves no output directory
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    data = dataset if dataset is not None else build_dataset(cfg)
     trained: dict[tuple[bool, bool], TransformState] = {}
     rows = []
     for mode in MODES:

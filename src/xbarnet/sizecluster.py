@@ -12,7 +12,9 @@ chance in later rounds.
 
 Every candidate takes one path: ``split_oversized`` drops its synapse-free
 rows and cols and, unless the rest fits the crossbar, splits it; each piece
-then faces only the utilization test.
+then faces only the utilization test. The split counts the synapses of
+every piece from one gather of the ordered block, so only an accepted piece
+is gathered again.
 Finding groups and ordering a group for splitting use one graph path:
 the active block goes through ``build_similarity`` and ``eig_smallest``,
 which solves the bipartite Laplacian by one SVD of the degree-scaled
@@ -109,12 +111,6 @@ def _second_vector(block: np.ndarray) -> np.ndarray:
     return eig_smallest(build_similarity(ConnectivityMatrix(block)).values, 2)[1][:, -1]
 
 
-def _spectral_order(v: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Order rows by ``v[:len(rows)]`` and cols by the rest; equal entries keep index order."""
-    m = len(rows)
-    return rows[np.lexsort((rows, v[:m]))], cols[np.lexsort((cols, v[m:]))]
-
-
 def split_oversized(
     bits: np.ndarray,
     rows: np.ndarray,
@@ -134,18 +130,40 @@ def split_oversized(
     ``second_vector`` maps the live block to that eigenvector; a caller may
     answer it from what it has solved already.
     """
+    return [(rc, cc) for rc, cc, _ in _counted_split(bits, rows, cols, cfg, second_vector)]
+
+
+def _counted_split(
+    bits: np.ndarray, rows: np.ndarray, cols: np.ndarray, cfg: SizeClusterConfig, second_vector
+) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """``split_oversized``'s children, each with the number of synapses ``bits`` holds in it.
+
+    The live block is gathered once in spectral order, and two
+    ``np.add.reduceat`` passes count every piece of the grid at once.
+    """
     sub = bits[np.ix_(rows, cols)]
-    live_rows = rows[sub.any(axis=1)]
-    live_cols = cols[sub.any(axis=0)]
+    live_row, live_col = sub.any(axis=1), sub.any(axis=0)
+    live_rows, live_cols = rows[live_row], cols[live_col]
     if len(live_rows) == 0 or len(live_cols) == 0:
         return []
+    live = sub[np.ix_(live_row, live_col)]
     if len(live_rows) <= cfg.crossbar_rows and len(live_cols) <= cfg.crossbar_cols:
-        return [(live_rows, live_cols)]
-    v = second_vector(bits[np.ix_(live_rows, live_cols)])
-    ordered_rows, ordered_cols = _spectral_order(v, live_rows, live_cols)
-    row_chunks = np.split(ordered_rows, range(cfg.crossbar_rows, len(ordered_rows), cfg.crossbar_rows))
-    col_chunks = np.split(ordered_cols, range(cfg.crossbar_cols, len(ordered_cols), cfg.crossbar_cols))
-    return [(rc, cc) for rc in row_chunks for cc in col_chunks if bits[np.ix_(rc, cc)].any()]
+        return [(live_rows, live_cols, int(live.sum()))]
+    v = second_vector(live)
+    # rows by v[:m], cols by the rest; equal entries keep index order
+    row_order = np.lexsort((live_rows, v[: len(live_rows)]))
+    col_order = np.lexsort((live_cols, v[len(live_rows) :]))
+    ordered_rows, ordered_cols = live_rows[row_order], live_cols[col_order]
+    row_starts = np.arange(0, len(ordered_rows), cfg.crossbar_rows)
+    col_starts = np.arange(0, len(ordered_cols), cfg.crossbar_cols)
+    ordered = live[np.ix_(row_order, col_order)]
+    counts = np.add.reduceat(np.add.reduceat(ordered, row_starts, axis=0, dtype=np.int64), col_starts, axis=1)
+    return [
+        (ordered_rows[r : r + cfg.crossbar_rows], ordered_cols[c : c + cfg.crossbar_cols], int(counts[i, j]))
+        for i, r in enumerate(row_starts)
+        for j, c in enumerate(col_starts)
+        if counts[i, j]
+    ]
 
 
 def size_constrained_cluster(
@@ -174,11 +192,13 @@ def size_constrained_cluster(
     basis = None  # the residual's spectral basis; dropped when an acceptance changes the residual
     solved: dict[tuple, np.ndarray] = {}  # (shape, bits) of a block -> its second vector
 
-    def try_accept(rows: np.ndarray, cols: np.ndarray) -> bool:
+    def try_accept(rows: np.ndarray, cols: np.ndarray, n_synapses: int) -> bool:
+        # n_synapses was counted when the candidate was split; it is still residual[block].sum(),
+        # because only accepted pieces change the residual and the pieces of one split are disjoint
         nonlocal n_accepted, basis
-        block = np.ix_(rows, cols)
-        if int(residual[block].sum()) / cfg.crossbar_area < util_factor:
+        if n_synapses / cfg.crossbar_area < util_factor:
             return False
+        block = np.ix_(rows, cols)
         owner[block] = np.where(residual[block] == 1, n_accepted, owner[block])
         n_accepted += 1
         residual[block] = 0
@@ -192,7 +212,7 @@ def size_constrained_cluster(
         return solved[key]
 
     def handle(rows: np.ndarray, cols: np.ndarray) -> int:
-        return sum(try_accept(rc, cc) for rc, cc in split_oversized(residual, rows, cols, cfg, second_vector))
+        return sum(try_accept(*piece) for piece in _counted_split(residual, rows, cols, cfg, second_vector))
 
     for round_no in range(1, cfg.max_rounds + 1):
         nnz_before = int(residual.sum())

@@ -311,6 +311,18 @@ def test_truncated_idx_file_exits_2(tmp_path, capsys, damage, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_unreadable_dataset_leaves_no_output_directory(tmp_path, capsys, command):
+    write_surrogate_digits(tmp_path / "digits", seed=0, n_train=20, n_test=10)
+    (tmp_path / "digits" / "train-images-idx3-ubyte").write_bytes(b"\x00")
+    raw = {"dataset": {"kind": "mnist", "dir": str(tmp_path / "digits")}, "topology": [784, 4, 10],
+           "transform": {"max_epochs": 1}}
+    (tmp_path / "config.json").write_text(json.dumps(raw))
+    assert cli.main([command, "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]) == 2
+    assert "train-images-idx3-ubyte: truncated header, got 1 bytes" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def write_idx_images(path, images):
     """IDX image file: magic 2051, count, rows, cols (big-endian), then the uint8 pixels."""
     path.write_bytes(struct.pack(">4I", 2051, *images.shape) + images.astype(np.uint8).tobytes())

@@ -73,6 +73,27 @@ class TestSplitOversized:
         assert rows.tolist() == [1, 3, 5] and cols.tolist() == [0, 4]
 
 
+    def test_counted_pieces_carry_their_synapse_counts(self):
+        # the counts come from one ordered gather and two reduceat passes; each must be its piece's sum
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            shape = tuple(int(v) for v in rng.integers(1, 40, size=2))
+            bits = (rng.random(shape) < rng.uniform(0.05, 1.0)).astype(np.uint8)
+            rows = np.flatnonzero(rng.random(shape[0]) < 0.8)
+            cols = np.flatnonzero(rng.random(shape[1]) < 0.8)
+            cfg = SizeClusterConfig(*(int(v) for v in rng.integers(1, 8, size=2)))
+            pieces = sizecluster._counted_split(bits, rows, cols, cfg, sizecluster._second_vector)
+            children = split_oversized(bits, rows, cols, cfg)
+            assert [(r.tolist(), c.tolist()) for r, c, _ in pieces] == [(r.tolist(), c.tolist()) for r, c in children]
+            for r, c, n in pieces:
+                assert type(n) is int and n == int(bits[np.ix_(r, c)].sum()) > 0
+
+    def test_counts_do_not_wrap_at_256_synapses(self):
+        bits = np.ones((40, 40), dtype=np.uint8)
+        cfg = SizeClusterConfig(crossbar_rows=20, crossbar_cols=20)
+        pieces = sizecluster._counted_split(bits, np.arange(40), np.arange(40), cfg, sizecluster._second_vector)
+        assert [n for _, _, n in pieces] == [400] * 4
+
 class TestSizeConstrainedCluster:
     def test_fitting_residual_accepted_whole_in_round_one(self):
         bits = np.zeros((20, 20), dtype=np.uint8)
