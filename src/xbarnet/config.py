@@ -37,6 +37,10 @@ class ConfigError(ValueError):
         self.problems = problems
         super().__init__("invalid configuration:\n" + "\n".join(f"  - {p}" for p in problems))
 
+    def __reduce__(self):
+        # rebuild from the problems, not the message: a compare worker's error reaches its parent pickled
+        return type(self), (self.problems,)
+
 
 @dataclass
 class ExperimentConfig:

@@ -7,8 +7,13 @@ runs all four modes into per-mode subdirectories and emits a combined CSV
 with columns normalized against the plain-training arm. It trains each
 distinct network once: the ``prune`` and ``offline_cluster`` arms run the
 same prune-only training, so the offline arm clusters the network that the
-prune arm trained, and writes the same checkpoint and log. Reruns with the
-same config and seed reproduce every artifact byte for byte.
+prune arm trained, and writes the same checkpoint and log.
+
+``compare`` groups the modes by their training switches (``original``;
+``prune`` with ``offline_cluster``; ``transform``) and runs each group in a
+worker process forked from the caller, as many workers at once as there are
+groups and usable CPUs. Reruns with the same config and seed reproduce every
+artifact byte for byte, whatever the number of workers.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -163,21 +169,68 @@ def _write_csv(path, rows: list[dict], columns: list[str]) -> None:
     Path(path).write_text(buf.getvalue())
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has one, else all of them."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# (config, output directory, dataset) of the compare call a worker was forked
+# from; set in the worker only, by the pool's initializer
+_compare_job: tuple[ExperimentConfig, Path, Dataset] | None = None
+
+
+def _init_compare_worker(cfg: ExperimentConfig, out: Path, data: Dataset) -> None:
+    global _compare_job
+    _compare_job = (cfg, out, data)
+
+
+def _run_group(modes: list[str]) -> list[dict]:
+    """Run modes that share one training, one after another; their summary rows."""
+    cfg, out, data = _compare_job
+    trained: dict[tuple[bool, bool], TransformState] = {}
+    return [run_experiment(replace(cfg, mode=mode), out / mode, dataset=data, trained=trained) for mode in modes]
+
+
 def compare(cfg: ExperimentConfig, out_dir, dataset: Dataset | None = None) -> list[dict]:
     """Run all four modes on one dataset; emit a normalized combined summary.
 
-    The arms share one training cache, so the prune-only training runs once:
-    the ``offline_cluster`` arm clusters the network the ``prune`` arm
-    trained. Three networks are trained, not four.
+    Modes with equal training switches form one group that shares one
+    training, so the prune-only training runs once: the ``offline_cluster``
+    arm clusters the network the ``prune`` arm trained. Three networks are
+    trained, not four.
+
+    Each group runs in a worker of a process pool that uses the ``fork``
+    context, with ``min(groups, _usable_cpus())`` workers; on one CPU one
+    worker runs the groups one after another. Forked workers inherit the
+    config, output directory and dataset through the pool's initializer, so
+    the dataset is never pickled; a worker sends back only its summary rows.
+    The groups share nothing but those read-only inputs, and each training
+    draws from its own generators seeded by ``cfg.seed``, so every artifact
+    is the same bytes whatever the number of workers or the order in which
+    the groups finish. An exception in a worker is raised here once the
+    other groups are done, and no worker outlives the call. The pool forks
+    every worker before it starts its own threads; OpenBLAS stops its
+    thread pool around a fork, but Python 3.12+ still warns when BLAS runs
+    more than one thread (``OPENBLAS_NUM_THREADS=1`` silences it).
     """
+    # imported here: the pool's modules add about 2 MB to every process, and only compare needs them
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
     data = dataset if dataset is not None else build_dataset(cfg)  # a bad dataset leaves no output directory
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    trained: dict[tuple[bool, bool], TransformState] = {}
-    rows = []
+    groups: dict[tuple[bool, bool], list[str]] = {}
     for mode in MODES:
-        mode_cfg = replace(cfg, mode=mode)
-        rows.append(run_experiment(mode_cfg, out / mode, dataset=data, trained=trained))
+        groups.setdefault(_TRAINING_SWITCHES[mode], []).append(mode)
+    with ProcessPoolExecutor(
+        min(len(groups), _usable_cpus()), mp_context=get_context("fork"),
+        initializer=_init_compare_worker, initargs=(cfg, out, data),
+    ) as pool:
+        by_mode = {row["mode"]: row for rows in pool.map(_run_group, groups.values()) for row in rows}
+    rows = [by_mode[mode] for mode in MODES]
     base = rows[0]
     for row in rows:
         for col in NORMALIZED:

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import pickle
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -40,6 +41,14 @@ def base_config(**overrides) -> dict:
 class TestConfigErrors:
     def test_valid_config_runs(self, tmp_path):
         assert run_train(tmp_path, base_config()) == 0
+
+    def test_error_round_trips_through_pickle(self):
+        """A compare worker's error reaches the parent pickled; its problems and message come back whole."""
+        error = ConfigError(["a", "b"])
+        back = pickle.loads(pickle.dumps(error))
+        assert type(back) is ConfigError
+        assert back.problems == ["a", "b"]
+        assert str(back) == str(error) == "invalid configuration:\n  - a\n  - b"
 
     def test_non_numeric_learning_rate(self, tmp_path, capsys):
         assert run_train(tmp_path, base_config(train={"learning_rate": "x"})) == 2

@@ -1,13 +1,16 @@
 """Experiment orchestration: `compare` trains each distinct network once, and arms share it read-only."""
 
 import json
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from xbarnet import cli, experiment
-from xbarnet.config import build_config
+from xbarnet.config import MODES, ConfigError, build_config
+from xbarnet.connectivity import ClusterFormatError
 
 RAW = {
     "dataset": {"kind": "planted", "in_dim": 32, "hidden": 32, "n_classes": 2, "block": 8,
@@ -35,26 +38,77 @@ def data(cfg):
     return experiment.build_dataset(cfg)
 
 
-@pytest.fixture(scope="module")
-def compared(cfg, data, tmp_path_factory):
-    """One `compare` tree, and how many times it ran the training loop."""
-    out = tmp_path_factory.mktemp("compare")
-    calls = []
+def record_calls(monkeypatch, path, line):
+    """Make ``experiment.run`` append ``line(kwargs)`` to ``path``; a file, since compare's workers are processes."""
     original_run = experiment.run
 
-    def counting_run(*args, **kwargs):
-        calls.append((kwargs["enable_prune"], kwargs["enable_cluster"]))
+    def recording_run(*args, **kwargs):
+        with open(path, "a") as fh:
+            fh.write(line(kwargs) + "\n")
         return original_run(*args, **kwargs)
 
+    monkeypatch.setattr(experiment, "run", recording_run)
+
+
+@pytest.fixture(scope="module")
+def compared(cfg, data, tmp_path_factory):
+    """One `compare` tree, and the training switches of each run of the training loop, sorted."""
+    out = tmp_path_factory.mktemp("compare")
+    calls = tmp_path_factory.mktemp("calls") / "calls.txt"
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(experiment, "run", counting_run)
+        record_calls(mp, calls, lambda kwargs: f"{kwargs['enable_prune']} {kwargs['enable_cluster']}")
         experiment.compare(cfg, out, dataset=data)
-    return out, calls
+    return out, sorted(tuple(word == "True" for word in line.split()) for line in calls.read_text().splitlines())
 
 
 def test_compare_trains_three_networks(compared):
     _, calls = compared
-    assert calls == [(False, False), (True, False), (True, True)]
+    assert calls == sorted([(False, False), (True, False), (True, True)])
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_compare_writes_the_serial_tree_on_any_cpu_count(compared, cfg, data, tmp_path, monkeypatch, cpus):
+    """Byte-equal to one `run_experiment` per mode with a shared cache, whatever the worker count."""
+    reference = tmp_path / "serial"
+    trained = {}
+    for mode in MODES:
+        experiment.run_experiment(replace(cfg, mode=mode), reference / mode, dataset=data, trained=trained)
+
+    pids = tmp_path / "pids.txt"
+    record_calls(monkeypatch, pids, lambda kwargs: str(os.getpid()))
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
+    experiment.compare(cfg, tmp_path / "parallel", dataset=data)
+    written = tree(tmp_path / "parallel")
+    summary = written.pop("summary.csv")
+    assert written == tree(reference)
+    assert summary == (compared[0] / "summary.csv").read_bytes()
+    # the combined rows are the arms' own rows followed by the three normalized columns
+    assert [line.rsplit(",", 3)[0] for line in summary.decode().splitlines()[1:]] == [
+        written[f"{mode}/summary.csv"].decode().splitlines()[1] for mode in MODES
+    ]
+    workers = set(pids.read_text().split())
+    assert 1 <= len(workers) <= cpus and str(os.getpid()) not in workers
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize(
+    "error",
+    [ClusterFormatError("clusters.json: layer 0 does not fit"), ConfigError(["scic: one", "tech: two"])],
+    ids=["input_format", "config"],
+)
+def test_an_error_in_one_worker_exits_2_with_its_message(tmp_path, monkeypatch, capsys, error):
+    def failing_offline_cluster(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(experiment, "offline_cluster", failing_offline_cluster)
+    (tmp_path / "config.json").write_text(json.dumps(RAW))
+    out = tmp_path / "out"
+    assert cli.main(["compare", "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 2
+    assert str(error) in capsys.readouterr().err
+    assert not multiprocessing.active_children()
+    # the other groups ran to the end; no combined summary was written
+    assert (out / "original" / "summary.csv").exists() and (out / "transform" / "summary.csv").exists()
+    assert not (out / "summary.csv").exists()
 
 
 def test_prune_and_offline_arms_share_checkpoint_and_log(compared):
