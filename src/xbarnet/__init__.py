@@ -10,7 +10,6 @@ from .connectivity import ClusterSet, ConnectivityMatrix, from_weights
 from .hardware import (
     TechConfig,
     cmos_energy,
-    core_count,
     energy_document,
     map_to_mcas,
     mca_energy,

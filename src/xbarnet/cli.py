@@ -75,7 +75,7 @@ def cmd_map(args) -> int:
     mapping = map_to_mcas(sets, cfg.tech)
     out = _out_file(cfg, args, "mapping.json")
     write_json(out, mapping)
-    print(f"wrote {out}: num_mca={mapping['num_mca']} num_core={mapping['num_core']}")
+    print(f"wrote {out}: num_mca={mapping['num_mca']}")
     return 0
 
 

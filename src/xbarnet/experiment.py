@@ -35,7 +35,7 @@ from .mlp import evaluate, save_checkpoint
 from .transform import TransformState, final_cluster_sets, offline_cluster, run
 
 SUMMARY_COLUMNS = [
-    "mode", "accuracy", "sparsity", "num_mca", "num_core",
+    "mode", "accuracy", "sparsity", "num_mca",
     "mca_E", "periph_E", "total_E", "cmos_E",
 ]
 NORMALIZED = ["num_mca", "total_E", "cmos_E"]
@@ -136,7 +136,6 @@ def run_experiment(
         "accuracy": accuracy,
         "sparsity": model.sparsity(),
         "num_mca": mapping["num_mca"],
-        "num_core": mapping["num_core"],
         "mca_E": energy["mca_component_j"],
         "periph_E": energy["peripheral_component_j"],
         "total_E": energy["total_j"],

@@ -17,8 +17,8 @@ stops pinning its outputs.
 A mapping is held as its ``mapping.json`` document. Per layer it measures
 ``cluster_active``, ``residual_active``, ``cluster_areas`` and
 ``matrix_shape``; one builder, which :func:`map_to_mcas` and
-:func:`mapping_from_json` share, derives every other key from those,
-``num_core`` and the crossbar, so derived keys in a file are ignored: per
+:func:`mapping_from_json` share, derives every other key from those and the
+crossbar, so derived keys in a file are ignored: per
 layer ``clustered_mca_count``, ``residual_mca_count``, ``histogram``,
 ``unclustered_fraction``, ``cluster_utils`` and ``residual_utils``; at the top
 ``num_mca``, ``n_live``, ``n_clusters``, ``clustered_storage`` and
@@ -47,13 +47,10 @@ class TechConfig:
     crossbar_cols: int = 16
     mca_energy_per_active_crosspoint_j: float = 1e-12
     peripheral_energy_per_mca_eval_j: float = 5e-10
-    cores_k: int = 4
 
     def __post_init__(self):
         if self.mca_energy_per_active_crosspoint_j < 0 or self.peripheral_energy_per_mca_eval_j < 0:
             raise ValueError("energies must be non-negative")
-        if self.cores_k < 1:
-            raise ValueError("cores_k must be positive")
         if self.crossbar_rows < 1 or self.crossbar_cols < 1:
             raise ValueError("crossbar dimensions must be positive")
 
@@ -72,7 +69,7 @@ class MappingFormatError(InputFormatError):
     other or the crossbar."""
 
 
-def _mapping_document(layers: list[tuple], num_core: int, crossbar_rows: int, crossbar_cols: int) -> dict:
+def _mapping_document(layers: list[tuple], crossbar_rows: int, crossbar_cols: int) -> dict:
     """``mapping.json`` of ``layers``, each (cluster_active, residual_active, cluster_areas, matrix_shape)."""
     area = crossbar_rows * crossbar_cols
     docs = []
@@ -95,7 +92,6 @@ def _mapping_document(layers: list[tuple], num_core: int, crossbar_rows: int, cr
         )
     return {
         "num_mca": sum(len(active) + len(residual) for active, residual, _, _ in layers),
-        "num_core": num_core,
         "crossbar_rows": crossbar_rows,
         "crossbar_cols": crossbar_cols,
         "n_live": sum(sum(active) + sum(residual) for active, residual, _, _ in layers),
@@ -116,8 +112,7 @@ def mapping_from_json(text: str | bytes) -> dict:
     """
     try:
         data = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
-        scalars = [data["num_core"], data["crossbar_rows"], data["crossbar_cols"]]
-        num_core, rows, cols = _counts(scalars, "num_core, crossbar_rows and crossbar_cols")
+        rows, cols = _counts([data["crossbar_rows"], data["crossbar_cols"]], "crossbar_rows and crossbar_cols")
         if not rows * cols:
             raise ValueError(f"crossbar {rows}x{cols} is empty")
         layers = []
@@ -137,7 +132,7 @@ def mapping_from_json(text: str | bytes) -> dict:
                 raise ValueError(f"layer {i}: a residual_active lies outside 1..{rows * cols}")
             if live > m * n:
                 raise ValueError(f"layer {i}: {live} live synapses exceed matrix_shape {m}x{n}")
-        return _mapping_document(layers, num_core, rows, cols)
+        return _mapping_document(layers, rows, cols)
     except (KeyError, TypeError, ValueError) as exc:
         raise MappingFormatError(f"mapping document: {type(exc).__name__}: {exc}") from None
 
@@ -164,15 +159,6 @@ def grid_tiles(bits: np.ndarray, rows: int, cols: int) -> list[int]:
     return counts[counts > 0].tolist()
 
 
-def core_count(num_mca: int, k: int) -> int:
-    """ceil(num_mca / k); a fractional core is still a physical core."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if num_mca < 0:
-        raise ValueError("num_mca must be non-negative")
-    return math.ceil(num_mca / k)
-
-
 def map_to_mcas(cluster_sets: list[ClusterSet], tech: TechConfig) -> dict:
     """The ``mapping.json`` document: each cluster on one crossbar, the residual synapses grid-tiled.
 
@@ -194,8 +180,7 @@ def map_to_mcas(cluster_sets: list[ClusterSet], tech: TechConfig) -> dict:
             [rows * cols for rows, cols in shapes],
             cs.source.bits.shape,
         ))
-    num_core = core_count(sum(len(active) + len(residual) for active, residual, _, _ in layers), tech.cores_k)
-    return _mapping_document(layers, num_core, tech.crossbar_rows, tech.crossbar_cols)
+    return _mapping_document(layers, tech.crossbar_rows, tech.crossbar_cols)
 
 
 def mca_energy(mapping: dict, tech: TechConfig) -> dict:

@@ -259,7 +259,10 @@ def load_checkpoint(path) -> tuple[MlpModel, dict]:
     """Read a checkpoint pair; returns (model, manifest).
 
     Only the current format is read: a file of any other format, the v1
-    layout with its third per-layer mask block included, is rejected.
+    layout with its third per-layer mask block included, is rejected. So is a
+    ``.bin`` that does not match its manifest: one with bytes after the last
+    listed block, or whose weight blocks do not chain into the manifest's
+    ``topology``.
     """
     path = Path(path)
     try:
@@ -279,7 +282,12 @@ def load_checkpoint(path) -> tuple[MlpModel, dict]:
                         f"truncated block {spec['name']}: expected {length} bytes, got {len(data)}"
                     )
                 blocks.append(np.frombuffer(data, dtype="<f8").reshape(spec["shape"]).copy())
+            if fh.read(1):
+                raise ValueError("bytes left after the last listed block")
         layers = [Layer(weights=w, bias=b) for w, b in zip(blocks[0::2], blocks[1::2], strict=True)]
+        shapes, topology = [layer.weights.shape for layer in layers], manifest["topology"]
+        if not layers or shapes != list(zip(topology[:-1], topology[1:])):
+            raise ValueError(f"layer shapes {shapes} do not chain into topology {topology!r:.40}")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointFormatError(f"checkpoint {path}: {exc}") from None
     return MlpModel(layers), manifest

@@ -12,9 +12,9 @@ chance in later rounds.
 
 Every candidate takes one path: ``split_oversized`` drops its synapse-free
 rows and cols and, unless the rest fits the crossbar, splits it; each piece
-then faces only the utilization test. The split counts the synapses of
-every piece from one gather of the ordered block, so only an accepted piece
-is gathered again.
+then faces only the utilization test. The split returns every piece with
+its synapse count, counted from one gather of the ordered block, so only an
+accepted piece is gathered again.
 Finding groups and ordering a group for splitting use one graph path:
 the active block goes through ``build_similarity`` and ``eig_smallest``,
 which solves the bipartite Laplacian by one SVD of the degree-scaled
@@ -112,13 +112,9 @@ def _second_vector(block: np.ndarray) -> np.ndarray:
 
 
 def split_oversized(
-    bits: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    cfg: SizeClusterConfig,
-    second_vector=_second_vector,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split the block ``bits[rows][:, cols]`` into crossbar-sized (rows, cols) children.
+    bits: np.ndarray, rows: np.ndarray, cols: np.ndarray, cfg: SizeClusterConfig, second_vector
+) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """Split the block ``bits[rows][:, cols]`` into crossbar-sized (rows, cols, n_synapses) children.
 
     Synapse-free rows and cols are dropped; a block whose remaining rows and
     cols fit the crossbar is its own only child, and one without a synapse
@@ -128,18 +124,10 @@ def split_oversized(
     ceil(cols/crossbar_cols) pieces partition the block and each fits the
     crossbar. Empty pairings are dropped. The split is deterministic.
     ``second_vector`` maps the live block to that eigenvector; a caller may
-    answer it from what it has solved already.
-    """
-    return [(rc, cc) for rc, cc, _ in _counted_split(bits, rows, cols, cfg, second_vector)]
-
-
-def _counted_split(
-    bits: np.ndarray, rows: np.ndarray, cols: np.ndarray, cfg: SizeClusterConfig, second_vector
-) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    """``split_oversized``'s children, each with the number of synapses ``bits`` holds in it.
-
-    The live block is gathered once in spectral order, and two
-    ``np.add.reduceat`` passes count every piece of the grid at once.
+    answer it from what it has solved already. Each child carries the number
+    of synapses ``bits`` holds in it: the live block is gathered once in
+    spectral order, and two ``np.add.reduceat`` passes count every piece of
+    the grid at once.
     """
     sub = bits[np.ix_(rows, cols)]
     live_row, live_col = sub.any(axis=1), sub.any(axis=0)
@@ -212,7 +200,7 @@ def size_constrained_cluster(
         return solved[key]
 
     def handle(rows: np.ndarray, cols: np.ndarray) -> int:
-        return sum(try_accept(*piece) for piece in _counted_split(residual, rows, cols, cfg, second_vector))
+        return sum(try_accept(*piece) for piece in split_oversized(residual, rows, cols, cfg, second_vector))
 
     for round_no in range(1, cfg.max_rounds + 1):
         nnz_before = int(residual.sum())

@@ -141,6 +141,23 @@ def damage_checkpoint(run, bad):
     return ["map", "--checkpoint", str(bad / "checkpoint"), "--clusters", str(run / "clusters.json")]
 
 
+def checkpoint_copy(edit):
+    """A damage that copies the run's checkpoint pair and applies ``edit(manifest, blob)`` to the copy."""
+    def damage(run, bad):
+        manifest, blob = edit(json.loads((run / "checkpoint.json").read_text()), (run / "checkpoint.bin").read_bytes())
+        (bad / "checkpoint.json").write_text(json.dumps(manifest))
+        (bad / "checkpoint.bin").write_bytes(blob)
+        return ["map", "--checkpoint", str(bad / "checkpoint"), "--clusters", str(run / "clusters.json")]
+    return damage
+
+
+def layer0_only(manifest, blob):
+    """The manifest cut down to layer 0's two blocks, and the bytes of those blocks."""
+    (n_weights,) = struct.unpack("<Q", blob[:8])
+    (n_bias,) = struct.unpack("<Q", blob[8 + n_weights : 16 + n_weights])
+    return {**manifest, "blocks": manifest["blocks"][:2]}, blob[: 16 + n_weights + n_bias]
+
+
 def v1_checkpoint(run, bad):
     """The same model in the v1 layout, which stored a float64 mask block after each layer's bias."""
     model, manifest = load_checkpoint(run / "checkpoint")
@@ -174,11 +191,16 @@ def v1_checkpoint(run, bad):
      (edited_mapping(top={"crossbar_rows": 0}), "crossbar 0x8 is empty"),
      (edited_mapping(matrix_shape=[1, 1]), "live synapses exceed matrix_shape 1x1"),
      (damage_checkpoint, "truncated block layer1.bias"),
-     (v1_checkpoint, "unrecognized checkpoint format 'xbarnet-checkpoint-v1'")],
+     (v1_checkpoint, "unrecognized checkpoint format 'xbarnet-checkpoint-v1'"),
+     (checkpoint_copy(lambda manifest, blob: (manifest, blob + b"garbage")), "bytes left after the last listed block"),
+     (checkpoint_copy(lambda manifest, blob: ({**manifest, "blocks": manifest["blocks"][:2]}, blob)),
+      "bytes left after the last listed block"),
+     (checkpoint_copy(layer0_only), "layer shapes [(32, 32)] do not chain into topology [32, 32, 2]")],
     ids=["oversized_cluster", "clusters_float_cell", "clusters_not_utf8", "mapping_missing_key", "mapping_not_json",
          "mapping_wrong_type", "mapping_not_utf8", "mapping_areas_count", "mapping_active_above_area",
          "mapping_active_zero", "mapping_area_above_crossbar", "mapping_residual_above_crossbar",
-         "mapping_zero_crossbar", "mapping_shape_below_live", "truncated_checkpoint", "v1_checkpoint"],
+         "mapping_zero_crossbar", "mapping_shape_below_live", "truncated_checkpoint", "v1_checkpoint",
+         "checkpoint_appended_bytes", "manifest_without_layer1", "checkpoint_layer0_only"],
 )
 def test_damaged_input_files_exit_2(tmp_path, pruned_run, capsys, damage, message):
     args = damage(pruned_run / "run", tmp_path)

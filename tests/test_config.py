@@ -119,13 +119,15 @@ class TestConfigErrors:
             ({"cmos": {}}, "cmos: unknown top-level key"),
             ({"transform": {"max_epochs": 1, "clusters_pruned_per_event": 1}},
              "transform.clusters_pruned_per_event: unknown field"),
+            # no score reads a core count, so the technology has no cores
+            ({"tech": {"cores_k": 4}}, "tech.cores_k: unknown field"),
         ],
         ids=["planted_block", "blobs_dim_type", "blobs_no_classes", "input_width", "label_range", "k_per_round",
              "threshold_anneal", "max_rounds_float", "batch_size_float", "max_epochs_float", "crossbar_rows_float",
              "topology_bool", "n_train_bool", "train_seed", "transform_seed", "transform_scic", "negative_seed",
              "negative_sigma", "planted_no_hidden", "kind_list", "scic_crossbar", "digits_n_train_str", "digits_unknown",
              "digits_no_test", "mnist_n_train", "evals_per_inference", "nan_dataset", "nan_train", "inf_train", "inf_scic",
-             "inf_transform", "nan_tech", "inf_tech", "cmos_section", "clusters_pruned_per_event"],
+             "inf_transform", "nan_tech", "inf_tech", "cmos_section", "clusters_pruned_per_event", "cores_k"],
     )
     def test_dataset_and_topology_mistakes_exit_2(self, tmp_path, capsys, overrides, message):
         assert run_train(tmp_path, base_config(**overrides)) == 2
@@ -152,7 +154,7 @@ def test_crossbar_size_comes_from_tech():
 def test_tech_defaults(sections):
     cfg = build_config(base_config(**sections))
     # repr tells 16 from 16.0, so the field types are pinned along with the values
-    assert repr(cfg.tech) == repr(TechConfig(16, 16, 1e-12, 5e-10, 4))
+    assert repr(cfg.tech) == repr(TechConfig(16, 16, 1e-12, 5e-10))
 
 
 class TestSurrogateDigitCounts:
@@ -190,7 +192,7 @@ FUZZ_BASES = [
         "topology": [8, 8, 2], "mode": "original", "seed": 1,
         "train": {"batch_size": 16}, "transform": {"max_epochs": 2},
         "tech": {"crossbar_rows": 4, "crossbar_cols": 4, "mca_energy_per_active_crosspoint_j": 1e-12,
-                 "peripheral_energy_per_mca_eval_j": 5e-10, "cores_k": 4},
+                 "peripheral_energy_per_mca_eval_j": 5e-10},
     },
     {  # written into the run's temporary directory, next to the config
         "dataset": {"kind": "surrogate_digits", "dir": "digits", "n_train": 24, "n_test": 8, "gen_seed": 1},

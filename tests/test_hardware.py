@@ -13,7 +13,6 @@ from xbarnet.hardware import (
     MappingFormatError,
     TechConfig,
     cmos_energy,
-    core_count,
     energy_document,
     grid_tiles,
     map_to_mcas,
@@ -30,21 +29,6 @@ def full_cluster_set(shape, blocks, residual_bits=None):
         source[np.ix_(rows, cols)] = 1
         owner[np.ix_(rows, cols)] = k
     return ClusterSet(ConnectivityMatrix(source), owner)
-
-
-class TestCoreCount:
-    def test_exact_division(self):
-        assert core_count(8, 4) == 2
-
-    def test_zero(self):
-        assert core_count(0, 4) == 0
-
-    def test_ceiling(self):
-        assert core_count(9, 4) == 3
-
-    def test_bad_k(self):
-        with pytest.raises(ValueError):
-            core_count(4, 0)
 
 
 class TestMapToMcas:
@@ -209,15 +193,21 @@ class TestDocuments:
             assert energy_document(mapping_from_json(json.dumps(tampered)), TechConfig(),
                                    storage=storage) == energy_document(doc, TechConfig(), storage=storage)
 
+    def test_core_count_of_an_older_document_is_ignored(self):
+        # mapping.json once carried a core count; a file written then still reads, to the same document
+        doc = self.mixed_mapping()
+        assert "num_core" not in doc
+        assert mapping_from_json(json.dumps({**doc, "num_core": 1})) == doc
+
     @pytest.mark.parametrize(
         "edit, message",
         [(lambda d: d["layers"][0].update(residual_active=[1, "2"]), "residual_active must be a list of non-negative"),
          (lambda d: d["layers"][0].update(cluster_areas=[-12]), "cluster_areas must be a list of non-negative"),
          (lambda d: d["layers"][0].update(cluster_active=[True]), "cluster_active must be a list of non-negative"),
          (lambda d: d["layers"][0].update(matrix_shape=[8]), "matrix_shape must be 2 non-negative"),
-         (lambda d: d.update(num_core=1.5), "num_core, crossbar_rows and crossbar_cols must"),
+         (lambda d: d.update(crossbar_rows=1.5), "crossbar_rows and crossbar_cols must"),
          (lambda d: d.update(layers=[7]), "TypeError")],
-        ids=["element", "negative", "bool", "shape", "num_core", "layer"],
+        ids=["element", "negative", "bool", "shape", "crossbar_rows", "layer"],
     )
     def test_reader_rejects_mistyped_fields(self, edit, message):
         doc = self.mixed_mapping()

@@ -1,6 +1,7 @@
 """Training-core tests: forward/backward oracles, pruning, checkpoints."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -406,4 +407,33 @@ class TestCheckpoint:
         blob = (tmp_path / "ck.bin").read_bytes()
         (tmp_path / "ck.bin").write_bytes(blob[:-4])
         with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(tmp_path / "ck")
+
+    def test_appended_bytes_rejected(self, tmp_path):
+        save_checkpoint(tmp_path / "ck", init_model([3, 2], seed=0), seed=0)
+        with open(tmp_path / "ck.bin", "ab") as fh:
+            fh.write(b"\0")
+        with pytest.raises(CheckpointFormatError, match="bytes left after the last listed block"):
+            load_checkpoint(tmp_path / "ck")
+
+    def test_layers_that_do_not_chain_rejected(self, tmp_path):
+        # 4x4 then 5x2: the first fan-in and every fan-out agree with [4, 4, 2]; only layer 1's fan-in of 5 does not
+        blocks = [np.ones((4, 4)), np.zeros(4), np.ones((5, 2)), np.zeros(2)]
+        manifest = {
+            "format": "xbarnet-checkpoint-v2", "topology": [4, 4, 2], "seed": 0, "config": {},
+            "blocks": [{"name": f"layer{i // 2}.{('weights', 'bias')[i % 2]}", "shape": list(b.shape)}
+                       for i, b in enumerate(blocks)],
+        }
+        (tmp_path / "ck.json").write_text(json.dumps(manifest))
+        (tmp_path / "ck.bin").write_bytes(b"".join(struct.pack("<Q", b.nbytes) + b.tobytes() for b in blocks))
+        message = r"layer shapes \[\(4, 4\), \(5, 2\)\] do not chain into topology \[4, 4, 2\]"
+        with pytest.raises(CheckpointFormatError, match=message):
+            load_checkpoint(tmp_path / "ck")
+
+    def test_checkpoint_without_layers_rejected(self, tmp_path):
+        save_checkpoint(tmp_path / "ck", init_model([3, 2], seed=0), seed=0)
+        manifest = json.loads((tmp_path / "ck.json").read_text())
+        (tmp_path / "ck.json").write_text(json.dumps({**manifest, "topology": [3], "blocks": []}))
+        (tmp_path / "ck.bin").write_bytes(b"")
+        with pytest.raises(CheckpointFormatError, match=r"layer shapes \[\] do not chain into topology \[3\]"):
             load_checkpoint(tmp_path / "ck")

@@ -5,7 +5,7 @@ import pytest
 
 from xbarnet import sizecluster, spectral
 from xbarnet.connectivity import ClusterSet, ConnectivityMatrix
-from xbarnet.sizecluster import SizeClusterConfig, _derived_k, size_constrained_cluster, split_oversized
+from xbarnet.sizecluster import SizeClusterConfig, _derived_k, _second_vector, size_constrained_cluster, split_oversized
 from xbarnet.spectral import build_similarity, eig_smallest, kmeans, row_normalize
 from xbarnet.util import seed_for
 
@@ -34,10 +34,10 @@ class TestSplitOversized:
         # block yields full-utilization crossbar-sized pieces
         c = ConnectivityMatrix(np.ones((8, 8), dtype=np.uint8))
         cfg = SizeClusterConfig(crossbar_rows=4, crossbar_cols=4)
-        children = split_oversized(c.bits, np.arange(8), np.arange(8), cfg)
+        children = split_oversized(c.bits, np.arange(8), np.arange(8), cfg, _second_vector)
         assert len(children) == 4
         claimed = np.zeros((8, 8), dtype=int)
-        for rows, cols in children:
+        for rows, cols, _ in children:
             assert len(rows) <= 4 and len(cols) <= 4
             assert c.bits[np.ix_(rows, cols)].sum() == 16  # a full 4x4 crossbar
             claimed[np.ix_(rows, cols)] += 1
@@ -49,10 +49,10 @@ class TestSplitOversized:
         bits[0, 0] = 1
         c = ConnectivityMatrix(bits)
         cfg = SizeClusterConfig(crossbar_rows=4, crossbar_cols=4)
-        children = split_oversized(c.bits, np.arange(5), np.arange(3), cfg)
-        for rows, cols in children:
+        children = split_oversized(c.bits, np.arange(5), np.arange(3), cfg, _second_vector)
+        for rows, cols, _ in children:
             assert len(rows) <= 4 and len(cols) <= 3
-        union_rows = set(i for rows, _ in children for i in rows.tolist())
+        union_rows = set(i for rows, _, _ in children for i in rows.tolist())
         assert union_rows <= set(range(5))
 
     @pytest.mark.parametrize("rows, cols", [([], [0, 1]), ([0, 1], []), ([0, 1], [2, 3])])
@@ -60,17 +60,18 @@ class TestSplitOversized:
         bits = np.zeros((4, 4), dtype=np.uint8)
         bits[2:, :2] = 1
         cfg = SizeClusterConfig(crossbar_rows=2, crossbar_cols=2)
-        assert split_oversized(bits, np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), cfg) == []
+        pieces = split_oversized(bits, np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), cfg, _second_vector)
+        assert pieces == []
 
     def test_fitting_block_is_its_synapse_bearing_lines(self):
         bits = np.zeros((6, 6), dtype=np.uint8)
         bits[1, 4] = bits[3, 0] = bits[5, 4] = 1
         bits[2, 2] = 1  # outside the block
         cfg = SizeClusterConfig(crossbar_rows=3, crossbar_cols=2)
-        children = split_oversized(bits, np.array([0, 1, 3, 4, 5]), np.array([0, 1, 3, 4, 5]), cfg)
+        children = split_oversized(bits, np.array([0, 1, 3, 4, 5]), np.array([0, 1, 3, 4, 5]), cfg, _second_vector)
         assert len(children) == 1
-        rows, cols = children[0]
-        assert rows.tolist() == [1, 3, 5] and cols.tolist() == [0, 4]
+        rows, cols, n_synapses = children[0]
+        assert rows.tolist() == [1, 3, 5] and cols.tolist() == [0, 4] and n_synapses == 3
 
 
     def test_counted_pieces_carry_their_synapse_counts(self):
@@ -82,16 +83,13 @@ class TestSplitOversized:
             rows = np.flatnonzero(rng.random(shape[0]) < 0.8)
             cols = np.flatnonzero(rng.random(shape[1]) < 0.8)
             cfg = SizeClusterConfig(*(int(v) for v in rng.integers(1, 8, size=2)))
-            pieces = sizecluster._counted_split(bits, rows, cols, cfg, sizecluster._second_vector)
-            children = split_oversized(bits, rows, cols, cfg)
-            assert [(r.tolist(), c.tolist()) for r, c, _ in pieces] == [(r.tolist(), c.tolist()) for r, c in children]
-            for r, c, n in pieces:
+            for r, c, n in split_oversized(bits, rows, cols, cfg, _second_vector):
                 assert type(n) is int and n == int(bits[np.ix_(r, c)].sum()) > 0
 
     def test_counts_do_not_wrap_at_256_synapses(self):
         bits = np.ones((40, 40), dtype=np.uint8)
         cfg = SizeClusterConfig(crossbar_rows=20, crossbar_cols=20)
-        pieces = sizecluster._counted_split(bits, np.arange(40), np.arange(40), cfg, sizecluster._second_vector)
+        pieces = split_oversized(bits, np.arange(40), np.arange(40), cfg, _second_vector)
         assert [n for _, _, n in pieces] == [400] * 4
 
 class TestSizeConstrainedCluster:
@@ -388,9 +386,9 @@ class TestMatchesReference:
             rows = np.flatnonzero(rng.random(shape[0]) < 0.8)
             cols = np.flatnonzero(rng.random(shape[1]) < 0.8)
             cfg = SizeClusterConfig(*(int(v) for v in rng.integers(1, 8, size=2)))
-            got = split_oversized(bits, rows, cols, cfg)
+            got = split_oversized(bits, rows, cols, cfg, _second_vector)
             want = reference_split_oversized(bits, rows, cols, cfg)
-            assert [(r.tolist(), c.tolist()) for r, c in got] == [(r.tolist(), c.tolist()) for r, c in want]
+            assert [(r.tolist(), c.tolist()) for r, c, _ in got] == [(r.tolist(), c.tolist()) for r, c in want]
 
 
 @pytest.mark.parametrize("case", range(6))
