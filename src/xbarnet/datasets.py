@@ -1,7 +1,9 @@
 """Dataset ingestion: IDX image/label files plus synthetic generators.
 
 The IDX reader handles the standard big-endian digit-recognition files
-(optionally gzipped) and validates magic numbers and byte counts. Two
+(optionally gzipped) and validates magic numbers and byte counts. Their
+pixels stay the uint8 values stored on disk, one byte each; ``mlp.forward``
+scales each batch to [0, 1] as the network reads it. Two
 synthetic generators cover testing needs: "blobs" makes well-separated
 Gaussian clusters for fast learnability checks, and "planted" builds a
 teacher network whose first-layer weight support is block-diagonal, labels
@@ -32,6 +34,13 @@ IDX_LABELS_MAGIC = 2049
 
 @dataclass
 class Dataset:
+    """Train and test splits: ``x`` is (samples, features), ``y`` int64 class labels.
+
+    ``x`` holds either float64 features (the synthetic generators) or uint8
+    pixel intensities (``load_mnist``), which ``mlp.forward`` reads as
+    ``x / 255.0``.
+    """
+
     x_train: np.ndarray
     y_train: np.ndarray
     x_test: np.ndarray
@@ -115,7 +124,11 @@ def _find_idx_file(directory: Path, names: tuple[str, ...]) -> Path:
 
 
 def load_mnist(directory) -> Dataset:
-    """Load the standard IDX digit files from a directory; pixels scale to [0,1]."""
+    """Load the standard IDX digit files from a directory.
+
+    Each image becomes one row of its uint8 pixels, as stored, with no float
+    copy; ``mlp.forward`` scales a batch of them to [0, 1].
+    """
     directory = Path(directory)
     x_train = read_idx_images(_find_idx_file(directory, _IDX_NAMES["train_images"]))
     y_train = read_idx_labels(_find_idx_file(directory, _IDX_NAMES["train_labels"]))
@@ -128,9 +141,9 @@ def load_mnist(directory) -> Dataset:
         raise IdxFormatError("train images are %dx%d but test images are %dx%d" % sizes)
     n_pixels = x_train.shape[1] * x_train.shape[2]
     return Dataset(
-        x_train=x_train.reshape(len(x_train), n_pixels).astype(np.float64) / 255.0,
+        x_train=x_train.reshape(len(x_train), n_pixels),
         y_train=y_train,
-        x_test=x_test.reshape(len(x_test), n_pixels).astype(np.float64) / 255.0,
+        x_test=x_test.reshape(len(x_test), n_pixels),
         y_test=y_test,
     )
 

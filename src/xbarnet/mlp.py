@@ -6,6 +6,9 @@ when its weight is non-zero: the live weights are the only prune record.
 Updates apply only to non-zero weights, so a zeroed synapse stays at exactly
 zero, and weight support never grows during training: pruning and cluster
 removal are the only operations that change which synapses exist.
+
+Inputs are float64 features, or uint8 pixel intensities that ``forward``
+scales to [0, 1] one batch at a time, so a pixel set is never held as floats.
 """
 
 from __future__ import annotations
@@ -86,10 +89,14 @@ def init_model(topology: list[int], seed: int) -> MlpModel:
 def forward(model: MlpModel, batch: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """Per-layer activations plus output probabilities (rows sum to 1).
 
-    Each layer's pre-activation is a fresh array that the rectifier or the
-    softmax then overwrites in place; the input batch is never written.
+    A uint8 batch holds pixel intensities and is read as ``batch / 255.0``,
+    a float64 division, so each value lies in [0, 1]; any other batch is read
+    as float64 features, without a copy when it is float64 already. Each
+    layer's pre-activation is a fresh array that the rectifier or the softmax
+    then overwrites in place; the input batch is never written.
     """
-    x = np.asarray(batch, dtype=np.float64)
+    x = np.asarray(batch)
+    x = np.divide(x, 255.0, dtype=np.float64) if x.dtype == np.uint8 else np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.layers[0].weights.shape[0]:
         raise ShapeError(
             f"batch width {x.shape} does not match first-layer fan-in "

@@ -14,7 +14,11 @@ Every candidate takes one path: ``split_oversized`` drops its synapse-free
 rows and cols and, unless the rest fits the crossbar, splits it; each piece
 then faces only the utilization test. The split returns every piece with
 its synapse count, counted from one gather of the ordered block, so only an
-accepted piece is gathered again.
+accepted piece is gathered again. The row and col counts of the first
+gather bound every piece (``_hopeless``): a candidate none of whose pieces
+could clear the round's threshold is dropped before it is ordered, so it
+costs no eigensolve. A round whose whole residual fails that bound seeks no
+groups and splits nothing; it only decays the threshold.
 Finding groups and ordering a group for splitting use one graph path:
 the active block goes through ``build_similarity`` and ``eig_smallest``,
 which solves the bipartite Laplacian by one SVD of the degree-scaled
@@ -111,14 +115,38 @@ def _second_vector(block: np.ndarray) -> np.ndarray:
     return eig_smallest(build_similarity(ConnectivityMatrix(block)).values, 2)[1][:, -1]
 
 
+def _hopeless(row_counts: np.ndarray, col_counts: np.ndarray, cfg: SizeClusterConfig, util_factor: float) -> bool:
+    """Whether no crossbar-sized piece of a block with these row and col synapse counts can reach ``util_factor``.
+
+    A piece takes at most crossbar_rows of the block's rows and crossbar_cols
+    of its cols, so it holds at most the sum of the crossbar_rows largest row
+    counts, the sum of the crossbar_cols largest col counts and
+    crossbar_area synapses. The bound faces the test ``try_accept`` applies
+    to a piece's own count, so a hopeless block has no piece to accept.
+    """
+    bound = min(
+        int(np.sort(row_counts)[::-1][: cfg.crossbar_rows].sum()),
+        int(np.sort(col_counts)[::-1][: cfg.crossbar_cols].sum()),
+        cfg.crossbar_area,
+    )
+    return bound / cfg.crossbar_area < util_factor
+
+
 def split_oversized(
-    bits: np.ndarray, rows: np.ndarray, cols: np.ndarray, cfg: SizeClusterConfig, second_vector
+    bits: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    cfg: SizeClusterConfig,
+    second_vector,
+    util_factor: float = 0.0,
 ) -> list[tuple[np.ndarray, np.ndarray, int]]:
     """Split the block ``bits[rows][:, cols]`` into crossbar-sized (rows, cols, n_synapses) children.
 
     Synapse-free rows and cols are dropped; a block whose remaining rows and
     cols fit the crossbar is its own only child, and one without a synapse
-    has none. Otherwise rows and columns are ordered by the subgraph's second
+    has none, and so has a block no piece of which can reach
+    ``util_factor`` (see ``_hopeless``): it is neither ordered nor cut.
+    Otherwise rows and columns are ordered by the subgraph's second
     Laplacian eigenvector and cut into consecutive crossbar-sized chunks
     whose pairings become the children, so the ceil(rows/crossbar_rows) *
     ceil(cols/crossbar_cols) pieces partition the block and each fits the
@@ -130,13 +158,14 @@ def split_oversized(
     the grid at once.
     """
     sub = bits[np.ix_(rows, cols)]
-    live_row, live_col = sub.any(axis=1), sub.any(axis=0)
+    row_counts, col_counts = sub.sum(axis=1, dtype=np.int64), sub.sum(axis=0, dtype=np.int64)
+    live_row, live_col = row_counts > 0, col_counts > 0
     live_rows, live_cols = rows[live_row], cols[live_col]
-    if len(live_rows) == 0 or len(live_cols) == 0:
+    if len(live_rows) == 0 or len(live_cols) == 0 or _hopeless(row_counts, col_counts, cfg, util_factor):
         return []
-    live = sub[np.ix_(live_row, live_col)]
     if len(live_rows) <= cfg.crossbar_rows and len(live_cols) <= cfg.crossbar_cols:
-        return [(live_rows, live_cols, int(live.sum()))]
+        return [(live_rows, live_cols, int(row_counts.sum()))]
+    live = sub[np.ix_(live_row, live_col)]
     v = second_vector(live)
     # rows by v[:m], cols by the rest; equal entries keep index order
     row_order = np.lexsort((live_rows, v[: len(live_rows)]))
@@ -200,22 +229,26 @@ def size_constrained_cluster(
         return solved[key]
 
     def handle(rows: np.ndarray, cols: np.ndarray) -> int:
-        return sum(try_accept(*piece) for piece in split_oversized(residual, rows, cols, cfg, second_vector))
+        pieces = split_oversized(residual, rows, cols, cfg, second_vector, util_factor)
+        return sum(try_accept(*piece) for piece in pieces)
 
     for round_no in range(1, cfg.max_rounds + 1):
-        nnz_before = int(residual.sum())
+        row_counts, col_counts = residual.sum(axis=1, dtype=np.int64), residual.sum(axis=0, dtype=np.int64)
+        nnz_before = int(row_counts.sum())
         if nnz_before == 0:
             break
-        active_rows = np.flatnonzero(residual.any(axis=1))
-        active_cols = np.flatnonzero(residual.any(axis=0))
+        active_rows, active_cols = np.flatnonzero(row_counts), np.flatnonzero(col_counts)
         # the most synapses a crossbar-sized candidate can hold; below the floor no round can accept
         best = min(nnz_before, min(len(active_rows), cfg.crossbar_rows) * min(len(active_cols), cfg.crossbar_cols))
         if best / cfg.crossbar_area < cfg.min_util_factor:
             break
         accepted_this_round = 0
+        # when no piece of the residual, and so none of any group, can pass this
+        # round's threshold, the round seeks nothing and only decays it
+        hopeful = not _hopeless(row_counts, col_counts, cfg, util_factor)
 
         fits = len(active_rows) <= cfg.crossbar_rows and len(active_cols) <= cfg.crossbar_cols
-        if not fits and nnz_before < len(active_rows) * len(active_cols):
+        if hopeful and not fits and nnz_before < len(active_rows) * len(active_cols):
             # structure stage: spectral groups over the residual graph; k is
             # fixed by the residual, so an unchanged residual reuses its basis
             if basis is None:
@@ -229,7 +262,7 @@ def size_constrained_cluster(
                     solved[block.shape, block.tobytes()] = basis.vectors[:, 1]
             groups = spectral_cluster(basis, seed_for(seed, round_no))
             accepted_this_round = sum(handle(g_rows, g_cols) for g_rows, g_cols in groups)
-        if accepted_this_round == 0:
+        if hopeful and accepted_this_round == 0:
             # the whole residual as one candidate, split in order when oversized
             accepted_this_round = handle(active_rows, active_cols)
 

@@ -43,6 +43,18 @@ def test_gzipped_dotted_files_load_like_the_plain_files(tmp_path, plain_dir):
         assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
+def test_pixels_stay_uint8_and_scale_to_the_float_intensities(plain_dir):
+    # load_mnist keeps one byte per pixel; x / 255.0 is what it once returned as float64, bit for bit
+    data = load_mnist(plain_dir)
+    for x, name, n in ((data.x_train, "train-images-idx3-ubyte", 24), (data.x_test, "t10k-images-idx3-ubyte", 8)):
+        stored = (plain_dir / name).read_bytes()[16:]
+        assert x.dtype == np.uint8 and x.shape == (n, 784) and x.nbytes == n * 784
+        assert x.tobytes() == stored
+        old = np.frombuffer(stored, dtype=np.uint8).reshape(n, 784).astype(np.float64) / 255.0
+        assert (x / 255.0).tobytes() == old.tobytes()
+    assert data.n_features == 784
+
+
 def halve(data: bytes) -> bytes:
     return data[: len(data) // 2]
 

@@ -159,19 +159,31 @@ def signed_zero_model(topology, seed):
     return model, copy.deepcopy(model)
 
 
+def pixel_batch(rng, shape):
+    """uint8 intensities with both extremes present, and the float64 array they stand for."""
+    x = rng.integers(0, 256, size=shape, dtype=np.uint8)
+    x.flat[:2] = 0, 255
+    return x, x.astype(np.float64) / 255.0
+
+
 class TestLeanStepOracle:
     @pytest.mark.parametrize("topology", [[6, 5, 3], [6, 7, 5, 3]], ids=["two_layers", "three_layers"])
     @pytest.mark.parametrize("batch", [1, 9])
-    def test_steps_match_bit_for_bit(self, topology, batch):
+    @pytest.mark.parametrize("pixels", [False, True], ids=["float64", "uint8"])
+    def test_steps_match_bit_for_bit(self, topology, batch, pixels):
+        # a uint8 batch must step exactly as its float64 intensities / 255 do in the oracle
         model, oracle = signed_zero_model(topology, seed=len(topology) + batch)
         rng = np.random.default_rng(batch)
-        x = rng.normal(size=(60, topology[0]))
+        if pixels:
+            x, x_oracle = pixel_batch(rng, (60, topology[0]))
+        else:
+            x = x_oracle = rng.normal(size=(60, topology[0]))
         y = rng.integers(0, topology[-1], size=60)
         neg_zero_before = sum(int(np.signbit(l.weights[l.weights == 0]).sum()) for l in model.layers)
         for step in range(150):
             idx = rng.choice(60, size=batch, replace=False)
             _, loss = backward_step(model, x[idx], y[idx], lr=0.3)
-            _, oracle_loss = oracle_backward_step(oracle, x[idx], y[idx], lr=0.3)
+            _, oracle_loss = oracle_backward_step(oracle, x_oracle[idx], y[idx], lr=0.3)
             assert np.float64(loss).tobytes() == np.float64(oracle_loss).tobytes(), step
             assert model_bytes(model) == model_bytes(oracle), step
         # the sign of a zero weight did move, so byte equality covered it
@@ -179,24 +191,63 @@ class TestLeanStepOracle:
         assert neg_zero_after < neg_zero_before
         assert not model.layers[0].weights[:, 0].any()
 
-    def test_evaluate_matches(self):
+    @pytest.mark.parametrize("pixels", [False, True], ids=["float64", "uint8"])
+    def test_evaluate_matches(self, pixels):
         model, _ = signed_zero_model([6, 7, 4], seed=5)
         rng = np.random.default_rng(5)
-        x = rng.normal(size=(50, 6))
+        if pixels:
+            x, x_oracle = pixel_batch(rng, (50, 6))
+        else:
+            x = x_oracle = rng.normal(size=(50, 6))
         y = rng.integers(0, 4, size=50)
         for batch in (1, 16, 2048):
-            assert evaluate(model, x, y, batch=batch) == oracle_evaluate(model, x, y, batch)
+            assert evaluate(model, x, y, batch=batch) == oracle_evaluate(model, x_oracle, y, batch)
 
-    def test_input_batch_is_not_written(self):
+    @pytest.mark.parametrize("pixels", [False, True], ids=["float64", "uint8"])
+    def test_input_batch_is_not_written(self, pixels):
         model, _ = signed_zero_model([6, 5, 3], seed=6)
         rng = np.random.default_rng(6)
-        x = rng.normal(size=(8, 6))
-        x[0, :] = -0.0
+        if pixels:
+            x, _ = pixel_batch(rng, (8, 6))
+        else:
+            x = rng.normal(size=(8, 6))
+            x[0, :] = -0.0
         y = rng.integers(0, 3, size=8)
-        before = x.tobytes()
+        before = x.dtype, x.tobytes()
         forward(model, x)
         backward_step(model, x, y, lr=0.5)
-        assert x.tobytes() == before
+        train_epoch(model, x, y, TrainConfig(batch_size=3), epoch=1, seed=0)
+        evaluate(model, x, y, batch=4)
+        assert (x.dtype, x.tobytes()) == before
+
+
+class TestPixelInput:
+    """A uint8 pixel set gives the same bytes as its float64 intensities ``x / 255.0``."""
+
+    def data(self, seed):
+        rng = np.random.default_rng(seed)
+        x, x_float = pixel_batch(rng, (70, 12))
+        return x, x_float, rng.integers(0, 4, size=70)
+
+    def test_forward_reads_intensities(self):
+        x, x_float, _ = self.data(0)
+        model, _ = signed_zero_model([12, 9, 4], seed=1)
+        acts, probs = forward(model, x)
+        want_acts, want_probs = forward(model, x_float)
+        assert acts[0].dtype == np.float64 and acts[0].min() == 0.0 and acts[0].max() == 1.0
+        assert [a.tobytes() for a in acts] == [a.tobytes() for a in want_acts]
+        assert probs.tobytes() == want_probs.tobytes()
+
+    def test_training_matches_over_epochs(self):
+        x, x_float, y = self.data(2)
+        cfg = TrainConfig(learning_rate=0.2, batch_size=8)
+        model, reference = signed_zero_model([12, 9, 4], seed=3)
+        for epoch in range(1, 5):
+            loss = train_epoch(model, x, y, cfg, epoch=epoch, seed=4)
+            want = train_epoch(reference, x_float, y, cfg, epoch=epoch, seed=4)
+            assert np.float64(loss).tobytes() == np.float64(want).tobytes(), epoch
+            assert model_bytes(model) == model_bytes(reference), epoch
+        assert evaluate(model, x, y) == evaluate(reference, x_float, y)
 
 
 class TestForward:

@@ -1,5 +1,7 @@
 """Iterative clustering: acceptance thresholds, splitting, the candidate path, determinism."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -409,3 +411,102 @@ def test_no_eigensolve_repeats_within_one_call(monkeypatch, case):
     size_constrained_cluster(ConnectivityMatrix(bits), cfg, seed=case, trace=trace)
     assert any(r["accepted"] == 0 for r in trace[:-1])  # some round left the residual to the next one
     assert len(seen) - len(set(seen)) == 0
+
+
+# -- candidates that no piece of can be accepted ------------------------------
+
+
+def best_piece(bits, cfg):
+    """The most synapses any crossbar-sized choice of rows and cols of ``bits`` holds, by brute force."""
+    m, n = bits.shape
+    return max(
+        int(bits[np.ix_(rows, cols)].sum())
+        for rows in itertools.combinations(range(m), min(m, cfg.crossbar_rows))
+        for cols in itertools.combinations(range(n), min(n, cfg.crossbar_cols))
+    )
+
+
+def test_hopeless_bound_never_falls_below_the_best_piece():
+    rng = np.random.default_rng(11)
+    tight = 0
+    for _ in range(40):
+        bits = (rng.random(tuple(int(v) for v in rng.integers(1, 7, size=2))) < rng.uniform(0.1, 1.0)).astype(np.uint8)
+        cfg = SizeClusterConfig(*(int(v) for v in rng.integers(1, 4, size=2)))
+        best = best_piece(bits, cfg)
+        rc, cc = bits.sum(axis=1), bits.sum(axis=0)
+        # the best piece itself clears a threshold of its own utilization, so that threshold is not hopeless
+        assert not sizecluster._hopeless(rc, cc, cfg, best / cfg.crossbar_area), (bits, cfg)
+        tight += sizecluster._hopeless(rc, cc, cfg, np.nextafter(best / cfg.crossbar_area, 2))
+    assert tight > 0  # and the bound is often exactly the best piece
+
+
+def skip_cases():
+    """(bits, cfg, seed): random sparse matrices on several crossbars, and dense blocks with and without strays."""
+    rng = np.random.default_rng(77)
+    cases = []
+    for i in range(24):
+        shape = tuple(int(v) for v in rng.integers(20, 70, size=2))
+        bits = (rng.random(shape) < rng.uniform(0.03, 0.35)).astype(np.uint8)
+        crossbar = [(4, 4), (8, 8), (16, 16), (8, 4)][i % 4]
+        cases.append((bits, random_config(rng, crossbar), i))
+    dense = np.ones((64, 48), dtype=np.uint8)
+    strays = np.pad(dense, 6)
+    strays[rng.random(strays.shape) < 0.03] = 1
+    for i, bits in enumerate((dense, strays)):
+        cases.append((bits, SizeClusterConfig(crossbar_rows=16, crossbar_cols=8, min_util_factor=0.2), 100 + i))
+    return cases
+
+
+def test_skipping_hopeless_candidates_changes_nothing(monkeypatch):
+    fired = []
+    hopeless = sizecluster._hopeless
+
+    def counting(*args):
+        fired.append(hopeless(*args))
+        return fired[-1]
+
+    runs = []
+    for patch in (counting, lambda *args: False):
+        monkeypatch.setattr(sizecluster, "_hopeless", patch)
+        results = []
+        for bits, cfg, seed in skip_cases():
+            trace: list = []
+            cs = size_constrained_cluster(ConnectivityMatrix(bits), cfg, seed, trace=trace)
+            results.append((cs.owner.tobytes(), trace))
+        runs.append(results)
+    assert any(fired) and not all(fired)
+    for i, (got, want) in enumerate(zip(*runs)):
+        assert got == want, skip_cases()[i][1:]
+
+
+def test_hopeless_candidate_is_never_ordered():
+    rng = np.random.default_rng(3)
+    bits = (rng.random((48, 40)) < 0.1).astype(np.uint8)
+    rows, cols = np.arange(48), np.arange(40)
+    cfg = SizeClusterConfig()
+    calls = []
+
+    def recording(block):
+        calls.append(block.shape)
+        return _second_vector(block)
+
+    assert split_oversized(bits, rows, cols, cfg, recording, util_factor=0.8) == []
+    assert calls == []
+    assert split_oversized(bits, rows, cols, cfg, recording)  # the same block is oversized
+    assert len(calls) == 1
+
+
+def test_hopeless_rounds_seek_nothing_and_decay(monkeypatch):
+    # no 16x16 piece of this residual can hold 0.4 * 256 synapses, but the loop's exit bound
+    # (min(nnz, 16 * 16)) lets it run, so every round must decay without a solve or k-means
+    rng = np.random.default_rng(3)
+    bits = (rng.random((48, 40)) < 0.1).astype(np.uint8)
+    calls = []
+    monkeypatch.setattr(sizecluster, "_second_vector", lambda block: calls.append("split"))
+    monkeypatch.setattr(sizecluster, "spectral_basis", lambda c, k: calls.append("basis"))
+    monkeypatch.setattr(sizecluster, "spectral_cluster", lambda basis, seed: calls.append("kmeans"))
+    trace: list = []
+    cs = size_constrained_cluster(ConnectivityMatrix(bits), SizeClusterConfig(), seed=0, trace=trace)
+    assert calls == [] and cs.n_clusters == 0
+    assert len(trace) == 7 and all(r["accepted"] == 0 and r["residual_after"] == bits.sum() for r in trace)
+    assert [r["util_factor"] for r in trace] == pytest.approx([0.8 * 0.9**i for i in range(7)])
