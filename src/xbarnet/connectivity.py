@@ -154,7 +154,6 @@ def from_weights(weights) -> ConnectivityMatrix:
 
 
 _ITEM_SEP = ",\n   "  # between the items of a record's lists, as indent=1 lays them out
-_PAIR = "[\n    {},\n    {}\n   ]"  # one covered [row, col] cell inside ``covered``
 
 
 def cluster_sets_to_json(cluster_sets: list[ClusterSet]) -> str:
@@ -171,14 +170,23 @@ def cluster_sets_to_json(cluster_sets: list[ClusterSet]) -> str:
     cost. Formatting skips the pure-Python encoder that ``json.dumps`` runs
     when ``indent`` is set, which takes several times as long on the 5.8 MB
     of a digits run. No list is ever empty (no cluster is), so every list
-    takes the multi-line form.
+    takes the multi-line form. Each layer turns every index below its larger
+    dimension into text once, in a table, together with the text a covered
+    cell puts before and after its col; the records are joined from table
+    lookups, so no index is formatted per cell.
     """
     records = []
     for layer_id, cs in enumerate(cluster_sets):
+        names = [str(i) for i in range(max(cs.owner.shape))]
+        heads = ["[\n    " + name + ",\n    " for name in names]  # a covered cell up to its col
+        tails = [name + "\n   ]" + _ITEM_SEP for name in names]  # its col, its close and the separator
         for (rows, cols), (ii, jj) in zip(cs.footprints(), cs.cells()):
-            rows = _ITEM_SEP.join(map(str, rows.tolist()))
-            cols = _ITEM_SEP.join(map(str, cols.tolist()))
-            covered = _ITEM_SEP.join(map(_PAIR.format, ii.tolist(), jj.tolist()))
+            rows = _ITEM_SEP.join([names[i] for i in rows.tolist()])
+            cols = _ITEM_SEP.join([names[j] for j in cols.tolist()])
+            parts = [""] * (2 * len(ii))
+            parts[0::2] = [heads[i] for i in ii.tolist()]
+            parts[1::2] = [tails[j] for j in jj.tolist()]
+            covered = "".join(parts)[: -len(_ITEM_SEP)]
             records.append(
                 f' {{\n  "layer": {layer_id},\n  "rows": [\n   {rows}\n  ],\n  "cols": [\n   {cols}\n  ],\n'
                 f'  "covered": [\n   {covered}\n  ]\n }}'

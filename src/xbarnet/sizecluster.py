@@ -26,7 +26,9 @@ biadjacency (see ``spectral``). Splitting orders each side by the second
 Laplacian eigenvector of the candidate's bipartite graph; consecutive
 chunks of crossbar size pair up in a grid, so child footprints partition the
 parent's footprint even when the graph has no cut structure at all (a
-complete block splits into full crossbars). Spectral groups are sought only
+complete block splits into full crossbars in index order, with no
+eigensolve: every order fills every piece, so an eigenvector has nothing to
+choose). Spectral groups are sought only
 when the residual neither fits one crossbar nor is one complete block, as
 every layer is before its first prune: such a graph has no cut structure for
 them to find. When there are no groups to seek, or they yield nothing, the
@@ -106,11 +108,7 @@ def _derived_k(nnz: int, n_active: int, cfg: SizeClusterConfig) -> int:
 def _second_vector(block: np.ndarray) -> np.ndarray:
     """Second Laplacian eigenvector of the bipartite graph of a 0/1 block: rows, then cols.
 
-    ``eig_smallest`` fixes the vector's sign. When the second eigenvalue is
-    repeated, as for a complete block (rank-1 B, eigenvalue 1 on all but two
-    dimensions), the vector is whichever one the SVD returns in that
-    eigenspace: fixed for a given LAPACK build, but not determined by the
-    graph.
+    ``eig_smallest`` fixes the vector's sign.
     """
     return eig_smallest(build_similarity(ConnectivityMatrix(block)).values, 2)[1][:, -1]
 
@@ -152,9 +150,12 @@ def split_oversized(
     ceil(cols/crossbar_cols) pieces partition the block and each fits the
     crossbar. Empty pairings are dropped. The split is deterministic.
     ``second_vector`` maps the live block to that eigenvector; a caller may
-    answer it from what it has solved already. Each child carries the number
-    of synapses ``bits`` holds in it: the live block is gathered once in
-    spectral order, and two ``np.add.reduceat`` passes count every piece of
+    answer it from what it has solved already. A complete live block is
+    ordered by index and ``second_vector`` is not called: every piece of it
+    is full under any order, so the grid is its row-major run of consecutive
+    index chunks, the same on every LAPACK build. Each child carries the
+    number of synapses ``bits`` holds in it: the live block is gathered once
+    in split order, and two ``np.add.reduceat`` passes count every piece of
     the grid at once.
     """
     sub = bits[np.ix_(rows, cols)]
@@ -166,7 +167,8 @@ def split_oversized(
     if len(live_rows) <= cfg.crossbar_rows and len(live_cols) <= cfg.crossbar_cols:
         return [(live_rows, live_cols, int(row_counts.sum()))]
     live = sub[np.ix_(live_row, live_col)]
-    v = second_vector(live)
+    # a complete block has no cut to find, so all its entries tie
+    v = np.zeros(len(live_rows) + len(live_cols)) if live.all() else second_vector(live)
     # rows by v[:m], cols by the rest; equal entries keep index order
     row_order = np.lexsort((live_rows, v[: len(live_rows)]))
     col_order = np.lexsort((live_cols, v[len(live_rows) :]))

@@ -242,6 +242,27 @@ def test_cluster_json_matches_json_dumps_byte_for_byte(seed, crossbar):
         assert all(len(r["covered"]) == 1 for r in json.loads(text))
 
 
+def test_cluster_json_beyond_three_digit_indices():
+    """A tall, narrow layer with clusters in rows past 999, after a layer without clusters, writes the
+    ``json.dumps(indent=1)`` text and reads back to the same owners."""
+    rng = np.random.default_rng(5)
+    bits = (rng.random((1203, 37)) < 0.3).astype(np.uint8)
+    owner = np.full(bits.shape, -1, dtype=np.int32)
+    row_chunks = np.split(rng.permutation(np.arange(990, 1203))[:48], 6)
+    for k, rows in enumerate([np.arange(8), *row_chunks]):
+        cols = rng.choice(37, 8, replace=False)
+        owner[np.ix_(rows, cols)] = np.where(bits[np.ix_(rows, cols)] == 1, k, -1)
+    sources = [ConnectivityMatrix(np.ones((3, 4), dtype=np.uint8)), ConnectivityMatrix(bits)]
+    sets = [ClusterSet(sources[0]), ClusterSet(sources[1], owner)]
+    assert sets[1].n_clusters == 7 and max(r.max() for r, _ in sets[1].footprints()) >= 1000
+    text = cluster_sets_to_json(sets)
+    assert text == reference_cluster_json(sets)
+    back = cluster_sets_from_json(text, sources, (8, 8))
+    assert back[0].n_clusters == 0
+    assert np.array_equal(back[1].owner, owner)
+    assert cluster_sets_to_json(back) == text
+
+
 def test_cluster_json_without_clusters_is_an_empty_list():
     sets = [ClusterSet(ConnectivityMatrix(np.ones((3, 4), dtype=np.uint8))) for _ in range(2)]
     assert cluster_sets_to_json(sets) == reference_cluster_json(sets) == "[]"

@@ -57,6 +57,40 @@ class TestSplitOversized:
         union_rows = set(i for rows, _, _ in children for i in rows.tolist())
         assert union_rows <= set(range(5))
 
+    @pytest.mark.parametrize("padded", [False, True], ids=["bare", "padded"])
+    def test_complete_block_splits_in_index_order_without_a_solve(self, padded):
+        # the grid is the row-major run of consecutive index chunks, whatever order rows and cols come in
+        bits = np.ones((10, 7), dtype=np.uint8)
+        if padded:  # empty lines around and between the block's lines
+            bits = np.insert(np.pad(bits, 2), [4, 9], 0, axis=0)
+            bits = np.insert(bits, [3, 6, 8], 0, axis=1)
+        live_rows, live_cols = np.flatnonzero(bits.any(axis=1)), np.flatnonzero(bits.any(axis=0))
+        rng = np.random.default_rng(0)
+        rows, cols = rng.permutation(bits.shape[0]), rng.permutation(bits.shape[1])
+        cfg = SizeClusterConfig(crossbar_rows=4, crossbar_cols=3)
+
+        def unsolvable(block):
+            raise AssertionError("a complete block was solved")
+
+        got = split_oversized(bits, rows, cols, cfg, unsolvable)
+        row_chunks = [live_rows[r : r + 4] for r in range(0, 10, 4)]
+        col_chunks = [live_cols[c : c + 3] for c in range(0, 7, 3)]
+        want = [(rc.tolist(), cc.tolist(), len(rc) * len(cc)) for rc in row_chunks for cc in col_chunks]
+        assert [(r.tolist(), c.tolist(), n) for r, c, n in got] == want
+
+    def test_block_missing_one_cell_is_solved_once(self):
+        bits = np.ones((10, 7), dtype=np.uint8)
+        bits[3, 5] = 0
+        calls = []
+
+        def recording(block):
+            calls.append(block.shape)
+            return _second_vector(block)
+
+        children = split_oversized(bits, np.arange(10), np.arange(7), SizeClusterConfig(4, 3), recording)
+        assert calls == [(10, 7)]
+        assert sum(n for _, _, n in children) == 69
+
     @pytest.mark.parametrize("rows, cols", [([], [0, 1]), ([0, 1], []), ([0, 1], [2, 3])])
     def test_one_sided_or_synapse_free_block_yields_nothing(self, rows, cols):
         bits = np.zeros((4, 4), dtype=np.uint8)
@@ -222,6 +256,8 @@ class TestSizeConstrainedCluster:
 #
 # Every round solved the residual afresh, and every split ordering solved its
 # block afresh. The current loop must give the same owner matrix and trace.
+# A complete block is ordered by index: it has no cut for an eigenvector to
+# find, and every order fills every piece.
 
 
 def reference_spectral_cluster(c, k, seed):
@@ -237,6 +273,8 @@ def reference_spectral_cluster(c, k, seed):
 
 
 def reference_spectral_order(bits, rows, cols):
+    if bits[np.ix_(rows, cols)].all():
+        return np.sort(rows), np.sort(cols)
     m = len(rows)
     b = build_similarity(ConnectivityMatrix(bits[np.ix_(rows, cols)])).values
     v = eig_smallest(b, 2)[1][:, -1]
@@ -411,6 +449,22 @@ def test_no_eigensolve_repeats_within_one_call(monkeypatch, case):
     size_constrained_cluster(ConnectivityMatrix(bits), cfg, seed=case, trace=trace)
     assert any(r["accepted"] == 0 for r in trace[:-1])  # some round left the residual to the next one
     assert len(seen) - len(set(seen)) == 0
+
+
+def test_complete_matrix_clusters_into_index_tiles_without_a_solve(monkeypatch):
+    calls = []
+
+    def recording(b, k):
+        calls.append(b.shape)
+        return eig_smallest(b, k)
+
+    monkeypatch.setattr(spectral, "eig_smallest", recording)
+    monkeypatch.setattr(sizecluster, "eig_smallest", recording)
+    cs = size_constrained_cluster(ConnectivityMatrix(np.ones((128, 128), dtype=np.uint8)), SizeClusterConfig(), seed=0)
+    assert calls == []
+    # cluster k owns tile k of the 8x8 grid of 16x16 index tiles, in row-major order
+    tiles = np.arange(64, dtype=np.int32).reshape(8, 8)
+    assert np.array_equal(cs.owner, np.repeat(np.repeat(tiles, 16, axis=0), 16, axis=1))
 
 
 # -- candidates that no piece of can be accepted ------------------------------
