@@ -18,6 +18,7 @@ All types are immutable after construction; operations return new values.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ class InputFormatError(ValueError):
 
 
 class ClusterFormatError(InputFormatError):
-    """Raised on a ``clusters.json`` record that does not fit the layer it names."""
+    """Raised on a ``clusters.json`` that is not a JSON list of records fitting the layers they name."""
 
 
 def _as_bits(values) -> np.ndarray:
@@ -126,9 +127,15 @@ def _lines_per_cluster(kk: np.ndarray, lines: np.ndarray, size: int, n_clusters:
     A (clusters x size) boolean table marks each hit; its row k lists cluster
     k's lines in order.
     """
+    hit = _line_table(kk, lines, size, n_clusters)
+    return np.split(np.flatnonzero(hit) % size, np.cumsum(np.count_nonzero(hit, axis=1))[:-1])
+
+
+def _line_table(kk: np.ndarray, lines: np.ndarray, size: int, n_clusters: int) -> np.ndarray:
+    """(clusters x size) boolean table that marks line ``lines[c]`` of cluster ``kk[c]`` for each ``c``."""
     hit = np.zeros((n_clusters, size), dtype=bool)
     hit.ravel()[kk * size + lines] = True
-    return np.split(np.flatnonzero(hit) % size, np.cumsum(np.count_nonzero(hit, axis=1))[:-1])
+    return hit
 
 
 def owner_cells(owner: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -166,10 +173,13 @@ def cluster_sets_to_json(cluster_sets: list[ClusterSet]) -> str:
     The text is formatted directly and equals ``json.dumps(records,
     indent=1)`` of those records byte for byte. The layout stays because
     ``perfbench/checks.py`` and files already written parse it, and because
-    ``json.loads`` costs the same on any layout: building the objects is its
-    cost. Formatting skips the pure-Python encoder that ``json.dumps`` runs
-    when ``indent`` is set, which takes several times as long on the 5.8 MB
-    of a digits run. No list is ever empty (no cluster is), so every list
+    a compact layout would not make reading much cheaper: ``json.loads``
+    spends its time building one object per list and, with the cyclic
+    garbage collector running, on collector passes over those objects, which
+    :func:`cluster_sets_from_json` avoids by pausing the collector.
+    Formatting skips the pure-Python encoder that ``json.dumps`` runs when
+    ``indent`` is set, which takes several times as long on the 5.8 MB of a
+    digits run. No list is ever empty (no cluster is), so every list
     takes the multi-line form. Each layer turns every index below its larger
     dimension into text once, in a table, together with the text a covered
     cell puts before and after its col; the records are joined from table
@@ -199,28 +209,32 @@ def cluster_sets_from_json(
 ) -> list[ClusterSet]:
     """Rebuild per-layer ClusterSets from JSON plus each layer's source connectivity.
 
-    The file is outside input. Each record must name a layer, list its
-    covered cells as [row, col] integer pairs, and name in ``rows`` and
-    ``cols`` (lists of JSON integers, in any order) each row and column of
-    those cells exactly once, a footprint that fits the ``(rows, cols)``
-    crossbar. Each layer's cells must pass :func:`_placement_problem` and
-    the ClusterSet constructor. A violation raises :class:`ClusterFormatError`.
+    The file is outside input. It must be a JSON list of record objects. Each
+    record must name a layer, list its covered cells as [row, col] integer
+    pairs, and name in ``rows`` and ``cols`` (lists of JSON integers, in any
+    order) each row and column of those cells exactly once, a footprint that
+    fits the ``(rows, cols)`` crossbar. Each layer's cells must pass
+    :func:`_placement_problem` and the ClusterSet constructor, and then every
+    footprint of the layer is checked at once (:func:`_unnamed_footprint`).
+    A violation raises :class:`ClusterFormatError`.
+
+    The cyclic garbage collector is paused while the text is parsed and its
+    records are read, until the parsed document is freed. The parse builds
+    one list per covered cell (about 200k on a digits run), and each
+    allocation drives the collector, whose passes walk every list built so
+    far; JSON values hold no reference cycles, so those passes free nothing.
+    Resuming the collector straight after the parse would only move its
+    first passes over those lists into the reading of the records. The
+    caller's collector state is restored afterwards, also when the text is
+    rejected, and a collector the caller had disabled stays disabled.
     """
-    named: list[list[tuple[list[int], list[int]]]] = [[] for _ in sources]
-    cells: list[list[np.ndarray]] = [[] for _ in sources]
-    n = 0
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        for n, rec in enumerate(json.loads(text)):
-            layer = rec["layer"]
-            if not (type(layer) is int and 0 <= layer < len(sources)):
-                raise ValueError(f"unknown layer {layer!r}")
-            rows, cols = _json_ints(rec["rows"], "rows"), _json_ints(rec["cols"], "cols")
-            if len(rows) > crossbar[0] or len(cols) > crossbar[1]:
-                raise ValueError("cluster %dx%d exceeds crossbar %dx%d" % (len(rows), len(cols), *crossbar))
-            cells[layer].append(_json_cells(rec["covered"]))
-            named[layer].append((sorted(rows), sorted(cols)))
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise ClusterFormatError(f"record {n}: {type(exc).__name__}: {exc}") from None
+        named_rows, named_cols, cells = _read_records(text, sources, crossbar)
+    finally:
+        if enabled:
+            gc.enable()
     sets = []
     for layer, (source, layer_cells) in enumerate(zip(sources, cells)):
         ii, jj = np.concatenate(layer_cells or [np.empty((0, 2), dtype=np.int64)]).T
@@ -234,14 +248,73 @@ def cluster_sets_from_json(
             cs = ClusterSet(source, owner)
         except ValueError as exc:
             raise ClusterFormatError(f"layer {layer}: {exc}") from None
-        for k, ((rows, cols), (fp_rows, fp_cols)) in enumerate(zip(named[layer], cs.footprints())):
-            if rows != fp_rows.tolist() or cols != fp_cols.tolist():
-                raise ClusterFormatError(
-                    f"layer {layer}: cluster {k}: rows and cols must name each row and column "
-                    "of its covered cells exactly once"
-                )
+        bad = np.flatnonzero(
+            _unnamed_footprint(named_rows[layer], kk, ii, source.bits.shape[0])
+            | _unnamed_footprint(named_cols[layer], kk, jj, source.bits.shape[1])
+        )
+        if len(bad):
+            raise ClusterFormatError(
+                f"layer {layer}: cluster {bad[0]}: rows and cols must name each row and column "
+                "of its covered cells exactly once"
+            )
         sets.append(cs)
     return sets
+
+
+def _read_records(text: str, sources: list[ConnectivityMatrix], crossbar: tuple[int, int]) -> tuple[list, list, list]:
+    """Per layer, the ``rows`` and ``cols`` each record names and its covered cells as an (n, 2) array.
+
+    Raises :class:`ClusterFormatError` on text that is not JSON, a top level
+    that is not a list, or a record that is not an object of the fields and
+    types :func:`cluster_sets_from_json` names, on a known layer and within
+    the crossbar.
+    """
+    try:
+        data = json.loads(text)
+    except (RecursionError, ValueError) as exc:
+        raise ClusterFormatError(f"not JSON ({type(exc).__name__}: {exc})") from None
+    if type(data) is not list:
+        raise ClusterFormatError(f"the top level must be a JSON list of cluster records, got {data!r:.40}")
+    named_rows: list[list[list[int]]] = [[] for _ in sources]
+    named_cols: list[list[list[int]]] = [[] for _ in sources]
+    cells: list[list[np.ndarray]] = [[] for _ in sources]
+    for n, rec in enumerate(data):
+        try:
+            if type(rec) is not dict:
+                raise TypeError(f"a record must be an object, got {rec!r:.40}")
+            layer = rec["layer"]
+            if not (type(layer) is int and 0 <= layer < len(sources)):
+                raise ValueError(f"unknown layer {layer!r}")
+            rows, cols = _json_ints(rec["rows"], "rows"), _json_ints(rec["cols"], "cols")
+            if len(rows) > crossbar[0] or len(cols) > crossbar[1]:
+                raise ValueError("cluster %dx%d exceeds crossbar %dx%d" % (len(rows), len(cols), *crossbar))
+            cells[layer].append(_json_cells(rec["covered"]))
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise ClusterFormatError(f"record {n}: {type(exc).__name__}: {exc}") from None
+        named_rows[layer].append(rows)
+        named_cols[layer].append(cols)
+    return named_rows, named_cols, cells
+
+
+def _unnamed_footprint(named: list[list[int]], kk: np.ndarray, lines: np.ndarray, size: int) -> np.ndarray:
+    """Per cluster, whether ``named[k]`` fails to name each line its cells use exactly once.
+
+    Cluster ``kk[c]``'s cell ``c`` uses line ``lines[c]`` (< ``size``). Two
+    (clusters x size) boolean tables mark the lines each cluster names and
+    the lines its cells use. A cluster passes iff its two rows are equal and
+    it names no more lines than it uses: a repeated line, or one outside
+    ``0..size-1``, adds to the count without adding to the table. The names
+    are converted with numpy's own dtype choice, so an integer beyond int64
+    is compared, not overflowed.
+    """
+    n_clusters = len(named)
+    counts = np.array([len(v) for v in named], dtype=np.intp)
+    values = np.array(list(itertools.chain.from_iterable(named)))
+    owners = np.repeat(np.arange(n_clusters), counts)
+    inside = (values >= 0) & (values < size)
+    named_hit = _line_table(owners[inside], values[inside].astype(np.intp), size, n_clusters)
+    used = _line_table(kk, lines, size, n_clusters)
+    return (named_hit != used).any(axis=1) | (counts != np.count_nonzero(used, axis=1))
 
 
 def _json_ints(value, name: str) -> list[int]:

@@ -101,6 +101,12 @@ def clusters_float_cell(run, bad):
     return ["map", "--checkpoint", str(run / "checkpoint"), "--clusters", str(bad / "clusters.json")]
 
 
+def clusters_object(run, bad):
+    """A top-level object instead of a list of records; it once read as "no clusters" and mapped everything."""
+    (bad / "clusters.json").write_text("{}")
+    return ["map", "--checkpoint", str(run / "checkpoint"), "--clusters", str(bad / "clusters.json")]
+
+
 def clusters_not_utf8(run, bad):
     (bad / "clusters.json").write_bytes(b"\xff\xfe" + (run / "clusters.json").read_bytes())
     return ["map", "--checkpoint", str(run / "checkpoint"), "--clusters", str(bad / "clusters.json")]
@@ -179,6 +185,7 @@ def v1_checkpoint(run, bad):
     [(damage_clusters, "cluster 9x1 exceeds crossbar 8x8"),
      (clusters_float_cell, "record 0: TypeError: covered must be a list of [row, col] integer pairs"),
      (clusters_not_utf8, "clusters.json: not UTF-8 text"),
+     (clusters_object, "the top level must be a JSON list of cluster records, got {}"),
      (damage_mapping, "KeyError: 'cluster_areas'"),
      (mapping_not_json, "JSONDecodeError"),
      (edited_mapping(cluster_active="x"), "cluster_active must be a list of non-negative integers, got 'x'"),
@@ -196,8 +203,8 @@ def v1_checkpoint(run, bad):
      (checkpoint_copy(lambda manifest, blob: ({**manifest, "blocks": manifest["blocks"][:2]}, blob)),
       "bytes left after the last listed block"),
      (checkpoint_copy(layer0_only), "layer shapes [(32, 32)] do not chain into topology [32, 32, 2]")],
-    ids=["oversized_cluster", "clusters_float_cell", "clusters_not_utf8", "mapping_missing_key", "mapping_not_json",
-         "mapping_wrong_type", "mapping_not_utf8", "mapping_areas_count", "mapping_active_above_area",
+    ids=["oversized_cluster", "clusters_float_cell", "clusters_not_utf8", "clusters_object", "mapping_missing_key",
+         "mapping_not_json", "mapping_wrong_type", "mapping_not_utf8", "mapping_areas_count", "mapping_active_above_area",
          "mapping_active_zero", "mapping_area_above_crossbar", "mapping_residual_above_crossbar",
          "mapping_zero_crossbar", "mapping_shape_below_live", "truncated_checkpoint", "v1_checkpoint",
          "checkpoint_appended_bytes", "manifest_without_layer1", "checkpoint_layer0_only"],

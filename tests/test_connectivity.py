@@ -1,12 +1,14 @@
 """Connectivity matrix, cluster set, and clusters.json tests."""
 
+import gc
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from xbarnet import connectivity
 from xbarnet.connectivity import (
     ClusterFormatError,
     ClusterSet,
@@ -179,6 +181,128 @@ class TestClusterTypes:
         text = json.dumps([first, {"layer": 0, **record}])
         with pytest.raises(ClusterFormatError, match=message):
             cluster_sets_from_json(text, [ConnectivityMatrix(np.eye(4, dtype=np.uint8))], (2, 2))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("{}", "the top level must be a JSON list of cluster records, got {}"),
+         ('""', "the top level must be a JSON list of cluster records, got ''"),
+         ("null", "the top level must be a JSON list of cluster records, got None"),
+         ('{"layer": 0}', "the top level must be a JSON list of cluster records, got {'layer': 0}"),
+         ("7", "the top level must be a JSON list of cluster records, got 7"),
+         ("[1]", "record 0: TypeError: a record must be an object, got 1"),
+         ("[null]", "record 0: TypeError: a record must be an object, got None"),
+         ('[{"layer": 0, "rows": [1], "cols": [1], "covered": [[1, 1]]}, [0, [1], [1]]]',
+          "record 1: TypeError: a record must be an object, got [0, [1], [1]]"),
+         ("", "not JSON (JSONDecodeError: Expecting value: line 1 column 1 (char 0))"),
+         ("[{]", "not JSON (JSONDecodeError: Expecting property name"),
+         ('[{"layer": 0}', "not JSON (JSONDecodeError: Expecting ',' delimiter"),
+         ("[" * 100_000 + "]" * 100_000, "not JSON (RecursionError: maximum recursion depth exceeded")],
+        ids=["object", "string", "null", "record_alone", "number", "number_record", "null_record",
+             "second_record_list", "empty_text", "bad_object", "unclosed_list", "too_deep"],
+    )
+    def test_json_not_a_list_of_records_rejected(self, text, message):
+        """Only a JSON list of objects reads as records: any other top level, record or unparseable text is
+        rejected, and a parse failure names no record."""
+        with pytest.raises(ClusterFormatError) as info:
+            cluster_sets_from_json(text, [ConnectivityMatrix(np.eye(4, dtype=np.uint8))], (2, 2))
+        assert str(info.value).startswith(message)
+        assert message.startswith("record") or "record 0" not in str(info.value)
+
+    def test_json_empty_list_means_no_clusters(self):
+        cs = cluster_sets_from_json("[]", [ConnectivityMatrix(np.eye(4, dtype=np.uint8))], (2, 2))[0]
+        assert cs.n_clusters == 0
+
+
+TEXT_OK = json.dumps([{"layer": 0, "rows": [1], "cols": [1], "covered": [[1, 1]]}])
+
+
+@pytest.mark.parametrize("text", [TEXT_OK, TEXT_OK[:-3], "[1]"], ids=["loads", "does_not_parse", "bad_record"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
+def test_json_reload_leaves_the_gc_as_the_caller_had_it(monkeypatch, text, enabled):
+    """The cyclic GC is off while the text is parsed, and afterwards as it was before the call, whether the
+    text loads, does not parse, or holds a rejected record."""
+    seen, real_loads = [], json.loads
+
+    def loads(s):
+        seen.append(gc.isenabled())
+        return real_loads(s)
+
+    monkeypatch.setattr(connectivity.json, "loads", loads)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        try:
+            cluster_sets_from_json(text, [ConnectivityMatrix(np.eye(4, dtype=np.uint8))], (2, 2))
+        except ClusterFormatError:
+            assert text != TEXT_OK
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False]
+    assert after is enabled
+
+
+def reference_footprint_error(text, sets):
+    """(layer, cluster) of the first record whose sorted rows and cols differ from its cluster's footprint,
+    or None: the per-record rule the vectorized check replaced."""
+    named = [[] for _ in sets]
+    for rec in json.loads(text):
+        named[rec["layer"]].append((sorted(rec["rows"]), sorted(rec["cols"])))
+    for layer, cs in enumerate(sets):
+        for k, ((rows, cols), (fp_rows, fp_cols)) in enumerate(zip(named[layer], cs.footprints())):
+            if rows != fp_rows.tolist() or cols != fp_cols.tolist():
+                return layer, k
+    return None
+
+
+def perturb_lines(lines, size, rng):
+    """``lines`` after one of: drop a line, repeat one, add an unused in-range line, add a negative or
+    out-of-range line, replace a line by an unused in-range one, or shuffle."""
+    lines = list(lines)
+    kind = rng.integers(6)
+    unused = sorted(set(range(size)) - set(lines))
+    if kind == 0:
+        del lines[rng.integers(len(lines))]
+    elif kind == 1:
+        lines.insert(int(rng.integers(len(lines) + 1)), lines[rng.integers(len(lines))])
+    elif kind == 2 and unused:
+        lines.insert(int(rng.integers(len(lines) + 1)), int(rng.choice(unused)))
+    elif kind == 3:
+        bad = [-1, -size, -(2**70), size, size + 7, 2**63, 2**70][rng.integers(7)]
+        lines.insert(int(rng.integers(len(lines) + 1)), bad)
+    elif kind == 4 and unused:
+        lines[rng.integers(len(lines))] = int(rng.choice(unused))
+    else:
+        rng.shuffle(lines)
+    return lines
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_footprint_check_matches_the_per_record_rule(seed):
+    """One record's rows or cols, perturbed, is accepted exactly when the old per-record rule accepts it,
+    and a reject names the same layer and cluster."""
+    rng = np.random.default_rng(seed)
+    shapes = [tuple(int(v) for v in rng.integers(4, 30, size=2)) for _ in range(2)]
+    sources = [ConnectivityMatrix((rng.random(shape) < rng.uniform(0.2, 0.9)).astype(np.uint8)) for shape in shapes]
+    cfg = SizeClusterConfig(crossbar_rows=int(rng.choice([2, 4, 8])), crossbar_cols=int(rng.choice([2, 4, 8])),
+                            min_util_factor=0.2, max_rounds=6)
+    sets = [size_constrained_cluster(c, cfg, seed=seed) for c in sources]
+    records = json.loads(cluster_sets_to_json(sets))
+    assume(records)
+    rec = records[rng.integers(len(records))]
+    key = ["rows", "cols"][rng.integers(2)]
+    rec[key] = perturb_lines(rec[key], sources[rec["layer"]].bits.shape[key == "cols"], rng)
+    text = json.dumps(records)
+    expected = reference_footprint_error(text, sets)
+    crossbar = (cfg.crossbar_rows + 2, cfg.crossbar_cols + 2)  # room for an added line: only footprints decide
+    if expected is None:
+        back = cluster_sets_from_json(text, sources, crossbar)
+        assert all(np.array_equal(a.owner, cs.owner) for a, cs in zip(back, sets))
+    else:
+        layer, k = expected
+        with pytest.raises(ClusterFormatError, match=f"^layer {layer}: cluster {k}: rows and cols must name each"):
+            cluster_sets_from_json(text, sources, crossbar)
 
 
 @pytest.mark.parametrize("seed", range(10))
