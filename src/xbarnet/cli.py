@@ -16,7 +16,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import MODES, ConfigError, load_config
+from .config import MODES, ConfigError, ExperimentConfig, load_config
 from .connectivity import ClusterFormatError, InputFormatError, cluster_sets_from_json, cluster_sets_to_json
 from .connectivity import from_weights
 from .experiment import compare, run_experiment, write_json
@@ -25,7 +25,7 @@ from .mlp import load_checkpoint
 from .transform import offline_cluster
 
 
-def _load(args, mode: str | None = None) -> "ExperimentConfig":
+def _load(args, mode: str | None = None) -> ExperimentConfig:
     return load_config(args.config, {"seed": args.seed, "out_dir": args.out, "mode": mode})
 
 

@@ -16,16 +16,14 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .datasets import BlobSpec, DigitsSpec, MnistSpec, PlantedSpec
+from .datasets import DigitsSpec, MnistSpec, PlantedSpec
 from .hardware import TechConfig
 from .mlp import TrainConfig
 from .sizecluster import SizeClusterConfig
 from .transform import TransformConfig
 
 MODES = ("original", "prune", "offline_cluster", "transform")
-DATASET_SPECS = {
-    "mnist": MnistSpec, "surrogate_digits": DigitsSpec, "blobs": BlobSpec, "planted": PlantedSpec,
-}
+DATASET_SPECS = {"mnist": MnistSpec, "surrogate_digits": DigitsSpec, "planted": PlantedSpec}
 DATASET_KINDS = tuple(DATASET_SPECS)
 CROSSBAR = ("crossbar_rows", "crossbar_cols")  # set in ``tech`` only; clustering sizes clusters to it
 
@@ -103,9 +101,9 @@ def build_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     dataset = raw.get("dataset")
     if not isinstance(dataset, dict) or "kind" not in dataset:
         problems.append("dataset: required object with a 'kind' field")
-        dataset = {"kind": "blobs"}
     elif dataset["kind"] not in DATASET_KINDS:
         problems.append(f"dataset.kind: {dataset['kind']!r} not one of {DATASET_KINDS}")
+    if problems:  # no known kind, so no dataset field is checked
         dataset = {"kind": None}
     if dataset.get("kind") in ("mnist", "surrogate_digits") and "dir" not in dataset:
         problems.append(f"dataset.dir: required for kind {dataset.get('kind')!r}")

@@ -3,13 +3,12 @@
 The IDX reader handles the standard big-endian digit-recognition files
 (optionally gzipped) and validates magic numbers and byte counts. Their
 pixels stay the uint8 values stored on disk, one byte each; ``mlp.forward``
-scales each batch to [0, 1] as the network reads it. Two
-synthetic generators cover testing needs: "blobs" makes well-separated
-Gaussian clusters for fast learnability checks, and "planted" builds a
-teacher network whose first-layer weight support is block-diagonal, labels
-data with it, and hands back the ground truth so cluster recovery is
-checkable. A deterministic digit surrogate can stand in for the real files:
-it renders noisy stroke-like class prototypes into genuine IDX files so the
+scales each batch to [0, 1] as the network reads it. Besides the digit
+surrogate, "planted" is the only synthetic generator: it builds a teacher
+network whose first-layer weight support is block-diagonal, labels data
+with it, and hands back the ground truth so cluster recovery is checkable.
+The deterministic digit surrogate can stand in for the real files: it
+renders noisy stroke-like class prototypes into genuine IDX files so the
 full ingestion path is exercised even where the originals are unavailable.
 """
 
@@ -36,7 +35,7 @@ IDX_LABELS_MAGIC = 2049
 class Dataset:
     """Train and test splits: ``x`` is (samples, features), ``y`` int64 class labels.
 
-    ``x`` holds either float64 features (the synthetic generators) or uint8
+    ``x`` holds either float64 features (``gen_planted``) or uint8
     pixel intensities (``load_mnist``), which ``mlp.forward`` reads as
     ``x / 255.0``.
     """
@@ -246,38 +245,6 @@ def write_surrogate_digits(directory, seed: int, n_train: int, n_test: int, side
     _write_idx(directory / _IDX_NAMES["test_images"][0], IDX_IMAGES_MAGIC, test_x)
     _write_idx(directory / _IDX_NAMES["test_labels"][0], IDX_LABELS_MAGIC, test_y)
     return directory
-
-
-@dataclass(frozen=True)
-class BlobSpec:
-    n_classes: int = 4
-    dim: int = 16
-    n_train: int = 2000
-    n_test: int = 500
-    separation: float = 10.0
-    sigma: float = 1.0
-
-    def __post_init__(self):
-        if min(self.n_classes, self.dim, self.n_train, self.n_test) < 1:
-            raise ValueError("n_classes, dim, n_train and n_test must be positive")
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
-
-
-def gen_blobs(spec: BlobSpec, seed: int) -> Dataset:
-    """Gaussian clusters with centers ``separation * sigma`` apart (expected)."""
-    rng = rng_for(seed, STREAM_DATA)
-    centers = rng.normal(size=(spec.n_classes, spec.dim))
-    centers *= spec.separation * spec.sigma / np.sqrt(2 * spec.dim)
-
-    def batch(n: int):
-        labels = rng.integers(0, spec.n_classes, size=n)
-        x = centers[labels] + rng.normal(0, spec.sigma, size=(n, spec.dim))
-        return x, labels.astype(np.int64)
-
-    x_train, y_train = batch(spec.n_train)
-    x_test, y_test = batch(spec.n_test)
-    return Dataset(x_train, y_train, x_test, y_test)
 
 
 @dataclass(frozen=True)

@@ -27,9 +27,7 @@ from pathlib import Path
 
 from .config import MODES, ConfigError, ExperimentConfig
 from .connectivity import cluster_sets_to_json
-from .datasets import (
-    BlobSpec, Dataset, DigitsSpec, PlantedSpec, gen_blobs, gen_planted, load_mnist, write_surrogate_digits,
-)
+from .datasets import Dataset, DigitsSpec, PlantedSpec, gen_planted, load_mnist, write_surrogate_digits
 from .hardware import energy_document, map_to_mcas
 from .mlp import evaluate, save_checkpoint
 from .transform import TransformState, final_cluster_sets, offline_cluster, run
@@ -80,8 +78,6 @@ def _load_dataset(cfg: ExperimentConfig) -> Dataset:
                 f"samples, the config asks for {spec.n_train} and {spec.n_test}"
             ])
         return data
-    if kind == "blobs":
-        return gen_blobs(BlobSpec(**fields), cfg.seed)
     if kind == "planted":
         return gen_planted(PlantedSpec(**fields), cfg.seed)[0]
     raise ValueError(f"unknown dataset kind {kind!r}")

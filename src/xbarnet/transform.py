@@ -240,19 +240,6 @@ def transform_epoch(
     return record
 
 
-def _converged(log: list[dict]) -> bool:
-    # validation accuracy drift < 0.1% absolute and unclustered fraction drift
-    # < 1% over the last five consecutive epochs
-    if len(log) < 6:
-        return False
-    recent = log[-6:]
-    acc = [r["val_acc"] for r in recent]
-    frac = [r["unclustered_frac"] for r in recent]
-    acc_stable = all(abs(a - b) < 0.001 for a, b in zip(acc[1:], acc[:-1]))
-    frac_stable = all(abs(a - b) < 0.01 for a, b in zip(frac[1:], frac[:-1]))
-    return acc_stable and frac_stable
-
-
 def run(
     cfg: TransformConfig,
     topology: list[int],
@@ -264,11 +251,10 @@ def run(
     enable_prune: bool = True,
     enable_cluster: bool = True,
 ) -> TransformState:
-    """Run the loop from a fresh state until max_epochs or convergence; returns the state.
+    """Run the loop from a fresh state for exactly ``max_epochs`` epochs; returns the state.
 
-    Each log record also carries the validation accuracy and loss after its
-    epoch. Convergence: validation accuracy moved by < 0.1% absolute and the
-    unclustered fraction by < 1% over five consecutive epochs.
+    There is no convergence stop: every run logs ``max_epochs`` records. Each
+    also carries the validation accuracy and loss after its epoch.
     """
     state = TransformState.fresh(topology, seed)
     for _ in range(cfg.max_epochs):
@@ -276,8 +262,6 @@ def run(
             state, x_train, y_train, cfg, enable_prune=enable_prune, enable_cluster=enable_cluster
         )
         record["val_acc"], record["val_loss"] = evaluate(state.model, x_val, y_val)
-        if _converged(state.log):
-            break
     return state
 
 

@@ -15,14 +15,14 @@ from hypothesis import strategies as st
 
 from xbarnet import cli
 from xbarnet.config import ConfigError, build_config
-from xbarnet.datasets import BlobSpec, PlantedSpec, write_surrogate_digits
+from xbarnet.datasets import PlantedSpec, write_surrogate_digits
 from xbarnet.experiment import build_dataset
 from xbarnet.hardware import TechConfig
 from xbarnet.mlp import TrainConfig
 from xbarnet.sizecluster import SizeClusterConfig
 from xbarnet.transform import TransformConfig
 
-BLOBS = {"kind": "blobs", "n_classes": 2, "dim": 4, "n_train": 40, "n_test": 20}
+PLANTED = {"kind": "planted", "in_dim": 4, "hidden": 4, "n_classes": 2, "block": 2, "n_train": 40, "n_test": 20}
 DIGITS = {"kind": "surrogate_digits", "dir": "digits"}  # each mistake is caught before the directory is read
 
 
@@ -33,7 +33,7 @@ def run_train(tmp_path, raw: dict) -> int:
 
 
 def base_config(**overrides) -> dict:
-    raw = {"dataset": dict(BLOBS), "topology": [4, 3, 2], "mode": "original", "transform": {"max_epochs": 1}}
+    raw = {"dataset": dict(PLANTED), "topology": [4, 3, 2], "mode": "original", "transform": {"max_epochs": 1}}
     raw.update(overrides)
     return raw
 
@@ -54,9 +54,9 @@ class TestConfigErrors:
         assert run_train(tmp_path, base_config(train={"learning_rate": "x"})) == 2
         assert "train.learning_rate: must be float, got 'x'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind", ["blobs", "planted"])
+    @pytest.mark.parametrize("kind", ["planted", "surrogate_digits"])
     def test_unknown_dataset_field(self, tmp_path, capsys, kind):
-        dataset = dict(BLOBS) if kind == "blobs" else {"kind": "planted", "in_dim": 4, "hidden": 4, "block": 2}
+        dataset = dict(PLANTED) if kind == "planted" else dict(DIGITS)
         dataset["bogus"] = 1
         raw = base_config(dataset=dataset)
         assert run_train(tmp_path, raw) == 2
@@ -77,10 +77,11 @@ class TestConfigErrors:
         [
             ({"dataset": {"kind": "planted", "in_dim": 4, "hidden": 4, "block": 3}, "topology": [4, 4, 2]},
              "dataset: block must be positive and divide"),
-            ({"dataset": {**BLOBS, "dim": "x"}}, "dataset.dim: must be int"),
-            ({"dataset": {**BLOBS, "n_classes": 0}}, "dataset: n_classes, dim, n_train and n_test must be positive"),
+            ({"dataset": {**PLANTED, "in_dim": "x"}}, "dataset.in_dim: must be int"),
+            ({"dataset": {**PLANTED, "n_classes": 0}},
+             "dataset: in_dim, hidden, n_classes, n_train and n_test must be positive"),
             ({"topology": [5, 3, 2]}, "topology: input width 5 != dataset width 4"),
-            ({"dataset": {**BLOBS, "n_classes": 4, "dim": 8}, "topology": [8, 4, 2]},
+            ({"dataset": {**PLANTED, "n_classes": 4, "in_dim": 8, "hidden": 8, "block": 4}, "topology": [8, 4, 2]},
              "topology: output width 2 cannot hold label 3"),
             ({"scic": {"k_per_round": 3}}, "scic.k_per_round: unknown field"),
             ({"transform": {"max_epochs": 1, "threshold_anneal": 0.9}}, "transform.threshold_anneal: unknown field"),
@@ -89,14 +90,16 @@ class TestConfigErrors:
             ({"transform": {"max_epochs": 1.5}}, "transform.max_epochs: must be int, got 1.5"),
             ({"tech": {"crossbar_rows": 16.0}}, "tech.crossbar_rows: must be int, got 16.0"),
             ({"topology": [4, True, 2]}, "topology: need a list of >=2 integer widths"),
-            ({"dataset": {**BLOBS, "n_train": True}}, "dataset.n_train: must be int, got True"),
+            ({"dataset": {**PLANTED, "n_train": True}}, "dataset.n_train: must be int, got True"),
             ({"train": {"seed": 7}, "seed": 1}, "train.seed: unknown field"),
             ({"transform": {"max_epochs": 1, "seed": 7}}, "transform.seed: unknown field"),
             ({"transform": {"max_epochs": 1, "scic": {}}}, "transform.scic: unknown field"),
             ({"seed": -1}, "seed: must be a non-negative integer"),
-            ({"dataset": {**BLOBS, "sigma": -1}}, "dataset: sigma must be non-negative"),
+            ({"dataset": {**PLANTED, "noise_density": -0.1}}, "dataset: noise_density must lie in [0, 1)"),
             ({"dataset": {"kind": "planted", "in_dim": 4, "hidden": 0, "block": 2}}, "dataset: in_dim, hidden"),
-            ({"dataset": {"kind": ["blobs"]}}, "dataset.kind: ['blobs'] not one of"),
+            ({"dataset": {"kind": ["planted"]}}, "dataset.kind: ['planted'] not one of"),
+            # a retired dataset kind
+            ({"dataset": {"kind": "blobs", "n_classes": 2, "dim": 4}}, "dataset.kind: 'blobs' not one of"),
             ({"scic": {"crossbar_rows": 8}}, "scic.crossbar_rows: unknown field"),
             ({"dataset": {**DIGITS, "n_train": "x"}, "topology": [784, 4, 10]}, "dataset.n_train: must be int, got 'x'"),
             ({"dataset": {**DIGITS, "bogus": 1}, "topology": [784, 4, 10]}, "dataset.bogus: unknown field"),
@@ -105,7 +108,7 @@ class TestConfigErrors:
              "dataset.n_train: unknown field"),
             ({"evals_per_inference": [1, 1]}, "evals_per_inference: unknown top-level key"),
             # json reads NaN, Infinity and -Infinity as floats
-            ({"dataset": {**BLOBS, "sigma": float("nan")}}, "dataset.sigma: must be finite, got nan"),
+            ({"dataset": {**PLANTED, "noise_scale": float("nan")}}, "dataset.noise_scale: must be finite, got nan"),
             ({"train": {"prune_quality": float("nan")}}, "train.prune_quality: must be finite, got nan"),
             ({"train": {"learning_rate": float("inf")}}, "train.learning_rate: must be finite, got inf"),
             ({"scic": {"decay_rate": float("inf")}}, "scic.decay_rate: must be finite, got inf"),
@@ -122,16 +125,18 @@ class TestConfigErrors:
             # no score reads a core count, so the technology has no cores
             ({"tech": {"cores_k": 4}}, "tech.cores_k: unknown field"),
         ],
-        ids=["planted_block", "blobs_dim_type", "blobs_no_classes", "input_width", "label_range", "k_per_round",
+        ids=["planted_block", "in_dim_type", "no_classes", "input_width", "label_range", "k_per_round",
              "threshold_anneal", "max_rounds_float", "batch_size_float", "max_epochs_float", "crossbar_rows_float",
              "topology_bool", "n_train_bool", "train_seed", "transform_seed", "transform_scic", "negative_seed",
-             "negative_sigma", "planted_no_hidden", "kind_list", "scic_crossbar", "digits_n_train_str", "digits_unknown",
-             "digits_no_test", "mnist_n_train", "evals_per_inference", "nan_dataset", "nan_train", "inf_train", "inf_scic",
-             "inf_transform", "nan_tech", "inf_tech", "cmos_section", "clusters_pruned_per_event", "cores_k"],
+             "negative_noise_density", "planted_no_hidden", "kind_list", "retired_kind", "scic_crossbar",
+             "digits_n_train_str", "digits_unknown", "digits_no_test", "mnist_n_train", "evals_per_inference",
+             "nan_dataset", "nan_train", "inf_train", "inf_scic", "inf_transform", "nan_tech", "inf_tech",
+             "cmos_section", "clusters_pruned_per_event", "cores_k"],
     )
     def test_dataset_and_topology_mistakes_exit_2(self, tmp_path, capsys, overrides, message):
         assert run_train(tmp_path, base_config(**overrides)) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
@@ -140,7 +145,7 @@ def test_unreadable_config_file_exits_2(tmp_path, capsys, kind):
     if kind == "directory":
         path.mkdir()
     else:
-        path.write_bytes(json.dumps(base_config()).encode().replace(b"blobs", b"blob\xff"))
+        path.write_bytes(json.dumps(base_config()).encode().replace(b"planted", b"plant\xff"))
     assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert f"{path}: unreadable config file" in capsys.readouterr().err
 
@@ -179,8 +184,8 @@ class TestSurrogateDigitCounts:
 
 FUZZ_BASES = [
     {
-        "dataset": {"kind": "blobs", "n_classes": 2, "dim": 4, "n_train": 32, "n_test": 16,
-                    "separation": 10.0, "sigma": 1.0},
+        "dataset": {"kind": "planted", "in_dim": 4, "hidden": 4, "n_classes": 2, "block": 2, "n_train": 32,
+                    "n_test": 16},
         "topology": [4, 3, 2], "mode": "prune", "seed": 0,
         "train": {"learning_rate": 0.1, "batch_size": 8, "prune_quality": 0.7},
         "transform": {"max_epochs": 2, "unclustered_threshold": 0.1, "cluster_prune_alpha": 0.5},
@@ -209,12 +214,12 @@ FUZZ_BASES = [
 FUZZ_VALUES = st.one_of(
     st.integers(-2, 64),
     st.floats(-2.0, 64.0),
-    st.sampled_from(["", "x", "blobs", "planted", "original", "prune"]),
+    st.sampled_from(["", "x", "mnist", "planted", "original", "prune"]),
     st.booleans(),
     st.none(),
     st.lists(st.integers(-1, 64), max_size=4),
 )
-FUZZ_SECTIONS = (BlobSpec, PlantedSpec, TrainConfig, TransformConfig, SizeClusterConfig, TechConfig)
+FUZZ_SECTIONS = (PlantedSpec, TrainConfig, TransformConfig, SizeClusterConfig, TechConfig)
 FUZZ_NEW_KEYS = sorted({f.name for cls in FUZZ_SECTIONS for f in fields(cls)} | {"bogus", "kind", "mode", "epochs"})
 
 

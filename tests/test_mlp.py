@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from xbarnet.connectivity import ShapeError
-from xbarnet.datasets import BlobSpec, gen_blobs
+from xbarnet.datasets import PlantedSpec, gen_planted
 from xbarnet.mlp import (
     CheckpointFormatError,
     Layer,
@@ -354,8 +354,8 @@ class TestEvaluate:
 
 
 class TestTraining:
-    def test_loss_decreases_on_blobs(self):
-        data = gen_blobs(BlobSpec(n_classes=3, dim=8, n_train=600, n_test=100), seed=1)
+    def test_loss_decreases_on_planted_data(self):
+        data, _, _ = gen_planted(PlantedSpec(in_dim=8, hidden=8, n_classes=3, block=4, n_train=600, n_test=100), 1)
         model = init_model([8, 16, 3], seed=1)
         cfg = TrainConfig(learning_rate=0.1, batch_size=32)
         losses = [train_epoch(model, data.x_train, data.y_train, cfg, epoch=e, seed=1) for e in range(1, 5)]
@@ -380,7 +380,7 @@ class TestTraining:
                 evaluate(model, x, y)
 
     def test_deterministic_training(self):
-        data = gen_blobs(BlobSpec(n_classes=3, dim=8, n_train=300, n_test=50), seed=2)
+        data, _, _ = gen_planted(PlantedSpec(in_dim=8, hidden=8, n_classes=3, block=4, n_train=300, n_test=50), 2)
         outs = []
         for _ in range(2):
             model = init_model([8, 8, 3], seed=9)
