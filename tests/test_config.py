@@ -63,6 +63,28 @@ class TestConfigErrors:
         assert "dataset.bogus: unknown field" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "dataset",
+        ["absent", None, [PLANTED], "planted", {k: v for k, v in PLANTED.items() if k != "kind"}, {}],
+        ids=["absent", "null", "list", "string", "no_kind", "empty"],
+    )
+    def test_a_dataset_without_a_kind_is_its_only_problem(self, dataset):
+        raw = base_config(dataset=dataset)
+        if dataset == "absent":
+            del raw["dataset"]
+        with pytest.raises(ConfigError) as excinfo:
+            build_config(raw)
+        assert excinfo.value.problems == ["dataset: required object with a 'kind' field"]
+
+    def test_a_retired_kind_reports_no_field_of_its_own(self):
+        """Fields of a kind no longer known are not checked against any spec."""
+        dataset = {"kind": "blobs", "n_classes": 2, "dim": 4, "n_train": 40, "n_test": 20, "sigma": -1}
+        with pytest.raises(ConfigError) as excinfo:
+            build_config(base_config(dataset=dataset))
+        assert excinfo.value.problems == [
+            "dataset.kind: 'blobs' not one of ('mnist', 'surrogate_digits', 'planted')"
+        ]
+
+    @pytest.mark.parametrize(
         "section, key, value",
         [("tech", "weight_levels", 16), ("tech", "r_min_ohm", 2e4), ("tech", "r_max_ohm", 2e5),
          ("train", "epochs", 3)],

@@ -333,15 +333,32 @@ class TestRunLoop:
         assert state.log[-1]["mean_util"] == float(np.mean(counts / cfg.scic.crossbar_area))
 
 
-@pytest.mark.parametrize("switches", [(False, False), (True, False), (True, True)],
-                         ids=["original", "prune", "transform"])
+SWITCHES = pytest.mark.parametrize("switches", [(False, False), (True, False), (True, True)],
+                                   ids=["original", "prune", "transform"])
+
+
+def flat_planted_run(switches, max_epochs):
+    """A run on planted data whose validation accuracy and unclustered fraction are flat from epoch 6 on."""
+    data, _, _ = gen_planted(PlantedSpec(in_dim=4, hidden=4, block=2, n_train=64, n_test=32), 0)
+    return run(TransformConfig(max_epochs=max_epochs), [4, 4, 2], data.x_train, data.y_train,
+               data.x_test, data.y_test, 0, *switches)
+
+
+@SWITCHES
 def test_run_trains_every_epoch(switches):
     """Flat validation accuracy and unclustered fraction do not end a run: it logs max_epochs records."""
-    data, _, _ = gen_planted(PlantedSpec(in_dim=4, hidden=4, block=2, n_train=64, n_test=32), 0)
-    state = run(TransformConfig(max_epochs=20), [4, 4, 2], data.x_train, data.y_train,
-                data.x_test, data.y_test, 0, *switches)
+    state = flat_planted_run(switches, 20)
     assert len({(r["val_acc"], r["unclustered_frac"]) for r in state.log[5:]}) == 1  # flat from epoch 6 on
     assert [r["epoch"] for r in state.log] == list(range(1, 21))
+
+
+@SWITCHES
+@pytest.mark.parametrize("max_epochs", [1, 6, 11, 12, 19])
+def test_a_shorter_run_is_a_prefix_of_a_longer_one(switches, max_epochs):
+    """max_epochs only cuts the loop: a shorter run logs the first records of a longer one, flat or not."""
+    short = flat_planted_run(switches, max_epochs).log
+    assert len(short) == max_epochs
+    assert short == flat_planted_run(switches, 20).log[:max_epochs]
 
 
 class TestPlantedRecovery:
