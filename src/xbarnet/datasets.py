@@ -35,9 +35,9 @@ IDX_LABELS_MAGIC = 2049
 class Dataset:
     """Train and test splits: ``x`` is (samples, features), ``y`` int64 class labels.
 
-    ``x`` holds either float64 features (``gen_planted``) or uint8
-    pixel intensities (``load_mnist``), which ``mlp.forward`` reads as
-    ``x / 255.0``.
+    ``x`` holds either float64 features (``gen_planted``), which
+    ``mlp.forward`` casts to the dtype of the model's weights, or uint8 pixel
+    intensities (``load_mnist``), which it reads as ``x / 255`` in that dtype.
     """
 
     x_train: np.ndarray
@@ -126,7 +126,8 @@ def load_mnist(directory) -> Dataset:
     """Load the standard IDX digit files from a directory.
 
     Each image becomes one row of its uint8 pixels, as stored, with no float
-    copy; ``mlp.forward`` scales a batch of them to [0, 1].
+    copy; ``mlp.forward`` scales a batch of them to [0, 1] in the dtype of the
+    model's weights, float32 for a trained network.
     """
     directory = Path(directory)
     x_train = read_idx_images(_find_idx_file(directory, _IDX_NAMES["train_images"]))
@@ -278,7 +279,8 @@ def gen_planted(spec: PlantedSpec, seed: int) -> tuple[Dataset, mlp.MlpModel, di
 
     In-block teacher weights are bounded away from zero so a student that
     matches the teacher keeps the whole block above any sane pruning
-    threshold.
+    threshold. The teacher's layers are float64, so it labels the data in
+    float64 whatever dtype the students train in.
     """
     rng = rng_for(seed, STREAM_DATA)
     n_blocks = spec.in_dim // spec.block

@@ -1,14 +1,20 @@
 """Minimal MLP training core: forward, backward, SGD on live weights, pruning.
 
-Layers are dense (fan_in x fan_out) float64 matrices; hidden layers use the
-rectifier, the output layer a softmax over classes. A synapse exists exactly
+Layers are dense (fan_in x fan_out) matrices; hidden layers use the
+rectifier, the output layer a softmax over classes. A trained network is
+float32 throughout: the crossbars it maps onto hold a few bits per synapse,
+so float64 would buy nothing the mapped network can use, and float32 halves
+the bytes each SGD step moves. ``forward`` and ``backward_step`` compute in
+the weights' dtype, so a float64 model (a planted teacher, a loaded
+checkpoint) still computes in float64. A synapse exists exactly
 when its weight is non-zero: the live weights are the only prune record.
 Updates apply only to non-zero weights, so a zeroed synapse stays at exactly
 zero, and weight support never grows during training: pruning and cluster
 removal are the only operations that change which synapses exist.
 
-Inputs are float64 features, or uint8 pixel intensities that ``forward``
-scales to [0, 1] one batch at a time, so a pixel set is never held as floats.
+Inputs are float features, which ``forward`` reads in the weights' dtype, or
+uint8 pixel intensities that it scales to [0, 1] one batch at a time, so a
+pixel set is never held as floats.
 """
 
 from __future__ import annotations
@@ -74,29 +80,35 @@ class TrainConfig:
 
 
 def init_model(topology: list[int], seed: int) -> MlpModel:
-    """Seeded uniform init in +-sqrt(6 / (fan_in + fan_out)), zero biases."""
+    """Seeded uniform init in +-sqrt(6 / (fan_in + fan_out)), zero biases, all float32.
+
+    The weights are drawn in float64 and rounded to float32, so a seed draws
+    the same stream of values that a float64 model would hold.
+    """
     if len(topology) < 2 or min(topology) < 1:
         raise ValueError(f"topology needs >=2 positive widths, got {topology}")
     rng = rng_for(seed, STREAM_INIT)
     layers = []
     for fan_in, fan_out in zip(topology[:-1], topology[1:]):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-        layers.append(Layer(weights=w, bias=np.zeros(fan_out)))
+        w = rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(np.float32)
+        layers.append(Layer(weights=w, bias=np.zeros(fan_out, dtype=np.float32)))
     return MlpModel(layers)
 
 
 def forward(model: MlpModel, batch: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """Per-layer activations plus output probabilities (rows sum to 1).
 
-    A uint8 batch holds pixel intensities and is read as ``batch / 255.0``,
-    a float64 division, so each value lies in [0, 1]; any other batch is read
-    as float64 features, without a copy when it is float64 already. Each
-    layer's pre-activation is a fresh array that the rectifier or the softmax
-    then overwrites in place; the input batch is never written.
+    Every activation has the dtype of the model's weights. A uint8 batch
+    holds pixel intensities and is read as ``batch / 255``, a division in
+    that dtype, so each value lies in [0, 1]; any other batch is cast to it,
+    without a copy when it has that dtype already. Each layer's
+    pre-activation is a fresh array that the rectifier or the softmax then
+    overwrites in place; the input batch is never written.
     """
+    dtype = model.layers[0].weights.dtype
     x = np.asarray(batch)
-    x = np.divide(x, 255.0, dtype=np.float64) if x.dtype == np.uint8 else np.asarray(x, dtype=np.float64)
+    x = np.divide(x, 255, dtype=dtype) if x.dtype == np.uint8 else np.asarray(x, dtype=dtype)
     if x.ndim != 2 or x.shape[1] != model.layers[0].weights.shape[0]:
         raise ShapeError(
             f"batch width {x.shape} does not match first-layer fan-in "
@@ -118,8 +130,12 @@ def forward(model: MlpModel, batch: np.ndarray) -> tuple[list[np.ndarray], np.nd
 
 
 def _mean_nll(p: np.ndarray) -> float:
-    """Mean of -log(p) over the true-class probabilities ``p``; overwrites ``p``."""
-    np.maximum(p, 1e-300, out=p)
+    """Mean of -log(p) over the true-class probabilities ``p``; overwrites ``p``.
+
+    ``p`` is clamped to the smallest normal number of its dtype, so a
+    probability that underflowed to 0 gives a finite loss.
+    """
+    np.maximum(p, np.finfo(p.dtype).tiny, out=p)
     np.log(p, out=p)
     return float(-np.add.reduce(p) / len(p))
 
@@ -133,6 +149,8 @@ def backward_step(
 ) -> tuple[MlpModel, float]:
     """One SGD step on the cross-entropy loss; returns (model, mean loss).
 
+    The step computes in the weights' dtype (float32 for a model from
+    ``init_model``), like ``forward``; the loss is returned as a Python float.
     Gradients flow everywhere but the update touches only non-zero weights,
     so zeroed synapses remain exactly zero. The update multiplies by the
     live mask rather than skipping dead cells, so a -0.0 weight may come out
@@ -233,10 +251,11 @@ class CheckpointFormatError(InputFormatError):
 
 
 def save_checkpoint(path, model: MlpModel, seed: int, config: dict | None = None) -> None:
-    """Write <path>.json manifest + <path>.bin length-prefixed float64 blocks.
+    """Write <path>.json manifest + <path>.bin length-prefixed little-endian float64 blocks.
 
     Each layer has two blocks, weights then bias; a zero weight is a pruned
-    synapse.
+    synapse. A float32 model is upcast, which is exact: each block holds its
+    float32 values, sign bits of zeros included.
     """
     path = Path(path)
     blocks = []
@@ -265,6 +284,8 @@ def save_checkpoint(path, model: MlpModel, seed: int, config: dict | None = None
 def load_checkpoint(path) -> tuple[MlpModel, dict]:
     """Read a checkpoint pair; returns (model, manifest).
 
+    The model comes back float64. A checkpoint of a float32 model reads back
+    as its float32 weights and biases upcast, bit for bit, -0.0 included.
     Only the current format is read: a file of any other format, the v1
     layout with its third per-layer mask block included, is rejected. So is a
     ``.bin`` that does not match its manifest: one with bytes after the last

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from xbarnet import cli, datasets
-from xbarnet.datasets import load_mnist, write_surrogate_digits
+from xbarnet.datasets import PlantedSpec, gen_planted, load_mnist, write_surrogate_digits
 from xbarnet.util import STREAM_DATA, rng_for
 
 # the undotted names the surrogate writes, and the dotted names some distributions use
@@ -150,3 +150,10 @@ def test_surrogate_bytes_are_pinned(tmp_path):
     }
     digits = write_surrogate_digits(tmp_path / "digits", seed=5, n_train=300, n_test=40)
     assert {name: hashlib.sha256((digits / name).read_bytes()).hexdigest() for name in pinned} == pinned
+
+
+def test_planted_data_are_pinned():
+    # the teacher labels in float64, so the dtype the students train in must not move these bytes
+    data, _, _ = gen_planted(PlantedSpec(in_dim=8, hidden=8, n_classes=3, block=4, n_train=300, n_test=50), 2)
+    digest = hashlib.sha256(data.x_train.tobytes() + data.y_train.tobytes()).hexdigest()
+    assert digest == "51e0302c9d3ada0b94cea85a55cb79b31394dd90d72ce1038c4fb68045fa11fe"

@@ -2,6 +2,7 @@
 
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -90,9 +91,17 @@ def analytic_grads(model, x, y):
     return grads
 
 
+def as_float64(model):
+    """A float64 copy of a model, holding the same values, for checks whose tolerance float32 cannot meet."""
+    return MlpModel([Layer(l.weights.astype(np.float64), l.bias.astype(np.float64)) for l in model.layers])
+
+
 def oracle_forward(model, batch):
-    """The step as first written, with a temporary per operation; the lean step must match it bit for bit."""
-    x = np.asarray(batch, dtype=np.float64)
+    """The step as first written, with a temporary per operation; the lean step must match it bit for bit.
+
+    Like the lean step, it computes in the dtype of the model's weights.
+    """
+    x = np.asarray(batch, dtype=model.layers[0].weights.dtype)
     activations = [x]
     for depth, layer in enumerate(model.layers):
         z = activations[-1] @ layer.weights + layer.bias
@@ -107,7 +116,7 @@ def oracle_forward(model, batch):
 
 def oracle_cross_entropy(probs, labels):
     p = probs[np.arange(len(labels)), labels]
-    return float(-np.log(np.clip(p, 1e-300, None)).mean())
+    return float(-np.log(np.clip(p, np.finfo(p.dtype).tiny, None)).mean())
 
 
 def oracle_backward_step(model, batch, labels, lr):
@@ -160,10 +169,10 @@ def signed_zero_model(topology, seed):
 
 
 def pixel_batch(rng, shape):
-    """uint8 intensities with both extremes present, and the float64 array they stand for."""
+    """uint8 intensities with both extremes present, and the float32 array they stand for in a float32 model."""
     x = rng.integers(0, 256, size=shape, dtype=np.uint8)
     x.flat[:2] = 0, 255
-    return x, x.astype(np.float64) / 255.0
+    return x, x.astype(np.float32) / np.float32(255)
 
 
 class TestLeanStepOracle:
@@ -171,7 +180,7 @@ class TestLeanStepOracle:
     @pytest.mark.parametrize("batch", [1, 9])
     @pytest.mark.parametrize("pixels", [False, True], ids=["float64", "uint8"])
     def test_steps_match_bit_for_bit(self, topology, batch, pixels):
-        # a uint8 batch must step exactly as its float64 intensities / 255 do in the oracle
+        # a uint8 batch must step exactly as its float32 intensities / 255 do in the oracle
         model, oracle = signed_zero_model(topology, seed=len(topology) + batch)
         rng = np.random.default_rng(batch)
         if pixels:
@@ -222,7 +231,7 @@ class TestLeanStepOracle:
 
 
 class TestPixelInput:
-    """A uint8 pixel set gives the same bytes as its float64 intensities ``x / 255.0``."""
+    """A uint8 pixel set gives the same bytes as its float32 intensities ``x / 255``."""
 
     def data(self, seed):
         rng = np.random.default_rng(seed)
@@ -234,7 +243,7 @@ class TestPixelInput:
         model, _ = signed_zero_model([12, 9, 4], seed=1)
         acts, probs = forward(model, x)
         want_acts, want_probs = forward(model, x_float)
-        assert acts[0].dtype == np.float64 and acts[0].min() == 0.0 and acts[0].max() == 1.0
+        assert acts[0].dtype == np.float32 and acts[0].min() == 0.0 and acts[0].max() == 1.0
         assert [a.tobytes() for a in acts] == [a.tobytes() for a in want_acts]
         assert probs.tobytes() == want_probs.tobytes()
 
@@ -271,11 +280,18 @@ class TestForward:
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
     def test_matches_hand_rolled_oracle(self):
-        model = init_model([4, 2, 3], seed=2)
+        model = as_float64(init_model([4, 2, 3], seed=2))
         x = np.random.default_rng(2).normal(size=(5, 4))
         _, probs = forward(model, x)
         oracle = hand_rolled_forward(model, x)
         assert np.abs(probs - oracle).max() < 1e-10
+
+    @pytest.mark.parametrize("batch_dtype", [np.uint8, np.float64, np.float32])
+    def test_float32_model_gives_float32_activations(self, batch_dtype):
+        model = init_model([6, 5, 3], seed=0)
+        x = np.random.default_rng(0).integers(0, 256, size=(4, 6)).astype(batch_dtype)
+        acts, probs = forward(model, x)
+        assert [a.dtype for a in acts] == [np.float32] * 3 and probs.dtype == np.float32
 
     def test_shape_mismatch(self):
         model = init_model([4, 3], seed=0)
@@ -315,7 +331,7 @@ class TestBackward:
         # finite-difference oracle, h=1e-5, rel err <= 1e-4 where |g| > 1e-8
         for seed in range(2):
             rng = np.random.default_rng(100 + seed)
-            model = init_model([6, 4, 3], seed=seed)
+            model = as_float64(init_model([6, 4, 3], seed=seed))
             x = rng.normal(size=(7, 6))
             y = rng.integers(0, 3, size=7)
             numeric = finite_difference_grads(model, x, y)
@@ -325,6 +341,17 @@ class TestBackward:
                     sig = np.abs(a) > 1e-8
                     rel = np.abs(a - n)[sig] / np.abs(a)[sig]
                     assert rel.max() <= 1e-4
+
+
+class TestCrossEntropy:
+    def test_a_zero_true_class_probability_gives_a_finite_loss(self):
+        # 1e-300 underflows to 0 in float32, so the clamp is the dtype's smallest normal number
+        probs = np.array([[0.0, 1.0], [0.5, 0.5]], dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss = cross_entropy(probs, np.array([0, 1]))
+        tiny = np.finfo(np.float32).tiny
+        assert loss == pytest.approx(-(np.log(tiny) + np.log(0.5)) / 2, rel=1e-6)
 
 
 class TestEvaluate:
@@ -443,6 +470,19 @@ class TestCheckpoint:
         for a, b in zip(model.layers, back.layers):
             assert np.array_equal(a.weights, b.weights)
             assert np.array_equal(a.bias, b.bias)
+
+    def test_a_trained_float32_model_reads_back_upcast_bit_for_bit(self, tmp_path):
+        model, _ = signed_zero_model([6, 5, 4], seed=12)
+        rng = np.random.default_rng(12)
+        train_epoch(model, rng.normal(size=(20, 6)), rng.integers(0, 4, size=20), TrainConfig(batch_size=5), 1, 12)
+        zeros = np.concatenate([l.weights[l.weights == 0] for l in model.layers])
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()  # +0.0 and -0.0 cells both survive
+        save_checkpoint(tmp_path / "ck", model, seed=12)
+        back, _ = load_checkpoint(tmp_path / "ck")
+        for a, b in zip(model.layers, back.layers):
+            assert a.weights.dtype == a.bias.dtype == np.float32
+            assert b.weights.tobytes() == a.weights.astype(np.float64).tobytes()
+            assert b.bias.tobytes() == a.bias.astype(np.float64).tobytes()
 
     def test_one_d_weights_rejected(self, tmp_path):
         save_checkpoint(tmp_path / "ck", init_model([3, 2], seed=0), seed=0)

@@ -353,6 +353,20 @@ def test_run_trains_every_epoch(switches):
 
 
 @SWITCHES
+def test_training_keeps_every_weight_and_bias_float32(switches):
+    """Training, magnitude pruning, clustering and cluster pruning leave every weight and bias float32.
+
+    A step that rebound an array to an upcast result, say one promoted by an np.float64 scalar, would fail this.
+    """
+    data, _, _ = gen_planted(PlantedSpec(in_dim=8, hidden=8, block=4, n_train=64, n_test=32), 0)
+    cfg = TransformConfig(scic=SizeClusterConfig(crossbar_rows=4, crossbar_cols=4), max_epochs=4)
+    state = run(cfg, [8, 8, 2], data.x_train, data.y_train, data.x_test, data.y_test, 0, *switches)
+    assert [(l.weights.dtype, l.bias.dtype) for l in state.model.layers] == [(np.float32, np.float32)] * 2
+    if switches == (True, True):  # the run clusters, then prunes clusters
+        assert state.log[0]["n_clusters"] > state.n_clusters() > 0 and state.log[1]["n_clusters_pruned"] == 1
+
+
+@SWITCHES
 @pytest.mark.parametrize("max_epochs", [1, 6, 11, 12, 19])
 def test_a_shorter_run_is_a_prefix_of_a_longer_one(switches, max_epochs):
     """max_epochs only cuts the loop: a shorter run logs the first records of a longer one, flat or not."""
