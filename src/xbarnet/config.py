@@ -185,7 +185,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError([f"{path}: not valid JSON ({exc})"]) from None
     except (IsADirectoryError, UnicodeDecodeError) as exc:
         raise ConfigError([f"{path}: unreadable config file ({type(exc).__name__}: {exc})"]) from None

@@ -171,9 +171,12 @@ def cluster_sets_to_json(cluster_sets: list[ClusterSet]) -> str:
     reports can be rebuilt from the live weights alone.
 
     The text is formatted directly and equals ``json.dumps(records,
-    indent=1)`` of those records byte for byte. The layout stays because
-    ``perfbench/checks.py`` and files already written parse it, and because
-    a compact layout would not make reading much cheaper: ``json.loads``
+    indent=1)`` of those records byte for byte. No reader depends on the
+    layout: a compact file of the same records maps alike. It stays because
+    writing it is cheaper than any ``json.dumps``, which needs a Python list
+    per covered cell: building those and encoding them compactly took 0.27 s
+    against 0.04 s for the 5.8 MB of a digits run (2-CPU Xeon, one thread).
+    A compact layout would not make reading much cheaper either: ``json.loads``
     spends its time building one object per list and, with the cyclic
     garbage collector running, on collector passes over those objects, which
     :func:`cluster_sets_from_json` avoids by pausing the collector.

@@ -4,10 +4,12 @@ Every run writes the same artifact set into its output directory: a model
 checkpoint, a per-epoch JSON-lines log, the cluster sets, the crossbar
 mapping report, the energy reports, and a one-row summary CSV. ``compare``
 runs all four modes into per-mode subdirectories and emits a combined CSV
-with columns normalized against the plain-training arm. It trains each
-distinct network once: the ``prune`` and ``offline_cluster`` arms run the
-same prune-only training, so the offline arm clusters the network that the
-prune arm trained, and writes the same checkpoint and log.
+with columns normalized against the plain-training arm. ``_train`` is the
+only caller of the training loop; ``_write_arm`` writes one mode's arm of a
+trained state and only reads it. ``compare`` trains each distinct network
+once: the ``prune`` and ``offline_cluster`` arms share the prune-only
+training, so the offline arm clusters the network the prune arm trained, and
+writes the same checkpoint and log.
 
 ``compare`` groups the modes by their training switches (``original``;
 ``prune`` with ``offline_cluster``; ``transform``) and runs each group in a
@@ -89,32 +91,25 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def run_experiment(
-    cfg: ExperimentConfig,
-    out_dir,
-    dataset: Dataset | None = None,
-    trained: dict[tuple[bool, bool], TransformState] | None = None,
-) -> dict:
-    """Run one mode end to end; writes artifacts and returns the summary row.
-
-    ``trained`` caches the trained states by the mode's training switches
-    (see ``_TRAINING_SWITCHES``): a cached state is reused, a new one is added.
-    One cache must serve only runs of one config and dataset that differ in
-    mode alone. Nothing here writes to a cached state, so arms can share it.
-    """
+def run_experiment(cfg: ExperimentConfig, out_dir, dataset: Dataset | None = None) -> dict:
+    """Run one mode end to end; writes artifacts and returns the summary row."""
     data = dataset if dataset is not None else build_dataset(cfg)  # a bad dataset leaves no output directory
+    return _write_arm(cfg, _train(cfg, data), data, out_dir)
+
+
+def _train(cfg: ExperimentConfig, data: Dataset) -> TransformState:
+    """Run the training loop with the switches of ``cfg.mode`` (see ``_TRAINING_SWITCHES``)."""
+    enable_prune, enable_cluster = _TRAINING_SWITCHES[cfg.mode]
+    return run(
+        cfg.transform, cfg.topology, data.x_train, data.y_train, data.x_test, data.y_test, cfg.seed,
+        enable_prune=enable_prune, enable_cluster=enable_cluster,
+    )
+
+
+def _write_arm(cfg: ExperimentConfig, state: TransformState, data: Dataset, out_dir) -> dict:
+    """Cluster, map and score ``cfg.mode``'s arm of ``state``, read only; writes artifacts, returns the summary row."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    trained = {} if trained is None else trained
-    switches = _TRAINING_SWITCHES[cfg.mode]
-    if switches not in trained:
-        enable_prune, enable_cluster = switches
-        trained[switches] = run(
-            cfg.transform, cfg.topology, data.x_train, data.y_train, data.x_test, data.y_test, cfg.seed,
-            enable_prune=enable_prune, enable_cluster=enable_cluster,
-        )
-    state = trained[switches]
     model = state.model
 
     if cfg.mode == "offline_cluster":
@@ -184,17 +179,17 @@ def _init_compare_worker(cfg: ExperimentConfig, out: Path, data: Dataset) -> Non
 def _run_group(modes: list[str]) -> list[dict]:
     """Run modes that share one training, one after another; their summary rows."""
     cfg, out, data = _compare_job
-    trained: dict[tuple[bool, bool], TransformState] = {}
-    return [run_experiment(replace(cfg, mode=mode), out / mode, dataset=data, trained=trained) for mode in modes]
+    state = _train(replace(cfg, mode=modes[0]), data)
+    return [_write_arm(replace(cfg, mode=mode), state, data, out / mode) for mode in modes]
 
 
 def compare(cfg: ExperimentConfig, out_dir, dataset: Dataset | None = None) -> list[dict]:
     """Run all four modes on one dataset; emit a normalized combined summary.
 
-    Modes with equal training switches form one group that shares one
-    training, so the prune-only training runs once: the ``offline_cluster``
-    arm clusters the network the ``prune`` arm trained. Three networks are
-    trained, not four.
+    Modes with equal training switches form one group, which trains once
+    with ``_train`` and writes each of its arms with ``_write_arm``: the
+    ``offline_cluster`` arm clusters the network the ``prune`` arm trained.
+    Three networks are trained, not four.
 
     Each group runs in a worker of a process pool that uses the ``fork``
     context, with ``min(groups, _usable_cpus())`` workers; on one CPU one

@@ -133,7 +133,7 @@ def mapping_from_json(text: str | bytes) -> dict:
             if live > m * n:
                 raise ValueError(f"layer {i}: {live} live synapses exceed matrix_shape {m}x{n}")
         return _mapping_document(layers, rows, cols)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, RecursionError, TypeError, ValueError) as exc:
         raise MappingFormatError(f"mapping document: {type(exc).__name__}: {exc}") from None
 
 

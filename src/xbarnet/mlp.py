@@ -316,6 +316,6 @@ def load_checkpoint(path) -> tuple[MlpModel, dict]:
         shapes, topology = [layer.weights.shape for layer in layers], manifest["topology"]
         if not layers or shapes != list(zip(topology[:-1], topology[1:])):
             raise ValueError(f"layer shapes {shapes} do not chain into topology {topology!r:.40}")
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
         raise CheckpointFormatError(f"checkpoint {path}: {exc}") from None
     return MlpModel(layers), manifest

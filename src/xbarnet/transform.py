@@ -113,7 +113,7 @@ def _layer_scores(state: TransformState, cfg: TransformConfig, layer_id: int) ->
         if len(cells[0]) == 0:
             raise ValueError(f"cluster {index} of layer {layer_id} covers no synapses")
         utils.append(len(cells[0]) / cfg.scic.crossbar_area)
-        means.append(np.abs(weights[cells]).mean())
+        means.append(float(np.abs(weights[cells]).mean(dtype=np.float64)))
     top = max(means, default=0.0)
     alpha = cfg.cluster_prune_alpha
     return [

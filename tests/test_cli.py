@@ -255,6 +255,25 @@ def test_unusable_paths_exit_2(tmp_path, pruned_run, capsys, argv, message):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [(["train", "--config", "{deep}.json"], "{deep}.json: not valid JSON (maximum recursion depth exceeded"),
+     (["report", "--config", "{config}", "--mapping", "{deep}.json"],
+      "mapping document: RecursionError: maximum recursion depth exceeded"),
+     (["map", "--config", "{config}", "--checkpoint", "{deep}", "--clusters", "{run}/clusters.json"],
+      "checkpoint {deep}: maximum recursion depth exceeded")],
+    ids=["config", "mapping", "checkpoint_manifest"],
+)
+def test_deeply_nested_json_exits_2(tmp_path, pruned_run, capsys, argv, message):
+    """JSON nested deeper than the parser can recurse is a bad input file, not a crash."""
+    (tmp_path / "deep.json").write_text("[" * 200_000 + "]" * 200_000)
+    names = {"deep": tmp_path / "deep", "config": pruned_run / "config.json", "run": pruned_run / "run"}
+    args = [arg.format(**names) for arg in argv]
+    assert cli.main(args + ["--out", str(tmp_path / "out")]) == 2
+    assert message.format(**names) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [["cluster", "--checkpoint", "c"], ["map", "--checkpoint", "c", "--clusters", "c.json"],
      ["report", "--mapping", "m.json"], ["compare"]],

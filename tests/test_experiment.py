@@ -68,11 +68,10 @@ def test_compare_trains_three_networks(compared):
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_compare_writes_the_serial_tree_on_any_cpu_count(compared, cfg, data, tmp_path, monkeypatch, cpus):
-    """Byte-equal to one `run_experiment` per mode with a shared cache, whatever the worker count."""
+    """Byte-equal to one standalone `run_experiment` per mode, whatever the worker count."""
     reference = tmp_path / "serial"
-    trained = {}
     for mode in MODES:
-        experiment.run_experiment(replace(cfg, mode=mode), reference / mode, dataset=data, trained=trained)
+        experiment.run_experiment(replace(cfg, mode=mode), reference / mode, dataset=data)
 
     pids = tmp_path / "pids.txt"
     record_calls(monkeypatch, pids, lambda kwargs: str(os.getpid()))
@@ -136,9 +135,7 @@ def test_standalone_offline_run_matches_compare_subtree(compared, cfg, data, tmp
 
 
 def test_arms_leave_a_shared_training_result_unchanged(cfg, data, tmp_path):
-    trained = {}
-    experiment.run_experiment(replace(cfg, mode="prune"), tmp_path / "prune", dataset=data, trained=trained)
-    (state,) = trained.values()
+    state = experiment._train(replace(cfg, mode="prune"), data)
     assert state.log
 
     def snapshot():
@@ -146,10 +143,10 @@ def test_arms_leave_a_shared_training_result_unchanged(cfg, data, tmp_path):
         return layers, [o.tobytes() for o in state.owner], state.seed, repr(state.log)
 
     before = snapshot()
-    for mode in ("offline_cluster", "prune"):
-        experiment.run_experiment(replace(cfg, mode=mode), tmp_path / f"again_{mode}", dataset=data, trained=trained)
-    assert list(trained.values()) == [state]
-    assert snapshot() == before
+    for i, mode in enumerate(("prune", "offline_cluster", "prune")):
+        experiment._write_arm(replace(cfg, mode=mode), state, data, tmp_path / f"{i}_{mode}")
+        assert snapshot() == before, mode
+    assert tree(tmp_path / "0_prune") == tree(tmp_path / "2_prune")
     assert np.count_nonzero(state.model.layers[0].weights) < state.model.layers[0].weights.size  # really pruned
 
 

@@ -175,8 +175,8 @@ class TestClusterScore:
         assert sa - sb == pytest.approx(0.5 * (1.0 - 0.5))
 
     def test_matches_per_cluster_reference(self):
-        # reference: each cluster's mean |w| over np.nonzero(owner == k), scored
-        # one cluster at a time; the grouped computation must agree exactly
+        # reference: each cluster's float64 mean |w| over np.nonzero(owner == k),
+        # scored one cluster at a time; the grouped computation must agree exactly
         x, y = tiny_data(n=200)
         state = run(small_config(max_epochs=3), [6, 8, 3], x, y, x, y, 0)
         assert state.n_clusters() > 1
@@ -184,10 +184,11 @@ class TestClusterScore:
         for layer_id, owner in enumerate(state.owner):
             absw = np.abs(state.model.layers[layer_id].weights)
             cells = [np.nonzero(owner == k) for k in range(owner.max() + 1)]
-            means = [absw[c].mean() for c in cells]
+            means = [absw[c].mean(dtype=np.float64) for c in cells]
             for k, c in enumerate(cells):
                 want = 0.3 * (len(c[0]) / cfg.scic.crossbar_area) + 0.7 * (means[k] / max(means))
-                assert cluster_score(state, cfg, layer_id, k) == want
+                score = cluster_score(state, cfg, layer_id, k)
+                assert type(score) is float and score == want
 
     def test_empty_cluster_errors(self):
         state = self.build_state()
