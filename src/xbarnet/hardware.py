@@ -28,7 +28,6 @@ layer ``clustered_mca_count``, ``residual_mca_count``, ``histogram``,
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,9 +105,9 @@ def mapping_from_json(text: str | bytes) -> dict:
     """The ``mapping.json`` document of ``text``, rebuilt from its measured fields; derived keys are ignored.
 
     Raises :class:`MappingFormatError` on text that is not UTF-8 JSON, a
-    measured field that is not a list of non-negative integers, an empty
-    crossbar, or a layer whose counts no mapping of a ``matrix_shape`` matrix
-    onto that crossbar yields.
+    measured field that is not a list of non-negative integers below 2**63,
+    an empty crossbar, or a layer whose counts no mapping of a
+    ``matrix_shape`` matrix onto that crossbar yields.
     """
     try:
         data = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
@@ -138,10 +137,10 @@ def mapping_from_json(text: str | bytes) -> dict:
 
 
 def _counts(value, name: str, length: int | None = None) -> list[int]:
-    """``value`` if it is a list of non-negative ints (``length`` of them, if given), else TypeError."""
-    valid = type(value) is list and all(type(x) is int and x >= 0 for x in value)
+    """``value`` if it is a list of ints in [0, 2**63) (``length`` of them, if given), else TypeError."""
+    valid = type(value) is list and all(type(x) is int and 0 <= x < 2**63 for x in value)
     if not valid or length not in (None, len(value)):
-        raise TypeError(f"{name} must be {length or 'a list of'} non-negative integers, got {value!r:.40}")
+        raise TypeError(f"{name} must be {length or 'a list of'} non-negative integers below 2**63, got {value!r:.40}")
     return value
 
 
@@ -151,11 +150,9 @@ def _histogram(utils: list[float]) -> list[int]:
 
 
 def grid_tiles(bits: np.ndarray, rows: int, cols: int) -> list[int]:
-    """Active-synapse counts of non-empty tiles in the fixed grid tiling, in row-major tile order."""
-    m, n = bits.shape
-    bm, bn = math.ceil(m / rows), math.ceil(n / cols)
-    padded = np.pad(bits, ((0, bm * rows - m), (0, bn * cols - n)))
-    counts = padded.reshape(bm, rows, bn, cols).sum(axis=(1, 3)).ravel()
+    """Active-synapse counts of non-empty tiles in the fixed grid tiling, in row-major order; no tile is padded."""
+    by_rows = np.add.reduceat(bits, np.arange(0, bits.shape[0], rows), axis=0, dtype=np.int64)
+    counts = np.add.reduceat(by_rows, np.arange(0, bits.shape[1], cols), axis=1).ravel()
     return counts[counts > 0].tolist()
 
 

@@ -1,4 +1,4 @@
-"""Minimal MLP training core: forward, backward, SGD on live weights, pruning.
+"""Minimal MLP training core: forward, backward, SGD on live weights, in-place pruning.
 
 Layers are dense (fan_in x fan_out) matrices; hidden layers use the
 rectifier, the output layer a softmax over classes. A trained network is
@@ -7,7 +7,8 @@ so float64 would buy nothing the mapped network can use, and float32 halves
 the bytes each SGD step moves. ``forward`` and ``backward_step`` compute in
 the weights' dtype, so a float64 model (a planted teacher, a loaded
 checkpoint) still computes in float64. A synapse exists exactly
-when its weight is non-zero: the live weights are the only prune record.
+when its weight is non-zero: the live weights are the only prune record, and
+``magnitude_prune`` writes it by zeroing weights in place.
 Updates apply only to non-zero weights, so a zeroed synapse stays at exactly
 zero, and weight support never grows during training: pruning and cluster
 removal are the only operations that change which synapses exist.
@@ -20,13 +21,14 @@ pixel set is never held as floats.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .connectivity import ConnectivityMatrix, InputFormatError, ShapeError
+from .connectivity import InputFormatError, ShapeError
 from .util import STREAM_INIT, STREAM_SHUFFLE, rng_for
 
 
@@ -144,18 +146,15 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     return _mean_nll(probs[np.arange(len(labels)), labels])
 
 
-def backward_step(
-    model: MlpModel, batch: np.ndarray, labels: np.ndarray, lr: float
-) -> tuple[MlpModel, float]:
-    """One SGD step on the cross-entropy loss; returns (model, mean loss).
+def backward_step(model: MlpModel, batch: np.ndarray, labels: np.ndarray, lr: float) -> float:
+    """One SGD step on the cross-entropy loss, in place; returns the mean loss.
 
     The step computes in the weights' dtype (float32 for a model from
     ``init_model``), like ``forward``; the loss is returned as a Python float.
     Gradients flow everywhere but the update touches only non-zero weights,
     so zeroed synapses remain exactly zero. The update multiplies by the
     live mask rather than skipping dead cells, so a -0.0 weight may come out
-    as +0.0; the checkpoint stores that sign bit. The model is updated in
-    place and returned.
+    as +0.0; the checkpoint stores that sign bit.
     """
     labels = np.asarray(labels, dtype=np.int64)
     activations, probs = forward(model, batch)
@@ -177,7 +176,7 @@ def backward_step(
         layer.weights -= grad_w
         grad_b *= lr
         layer.bias -= grad_b
-    return model, loss
+    return loss
 
 
 def _check_dataset(x: np.ndarray, y: np.ndarray) -> None:
@@ -206,7 +205,7 @@ def train_epoch(
     total, count = 0.0, 0
     for start in range(0, len(x), cfg.batch_size):
         idx = order[start : start + cfg.batch_size]
-        _, loss = backward_step(model, x[idx], y[idx], cfg.learning_rate)
+        loss = backward_step(model, x[idx], y[idx], cfg.learning_rate)
         total += loss * len(idx)
         count += len(idx)
     return total / count
@@ -225,22 +224,26 @@ def evaluate(model: MlpModel, x: np.ndarray, y: np.ndarray, batch: int = 2048) -
     return correct / len(x), total_loss / len(x)
 
 
-def magnitude_prune(model: MlpModel, prune_quality: float) -> list[ConnectivityMatrix]:
-    """Per-layer prune maps: entry 1 iff w != 0 and |w| >= prune_quality * std(nonzero w).
+def magnitude_prune(model: MlpModel, prune_quality: float, protect: list[np.ndarray] | None = None) -> int:
+    """Zero, in place, every unprotected live weight below prune_quality * std(live w); returns how many.
 
-    Maps are advisory; the caller decides when to apply them. A dead synapse
-    is never marked to keep, even at threshold 0 (quality 0, or live weights
-    without spread), so applying a map never revives a synapse.
+    ``protect`` holds one boolean matrix per layer; its True cells are never
+    cut but count toward the std. A cut weight is multiplied by 0, so a
+    negative one becomes -0.0. A NaN weight is never below the threshold, so
+    the count is the drop in ``model.n_live()``.
     """
     if prune_quality < 0:
         raise ValueError("prune_quality must be non-negative")
-    maps = []
-    for layer in model.layers:
-        live = layer.weights[layer.weights != 0]
-        t = prune_quality * live.std() if live.size else 0.0
-        keep = (np.abs(layer.weights) >= t) & (layer.weights != 0)
-        maps.append(ConnectivityMatrix(keep.astype(np.uint8)))
-    return maps
+    zeroed = 0
+    for i, layer in enumerate(model.layers):
+        live = layer.weights != 0
+        t = prune_quality * layer.weights[live].std() if live.any() else 0.0
+        cut = live & (np.abs(layer.weights) < t)
+        if protect is not None:
+            cut &= ~protect[i]
+        layer.weights *= ~cut
+        zeroed += int(np.count_nonzero(cut))
+    return zeroed
 
 
 _CHECKPOINT_FORMAT = "xbarnet-checkpoint-v2"
@@ -290,7 +293,8 @@ def load_checkpoint(path) -> tuple[MlpModel, dict]:
     layout with its third per-layer mask block included, is rejected. So is a
     ``.bin`` that does not match its manifest: one with bytes after the last
     listed block, or whose weight blocks do not chain into the manifest's
-    ``topology``.
+    ``topology``. A block whose header claims more bytes than the file has
+    left is rejected before it is read, so no claimed length is allocated.
     """
     path = Path(path)
     try:
@@ -299,17 +303,15 @@ def load_checkpoint(path) -> tuple[MlpModel, dict]:
             raise ValueError(f"unrecognized checkpoint format {manifest.get('format')!r}")
         blocks = []
         with open(path.with_suffix(".bin"), "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
             for spec in manifest["blocks"]:
                 header = fh.read(8)
                 if len(header) != 8:
                     raise ValueError(f"truncated checkpoint: missing block {spec['name']}")
                 (length,) = struct.unpack("<Q", header)
-                data = fh.read(length)
-                if len(data) != length:
-                    raise ValueError(
-                        f"truncated block {spec['name']}: expected {length} bytes, got {len(data)}"
-                    )
-                blocks.append(np.frombuffer(data, dtype="<f8").reshape(spec["shape"]).copy())
+                if length > (left := size - fh.tell()):
+                    raise ValueError(f"truncated block {spec['name']}: expected {length} bytes, {left} left")
+                blocks.append(np.frombuffer(fh.read(length), dtype="<f8").reshape(spec["shape"]).copy())
             if fh.read(1):
                 raise ValueError("bytes left after the last listed block")
         layers = [Layer(weights=w, bias=b) for w, b in zip(blocks[0::2], blocks[1::2], strict=True)]

@@ -1,22 +1,22 @@
-"""Integrated training loop: train, prune, cluster, and prune whole clusters.
+"""Integrated training loop: train, cluster, prune, and prune whole clusters.
 
-Each epoch trains the network once, then (while enough synapses remain
-unclustered and the epoch improved the training loss) computes a fresh
-magnitude prune map, runs size-constrained clustering on the
-still-unclustered synapses, and zeroes every weight outside the map OR the
-owned cells. A synapse lives exactly when its weight is non-zero, and the
-live weights are the only record of which synapses may live: training
-never revives a zero weight, an epoch without a prune zeroes nothing, and
-cluster pruning zeroes the cells it cuts. Clustered synapses are thus
-shielded from magnitude pruning. Cluster membership lives
-in one int32 owner matrix per layer, the only record of its clusters: -1 for
-an unclustered cell, otherwise the index of its cluster, numbered from 0
-without gaps. A cluster's utilization is its owned-cell count over the
-crossbar area; the cells it owns never change between acceptance and
-removal. Once the unclustered fraction falls below the threshold the loop
-switches to cluster pruning: per improving epoch it removes the one
-lowest-scoring cluster outright and lets subsequent epochs recover the
-accuracy.
+Each epoch trains the network once. Then, while enough synapses remain
+unclustered and the epoch improved the training loss, one clustering step
+(:func:`cluster_step`) clusters each layer's live unclustered synapses, and
+one magnitude prune (:func:`~xbarnet.mlp.magnitude_prune`) zeroes in place
+every live weight below its threshold that no cluster owns, so a synapse
+clustered this epoch is already shielded. A synapse lives exactly when its
+weight is non-zero, and the live weights are the only record of which
+synapses may live: training never revives a zero weight, an epoch without a
+prune zeroes nothing, and cluster pruning zeroes the cells it cuts. Cluster
+membership lives in one int32 owner matrix per layer, the only record of its
+clusters: -1 for an unclustered cell, otherwise the index of its cluster,
+numbered from 0 without gaps. A cluster's utilization is its owned-cell
+count over the crossbar area; the cells it owns never change between
+acceptance and removal. Once the unclustered fraction falls below the
+threshold the loop switches to cluster pruning: per improving epoch it
+removes the one lowest-scoring cluster outright and lets subsequent epochs
+recover the accuracy.
 
 The state also holds the run's one seed (it draws the initial weights, each
 epoch's minibatch order and the clustering seeds) and the log of its epochs,
@@ -24,8 +24,8 @@ the loop's only history: the next epoch number and the last loss come from it.
 
 Two switches (``enable_prune``, ``enable_cluster``) turn the same loop into
 the baselines: both off is plain training, prune-only is the magnitude
-pruning control, and a prune-only run followed by :func:`offline_cluster` is
-the cluster-after-training arm.
+pruning control, and a prune-only run followed by :func:`offline_cluster`,
+the same clustering step at epoch 0, is the cluster-after-training arm.
 """
 
 from __future__ import annotations
@@ -159,14 +159,29 @@ def cluster_prune(state: TransformState, cfg: TransformConfig) -> int:
     return 1
 
 
-def _apply_prune_maps(state: TransformState, maps: list[ConnectivityMatrix]) -> int:
-    """Zero the live weights outside each layer's prune map OR owned cells; count them."""
-    zeroed = 0
-    for layer, pmap, owner in zip(state.model.layers, maps, state.owner):
-        keep = pmap.bits | (owner >= 0)
-        zeroed += int(((layer.weights != 0) & (keep == 0)).sum())
-        layer.weights *= keep
-    return zeroed
+def cluster_step(state: TransformState, scic: SizeClusterConfig, epoch: int) -> list[list[dict]]:
+    """Cluster each layer's live unowned synapses into ``state.owner``, weights read only; per layer, the rounds run.
+
+    Layer ``i`` is clustered under ``seed_for(state.seed, STREAM_CLUSTER,
+    epoch, i)`` and numbers its new clusters after its existing ones; a layer
+    with no live unowned synapse runs no round.
+    """
+    traces = []
+    for layer_id, (layer, owner) in enumerate(zip(state.model.layers, state.owner)):
+        trace: list[dict] = []
+        traces.append(trace)
+        residual = (layer.weights != 0) & (owner < 0)
+        if not residual.any():
+            continue
+        cs = size_constrained_cluster(
+            ConnectivityMatrix(residual),
+            scic,
+            seed_for(state.seed, STREAM_CLUSTER, epoch, layer_id),
+            trace=trace,
+        )
+        owned = cs.owner >= 0
+        owner[owned] = cs.owner[owned] + owner.max() + 1
+    return traces
 
 
 def transform_epoch(
@@ -190,37 +205,19 @@ def transform_epoch(
     loss = train_epoch(state.model, x, y, cfg.train, epoch, state.seed)
     improved = loss < (state.log[-1]["train_loss"] if state.log else float("inf"))
     cluster_pruning = unclustered_fraction(state) < cfg.unclustered_threshold
-    maps = None
-    pruned_clusters = 0
-    scic_rounds = [0] * len(state.owner)  # per layer: clustering rounds run, clusters accepted
-    scic_accepted = [0] * len(state.owner)
+    n_zeroed = pruned_clusters = 0
+    traces: list[list[dict]] = [[] for _ in state.owner]  # per layer: the clustering rounds run
 
     if cluster_pruning:
         if improved and enable_cluster:
             pruned_clusters = cluster_prune(state, cfg)
     elif improved:
-        if enable_prune:
-            maps = magnitude_prune(state.model, cfg.train.prune_quality)
         if enable_cluster:
-            for layer_id, layer in enumerate(state.model.layers):
-                owner = state.owner[layer_id]
-                residual_bits = ((layer.weights != 0) & (owner < 0)).astype(np.uint8)
-                if not residual_bits.any():
-                    continue
-                trace: list[dict] = []
-                cs = size_constrained_cluster(
-                    ConnectivityMatrix(residual_bits),
-                    cfg.scic,
-                    seed_for(state.seed, STREAM_CLUSTER, epoch, layer_id),
-                    trace=trace,
-                )
-                scic_rounds[layer_id] = len(trace)
-                scic_accepted[layer_id] = sum(r["accepted"] for r in trace)
-                owned = cs.owner >= 0
-                owner[owned] = cs.owner[owned] + owner.max() + 1
+            traces = cluster_step(state, cfg.scic, epoch)
+        if enable_prune:
+            protect = [owner >= 0 for owner in state.owner]
+            n_zeroed = magnitude_prune(state.model, cfg.train.prune_quality, protect)
 
-    # owned cells are live already, so an epoch without a prune zeroes nothing
-    n_zeroed = 0 if maps is None else _apply_prune_maps(state, maps)
     record = {
         "epoch": epoch,
         "train_loss": loss,
@@ -234,8 +231,8 @@ def transform_epoch(
         "n_clusters_pruned": pruned_clusters,
     }
     if enable_cluster:
-        record["scic_rounds"] = scic_rounds
-        record["scic_accepted"] = scic_accepted
+        record["scic_rounds"] = [len(trace) for trace in traces]
+        record["scic_accepted"] = [sum(r["accepted"] for r in trace) for trace in traces]
     state.log.append(record)
     return record
 
@@ -266,11 +263,13 @@ def run(
 
 
 def offline_cluster(model: MlpModel, scic_cfg: SizeClusterConfig, seed: int) -> list[ClusterSet]:
-    """One post-hoc clustering pass per layer on the final connectivity."""
-    return [
-        size_constrained_cluster(from_weights(layer.weights), scic_cfg, seed_for(seed, STREAM_CLUSTER, 0, i))
-        for i, layer in enumerate(model.layers)
-    ]
+    """Per-layer ClusterSets of one :func:`cluster_step` at epoch 0 from no clusters; ``model`` is only read.
+
+    The step is the loop's own, so it clusters every live synapse of the final connectivity.
+    """
+    state = TransformState(model, [np.full(l.weights.shape, -1, dtype=np.int32) for l in model.layers], seed)
+    cluster_step(state, scic_cfg, epoch=0)
+    return final_cluster_sets(state)
 
 
 def final_cluster_sets(state: TransformState) -> list[ClusterSet]:

@@ -157,6 +157,11 @@ def checkpoint_copy(edit):
     return damage
 
 
+def huge_first_block(manifest, blob):
+    """The first block's header claims 2**63 + 5 bytes, far more than the file holds."""
+    return manifest, struct.pack("<Q", 2**63 + 5) + blob[8:]
+
+
 def layer0_only(manifest, blob):
     """The manifest cut down to layer 0's two blocks, and the bytes of those blocks."""
     (n_weights,) = struct.unpack("<Q", blob[:8])
@@ -188,7 +193,7 @@ def v1_checkpoint(run, bad):
      (clusters_object, "the top level must be a JSON list of cluster records, got {}"),
      (damage_mapping, "KeyError: 'cluster_areas'"),
      (mapping_not_json, "JSONDecodeError"),
-     (edited_mapping(cluster_active="x"), "cluster_active must be a list of non-negative integers, got 'x'"),
+     (edited_mapping(cluster_active="x"), "cluster_active must be a list of non-negative integers below 2**63, got 'x'"),
      (mapping_not_utf8, "mapping document: UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff"),
      (edited_mapping(cluster_active=[3, 4], cluster_areas=[4]), "layer 0: 1 cluster_areas for 2 cluster_active"),
      (edited_mapping(cluster_active=[65], cluster_areas=[64]), "layer 0: a cluster_active lies outside 1..its cluster area"),
@@ -197,22 +202,28 @@ def v1_checkpoint(run, bad):
      (edited_mapping(residual_active=[999999]), "layer 0: a residual_active lies outside 1..64"),
      (edited_mapping(top={"crossbar_rows": 0}), "crossbar 0x8 is empty"),
      (edited_mapping(matrix_shape=[1, 1]), "live synapses exceed matrix_shape 1x1"),
+     (edited_mapping(top={"crossbar_rows": 10**400}, cluster_active=[10**400], cluster_areas=[10**400],
+                     matrix_shape=[10**400, 10**400]),
+      "crossbar_rows and crossbar_cols must be a list of non-negative integers below 2**63"),
      (damage_checkpoint, "truncated block layer1.bias"),
      (v1_checkpoint, "unrecognized checkpoint format 'xbarnet-checkpoint-v1'"),
      (checkpoint_copy(lambda manifest, blob: (manifest, blob + b"garbage")), "bytes left after the last listed block"),
      (checkpoint_copy(lambda manifest, blob: ({**manifest, "blocks": manifest["blocks"][:2]}, blob)),
       "bytes left after the last listed block"),
-     (checkpoint_copy(layer0_only), "layer shapes [(32, 32)] do not chain into topology [32, 32, 2]")],
+     (checkpoint_copy(layer0_only), "layer shapes [(32, 32)] do not chain into topology [32, 32, 2]"),
+     (checkpoint_copy(huge_first_block), "truncated block layer0.weights: expected 9223372036854775813 bytes")],
     ids=["oversized_cluster", "clusters_float_cell", "clusters_not_utf8", "clusters_object", "mapping_missing_key",
          "mapping_not_json", "mapping_wrong_type", "mapping_not_utf8", "mapping_areas_count", "mapping_active_above_area",
          "mapping_active_zero", "mapping_area_above_crossbar", "mapping_residual_above_crossbar",
-         "mapping_zero_crossbar", "mapping_shape_below_live", "truncated_checkpoint", "v1_checkpoint",
-         "checkpoint_appended_bytes", "manifest_without_layer1", "checkpoint_layer0_only"],
+         "mapping_zero_crossbar", "mapping_shape_below_live", "mapping_counts_beyond_int64", "truncated_checkpoint",
+         "v1_checkpoint", "checkpoint_appended_bytes", "manifest_without_layer1", "checkpoint_layer0_only",
+         "checkpoint_block_longer_than_file"],
 )
 def test_damaged_input_files_exit_2(tmp_path, pruned_run, capsys, damage, message):
     args = damage(pruned_run / "run", tmp_path)
     assert cli.main(args + ["--config", str(pruned_run / "config.json"), "--out", str(tmp_path / "out.json")]) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_report_with_evals_per_inference_exits_2(tmp_path, pruned_run, capsys):

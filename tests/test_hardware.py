@@ -1,6 +1,7 @@
 """Mapping and cost-model tests: tiling, energy decomposition, artifact documents."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,6 +84,29 @@ class TestMapToMcas:
         bits = np.ones((5, 3), dtype=np.uint8)
         counts = grid_tiles(bits, 4, 4)
         assert sorted(counts) == [3, 12]
+
+    @pytest.mark.parametrize("rows, cols", [(3, 5), (1, 13), (4, 4), (7, 13), (9, 20), (64, 64)],
+                             ids=["smaller", "one_row", "partial_edges", "equal", "larger", "much_larger"])
+    def test_grid_tiles_match_a_per_tile_count(self, rows, cols):
+        bits = (np.random.default_rng(rows * cols).random((7, 13)) < 0.3).astype(np.uint8)
+        bits[:3, :] = 0  # whole empty tiles, which do not count
+        expected = [
+            int(bits[r : r + rows, c : c + cols].sum())
+            for r in range(0, 7, rows)
+            for c in range(0, 13, cols)
+        ]
+        assert grid_tiles(bits, rows, cols) == [n for n in expected if n]
+
+    def test_grid_tiles_allocate_no_crossbar_larger_than_the_matrix(self):
+        bits = np.ones((8, 8), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            counts = grid_tiles(bits, 4096, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts == [64]
+        assert peak < 2**20
 
 
 class TestMcaEnergy:

@@ -135,7 +135,7 @@ def oracle_backward_step(model, batch, labels, lr):
             delta = (delta @ layer.weights.T) * (activations[depth] > 0)
         layer.weights -= lr * grad_w * (layer.weights != 0)
         layer.bias -= lr * grad_b
-    return model, loss
+    return loss
 
 
 def oracle_evaluate(model, x, y, batch):
@@ -191,8 +191,8 @@ class TestLeanStepOracle:
         neg_zero_before = sum(int(np.signbit(l.weights[l.weights == 0]).sum()) for l in model.layers)
         for step in range(150):
             idx = rng.choice(60, size=batch, replace=False)
-            _, loss = backward_step(model, x[idx], y[idx], lr=0.3)
-            _, oracle_loss = oracle_backward_step(oracle, x_oracle[idx], y[idx], lr=0.3)
+            loss = backward_step(model, x[idx], y[idx], lr=0.3)
+            oracle_loss = oracle_backward_step(oracle, x_oracle[idx], y[idx], lr=0.3)
             assert np.float64(loss).tobytes() == np.float64(oracle_loss).tobytes(), step
             assert model_bytes(model) == model_bytes(oracle), step
         # the sign of a zero weight did move, so byte equality covered it
@@ -422,37 +422,70 @@ class TestTraining:
 class TestMagnitudePrune:
     def test_zero_quality_prunes_nothing(self):
         model = init_model([5, 4], seed=0)
-        maps = magnitude_prune(model, 0.0)
-        assert maps[0].bits.all()
+        before = model.layers[0].weights.tobytes()
+        assert magnitude_prune(model, 0.0) == 0
+        assert model.layers[0].weights.tobytes() == before
 
     @pytest.mark.parametrize("quality, spread", [(0.0, True), (0.7, False)], ids=["quality_0", "zero_spread"])
-    def test_dead_synapses_are_never_kept(self, quality, spread):
-        # either way the threshold is 0, and |w| >= 0 holds on dead cells as well
+    def test_dead_synapses_are_never_revived(self, quality, spread):
+        # either way the threshold is 0, so no live weight lies below it and no dead cell changes
         model = init_model([4, 3], seed=0)
         w = model.layers[0].weights
         if not spread:
             w[:] = 0.5
         w[1, :] = 0.0
-        maps = magnitude_prune(model, quality)
-        assert np.array_equal(maps[0].bits, (w != 0).astype(np.uint8))
+        w[2, 0] = -0.0
+        before = w.tobytes()
+        assert magnitude_prune(model, quality) == 0
+        assert w.tobytes() == before
 
-    def test_threshold_marks_small_weights(self):
+    def test_threshold_zeroes_small_weights(self):
         model = init_model([2, 4], seed=0)
         model.layers[0].weights[:] = np.array([[1.0, -1.0, 0.01, -0.02], [1.0, -1.0, 0.03, 0.01]])
         live = model.layers[0].weights[model.layers[0].weights != 0]
         quality = 0.5 / live.std()  # forces threshold exactly 0.5
-        maps = magnitude_prune(model, quality)
-        expected = (np.abs(model.layers[0].weights) >= 0.5).astype(np.uint8)
-        assert np.array_equal(maps[0].bits, expected)
+        expected = np.where(np.abs(model.layers[0].weights) >= 0.5, model.layers[0].weights, 0.0)
+        assert magnitude_prune(model, quality) == 4
+        assert np.array_equal(model.layers[0].weights, expected)
 
     def test_gaussian_fraction_monte_carlo(self):
-        # quality 1.0 on a centered Gaussian layer marks ~P(|Z|<1) = 0.6827
+        # quality 1.0 on a centered Gaussian layer zeroes ~P(|Z|<1) = 0.6827
         rng = np.random.default_rng(42)
         model = init_model([100, 100], seed=0)
         model.layers[0].weights[:] = rng.normal(size=(100, 100))
-        maps = magnitude_prune(model, 1.0)
-        marked = 1.0 - maps[0].bits.mean()
-        assert abs(marked - 0.6827) < 0.02
+        zeroed = magnitude_prune(model, 1.0)
+        assert abs(zeroed / 10_000 - 0.6827) < 0.02
+        assert zeroed == int((model.layers[0].weights == 0).sum())
+
+    def test_protected_cells_survive_and_cut_negatives_keep_their_sign(self):
+        model = init_model([6, 5, 3], seed=1)
+        w0, w1 = (layer.weights for layer in model.layers)
+        w0[0, :] = [-0.001, 0.001, -0.002, 0.002, 0.9]  # the first four lie below any threshold here
+        w1[:] = 0.7
+        w1[0, 0] = -1e-4
+        protect = [np.zeros(w0.shape, dtype=bool), np.zeros(w1.shape, dtype=bool)]
+        protect[0][0, 0] = protect[0][0, 3] = True
+        before = [w0.copy(), w1.copy()]
+        live_before = model.n_live()
+        zeroed = magnitude_prune(model, 0.5, protect)
+        assert zeroed == live_before - model.n_live() > 2
+        # protected cells keep their exact value, below the threshold or not
+        assert w0[0, 0] == np.float32(-0.001) and w0[0, 3] == np.float32(0.002)
+        # cut negatives become -0.0, cut positives +0.0
+        assert w0[0, 2] == 0 and np.signbit(w0[0, 2])
+        assert w0[0, 1] == 0 and not np.signbit(w0[0, 1])
+        assert w1[0, 0] == 0 and np.signbit(w1[0, 0])
+        for w, b in zip((w0, w1), before):
+            # every cell either kept its bytes or was multiplied by zero
+            kept = w.view(np.uint32) == b.view(np.uint32)
+            assert np.array_equal(w[~kept], (b * 0)[~kept]) and (np.signbit(w) == np.signbit(b)).all()
+
+    def test_diverged_weights_are_not_counted(self):
+        # NaN is never below the threshold: nothing is zeroed and nothing is counted
+        model = init_model([4, 3], seed=0)
+        model.layers[0].weights[:] = np.nan
+        assert magnitude_prune(model, 0.7) == 0
+        assert np.isnan(model.layers[0].weights).all()
 
 
 class TestCheckpoint:

@@ -5,7 +5,8 @@ import pytest
 
 from xbarnet import transform
 from xbarnet.datasets import PlantedSpec, gen_planted
-from xbarnet.mlp import TrainConfig, init_model, train_epoch
+from xbarnet.connectivity import from_weights
+from xbarnet.mlp import TrainConfig, init_model, magnitude_prune, train_epoch
 from xbarnet.sizecluster import SizeClusterConfig, size_constrained_cluster
 from xbarnet.transform import (
     TransformConfig,
@@ -284,6 +285,23 @@ class TestRunLoop:
             live_counts.append(state.model.n_live())
         assert all(b <= a for a, b in zip(live_counts[:-1], live_counts[1:]))
 
+    def test_prune_count_is_the_drop_in_live_synapses(self):
+        data, _, _ = gen_planted(PlantedSpec(in_dim=16, hidden=16, block=4, n_train=400, n_test=100), seed=5)
+        cfg = TransformConfig(
+            scic=SizeClusterConfig(crossbar_rows=4, crossbar_cols=4, min_util_factor=0.3, max_rounds=5),
+            train=TrainConfig(learning_rate=0.1, batch_size=32),
+            unclustered_threshold=0.01,
+        )
+        state = TransformState.fresh([16, 16, 2], seed=5)
+        zeroed = []
+        for _ in range(4):
+            live_before = state.model.n_live()
+            record = transform_epoch(state, data.x_train, data.y_train, cfg)
+            if record["phase"] == "clustering":
+                zeroed.append(record["n_zeroed_unprotected"])
+                assert zeroed[-1] == live_before - state.model.n_live()
+        assert len(zeroed) > 1 and sum(zeroed) > 0
+
     def test_prune_only_control_is_subset(self):
         x, y = tiny_data(n=300)
         cfg = small_config(max_epochs=3)
@@ -403,6 +421,20 @@ class TestOfflineCluster:
         sets = offline_cluster(state.model, SizeClusterConfig(crossbar_rows=4, crossbar_cols=4), seed=0)
         assert all(cs.n_clusters == 0 for cs in sets)
         assert all(cs.residual.nnz == 0 for cs in sets)
+
+    def test_reads_the_model_and_clusters_each_layer_once(self):
+        model = init_model([16, 16, 4], seed=2)
+        magnitude_prune(model, 0.6)  # leaves -0.0 cells, whose sign bits must survive too
+        assert any(np.signbit(layer.weights[layer.weights == 0]).any() for layer in model.layers)
+        before = [(layer.weights.tobytes(), layer.bias.tobytes()) for layer in model.layers]
+        cfg = SizeClusterConfig(crossbar_rows=4, crossbar_cols=4, min_util_factor=0.3)
+        sets = offline_cluster(model, cfg, seed=2)
+        assert [(layer.weights.tobytes(), layer.bias.tobytes()) for layer in model.layers] == before
+        assert sum(cs.n_clusters for cs in sets) > 0
+        # one clustering pass per layer over its live synapses, seeded as the loop seeds epoch 0
+        for i, (layer, cs) in enumerate(zip(model.layers, sets)):
+            alone = size_constrained_cluster(from_weights(layer.weights), cfg, seed_for(2, STREAM_CLUSTER, 0, i))
+            assert np.array_equal(cs.owner, alone.owner)
 
     def test_planted_blocks_found_posthoc(self):
         state = TransformState.fresh([16, 16, 2], seed=1)
