@@ -6,7 +6,7 @@ onto memristive crossbar arrays, and scores area and energy against
 pruning-only and cluster-after-training baselines.
 """
 
-from .connectivity import ClusterSet, ConnectivityMatrix, from_weights
+from .connectivity import ClusterSet, ConnectivityMatrix
 from .hardware import (
     TechConfig,
     cmos_energy,

@@ -18,7 +18,6 @@ from pathlib import Path
 
 from .config import MODES, ConfigError, ExperimentConfig, load_config
 from .connectivity import ClusterFormatError, InputFormatError, cluster_sets_from_json, cluster_sets_to_json
-from .connectivity import from_weights
 from .experiment import compare, run_experiment, write_json
 from .hardware import energy_document, map_to_mcas, mapping_from_json
 from .mlp import load_checkpoint
@@ -57,7 +56,7 @@ def cmd_cluster(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(cluster_sets_to_json(sets))
     total = sum(s.n_clusters for s in sets)
-    residual = sum(s.residual.nnz for s in sets)
+    residual = model.n_live() - sum(int(s.cell_counts().sum()) for s in sets)
     print(f"wrote {out}: {total} clusters, {residual} residual synapses")
     return 0
 
@@ -65,14 +64,14 @@ def cmd_cluster(args) -> int:
 def cmd_map(args) -> int:
     cfg = _load(args)
     model, _ = load_checkpoint(args.checkpoint)
-    live = [from_weights(layer.weights) for layer in model.layers]
+    weights = [layer.weights for layer in model.layers]
     crossbar = (cfg.tech.crossbar_rows, cfg.tech.crossbar_cols)
     try:
         text = Path(args.clusters).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ClusterFormatError(f"{args.clusters}: not UTF-8 text ({exc})") from None
-    sets = cluster_sets_from_json(text, live, crossbar)
-    mapping = map_to_mcas(sets, cfg.tech)
+    sets = cluster_sets_from_json(text, weights, crossbar)
+    mapping = map_to_mcas(sets, weights, cfg.tech)
     out = _out_file(cfg, args, "mapping.json")
     write_json(out, mapping)
     print(f"wrote {out}: num_mca={mapping['num_mca']}")
@@ -153,6 +152,8 @@ def main(argv: list[str] | None = None) -> int:
         message = f"{exc.filename}: is a directory, not a file"
     except (NotADirectoryError, FileExistsError) as exc:
         message = f"{exc.filename}: a file stands where the path needs a directory"
+    except PermissionError as exc:
+        message = f"{exc.filename}: permission denied"
     print(message, file=sys.stderr)
     return 2
 

@@ -2,16 +2,16 @@
 
 A connectivity matrix is a dense (0,1) matrix recording which synapses exist
 between two neuron layers: entry (i, j) = 1 iff input neuron i feeds output
-neuron j. A layer's live synapses, the non-zero entries of its weights, form
-one (see :func:`from_weights`).
+neuron j; clustering takes one. A layer's synapses are the non-zero entries
+of its weights, read from the weights wherever they are needed.
 A cluster is a group of synapses that maps onto one crossbar. A ClusterSet
-records which cluster owns each synapse in one int32 owner matrix per layer,
+records which cluster owns each cell of a layer in one int32 owner matrix,
 and that matrix is the only record of the clusters: a cluster's footprint,
 the rows and columns its crossbar spans, is derived from the cells it owns.
 
 A run writes its clusters to ``clusters.json``, one record per cluster
 (:func:`cluster_sets_to_json`), and :func:`cluster_sets_from_json` rebuilds
-them against each layer's live synapses.
+them against each layer's weights.
 
 All types are immutable after construction; operations return new values.
 """
@@ -57,50 +57,36 @@ class ConnectivityMatrix:
     def __post_init__(self):
         object.__setattr__(self, "bits", _as_bits(self.bits))
 
-    @property
-    def nnz(self) -> int:
-        return int(self.bits.sum())
-
 
 @dataclass(frozen=True)
 class ClusterSet:
-    """Accepted clusters of one layer, held as who owns each synapse.
+    """Accepted clusters of one layer, held as who owns each cell.
 
-    ``owner`` is an int32 matrix shaped like ``source``: -1 marks a cell in no
-    cluster, ``k`` a cell that cluster ``k`` owns. The owner matrix is the
-    only record of the clusters: cluster ``k``'s footprint is the distinct
-    rows and cols of its owned cells (:meth:`footprints`). The residual is
-    every source synapse no cluster owns; ``owner=None`` means no cell is
-    owned. The constructor enforces the invariants: the clusters are
-    numbered 0..n_clusters-1 without gaps, and every owned cell is a synapse.
+    ``owner`` is a non-empty int32 matrix shaped like the layer's weights: -1
+    marks a cell in no cluster, ``k`` a cell that cluster ``k`` owns, and the
+    clusters are numbered 0..n_clusters-1 without gaps. It is the only record
+    of the clusters: cluster ``k``'s footprint is the distinct rows and cols
+    of its owned cells (:meth:`footprints`). Which cells are synapses is read
+    from the weights: :func:`~xbarnet.hardware.map_to_mcas` checks them.
     """
 
-    source: ConnectivityMatrix
-    owner: np.ndarray | None = None
+    owner: np.ndarray
 
     def __post_init__(self):
-        shape = self.source.bits.shape
-        owner = np.full(shape, -1) if self.owner is None else self.owner
-        owner = np.array(owner, dtype=np.int32)
-        if owner.shape != shape:
-            raise ShapeError(f"owner {owner.shape} does not match source {shape}")
+        owner = np.array(self.owner, dtype=np.int32)
+        if owner.ndim != 2 or owner.size == 0:
+            raise ShapeError(f"degenerate owner shape {owner.shape}; need a non-empty 2-d matrix")
         if owner.min() < -1:
             raise ValueError("owner entries must be -1 or a cluster index")
         empty = np.flatnonzero(np.bincount(owner[owner >= 0]) == 0)
         if len(empty):
             raise ValueError(f"cluster {empty[0]} owns no cell; cluster indices must have no gaps")
-        if not self.source.bits[owner >= 0].all():
-            raise ValueError("a covered cell is not a synapse")
         owner.flags.writeable = False
         object.__setattr__(self, "owner", owner)
 
     @property
     def n_clusters(self) -> int:
         return int(self.owner.max()) + 1
-
-    @property
-    def residual(self) -> ConnectivityMatrix:
-        return ConnectivityMatrix(self.source.bits & (self.owner < 0))
 
     def cell_counts(self) -> np.ndarray:
         """Number of cells each cluster owns."""
@@ -155,11 +141,6 @@ def owner_cells(owner: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return [np.unravel_index(group, owner.shape) for group in np.split(idx, bounds)]
 
 
-def from_weights(weights) -> ConnectivityMatrix:
-    """The synapses of a weight matrix: entry (i, j) = 1 iff w(i, j) != 0."""
-    return ConnectivityMatrix((np.asarray(weights) != 0).astype(np.uint8))
-
-
 _ITEM_SEP = ",\n   "  # between the items of a record's lists, as indent=1 lays them out
 
 
@@ -207,19 +188,17 @@ def cluster_sets_to_json(cluster_sets: list[ClusterSet]) -> str:
     return "[\n" + ",\n".join(records) + "\n]" if records else "[]"
 
 
-def cluster_sets_from_json(
-    text: str, sources: list[ConnectivityMatrix], crossbar: tuple[int, int]
-) -> list[ClusterSet]:
-    """Rebuild per-layer ClusterSets from JSON plus each layer's source connectivity.
+def cluster_sets_from_json(text: str, weights: list[np.ndarray], crossbar: tuple[int, int]) -> list[ClusterSet]:
+    """Rebuild per-layer ClusterSets from JSON against each layer's weights.
 
     The file is outside input. It must be a JSON list of record objects. Each
     record must name a layer, list its covered cells as [row, col] integer
     pairs, and name in ``rows`` and ``cols`` (lists of JSON integers, in any
     order) each row and column of those cells exactly once, a footprint that
     fits the ``(rows, cols)`` crossbar. Each layer's cells must pass
-    :func:`_placement_problem` and the ClusterSet constructor, and then every
-    footprint of the layer is checked at once (:func:`_unnamed_footprint`).
-    A violation raises :class:`ClusterFormatError`.
+    :func:`_placement_problem` and the ClusterSet constructor and be non-zero
+    weights; then every footprint of the layer is checked at once
+    (:func:`_unnamed_footprint`). A violation raises :class:`ClusterFormatError`.
 
     The cyclic garbage collector is paused while the text is parsed and its
     records are read, until the parsed document is freed. The parse builds
@@ -234,26 +213,28 @@ def cluster_sets_from_json(
     enabled = gc.isenabled()
     gc.disable()
     try:
-        named_rows, named_cols, cells = _read_records(text, sources, crossbar)
+        named_rows, named_cols, cells = _read_records(text, len(weights), crossbar)
     finally:
         if enabled:
             gc.enable()
     sets = []
-    for layer, (source, layer_cells) in enumerate(zip(sources, cells)):
+    for layer, (w, layer_cells) in enumerate(zip(weights, cells)):
         ii, jj = np.concatenate(layer_cells or [np.empty((0, 2), dtype=np.int64)]).T
         kk = np.repeat(np.arange(len(layer_cells)), [len(c) for c in layer_cells])
-        problem = _placement_problem(source.bits.shape, ii, jj, kk, len(layer_cells))
+        problem = _placement_problem(w.shape, ii, jj, kk, len(layer_cells))
         if problem:
             raise ClusterFormatError(f"layer {layer}: {problem}")
-        owner = np.full(source.bits.shape, -1, dtype=np.int32)
+        owner = np.full(w.shape, -1, dtype=np.int32)
         owner[ii, jj] = kk
         try:
-            cs = ClusterSet(source, owner)
+            cs = ClusterSet(owner)
         except ValueError as exc:
             raise ClusterFormatError(f"layer {layer}: {exc}") from None
+        if not (w[ii, jj] != 0).all():
+            raise ClusterFormatError(f"layer {layer}: a covered cell is not a synapse")
         bad = np.flatnonzero(
-            _unnamed_footprint(named_rows[layer], kk, ii, source.bits.shape[0])
-            | _unnamed_footprint(named_cols[layer], kk, jj, source.bits.shape[1])
+            _unnamed_footprint(named_rows[layer], kk, ii, w.shape[0])
+            | _unnamed_footprint(named_cols[layer], kk, jj, w.shape[1])
         )
         if len(bad):
             raise ClusterFormatError(
@@ -264,8 +245,8 @@ def cluster_sets_from_json(
     return sets
 
 
-def _read_records(text: str, sources: list[ConnectivityMatrix], crossbar: tuple[int, int]) -> tuple[list, list, list]:
-    """Per layer, the ``rows`` and ``cols`` each record names and its covered cells as an (n, 2) array.
+def _read_records(text: str, n_layers: int, crossbar: tuple[int, int]) -> tuple[list, list, list]:
+    """Per layer of ``n_layers``, the ``rows`` and ``cols`` each record names and its covered cells as an (n, 2) array.
 
     Raises :class:`ClusterFormatError` on text that is not JSON, a top level
     that is not a list, or a record that is not an object of the fields and
@@ -278,15 +259,15 @@ def _read_records(text: str, sources: list[ConnectivityMatrix], crossbar: tuple[
         raise ClusterFormatError(f"not JSON ({type(exc).__name__}: {exc})") from None
     if type(data) is not list:
         raise ClusterFormatError(f"the top level must be a JSON list of cluster records, got {data!r:.40}")
-    named_rows: list[list[list[int]]] = [[] for _ in sources]
-    named_cols: list[list[list[int]]] = [[] for _ in sources]
-    cells: list[list[np.ndarray]] = [[] for _ in sources]
+    named_rows: list[list[list[int]]] = [[] for _ in range(n_layers)]
+    named_cols: list[list[list[int]]] = [[] for _ in range(n_layers)]
+    cells: list[list[np.ndarray]] = [[] for _ in range(n_layers)]
     for n, rec in enumerate(data):
         try:
             if type(rec) is not dict:
                 raise TypeError(f"a record must be an object, got {rec!r:.40}")
             layer = rec["layer"]
-            if not (type(layer) is int and 0 <= layer < len(sources)):
+            if not (type(layer) is int and 0 <= layer < n_layers):
                 raise ValueError(f"unknown layer {layer!r}")
             rows, cols = _json_ints(rec["rows"], "rows"), _json_ints(rec["cols"], "cols")
             if len(rows) > crossbar[0] or len(cols) > crossbar[1]:

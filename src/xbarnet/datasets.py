@@ -15,6 +15,7 @@ full ingestion path is exercised even where the originals are unavailable.
 from __future__ import annotations
 
 import gzip
+import json
 import math
 import struct
 import zlib
@@ -188,6 +189,7 @@ class DigitsSpec(MnistSpec):
 # samples rendered per array pass of write_surrogate_digits; it bounds the float buffers, not the bytes
 _SURROGATE_CHUNK = 256
 _MAX_SHIFT = 2  # surrogate samples roll their prototype by -2..2 pixels along each axis
+SURROGATE_RECORD = "surrogate_digits.json"  # the inputs write_surrogate_digits wrote a directory from
 
 
 def write_surrogate_digits(directory, seed: int, n_train: int, n_test: int, side: int = 28) -> Path:
@@ -195,7 +197,8 @@ def write_surrogate_digits(directory, seed: int, n_train: int, n_test: int, side
 
     Samples are shifted, dropout-thinned, noisy renderings of per-class
     prototypes; pixel statistics roughly follow handwritten digits (dead
-    border, ~20% ink). Returns the directory.
+    border, ~20% ink). Writes the IDX files, then :data:`SURROGATE_RECORD`
+    of ``gen_seed`` (``seed``), ``n_train`` and ``n_test``. Returns the directory.
 
     The bytes are fixed by the order of the draws from the seed's data
     stream: the prototypes, then per split (train, then test) all labels,
@@ -245,7 +248,17 @@ def write_surrogate_digits(directory, seed: int, n_train: int, n_test: int, side
     _write_idx(directory / _IDX_NAMES["train_labels"][0], IDX_LABELS_MAGIC, train_y)
     _write_idx(directory / _IDX_NAMES["test_images"][0], IDX_IMAGES_MAGIC, test_x)
     _write_idx(directory / _IDX_NAMES["test_labels"][0], IDX_LABELS_MAGIC, test_y)
+    (directory / SURROGATE_RECORD).write_text(json.dumps({"gen_seed": seed, "n_train": n_train, "n_test": n_test}))
     return directory
+
+
+def surrogate_record(directory) -> dict | None:
+    """The inputs :func:`write_surrogate_digits` recorded in ``directory``; None without a readable record."""
+    try:
+        record = json.loads((Path(directory) / SURROGATE_RECORD).read_text(encoding="utf-8"))
+    except (OSError, RecursionError, ValueError):
+        return None
+    return record if type(record) is dict and record.keys() == {"gen_seed", "n_train", "n_test"} else None
 
 
 @dataclass(frozen=True)

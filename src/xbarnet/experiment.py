@@ -29,7 +29,8 @@ from pathlib import Path
 
 from .config import MODES, ConfigError, ExperimentConfig
 from .connectivity import cluster_sets_to_json
-from .datasets import Dataset, DigitsSpec, PlantedSpec, gen_planted, load_mnist, write_surrogate_digits
+from .datasets import Dataset, DigitsSpec, PlantedSpec, gen_planted, load_mnist, surrogate_record
+from .datasets import write_surrogate_digits
 from .hardware import energy_document, map_to_mcas
 from .mlp import evaluate, save_checkpoint
 from .transform import TransformState, final_cluster_sets, offline_cluster, run
@@ -46,6 +47,7 @@ _TRAINING_SWITCHES = {
     "offline_cluster": (True, False),
     "transform": (True, True),
 }
+_DIGITS = "{n_train} train and {n_test} test samples from gen_seed {gen_seed}"  # a surrogate_digits record, as text
 
 
 def build_dataset(cfg: ExperimentConfig) -> Dataset:
@@ -71,15 +73,15 @@ def _load_dataset(cfg: ExperimentConfig) -> Dataset:
     if kind == "surrogate_digits":
         spec = DigitsSpec(**{"gen_seed": cfg.seed, **fields})
         directory = Path(spec.dir)
+        wanted = {"gen_seed": spec.gen_seed, "n_train": spec.n_train, "n_test": spec.n_test}
         if not (directory / "train-images-idx3-ubyte").exists():
             write_surrogate_digits(directory, seed=spec.gen_seed, n_train=spec.n_train, n_test=spec.n_test)
-        data = load_mnist(directory)
-        if (len(data.x_train), len(data.x_test)) != (spec.n_train, spec.n_test):
+        elif (found := surrogate_record(directory)) != wanted:
+            held = "no readable record of what they hold" if found is None else _DIGITS.format(**found)
             raise ConfigError([
-                f"dataset.dir: {directory} holds {len(data.x_train)} train and {len(data.x_test)} test "
-                f"samples, the config asks for {spec.n_train} and {spec.n_test}"
+                f"dataset.dir: {directory} holds {held}, the config asks for {_DIGITS.format(**wanted)}"
             ])
-        return data
+        return load_mnist(directory)
     if kind == "planted":
         return gen_planted(PlantedSpec(**fields), cfg.seed)[0]
     raise ValueError(f"unknown dataset kind {kind!r}")
@@ -117,7 +119,7 @@ def _write_arm(cfg: ExperimentConfig, state: TransformState, data: Dataset, out_
     else:
         cluster_sets = final_cluster_sets(state)  # no clusters unless the loop made them
 
-    mapping = map_to_mcas(cluster_sets, cfg.tech)
+    mapping = map_to_mcas(cluster_sets, [layer.weights for layer in model.layers], cfg.tech)
     storage = "clustered" if cfg.mode in ("offline_cluster", "transform") else "dense"
     energy = energy_document(mapping, cfg.tech, storage)
 

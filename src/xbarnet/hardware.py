@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connectivity import ClusterSet, InputFormatError
+from .connectivity import ClusterSet, InputFormatError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -156,26 +156,31 @@ def grid_tiles(bits: np.ndarray, rows: int, cols: int) -> list[int]:
     return counts[counts > 0].tolist()
 
 
-def map_to_mcas(cluster_sets: list[ClusterSet], tech: TechConfig) -> dict:
+def map_to_mcas(cluster_sets: list[ClusterSet], weights: list[np.ndarray], tech: TechConfig) -> dict:
     """The ``mapping.json`` document: each cluster on one crossbar, the residual synapses grid-tiled.
 
-    Raises if a cluster's footprint exceeds the crossbar (a violated
-    clustering contract). Every live synapse lands in exactly one crossbar: its
-    cluster's, or the grid tile holding it.
+    A synapse is a non-zero weight, and it lands in exactly one crossbar: its
+    cluster's, or the grid tile of the residual, the synapses no cluster owns.
+    Raises ValueError on an owner matrix not shaped like its weights, an owned
+    cell that is not a synapse, or a cluster that exceeds the crossbar.
     """
     layers = []
-    for cs in cluster_sets:
+    for cs, w in zip(cluster_sets, weights, strict=True):
+        live, owned = w != 0, cs.owner >= 0
+        if live.shape != owned.shape:
+            raise ShapeError(f"owner {owned.shape} does not match weights {live.shape}")
+        if not live[owned].all():
+            raise ValueError("a covered cell is not a synapse")
+        live[owned] = False  # now the residual
         shapes = [(len(rows), len(cols)) for rows, cols in cs.footprints()]
         for rows, cols in shapes:
             if rows > tech.crossbar_rows or cols > tech.crossbar_cols:
-                raise ValueError(
-                    f"cluster {rows}x{cols} exceeds crossbar {tech.crossbar_rows}x{tech.crossbar_cols}"
-                )
+                raise ValueError(f"cluster {rows}x{cols} exceeds crossbar {tech.crossbar_rows}x{tech.crossbar_cols}")
         layers.append((
             cs.cell_counts().tolist(),
-            grid_tiles(cs.residual.bits, tech.crossbar_rows, tech.crossbar_cols),
+            grid_tiles(live, tech.crossbar_rows, tech.crossbar_cols),
             [rows * cols for rows, cols in shapes],
-            cs.source.bits.shape,
+            live.shape,
         ))
     return _mapping_document(layers, tech.crossbar_rows, tech.crossbar_cols)
 

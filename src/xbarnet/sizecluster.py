@@ -283,4 +283,4 @@ def size_constrained_cluster(
             if util_factor < cfg.min_util_factor:
                 break
 
-    return ClusterSet(c, owner)
+    return ClusterSet(owner)

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connectivity import ClusterSet, ConnectivityMatrix, from_weights, owner_cells
+from .connectivity import ClusterSet, ConnectivityMatrix, owner_cells
 from .mlp import MlpModel, TrainConfig, evaluate, init_model, magnitude_prune, train_epoch
 from .sizecluster import SizeClusterConfig, size_constrained_cluster
 from .util import STREAM_CLUSTER, seed_for
@@ -273,8 +273,5 @@ def offline_cluster(model: MlpModel, scic_cfg: SizeClusterConfig, seed: int) -> 
 
 
 def final_cluster_sets(state: TransformState) -> list[ClusterSet]:
-    """Per-layer ClusterSets of the current state; building them checks that every owned cell is live."""
-    return [
-        ClusterSet(from_weights(layer.weights), owner)
-        for layer, owner in zip(state.model.layers, state.owner)
-    ]
+    """Per-layer ClusterSets of copies of the owner matrices; ``map_to_mcas`` checks them against the weights."""
+    return [ClusterSet(owner) for owner in state.owner]

@@ -2,13 +2,14 @@
 
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from xbarnet import cli
 from xbarnet.datasets import write_surrogate_digits
-from xbarnet.mlp import load_checkpoint
+from xbarnet.mlp import load_checkpoint, save_checkpoint
 
 CONFIG = {
     "dataset": {"kind": "planted", "in_dim": 32, "hidden": 32, "n_classes": 2, "block": 8,
@@ -101,6 +102,17 @@ def clusters_float_cell(run, bad):
     return ["map", "--checkpoint", str(run / "checkpoint"), "--clusters", str(bad / "clusters.json")]
 
 
+def clusters_on_a_zeroed_weight(run, bad):
+    """A one-cell cluster on a synapse of layer 0, mapped against a checkpoint copy where that weight is zero."""
+    model, manifest = load_checkpoint(run / "checkpoint")
+    w = model.layers[0].weights
+    i, j = (int(v) for v in np.argwhere(w != 0)[0])
+    (bad / "clusters.json").write_text(json.dumps([{"layer": 0, "rows": [i], "cols": [j], "covered": [[i, j]]}]))
+    w[i, j] = 0.0
+    save_checkpoint(bad / "checkpoint", model, manifest["seed"], manifest["config"])
+    return ["map", "--checkpoint", str(bad / "checkpoint"), "--clusters", str(bad / "clusters.json")]
+
+
 def clusters_object(run, bad):
     """A top-level object instead of a list of records; it once read as "no clusters" and mapped everything."""
     (bad / "clusters.json").write_text("{}")
@@ -191,6 +203,7 @@ def v1_checkpoint(run, bad):
      (clusters_float_cell, "record 0: TypeError: covered must be a list of [row, col] integer pairs"),
      (clusters_not_utf8, "clusters.json: not UTF-8 text"),
      (clusters_object, "the top level must be a JSON list of cluster records, got {}"),
+     (clusters_on_a_zeroed_weight, "layer 0: a covered cell is not a synapse"),
      (damage_mapping, "KeyError: 'cluster_areas'"),
      (mapping_not_json, "JSONDecodeError"),
      (edited_mapping(cluster_active="x"), "cluster_active must be a list of non-negative integers below 2**63, got 'x'"),
@@ -212,7 +225,8 @@ def v1_checkpoint(run, bad):
       "bytes left after the last listed block"),
      (checkpoint_copy(layer0_only), "layer shapes [(32, 32)] do not chain into topology [32, 32, 2]"),
      (checkpoint_copy(huge_first_block), "truncated block layer0.weights: expected 9223372036854775813 bytes")],
-    ids=["oversized_cluster", "clusters_float_cell", "clusters_not_utf8", "clusters_object", "mapping_missing_key",
+    ids=["oversized_cluster", "clusters_float_cell", "clusters_not_utf8", "clusters_object",
+         "clusters_on_a_zeroed_weight", "mapping_missing_key",
          "mapping_not_json", "mapping_wrong_type", "mapping_not_utf8", "mapping_areas_count", "mapping_active_above_area",
          "mapping_active_zero", "mapping_area_above_crossbar", "mapping_residual_above_crossbar",
          "mapping_zero_crossbar", "mapping_shape_below_live", "mapping_counts_beyond_int64", "truncated_checkpoint",
@@ -265,6 +279,31 @@ def test_unusable_paths_exit_2(tmp_path, pruned_run, capsys, argv, message):
     assert message.format(**names) in capsys.readouterr().err
 
 
+def deny(monkeypatch, method, path):
+    """Make ``Path.<method>`` raise PermissionError on ``path``, as the OS does on a path the user may not use."""
+    real = getattr(Path, method)
+
+    def guarded(self, *args, **kwargs):
+        if self == path:
+            raise PermissionError(13, "Permission denied", str(self))
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, method, guarded)
+
+
+def test_unwritable_out_exits_2(tmp_path, config, capsys, monkeypatch):
+    deny(monkeypatch, "mkdir", tmp_path / "out")
+    assert cli.main(["train", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert f"{tmp_path / 'out'}: permission denied" in capsys.readouterr().err
+
+
+def test_unreadable_config_exits_2(tmp_path, config, capsys, monkeypatch):
+    deny(monkeypatch, "read_text", Path(config))
+    assert cli.main(["train", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert f"{config}: permission denied" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [(["train", "--config", "{deep}.json"], "{deep}.json: not valid JSON (maximum recursion depth exceeded"),
@@ -298,7 +337,7 @@ def test_mode_flag_is_only_on_train(config, capsys, argv):
 
 
 class TestClusterCommand:
-    def test_checkpoint(self, tmp_path, config):
+    def test_checkpoint(self, tmp_path, config, capsys):
         run = tmp_path / "run"
         assert cli.main(["train", "--config", config, "--mode", "prune", "--out", str(run)]) == 0
         out = tmp_path / "clusters.json"
@@ -308,6 +347,9 @@ class TestClusterCommand:
                          "--clusters", str(out), "--out", str(tmp_path / "mapping.json")]) == 0
         mapping = json.loads((tmp_path / "mapping.json").read_text())
         assert mapping["n_clusters"] == len(json.loads(out.read_text())) > 0
+        # the residual it reports is every live synapse that no cluster owns, as the mapping tiles them
+        residual = sum(sum(layer["residual_active"]) for layer in mapping["layers"])
+        assert f"{mapping['n_clusters']} clusters, {residual} residual synapses" in capsys.readouterr().out
 
     @pytest.mark.parametrize("inputs", [[]], ids=["neither"])
     def test_not_exactly_one_input_exits_2(self, tmp_path, config, capsys, inputs):

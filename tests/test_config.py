@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from xbarnet import cli
 from xbarnet.config import ConfigError, build_config
-from xbarnet.datasets import PlantedSpec, write_surrogate_digits
+from xbarnet.datasets import SURROGATE_RECORD, PlantedSpec, write_surrogate_digits
 from xbarnet.experiment import build_dataset
 from xbarnet.hardware import TechConfig
 from xbarnet.mlp import TrainConfig
@@ -202,6 +202,48 @@ class TestSurrogateDigitCounts:
         write_surrogate_digits(tmp_path / "digits", seed=0, n_train=30, n_test=10)
         dataset = {"kind": "surrogate_digits", "dir": str(tmp_path / "digits"), "n_train": 30, "n_test": 20}
         assert run_train(tmp_path, base_config(dataset=dataset, topology=[784, 4, 10])) == 2
+
+    def test_reused_directory_of_another_gen_seed_exits_2(self, tmp_path, capsys):
+        write_surrogate_digits(tmp_path / "digits", seed=0, n_train=30, n_test=10)
+        dataset = {"kind": "surrogate_digits", "dir": str(tmp_path / "digits"), "n_train": 30, "n_test": 10,
+                   "gen_seed": 1}
+        assert run_train(tmp_path, base_config(dataset=dataset, topology=[784, 4, 10])) == 2
+        assert ("holds 30 train and 10 test samples from gen_seed 0, the config asks for 30 train and 10 test "
+                "samples from gen_seed 1") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_run_seed_is_the_default_gen_seed_of_a_reused_directory(self, tmp_path):
+        write_surrogate_digits(tmp_path / "digits", seed=3, n_train=30, n_test=10)
+        dataset = {"kind": "surrogate_digits", "dir": str(tmp_path / "digits"), "n_train": 30, "n_test": 10}
+        for seed, problem in ((3, None), (4, "from gen_seed 3, the config asks for")):
+            cfg = build_config(base_config(dataset=dataset, topology=[784, 4, 10], seed=seed))
+            if problem is None:
+                assert len(build_dataset(cfg).x_train) == 30
+            else:
+                with pytest.raises(ConfigError, match=problem):
+                    build_dataset(cfg)
+
+    @pytest.mark.parametrize("record", [None, "{", '{"gen_seed": 0, "n_train": 30}', "[0, 30, 10]"],
+                             ids=["missing", "not_json", "missing_key", "not_an_object"])
+    def test_reused_directory_without_a_readable_record_rejected(self, tmp_path, record):
+        digits = write_surrogate_digits(tmp_path / "digits", seed=0, n_train=30, n_test=10)
+        if record is None:
+            (digits / SURROGATE_RECORD).unlink()
+        else:
+            (digits / SURROGATE_RECORD).write_text(record)
+        dataset = {"kind": "surrogate_digits", "dir": str(digits), "n_train": 30, "n_test": 10, "gen_seed": 0}
+        with pytest.raises(ConfigError, match="holds no readable record of what they hold, the config asks"):
+            build_dataset(build_config(base_config(dataset=dataset, topology=[784, 4, 10])))
+
+    def test_a_fresh_directory_records_what_wrote_it(self, tmp_path):
+        dataset = {"kind": "surrogate_digits", "dir": str(tmp_path / "digits"), "n_train": 30, "n_test": 10,
+                   "gen_seed": 2}
+        cfg = build_config(base_config(dataset=dataset, topology=[784, 4, 10]))
+        first = build_dataset(cfg)
+        assert json.loads((tmp_path / "digits" / SURROGATE_RECORD).read_text()) == {
+            "gen_seed": 2, "n_train": 30, "n_test": 10}
+        again = build_dataset(cfg)  # the reuse reads the same bytes
+        assert again.x_train.tobytes() == first.x_train.tobytes()
 
 
 FUZZ_BASES = [

@@ -16,37 +16,39 @@ from xbarnet.connectivity import (
     ShapeError,
     cluster_sets_from_json,
     cluster_sets_to_json,
-    from_weights,
 )
 from xbarnet.hardware import TechConfig, map_to_mcas, mapping_from_json
 from xbarnet.sizecluster import SizeClusterConfig, size_constrained_cluster
 
 
-class TestFromWeights:
+def unowned(shape):
+    """A cluster set of a ``shape`` layer that owns no cell."""
+    return ClusterSet(np.full(shape, -1))
+
+
+class TestSynapsesFromWeights:
     def test_threshold_definition(self):
-        w = [[0.5, 0.0], [-0.2, -0.0]]
-        c = from_weights(w)
-        assert c.bits.tolist() == [[1, 0], [1, 0]]
+        """A synapse is a non-zero weight: -0.0 is none."""
+        w = np.array([[0.5, 0.0], [-0.2, -0.0]])
+        mapping = map_to_mcas([unowned((2, 2))], [w], TechConfig(crossbar_rows=1, crossbar_cols=1))
+        assert mapping["layers"][0]["residual_active"] == [1, 1] and mapping["n_live"] == 2
 
-    def test_zero_matrix_identity_case(self):
-        c = from_weights(np.zeros((3, 4)))
-        assert c.nnz == 0
-
-    def test_empty_matrix_rejected(self):
-        with pytest.raises(ShapeError, match="degenerate"):
-            from_weights(np.zeros((0, 3)))
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_binarization_idempotent(self, seed):
-        rng = np.random.default_rng(seed)
-        w = rng.normal(size=(6, 6)) * (rng.random((6, 6)) < 0.7)
-        c = from_weights(w)
-        again = from_weights(w * c.bits)
-        assert np.array_equal(again.bits, c.bits)
+    def test_reader_names_the_layer_of_a_covered_dead_cell(self):
+        weights = [np.ones((4, 4)), np.ones((3, 5))]
+        weights[1][2, 4] = -0.0
+        records = [{"layer": 0, "rows": [0], "cols": [0], "covered": [[0, 0]]},
+                   {"layer": 1, "rows": [1, 2], "cols": [4], "covered": [[1, 4], [2, 4]]}]
+        with pytest.raises(ClusterFormatError, match="^layer 1: a covered cell is not a synapse$"):
+            cluster_sets_from_json(json.dumps(records), weights, (2, 2))
+        weights[1][2, 4] = 1.0
+        assert [cs.n_clusters for cs in cluster_sets_from_json(json.dumps(records), weights, (2, 2))] == [1, 1]
 
 
 class TestBits:
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ShapeError, match="degenerate"):
+            ConnectivityMatrix(np.zeros((0, 3)))
+
     @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan], ids=["two", "minus_one", "half", "nan"])
     def test_entries_other_than_0_or_1_rejected(self, bad):
         values = np.zeros((3, 4))
@@ -69,15 +71,16 @@ class TestClusterTypes:
         owner = np.full((4, 4), -1)
         owner[:2, :2] = 1  # cluster 0 owns no cell
         with pytest.raises(ValueError, match="cluster 0 owns no cell"):
-            ClusterSet(ConnectivityMatrix(np.ones((4, 4), dtype=np.uint8)), owner)
+            ClusterSet(owner)
 
     def test_owned_cell_not_a_synapse_rejected(self):
         bits = np.ones((4, 4), dtype=np.uint8)
         bits[1, 1] = 0
         owner = np.full((4, 4), -1)
         owner[:2, :2] = 0
+        cs = ClusterSet(owner)  # the owners alone are consistent; the weights decide what is a synapse
         with pytest.raises(ValueError, match="a covered cell is not a synapse"):
-            ClusterSet(ConnectivityMatrix(bits), owner)
+            map_to_mcas([cs], [bits], TechConfig(crossbar_rows=2, crossbar_cols=2))
 
     def test_consistent_set_accepted(self):
         bits = np.zeros((4, 4), dtype=np.uint8)
@@ -85,15 +88,16 @@ class TestClusterTypes:
         bits[3, 3] = 1
         owner = np.full((4, 4), -1)
         owner[:2, :2] = 0
-        cs = ClusterSet(ConnectivityMatrix(bits), owner)
+        cs = ClusterSet(owner)
         assert cs.n_clusters == 1
-        assert cs.residual.nnz == 1 and cs.residual.bits[3, 3] == 1
+        layer = map_to_mcas([cs], [bits], TechConfig(crossbar_rows=2, crossbar_cols=2))["layers"][0]
+        assert layer["cluster_active"] == [4] and layer["residual_active"] == [1]  # (3, 3), in the last tile
 
     def test_cells_match_nonzero_of_owner(self):
         rng = np.random.default_rng(4)
         owner = rng.integers(-1, 3, size=(5, 7))
         owner[0, 0], owner[0, 1], owner[0, 2] = 0, 1, 2
-        cs = ClusterSet(ConnectivityMatrix(np.ones((5, 7), dtype=np.uint8)), owner)
+        cs = ClusterSet(owner)
         for k, (ii, jj) in enumerate(cs.cells()):
             ok_i, ok_j = np.nonzero(owner == k)
             assert np.array_equal(ii, ok_i) and np.array_equal(jj, ok_j)
@@ -104,7 +108,7 @@ class TestClusterTypes:
         rng = np.random.default_rng(seed)
         owner = rng.integers(-1, 6, size=(9, 13))
         owner[0, :6] = np.arange(6)
-        cs = ClusterSet(ConnectivityMatrix(np.ones((9, 13), dtype=np.uint8)), owner)
+        cs = ClusterSet(owner)
         footprints = cs.footprints()
         assert len(footprints) == cs.n_clusters == 6
         for k, (rows, cols) in enumerate(footprints):
@@ -113,30 +117,46 @@ class TestClusterTypes:
             assert cols.tolist() == sorted(set(jj.tolist()))
 
     def test_no_owned_cell_means_no_clusters(self):
-        cs = ClusterSet(ConnectivityMatrix(np.ones((3, 2), dtype=np.uint8)))
+        cs = unowned((3, 2))
         assert cs.n_clusters == 0
         assert cs.footprints() == [] and cs.cells() == []
 
-    def test_owner_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="owner entries"):
-            ClusterSet(ConnectivityMatrix(np.ones((2, 2), dtype=np.uint8)), np.full((2, 2), -2))
+    @pytest.mark.parametrize("owner", [np.full((2, 2), -2), [[0, -1], [-5, 1]]], ids=["all_minus_two", "one_entry"])
+    def test_owner_out_of_range_rejected(self, owner):
+        with pytest.raises(ValueError, match="owner entries must be -1 or a cluster index"):
+            ClusterSet(owner)
+
+    @pytest.mark.parametrize(
+        "owner", [np.zeros((0, 3)), np.zeros((3, 0)), np.zeros(4), np.zeros((2, 2, 2)), 0],
+        ids=["no_rows", "no_cols", "one_d", "three_d", "scalar"],
+    )
+    def test_degenerate_owner_rejected(self, owner):
+        with pytest.raises(ShapeError, match="degenerate owner shape"):
+            ClusterSet(owner)
+
+    def test_owner_is_a_read_only_int32_copy(self):
+        owner = np.zeros((2, 3), dtype=np.int64)
+        cs = ClusterSet(owner)
+        owner[0, 0] = -1
+        assert cs.owner.dtype == np.int32 and (cs.owner == 0).all()
+        with pytest.raises(ValueError, match="read-only"):
+            cs.owner[0, 0] = 1
 
     def test_json_round_trip(self):
         bits = np.zeros((4, 4), dtype=np.uint8)
         bits[0, 0] = bits[1, 1] = bits[3, 3] = 1
         owner = np.full((4, 4), -1)
         owner[0, 0] = owner[1, 1] = 0
-        cs = ClusterSet(ConnectivityMatrix(bits), owner)
+        cs = ClusterSet(owner)
         text = cluster_sets_to_json([cs])
         record = json.loads(text)[0]
         assert (record["rows"], record["cols"], record["covered"]) == ([0, 1], [0, 1], [[0, 0], [1, 1]])
-        back = cluster_sets_from_json(text, [cs.source], (2, 2))[0]
+        back = cluster_sets_from_json(text, [bits], (2, 2))[0]
         assert np.array_equal(back.owner, cs.owner)
-        assert np.array_equal(back.residual.bits, cs.residual.bits)
 
     def test_json_rows_and_cols_in_any_order(self):
         record = {"layer": 0, "rows": [2, 0], "cols": [2, 0], "covered": [[2, 2], [0, 0]]}
-        cs = cluster_sets_from_json(json.dumps([record]), [ConnectivityMatrix(np.eye(4, dtype=np.uint8))], (2, 2))[0]
+        cs = cluster_sets_from_json(json.dumps([record]), [np.eye(4)], (2, 2))[0]
         assert [(r.tolist(), c.tolist()) for r, c in cs.footprints()] == [([0, 2], [0, 2])]
 
     @pytest.mark.parametrize(
@@ -180,7 +200,7 @@ class TestClusterTypes:
         first = {"layer": 0, "rows": [1], "cols": [1], "covered": [[1, 1]]}
         text = json.dumps([first, {"layer": 0, **record}])
         with pytest.raises(ClusterFormatError, match=message):
-            cluster_sets_from_json(text, [ConnectivityMatrix(np.eye(4, dtype=np.uint8))], (2, 2))
+            cluster_sets_from_json(text, [np.eye(4)], (2, 2))
 
     @pytest.mark.parametrize(
         "text, message",
@@ -204,12 +224,12 @@ class TestClusterTypes:
         """Only a JSON list of objects reads as records: any other top level, record or unparseable text is
         rejected, and a parse failure names no record."""
         with pytest.raises(ClusterFormatError) as info:
-            cluster_sets_from_json(text, [ConnectivityMatrix(np.eye(4, dtype=np.uint8))], (2, 2))
+            cluster_sets_from_json(text, [np.eye(4)], (2, 2))
         assert str(info.value).startswith(message)
         assert message.startswith("record") or "record 0" not in str(info.value)
 
     def test_json_empty_list_means_no_clusters(self):
-        cs = cluster_sets_from_json("[]", [ConnectivityMatrix(np.eye(4, dtype=np.uint8))], (2, 2))[0]
+        cs = cluster_sets_from_json("[]", [np.eye(4)], (2, 2))[0]
         assert cs.n_clusters == 0
 
 
@@ -232,7 +252,7 @@ def test_json_reload_leaves_the_gc_as_the_caller_had_it(monkeypatch, text, enabl
     (gc.enable if enabled else gc.disable)()
     try:
         try:
-            cluster_sets_from_json(text, [ConnectivityMatrix(np.eye(4, dtype=np.uint8))], (2, 2))
+            cluster_sets_from_json(text, [np.eye(4)], (2, 2))
         except ClusterFormatError:
             assert text != TEXT_OK
         after = gc.isenabled()
@@ -285,6 +305,7 @@ def test_footprint_check_matches_the_per_record_rule(seed):
     rng = np.random.default_rng(seed)
     shapes = [tuple(int(v) for v in rng.integers(4, 30, size=2)) for _ in range(2)]
     sources = [ConnectivityMatrix((rng.random(shape) < rng.uniform(0.2, 0.9)).astype(np.uint8)) for shape in shapes]
+    weights = [c.bits for c in sources]
     cfg = SizeClusterConfig(crossbar_rows=int(rng.choice([2, 4, 8])), crossbar_cols=int(rng.choice([2, 4, 8])),
                             min_util_factor=0.2, max_rounds=6)
     sets = [size_constrained_cluster(c, cfg, seed=seed) for c in sources]
@@ -297,12 +318,12 @@ def test_footprint_check_matches_the_per_record_rule(seed):
     expected = reference_footprint_error(text, sets)
     crossbar = (cfg.crossbar_rows + 2, cfg.crossbar_cols + 2)  # room for an added line: only footprints decide
     if expected is None:
-        back = cluster_sets_from_json(text, sources, crossbar)
+        back = cluster_sets_from_json(text, weights, crossbar)
         assert all(np.array_equal(a.owner, cs.owner) for a, cs in zip(back, sets))
     else:
         layer, k = expected
         with pytest.raises(ClusterFormatError, match=f"^layer {layer}: cluster {k}: rows and cols must name each"):
-            cluster_sets_from_json(text, sources, crossbar)
+            cluster_sets_from_json(text, weights, crossbar)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -319,14 +340,15 @@ def test_clustering_round_trips_through_json_and_mapping(seed):
     tech = TechConfig(crossbar_rows=cfg.crossbar_rows, crossbar_cols=cfg.crossbar_cols)
     sets = [size_constrained_cluster(c, cfg, seed=seed) for c in sources]
     text = cluster_sets_to_json(sets)
-    back = cluster_sets_from_json(text, sources, (cfg.crossbar_rows, cfg.crossbar_cols))
+    weights = [c.bits for c in sources]
+    back = cluster_sets_from_json(text, weights, (cfg.crossbar_rows, cfg.crossbar_cols))
     for cs, again in zip(sets, back):
         assert np.array_equal(again.owner, cs.owner)
         for k, (rows, cols) in enumerate(again.footprints()):
             owned = again.owner == k
             assert owned[rows].any(axis=1).all() and owned[:, cols].any(axis=0).all()
-    mapping = map_to_mcas(back, tech)
-    assert mapping == map_to_mcas(sets, tech)
+    mapping = map_to_mcas(back, weights, tech)
+    assert mapping == map_to_mcas(sets, weights, tech)
     assert mapping_from_json(json.dumps(mapping)) == mapping
     assert cluster_sets_to_json(back) == text
 
@@ -358,7 +380,7 @@ def test_cluster_json_matches_json_dumps_byte_for_byte(seed, crossbar):
                                   .astype(np.uint8)) for _ in range(4)]
     sources[2] = ConnectivityMatrix(np.ones((5, 7), dtype=np.uint8))
     sets = [size_constrained_cluster(c, cfg, seed=seed) for c in sources]
-    sets[2] = ClusterSet(sources[2])
+    sets[2] = unowned((5, 7))
     assert sum(cs.n_clusters for cs in sets) > 0
     text = cluster_sets_to_json(sets)
     assert text == reference_cluster_json(sets)
@@ -376,18 +398,18 @@ def test_cluster_json_beyond_three_digit_indices():
     for k, rows in enumerate([np.arange(8), *row_chunks]):
         cols = rng.choice(37, 8, replace=False)
         owner[np.ix_(rows, cols)] = np.where(bits[np.ix_(rows, cols)] == 1, k, -1)
-    sources = [ConnectivityMatrix(np.ones((3, 4), dtype=np.uint8)), ConnectivityMatrix(bits)]
-    sets = [ClusterSet(sources[0]), ClusterSet(sources[1], owner)]
+    weights = [np.ones((3, 4)), bits]
+    sets = [unowned((3, 4)), ClusterSet(owner)]
     assert sets[1].n_clusters == 7 and max(r.max() for r, _ in sets[1].footprints()) >= 1000
     text = cluster_sets_to_json(sets)
     assert text == reference_cluster_json(sets)
-    back = cluster_sets_from_json(text, sources, (8, 8))
+    back = cluster_sets_from_json(text, weights, (8, 8))
     assert back[0].n_clusters == 0
     assert np.array_equal(back[1].owner, owner)
     assert cluster_sets_to_json(back) == text
 
 
 def test_cluster_json_without_clusters_is_an_empty_list():
-    sets = [ClusterSet(ConnectivityMatrix(np.ones((3, 4), dtype=np.uint8))) for _ in range(2)]
+    sets = [unowned((3, 4)) for _ in range(2)]
     assert cluster_sets_to_json(sets) == reference_cluster_json(sets) == "[]"
     assert cluster_sets_to_json([]) == "[]"

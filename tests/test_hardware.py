@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from xbarnet.connectivity import ClusterSet, ConnectivityMatrix
+from xbarnet.connectivity import ClusterSet, ShapeError
 from xbarnet.hardware import (
     CMOS_BITS_PER_WEIGHT,
     CMOS_LEAK_PER_BIT_J,
@@ -23,22 +23,32 @@ from xbarnet.hardware import (
 
 
 def full_cluster_set(shape, blocks, residual_bits=None):
-    """Helper: clusters over all-ones blocks plus an explicit residual."""
-    source = residual_bits.copy() if residual_bits is not None else np.zeros(shape, dtype=np.uint8)
+    """Helper: clusters over all-ones blocks plus an explicit residual; (cluster set, weights)."""
+    weights = residual_bits.astype(float) if residual_bits is not None else np.zeros(shape)
     owner = np.full(shape, -1)
     for k, (rows, cols) in enumerate(blocks):
-        source[np.ix_(rows, cols)] = 1
+        weights[np.ix_(rows, cols)] = 1.0
         owner[np.ix_(rows, cols)] = k
-    return ClusterSet(ConnectivityMatrix(source), owner)
+    return ClusterSet(owner), weights
+
+
+def no_clusters(weights):
+    """Helper: a cluster set shaped like ``weights`` that owns no cell."""
+    return ClusterSet(np.full(np.shape(weights), -1))
+
+
+def map_unclustered(weights, tech):
+    """Helper: the mapping of one layer of ``weights`` without clusters."""
+    return map_to_mcas([no_clusters(weights)], [weights], tech)
 
 
 class TestMapToMcas:
     def test_two_full_clusters(self):
         tech = TechConfig(crossbar_rows=4, crossbar_cols=4)
-        cs = full_cluster_set(
+        cs, w = full_cluster_set(
             (8, 8), [(range(4), range(4)), (range(4, 8), range(4, 8))]
         )
-        mapping = map_to_mcas([cs], tech)
+        mapping = map_to_mcas([cs], [w], tech)
         assert mapping["num_mca"] == 2
         layer = mapping["layers"][0]
         assert layer["histogram"][9] == 2
@@ -47,8 +57,7 @@ class TestMapToMcas:
 
     def test_grid_tiling_of_dense_residual(self):
         tech = TechConfig(crossbar_rows=4, crossbar_cols=4)
-        cs = ClusterSet(ConnectivityMatrix(np.ones((8, 8), dtype=np.uint8)))
-        layer = map_to_mcas([cs], tech)["layers"][0]
+        layer = map_unclustered(np.ones((8, 8)), tech)["layers"][0]
         assert layer["residual_mca_count"] == 4
         assert layer["cluster_utils"] == []
         assert layer["residual_utils"] == [1.0] * 4
@@ -58,15 +67,26 @@ class TestMapToMcas:
         rng = np.random.default_rng(0)
         bits = (rng.random((32, 32)) < 0.3).astype(np.uint8)
         tech = TechConfig(crossbar_rows=8, crossbar_cols=8)
-        layer = map_to_mcas([ClusterSet(ConnectivityMatrix(bits))], tech)["layers"][0]
+        layer = map_unclustered(bits, tech)["layers"][0]
         assert layer["residual_mca_count"] == 16
         assert abs(np.mean(layer["residual_utils"]) - 0.3) < 0.05
 
     def test_oversized_cluster_rejected(self):
         tech = TechConfig(crossbar_rows=2, crossbar_cols=2)
-        cs = full_cluster_set((4, 4), [(range(4), range(4))])
+        cs, w = full_cluster_set((4, 4), [(range(4), range(4))])
         with pytest.raises(ValueError, match="exceeds crossbar"):
-            map_to_mcas([cs], tech)
+            map_to_mcas([cs], [w], tech)
+
+    @pytest.mark.parametrize("shape", [(8, 7), (7, 8), (64, 1)], ids=["fewer_cols", "fewer_rows", "same_size"])
+    def test_owner_shaped_unlike_the_weights_rejected(self, shape):
+        cs, _ = full_cluster_set((8, 8), [(range(4), range(4))])
+        with pytest.raises(ShapeError, match=rf"owner \(8, 8\) does not match weights \({shape[0]}, {shape[1]}\)"):
+            map_to_mcas([cs], [np.ones(shape)], TechConfig(crossbar_rows=4, crossbar_cols=4))
+
+    def test_a_layer_without_weights_rejected(self):
+        cs, w = full_cluster_set((8, 8), [(range(4), range(4))])
+        with pytest.raises(ValueError, match="zip"):
+            map_to_mcas([cs, cs], [w], TechConfig(crossbar_rows=4, crossbar_cols=4))
 
     def test_every_live_synapse_counted_once(self):
         rng = np.random.default_rng(3)
@@ -74,9 +94,8 @@ class TestMapToMcas:
         bits[:4, :4] = 1
         owner = np.full(bits.shape, -1)
         owner[:4, :4] = 0
-        cs = ClusterSet(ConnectivityMatrix(bits), owner)
         tech = TechConfig(crossbar_rows=4, crossbar_cols=4)
-        layer = map_to_mcas([cs], tech)["layers"][0]
+        layer = map_to_mcas([ClusterSet(owner)], [bits * 0.5], tech)["layers"][0]
         mapped = sum(layer["cluster_active"]) + sum(layer["residual_active"])
         assert mapped == int(bits.sum())
 
@@ -112,9 +131,7 @@ class TestMapToMcas:
 class TestMcaEnergy:
     def test_zero_mcas(self):
         tech = TechConfig()
-        mapping = map_to_mcas(
-            [ClusterSet(ConnectivityMatrix(np.zeros((4, 4), dtype=np.uint8)))], tech
-        )
+        mapping = map_unclustered(np.zeros((4, 4)), tech)
         energy = mca_energy(mapping, tech)
         assert energy["total_j"] == 0.0
 
@@ -132,7 +149,7 @@ class TestMcaEnergy:
         bits = np.zeros((8, 8), dtype=np.uint8)
         bits[:4, :4] = ten.reshape(4, 4)
         bits[4:8, 4:8] = ten.reshape(4, 4)
-        mapping = map_to_mcas([ClusterSet(ConnectivityMatrix(bits))], tech)
+        mapping = map_unclustered(bits, tech)
         assert mapping["num_mca"] == 2
         assert mapping["layers"][0]["residual_active"] == [10, 10]
         energy = mca_energy(mapping, tech)
@@ -145,10 +162,7 @@ class TestMcaEnergy:
         tech = TechConfig(crossbar_rows=4, crossbar_cols=4)
         bits_small = (rng.random((8, 8)) < 0.6).astype(np.uint8)
         bits_big = (rng.random((16, 16)) < 0.6).astype(np.uint8)
-        mappings = [
-            map_to_mcas([ClusterSet(ConnectivityMatrix(b))], tech)
-            for b in (bits_small, bits_big)
-        ]
+        mappings = [map_unclustered(b, tech) for b in (bits_small, bits_big)]
         energies = [mca_energy(m, tech) for m in mappings]
         for e in energies:
             assert e["mca_component_j"] + e["peripheral_component_j"] == e["total_j"]
@@ -159,10 +173,9 @@ class TestMcaEnergy:
         # each layer is evaluated once per inference, so a network's energy is the sum over its layers
         rng = np.random.default_rng(2)
         tech = TechConfig(crossbar_rows=4, crossbar_cols=4)
-        layers = [ClusterSet(ConnectivityMatrix((rng.random(shape) < 0.5).astype(np.uint8)))
-                  for shape in [(8, 12), (12, 4)]]
-        whole = mca_energy(map_to_mcas(layers, tech), tech)
-        parts = [mca_energy(map_to_mcas([layer], tech), tech) for layer in layers]
+        weights = [(rng.random(shape) < 0.5).astype(np.uint8) for shape in [(8, 12), (12, 4)]]
+        whole = mca_energy(map_to_mcas([no_clusters(w) for w in weights], weights, tech), tech)
+        parts = [mca_energy(map_unclustered(w, tech), tech) for w in weights]
         for key in ("mca_component_j", "peripheral_component_j", "total_j"):
             assert whole[key] == pytest.approx(parts[0][key] + parts[1][key])
 
@@ -194,8 +207,8 @@ class TestDocuments:
     def mixed_mapping(self):
         residual = np.zeros((8, 8), dtype=np.uint8)
         residual[6, 1] = residual[7, 7] = 1
-        cs = full_cluster_set((8, 8), [(range(3), range(4))], residual)
-        return map_to_mcas([cs], TechConfig(crossbar_rows=4, crossbar_cols=4))
+        cs, w = full_cluster_set((8, 8), [(range(3), range(4))], residual)
+        return map_to_mcas([cs], [w], TechConfig(crossbar_rows=4, crossbar_cols=4))
 
     def test_mapping_document_round_trip(self):
         doc = self.mixed_mapping()
@@ -262,5 +275,5 @@ class TestDocuments:
         assert base["total_j"] == base["compute_j"] + base["memory_access_j"] + base["leakage_j"] + base["sync_j"]
 
     def test_auto_storage_without_clusters_is_dense(self):
-        mapping = map_to_mcas([ClusterSet(ConnectivityMatrix(np.ones((4, 4), dtype=np.uint8)))], TechConfig())
+        mapping = map_unclustered(np.ones((4, 4)), TechConfig())
         assert energy_document(mapping, TechConfig())["storage_model"] == "dense"

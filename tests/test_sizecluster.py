@@ -20,10 +20,16 @@ def block_diagonal(blocks, block_shape):
     return ConnectivityMatrix(bits)
 
 
+def unowned(cs, c):
+    """Synapses of ``c`` that no cluster of ``cs`` owns."""
+    return int((c.bits[cs.owner < 0]).sum())
+
+
 def check_contract(cs, original, cfg):
     """Threshold soundness, crossbar fit, and exact disjointness/coverage."""
-    assert np.array_equal(cs.source.bits, original.bits)
-    ClusterSet(original, cs.owner)  # every owned cell is a synapse, indices have no gaps
+    assert cs.owner.shape == original.bits.shape
+    assert original.bits[cs.owner >= 0].all()  # every owned cell is a synapse
+    ClusterSet(cs.owner)  # indices have no gaps
     for (rows, cols), n_cells in zip(cs.footprints(), cs.cell_counts()):
         assert len(rows) <= cfg.crossbar_rows and len(cols) <= cfg.crossbar_cols
         util = n_cells / cfg.crossbar_area
@@ -147,7 +153,7 @@ class TestSizeConstrainedCluster:
         cs = size_constrained_cluster(c, cfg, seed=0)
         assert cs.n_clusters == 2
         assert cs.cell_counts().tolist() == [16, 16]
-        assert cs.residual.nnz == 0
+        assert unowned(cs, c) == 0
         check_contract(cs, c, cfg)
         groups = {(tuple(rows.tolist()), tuple(cols.tolist())) for rows, cols in cs.footprints()}
         assert groups == {
@@ -162,7 +168,7 @@ class TestSizeConstrainedCluster:
         cfg = SizeClusterConfig()
         trace: list = []
         cs = size_constrained_cluster(c, cfg, seed=seed, trace=trace)
-        assert cs.residual.nnz == 0
+        assert unowned(cs, c) == 0
         assert cs.cell_counts().tolist() == [cfg.crossbar_area] * 64
         assert len(trace) == 1
         check_contract(cs, c, cfg)
@@ -171,7 +177,7 @@ class TestSizeConstrainedCluster:
         c = ConnectivityMatrix(np.zeros((6, 6), dtype=np.uint8))
         cs = size_constrained_cluster(c, SizeClusterConfig(), seed=0)
         assert cs.n_clusters == 0
-        assert cs.residual.nnz == 0
+        assert (cs.owner == -1).all() and cs.owner.shape == (6, 6)
 
     def test_no_round_when_no_crossbar_can_be_filled(self):
         # an output layer of 2 neurons fills at most 16x2 = 32 of 256 cells, below min_util_factor 0.4
@@ -190,7 +196,7 @@ class TestSizeConstrainedCluster:
         )
         cs = size_constrained_cluster(c, cfg, seed=0)
         check_contract(cs, c, cfg)
-        assert cs.residual.nnz > c.nnz / 2
+        assert unowned(cs, c) > c.bits.sum() / 2
 
     def test_residual_monotone_per_round(self):
         rng = np.random.default_rng(5)
@@ -212,7 +218,6 @@ class TestSizeConstrainedCluster:
         cfg = SizeClusterConfig(crossbar_rows=4, crossbar_cols=4, min_util_factor=0.3)
         a = size_constrained_cluster(c, cfg, seed=9)
         b = size_constrained_cluster(c, cfg, seed=9)
-        assert np.array_equal(a.residual.bits, b.residual.bits)
         assert np.array_equal(a.owner, b.owner)
 
     def test_random_configs_contract(self):

@@ -5,7 +5,8 @@ import pytest
 
 from xbarnet import transform
 from xbarnet.datasets import PlantedSpec, gen_planted
-from xbarnet.connectivity import from_weights
+from xbarnet.connectivity import ConnectivityMatrix
+from xbarnet.hardware import TechConfig, map_to_mcas
 from xbarnet.mlp import TrainConfig, init_model, magnitude_prune, train_epoch
 from xbarnet.sizecluster import SizeClusterConfig, size_constrained_cluster
 from xbarnet.transform import (
@@ -39,6 +40,15 @@ def tiny_data(seed=0, n=200, dim=6, classes=3):
     return x, y
 
 
+def mapped(state, sets=None):
+    """The mapping of ``sets`` (by default the state's own) on the state's weights, on a crossbar that fits any
+    layer; ``map_to_mcas`` checks that every owned cell is a synapse."""
+    weights = [layer.weights for layer in state.model.layers]
+    side = max(max(w.shape) for w in weights)
+    sets = final_cluster_sets(state) if sets is None else sets
+    return map_to_mcas(sets, weights, TechConfig(crossbar_rows=side, crossbar_cols=side))
+
+
 def add_cluster(state, layer_id, rows, cols):
     """Give a new cluster the currently-live synapses of the block; returns its index."""
     block = np.ix_(rows, cols)
@@ -68,7 +78,7 @@ class TestBranchLogic:
         assert record["phase"] == "cluster_pruning"
         assert record["n_clusters_pruned"] == 1
         assert state.n_clusters() == n_before - 1
-        final_cluster_sets(state)
+        mapped(state)
 
     def test_worse_error_freezes_maps(self):
         x, y = tiny_data()
@@ -107,7 +117,7 @@ class TestBranchLogic:
             if record["phase"] == "cluster_pruning":
                 break
             assert record["n_clusters_pruned"] == 0
-        final_cluster_sets(state)
+        mapped(state)
 
 
 class TestSeed:
@@ -235,7 +245,7 @@ class TestClusterPrune:
         assert state.model.n_live() == 56
         for _ in range(2):
             transform_epoch(state, x, y, cfg)
-            final_cluster_sets(state)
+            mapped(state)
             assert not state.model.layers[0].weights[:4, :4].any()
         assert state.model.n_live() <= 56
 
@@ -281,7 +291,7 @@ class TestRunLoop:
         live_counts = [state.model.n_live()]
         for _ in range(cfg.max_epochs):
             transform_epoch(state, data.x_train, data.y_train, cfg)
-            final_cluster_sets(state)
+            mapped(state)
             live_counts.append(state.model.n_live())
         assert all(b <= a for a, b in zip(live_counts[:-1], live_counts[1:]))
 
@@ -410,7 +420,7 @@ class TestPlantedRecovery:
         final = state.log[-1]
         assert final["unclustered_frac"] < 0.35
         assert state.n_clusters() >= 3
-        final_cluster_sets(state)
+        mapped(state)
 
 
 class TestOfflineCluster:
@@ -420,7 +430,7 @@ class TestOfflineCluster:
             layer.weights[:] = 0
         sets = offline_cluster(state.model, SizeClusterConfig(crossbar_rows=4, crossbar_cols=4), seed=0)
         assert all(cs.n_clusters == 0 for cs in sets)
-        assert all(cs.residual.nnz == 0 for cs in sets)
+        assert mapped(state, sets)["num_mca"] == 0
 
     def test_reads_the_model_and_clusters_each_layer_once(self):
         model = init_model([16, 16, 4], seed=2)
@@ -433,7 +443,8 @@ class TestOfflineCluster:
         assert sum(cs.n_clusters for cs in sets) > 0
         # one clustering pass per layer over its live synapses, seeded as the loop seeds epoch 0
         for i, (layer, cs) in enumerate(zip(model.layers, sets)):
-            alone = size_constrained_cluster(from_weights(layer.weights), cfg, seed_for(2, STREAM_CLUSTER, 0, i))
+            live = ConnectivityMatrix(layer.weights != 0)
+            alone = size_constrained_cluster(live, cfg, seed_for(2, STREAM_CLUSTER, 0, i))
             assert np.array_equal(cs.owner, alone.owner)
 
     def test_planted_blocks_found_posthoc(self):
@@ -446,7 +457,7 @@ class TestOfflineCluster:
             state.model, SizeClusterConfig(crossbar_rows=4, crossbar_cols=4), seed=1
         )
         assert sets[0].n_clusters == 4
-        assert sets[0].residual.nnz == 0
+        assert mapped(state, sets)["layers"][0]["residual_active"] == []
 
     def test_final_cluster_sets_consistent(self):
         x, y = tiny_data(n=200)
@@ -455,12 +466,14 @@ class TestOfflineCluster:
         sets = final_cluster_sets(state)
         live = state.model.n_live()
         covered = sum(int((cs.owner >= 0).sum()) for cs in sets)
-        residual = sum(cs.residual.nnz for cs in sets)
-        assert covered + residual == live
+        layers = mapped(state, sets)["layers"]
+        assert covered == sum(sum(layer["cluster_active"]) for layer in layers)
+        assert covered + sum(sum(layer["residual_active"]) for layer in layers) == live
 
-    def test_final_cluster_sets_reject_an_owned_dead_weight(self):
+    def test_mapping_rejects_an_owned_dead_weight(self):
         state = TransformState.fresh([6, 8, 3], seed=0)
         add_cluster(state, 0, range(4), range(4))
         state.model.layers[0].weights[1, 1] = 0.0  # owned by cluster 0, no longer a synapse
+        sets = final_cluster_sets(state)  # the sets hold owners only
         with pytest.raises(ValueError, match="a covered cell is not a synapse"):
-            final_cluster_sets(state)
+            mapped(state, sets)
