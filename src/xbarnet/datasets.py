@@ -36,9 +36,10 @@ IDX_LABELS_MAGIC = 2049
 class Dataset:
     """Train and test splits: ``x`` is (samples, features), ``y`` int64 class labels.
 
-    ``x`` holds either float64 features (``gen_planted``), which
-    ``mlp.forward`` casts to the dtype of the model's weights, or uint8 pixel
-    intensities (``load_mnist``), which it reads as ``x / 255`` in that dtype.
+    ``x`` holds either float32 features (``gen_planted``), which a float32
+    student reads as stored and ``mlp.forward`` casts to the dtype of any
+    other model's weights, or uint8 pixel intensities (``load_mnist``), which
+    it reads as ``x / 255`` in that dtype.
     """
 
     x_train: np.ndarray
@@ -287,6 +288,10 @@ class PlantedSpec:
             raise ValueError("noise_density must lie in [0, 1)")
 
 
+# rows the float64 teacher labels per pass of gen_planted; it bounds the activations, not the features
+_PLANTED_LABEL_CHUNK = 512
+
+
 def gen_planted(spec: PlantedSpec, seed: int) -> tuple[Dataset, mlp.MlpModel, dict]:
     """Dataset labeled by a planted teacher; returns (data, teacher, ground truth).
 
@@ -294,6 +299,12 @@ def gen_planted(spec: PlantedSpec, seed: int) -> tuple[Dataset, mlp.MlpModel, di
     matches the teacher keeps the whole block above any sane pruning
     threshold. The teacher's layers are float64, so it labels the data in
     float64 whatever dtype the students train in.
+
+    Each split's features are one float64 ``normal`` draw, which the teacher
+    labels :data:`_PLANTED_LABEL_CHUNK` rows at a time and which is then cast
+    once to C-contiguous float32, the dtype a student trains in. So the
+    features are the float32 rounding of the values the teacher labelled,
+    and no activation of a whole split is held.
     """
     rng = rng_for(seed, STREAM_DATA)
     n_blocks = spec.in_dim // spec.block
@@ -318,10 +329,13 @@ def gen_planted(spec: PlantedSpec, seed: int) -> tuple[Dataset, mlp.MlpModel, di
         [mlp.Layer(w1, np.zeros(spec.hidden)), mlp.Layer(w2, rng.normal(0, 0.01, size=spec.n_classes))]
     )
 
-    def batch(n: int):
+    def batch(n: int) -> tuple[np.ndarray, np.ndarray]:
         x = rng.normal(size=(n, spec.in_dim))
-        _, probs = mlp.forward(teacher, x)
-        return x, probs.argmax(axis=1).astype(np.int64)
+        labels = np.empty(n, dtype=np.int64)
+        for start in range(0, n, _PLANTED_LABEL_CHUNK):
+            _, probs = mlp.forward(teacher, x[start : start + _PLANTED_LABEL_CHUNK])
+            labels[start : start + len(probs)] = probs.argmax(axis=1)
+        return x.astype(np.float32), labels
 
     x_train, y_train = batch(spec.n_train)
     x_test, y_test = batch(spec.n_test)

@@ -33,7 +33,7 @@ from .datasets import Dataset, DigitsSpec, PlantedSpec, gen_planted, load_mnist,
 from .datasets import write_surrogate_digits
 from .hardware import energy_document, map_to_mcas
 from .mlp import evaluate, save_checkpoint
-from .transform import TransformState, final_cluster_sets, offline_cluster, run
+from .transform import DivergedError, TransformState, final_cluster_sets, offline_cluster, run
 
 SUMMARY_COLUMNS = [
     "mode", "accuracy", "sparsity", "num_mca",
@@ -100,12 +100,22 @@ def run_experiment(cfg: ExperimentConfig, out_dir, dataset: Dataset | None = Non
 
 
 def _train(cfg: ExperimentConfig, data: Dataset) -> TransformState:
-    """Run the training loop with the switches of ``cfg.mode`` (see ``_TRAINING_SWITCHES``)."""
+    """Run the training loop with the switches of ``cfg.mode`` (see ``_TRAINING_SWITCHES``).
+
+    A training that diverges is a ``ConfigError`` naming the learning rate,
+    the mode and the epoch; it stops there, so its arms are never written.
+    """
     enable_prune, enable_cluster = _TRAINING_SWITCHES[cfg.mode]
-    return run(
-        cfg.transform, cfg.topology, data.x_train, data.y_train, data.x_test, data.y_test, cfg.seed,
-        enable_prune=enable_prune, enable_cluster=enable_cluster,
-    )
+    try:
+        return run(
+            cfg.transform, cfg.topology, data.x_train, data.y_train, data.x_test, data.y_test, cfg.seed,
+            enable_prune=enable_prune, enable_cluster=enable_cluster,
+        )
+    except DivergedError as exc:
+        raise ConfigError([
+            f"train.learning_rate: {cfg.transform.train.learning_rate:g} diverged the {cfg.mode} training "
+            f"at epoch {exc.epoch}, which left a weight or bias that is not finite; lower it"
+        ]) from None
 
 
 def _write_arm(cfg: ExperimentConfig, state: TransformState, data: Dataset, out_dir) -> dict:

@@ -13,9 +13,9 @@ Updates apply only to non-zero weights, so a zeroed synapse stays at exactly
 zero, and weight support never grows during training: pruning and cluster
 removal are the only operations that change which synapses exist.
 
-Inputs are float features, which ``forward`` reads in the weights' dtype, or
-uint8 pixel intensities that it scales to [0, 1] one batch at a time, so a
-pixel set is never held as floats.
+Inputs are float features (float32 from ``gen_planted``), which ``forward``
+reads in the weights' dtype, or uint8 pixel intensities that it scales to
+[0, 1] one batch at a time, so a pixel set is never held as floats.
 """
 
 from __future__ import annotations
@@ -104,7 +104,8 @@ def forward(model: MlpModel, batch: np.ndarray) -> tuple[list[np.ndarray], np.nd
     Every activation has the dtype of the model's weights. A uint8 batch
     holds pixel intensities and is read as ``batch / 255``, a division in
     that dtype, so each value lies in [0, 1]; any other batch is cast to it,
-    without a copy when it has that dtype already. Each layer's
+    without a copy when it has that dtype already, as the float32 features
+    of ``gen_planted`` have for a float32 student. Each layer's
     pre-activation is a fresh array that the rectifier or the softmax then
     overwrites in place; the input batch is never written.
     """

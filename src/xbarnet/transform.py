@@ -57,6 +57,14 @@ class TransformConfig:
             raise ValueError("max_epochs must be non-negative")
 
 
+class DivergedError(ArithmeticError):
+    """Training left a weight or bias that is not finite; ``epoch`` is the 1-based epoch that did."""
+
+    def __init__(self, epoch: int):
+        self.epoch = epoch
+        super().__init__(f"epoch {epoch} left a weight or bias that is not finite")
+
+
 @dataclass
 class TransformState:
     """Model (its non-zero weights are the live synapses), per layer the owner matrix, seed and log.
@@ -200,9 +208,16 @@ def transform_epoch(
     ran and the clusters it accepted (``scic_rounds``, ``scic_accepted``);
     both are 0 for a layer this epoch did not cluster. A round that starts with no crossbar fillable to
     ``scic.min_util_factor`` does not run, so such a layer logs 0 rounds.
+
+    An epoch whose training leaves a weight or bias that is not finite
+    raises :class:`DivergedError` before it prunes or logs: the live mask
+    multiplies the update, and inf * 0 is NaN, so a diverged step would
+    revive pruned synapses as NaN.
     """
     epoch = len(state.log) + 1
     loss = train_epoch(state.model, x, y, cfg.train, epoch, state.seed)
+    if not all(np.isfinite(l.weights).all() and np.isfinite(l.bias).all() for l in state.model.layers):
+        raise DivergedError(epoch)
     improved = loss < (state.log[-1]["train_loss"] if state.log else float("inf"))
     cluster_pruning = unclustered_fraction(state) < cfg.unclustered_threshold
     n_zeroed = pruned_clusters = 0

@@ -445,3 +445,22 @@ def test_test_images_of_another_size_exit_2(tmp_path, capsys):
     assert cli.main(["train", "--config", str(tmp_path / "config.json"), "--mode", "transform",
                      "--out", str(tmp_path / "out")]) == 2
     assert "train images are 4x4 but test images are 3x3" in capsys.readouterr().err
+
+
+# a learning rate that overflows the weights at epoch 3, after epoch 1 pruned 217 of the 288 synapses
+DIVERGING = {
+    "dataset": {"kind": "planted", "in_dim": 16, "hidden": 16, "block": 4, "n_train": 100, "n_test": 20},
+    "topology": [16, 16, 2], "train": {"learning_rate": 1e6}, "transform": {"max_epochs": 3},
+}
+
+
+@pytest.mark.parametrize(
+    "argv, mode", [(["train", "--mode", "prune"], "prune"), (["compare"], "original")], ids=["train", "compare"]
+)
+def test_a_diverging_training_exits_2_and_writes_no_arm(tmp_path, capsys, argv, mode):
+    (tmp_path / "config.json").write_text(json.dumps(DIVERGING))
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main([*argv, "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 2
+    assert f"train.learning_rate: 1e+06 diverged the {mode} training at epoch 3" in capsys.readouterr().err
+    assert not out.exists() or not any(out.rglob("*"))  # no arm and no summary

@@ -1,15 +1,16 @@
-"""IDX ingestion: gzipped files under the dotted names, damaged gzip streams exit 2, surrogate bytes."""
+"""IDX ingestion: gzipped files under the dotted names, damaged gzip streams exit 2, surrogate bytes, planted data."""
 
 import gzip
 import hashlib
 import json
+import tracemalloc
 import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from xbarnet import cli, datasets
+from xbarnet import cli, datasets, mlp
 from xbarnet.datasets import PlantedSpec, gen_planted, load_mnist, write_surrogate_digits
 from xbarnet.util import STREAM_DATA, rng_for
 
@@ -153,7 +154,89 @@ def test_surrogate_bytes_are_pinned(tmp_path):
 
 
 def test_planted_data_are_pinned():
-    # the teacher labels in float64, so the dtype the students train in must not move these bytes
+    # recorded from the whole-split float64 generator, its features cast to float32; the teacher labels in
+    # float64, so neither the dtype the students train in nor the labelling chunk may move these bytes
     data, _, _ = gen_planted(PlantedSpec(in_dim=8, hidden=8, n_classes=3, block=4, n_train=300, n_test=50), 2)
-    digest = hashlib.sha256(data.x_train.tobytes() + data.y_train.tobytes()).hexdigest()
-    assert digest == "51e0302c9d3ada0b94cea85a55cb79b31394dd90d72ce1038c4fb68045fa11fe"
+    assert data.x_train.dtype == np.float32
+    assert hashlib.sha256(data.x_train.tobytes()).hexdigest() == (
+        "ad9f9403e7aba222e25f22b49b04c586781307889b648dda3f11434a256f94de"
+    )
+    assert hashlib.sha256(data.y_train.tobytes()).hexdigest() == (
+        "1a30a7b4ee751e0eb24f04264e9c2f6d76de312330bde89b0da6a9ff6c05dcc2"
+    )
+
+
+# -- reference: the planted generator as it was, holding and labelling each split whole in float64 --------
+
+
+def reference_planted(spec, seed):
+    """(x_train, y_train, x_test, y_test) with float64 features, and the teacher."""
+    rng = rng_for(seed, STREAM_DATA)
+    n_blocks = spec.in_dim // spec.block
+    support = np.zeros((spec.in_dim, spec.hidden), dtype=np.uint8)
+    hidden_per_block = spec.hidden // n_blocks
+    for b in range(n_blocks):
+        support[b * spec.block : (b + 1) * spec.block, b * hidden_per_block : (b + 1) * hidden_per_block] = 1
+    noise_mask = (rng.random(support.shape) < spec.noise_density) & (support == 0)
+    magnitude = rng.uniform(0.5, 1.5, size=support.shape) * np.where(rng.random(support.shape) < 0.5, -1.0, 1.0)
+    w1 = magnitude * (1.0 / np.sqrt(spec.block)) * (support + spec.noise_scale * noise_mask)
+    w2 = rng.normal(0, 1.0 / np.sqrt(spec.hidden), size=(spec.hidden, spec.n_classes))
+    teacher = mlp.MlpModel(
+        [mlp.Layer(w1, np.zeros(spec.hidden)), mlp.Layer(w2, rng.normal(0, 0.01, size=spec.n_classes))]
+    )
+
+    def batch(n):
+        x = rng.normal(size=(n, spec.in_dim))
+        _, probs = mlp.forward(teacher, x)
+        return x, probs.argmax(axis=1).astype(np.int64)
+
+    return (*batch(spec.n_train), *batch(spec.n_test)), teacher
+
+
+LABEL_CHUNK = datasets._PLANTED_LABEL_CHUNK
+PLANTED_SIZES = [(n, n) for n in (1, LABEL_CHUNK - 1, LABEL_CHUNK, LABEL_CHUNK + 1, 2 * LABEL_CHUNK + 3)]
+PLANTED_SIZES += [(1, 2 * LABEL_CHUNK + 3), (LABEL_CHUNK + 1, 1)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n_train, n_test", PLANTED_SIZES)
+def test_planted_data_equal_the_whole_split_reference(seed, n_train, n_test):
+    spec = PlantedSpec(in_dim=16, hidden=16, n_classes=3, block=4, n_train=n_train, n_test=n_test)
+    data, teacher, _ = gen_planted(spec, seed)
+    (x_train, y_train, x_test, y_test), want_teacher = reference_planted(spec, seed)
+    for x, want in ((data.x_train, x_train), (data.x_test, x_test)):
+        assert x.dtype == np.float32 and x.flags.c_contiguous
+        assert x.tobytes() == want.astype(np.float32).tobytes()
+    assert data.y_train.dtype == data.y_test.dtype == np.int64
+    assert data.y_train.tobytes() == y_train.tobytes() and data.y_test.tobytes() == y_test.tobytes()
+    for got, want in zip(teacher.layers, want_teacher.layers):
+        assert got.weights.tobytes() == want.weights.tobytes() and got.bias.tobytes() == want.bias.tobytes()
+
+
+def test_a_student_trains_alike_on_float64_features_and_their_float32_cast():
+    spec = PlantedSpec(in_dim=16, hidden=16, n_classes=3, block=4, n_train=600, n_test=200)
+    (x_train, y_train, x_test, y_test), _ = reference_planted(spec, 4)
+    cfg = mlp.TrainConfig(learning_rate=0.2, batch_size=32)
+    students = []
+    for x, xt in ((x_train, x_test), (x_train.astype(np.float32), x_test.astype(np.float32))):
+        model = mlp.init_model([16, 16, 3], seed=4)
+        losses = [mlp.train_epoch(model, x, y_train, cfg, epoch=e, seed=4) for e in (1, 2)]
+        students.append((model, losses, mlp.evaluate(model, xt, y_test)))
+    (a, losses_a, eval_a), (b, losses_b, eval_b) = students
+    for la, lb in zip(a.layers, b.layers):
+        assert la.weights.tobytes() == lb.weights.tobytes() and la.bias.tobytes() == lb.bias.tobytes()
+    assert losses_a == losses_b and eval_a == eval_b
+
+
+def test_planted_generation_peak_memory_is_bounded():
+    # the whole-split float64 generator peaked at 8.65 MB here: its 4000x128 features plus the teacher's
+    # 4000x128 hidden activations; one float64 and one float32 copy of the features plus a chunk's
+    # activations come to 6.9 MB
+    spec = PlantedSpec(in_dim=128, hidden=128, n_classes=2, block=16, n_train=4000, n_test=1000)
+    tracemalloc.start()
+    try:
+        gen_planted(spec, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.5e6

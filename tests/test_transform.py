@@ -108,6 +108,27 @@ class TestBranchLogic:
         assert (state.n_clusters() > 0) is improved  # only an improving epoch clusters
         assert state.log == [record]
 
+    @pytest.mark.parametrize("block, value", [("weights", np.inf), ("bias", np.nan)], ids=["inf_weight", "nan_bias"])
+    def test_a_diverged_epoch_raises_before_it_prunes_or_logs(self, monkeypatch, block, value):
+        x, y = tiny_data()
+        state = TransformState.fresh([6, 8, 3], seed=0)
+        transform_epoch(state, x, y, small_config())
+
+        def diverging_train_epoch(model, *args):
+            getattr(model.layers[1], block).flat[0] = value
+            return 0.1  # a finite loss, which would count as an improving epoch
+
+        def not_called(*args, **kwargs):
+            pytest.fail("a diverged epoch went on to cluster or prune")
+
+        monkeypatch.setattr(transform, "train_epoch", diverging_train_epoch)
+        for name in ("cluster_step", "magnitude_prune", "cluster_prune"):
+            monkeypatch.setattr(transform, name, not_called)
+        with pytest.raises(transform.DivergedError) as raised:
+            transform_epoch(state, x, y, small_config())
+        assert raised.value.epoch == 2 and "epoch 2" in str(raised.value)
+        assert len(state.log) == 1
+
     def test_no_cluster_prune_before_threshold(self):
         x, y = tiny_data()
         cfg = small_config(max_epochs=3)
