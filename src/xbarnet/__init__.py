@@ -22,7 +22,6 @@ from .spectral import (
     build_similarity,
     eig_smallest,
     kmeans,
-    spectral_basis,
     spectral_cluster,
 )
 from .transform import (

@@ -229,16 +229,23 @@ def magnitude_prune(model: MlpModel, prune_quality: float, protect: list[np.ndar
     """Zero, in place, every unprotected live weight below prune_quality * std(live w); returns how many.
 
     ``protect`` holds one boolean matrix per layer; its True cells are never
-    cut but count toward the std. A cut weight is multiplied by 0, so a
-    negative one becomes -0.0. A NaN weight is never below the threshold, so
-    the count is the drop in ``model.n_live()``.
+    cut but count toward the std. The std is taken in the weights' dtype, and
+    again in float64 when a float32 one is not finite (its sum of squares
+    overflows past about 1.8e19), so finite float32 weights give a finite
+    threshold. A cut weight is multiplied by 0, so a negative one becomes
+    -0.0. A NaN weight is never below the threshold, so the count is the
+    drop in ``model.n_live()``.
     """
     if prune_quality < 0:
         raise ValueError("prune_quality must be non-negative")
     zeroed = 0
     for i, layer in enumerate(model.layers):
         live = layer.weights != 0
-        t = prune_quality * layer.weights[live].std() if live.any() else 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            std = layer.weights[live].std() if live.any() else 0.0
+            if not np.isfinite(std):
+                std = layer.weights[live].std(dtype=np.float64)
+        t = prune_quality * std
         cut = live & (np.abs(layer.weights) < t)
         if protect is not None:
             cut &= ~protect[i]

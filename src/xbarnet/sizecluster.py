@@ -10,41 +10,42 @@ still-unowned synapse of the candidate, so the owner matrix alone records
 the cluster. Synapses of rejected groups stay unowned and get another
 chance in later rounds.
 
+One bound, ``_best_fill``, caps the utilization of any crossbar-sized piece
+of a block from its row and col synapse counts. The loop stops once the
+residual's bound is below ``min_util_factor`` (an empty residual's is 0):
+the residual only shrinks and every acceptance clears that floor, so no
+later round could accept. A round whose residual's bound is below the
+round's threshold seeks no groups and splits nothing; it only decays the
+threshold. A candidate whose bound is below it is dropped before it is
+ordered, so it costs no eigensolve.
+
 Every candidate takes one path: ``split_oversized`` drops its synapse-free
 rows and cols and, unless the rest fits the crossbar, splits it; each piece
 then faces only the utilization test. The split returns every piece with
 its synapse count, counted from one gather of the ordered block, so only an
-accepted piece is gathered again. The row and col counts of the first
-gather bound every piece (``_hopeless``): a candidate none of whose pieces
-could clear the round's threshold is dropped before it is ordered, so it
-costs no eigensolve. A round whose whole residual fails that bound seeks no
-groups and splits nothing; it only decays the threshold.
-Finding groups and ordering a group for splitting use one graph path:
-the active block goes through ``build_similarity`` and ``eig_smallest``,
-which solves the bipartite Laplacian by one SVD of the degree-scaled
-biadjacency (see ``spectral``). Splitting orders each side by the second
-Laplacian eigenvector of the candidate's bipartite graph; consecutive
-chunks of crossbar size pair up in a grid, so child footprints partition the
-parent's footprint even when the graph has no cut structure at all (a
-complete block splits into full crossbars in index order, with no
+accepted piece is gathered again.
+Finding groups and ordering a group for splitting use one graph path,
+``_eigenvectors``: the active block goes through ``build_similarity`` and
+``eig_smallest``, which solves the bipartite Laplacian by one SVD of the
+degree-scaled biadjacency (see ``spectral``). Splitting orders each side by
+the second Laplacian eigenvector of the candidate's bipartite graph;
+consecutive chunks of crossbar size pair up in a grid, so child footprints
+partition the parent's footprint even when the graph has no cut structure at
+all (a complete block splits into full crossbars in index order, with no
 eigensolve: every order fills every piece, so an eigenvector has nothing to
-choose). Spectral groups are sought only
-when the residual neither fits one crossbar nor is one complete block, as
-every layer is before its first prune: such a graph has no cut structure for
-them to find. When there are no groups to seek, or they yield nothing, the
-whole residual is the round's one candidate before the threshold decays.
-The loop stops once no crossbar-sized block of the residual can reach
-``min_util_factor``: the residual only shrinks and every acceptance clears
-at least that floor, so the rounds left could only decay the threshold.
+choose). Spectral groups are sought only when the residual neither fits one
+crossbar nor is one complete block, as every layer is before its first
+prune: such a graph has no cut structure for them to find. When there are
+no groups to seek, or they yield nothing, the whole residual is the round's
+one candidate before the threshold decays.
 
-Each graph is solved once per call. The residual's spectral basis (its
-active rows and cols and their eigenvectors) is solved once per residual
-state: a round that accepts nothing leaves the residual unchanged, and the
-next round runs k-means on the same basis under its own seed. Only an
-acceptance changes the residual and drops the basis. A block's second
-eigenvector is kept by the block's bits, so no block is solved twice either;
-the whole residual's comes from column 1 of its basis, which is the same
-vector bit for bit.
+Each graph is solved once per call. The loop gathers the residual's active
+block once per residual state and solves it for its ``SpectralBasis``: a
+round that accepts nothing leaves the residual unchanged, and the next
+round runs k-means on the same basis under its own seed. Only an acceptance
+changes the residual and drops the basis. A block's second eigenvector is
+kept by the block's bits, so no block is solved twice either; the whole
+residual's is column 1 of its basis, stored from that same gather.
 
 Utilization is counted against the full crossbar the cluster will occupy
 (crossbar_rows x crossbar_cols), not against the submatrix size, so a small
@@ -59,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connectivity import ClusterSet, ConnectivityMatrix
-from .spectral import build_similarity, eig_smallest, spectral_basis, spectral_cluster
+from .spectral import SpectralBasis, build_similarity, eig_smallest, spectral_cluster
 from .util import seed_for
 
 
@@ -105,29 +106,32 @@ def _derived_k(nnz: int, n_active: int, cfg: SizeClusterConfig) -> int:
     return max(2, min(k_nnz, k_nodes, n_active))
 
 
+def _eigenvectors(block: np.ndarray, k: int) -> np.ndarray:
+    """The k smallest Laplacian eigenvectors of the bipartite graph of a 0/1 block: rows, then cols."""
+    return eig_smallest(build_similarity(ConnectivityMatrix(block)).values, k)[1]
+
+
 def _second_vector(block: np.ndarray) -> np.ndarray:
-    """Second Laplacian eigenvector of the bipartite graph of a 0/1 block: rows, then cols.
-
-    ``eig_smallest`` fixes the vector's sign.
-    """
-    return eig_smallest(build_similarity(ConnectivityMatrix(block)).values, 2)[1][:, -1]
+    """Second Laplacian eigenvector of the bipartite graph of a 0/1 block: rows, then cols."""
+    return _eigenvectors(block, 2)[:, 1]
 
 
-def _hopeless(row_counts: np.ndarray, col_counts: np.ndarray, cfg: SizeClusterConfig, util_factor: float) -> bool:
-    """Whether no crossbar-sized piece of a block with these row and col synapse counts can reach ``util_factor``.
+def _best_fill(row_counts: np.ndarray, col_counts: np.ndarray, cfg: SizeClusterConfig) -> float:
+    """A bound on the utilization of any crossbar-sized piece of a block with these row and col synapse counts.
 
     A piece takes at most crossbar_rows of the block's rows and crossbar_cols
     of its cols, so it holds at most the sum of the crossbar_rows largest row
     counts, the sum of the crossbar_cols largest col counts and
     crossbar_area synapses. The bound faces the test ``try_accept`` applies
-    to a piece's own count, so a hopeless block has no piece to accept.
+    to a piece's own count, so a block whose bound is below a threshold has
+    no piece to accept at it.
     """
     bound = min(
         int(np.sort(row_counts)[::-1][: cfg.crossbar_rows].sum()),
         int(np.sort(col_counts)[::-1][: cfg.crossbar_cols].sum()),
         cfg.crossbar_area,
     )
-    return bound / cfg.crossbar_area < util_factor
+    return bound / cfg.crossbar_area
 
 
 def split_oversized(
@@ -143,7 +147,7 @@ def split_oversized(
     Synapse-free rows and cols are dropped; a block whose remaining rows and
     cols fit the crossbar is its own only child, and one without a synapse
     has none, and so has a block no piece of which can reach
-    ``util_factor`` (see ``_hopeless``): it is neither ordered nor cut.
+    ``util_factor`` (see ``_best_fill``): it is neither ordered nor cut.
     Otherwise rows and columns are ordered by the subgraph's second
     Laplacian eigenvector and cut into consecutive crossbar-sized chunks
     whose pairings become the children, so the ceil(rows/crossbar_rows) *
@@ -162,7 +166,7 @@ def split_oversized(
     row_counts, col_counts = sub.sum(axis=1, dtype=np.int64), sub.sum(axis=0, dtype=np.int64)
     live_row, live_col = row_counts > 0, col_counts > 0
     live_rows, live_cols = rows[live_row], cols[live_col]
-    if len(live_rows) == 0 or len(live_cols) == 0 or _hopeless(row_counts, col_counts, cfg, util_factor):
+    if len(live_rows) == 0 or len(live_cols) == 0 or _best_fill(row_counts, col_counts, cfg) < util_factor:
         return []
     if len(live_rows) <= cfg.crossbar_rows and len(live_cols) <= cfg.crossbar_cols:
         return [(live_rows, live_cols, int(row_counts.sum()))]
@@ -196,9 +200,9 @@ def size_constrained_cluster(
 
     Each round re-clusters the whole residual; a round that accepts nothing
     decays the utilization threshold, and the loop stops once the threshold
-    would fall below ``min_util_factor``, the residual empties, no
-    crossbar-sized block of it holds enough synapses to reach
-    ``min_util_factor``, or ``max_rounds`` is hit. Every accepted cluster
+    would fall below ``min_util_factor``, no crossbar-sized piece of the
+    residual can reach ``min_util_factor`` (by ``_best_fill``; an empty
+    residual cannot), or ``max_rounds`` is hit. Every accepted cluster
     fits the crossbar and has utilization >= min_util_factor. The returned
     set's owner matrix holds, per synapse of ``c``, the index of the cluster
     that took it or -1.
@@ -236,18 +240,15 @@ def size_constrained_cluster(
 
     for round_no in range(1, cfg.max_rounds + 1):
         row_counts, col_counts = residual.sum(axis=1, dtype=np.int64), residual.sum(axis=0, dtype=np.int64)
+        best_fill = _best_fill(row_counts, col_counts, cfg)
+        if best_fill < cfg.min_util_factor:
+            break
         nnz_before = int(row_counts.sum())
-        if nnz_before == 0:
-            break
         active_rows, active_cols = np.flatnonzero(row_counts), np.flatnonzero(col_counts)
-        # the most synapses a crossbar-sized candidate can hold; below the floor no round can accept
-        best = min(nnz_before, min(len(active_rows), cfg.crossbar_rows) * min(len(active_cols), cfg.crossbar_cols))
-        if best / cfg.crossbar_area < cfg.min_util_factor:
-            break
         accepted_this_round = 0
         # when no piece of the residual, and so none of any group, can pass this
         # round's threshold, the round seeks nothing and only decays it
-        hopeful = not _hopeless(row_counts, col_counts, cfg, util_factor)
+        hopeful = best_fill >= util_factor
 
         fits = len(active_rows) <= cfg.crossbar_rows and len(active_cols) <= cfg.crossbar_cols
         if hopeful and not fits and nnz_before < len(active_rows) * len(active_cols):
@@ -255,12 +256,12 @@ def size_constrained_cluster(
             # fixed by the residual, so an unchanged residual reuses its basis
             if basis is None:
                 k = _derived_k(nnz_before, len(active_rows) + len(active_cols), cfg)
-                basis = spectral_basis(ConnectivityMatrix(residual), k)
-                if k <= min(len(active_rows), len(active_cols)):
+                block = residual[np.ix_(active_rows, active_cols)]
+                basis = SpectralBasis(active_rows, active_cols, _eigenvectors(block, k))
+                if k <= min(block.shape):
                     # then column 1 is _second_vector's bit for bit: both take
                     # the same thin SVD of the same block, and the sign rule
                     # and the eigenvalue sort act per column
-                    block = residual[np.ix_(active_rows, active_cols)]
                     solved[block.shape, block.tobytes()] = basis.vectors[:, 1]
             groups = spectral_cluster(basis, seed_for(seed, round_no))
             accepted_this_round = sum(handle(g_rows, g_cols) for g_rows, g_cols in groups)

@@ -206,8 +206,9 @@ def transform_epoch(
     first epoch improves unless its loss is NaN. With clustering enabled, the
     record also lists per layer the rounds that ``size_constrained_cluster``
     ran and the clusters it accepted (``scic_rounds``, ``scic_accepted``);
-    both are 0 for a layer this epoch did not cluster. A round that starts with no crossbar fillable to
-    ``scic.min_util_factor`` does not run, so such a layer logs 0 rounds.
+    both are 0 for a layer this epoch did not cluster. No round runs once no
+    crossbar-sized piece of the layer's unclustered synapses can fill to
+    ``scic.min_util_factor``, so a layer that starts so logs 0 rounds.
 
     An epoch whose training leaves a weight or bias that is not finite
     raises :class:`DivergedError` before it prunes or logs: the live mask

@@ -455,12 +455,21 @@ DIVERGING = {
 
 
 @pytest.mark.parametrize(
-    "argv, mode", [(["train", "--mode", "prune"], "prune"), (["compare"], "original")], ids=["train", "compare"]
+    "argv, mode, n_train, epoch",
+    [
+        (["train", "--mode", "prune"], "prune", 100, 3),
+        (["compare"], "original", 100, 3),
+        # epoch 1 leaves weights whose float32 std overflows; that std used to cut every synapse,
+        # so the run never diverged and exited 0 with sparsity 1.0
+        (["train", "--mode", "prune"], "prune", 200, 2),
+    ],
+    ids=["train", "compare", "train_past_float32_std"],
 )
-def test_a_diverging_training_exits_2_and_writes_no_arm(tmp_path, capsys, argv, mode):
-    (tmp_path / "config.json").write_text(json.dumps(DIVERGING))
+def test_a_diverging_training_exits_2_and_writes_no_arm(tmp_path, capsys, argv, mode, n_train, epoch):
+    raw = {**DIVERGING, "dataset": {**DIVERGING["dataset"], "n_train": n_train}}
+    (tmp_path / "config.json").write_text(json.dumps(raw))
     out = tmp_path / "out"
     with np.errstate(over="ignore", invalid="ignore"):
         assert cli.main([*argv, "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 2
-    assert f"train.learning_rate: 1e+06 diverged the {mode} training at epoch 3" in capsys.readouterr().err
+    assert f"train.learning_rate: 1e+06 diverged the {mode} training at epoch {epoch}" in capsys.readouterr().err
     assert not out.exists() or not any(out.rglob("*"))  # no arm and no summary

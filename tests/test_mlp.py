@@ -480,6 +480,18 @@ class TestMagnitudePrune:
             kept = w.view(np.uint32) == b.view(np.uint32)
             assert np.array_equal(w[~kept], (b * 0)[~kept]) and (np.signbit(w) == np.signbit(b)).all()
 
+    @pytest.mark.parametrize(
+        "huge", [[1e20] * 8, [3e38] * 4 + [-3e38] * 4], ids=["squares_overflow", "sum_is_inf_minus_inf"]
+    )
+    def test_huge_float32_weights_keep_a_finite_threshold(self, huge):
+        # a float32 sum of squares overflows past about 1.8e19, and a sum of huge weights of both
+        # signs can reach inf - inf; an inf or NaN threshold cut every synapse or none, with a warning
+        model = init_model([3, 4], seed=0)
+        w = model.layers[0].weights
+        w[:] = np.array(huge + [1e-3] * 4, dtype=np.float32).reshape(3, 4)
+        assert magnitude_prune(model, 0.5) == 4
+        assert np.array_equal(w.ravel()[:8], np.array(huge, dtype=np.float32)) and not w.ravel()[8:].any()
+
     def test_diverged_weights_are_not_counted(self):
         # NaN is never below the threshold: nothing is zeroed and nothing is counted
         model = init_model([4, 3], seed=0)

@@ -5,10 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
-from xbarnet import sizecluster, spectral
+from xbarnet import sizecluster
 from xbarnet.connectivity import ClusterSet, ConnectivityMatrix
 from xbarnet.sizecluster import SizeClusterConfig, _derived_k, _second_vector, size_constrained_cluster, split_oversized
-from xbarnet.spectral import build_similarity, eig_smallest, kmeans, row_normalize
+from xbarnet.spectral import build_similarity, eig_smallest, kmeans, row_normalize, spectral_cluster
 from xbarnet.util import seed_for
 
 
@@ -418,10 +418,43 @@ class TestMatchesReference:
             widths.append(k > min(b.shape))
             return eig_smallest(b, k)
 
-        monkeypatch.setattr(spectral, "eig_smallest", recording)
+        monkeypatch.setattr(sizecluster, "eig_smallest", recording)
         for bits, cfg, seed in oracle_cases()[140:180]:
             size_constrained_cluster(ConnectivityMatrix(bits), cfg, seed)
         assert any(widths)
+
+    def test_loop_basis_seeds_the_second_vector_bit_for_bit(self, monkeypatch):
+        # each basis is the eigenvectors of the block the loop gathered; where that is the
+        # thin SVD, its column 1 is what _second_vector would solve the same block for
+        gathered, bases = [], []
+
+        def recording_similarity(c):
+            gathered.append(c.bits)
+            return build_similarity(c)
+
+        def recording_cluster(basis, seed):
+            if not bases or bases[-1][0] is not basis:  # a new basis, solved from the last gather
+                bases.append((basis, gathered[-1], seed))
+            return spectral_cluster(basis, seed)
+
+        monkeypatch.setattr(sizecluster, "build_similarity", recording_similarity)
+        monkeypatch.setattr(sizecluster, "spectral_cluster", recording_cluster)
+        seeded = 0
+        for bits, cfg, seed in oracle_cases()[100:140]:
+            bases.clear()
+            size_constrained_cluster(ConnectivityMatrix(bits), cfg, seed)
+            for (rows, cols, vectors), block, round_seed in bases:
+                if round_seed == seed_for(seed, 1):  # round 1 solves the whole matrix's active block
+                    assert np.array_equal(rows, np.flatnonzero(bits.any(axis=1)))
+                    assert np.array_equal(cols, np.flatnonzero(bits.any(axis=0)))
+                    assert np.array_equal(block, bits[np.ix_(rows, cols)])
+                assert block.shape == (len(rows), len(cols)) and block.any(axis=0).all() and block.any(axis=1).all()
+                k = vectors.shape[1]
+                assert vectors.tobytes() == eig_smallest(build_similarity(ConnectivityMatrix(block)).values, k)[1].tobytes()
+                if k <= min(block.shape):
+                    seeded += 1
+                    assert vectors[:, 1].tobytes() == _second_vector(block).tobytes(), (seed, block.shape)
+        assert seeded >= 20
 
     def test_split_oversized_matches_reference(self):
         rng = np.random.default_rng(6)
@@ -448,7 +481,6 @@ def test_no_eigensolve_repeats_within_one_call(monkeypatch, case):
         seen.append((b.shape, np.ascontiguousarray(b).tobytes(), k))
         return eig_smallest(b, k)
 
-    monkeypatch.setattr(spectral, "eig_smallest", recording)
     monkeypatch.setattr(sizecluster, "eig_smallest", recording)
     trace: list = []
     size_constrained_cluster(ConnectivityMatrix(bits), cfg, seed=case, trace=trace)
@@ -463,7 +495,6 @@ def test_complete_matrix_clusters_into_index_tiles_without_a_solve(monkeypatch):
         calls.append(b.shape)
         return eig_smallest(b, k)
 
-    monkeypatch.setattr(spectral, "eig_smallest", recording)
     monkeypatch.setattr(sizecluster, "eig_smallest", recording)
     cs = size_constrained_cluster(ConnectivityMatrix(np.ones((128, 128), dtype=np.uint8)), SizeClusterConfig(), seed=0)
     assert calls == []
@@ -491,11 +522,11 @@ def test_hopeless_bound_never_falls_below_the_best_piece():
     for _ in range(40):
         bits = (rng.random(tuple(int(v) for v in rng.integers(1, 7, size=2))) < rng.uniform(0.1, 1.0)).astype(np.uint8)
         cfg = SizeClusterConfig(*(int(v) for v in rng.integers(1, 4, size=2)))
-        best = best_piece(bits, cfg)
-        rc, cc = bits.sum(axis=1), bits.sum(axis=0)
-        # the best piece itself clears a threshold of its own utilization, so that threshold is not hopeless
-        assert not sizecluster._hopeless(rc, cc, cfg, best / cfg.crossbar_area), (bits, cfg)
-        tight += sizecluster._hopeless(rc, cc, cfg, np.nextafter(best / cfg.crossbar_area, 2))
+        best = best_piece(bits, cfg) / cfg.crossbar_area
+        bound = sizecluster._best_fill(bits.sum(axis=1), bits.sum(axis=0), cfg)
+        # the best piece clears a threshold of its own utilization, so the bound must not fall below it
+        assert bound >= best, (bits, cfg)
+        tight += bound == best
     assert tight > 0  # and the bound is often exactly the best piece
 
 
@@ -517,25 +548,33 @@ def skip_cases():
 
 
 def test_skipping_hopeless_candidates_changes_nothing(monkeypatch):
-    fired = []
-    hopeless = sizecluster._hopeless
+    # lifting the bound to 1 turns off the stop, the round skip and the candidate skip at once;
+    # the rounds the bound cuts off accept nothing, and the ones it keeps log the same
+    solves = []
 
-    def counting(*args):
-        fired.append(hopeless(*args))
-        return fired[-1]
+    def counting(b, k):
+        solves[-1] += 1
+        return eig_smallest(b, k)
 
+    monkeypatch.setattr(sizecluster, "eig_smallest", counting)
     runs = []
-    for patch in (counting, lambda *args: False):
-        monkeypatch.setattr(sizecluster, "_hopeless", patch)
+    for lift in (False, True):
+        if lift:
+            monkeypatch.setattr(sizecluster, "_best_fill", lambda *args: 1.0)
         results = []
         for bits, cfg, seed in skip_cases():
+            solves.append(0)
             trace: list = []
             cs = size_constrained_cluster(ConnectivityMatrix(bits), cfg, seed, trace=trace)
             results.append((cs.owner.tobytes(), trace))
         runs.append(results)
-    assert any(fired) and not all(fired)
-    for i, (got, want) in enumerate(zip(*runs)):
-        assert got == want, skip_cases()[i][1:]
+    for i, ((owner, trace), (want_owner, want_trace)) in enumerate(zip(*runs)):
+        assert owner == want_owner, skip_cases()[i][1:]
+        assert trace == want_trace[: len(trace)], skip_cases()[i][1:]
+        assert all(r["accepted"] == 0 for r in want_trace[len(trace):]), skip_cases()[i][1:]
+    n = len(skip_cases())
+    assert sum(solves[:n]) < sum(solves[n:])  # the bound skipped candidates that would have been ordered
+    assert any(len(got[1]) < len(want[1]) for got, want in zip(*runs))  # and stopped loops early
 
 
 def test_hopeless_candidate_is_never_ordered():
@@ -556,16 +595,13 @@ def test_hopeless_candidate_is_never_ordered():
 
 
 def test_hopeless_rounds_seek_nothing_and_decay(monkeypatch):
-    # no 16x16 piece of this residual can hold 0.4 * 256 synapses, but the loop's exit bound
-    # (min(nnz, 16 * 16)) lets it run, so every round must decay without a solve or k-means
+    # no 16x16 piece of this residual can hold 0.4 * 256 synapses, so no round runs:
+    # nothing is solved, no k-means runs and the threshold is never decayed
     rng = np.random.default_rng(3)
     bits = (rng.random((48, 40)) < 0.1).astype(np.uint8)
     calls = []
-    monkeypatch.setattr(sizecluster, "_second_vector", lambda block: calls.append("split"))
-    monkeypatch.setattr(sizecluster, "spectral_basis", lambda c, k: calls.append("basis"))
+    monkeypatch.setattr(sizecluster, "eig_smallest", lambda b, k: calls.append("solve"))
     monkeypatch.setattr(sizecluster, "spectral_cluster", lambda basis, seed: calls.append("kmeans"))
     trace: list = []
     cs = size_constrained_cluster(ConnectivityMatrix(bits), SizeClusterConfig(), seed=0, trace=trace)
-    assert calls == [] and cs.n_clusters == 0
-    assert len(trace) == 7 and all(r["accepted"] == 0 and r["residual_after"] == bits.sum() for r in trace)
-    assert [r["util_factor"] for r in trace] == pytest.approx([0.8 * 0.9**i for i in range(7)])
+    assert calls == [] and cs.n_clusters == 0 and trace == []
