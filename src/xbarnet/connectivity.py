@@ -196,8 +196,8 @@ def cluster_sets_from_json(text: str, weights: list[np.ndarray], crossbar: tuple
     pairs, and name in ``rows`` and ``cols`` (lists of JSON integers, in any
     order) each row and column of those cells exactly once, a footprint that
     fits the ``(rows, cols)`` crossbar. Each layer's cells must pass
-    :func:`_placement_problem` and the ClusterSet constructor and be non-zero
-    weights; then every footprint of the layer is checked at once
+    :func:`_placement_problem` and be non-zero weights; then every footprint
+    of the layer is checked at once
     (:func:`_unnamed_footprint`). A violation raises :class:`ClusterFormatError`.
 
     The cyclic garbage collector is paused while the text is parsed and its
@@ -226,10 +226,6 @@ def cluster_sets_from_json(text: str, weights: list[np.ndarray], crossbar: tuple
             raise ClusterFormatError(f"layer {layer}: {problem}")
         owner = np.full(w.shape, -1, dtype=np.int32)
         owner[ii, jj] = kk
-        try:
-            cs = ClusterSet(owner)
-        except ValueError as exc:
-            raise ClusterFormatError(f"layer {layer}: {exc}") from None
         if not (w[ii, jj] != 0).all():
             raise ClusterFormatError(f"layer {layer}: a covered cell is not a synapse")
         bad = np.flatnonzero(
@@ -241,7 +237,7 @@ def cluster_sets_from_json(text: str, weights: list[np.ndarray], crossbar: tuple
                 f"layer {layer}: cluster {bad[0]}: rows and cols must name each row and column "
                 "of its covered cells exactly once"
             )
-        sets.append(cs)
+        sets.append(ClusterSet(owner))  # _placement_problem has rejected each owner matrix it would refuse
     return sets
 
 

@@ -5,10 +5,10 @@ rectifier, the output layer a softmax over classes. A trained network is
 float32 throughout: the crossbars it maps onto hold a few bits per synapse,
 so float64 would buy nothing the mapped network can use, and float32 halves
 the bytes each SGD step moves. ``forward`` and ``backward_step`` compute in
-the weights' dtype, so a float64 model (a planted teacher, a loaded
-checkpoint) still computes in float64. A synapse exists exactly
-when its weight is non-zero: the live weights are the only prune record, and
-``magnitude_prune`` writes it by zeroing weights in place.
+the weights' dtype, so a float64 model (the planted teacher) still
+computes in float64. A synapse exists exactly when its weight is non-zero:
+the live weights are the only prune record, and ``magnitude_prune`` writes it
+by zeroing weights in place.
 Updates apply only to non-zero weights, so a zeroed synapse stays at exactly
 zero, and weight support never grows during training: pruning and cluster
 removal are the only operations that change which synapses exist.
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import os
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -254,7 +253,7 @@ def magnitude_prune(model: MlpModel, prune_quality: float, protect: list[np.ndar
     return zeroed
 
 
-_CHECKPOINT_FORMAT = "xbarnet-checkpoint-v2"
+_CHECKPOINT_FORMAT = "xbarnet-checkpoint-v3"
 
 
 class CheckpointFormatError(InputFormatError):
@@ -262,70 +261,56 @@ class CheckpointFormatError(InputFormatError):
 
 
 def save_checkpoint(path, model: MlpModel, seed: int, config: dict | None = None) -> None:
-    """Write <path>.json manifest + <path>.bin length-prefixed little-endian float64 blocks.
+    """Write a <path>.json manifest and the <path>.bin blocks of a float32 model.
 
-    Each layer has two blocks, weights then bias; a zero weight is a pruned
-    synapse. A float32 model is upcast, which is exact: each block holds its
-    float32 values, sign bits of zeros included.
+    The manifest holds the format, the topology, the seed and the config. The
+    ``.bin`` holds each layer's weights (fan_in x fan_out, row-major), then its
+    bias, as little-endian float32 with no header: the topology fixes every
+    block's shape. A zero weight is a pruned synapse, and each zero keeps its
+    sign bit. A model that is not float32 throughout raises TypeError, and
+    nothing is written.
     """
+    blocks = [block for layer in model.layers for block in (layer.weights, layer.bias)]
+    if any(block.dtype != np.float32 for block in blocks):
+        raise TypeError(f"a checkpoint holds float32 blocks, got {sorted({str(b.dtype) for b in blocks})}")
     path = Path(path)
-    blocks = []
-    names = []
-    for i, layer in enumerate(model.layers):
-        blocks += [layer.weights, layer.bias]
-        names += [
-            {"name": f"layer{i}.weights", "shape": list(layer.weights.shape)},
-            {"name": f"layer{i}.bias", "shape": list(layer.bias.shape)},
-        ]
-    manifest = {
-        "format": _CHECKPOINT_FORMAT,
-        "topology": model.topology,
-        "seed": seed,
-        "config": config or {},
-        "blocks": names,
-    }
+    manifest = {"format": _CHECKPOINT_FORMAT, "topology": model.topology, "seed": seed, "config": config or {}}
     path.with_suffix(".json").write_text(json.dumps(manifest, indent=1))
     with open(path.with_suffix(".bin"), "wb") as fh:
         for block in blocks:
-            data = np.ascontiguousarray(block, dtype="<f8").tobytes()
-            fh.write(struct.pack("<Q", len(data)))
-            fh.write(data)
+            fh.write(np.ascontiguousarray(block, dtype="<f4").data)
 
 
 def load_checkpoint(path) -> tuple[MlpModel, dict]:
     """Read a checkpoint pair; returns (model, manifest).
 
-    The model comes back float64. A checkpoint of a float32 model reads back
-    as its float32 weights and biases upcast, bit for bit, -0.0 included.
-    Only the current format is read: a file of any other format, the v1
-    layout with its third per-layer mask block included, is rejected. So is a
-    ``.bin`` that does not match its manifest: one with bytes after the last
-    listed block, or whose weight blocks do not chain into the manifest's
-    ``topology``. A block whose header claims more bytes than the file has
-    left is rejected before it is read, so no claimed length is allocated.
+    The model is the float32 model that was saved, bit for bit, -0.0
+    included. Only the current format is read: v1 and v2 files are rejected.
+    The manifest is read as UTF-8, and its ``topology`` must be a list of at
+    least two positive integers. The ``.bin`` must hold exactly 4 bytes per
+    weight and bias of that topology; its size is checked before it is read,
+    so no size that a topology claims is allocated.
     """
     path = Path(path)
     try:
-        manifest = json.loads(path.with_suffix(".json").read_text())
+        manifest = json.loads(path.with_suffix(".json").read_text(encoding="utf-8"))
         if manifest.get("format") != _CHECKPOINT_FORMAT:
             raise ValueError(f"unrecognized checkpoint format {manifest.get('format')!r}")
-        blocks = []
+        dims = manifest["topology"]
+        if not isinstance(dims, list) or len(dims) < 2 or any(type(d) is not int or d < 1 for d in dims):
+            raise ValueError(f"topology must be a list of at least two positive integers, got {dims!r:.40}")
+        shapes = list(zip(dims[:-1], dims[1:]))
+        need = 4 * sum(fan_in * fan_out + fan_out for fan_in, fan_out in shapes)
         with open(path.with_suffix(".bin"), "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            for spec in manifest["blocks"]:
-                header = fh.read(8)
-                if len(header) != 8:
-                    raise ValueError(f"truncated checkpoint: missing block {spec['name']}")
-                (length,) = struct.unpack("<Q", header)
-                if length > (left := size - fh.tell()):
-                    raise ValueError(f"truncated block {spec['name']}: expected {length} bytes, {left} left")
-                blocks.append(np.frombuffer(fh.read(length), dtype="<f8").reshape(spec["shape"]).copy())
-            if fh.read(1):
-                raise ValueError("bytes left after the last listed block")
-        layers = [Layer(weights=w, bias=b) for w, b in zip(blocks[0::2], blocks[1::2], strict=True)]
-        shapes, topology = [layer.weights.shape for layer in layers], manifest["topology"]
-        if not layers or shapes != list(zip(topology[:-1], topology[1:])):
-            raise ValueError(f"layer shapes {shapes} do not chain into topology {topology!r:.40}")
+            if (size := os.fstat(fh.fileno()).st_size) != need:
+                raise ValueError(f".bin holds {size} bytes where the topology needs {need}")
+            layers = [
+                Layer(
+                    weights=np.fromfile(fh, dtype="<f4", count=fan_in * fan_out).reshape(fan_in, fan_out),
+                    bias=np.fromfile(fh, dtype="<f4", count=fan_out),
+                )
+                for fan_in, fan_out in shapes
+            ]
     except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
         raise CheckpointFormatError(f"checkpoint {path}: {exc}") from None
     return MlpModel(layers), manifest

@@ -169,32 +169,32 @@ def checkpoint_copy(edit):
     return damage
 
 
-def huge_first_block(manifest, blob):
-    """The first block's header claims 2**63 + 5 bytes, far more than the file holds."""
-    return manifest, struct.pack("<Q", 2**63 + 5) + blob[8:]
+def huge_topology(manifest, blob):
+    """The topology claims 2**31 x 2**31 weights, far more than the file holds."""
+    return {**manifest, "topology": [2**31, 2**31]}, blob
 
 
 def layer0_only(manifest, blob):
-    """The manifest cut down to layer 0's two blocks, and the bytes of those blocks."""
-    (n_weights,) = struct.unpack("<Q", blob[:8])
-    (n_bias,) = struct.unpack("<Q", blob[8 + n_weights : 16 + n_weights])
-    return {**manifest, "blocks": manifest["blocks"][:2]}, blob[: 16 + n_weights + n_bias]
+    """The bytes of layer 0's weights and bias alone, under the full topology."""
+    return manifest, blob[: 4 * (32 * 32 + 32)]
 
 
-def v1_checkpoint(run, bad):
-    """The same model in the v1 layout, which stored a float64 mask block after each layer's bias."""
-    model, manifest = load_checkpoint(run / "checkpoint")
-    blocks, names = [], []
-    for i, layer in enumerate(model.layers):
-        live = (layer.weights != 0).astype(np.float64)
-        blocks += [layer.weights, layer.bias, live]
-        names += [{"name": f"layer{i}.{part}", "shape": list(block.shape)}
-                  for part, block in (("weights", layer.weights), ("bias", layer.bias), ("mask", live))]
-    (bad / "checkpoint.json").write_text(json.dumps({**manifest, "format": "xbarnet-checkpoint-v1", "blocks": names}))
-    (bad / "checkpoint.bin").write_bytes(
-        b"".join(struct.pack("<Q", block.nbytes) + block.astype("<f8").tobytes() for block in blocks)
-    )
-    return ["map", "--checkpoint", str(bad / "checkpoint"), "--clusters", str(run / "clusters.json")]
+def earlier_checkpoint(version, parts):
+    """A damage that writes the run's model in an earlier layout: ``parts`` of each layer as
+    length-prefixed float64 blocks, named in the manifest's ``blocks`` list."""
+    def damage(run, bad):
+        model, manifest = load_checkpoint(run / "checkpoint")
+        blocks, names = [], []
+        for i, layer in enumerate(model.layers):
+            for part in parts:
+                block = (layer.weights != 0) if part == "mask" else getattr(layer, part)
+                blocks.append(block.astype("<f8"))
+                names.append({"name": f"layer{i}.{part}", "shape": list(block.shape)})
+        (bad / "checkpoint.json").write_text(json.dumps({**manifest, "format": f"xbarnet-checkpoint-{version}",
+                                                         "blocks": names}))
+        (bad / "checkpoint.bin").write_bytes(b"".join(struct.pack("<Q", b.nbytes) + b.tobytes() for b in blocks))
+        return ["map", "--checkpoint", str(bad / "checkpoint"), "--clusters", str(run / "clusters.json")]
+    return damage
 
 
 @pytest.mark.parametrize(
@@ -218,20 +218,23 @@ def v1_checkpoint(run, bad):
      (edited_mapping(top={"crossbar_rows": 10**400}, cluster_active=[10**400], cluster_areas=[10**400],
                      matrix_shape=[10**400, 10**400]),
       "crossbar_rows and crossbar_cols must be a list of non-negative integers below 2**63"),
-     (damage_checkpoint, "truncated block layer1.bias"),
-     (v1_checkpoint, "unrecognized checkpoint format 'xbarnet-checkpoint-v1'"),
-     (checkpoint_copy(lambda manifest, blob: (manifest, blob + b"garbage")), "bytes left after the last listed block"),
-     (checkpoint_copy(lambda manifest, blob: ({**manifest, "blocks": manifest["blocks"][:2]}, blob)),
-      "bytes left after the last listed block"),
-     (checkpoint_copy(layer0_only), "layer shapes [(32, 32)] do not chain into topology [32, 32, 2]"),
-     (checkpoint_copy(huge_first_block), "truncated block layer0.weights: expected 9223372036854775813 bytes")],
+     (damage_checkpoint, ".bin holds 4484 bytes where the topology needs 4488"),
+     (earlier_checkpoint("v1", ("weights", "bias", "mask")),
+      "unrecognized checkpoint format 'xbarnet-checkpoint-v1'"),
+     (earlier_checkpoint("v2", ("weights", "bias")), "unrecognized checkpoint format 'xbarnet-checkpoint-v2'"),
+     (checkpoint_copy(lambda manifest, blob: (manifest, blob + b"garbage")),
+      ".bin holds 4495 bytes where the topology needs 4488"),
+     (checkpoint_copy(lambda manifest, blob: ({**manifest, "topology": [32, 32]}, blob)),
+      ".bin holds 4488 bytes where the topology needs 4224"),
+     (checkpoint_copy(layer0_only), ".bin holds 4224 bytes where the topology needs 4488"),
+     (checkpoint_copy(huge_topology), f".bin holds 4488 bytes where the topology needs {4 * (2**62 + 2**31)}")],
     ids=["oversized_cluster", "clusters_float_cell", "clusters_not_utf8", "clusters_object",
          "clusters_on_a_zeroed_weight", "mapping_missing_key",
          "mapping_not_json", "mapping_wrong_type", "mapping_not_utf8", "mapping_areas_count", "mapping_active_above_area",
          "mapping_active_zero", "mapping_area_above_crossbar", "mapping_residual_above_crossbar",
          "mapping_zero_crossbar", "mapping_shape_below_live", "mapping_counts_beyond_int64", "truncated_checkpoint",
-         "v1_checkpoint", "checkpoint_appended_bytes", "manifest_without_layer1", "checkpoint_layer0_only",
-         "checkpoint_block_longer_than_file"],
+         "v1_checkpoint", "v2_checkpoint", "checkpoint_appended_bytes", "manifest_without_layer1",
+         "checkpoint_layer0_only", "checkpoint_block_longer_than_file"],
 )
 def test_damaged_input_files_exit_2(tmp_path, pruned_run, capsys, damage, message):
     args = damage(pruned_run / "run", tmp_path)

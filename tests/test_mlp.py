@@ -1,11 +1,14 @@
 """Training-core tests: forward/backward oracles, pruning, checkpoints."""
 
 import json
-import struct
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from xbarnet.connectivity import ShapeError
 from xbarnet.datasets import PlantedSpec, gen_planted
@@ -500,23 +503,38 @@ class TestMagnitudePrune:
         assert np.isnan(model.layers[0].weights).all()
 
 
+def write_manifest(path, **changes):
+    """Overwrite keys of the checkpoint manifest at ``path``.json."""
+    manifest = json.loads(path.with_suffix(".json").read_text())
+    path.with_suffix(".json").write_text(json.dumps({**manifest, **changes}))
+
+
+@st.composite
+def float32_models(draw):
+    """Small models whose every float32 value, signed zeros, subnormals, infinities and NaNs included, is drawn."""
+    topology = draw(st.lists(st.integers(1, 5), min_size=2, max_size=4))
+    values = st.floats(width=32, allow_subnormal=True)
+    return MlpModel([
+        Layer(weights=draw(arrays(np.float32, (fan_in, fan_out), elements=values)),
+              bias=draw(arrays(np.float32, fan_out, elements=values)))
+        for fan_in, fan_out in zip(topology[:-1], topology[1:])
+    ])
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         model = init_model([6, 5, 4], seed=11)
         model.layers[0].weights *= model.layers[0].weights > 0
         save_checkpoint(tmp_path / "ck", model, seed=11, config={"note": "test"})
         back, manifest = load_checkpoint(tmp_path / "ck")
-        assert manifest["format"] == "xbarnet-checkpoint-v2"
-        assert manifest["topology"] == [6, 5, 4]
-        assert manifest["seed"] == 11
-        assert [b["name"] for b in manifest["blocks"]] == [
-            "layer0.weights", "layer0.bias", "layer1.weights", "layer1.bias"
-        ]
+        assert manifest == {"format": "xbarnet-checkpoint-v3", "topology": [6, 5, 4], "seed": 11,
+                            "config": {"note": "test"}}
+        assert (tmp_path / "ck.bin").stat().st_size == 4 * (6 * 5 + 5 + 5 * 4 + 4)
         for a, b in zip(model.layers, back.layers):
             assert np.array_equal(a.weights, b.weights)
             assert np.array_equal(a.bias, b.bias)
 
-    def test_a_trained_float32_model_reads_back_upcast_bit_for_bit(self, tmp_path):
+    def test_a_trained_float32_model_reads_back_bit_for_bit(self, tmp_path):
         model, _ = signed_zero_model([6, 5, 4], seed=12)
         rng = np.random.default_rng(12)
         train_epoch(model, rng.normal(size=(20, 6)), rng.integers(0, 4, size=20), TrainConfig(batch_size=5), 1, 12)
@@ -525,51 +543,71 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "ck", model, seed=12)
         back, _ = load_checkpoint(tmp_path / "ck")
         for a, b in zip(model.layers, back.layers):
-            assert a.weights.dtype == a.bias.dtype == np.float32
-            assert b.weights.tobytes() == a.weights.astype(np.float64).tobytes()
-            assert b.bias.tobytes() == a.bias.astype(np.float64).tobytes()
+            assert a.weights.dtype == a.bias.dtype == b.weights.dtype == b.bias.dtype == np.float32
+            assert b.weights.tobytes() == a.weights.tobytes()
+            assert b.bias.tobytes() == a.bias.tobytes()
 
-    def test_one_d_weights_rejected(self, tmp_path):
-        save_checkpoint(tmp_path / "ck", init_model([3, 2], seed=0), seed=0)
-        manifest = json.loads((tmp_path / "ck.json").read_text())
-        manifest["blocks"][0]["shape"] = [6]
-        (tmp_path / "ck.json").write_text(json.dumps(manifest))
-        with pytest.raises(CheckpointFormatError, match="degenerate"):
-            load_checkpoint(tmp_path / "ck")
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(model=float32_models())
+    def test_any_float32_model_reads_back_bit_for_bit(self, tmp_path, model):
+        save_checkpoint(tmp_path / "ck", model, seed=0)
+        back, manifest = load_checkpoint(tmp_path / "ck")
+        assert manifest["topology"] == model.topology
+        assert model_bytes(back) == model_bytes(model)
+        assert all(block.dtype == np.float32 for layer in back.layers for block in (layer.weights, layer.bias))
+
+    def test_float64_model_refused(self, tmp_path):
+        model = init_model([3, 2], seed=0)
+        model.layers[0].bias = model.layers[0].bias.astype(np.float64)
+        with pytest.raises(TypeError, match="float32"):
+            save_checkpoint(tmp_path / "ck", model, seed=0)
+        assert list(tmp_path.iterdir()) == []
 
     def test_truncated_rejected(self, tmp_path):
         model = init_model([3, 2], seed=0)
         save_checkpoint(tmp_path / "ck", model, seed=0)
         blob = (tmp_path / "ck.bin").read_bytes()
         (tmp_path / "ck.bin").write_bytes(blob[:-4])
-        with pytest.raises(ValueError, match="truncated"):
+        with pytest.raises(CheckpointFormatError, match=".bin holds 28 bytes where the topology needs 32"):
             load_checkpoint(tmp_path / "ck")
 
     def test_appended_bytes_rejected(self, tmp_path):
         save_checkpoint(tmp_path / "ck", init_model([3, 2], seed=0), seed=0)
         with open(tmp_path / "ck.bin", "ab") as fh:
             fh.write(b"\0")
-        with pytest.raises(CheckpointFormatError, match="bytes left after the last listed block"):
+        with pytest.raises(CheckpointFormatError, match=".bin holds 33 bytes where the topology needs 32"):
             load_checkpoint(tmp_path / "ck")
 
-    def test_layers_that_do_not_chain_rejected(self, tmp_path):
-        # 4x4 then 5x2: the first fan-in and every fan-out agree with [4, 4, 2]; only layer 1's fan-in of 5 does not
-        blocks = [np.ones((4, 4)), np.zeros(4), np.ones((5, 2)), np.zeros(2)]
-        manifest = {
-            "format": "xbarnet-checkpoint-v2", "topology": [4, 4, 2], "seed": 0, "config": {},
-            "blocks": [{"name": f"layer{i // 2}.{('weights', 'bias')[i % 2]}", "shape": list(b.shape)}
-                       for i, b in enumerate(blocks)],
-        }
-        (tmp_path / "ck.json").write_text(json.dumps(manifest))
-        (tmp_path / "ck.bin").write_bytes(b"".join(struct.pack("<Q", b.nbytes) + b.tobytes() for b in blocks))
-        message = r"layer shapes \[\(4, 4\), \(5, 2\)\] do not chain into topology \[4, 4, 2\]"
-        with pytest.raises(CheckpointFormatError, match=message):
-            load_checkpoint(tmp_path / "ck")
-
-    def test_checkpoint_without_layers_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "topology",
+        [[3, True], [3, 0], [3, -1], [3, 1.5], [3, "4"], [3, [4]], [3], {"0": 3, "1": 2}, True],
+        ids=["bool", "zero", "negative", "float", "string", "nested_list", "single_width", "object", "bare_bool"],
+    )
+    def test_malformed_topology_rejected(self, tmp_path, topology):
         save_checkpoint(tmp_path / "ck", init_model([3, 2], seed=0), seed=0)
-        manifest = json.loads((tmp_path / "ck.json").read_text())
-        (tmp_path / "ck.json").write_text(json.dumps({**manifest, "topology": [3], "blocks": []}))
-        (tmp_path / "ck.bin").write_bytes(b"")
-        with pytest.raises(CheckpointFormatError, match=r"layer shapes \[\] do not chain into topology \[3\]"):
+        write_manifest(tmp_path / "ck", topology=topology)
+        with pytest.raises(CheckpointFormatError, match="topology must be a list of at least two positive integers"):
             load_checkpoint(tmp_path / "ck")
+
+    def test_manifest_not_utf8_rejected(self, tmp_path):
+        save_checkpoint(tmp_path / "ck", init_model([3, 2], seed=0), seed=0)
+        manifest = (tmp_path / "ck.json").read_bytes()
+        (tmp_path / "ck.json").write_bytes(manifest.replace(b'"config": {}', b'"config": {"note": "\xe9"}'))
+        with pytest.raises(CheckpointFormatError, match="codec can't decode byte 0xe9"):
+            load_checkpoint(tmp_path / "ck")
+
+    def test_huge_topology_rejected_without_allocating_it(self, tmp_path):
+        # [2**31, 2**29] claims 2**60 weights, about 2**62 bytes, over a 4-byte .bin: the size check
+        # must reject it from the file's size alone, allocating nothing of what it claims
+        save_checkpoint(tmp_path / "ck", init_model([1, 1], seed=0), seed=0)
+        (tmp_path / "ck.bin").write_bytes(b"\0" * 4)
+        write_manifest(tmp_path / "ck", topology=[2**31, 2**29])
+        tracemalloc.start()
+        try:
+            need = 4 * (2**60 + 2**29)
+            with pytest.raises(CheckpointFormatError, match=f".bin holds 4 bytes where the topology needs {need}"):
+                load_checkpoint(tmp_path / "ck")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
