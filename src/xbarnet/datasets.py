@@ -136,8 +136,11 @@ def load_mnist(directory) -> Dataset:
     y_train = read_idx_labels(_find_idx_file(directory, _IDX_NAMES["train_labels"]))
     x_test = read_idx_images(_find_idx_file(directory, _IDX_NAMES["test_images"]))
     y_test = read_idx_labels(_find_idx_file(directory, _IDX_NAMES["test_labels"]))
-    if len(x_train) != len(y_train) or len(x_test) != len(y_test):
-        raise IdxFormatError("image/label counts disagree")
+    for split, x, y in (("train", x_train, y_train), ("t10k", x_test, y_test)):
+        if len(x) != len(y):
+            raise IdxFormatError(
+                f"{directory}: {split} image/label counts disagree, {len(x)} images but {len(y)} labels"
+            )
     if x_train.shape[1:] != x_test.shape[1:]:
         sizes = (*x_train.shape[1:], *x_test.shape[1:])
         raise IdxFormatError("train images are %dx%d but test images are %dx%d" % sizes)

@@ -133,7 +133,7 @@ def _write_arm(cfg: ExperimentConfig, state: TransformState, data: Dataset, out_
     storage = "clustered" if cfg.mode in ("offline_cluster", "transform") else "dense"
     energy = energy_document(mapping, cfg.tech, storage)
 
-    accuracy = state.log[-1]["val_acc"] if state.log else evaluate(model, data.x_test, data.y_test)[0]
+    accuracy = evaluate(model, data.x_test, data.y_test)[0]
     summary = {
         "mode": cfg.mode,
         "accuracy": accuracy,

@@ -149,10 +149,18 @@ def _histogram(utils: list[float]) -> list[int]:
     return np.bincount(np.minimum((np.asarray(utils) * 10).astype(int), 9), minlength=10).tolist()
 
 
+def tile_counts(bits: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Synapse counts of the grid of rows x cols tiles over ``bits``, as a 2-D int64 table; edge tiles are partial.
+
+    Two ``np.add.reduceat`` passes count every tile at once.
+    """
+    by_rows = np.add.reduceat(bits, np.arange(0, bits.shape[0], rows), axis=0, dtype=np.int64)
+    return np.add.reduceat(by_rows, np.arange(0, bits.shape[1], cols), axis=1)
+
+
 def grid_tiles(bits: np.ndarray, rows: int, cols: int) -> list[int]:
     """Active-synapse counts of non-empty tiles in the fixed grid tiling, in row-major order; no tile is padded."""
-    by_rows = np.add.reduceat(bits, np.arange(0, bits.shape[0], rows), axis=0, dtype=np.int64)
-    counts = np.add.reduceat(by_rows, np.arange(0, bits.shape[1], cols), axis=1).ravel()
+    counts = tile_counts(bits, rows, cols).ravel()
     return counts[counts > 0].tolist()
 
 

@@ -39,13 +39,14 @@ prune: such a graph has no cut structure for them to find. When there are
 no groups to seek, or they yield nothing, the whole residual is the round's
 one candidate before the threshold decays.
 
-Each graph is solved once per call. The loop gathers the residual's active
-block once per residual state and solves it for its ``SpectralBasis``: a
-round that accepts nothing leaves the residual unchanged, and the next
-round runs k-means on the same basis under its own seed. Only an acceptance
-changes the residual and drops the basis. A block's second eigenvector is
-kept by the block's bits, so no block is solved twice either; the whole
-residual's is column 1 of its basis, stored from that same gather.
+Each residual state is solved once per call. The loop gathers the
+residual's active block and solves it for its eigenvector matrix: a round
+that accepts nothing leaves the residual unchanged, and the next round runs
+k-means on the same vectors under its own seed. Only an acceptance changes
+the residual and drops them. The whole residual needs an order only in a
+round whose structure stage ran on it and accepted nothing, so its order is
+column 1 of those vectors when they came from the thin SVD; a group's split
+solves the group's own block.
 
 Utilization is counted against the full crossbar the cluster will occupy
 (crossbar_rows x crossbar_cols), not against the submatrix size, so a small
@@ -60,7 +61,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connectivity import ClusterSet, ConnectivityMatrix
-from .spectral import SpectralBasis, build_similarity, eig_smallest, spectral_cluster
+from .hardware import tile_counts
+from .spectral import build_similarity, eig_smallest, spectral_cluster
 from .util import seed_for
 
 
@@ -159,8 +161,8 @@ def split_oversized(
     is full under any order, so the grid is its row-major run of consecutive
     index chunks, the same on every LAPACK build. Each child carries the
     number of synapses ``bits`` holds in it: the live block is gathered once
-    in split order, and two ``np.add.reduceat`` passes count every piece of
-    the grid at once.
+    in split order, and ``hardware.tile_counts`` counts every piece of the
+    grid at once.
     """
     sub = bits[np.ix_(rows, cols)]
     row_counts, col_counts = sub.sum(axis=1, dtype=np.int64), sub.sum(axis=0, dtype=np.int64)
@@ -177,15 +179,12 @@ def split_oversized(
     row_order = np.lexsort((live_rows, v[: len(live_rows)]))
     col_order = np.lexsort((live_cols, v[len(live_rows) :]))
     ordered_rows, ordered_cols = live_rows[row_order], live_cols[col_order]
-    row_starts = np.arange(0, len(ordered_rows), cfg.crossbar_rows)
-    col_starts = np.arange(0, len(ordered_cols), cfg.crossbar_cols)
-    ordered = live[np.ix_(row_order, col_order)]
-    counts = np.add.reduceat(np.add.reduceat(ordered, row_starts, axis=0, dtype=np.int64), col_starts, axis=1)
+    r, c = cfg.crossbar_rows, cfg.crossbar_cols
+    counts = tile_counts(live[np.ix_(row_order, col_order)], r, c)
     return [
-        (ordered_rows[r : r + cfg.crossbar_rows], ordered_cols[c : c + cfg.crossbar_cols], int(counts[i, j]))
-        for i, r in enumerate(row_starts)
-        for j, c in enumerate(col_starts)
-        if counts[i, j]
+        (ordered_rows[i * r : (i + 1) * r], ordered_cols[j * c : (j + 1) * c], int(n))
+        for (i, j), n in np.ndenumerate(counts)
+        if n
     ]
 
 
@@ -212,29 +211,27 @@ def size_constrained_cluster(
     owner = np.full(c.bits.shape, -1, dtype=np.int32)
     n_accepted = 0
     util_factor = cfg.base_util_factor
-    basis = None  # the residual's spectral basis; dropped when an acceptance changes the residual
-    solved: dict[tuple, np.ndarray] = {}  # (shape, bits) of a block -> its second vector
+    vectors = None  # eigenvectors of the residual's active block; dropped when an acceptance changes the residual
 
     def try_accept(rows: np.ndarray, cols: np.ndarray, n_synapses: int) -> bool:
         # n_synapses was counted when the candidate was split; it is still residual[block].sum(),
         # because only accepted pieces change the residual and the pieces of one split are disjoint
-        nonlocal n_accepted, basis
+        nonlocal n_accepted, vectors
         if n_synapses / cfg.crossbar_area < util_factor:
             return False
         block = np.ix_(rows, cols)
         owner[block] = np.where(residual[block] == 1, n_accepted, owner[block])
         n_accepted += 1
         residual[block] = 0
-        basis = None
+        vectors = None
         return True
 
-    def second_vector(block: np.ndarray) -> np.ndarray:
-        key = (block.shape, block.tobytes())
-        if key not in solved:
-            solved[key] = _second_vector(block)
-        return solved[key]
+    def residual_vector(live: np.ndarray) -> np.ndarray:
+        # live is the residual's active block, which vectors solve; where they come from the thin SVD,
+        # column 1 is _second_vector's bit for bit: the sign rule and the eigenvalue sort act per column
+        return vectors[:, 1] if vectors.shape[1] <= min(live.shape) else _second_vector(live)
 
-    def handle(rows: np.ndarray, cols: np.ndarray) -> int:
+    def handle(rows: np.ndarray, cols: np.ndarray, second_vector) -> int:
         pieces = split_oversized(residual, rows, cols, cfg, second_vector, util_factor)
         return sum(try_accept(*piece) for piece in pieces)
 
@@ -253,21 +250,16 @@ def size_constrained_cluster(
         fits = len(active_rows) <= cfg.crossbar_rows and len(active_cols) <= cfg.crossbar_cols
         if hopeful and not fits and nnz_before < len(active_rows) * len(active_cols):
             # structure stage: spectral groups over the residual graph; k is
-            # fixed by the residual, so an unchanged residual reuses its basis
-            if basis is None:
+            # fixed by the residual, so an unchanged residual reuses its vectors
+            if vectors is None:
                 k = _derived_k(nnz_before, len(active_rows) + len(active_cols), cfg)
-                block = residual[np.ix_(active_rows, active_cols)]
-                basis = SpectralBasis(active_rows, active_cols, _eigenvectors(block, k))
-                if k <= min(block.shape):
-                    # then column 1 is _second_vector's bit for bit: both take
-                    # the same thin SVD of the same block, and the sign rule
-                    # and the eigenvalue sort act per column
-                    solved[block.shape, block.tobytes()] = basis.vectors[:, 1]
-            groups = spectral_cluster(basis, seed_for(seed, round_no))
-            accepted_this_round = sum(handle(g_rows, g_cols) for g_rows, g_cols in groups)
+                vectors = _eigenvectors(residual[np.ix_(active_rows, active_cols)], k)
+            groups = spectral_cluster(active_rows, active_cols, vectors, seed_for(seed, round_no))
+            accepted_this_round = sum(handle(g_rows, g_cols, _second_vector) for g_rows, g_cols in groups)
         if hopeful and accepted_this_round == 0:
-            # the whole residual as one candidate, split in order when oversized
-            accepted_this_round = handle(active_rows, active_cols)
+            # the whole residual as one candidate, split in order when oversized; it needs an
+            # order only when it is neither complete nor fits, so the structure stage ran
+            accepted_this_round = handle(active_rows, active_cols, residual_vector)
 
         if trace is not None:
             trace.append(

@@ -8,15 +8,15 @@ and columns -> :func:`build_similarity`, the degree-scaled biadjacency
 B = D_r^{-1/2} C D_c^{-1/2} -> :func:`eig_smallest`. The graph's normalized
 Laplacian is L = I - [[0, B], [B^T, 0]], and its eigenpairs come from one SVD
 of the m x n matrix B (Dhillon, KDD 2001); the (m+n) x (m+n) graph is never
-built. A caller solves a graph for its K smallest eigenvectors and holds
-them in a :class:`SpectralBasis` (``sizecluster`` solves one per residual
-state, from the block it gathers), and :func:`spectral_cluster`
-row-normalizes them and runs seeded k-means on them; so one basis serves
-every seed. Each Lloyd step ranks the centroids by the Gram form of the
-squared distance, one matrix product, and recomputes near ties directly, so
-the labels are bit-equal to those of the direct (points x k x dims) form.
-That array is built only for the near-tie rows, for a reseed of an empty
-cluster, or for an objective trace.
+built. A caller solves a graph for its K smallest eigenvectors and keeps
+the (rows + cols) x K array with the rows and cols it embeds
+(``sizecluster`` solves one per residual state, from the block it gathers);
+:func:`spectral_cluster` row-normalizes the array and runs seeded k-means
+on it, so one solve serves every seed. Each Lloyd step ranks the centroids
+by the Gram form of the squared distance, one matrix product, and
+recomputes near ties directly, so the labels are bit-equal to those of the
+direct (points x k x dims) form. That array is built only for the near-tie
+rows, for a reseed of an empty cluster, or for an objective trace.
 
 Determinism: all randomness flows from the seed argument; a fixed seed gives
 bit-stable assignments, and k-means is invariant to the ordering of its input
@@ -26,7 +26,6 @@ points (up to label renaming) via an internal canonical sort.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -209,32 +208,20 @@ def _nearest(pts: np.ndarray, norms: np.ndarray, centers: np.ndarray) -> np.ndar
     return labels
 
 
-class SpectralBasis(NamedTuple):
-    """Active rows and cols of a connectivity matrix and the k smallest eigenvectors of their graph.
+def spectral_cluster(
+    rows: np.ndarray, cols: np.ndarray, vectors: np.ndarray, seed: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Group a solved bipartite graph into k (row ids, col ids) pairs, k the width of ``vectors``.
 
     ``vectors`` is the (rows + cols) x k output of :func:`eig_smallest` for
-    the :func:`build_similarity` block of the active rows and cols; row i of
-    it embeds ``rows[i]`` for i < len(rows), and ``cols[i - len(rows)]``
-    after that. Empty rows and cols are isolated nodes, left out of the
-    graph. The caller solves the block; ``size_constrained_cluster`` builds
-    one basis per residual state.
+    the :func:`build_similarity` block of ``rows`` and ``cols``, the active
+    rows and cols of a connectivity matrix: row i of it embeds ``rows[i]``
+    for i < len(rows), and ``cols[i - len(rows)]`` after that. Runs k-means
+    only: the caller solved the block, so one solve serves any number of
+    seeds, and ``size_constrained_cluster`` solves once per residual state
+    for all the rounds that leave the residual unchanged. Ids are ascending
+    indices into the matrix; a group may hold rows only or columns only.
     """
-
-    rows: np.ndarray
-    cols: np.ndarray
-    vectors: np.ndarray
-
-
-def spectral_cluster(basis: SpectralBasis, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Group a solved bipartite graph into k (row ids, col ids) pairs, k the basis's width.
-
-    Runs k-means only: the caller solved the basis, so one basis serves any
-    number of seeds, and ``size_constrained_cluster`` solves one basis per
-    residual state for all the rounds that leave the residual unchanged. Ids
-    are ascending indices into the matrix the basis was solved from; a group
-    may hold rows only or columns only.
-    """
-    rows, cols, vectors = basis
     k = vectors.shape[1]
     labels = kmeans(row_normalize(vectors), k, seed)
     row_labels, col_labels = labels[: len(rows)], labels[len(rows) :]

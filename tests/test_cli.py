@@ -398,12 +398,28 @@ def empty_idx_files(prefix):
     return damage
 
 
+def label_magic_on_train_images(digits):
+    images = digits / "train-images-idx3-ubyte"
+    images.write_bytes(struct.pack(">I", 2049) + images.read_bytes()[4:])
+
+
+def remove_train_images(digits):
+    (digits / "train-images-idx3-ubyte").unlink()
+
+
+def drop_a_train_label(digits):
+    write_idx_labels(digits / "train-labels-idx1-ubyte", np.zeros(19))
+
+
 @pytest.mark.parametrize(
     "damage, message",
     [(truncate_test_images, "truncated data"),
      (empty_idx_files("train"), "train-images-idx3-ubyte: no images"),
-     (empty_idx_files("t10k"), "t10k-images-idx3-ubyte: no images")],
-    ids=["truncated", "empty_train", "empty_test"],
+     (empty_idx_files("t10k"), "t10k-images-idx3-ubyte: no images"),
+     (label_magic_on_train_images, "train-images-idx3-ubyte: magic 2049, expected 2051"),
+     (remove_train_images, "missing input: none of ('train-images-idx3-ubyte', 'train-images.idx3-ubyte')"),
+     (drop_a_train_label, "digits: train image/label counts disagree, 20 images but 19 labels")],
+    ids=["truncated", "empty_train", "empty_test", "labels_magic", "missing_train_images", "label_count"],
 )
 def test_truncated_idx_file_exits_2(tmp_path, capsys, damage, message):
     write_surrogate_digits(tmp_path / "digits", seed=0, n_train=20, n_test=10)

@@ -26,10 +26,12 @@ PLANTED = {"kind": "planted", "in_dim": 4, "hidden": 4, "n_classes": 2, "block":
 DIGITS = {"kind": "surrogate_digits", "dir": "digits"}  # each mistake is caught before the directory is read
 
 
-def run_train(tmp_path, raw: dict) -> int:
+def run_train(tmp_path, raw) -> int:
+    """``xbarnet train`` on ``raw`` written as the config file; ``--out`` overrides an out_dir, so one set goes without."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw))
-    return cli.main(["train", "--config", str(path), "--out", str(tmp_path / "out")])
+    out = [] if isinstance(raw, dict) and "out_dir" in raw else ["--out", str(tmp_path / "out")]
+    return cli.main(["train", "--config", str(path), *out])
 
 
 def base_config(**overrides) -> dict:
@@ -146,6 +148,24 @@ class TestConfigErrors:
              "transform.clusters_pruned_per_event: unknown field"),
             # no score reads a core count, so the technology has no cores
             ({"tech": {"cores_k": 4}}, "tech.cores_k: unknown field"),
+            # range checks of each section's constructor
+            ({"tech": {"crossbar_rows": 0}}, "tech: crossbar dimensions must be positive"),
+            ({"tech": {"mca_energy_per_active_crosspoint_j": -1e-12}}, "tech: energies must be non-negative"),
+            ({"train": {"learning_rate": 0}}, "train: learning_rate must be positive"),
+            ({"train": {"batch_size": 0}}, "train: batch_size must be at least 1"),
+            ({"train": {"prune_quality": -1}}, "train: prune_quality must be non-negative"),
+            ({"scic": {"base_util_factor": 0}}, "scic: base_util_factor must lie in (0, 1]"),
+            ({"scic": {"min_util_factor": 0.9}}, "scic: min_util_factor must lie in (0, base_util_factor]"),
+            ({"scic": {"decay_rate": 1}}, "scic: decay_rate must lie in (0, 1)"),
+            ({"scic": {"max_rounds": 0}}, "scic: max_rounds must be positive"),
+            ({"transform": {"max_epochs": 1, "unclustered_threshold": 1}},
+             "transform: unclustered_threshold must lie in (0, 1)"),
+            ({"transform": {"max_epochs": 1, "cluster_prune_alpha": 2}},
+             "transform: cluster_prune_alpha must lie in [0, 1]"),
+            ({"transform": {"max_epochs": -1}}, "transform: max_epochs must be non-negative"),
+            # the file itself: a list at the top level, and an out_dir that no --out overrides
+            ([PLANTED], "config.json: top level must be a JSON object"),
+            ({"out_dir": 5}, "out_dir: must be a string path"),
         ],
         ids=["planted_block", "in_dim_type", "no_classes", "input_width", "label_range", "k_per_round",
              "threshold_anneal", "max_rounds_float", "batch_size_float", "max_epochs_float", "crossbar_rows_float",
@@ -153,10 +173,15 @@ class TestConfigErrors:
              "negative_noise_density", "planted_no_hidden", "kind_list", "retired_kind", "scic_crossbar",
              "digits_n_train_str", "digits_unknown", "digits_no_test", "mnist_n_train", "evals_per_inference",
              "nan_dataset", "nan_train", "inf_train", "inf_scic", "inf_transform", "nan_tech", "inf_tech",
-             "cmos_section", "clusters_pruned_per_event", "cores_k"],
+             "cmos_section", "clusters_pruned_per_event", "cores_k", "crossbar_rows_zero", "negative_energy",
+             "zero_learning_rate", "zero_batch_size", "negative_prune_quality", "zero_base_util",
+             "min_util_above_base", "decay_rate_one", "zero_max_rounds", "unclustered_threshold_one",
+             "cluster_prune_alpha_two", "negative_max_epochs", "top_level_list", "out_dir_int"],
     )
-    def test_dataset_and_topology_mistakes_exit_2(self, tmp_path, capsys, overrides, message):
-        assert run_train(tmp_path, base_config(**overrides)) == 2
+    def test_dataset_and_topology_mistakes_exit_2(self, tmp_path, capsys, monkeypatch, overrides, message):
+        monkeypatch.chdir(tmp_path)  # where a run with no --out would write
+        raw = overrides if isinstance(overrides, list) else base_config(**overrides)
+        assert run_train(tmp_path, raw) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 

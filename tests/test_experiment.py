@@ -1,5 +1,6 @@
 """Experiment orchestration: `compare` trains each distinct network once, and arms share it read-only."""
 
+import csv
 import json
 import multiprocessing
 import os
@@ -11,6 +12,7 @@ import pytest
 from xbarnet import cli, experiment
 from xbarnet.config import MODES, ConfigError, build_config
 from xbarnet.connectivity import ClusterFormatError
+from xbarnet.mlp import evaluate, load_checkpoint
 
 RAW = {
     "dataset": {"kind": "planted", "in_dim": 32, "hidden": 32, "n_classes": 2, "block": 8,
@@ -158,3 +160,20 @@ def test_cluster_command_rebuilds_the_offline_arms_clusters(compared, tmp_path):
                      str(out / "prune" / "checkpoint"), "--out", str(rebuilt)]) == 0
     assert json.loads(rebuilt.read_text())  # the 8x8 crossbar yields clusters
     assert rebuilt.read_bytes() == (out / "offline_cluster" / "clusters.json").read_bytes()
+
+
+@pytest.mark.parametrize("max_epochs", [0, 2])
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_summary_accuracy_is_the_saved_networks_test_accuracy(cfg, data, tmp_path, command, max_epochs):
+    """Each arm's summary accuracy is one evaluation of the network it saved, whether or not an epoch ran."""
+    raw = {**RAW, "mode": "transform", "transform": {"max_epochs": max_epochs}}
+    (tmp_path / "config.json").write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 0
+    arms = [out] if command == "train" else [out / mode for mode in MODES]
+    for arm in arms:
+        model, _ = load_checkpoint(arm / "checkpoint")
+        with open(arm / "summary.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["accuracy"] == experiment._fmt(evaluate(model, data.x_test, data.y_test)[0]), arm
+        assert len((arm / "log.jsonl").read_text().splitlines()) == max_epochs

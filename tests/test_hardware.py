@@ -19,6 +19,7 @@ from xbarnet.hardware import (
     map_to_mcas,
     mapping_from_json,
     mca_energy,
+    tile_counts,
 )
 
 
@@ -115,6 +116,10 @@ class TestMapToMcas:
             for c in range(0, 13, cols)
         ]
         assert grid_tiles(bits, rows, cols) == [n for n in expected if n]
+        # the table holds every tile, empty ones too, one row of it per band of rows
+        table = tile_counts(bits, rows, cols)
+        assert table.shape == (-(-7 // rows), -(-13 // cols)) and table.dtype == np.int64
+        assert table.ravel().tolist() == expected
 
     def test_grid_tiles_allocate_no_crossbar_larger_than_the_matrix(self):
         bits = np.ones((8, 8), dtype=np.uint8)

@@ -432,10 +432,10 @@ class TestMatchesReference:
             gathered.append(c.bits)
             return build_similarity(c)
 
-        def recording_cluster(basis, seed):
-            if not bases or bases[-1][0] is not basis:  # a new basis, solved from the last gather
-                bases.append((basis, gathered[-1], seed))
-            return spectral_cluster(basis, seed)
+        def recording_cluster(rows, cols, vectors, seed):
+            if not bases or bases[-1][0][2] is not vectors:  # a new basis, solved from the last gather
+                bases.append(((rows, cols, vectors), gathered[-1], seed))
+            return spectral_cluster(rows, cols, vectors, seed)
 
         monkeypatch.setattr(sizecluster, "build_similarity", recording_similarity)
         monkeypatch.setattr(sizecluster, "spectral_cluster", recording_cluster)
@@ -469,23 +469,68 @@ class TestMatchesReference:
             assert [(r.tolist(), c.tolist()) for r, c, _ in got] == [(r.tolist(), c.tolist()) for r, c in want]
 
 
+def block_key(block):
+    return block.shape, np.ascontiguousarray(block).tobytes()
+
+
+def record_solves(monkeypatch):
+    """Patch the loop to record its solves: (residual block, its vectors) per residual state, and split blocks."""
+    gathered, residuals, splits, counts = [], [], [], {"solves": 0, "kmeans": 0}
+
+    def recording_similarity(c):
+        gathered.append(c.bits)
+        return build_similarity(c)
+
+    def recording_eig(b, k):
+        counts["solves"] += 1
+        return eig_smallest(b, k)
+
+    def recording_cluster(rows, cols, vectors, seed):
+        counts["kmeans"] += 1
+        if not residuals or residuals[-1][1] is not vectors:  # a new residual state, solved from the last gather
+            residuals.append((gathered[-1], vectors))
+        return spectral_cluster(rows, cols, vectors, seed)
+
+    def recording_second(block):
+        splits.append(block_key(block))
+        return _second_vector(block)
+
+    monkeypatch.setattr(sizecluster, "build_similarity", recording_similarity)
+    monkeypatch.setattr(sizecluster, "eig_smallest", recording_eig)
+    monkeypatch.setattr(sizecluster, "spectral_cluster", recording_cluster)
+    monkeypatch.setattr(sizecluster, "_second_vector", recording_second)
+    return residuals, splits, counts
+
+
 @pytest.mark.parametrize("case", range(6))
-def test_no_eigensolve_repeats_within_one_call(monkeypatch, case):
-    # residuals where rounds accept nothing: the loop used to solve them again
+def test_each_residual_state_is_solved_once_within_one_call(monkeypatch, case):
+    # residuals where rounds accept nothing: the next round runs k-means on the vectors already solved,
+    # and the fallback orders the whole residual by their column 1. Only a group's split ordering may be
+    # solved again, when k-means forms the same group in a later round
     rng = np.random.default_rng(100 + case)
     bits = (rng.random((48, 40)) < 0.3).astype(np.uint8)
     cfg = SizeClusterConfig(crossbar_rows=4 + case, crossbar_cols=4, min_util_factor=0.2)
-    seen = []
-
-    def recording(b, k):
-        seen.append((b.shape, np.ascontiguousarray(b).tobytes(), k))
-        return eig_smallest(b, k)
-
-    monkeypatch.setattr(sizecluster, "eig_smallest", recording)
+    residuals, splits, counts = record_solves(monkeypatch)
     trace: list = []
     size_constrained_cluster(ConnectivityMatrix(bits), cfg, seed=case, trace=trace)
     assert any(r["accepted"] == 0 for r in trace[:-1])  # some round left the residual to the next one
-    assert len(seen) - len(set(seen)) == 0
+    solved = [block_key(block) for block, _ in residuals]
+    assert len(set(solved)) == len(solved)
+    assert counts["kmeans"] > len(residuals)  # so some round reused the vectors of an earlier one
+    assert counts["solves"] == len(residuals) + len(splits)
+    thin = {block_key(block) for block, vectors in residuals if vectors.shape[1] <= min(block.shape)}
+    assert thin and not thin & set(splits)
+
+
+def test_narrow_residual_fallback_solves_its_own_second_vector(monkeypatch):
+    # two rows on a 1x8 crossbar: k exceeds the residual's two rows, so its vectors come from the full SVD
+    # and their column 1 need not be the second vector; the fallback orders the residual by its own solve
+    rng = np.random.default_rng(0)
+    bits = (rng.random((2, 24)) < 0.6).astype(np.uint8)
+    residuals, splits, _ = record_solves(monkeypatch)
+    size_constrained_cluster(ConnectivityMatrix(bits), SizeClusterConfig(1, 8), seed=0)
+    narrow = [block_key(block) for block, vectors in residuals if vectors.shape[1] > min(block.shape)]
+    assert narrow and set(narrow) & set(splits)
 
 
 def test_complete_matrix_clusters_into_index_tiles_without_a_solve(monkeypatch):
@@ -601,7 +646,7 @@ def test_hopeless_rounds_seek_nothing_and_decay(monkeypatch):
     bits = (rng.random((48, 40)) < 0.1).astype(np.uint8)
     calls = []
     monkeypatch.setattr(sizecluster, "eig_smallest", lambda b, k: calls.append("solve"))
-    monkeypatch.setattr(sizecluster, "spectral_cluster", lambda basis, seed: calls.append("kmeans"))
+    monkeypatch.setattr(sizecluster, "spectral_cluster", lambda rows, cols, vectors, seed: calls.append("kmeans"))
     trace: list = []
     cs = size_constrained_cluster(ConnectivityMatrix(bits), SizeClusterConfig(), seed=0, trace=trace)
     assert calls == [] and cs.n_clusters == 0 and trace == []

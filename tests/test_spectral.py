@@ -13,7 +13,6 @@ from xbarnet.spectral import (
     KMEANS_MAX_ITER,
     KMEANS_TOL,
     SimilarityMatrix,
-    SpectralBasis,
     _nearest,
     build_similarity,
     eig_smallest,
@@ -75,10 +74,10 @@ def solve(bits, k):
 
 
 def basis_of(bits, k):
-    """The basis of a matrix's active rows and cols, solved as ``size_constrained_cluster`` solves its residual."""
+    """(rows, cols, vectors) of a matrix's active rows and cols, solved as ``size_constrained_cluster`` solves its residual."""
     bits = np.asarray(bits, dtype=np.uint8)
     rows, cols = np.flatnonzero(bits.any(axis=1)), np.flatnonzero(bits.any(axis=0))
-    return SpectralBasis(rows, cols, solve(bits[np.ix_(rows, cols)], k)[1])
+    return rows, cols, solve(bits[np.ix_(rows, cols)], k)[1]
 
 
 def random_block_bits(rng, shapes):
@@ -448,7 +447,7 @@ class TestSpectralCluster:
         bits = np.zeros((6, 8), dtype=np.uint8)
         bits[:4, :3] = 1
         bits[4:, 3:] = 1
-        groups = spectral_cluster(basis_of(bits, 2), seed=0)
+        groups = spectral_cluster(*basis_of(bits, 2), seed=0)
         assert as_sets(groups) == component_sets(bits)
 
     def test_planted_bipartite_blocks(self):
@@ -458,11 +457,11 @@ class TestSpectralCluster:
             block = (rng.random((4, 3)) < 0.9).astype(np.uint8)
             block[0, 0] = 1
             bits[b * 4 : (b + 1) * 4, b * 3 : (b + 1) * 3] = block
-        groups = spectral_cluster(basis_of(bits, 3), seed=1)
+        groups = spectral_cluster(*basis_of(bits, 3), seed=1)
         assert as_sets(groups) == component_sets(bits)
 
     def test_single_edge_single_cluster(self):
-        (rows, cols), = spectral_cluster(basis_of([[1]], 1), seed=0)
+        (rows, cols), = spectral_cluster(*basis_of([[1]], 1), seed=0)
         assert rows.tolist() == [0] and cols.tolist() == [0]
 
     def test_isolated_nodes_separated(self):
@@ -470,7 +469,7 @@ class TestSpectralCluster:
         bits = np.zeros((3, 3), dtype=np.uint8)
         bits[0, 0] = 1
         bits[2, 1] = 1
-        groups = spectral_cluster(basis_of(bits, 2), seed=0)
+        groups = spectral_cluster(*basis_of(bits, 2), seed=0)
         assert as_sets(groups) == {frozenset({0, ("c", 0)}), frozenset({2, ("c", 1)})}
 
     def test_matches_full_graph_reference(self):
@@ -489,7 +488,7 @@ class TestSpectralCluster:
             bits[0, 0] = bits[-1, -1] = 1
             n_active = int(bits.any(axis=1).sum() + bits.any(axis=0).sum())
             k = int(rng.integers(2, min(8, n_active) + 1))
-            got = spectral_cluster(basis_of(bits, k), seed=trial)
+            got = spectral_cluster(*basis_of(bits, k), seed=trial)
             want, ref_vals = reference_spectral_groups(bits, k, seed=trial)
             block = bits[np.ix_(bits.any(axis=1), bits.any(axis=0))]
             vals, _ = solve(block, min(k + 1, n_active))
