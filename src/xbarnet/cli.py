@@ -154,6 +154,8 @@ def main(argv: list[str] | None = None) -> int:
         message = f"{exc.filename}: a file stands where the path needs a directory"
     except PermissionError as exc:
         message = f"{exc.filename}: permission denied"
+    except MemoryError as exc:
+        message = f"out of memory: {exc}"
     print(message, file=sys.stderr)
     return 2
 

@@ -231,9 +231,10 @@ def magnitude_prune(model: MlpModel, prune_quality: float, protect: list[np.ndar
     cut but count toward the std. The std is taken in the weights' dtype, and
     again in float64 when a float32 one is not finite (its sum of squares
     overflows past about 1.8e19), so finite float32 weights give a finite
-    threshold. A cut weight is multiplied by 0, so a negative one becomes
-    -0.0. A NaN weight is never below the threshold, so the count is the
-    drop in ``model.n_live()``.
+    threshold. A ``prune_quality`` past float32's range makes it inf, without
+    a warning, and every unprotected live weight is cut. A cut weight is
+    multiplied by 0, so a negative one becomes -0.0. A NaN weight is never
+    below the threshold, so the count is the drop in ``model.n_live()``.
     """
     if prune_quality < 0:
         raise ValueError("prune_quality must be non-negative")
@@ -244,7 +245,7 @@ def magnitude_prune(model: MlpModel, prune_quality: float, protect: list[np.ndar
             std = layer.weights[live].std() if live.any() else 0.0
             if not np.isfinite(std):
                 std = layer.weights[live].std(dtype=np.float64)
-        t = prune_quality * std
+            t = prune_quality * std
         cut = live & (np.abs(layer.weights) < t)
         if protect is not None:
             cut &= ~protect[i]

@@ -25,13 +25,15 @@ then faces only the utilization test. The split returns every piece with
 its synapse count, counted from one gather of the ordered block, so only an
 accepted piece is gathered again.
 Finding groups and ordering a group for splitting use one graph path,
-``_eigenvectors``: the active block goes through ``build_similarity`` and
-``eig_smallest``, which solves the bipartite Laplacian by one SVD of the
-degree-scaled biadjacency (see ``spectral``). Splitting orders each side by
-the second Laplacian eigenvector of the candidate's bipartite graph;
-consecutive chunks of crossbar size pair up in a grid, so child footprints
-partition the parent's footprint even when the graph has no cut structure at
-all (a complete block splits into full crossbars in index order, with no
+``_eigenvectors``: the active block, sliced from the 0/1 residual, goes as
+a plain array through ``build_similarity`` and ``eig_smallest``, which
+solves the bipartite Laplacian by one SVD of the degree-scaled biadjacency
+(see ``spectral``). The input ``ConnectivityMatrix`` is checked once, by
+its constructor, before the residual is copied from it. Splitting orders
+each side by the second Laplacian eigenvector of the candidate's bipartite
+graph; consecutive chunks of crossbar size pair up in a grid, so child
+footprints partition the parent's footprint even when the graph has no cut
+structure at all (a complete block splits into full crossbars in index order, with no
 eigensolve: every order fills every piece, so an eigenvector has nothing to
 choose). Spectral groups are sought only when the residual neither fits one
 crossbar nor is one complete block, as every layer is before its first
@@ -109,8 +111,12 @@ def _derived_k(nnz: int, n_active: int, cfg: SizeClusterConfig) -> int:
 
 
 def _eigenvectors(block: np.ndarray, k: int) -> np.ndarray:
-    """The k smallest Laplacian eigenvectors of the bipartite graph of a 0/1 block: rows, then cols."""
-    return eig_smallest(build_similarity(ConnectivityMatrix(block)).values, k)[1]
+    """The k smallest Laplacian eigenvectors of the bipartite graph of a 0/1 block: rows, then cols.
+
+    The block goes to ``build_similarity`` as it is, unwrapped and uncopied:
+    its non-zero entries are the edges.
+    """
+    return eig_smallest(build_similarity(block).values, k)[1]
 
 
 def _second_vector(block: np.ndarray) -> np.ndarray:

@@ -4,7 +4,8 @@ The m input neurons and n output neurons are the nodes and each synapse is
 an edge, so one cluster yields a row group and a column group jointly. There
 is one path from connectivity to eigenvectors, used both to find clusters
 and to order a cluster for splitting: the block of active (non-empty) rows
-and columns -> :func:`build_similarity`, the degree-scaled biadjacency
+and columns, a plain array whose non-zero entries are the edges ->
+:func:`build_similarity`, the degree-scaled biadjacency
 B = D_r^{-1/2} C D_c^{-1/2} -> :func:`eig_smallest`. The graph's normalized
 Laplacian is L = I - [[0, B], [B^T, 0]], and its eigenpairs come from one SVD
 of the m x n matrix B (Dhillon, KDD 2001); the (m+n) x (m+n) graph is never
@@ -29,8 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connectivity import ConnectivityMatrix
-
 KMEANS_TOL = 1e-8
 KMEANS_MAX_ITER = 300
 
@@ -51,13 +50,15 @@ class SimilarityMatrix:
         object.__setattr__(self, "values", v)
 
 
-def build_similarity(c: ConnectivityMatrix) -> SimilarityMatrix:
-    """B = D_r^{-1/2} C D_c^{-1/2}: C scaled by its row and column degrees.
+def build_similarity(c: np.ndarray) -> SimilarityMatrix:
+    """B = D_r^{-1/2} C D_c^{-1/2}: the 2-d block C as 0/1, scaled by its row and column degrees.
 
-    An empty row or column is an isolated node and takes D^{-1/2} = 0, so an
-    empty graph maps to B = 0 and L = I.
+    Every non-zero entry of ``c`` is an edge, so a bool block and its 0/1
+    copy in any dtype give the same B bit for bit. An empty row or column is
+    an isolated node and takes D^{-1/2} = 0, so an empty graph maps to B = 0
+    and L = I.
     """
-    bits = c.bits.astype(np.float64)
+    bits = (np.asarray(c) != 0).astype(np.float64)
     d_r, d_c = bits.sum(axis=1), bits.sum(axis=0)
     inv_r = np.divide(1.0, np.sqrt(d_r), out=np.zeros_like(d_r), where=d_r > 0)
     inv_c = np.divide(1.0, np.sqrt(d_c), out=np.zeros_like(d_c), where=d_c > 0)

@@ -42,17 +42,21 @@ from .util import STREAM_CLUSTER, seed_for
 
 @dataclass(frozen=True)
 class TransformConfig:
+    """Knobs of the loop: clustering, training, when cluster pruning starts, and the epoch count.
+
+    Cluster pruning starts once the unclustered fraction is below
+    ``unclustered_threshold``; it ranks clusters by :func:`cluster_score`,
+    whose two terms carry fixed equal weights.
+    """
+
     scic: SizeClusterConfig = field(default_factory=SizeClusterConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     unclustered_threshold: float = 0.10
-    cluster_prune_alpha: float = 0.5
     max_epochs: int = 20
 
     def __post_init__(self):
         if not 0 < self.unclustered_threshold < 1:
             raise ValueError("unclustered_threshold must lie in (0, 1)")
-        if not 0 <= self.cluster_prune_alpha <= 1:
-            raise ValueError("cluster_prune_alpha must lie in [0, 1]")
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be non-negative")
 
@@ -81,13 +85,9 @@ class TransformState:
     log: list[dict] = field(default_factory=list)
 
     @classmethod
-    def fresh(cls, topology: list[int], seed: int) -> "TransformState":
-        model = init_model(topology, seed)
-        return cls(
-            model=model,
-            owner=[np.full(l.weights.shape, -1, dtype=np.int32) for l in model.layers],
-            seed=seed,
-        )
+    def fresh(cls, model: MlpModel, seed: int) -> "TransformState":
+        """``model`` with no clusters: every owner matrix all -1."""
+        return cls(model, [np.full(l.weights.shape, -1, dtype=np.int32) for l in model.layers], seed)
 
     def n_clusters(self) -> int:
         return sum(int(owner.max()) + 1 for owner in self.owner)
@@ -123,15 +123,11 @@ def _layer_scores(state: TransformState, cfg: TransformConfig, layer_id: int) ->
         utils.append(len(cells[0]) / cfg.scic.crossbar_area)
         means.append(float(np.abs(weights[cells]).mean(dtype=np.float64)))
     top = max(means, default=0.0)
-    alpha = cfg.cluster_prune_alpha
-    return [
-        alpha * util + (1 - alpha) * (mean / top if top > 0 else 0.0)
-        for util, mean in zip(utils, means)
-    ]
+    return [0.5 * util + 0.5 * (mean / top if top > 0 else 0.0) for util, mean in zip(utils, means)]
 
 
 def cluster_score(state: TransformState, cfg: TransformConfig, layer_id: int, index: int) -> float:
-    """alpha * utilization + (1 - alpha) * normalized mean |w| of the cluster.
+    """0.5 * utilization + 0.5 * normalized mean |w| of the cluster.
 
     Utilization is the cluster's owned-cell count over the crossbar area. The
     magnitude term divides the cluster's mean |w| over its covered
@@ -269,7 +265,7 @@ def run(
     There is no convergence stop: every run logs ``max_epochs`` records. Each
     also carries the validation accuracy and loss after its epoch.
     """
-    state = TransformState.fresh(topology, seed)
+    state = TransformState.fresh(init_model(topology, seed), seed)
     for _ in range(cfg.max_epochs):
         record = transform_epoch(
             state, x_train, y_train, cfg, enable_prune=enable_prune, enable_cluster=enable_cluster
@@ -281,9 +277,10 @@ def run(
 def offline_cluster(model: MlpModel, scic_cfg: SizeClusterConfig, seed: int) -> list[ClusterSet]:
     """Per-layer ClusterSets of one :func:`cluster_step` at epoch 0 from no clusters; ``model`` is only read.
 
-    The step is the loop's own, so it clusters every live synapse of the final connectivity.
+    The state is :meth:`TransformState.fresh` of ``model`` and the step is the
+    loop's own, so it clusters every live synapse of the final connectivity.
     """
-    state = TransformState(model, [np.full(l.weights.shape, -1, dtype=np.int32) for l in model.layers], seed)
+    state = TransformState.fresh(model, seed)
     cluster_step(state, scic_cfg, epoch=0)
     return final_cluster_sets(state)
 

@@ -443,6 +443,22 @@ def test_unreadable_dataset_leaves_no_output_directory(tmp_path, capsys, command
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "compare"])
+@pytest.mark.parametrize(
+    "changes",
+    [{"topology": [32, 2**45, 2]}, {"dataset": {"kind": "planted", "in_dim": 8, "hidden": 4, "block": 2,
+                                               "n_classes": 2**45}, "topology": [8, 4, 2**45]}],
+    ids=["hidden_width", "planted_classes"],
+)
+def test_a_network_or_dataset_too_large_to_allocate_exits_2(tmp_path, capsys, command, changes):
+    # 2**45 columns of 8-byte floats are 2 PiB, past any address space, so numpy refuses them at once
+    (tmp_path / "config.json").write_text(json.dumps({**CONFIG, **changes}))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 2
+    assert "out of memory: Unable to allocate" in capsys.readouterr().err
+    assert not any(out.rglob("summary.csv"))
+
+
 def write_idx_images(path, images):
     """IDX image file: magic 2051, count, rows, cols (big-endian), then the uint8 pixels."""
     path.write_bytes(struct.pack(">4I", 2051, *images.shape) + images.astype(np.uint8).tobytes())

@@ -136,16 +136,19 @@ class TestConfigErrors:
             ({"train": {"prune_quality": float("nan")}}, "train.prune_quality: must be finite, got nan"),
             ({"train": {"learning_rate": float("inf")}}, "train.learning_rate: must be finite, got inf"),
             ({"scic": {"decay_rate": float("inf")}}, "scic.decay_rate: must be finite, got inf"),
-            ({"transform": {"max_epochs": 1, "cluster_prune_alpha": float("-inf")}},
-             "transform.cluster_prune_alpha: must be finite, got -inf"),
+            ({"transform": {"max_epochs": 1, "unclustered_threshold": float("-inf")}},
+             "transform.unclustered_threshold: must be finite, got -inf"),
             ({"tech": {"mca_energy_per_active_crosspoint_j": float("nan")}},
              "tech.mca_energy_per_active_crosspoint_j: must be finite, got nan"),
             ({"tech": {"peripheral_energy_per_mca_eval_j": float("inf")}},
              "tech.peripheral_energy_per_mca_eval_j: must be finite, got inf"),
-            # the CMOS baseline runs on fixed constants, and cluster_prune cuts one cluster per event
+            # the CMOS baseline runs on fixed constants, and cluster_prune cuts one cluster per event, ranked
+            # by a score whose two terms weigh the same, so even the old default weight is refused
             ({"cmos": {}}, "cmos: unknown top-level key"),
             ({"transform": {"max_epochs": 1, "clusters_pruned_per_event": 1}},
              "transform.clusters_pruned_per_event: unknown field"),
+            ({"transform": {"max_epochs": 1, "cluster_prune_alpha": 0.5}},
+             "transform.cluster_prune_alpha: unknown field"),
             # no score reads a core count, so the technology has no cores
             ({"tech": {"cores_k": 4}}, "tech.cores_k: unknown field"),
             # range checks of each section's constructor
@@ -160,8 +163,6 @@ class TestConfigErrors:
             ({"scic": {"max_rounds": 0}}, "scic: max_rounds must be positive"),
             ({"transform": {"max_epochs": 1, "unclustered_threshold": 1}},
              "transform: unclustered_threshold must lie in (0, 1)"),
-            ({"transform": {"max_epochs": 1, "cluster_prune_alpha": 2}},
-             "transform: cluster_prune_alpha must lie in [0, 1]"),
             ({"transform": {"max_epochs": -1}}, "transform: max_epochs must be non-negative"),
             # the file itself: a list at the top level, and an out_dir that no --out overrides
             ([PLANTED], "config.json: top level must be a JSON object"),
@@ -173,10 +174,10 @@ class TestConfigErrors:
              "negative_noise_density", "planted_no_hidden", "kind_list", "retired_kind", "scic_crossbar",
              "digits_n_train_str", "digits_unknown", "digits_no_test", "mnist_n_train", "evals_per_inference",
              "nan_dataset", "nan_train", "inf_train", "inf_scic", "inf_transform", "nan_tech", "inf_tech",
-             "cmos_section", "clusters_pruned_per_event", "cores_k", "crossbar_rows_zero", "negative_energy",
+             "cmos_section", "clusters_pruned_per_event", "cluster_prune_alpha", "cores_k", "crossbar_rows_zero", "negative_energy",
              "zero_learning_rate", "zero_batch_size", "negative_prune_quality", "zero_base_util",
              "min_util_above_base", "decay_rate_one", "zero_max_rounds", "unclustered_threshold_one",
-             "cluster_prune_alpha_two", "negative_max_epochs", "top_level_list", "out_dir_int"],
+             "negative_max_epochs", "top_level_list", "out_dir_int"],
     )
     def test_dataset_and_topology_mistakes_exit_2(self, tmp_path, capsys, monkeypatch, overrides, message):
         monkeypatch.chdir(tmp_path)  # where a run with no --out would write
@@ -277,7 +278,7 @@ FUZZ_BASES = [
                     "n_test": 16},
         "topology": [4, 3, 2], "mode": "prune", "seed": 0,
         "train": {"learning_rate": 0.1, "batch_size": 8, "prune_quality": 0.7},
-        "transform": {"max_epochs": 2, "unclustered_threshold": 0.1, "cluster_prune_alpha": 0.5},
+        "transform": {"max_epochs": 2, "unclustered_threshold": 0.1},
         "scic": {"base_util_factor": 0.8, "min_util_factor": 0.4, "decay_rate": 0.9, "max_rounds": 2},
     },
     {

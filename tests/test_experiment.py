@@ -92,6 +92,14 @@ def test_compare_writes_the_serial_tree_on_any_cpu_count(compared, cfg, data, tm
     assert not multiprocessing.active_children()
 
 
+@pytest.mark.parametrize("count, usable", [(3, 3), (None, 1)], ids=["counted", "uncounted"])
+def test_usable_cpus_fall_back_to_the_cpu_count(monkeypatch, count, usable):
+    # a platform without affinity sets, such as macOS or Windows, has no os.sched_getaffinity
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert experiment._usable_cpus() == usable
+
+
 @pytest.mark.parametrize(
     "error",
     [ClusterFormatError("clusters.json: layer 0 does not fit"), ConfigError(["scic: one", "tech: two"])],

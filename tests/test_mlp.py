@@ -301,10 +301,20 @@ class TestForward:
         with pytest.raises(ShapeError):
             forward(model, np.zeros((2, 5)))
 
-    @pytest.mark.parametrize("shape", [(6,), (0, 2)], ids=["one_d", "empty"])
-    def test_degenerate_layer_rejected(self, shape):
-        with pytest.raises(ShapeError, match="degenerate weights shape"):
-            Layer(np.zeros(shape), np.zeros(2))
+    @pytest.mark.parametrize(
+        "shape, fan_out, message",
+        [((6,), 2, "degenerate weights shape"), ((0, 2), 2, "degenerate weights shape"),
+         ((3, 2), 3, "bias length must equal the layer fan-out")],
+        ids=["one_d", "empty", "bias_length"],
+    )
+    def test_degenerate_layer_rejected(self, shape, fan_out, message):
+        with pytest.raises(ShapeError, match=message):
+            Layer(np.zeros(shape), np.zeros(fan_out))
+
+    @pytest.mark.parametrize("topology", [[5], [4, 0]], ids=["one_width", "zero_width"])
+    def test_degenerate_topology_rejected(self, topology):
+        with pytest.raises(ValueError, match="topology needs >=2 positive widths"):
+            init_model(topology, seed=0)
 
 
 class TestBackward:
@@ -494,6 +504,22 @@ class TestMagnitudePrune:
         w[:] = np.array(huge + [1e-3] * 4, dtype=np.float32).reshape(3, 4)
         assert magnitude_prune(model, 0.5) == 4
         assert np.array_equal(w.ravel()[:8], np.array(huge, dtype=np.float32)) and not w.ravel()[8:].any()
+
+    def test_negative_quality_rejected(self):
+        with pytest.raises(ValueError, match="prune_quality must be non-negative"):
+            magnitude_prune(init_model([4, 3], seed=0), -1.0)
+
+    @pytest.mark.parametrize("quality", [3.5e38, 1e308], ids=["3.5e38", "1e308"])
+    def test_quality_past_float32_cuts_every_unprotected_weight_without_a_warning(self, quality):
+        model = init_model([6, 5, 3], seed=1)
+        protect = [np.zeros(layer.weights.shape, dtype=bool) for layer in model.layers]
+        protect[0][0, 0] = True
+        kept = model.layers[0].weights[0, 0]
+        live_before = model.n_live()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert magnitude_prune(model, quality, protect) == live_before - 1
+        assert model.n_live() == 1 and model.layers[0].weights[0, 0] == kept
 
     def test_diverged_weights_are_not_counted(self):
         # NaN is never below the threshold: nothing is zeroed and nothing is counted

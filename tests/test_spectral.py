@@ -8,7 +8,6 @@ builds either.
 import numpy as np
 import pytest
 
-from xbarnet.connectivity import ConnectivityMatrix
 from xbarnet.spectral import (
     KMEANS_MAX_ITER,
     KMEANS_TOL,
@@ -70,7 +69,7 @@ def signed(vecs: np.ndarray) -> np.ndarray:
 
 
 def solve(bits, k):
-    return eig_smallest(build_similarity(ConnectivityMatrix(bits)).values, k)
+    return eig_smallest(build_similarity(bits).values, k)
 
 
 def basis_of(bits, k):
@@ -99,27 +98,36 @@ def random_block_bits(rng, shapes):
 
 class TestSimilarity:
     def test_single_edge(self):
-        s = build_similarity(ConnectivityMatrix([[1]]))
+        s = build_similarity(np.array([[1]]))
         assert s.values.tolist() == [[1.0]]
 
     def test_empty_graph(self):
-        s = build_similarity(ConnectivityMatrix(np.zeros((2, 2), dtype=np.uint8)))
+        s = build_similarity(np.zeros((2, 2), dtype=np.uint8))
         assert s.values.shape == (2, 2) and not s.values.any()
 
     def test_symmetry_count(self):
         # one entry of B per synapse; the full graph held each edge twice
         bits = np.zeros((2, 3), dtype=np.uint8)
         bits[[0, 0, 1, 1], [0, 2, 1, 2]] = 1
-        s = build_similarity(ConnectivityMatrix(bits))
+        s = build_similarity(bits)
         assert s.values.shape == (2, 3)
         assert np.array_equal(s.values != 0, bits == 1)
         assert int((bipartite_adjacency(bits) != 0).sum()) == 2 * int((s.values != 0).sum())
+
+    def test_every_non_zero_entry_is_an_edge(self):
+        # a bool block and its 0/1 uint8 copy are the same graph, bit for bit
+        rng = np.random.default_rng(5)
+        live = rng.random((9, 6)) < 0.4
+        live[3] = False
+        b = build_similarity(live).values
+        assert b.tobytes() == build_similarity(live.astype(np.uint8)).values.tobytes()
+        assert np.array_equal(b != 0, live)
 
     def test_degree_scaling_matches_full_graph(self):
         rng = np.random.default_rng(3)
         bits = (rng.random((7, 5)) < 0.5).astype(np.uint8)
         bits[1] = 0
-        b = build_similarity(ConnectivityMatrix(bits)).values
+        b = build_similarity(bits).values
         assert np.array_equal(np.eye(12) - explicit_laplacian(bits), bipartite_adjacency(b))
 
     @pytest.mark.parametrize(
@@ -174,8 +182,8 @@ class TestDegreeAndLaplacian:
         rng = np.random.default_rng(13)
         bits = (rng.random((9, 14)) < 0.4).astype(np.uint8)
         bits[2] = 0
-        b = build_similarity(ConnectivityMatrix(bits)).values
-        assert np.array_equal(build_similarity(ConnectivityMatrix(bits.T)).values, b.T)
+        b = build_similarity(bits).values
+        assert np.array_equal(build_similarity(bits.T).values, b.T)
 
 
 class TestEigSmallest:
@@ -327,9 +335,14 @@ class TestKmeans:
         labels = kmeans(pts, 3, seed=1)
         assert sorted(labels.tolist()) == [0, 1, 2]
 
-    def test_k_too_large(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            kmeans(np.zeros((2, 2)), 3, seed=0)
+    @pytest.mark.parametrize(
+        "points, k, message",
+        [(np.zeros((2, 2)), 3, "exceeds"), (np.zeros((2, 2)), 0, "k must be positive"), (np.zeros(4), 1, "2-d")],
+        ids=["k_too_large", "k_zero", "one_d_points"],
+    )
+    def test_rejects_bad_points_and_k(self, points, k, message):
+        with pytest.raises(ValueError, match=message):
+            kmeans(points, k, seed=0)
 
     def test_permutation_invariance_oracle(self):
         # oracle: run on two orderings, compare partitions as sets of point ids
@@ -360,7 +373,7 @@ class TestKmeans:
         # the shape of a 784x256 layer's clustering: 1040 points, 33 dimensions, k = 33
         rng = np.random.default_rng(31)
         bits = (rng.random((784, 256)) < 0.05).astype(np.uint8)
-        _, vectors = eig_smallest(build_similarity(ConnectivityMatrix(bits)).values, 33)
+        _, vectors = eig_smallest(build_similarity(bits).values, 33)
         assert_matches_reference(row_normalize(vectors), 33, seed=0)
 
     @pytest.mark.parametrize(

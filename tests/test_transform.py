@@ -63,7 +63,7 @@ class TestBranchLogic:
     def test_fully_clustered_triggers_one_prune_and_no_clustering(self):
         x, y = tiny_data()
         cfg = small_config()
-        state = TransformState.fresh([6, 8, 3], seed=0)
+        state = TransformState.fresh(init_model([6, 8, 3], seed=0), seed=0)
         # cover every live synapse of every layer with synthetic clusters
         for layer_id, layer in enumerate(state.model.layers):
             m, n = layer.weights.shape
@@ -83,7 +83,7 @@ class TestBranchLogic:
     def test_worse_error_freezes_maps(self):
         x, y = tiny_data()
         cfg = small_config()
-        state = TransformState.fresh([6, 8, 3], seed=0)
+        state = TransformState.fresh(init_model([6, 8, 3], seed=0), seed=0)
         state.log.append({"train_loss": -1.0})  # any loss counts as worse
         live_before = [layer.weights != 0 for layer in state.model.layers]
         owner_before = [o.copy() for o in state.owner]
@@ -102,7 +102,7 @@ class TestBranchLogic:
     def test_first_epoch_improves_unless_its_loss_is_nan(self, monkeypatch, loss, improved):
         x, y = tiny_data()
         monkeypatch.setattr(transform, "train_epoch", lambda *args: loss)
-        state = TransformState.fresh([6, 8, 3], seed=0)
+        state = TransformState.fresh(init_model([6, 8, 3], seed=0), seed=0)
         record = transform_epoch(state, x, y, small_config())
         assert record["improved"] is improved
         assert (state.n_clusters() > 0) is improved  # only an improving epoch clusters
@@ -111,7 +111,7 @@ class TestBranchLogic:
     @pytest.mark.parametrize("block, value", [("weights", np.inf), ("bias", np.nan)], ids=["inf_weight", "nan_bias"])
     def test_a_diverged_epoch_raises_before_it_prunes_or_logs(self, monkeypatch, block, value):
         x, y = tiny_data()
-        state = TransformState.fresh([6, 8, 3], seed=0)
+        state = TransformState.fresh(init_model([6, 8, 3], seed=0), seed=0)
         transform_epoch(state, x, y, small_config())
 
         def diverging_train_epoch(model, *args):
@@ -132,7 +132,7 @@ class TestBranchLogic:
     def test_no_cluster_prune_before_threshold(self):
         x, y = tiny_data()
         cfg = small_config(max_epochs=3)
-        state = TransformState.fresh([6, 8, 3], seed=0)
+        state = TransformState.fresh(init_model([6, 8, 3], seed=0), seed=0)
         for _ in range(3):
             record = transform_epoch(state, x, y, cfg)
             if record["phase"] == "cluster_pruning":
@@ -156,7 +156,7 @@ class TestSeed:
         losses = []
         for seed in (0, 1):
             cluster_seeds.clear()
-            state = TransformState.fresh([6, 8, 3], seed)
+            state = TransformState.fresh(init_model([6, 8, 3], seed), seed)
             record = transform_epoch(state, x, y, cfg)
             ran = run(cfg, [6, 8, 3], x, y, x, y, seed)
             assert ran.seed == state.seed == seed
@@ -176,7 +176,7 @@ class TestSeed:
 class TestClusterScore:
     def build_state(self, b_live_rows=4):
         """Cluster a owns a full 4x4 block; cluster b owns ``b_live_rows`` rows of one."""
-        state = TransformState.fresh([8, 8, 3], seed=1)
+        state = TransformState.fresh(init_model([8, 8, 3], seed=1), seed=1)
         w = state.model.layers[0].weights
         w[:4, :4] = 0.5
         w[4:8, 4:8] = 0.5
@@ -185,23 +185,23 @@ class TestClusterScore:
         add_cluster(state, 0, range(4, 8), range(4, 8))
         return state
 
-    def test_alpha_one_is_utilization(self):
+    def test_equal_magnitudes_score_by_utilization(self):
         state = self.build_state(b_live_rows=3)
-        cfg = small_config(cluster_prune_alpha=1.0)
+        cfg = small_config()
         assert cluster_score(state, cfg, 0, 0) == 1.0
-        assert cluster_score(state, cfg, 0, 1) == 12 / 16  # owned cells over the 4x4 crossbar
+        assert cluster_score(state, cfg, 0, 1) == 0.5 * 12 / 16 + 0.5  # owned cells over the 4x4 crossbar
 
-    def test_alpha_zero_best_cluster_scores_one(self):
+    def test_strongest_full_cluster_scores_one(self):
         state = self.build_state()
         w = state.model.layers[0].weights
         w[state.owner[0] == 0] = 2.0  # cluster a holds the layer's largest weights
-        cfg = small_config(cluster_prune_alpha=0.0)
-        assert cluster_score(state, cfg, 0, 0) == pytest.approx(1.0)
-        assert cluster_score(state, cfg, 0, 1) < 1.0
+        cfg = small_config()
+        assert cluster_score(state, cfg, 0, 0) == 1.0
+        assert cluster_score(state, cfg, 0, 1) == 0.5 + 0.5 * 0.25  # both full; b's mean |w| is a quarter of a's
 
-    def test_equal_magnitude_difference_is_alpha_scaled(self):
+    def test_equal_magnitude_difference_is_half_the_utilization_difference(self):
         state = self.build_state(b_live_rows=2)
-        cfg = small_config(cluster_prune_alpha=0.5)
+        cfg = small_config()
         sa = cluster_score(state, cfg, 0, 0)
         sb = cluster_score(state, cfg, 0, 1)
         assert sa - sb == pytest.approx(0.5 * (1.0 - 0.5))
@@ -212,13 +212,13 @@ class TestClusterScore:
         x, y = tiny_data(n=200)
         state = run(small_config(max_epochs=3), [6, 8, 3], x, y, x, y, 0)
         assert state.n_clusters() > 1
-        cfg = small_config(cluster_prune_alpha=0.3)
+        cfg = small_config()
         for layer_id, owner in enumerate(state.owner):
             absw = np.abs(state.model.layers[layer_id].weights)
             cells = [np.nonzero(owner == k) for k in range(owner.max() + 1)]
             means = [absw[c].mean(dtype=np.float64) for c in cells]
             for k, c in enumerate(cells):
-                want = 0.3 * (len(c[0]) / cfg.scic.crossbar_area) + 0.7 * (means[k] / max(means))
+                want = 0.5 * (len(c[0]) / cfg.scic.crossbar_area) + 0.5 * (means[k] / max(means))
                 score = cluster_score(state, cfg, layer_id, k)
                 assert type(score) is float and score == want
 
@@ -232,7 +232,7 @@ class TestClusterScore:
 
 class TestClusterPrune:
     def test_single_cluster_removed_and_zeroed(self):
-        state = TransformState.fresh([8, 8, 3], seed=2)
+        state = TransformState.fresh(init_model([8, 8, 3], seed=2), seed=2)
         state.model.layers[0].weights[:4, :4] = 0.7
         add_cluster(state, 0, range(4), range(4))
         cfg = small_config()
@@ -243,14 +243,14 @@ class TestClusterPrune:
         assert (state.owner[0] == -1).all()
 
     def test_lowest_score_pruned_first(self):
-        state = TransformState.fresh([8, 8, 3], seed=3)
+        state = TransformState.fresh(init_model([8, 8, 3], seed=3), seed=3)
         w = state.model.layers[0].weights
         w[:4, :4] = 0.5
         w[1:4, :4] = 0.0  # the first cluster owns 4 cells, the second 16
         w[4:8, 4:8] = 0.5
         add_cluster(state, 0, range(4), range(4))
         add_cluster(state, 0, range(4, 8), range(4, 8))
-        cfg = small_config(cluster_prune_alpha=1.0)
+        cfg = small_config()  # equal magnitudes: the first scores 0.5 * 4/16 + 0.5, the second 1.0
         cluster_prune(state, cfg)
         assert state.n_clusters() == 1
         assert (state.owner[0][4:8, 4:8] == 0).all()  # the survivor moved down to index 0
@@ -259,7 +259,7 @@ class TestClusterPrune:
     def test_cut_cluster_stays_dead_at_prune_quality_zero(self):
         x, y = tiny_data()
         cfg = small_config(train=TrainConfig(learning_rate=0.05, batch_size=16, prune_quality=0.0))
-        state = TransformState.fresh([6, 8, 3], seed=0)
+        state = TransformState.fresh(init_model([6, 8, 3], seed=0), seed=0)
         add_cluster(state, 0, range(4), range(4))
         assert state.model.n_live() == 72
         cluster_prune(state, cfg)
@@ -271,11 +271,11 @@ class TestClusterPrune:
         assert state.model.n_live() <= 56
 
     def test_empty_set_noop(self):
-        state = TransformState.fresh([6, 4, 3], seed=4)
+        state = TransformState.fresh(init_model([6, 4, 3], seed=4), seed=4)
         assert cluster_prune(state, small_config()) == 0
 
     def test_ties_cut_the_lowest_layer_then_index(self):
-        state = TransformState.fresh([8, 8, 8], seed=5)
+        state = TransformState.fresh(init_model([8, 8, 8], seed=5), seed=5)
         for layer_id in (0, 1):
             state.model.layers[layer_id].weights[:] = 0.5
             add_cluster(state, layer_id, range(4), range(4))
@@ -297,7 +297,7 @@ class TestRunLoop:
         cfg = small_config(max_epochs=0)
         state = run(cfg, [6, 8, 3], x, y, x, y, 0)
         assert state.log == []
-        initial = TransformState.fresh([6, 8, 3], seed=0)
+        initial = TransformState.fresh(init_model([6, 8, 3], seed=0), seed=0)
         for layer, fresh in zip(state.model.layers, initial.model.layers):
             assert layer.weights.tobytes() == fresh.weights.tobytes()
 
@@ -308,7 +308,7 @@ class TestRunLoop:
             train=TrainConfig(learning_rate=0.1, batch_size=32),
             max_epochs=6,
         )
-        state = TransformState.fresh([16, 16, 2], seed=5)
+        state = TransformState.fresh(init_model([16, 16, 2], seed=5), seed=5)
         live_counts = [state.model.n_live()]
         for _ in range(cfg.max_epochs):
             transform_epoch(state, data.x_train, data.y_train, cfg)
@@ -323,7 +323,7 @@ class TestRunLoop:
             train=TrainConfig(learning_rate=0.1, batch_size=32),
             unclustered_threshold=0.01,
         )
-        state = TransformState.fresh([16, 16, 2], seed=5)
+        state = TransformState.fresh(init_model([16, 16, 2], seed=5), seed=5)
         zeroed = []
         for _ in range(4):
             live_before = state.model.n_live()
@@ -446,7 +446,7 @@ class TestPlantedRecovery:
 
 class TestOfflineCluster:
     def test_zero_model_gives_empty_sets(self):
-        state = TransformState.fresh([8, 8, 2], seed=0)
+        state = TransformState.fresh(init_model([8, 8, 2], seed=0), seed=0)
         for layer in state.model.layers:
             layer.weights[:] = 0
         sets = offline_cluster(state.model, SizeClusterConfig(crossbar_rows=4, crossbar_cols=4), seed=0)
@@ -469,7 +469,7 @@ class TestOfflineCluster:
             assert np.array_equal(cs.owner, alone.owner)
 
     def test_planted_blocks_found_posthoc(self):
-        state = TransformState.fresh([16, 16, 2], seed=1)
+        state = TransformState.fresh(init_model([16, 16, 2], seed=1), seed=1)
         w = state.model.layers[0].weights
         w[:] = 0
         for b in range(4):
@@ -492,7 +492,7 @@ class TestOfflineCluster:
         assert covered + sum(sum(layer["residual_active"]) for layer in layers) == live
 
     def test_mapping_rejects_an_owned_dead_weight(self):
-        state = TransformState.fresh([6, 8, 3], seed=0)
+        state = TransformState.fresh(init_model([6, 8, 3], seed=0), seed=0)
         add_cluster(state, 0, range(4), range(4))
         state.model.layers[0].weights[1, 1] = 0.0  # owned by cluster 0, no longer a synapse
         sets = final_cluster_sets(state)  # the sets hold owners only
