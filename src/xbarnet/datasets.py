@@ -61,15 +61,21 @@ class IdxFormatError(InputFormatError):
 
 
 def _open_maybe_gzip(path: Path):
+    """A gzip reader for a gzipped file, else the plain file unbuffered, whose ``read()`` is one allocation."""
     with open(path, "rb") as fh:
         head = fh.read(2)
     if head == b"\x1f\x8b":
         return gzip.open(path, "rb")
-    return open(path, "rb")
+    return open(path, "rb", buffering=0)
 
 
 def _read_idx(path, magic: int, n_dims: int) -> tuple[list[int], bytes]:
-    """(dimensions, payload) of an IDX file; its magic, its byte count and any gzip stream are checked."""
+    """(dimensions, payload) of an IDX file; its magic, its byte count and any gzip stream are checked.
+
+    A plain file's payload is read with one allocation, sized by the file
+    itself; the size its header claims is only compared with what was read,
+    never allocated.
+    """
     path = Path(path)
     try:
         with _open_maybe_gzip(path) as fh:
@@ -105,7 +111,7 @@ def _write_idx(path, magic: int, values: np.ndarray) -> None:
     """uint8 ``values`` under a header of ``magic`` and their dimensions, big-endian per the IDX standard."""
     with open(path, "wb") as fh:
         fh.write(struct.pack(f">{values.ndim + 1}I", magic, *values.shape))
-        fh.write(np.ascontiguousarray(values, dtype=np.uint8).tobytes())
+        fh.write(np.ascontiguousarray(values, dtype=np.uint8).data)
 
 
 _IDX_NAMES = {
@@ -129,7 +135,9 @@ def load_mnist(directory) -> Dataset:
 
     Each image becomes one row of its uint8 pixels, as stored, with no float
     copy; ``mlp.forward`` scales a batch of them to [0, 1] in the dtype of the
-    model's weights, float32 for a trained network.
+    model's weights, float32 for a trained network. Each plain file's pixels
+    are read with one allocation and viewed in place, so the peak is the
+    bytes returned plus one label file's bytes.
     """
     directory = Path(directory)
     x_train = read_idx_images(_find_idx_file(directory, _IDX_NAMES["train_images"]))
@@ -190,7 +198,7 @@ class DigitsSpec(MnistSpec):
             raise ValueError("n_train and n_test must be positive and gen_seed non-negative")
 
 
-# samples rendered per array pass of write_surrogate_digits; it bounds the float buffers, not the bytes
+# samples rendered and written per pass of write_surrogate_digits; it bounds both its float buffers and its bytes
 _SURROGATE_CHUNK = 256
 _MAX_SHIFT = 2  # surrogate samples roll their prototype by -2..2 pixels along each axis
 SURROGATE_RECORD = "surrogate_digits.json"  # the inputs write_surrogate_digits wrote a directory from
@@ -209,9 +217,11 @@ def write_surrogate_digits(directory, seed: int, n_train: int, n_test: int, side
     then all (row, col) shifts, then per sample its dropout field
     ``random((side, side))``, its gain ``uniform(0.6, 1.0)`` and its noise
     ``normal(0, 0.08, (side, side))``. Samples are drawn one at a time but
-    rendered a chunk at a time, so besides one table of every shifted
-    prototype the float buffers hold one chunk at most, whatever the sample
-    counts.
+    rendered a chunk at a time, and each chunk's pixels go straight into the
+    open image file, after its header; a split's labels are written after
+    its images. So besides one split's labels and shifts it holds the table
+    of every shifted prototype and one chunk's float and uint8 buffers,
+    whatever the sample counts.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -225,33 +235,32 @@ def write_surrogate_digits(directory, seed: int, n_train: int, n_test: int, side
     dropout = np.empty((chunk, side, side))
     gain = np.empty((chunk, 1, 1))
     noise = np.empty((chunk, side, side))
+    pixels = np.empty((chunk, side, side), dtype=np.uint8)
 
-    def batch(n: int) -> tuple[np.ndarray, np.ndarray]:
+    def write_split(split: str, n: int) -> None:
         labels = rng.integers(0, 10, size=n)
-        images = np.zeros((n, side, side), dtype=np.uint8)
         shifts = rng.integers(-_MAX_SHIFT, _MAX_SHIFT + 1, size=(n, 2))
         renderings = (labels * n_shifts + shifts[:, 0] + _MAX_SHIFT) * n_shifts + shifts[:, 1] + _MAX_SHIFT
-        for start in range(0, n, chunk):
-            m = min(chunk, n - start)
-            for j in range(m):
-                rng.random(out=dropout[j])
-                gain[j] = rng.uniform(0.6, 1.0)
-                noise[j] = rng.normal(0, 0.08, size=(side, side))
-            img = rolled[renderings[start : start + m]]
-            img *= dropout[:m] > 0.15
-            img *= gain[:m]
-            img += noise[:m]
-            np.clip(img, 0, 1, out=img)
-            img *= 255
-            images[start : start + m] = img  # the unsafe float -> uint8 cast of astype
-        return images, labels.astype(np.uint8)
+        with open(directory / _IDX_NAMES[f"{split}_images"][0], "wb") as fh:
+            fh.write(struct.pack(">4I", IDX_IMAGES_MAGIC, n, side, side))
+            for start in range(0, n, chunk):
+                m = min(chunk, n - start)
+                for j in range(m):
+                    rng.random(out=dropout[j])
+                    gain[j] = rng.uniform(0.6, 1.0)
+                    noise[j] = rng.normal(0, 0.08, size=(side, side))
+                img = rolled[renderings[start : start + m]]
+                img *= dropout[:m] > 0.15
+                img *= gain[:m]
+                img += noise[:m]
+                np.clip(img, 0, 1, out=img)
+                img *= 255
+                pixels[:m] = img  # the unsafe float -> uint8 cast of astype
+                fh.write(pixels[:m].data)
+        _write_idx(directory / _IDX_NAMES[f"{split}_labels"][0], IDX_LABELS_MAGIC, labels.astype(np.uint8))
 
-    train_x, train_y = batch(n_train)
-    test_x, test_y = batch(n_test)
-    _write_idx(directory / _IDX_NAMES["train_images"][0], IDX_IMAGES_MAGIC, train_x)
-    _write_idx(directory / _IDX_NAMES["train_labels"][0], IDX_LABELS_MAGIC, train_y)
-    _write_idx(directory / _IDX_NAMES["test_images"][0], IDX_IMAGES_MAGIC, test_x)
-    _write_idx(directory / _IDX_NAMES["test_labels"][0], IDX_LABELS_MAGIC, test_y)
+    write_split("train", n_train)
+    write_split("test", n_test)
     (directory / SURROGATE_RECORD).write_text(json.dumps({"gen_seed": seed, "n_train": n_train, "n_test": n_test}))
     return directory
 
@@ -291,7 +300,7 @@ class PlantedSpec:
             raise ValueError("noise_density must lie in [0, 1)")
 
 
-# rows the float64 teacher labels per pass of gen_planted; it bounds the activations, not the features
+# rows gen_planted draws, labels and casts per pass; it bounds the float64 features and the activations it holds
 _PLANTED_LABEL_CHUNK = 512
 
 
@@ -303,11 +312,13 @@ def gen_planted(spec: PlantedSpec, seed: int) -> tuple[Dataset, mlp.MlpModel, di
     threshold. The teacher's layers are float64, so it labels the data in
     float64 whatever dtype the students train in.
 
-    Each split's features are one float64 ``normal`` draw, which the teacher
-    labels :data:`_PLANTED_LABEL_CHUNK` rows at a time and which is then cast
-    once to C-contiguous float32, the dtype a student trains in. So the
-    features are the float32 rounding of the values the teacher labelled,
-    and no activation of a whole split is held.
+    Each split's features are drawn :data:`_PLANTED_LABEL_CHUNK` rows at a
+    time from one float64 ``normal`` stream, so the draws are those of one
+    whole-split draw. The teacher labels each chunk, which is then cast into
+    the split's preallocated C-contiguous float32 array, the dtype a student
+    trains in. So the features are the float32 rounding of the values the
+    teacher labelled, and besides the returned arrays only one chunk's
+    float64 features and activations are held.
     """
     rng = rng_for(seed, STREAM_DATA)
     n_blocks = spec.in_dim // spec.block
@@ -333,12 +344,13 @@ def gen_planted(spec: PlantedSpec, seed: int) -> tuple[Dataset, mlp.MlpModel, di
     )
 
     def batch(n: int) -> tuple[np.ndarray, np.ndarray]:
-        x = rng.normal(size=(n, spec.in_dim))
+        x = np.empty((n, spec.in_dim), dtype=np.float32)
         labels = np.empty(n, dtype=np.int64)
         for start in range(0, n, _PLANTED_LABEL_CHUNK):
-            _, probs = mlp.forward(teacher, x[start : start + _PLANTED_LABEL_CHUNK])
-            labels[start : start + len(probs)] = probs.argmax(axis=1)
-        return x.astype(np.float32), labels
+            rows = rng.normal(size=(min(_PLANTED_LABEL_CHUNK, n - start), spec.in_dim))
+            labels[start : start + len(rows)] = mlp.forward(teacher, rows)[1].argmax(axis=1)
+            x[start : start + len(rows)] = rows
+        return x, labels
 
     x_train, y_train = batch(spec.n_train)
     x_test, y_test = batch(spec.n_test)

@@ -221,9 +221,8 @@ def compare(cfg: ExperimentConfig, out_dir, dataset: Dataset | None = None) -> l
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
-    data = dataset if dataset is not None else build_dataset(cfg)  # a bad dataset leaves no output directory
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    data = dataset if dataset is not None else build_dataset(cfg)
+    out = Path(out_dir)  # created by the first arm written, so a run that fails before any arm leaves none
     groups: dict[tuple[bool, bool], list[str]] = {}
     for mode in MODES:
         groups.setdefault(_TRAINING_SWITCHES[mode], []).append(mode)
@@ -239,5 +238,6 @@ def compare(cfg: ExperimentConfig, out_dir, dataset: Dataset | None = None) -> l
             denom = base[col]
             row[f"norm_{col}"] = row[col] / denom if denom else 0.0
     columns = SUMMARY_COLUMNS + [f"norm_{c}" for c in NORMALIZED]
+    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "summary.csv", rows, columns)
     return rows

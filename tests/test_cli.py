@@ -266,7 +266,8 @@ def test_report_with_evals_per_inference_exits_2(tmp_path, pruned_run, capsys):
       "{file}/x: a file stands where the path needs a directory"),
      (["cluster", "--checkpoint", "{run}/checkpoint", "--out", "{file}/c.json"],
       "{file}: a file stands where the path needs a directory"),
-     (["compare", "--out", "{file}/x"], "{file}/x: a file stands where the path needs a directory")],
+     # compare creates --out only with its summary, so the first directory it needs is the first arm's
+     (["compare", "--out", "{file}/x"], "{file}/x/original: a file stands where the path needs a directory")],
     ids=["map_clusters_dir", "report_mapping_dir", "cluster_out_dir", "map_out_dir", "report_out_dir",
          "map_clusters_missing", "map_clusters_under_file", "cluster_out_under_file", "compare_out_under_file"],
 )
@@ -507,4 +508,4 @@ def test_a_diverging_training_exits_2_and_writes_no_arm(tmp_path, capsys, argv, 
     with np.errstate(over="ignore", invalid="ignore"):
         assert cli.main([*argv, "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 2
     assert f"train.learning_rate: 1e+06 diverged the {mode} training at epoch {epoch}" in capsys.readouterr().err
-    assert not out.exists() or not any(out.rglob("*"))  # no arm and no summary
+    assert not out.exists()  # no arm, no summary and no empty directory

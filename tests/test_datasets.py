@@ -1,8 +1,9 @@
-"""IDX ingestion: gzipped files under the dotted names, damaged gzip streams exit 2, surrogate bytes, planted data."""
+"""IDX ingestion, gzipped and damaged files, surrogate and planted bytes, and the data producers' memory bounds."""
 
 import gzip
 import hashlib
 import json
+import struct
 import tracemalloc
 import zlib
 from pathlib import Path
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from xbarnet import cli, datasets, mlp
-from xbarnet.datasets import PlantedSpec, gen_planted, load_mnist, write_surrogate_digits
+from xbarnet.datasets import IdxFormatError, PlantedSpec, gen_planted, load_mnist, write_surrogate_digits
 from xbarnet.util import STREAM_DATA, rng_for
 
 # the undotted names the surrogate writes, and the dotted names some distributions use
@@ -228,15 +229,63 @@ def test_a_student_trains_alike_on_float64_features_and_their_float32_cast():
     assert losses_a == losses_b and eval_a == eval_b
 
 
-def test_planted_generation_peak_memory_is_bounded():
-    # the whole-split float64 generator peaked at 8.65 MB here: its 4000x128 features plus the teacher's
-    # 4000x128 hidden activations; one float64 and one float32 copy of the features plus a chunk's
-    # activations come to 6.9 MB
-    spec = PlantedSpec(in_dim=128, hidden=128, n_classes=2, block=16, n_train=4000, n_test=1000)
+def traced_peak(fn, *args):
+    """(result, tracemalloc's peak in bytes) of ``fn(*args)``.
+
+    Call ``fn`` once on a tiny input first: the first call of a producer
+    imports and caches what later calls reuse, and that bookkeeping would
+    make a peak depend on which tests ran before it.
+    """
     tracemalloc.start()
     try:
-        gen_planted(spec, 0)
+        result = fn(*args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 7.5e6
+    return result, peak
+
+
+def test_planted_generation_peak_memory_is_bounded():
+    # the returned 4000x128 and 1000x128 float32 features are 2.56 MB and the teacher with its support and
+    # noise mask about 0.35 MB; one 512-row chunk adds its float64 features and the teacher's hidden
+    # activations, 0.52 MB each, for 4.0 MB in all
+    gen_planted(PlantedSpec(in_dim=8, hidden=8, block=4, n_train=3, n_test=2), 0)
+    spec = PlantedSpec(in_dim=128, hidden=128, n_classes=2, block=16, n_train=4000, n_test=1000)
+    _, peak = traced_peak(gen_planted, spec, 0)
+    assert peak < 4.5e6
+
+
+def test_surrogate_write_peak_memory_does_not_grow_with_sample_count(tmp_path):
+    # the shifted-prototype table and one chunk's float and uint8 buffers come to about 8 MB whatever the
+    # sample counts; only a split's labels and shifts grow, by 40 bytes a sample
+    write_surrogate_digits(tmp_path / "warm", 0, 3, 2)
+    _, small = traced_peak(write_surrogate_digits, tmp_path / "small", 0, 2000, 500)
+    _, large = traced_peak(write_surrogate_digits, tmp_path / "large", 0, 12000, 3000)
+    assert max(small, large) < 10e6
+    assert abs(large - small) < 1e6
+
+
+def test_load_mnist_peak_memory_is_the_bytes_it_returns(tmp_path, plain_dir):
+    # each plain file is read with one allocation that the pixels are a view of; the labels' uint8 bytes
+    # are the only other buffer
+    digits = write_surrogate_digits(tmp_path / "digits", 0, 6000, 2000)
+    load_mnist(plain_dir)
+    data, peak = traced_peak(load_mnist, digits)
+    returned = sum(a.nbytes for a in (data.x_train, data.y_train, data.x_test, data.y_test))
+    assert peak <= returned + 0.5e6
+
+
+def test_an_idx_header_claiming_2_31_images_is_rejected_in_bounded_peak_memory(tmp_path, plain_dir):
+    # the header claims 2**31 * 28 * 28 bytes, about 1.7 TB, over one image's worth: the length check must
+    # reject it from the bytes the file holds, allocating nothing of what the header claims
+    path = tmp_path / "train-images-idx3-ubyte"
+    path.write_bytes(struct.pack(">4I", datasets.IDX_IMAGES_MAGIC, 2**31, 28, 28) + bytes(28 * 28))
+    datasets.read_idx_images(plain_dir / "train-images-idx3-ubyte")
+    tracemalloc.start()
+    try:
+        with pytest.raises(IdxFormatError, match=f"truncated data, expected {2**31 * 28 * 28} bytes, got 784"):
+            datasets.read_idx_images(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
