@@ -13,6 +13,7 @@ Every subcommand takes --config (JSON); --seed/--out (and train's --mode) overri
 from __future__ import annotations
 
 import argparse
+import errno
 import sys
 from pathlib import Path
 
@@ -29,7 +30,16 @@ def _load(args, mode: str | None = None) -> ExperimentConfig:
 
 
 def _out_dir(cfg, args, default: str) -> Path:
-    return Path(args.out or cfg.out_dir or default)
+    """The output directory of ``train`` or ``compare``, checked before any data is built; creates nothing.
+
+    Raises NotADirectoryError naming the nearest path at or above it that
+    exists, if that path is not a directory.
+    """
+    out = Path(args.out or cfg.out_dir or default)
+    found = next(p for p in (out, *out.parents) if p.exists())
+    if not found.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, "Not a directory", str(found))
+    return out
 
 
 def _out_file(cfg, args, name: str) -> Path:
@@ -52,11 +62,11 @@ def cmd_cluster(args) -> int:
     cfg = _load(args)
     out = _out_file(cfg, args, "clusters.json")
     model, _ = load_checkpoint(args.checkpoint)
-    sets = offline_cluster(model, cfg.scic, cfg.seed)
+    owners = offline_cluster(model, cfg.scic, cfg.seed)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(cluster_sets_to_json(sets))
-    total = sum(s.n_clusters for s in sets)
-    residual = model.n_live() - sum(int(s.cell_counts().sum()) for s in sets)
+    out.write_text(cluster_sets_to_json(owners))
+    total = sum(int(owner.max()) + 1 for owner in owners)
+    residual = model.n_live() - sum(int((owner >= 0).sum()) for owner in owners)
     print(f"wrote {out}: {total} clusters, {residual} residual synapses")
     return 0
 
@@ -70,8 +80,8 @@ def cmd_map(args) -> int:
         text = Path(args.clusters).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ClusterFormatError(f"{args.clusters}: not UTF-8 text ({exc})") from None
-    sets = cluster_sets_from_json(text, weights, crossbar)
-    mapping = map_to_mcas(sets, weights, cfg.tech)
+    owners = cluster_sets_from_json(text, weights, crossbar)
+    mapping = map_to_mcas(owners, weights, cfg.tech)
     out = _out_file(cfg, args, "mapping.json")
     write_json(out, mapping)
     print(f"wrote {out}: num_mca={mapping['num_mca']}")

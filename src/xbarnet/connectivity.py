@@ -1,19 +1,22 @@
-"""Connectivity matrices, clusters, and the ``clusters.json`` format.
+"""Connectivity matrices, owner matrices, and the ``clusters.json`` format.
 
 A connectivity matrix is a dense (0,1) matrix recording which synapses exist
 between two neuron layers: entry (i, j) = 1 iff input neuron i feeds output
 neuron j; clustering takes one. A layer's synapses are the non-zero entries
 of its weights, read from the weights wherever they are needed.
-A cluster is a group of synapses that maps onto one crossbar. A ClusterSet
-records which cluster owns each cell of a layer in one int32 owner matrix,
-and that matrix is the only record of the clusters: a cluster's footprint,
-the rows and columns its crossbar spans, is derived from the cells it owns.
+A cluster is a group of synapses that maps onto one crossbar. One int32
+owner matrix per layer records which cluster owns each cell, and that matrix
+is the only record of the layer's clusters: a cluster's footprint, the rows
+and columns its crossbar spans, is derived from the cells it owns
+(:func:`footprints`). Owner matrices travel between modules as plain
+arrays; :class:`ClusterSet` only wraps the one the clusterer returns.
+:func:`check_owner` is the one check of an owner matrix against its layer's
+weights and the crossbar, for the matrices a run builds and for those a file
+holds alike.
 
 A run writes its clusters to ``clusters.json``, one record per cluster
 (:func:`cluster_sets_to_json`), and :func:`cluster_sets_from_json` rebuilds
-them against each layer's weights.
-
-All types are immutable after construction; operations return new values.
+the owner matrices from each record's covered cells.
 """
 
 from __future__ import annotations
@@ -60,51 +63,64 @@ class ConnectivityMatrix:
 
 @dataclass(frozen=True)
 class ClusterSet:
-    """Accepted clusters of one layer, held as who owns each cell.
+    """The owner matrix that :func:`~xbarnet.sizecluster.size_constrained_cluster` returns.
 
-    ``owner`` is a non-empty int32 matrix shaped like the layer's weights: -1
+    ``owner`` is an int32 matrix shaped like the clustered connectivity: -1
     marks a cell in no cluster, ``k`` a cell that cluster ``k`` owns, and the
-    clusters are numbered 0..n_clusters-1 without gaps. It is the only record
-    of the clusters: cluster ``k``'s footprint is the distinct rows and cols
-    of its owned cells (:meth:`footprints`). Which cells are synapses is read
-    from the weights: :func:`~xbarnet.hardware.map_to_mcas` checks them.
+    clusters are numbered 0..n_clusters-1 without gaps. Every other module
+    passes the plain owner matrix on, and :func:`check_owner` checks it.
     """
 
     owner: np.ndarray
-
-    def __post_init__(self):
-        owner = np.array(self.owner, dtype=np.int32)
-        if owner.ndim != 2 or owner.size == 0:
-            raise ShapeError(f"degenerate owner shape {owner.shape}; need a non-empty 2-d matrix")
-        if owner.min() < -1:
-            raise ValueError("owner entries must be -1 or a cluster index")
-        empty = np.flatnonzero(np.bincount(owner[owner >= 0]) == 0)
-        if len(empty):
-            raise ValueError(f"cluster {empty[0]} owns no cell; cluster indices must have no gaps")
-        owner.flags.writeable = False
-        object.__setattr__(self, "owner", owner)
 
     @property
     def n_clusters(self) -> int:
         return int(self.owner.max()) + 1
 
-    def cell_counts(self) -> np.ndarray:
-        """Number of cells each cluster owns."""
-        return np.bincount(self.owner[self.owner >= 0], minlength=self.n_clusters)
 
-    def cells(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return owner_cells(self.owner)
+def check_owner(owner: np.ndarray, weights: np.ndarray, crossbar: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Per cluster of ``owner``, the number of rows and of cols its footprint spans.
 
-    def footprints(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(rows, cols) of each cluster: the sorted distinct rows and cols of its owned cells."""
-        if self.n_clusters == 0:
-            return []
-        m, n = self.owner.shape
-        flat = self.owner.ravel()
-        cells = np.flatnonzero(flat >= 0)
-        kk = flat[cells].astype(np.intp)
-        rows = _lines_per_cluster(kk, cells // n, m, self.n_clusters)
-        return list(zip(rows, _lines_per_cluster(kk, cells % n, n, self.n_clusters)))
+    Raises ValueError (a :class:`ShapeError` for the shape) unless ``owner``
+    is shaped like ``weights``, every entry is -1 or a cluster index, the
+    clusters are numbered 0..n_clusters-1 without gaps, every owned cell is
+    a synapse (a non-zero weight), and every footprint fits the ``(rows,
+    cols)`` crossbar. The counts come from one (clusters x lines) boolean
+    table per axis.
+    """
+    if owner.shape != weights.shape:
+        raise ShapeError(f"owner {owner.shape} does not match weights {weights.shape}")
+    if (owner < -1).any():
+        raise ValueError("owner entries must be -1 or a cluster index")
+    m, n = owner.shape
+    flat = owner.ravel()
+    cells = np.flatnonzero(flat >= 0)
+    kk = flat[cells].astype(np.intp)
+    cell_counts = np.bincount(kk)
+    empty = np.flatnonzero(cell_counts == 0)
+    if len(empty):
+        raise ValueError(f"cluster {empty[0]} owns no cell")
+    if not (weights.ravel()[cells] != 0).all():
+        raise ValueError("a covered cell is not a synapse")
+    rows = np.count_nonzero(_line_table(kk, cells // n, m, len(cell_counts)), axis=1)
+    cols = np.count_nonzero(_line_table(kk, cells % n, n, len(cell_counts)), axis=1)
+    big = np.flatnonzero((rows > crossbar[0]) | (cols > crossbar[1]))
+    if len(big):
+        raise ValueError("cluster %dx%d exceeds crossbar %dx%d" % (rows[big[0]], cols[big[0]], *crossbar))
+    return rows, cols
+
+
+def footprints(owner: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(rows, cols) of each cluster of ``owner``: the sorted distinct rows and cols of its owned cells."""
+    n_clusters = int(owner.max()) + 1
+    if n_clusters == 0:
+        return []
+    m, n = owner.shape
+    flat = owner.ravel()
+    cells = np.flatnonzero(flat >= 0)
+    kk = flat[cells].astype(np.intp)
+    rows = _lines_per_cluster(kk, cells // n, m, n_clusters)
+    return list(zip(rows, _lines_per_cluster(kk, cells % n, n, n_clusters)))
 
 
 def _lines_per_cluster(kk: np.ndarray, lines: np.ndarray, size: int, n_clusters: int) -> list[np.ndarray]:
@@ -144,12 +160,14 @@ def owner_cells(owner: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 _ITEM_SEP = ",\n   "  # between the items of a record's lists, as indent=1 lays them out
 
 
-def cluster_sets_to_json(cluster_sets: list[ClusterSet]) -> str:
-    """Serialize per-layer cluster sets as a JSON list of {layer, rows, cols, covered}.
+def cluster_sets_to_json(owners: list[np.ndarray]) -> str:
+    """Serialize per-layer owner matrices as a JSON list of {layer, rows, cols, covered}.
 
-    ``rows`` and ``cols`` are each cluster's footprint, derived from its owned
-    cells; ``covered`` lists those cells in row-major order, so mapping
-    reports can be rebuilt from the live weights alone.
+    ``covered`` lists each cluster's owned cells in row-major order, so
+    mapping reports can be rebuilt from the live weights alone. ``rows`` and
+    ``cols`` are its footprint (:func:`footprints`), derived from those cells;
+    they are written for readers of the file, and :func:`cluster_sets_from_json`
+    ignores them.
 
     The text is formatted directly and equals ``json.dumps(records,
     indent=1)`` of those records byte for byte. No reader depends on the
@@ -170,11 +188,11 @@ def cluster_sets_to_json(cluster_sets: list[ClusterSet]) -> str:
     lookups, so no index is formatted per cell.
     """
     records = []
-    for layer_id, cs in enumerate(cluster_sets):
-        names = [str(i) for i in range(max(cs.owner.shape))]
+    for layer_id, owner in enumerate(owners):
+        names = [str(i) for i in range(max(owner.shape))]
         heads = ["[\n    " + name + ",\n    " for name in names]  # a covered cell up to its col
         tails = [name + "\n   ]" + _ITEM_SEP for name in names]  # its col, its close and the separator
-        for (rows, cols), (ii, jj) in zip(cs.footprints(), cs.cells()):
+        for (rows, cols), (ii, jj) in zip(footprints(owner), owner_cells(owner)):
             rows = _ITEM_SEP.join([names[i] for i in rows.tolist()])
             cols = _ITEM_SEP.join([names[j] for j in cols.tolist()])
             parts = [""] * (2 * len(ii))
@@ -188,17 +206,18 @@ def cluster_sets_to_json(cluster_sets: list[ClusterSet]) -> str:
     return "[\n" + ",\n".join(records) + "\n]" if records else "[]"
 
 
-def cluster_sets_from_json(text: str, weights: list[np.ndarray], crossbar: tuple[int, int]) -> list[ClusterSet]:
-    """Rebuild per-layer ClusterSets from JSON against each layer's weights.
+def cluster_sets_from_json(text: str, weights: list[np.ndarray], crossbar: tuple[int, int]) -> list[np.ndarray]:
+    """Per-layer int32 owner matrices of ``clusters.json`` text, checked against each layer's weights.
 
     The file is outside input. It must be a JSON list of record objects. Each
-    record must name a layer, list its covered cells as [row, col] integer
-    pairs, and name in ``rows`` and ``cols`` (lists of JSON integers, in any
-    order) each row and column of those cells exactly once, a footprint that
-    fits the ``(rows, cols)`` crossbar. Each layer's cells must pass
-    :func:`_placement_problem` and be non-zero weights; then every footprint
-    of the layer is checked at once
-    (:func:`_unnamed_footprint`). A violation raises :class:`ClusterFormatError`.
+    record must name a layer and list its covered cells as [row, col] pairs
+    of JSON integers; a layer's records are its clusters 0, 1, ... in file
+    order. ``rows`` and ``cols`` are derived from the covered cells, so they
+    are ignored, as :func:`~xbarnet.hardware.mapping_from_json` ignores the
+    derived keys of ``mapping.json``. Each layer's cells must build an owner
+    matrix (:func:`_owner_of`) that passes :func:`check_owner`: the covered
+    cells are synapses and each footprint they span fits the ``(rows, cols)``
+    crossbar. A violation raises :class:`ClusterFormatError` naming the layer.
 
     The cyclic garbage collector is paused while the text is parsed and its
     records are read, until the parsed document is freed. The parse builds
@@ -213,41 +232,27 @@ def cluster_sets_from_json(text: str, weights: list[np.ndarray], crossbar: tuple
     enabled = gc.isenabled()
     gc.disable()
     try:
-        named_rows, named_cols, cells = _read_records(text, len(weights), crossbar)
+        cells = _read_records(text, len(weights))
     finally:
         if enabled:
             gc.enable()
-    sets = []
+    owners = []
     for layer, (w, layer_cells) in enumerate(zip(weights, cells)):
-        ii, jj = np.concatenate(layer_cells or [np.empty((0, 2), dtype=np.int64)]).T
-        kk = np.repeat(np.arange(len(layer_cells)), [len(c) for c in layer_cells])
-        problem = _placement_problem(w.shape, ii, jj, kk, len(layer_cells))
-        if problem:
-            raise ClusterFormatError(f"layer {layer}: {problem}")
-        owner = np.full(w.shape, -1, dtype=np.int32)
-        owner[ii, jj] = kk
-        if not (w[ii, jj] != 0).all():
-            raise ClusterFormatError(f"layer {layer}: a covered cell is not a synapse")
-        bad = np.flatnonzero(
-            _unnamed_footprint(named_rows[layer], kk, ii, w.shape[0])
-            | _unnamed_footprint(named_cols[layer], kk, jj, w.shape[1])
-        )
-        if len(bad):
-            raise ClusterFormatError(
-                f"layer {layer}: cluster {bad[0]}: rows and cols must name each row and column "
-                "of its covered cells exactly once"
-            )
-        sets.append(ClusterSet(owner))  # _placement_problem has rejected each owner matrix it would refuse
-    return sets
+        try:
+            owner = _owner_of(w.shape, layer_cells)
+            check_owner(owner, w, crossbar)
+        except ValueError as exc:
+            raise ClusterFormatError(f"layer {layer}: {exc}") from None
+        owners.append(owner)
+    return owners
 
 
-def _read_records(text: str, n_layers: int, crossbar: tuple[int, int]) -> tuple[list, list, list]:
-    """Per layer of ``n_layers``, the ``rows`` and ``cols`` each record names and its covered cells as an (n, 2) array.
+def _read_records(text: str, n_layers: int) -> list[list[np.ndarray]]:
+    """Per layer of ``n_layers``, the covered cells of each of its records as an (n, 2) array.
 
     Raises :class:`ClusterFormatError` on text that is not JSON, a top level
-    that is not a list, or a record that is not an object of the fields and
-    types :func:`cluster_sets_from_json` names, on a known layer and within
-    the crossbar.
+    that is not a list, or a record that is not an object with a known
+    ``layer`` and a well-typed ``covered``.
     """
     try:
         data = json.loads(text)
@@ -255,8 +260,6 @@ def _read_records(text: str, n_layers: int, crossbar: tuple[int, int]) -> tuple[
         raise ClusterFormatError(f"not JSON ({type(exc).__name__}: {exc})") from None
     if type(data) is not list:
         raise ClusterFormatError(f"the top level must be a JSON list of cluster records, got {data!r:.40}")
-    named_rows: list[list[list[int]]] = [[] for _ in range(n_layers)]
-    named_cols: list[list[list[int]]] = [[] for _ in range(n_layers)]
     cells: list[list[np.ndarray]] = [[] for _ in range(n_layers)]
     for n, rec in enumerate(data):
         try:
@@ -265,43 +268,10 @@ def _read_records(text: str, n_layers: int, crossbar: tuple[int, int]) -> tuple[
             layer = rec["layer"]
             if not (type(layer) is int and 0 <= layer < n_layers):
                 raise ValueError(f"unknown layer {layer!r}")
-            rows, cols = _json_ints(rec["rows"], "rows"), _json_ints(rec["cols"], "cols")
-            if len(rows) > crossbar[0] or len(cols) > crossbar[1]:
-                raise ValueError("cluster %dx%d exceeds crossbar %dx%d" % (len(rows), len(cols), *crossbar))
             cells[layer].append(_json_cells(rec["covered"]))
         except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ClusterFormatError(f"record {n}: {type(exc).__name__}: {exc}") from None
-        named_rows[layer].append(rows)
-        named_cols[layer].append(cols)
-    return named_rows, named_cols, cells
-
-
-def _unnamed_footprint(named: list[list[int]], kk: np.ndarray, lines: np.ndarray, size: int) -> np.ndarray:
-    """Per cluster, whether ``named[k]`` fails to name each line its cells use exactly once.
-
-    Cluster ``kk[c]``'s cell ``c`` uses line ``lines[c]`` (< ``size``). Two
-    (clusters x size) boolean tables mark the lines each cluster names and
-    the lines its cells use. A cluster passes iff its two rows are equal and
-    it names no more lines than it uses: a repeated line, or one outside
-    ``0..size-1``, adds to the count without adding to the table. The names
-    are converted with numpy's own dtype choice, so an integer beyond int64
-    is compared, not overflowed.
-    """
-    n_clusters = len(named)
-    counts = np.array([len(v) for v in named], dtype=np.intp)
-    values = np.array(list(itertools.chain.from_iterable(named)))
-    owners = np.repeat(np.arange(n_clusters), counts)
-    inside = (values >= 0) & (values < size)
-    named_hit = _line_table(owners[inside], values[inside].astype(np.intp), size, n_clusters)
-    used = _line_table(kk, lines, size, n_clusters)
-    return (named_hit != used).any(axis=1) | (counts != np.count_nonzero(used, axis=1))
-
-
-def _json_ints(value, name: str) -> list[int]:
-    """``value`` if it is a list of JSON integers (no bools, floats or strings), else TypeError."""
-    if type(value) is not list or not all(type(v) is int for v in value):
-        raise TypeError(f"{name} must be a list of integers, got {value!r:.40}")
-    return value
+    return cells
 
 
 def _json_cells(value) -> np.ndarray:
@@ -317,19 +287,25 @@ def _json_cells(value) -> np.ndarray:
     return np.array(flat, dtype=np.int64).reshape(-1, 2)
 
 
-def _placement_problem(shape: tuple[int, int], ii, jj, kk, n_clusters: int) -> str | None:
-    """The first reason cluster ``kk[c]`` may not own cell ``(ii[c], jj[c])`` of a ``shape`` matrix, or None.
+def _owner_of(shape: tuple[int, int], layer_cells: list[np.ndarray]) -> np.ndarray:
+    """The int32 ``shape`` owner matrix in which cluster ``k`` owns the cells ``layer_cells[k]``.
 
-    Every cell must lie inside the matrix and be owned once, and each of the
-    ``n_clusters`` clusters must own a cell: a trailing empty record leaves
-    no trace in the owner matrix that the ClusterSet constructor checks.
+    Raises ValueError unless every cell lies inside the matrix and is owned
+    once, and each cluster owns a cell: a trailing empty record would leave
+    no trace in the owner matrix that :func:`check_owner` checks. The index
+    arrays are freed on return, before the check runs: held through it, they
+    raised the peak RSS of repeated digits reloads by 3-4 MB.
     """
+    ii, jj = np.concatenate(layer_cells or [np.empty((0, 2), dtype=np.int64)]).T
+    kk = np.repeat(np.arange(len(layer_cells)), [len(c) for c in layer_cells])
     m, n = shape
     if ((ii < 0) | (ii >= m) | (jj < 0) | (jj >= n)).any():
-        return f"a covered cell lies outside the {m}x{n} matrix"
+        raise ValueError(f"a covered cell lies outside the {m}x{n} matrix")
     if (np.bincount(ii * n + jj) > 1).any():
-        return "a cell is covered twice"
-    empty = np.flatnonzero(np.bincount(kk, minlength=n_clusters) == 0)
+        raise ValueError("a cell is covered twice")
+    empty = np.flatnonzero(np.bincount(kk, minlength=len(layer_cells)) == 0)
     if len(empty):
-        return f"cluster {empty[0]} covers no synapses"
-    return None
+        raise ValueError(f"cluster {empty[0]} owns no cell")
+    owner = np.full(shape, -1, dtype=np.int32)
+    owner[ii, jj] = kk
+    return owner

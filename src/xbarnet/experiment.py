@@ -125,11 +125,11 @@ def _write_arm(cfg: ExperimentConfig, state: TransformState, data: Dataset, out_
     model = state.model
 
     if cfg.mode == "offline_cluster":
-        cluster_sets = offline_cluster(model, cfg.scic, cfg.seed)
+        owners = offline_cluster(model, cfg.scic, cfg.seed)
     else:
-        cluster_sets = final_cluster_sets(state)  # no clusters unless the loop made them
+        owners = final_cluster_sets(state)  # no clusters unless the loop made them
 
-    mapping = map_to_mcas(cluster_sets, [layer.weights for layer in model.layers], cfg.tech)
+    mapping = map_to_mcas(owners, [layer.weights for layer in model.layers], cfg.tech)
     storage = "clustered" if cfg.mode in ("offline_cluster", "transform") else "dense"
     energy = energy_document(mapping, cfg.tech, storage)
 
@@ -149,7 +149,7 @@ def _write_arm(cfg: ExperimentConfig, state: TransformState, data: Dataset, out_
     with open(out / "log.jsonl", "w") as fh:
         for record in state.log:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-    (out / "clusters.json").write_text(cluster_sets_to_json(cluster_sets))
+    (out / "clusters.json").write_text(cluster_sets_to_json(owners))
     write_json(out / "mapping.json", mapping)
     write_json(out / "energy.json", energy)
     _write_csv(out / "summary.csv", [summary], SUMMARY_COLUMNS)

@@ -1,8 +1,10 @@
 """Crossbar mapping and cost models.
 
-Accepted clusters occupy one crossbar array each. A cluster's footprint, the
-rows and columns its array spans, is derived from the cells it owns
-(:meth:`ClusterSet.footprints`). Whatever stays unclustered is tiled onto
+Accepted clusters occupy one crossbar array each. A layer's clusters come as
+its int32 owner matrix, and a cluster's footprint, the rows and columns its
+array spans, is counted from the cells it owns by
+:func:`~xbarnet.connectivity.check_owner`, which also checks the matrix
+against the weights and the crossbar. Whatever stays unclustered is tiled onto
 the fixed ceil(m/rows) x ceil(n/cols) grid of the layer matrix, and only
 non-empty tiles count. That tiler is deliberately pessimistic:
 irregular sparsity should map poorly, which is the effect the cost models are
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connectivity import ClusterSet, InputFormatError, ShapeError
+from .connectivity import InputFormatError, check_owner
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,8 @@ class TechConfig:
             raise ValueError("energies must be non-negative")
         if self.crossbar_rows < 1 or self.crossbar_cols < 1:
             raise ValueError("crossbar dimensions must be positive")
+        if max(self.crossbar_rows, self.crossbar_cols) >= 2**63:  # the bound mapping_from_json puts on every count
+            raise ValueError("crossbar dimensions must be below 2**63")
 
 
 # CMOS baseline per-operation energies: fixed placeholders, not measurements, kept until the baseline goes
@@ -164,33 +168,26 @@ def grid_tiles(bits: np.ndarray, rows: int, cols: int) -> list[int]:
     return counts[counts > 0].tolist()
 
 
-def map_to_mcas(cluster_sets: list[ClusterSet], weights: list[np.ndarray], tech: TechConfig) -> dict:
+def map_to_mcas(owners: list[np.ndarray], weights: list[np.ndarray], tech: TechConfig) -> dict:
     """The ``mapping.json`` document: each cluster on one crossbar, the residual synapses grid-tiled.
 
-    A synapse is a non-zero weight, and it lands in exactly one crossbar: its
-    cluster's, or the grid tile of the residual, the synapses no cluster owns.
-    Raises ValueError on an owner matrix not shaped like its weights, an owned
-    cell that is not a synapse, or a cluster that exceeds the crossbar.
+    ``owners`` holds each layer's owner matrix. A synapse is a non-zero
+    weight, and it lands in exactly one crossbar: its cluster's, or the grid
+    tile of the residual, the synapses no cluster owns. Raises ValueError on
+    an owner matrix that :func:`~xbarnet.connectivity.check_owner` rejects.
     """
+    crossbar = (tech.crossbar_rows, tech.crossbar_cols)
     layers = []
-    for cs, w in zip(cluster_sets, weights, strict=True):
-        live, owned = w != 0, cs.owner >= 0
-        if live.shape != owned.shape:
-            raise ShapeError(f"owner {owned.shape} does not match weights {live.shape}")
-        if not live[owned].all():
-            raise ValueError("a covered cell is not a synapse")
-        live[owned] = False  # now the residual
-        shapes = [(len(rows), len(cols)) for rows, cols in cs.footprints()]
-        for rows, cols in shapes:
-            if rows > tech.crossbar_rows or cols > tech.crossbar_cols:
-                raise ValueError(f"cluster {rows}x{cols} exceeds crossbar {tech.crossbar_rows}x{tech.crossbar_cols}")
+    for owner, w in zip(owners, weights, strict=True):
+        rows, cols = check_owner(owner, w, crossbar)
+        owned = owner >= 0
         layers.append((
-            cs.cell_counts().tolist(),
-            grid_tiles(live, tech.crossbar_rows, tech.crossbar_cols),
-            [rows * cols for rows, cols in shapes],
-            live.shape,
+            np.bincount(owner[owned], minlength=len(rows)).tolist(),
+            grid_tiles((w != 0) & ~owned, *crossbar),
+            (rows * cols).tolist(),
+            w.shape,
         ))
-    return _mapping_document(layers, tech.crossbar_rows, tech.crossbar_cols)
+    return _mapping_document(layers, *crossbar)
 
 
 def mca_energy(mapping: dict, tech: TechConfig) -> dict:

@@ -36,18 +36,9 @@ KMEANS_MAX_ITER = 300
 
 @dataclass(frozen=True)
 class SimilarityMatrix:
-    """Degree-scaled m x n biadjacency of a bipartite graph; finite and non-negative."""
+    """The degree-scaled m x n biadjacency that :func:`build_similarity` returns, held as built."""
 
     values: np.ndarray
-
-    def __post_init__(self):
-        v = np.array(self.values, dtype=np.float64)
-        if v.ndim != 2 or v.size == 0:
-            raise ValueError(f"similarity matrix must be 2-d and non-empty, got {v.shape}")
-        if not (np.isfinite(v) & (v >= 0)).all():
-            raise ValueError("similarity entries must be finite and non-negative")
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
 
 
 def build_similarity(c: np.ndarray) -> SimilarityMatrix:
@@ -56,13 +47,14 @@ def build_similarity(c: np.ndarray) -> SimilarityMatrix:
     Every non-zero entry of ``c`` is an edge, so a bool block and its 0/1
     copy in any dtype give the same B bit for bit. An empty row or column is
     an isolated node and takes D^{-1/2} = 0, so an empty graph maps to B = 0
-    and L = I.
+    and L = I. The 0/1 copy is scaled in place, one side at a time, which
+    gives the bits of the two-sided product without an m x n temporary.
     """
-    bits = (np.asarray(c) != 0).astype(np.float64)
-    d_r, d_c = bits.sum(axis=1), bits.sum(axis=0)
-    inv_r = np.divide(1.0, np.sqrt(d_r), out=np.zeros_like(d_r), where=d_r > 0)
-    inv_c = np.divide(1.0, np.sqrt(d_c), out=np.zeros_like(d_c), where=d_c > 0)
-    return SimilarityMatrix((inv_r[:, None] * bits) * inv_c[None, :])
+    b = (np.asarray(c) != 0).astype(np.float64)
+    d_r, d_c = b.sum(axis=1), b.sum(axis=0)
+    b *= np.divide(1.0, np.sqrt(d_r), out=np.zeros_like(d_r), where=d_r > 0)[:, None]
+    b *= np.divide(1.0, np.sqrt(d_c), out=np.zeros_like(d_c), where=d_c > 0)[None, :]
+    return SimilarityMatrix(b)
 
 
 def eig_smallest(b: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connectivity import ClusterSet, ConnectivityMatrix, owner_cells
+from .connectivity import ConnectivityMatrix, owner_cells
 from .mlp import MlpModel, TrainConfig, evaluate, init_model, magnitude_prune, train_epoch
 from .sizecluster import SizeClusterConfig, size_constrained_cluster
 from .util import STREAM_CLUSTER, seed_for
@@ -274,8 +274,8 @@ def run(
     return state
 
 
-def offline_cluster(model: MlpModel, scic_cfg: SizeClusterConfig, seed: int) -> list[ClusterSet]:
-    """Per-layer ClusterSets of one :func:`cluster_step` at epoch 0 from no clusters; ``model`` is only read.
+def offline_cluster(model: MlpModel, scic_cfg: SizeClusterConfig, seed: int) -> list[np.ndarray]:
+    """Per-layer owner matrices of one :func:`cluster_step` at epoch 0 from no clusters; ``model`` is only read.
 
     The state is :meth:`TransformState.fresh` of ``model`` and the step is the
     loop's own, so it clusters every live synapse of the final connectivity.
@@ -285,6 +285,6 @@ def offline_cluster(model: MlpModel, scic_cfg: SizeClusterConfig, seed: int) -> 
     return final_cluster_sets(state)
 
 
-def final_cluster_sets(state: TransformState) -> list[ClusterSet]:
-    """Per-layer ClusterSets of copies of the owner matrices; ``map_to_mcas`` checks them against the weights."""
-    return [ClusterSet(owner) for owner in state.owner]
+def final_cluster_sets(state: TransformState) -> list[np.ndarray]:
+    """The state's own per-layer owner matrices, not copies; ``map_to_mcas`` checks them against the weights."""
+    return list(state.owner)

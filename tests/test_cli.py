@@ -84,11 +84,48 @@ def pruned_run(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def transform_run(tmp_path_factory):
+    """A transform run on an 8x8 crossbar that holds clusters, and its config file."""
+    root = tmp_path_factory.mktemp("transform")
+    (root / "config.json").write_text(json.dumps(CONFIG))
+    assert cli.main(["train", "--config", str(root / "config.json"), "--mode", "transform",
+                     "--out", str(root / "run")]) == 0
+    return root
+
+
+def without_rows_and_cols(record):
+    return {"layer": record["layer"], "covered": record["covered"]}
+
+
+def shuffled_rows_and_cols(record):
+    return {**record, "rows": record["rows"][::-1], "cols": record["cols"][1:] + record["cols"][:1]}
+
+
+def wrong_rows_and_cols(record):
+    return {**record, "rows": [0], "cols": list(range(40))}
+
+
+@pytest.mark.parametrize("edit", [without_rows_and_cols, shuffled_rows_and_cols, wrong_rows_and_cols],
+                         ids=["removed", "shuffled", "wrong"])
+def test_map_reads_clusters_by_their_covered_cells(tmp_path, transform_run, edit):
+    """rows and cols are derived from the covered cells: removed, shuffled or wrong, the file maps to the
+    saved mapping.json byte for byte."""
+    run = transform_run / "run"
+    records = json.loads((run / "clusters.json").read_text())
+    assert records and any(len(r["rows"]) > 1 for r in records)
+    (tmp_path / "clusters.json").write_text(json.dumps([edit(r) for r in records]))
+    assert cli.main(["map", "--config", str(transform_run / "config.json"), "--checkpoint", str(run / "checkpoint"),
+                     "--clusters", str(tmp_path / "clusters.json"), "--out", str(tmp_path / "mapping.json")]) == 0
+    assert (tmp_path / "mapping.json").read_bytes() == (run / "mapping.json").read_bytes()
+
+
 def damage_clusters(run, bad):
-    """A 9-row cluster on the 8x8 crossbar; its one covered cell is a live synapse."""
+    """A cluster of nine live synapses of one column on the 8x8 crossbar; its rows and cols name one cell."""
     w = load_checkpoint(run / "checkpoint")[0].layers[0].weights
-    i, j = (int(v) for v in np.argwhere(w[:9] != 0)[0])
-    record = {"layer": 0, "rows": list(range(9)), "cols": [j], "covered": [[i, j]]}
+    j = int(np.flatnonzero(np.count_nonzero(w, axis=0) >= 9)[0])
+    rows = np.flatnonzero(w[:, j])[:9].tolist()
+    record = {"layer": 0, "rows": rows[:1], "cols": [j], "covered": [[i, j] for i in rows]}
     (bad / "clusters.json").write_text(json.dumps([record]))
     return ["map", "--checkpoint", str(run / "checkpoint"), "--clusters", str(bad / "clusters.json")]
 
@@ -111,6 +148,19 @@ def clusters_on_a_zeroed_weight(run, bad):
     w[i, j] = 0.0
     save_checkpoint(bad / "checkpoint", model, manifest["seed"], manifest["config"])
     return ["map", "--checkpoint", str(bad / "checkpoint"), "--clusters", str(bad / "clusters.json")]
+
+
+def clusters_of(make):
+    """A clusters.json whose records (or text, if ``make`` returns a str) ``make`` builds from layer 0's weights."""
+    def damage(run, bad):
+        made = make(load_checkpoint(run / "checkpoint")[0].layers[0].weights)
+        (bad / "clusters.json").write_text(made if isinstance(made, str) else json.dumps(made))
+        return ["map", "--checkpoint", str(run / "checkpoint"), "--clusters", str(bad / "clusters.json")]
+    return damage
+
+
+def live_cell(w):
+    return [int(v) for v in np.argwhere(w != 0)[0]]
 
 
 def clusters_object(run, bad):
@@ -204,6 +254,14 @@ def earlier_checkpoint(version, parts):
      (clusters_not_utf8, "clusters.json: not UTF-8 text"),
      (clusters_object, "the top level must be a JSON list of cluster records, got {}"),
      (clusters_on_a_zeroed_weight, "layer 0: a covered cell is not a synapse"),
+     (clusters_of(lambda w: '[{"layer": 0, "covered": [['), "not JSON (JSONDecodeError"),
+     (clusters_of(lambda w: [[0, [live_cell(w)]]]), "record 0: TypeError: a record must be an object"),
+     (clusters_of(lambda w: [{"layer": 2, "covered": [live_cell(w)]}]), "record 0: ValueError: unknown layer 2"),
+     (clusters_of(lambda w: [{"layer": 0, "rows": [0], "cols": [0]}]), "record 0: KeyError: 'covered'"),
+     (clusters_of(lambda w: [{"layer": 0, "covered": [[0, 32]]}]), "layer 0: a covered cell lies outside the 32x32"),
+     (clusters_of(lambda w: [{"layer": 0, "covered": [live_cell(w)]}] * 2), "layer 0: a cell is covered twice"),
+     (clusters_of(lambda w: [{"layer": 0, "covered": [live_cell(w)]}, {"layer": 0, "covered": []}]),
+      "layer 0: cluster 1 owns no cell"),
      (damage_mapping, "KeyError: 'cluster_areas'"),
      (mapping_not_json, "JSONDecodeError"),
      (edited_mapping(cluster_active="x"), "cluster_active must be a list of non-negative integers below 2**63, got 'x'"),
@@ -229,7 +287,9 @@ def earlier_checkpoint(version, parts):
      (checkpoint_copy(layer0_only), ".bin holds 4224 bytes where the topology needs 4488"),
      (checkpoint_copy(huge_topology), f".bin holds 4488 bytes where the topology needs {4 * (2**62 + 2**31)}")],
     ids=["oversized_cluster", "clusters_float_cell", "clusters_not_utf8", "clusters_object",
-         "clusters_on_a_zeroed_weight", "mapping_missing_key",
+         "clusters_on_a_zeroed_weight", "clusters_not_json", "clusters_record_not_object",
+         "clusters_unknown_layer", "clusters_without_covered", "clusters_cell_outside_the_matrix",
+         "clusters_cell_covered_twice", "clusters_empty_cluster", "mapping_missing_key",
          "mapping_not_json", "mapping_wrong_type", "mapping_not_utf8", "mapping_areas_count", "mapping_active_above_area",
          "mapping_active_zero", "mapping_area_above_crossbar", "mapping_residual_above_crossbar",
          "mapping_zero_crossbar", "mapping_shape_below_live", "mapping_counts_beyond_int64", "truncated_checkpoint",
@@ -266,10 +326,12 @@ def test_report_with_evals_per_inference_exits_2(tmp_path, pruned_run, capsys):
       "{file}/x: a file stands where the path needs a directory"),
      (["cluster", "--checkpoint", "{run}/checkpoint", "--out", "{file}/c.json"],
       "{file}: a file stands where the path needs a directory"),
-     # compare creates --out only with its summary, so the first directory it needs is the first arm's
-     (["compare", "--out", "{file}/x"], "{file}/x/original: a file stands where the path needs a directory")],
+     # train and compare name the nearest existing path above --out before they build any data
+     (["compare", "--out", "{file}/x"], "{file}: a file stands where the path needs a directory"),
+     (["train", "--out", "{file}/x/y"], "{file}: a file stands where the path needs a directory")],
     ids=["map_clusters_dir", "report_mapping_dir", "cluster_out_dir", "map_out_dir", "report_out_dir",
-         "map_clusters_missing", "map_clusters_under_file", "cluster_out_under_file", "compare_out_under_file"],
+         "map_clusters_missing", "map_clusters_under_file", "cluster_out_under_file", "compare_out_under_file",
+         "train_out_under_file"],
 )
 def test_unusable_paths_exit_2(tmp_path, pruned_run, capsys, argv, message):
     """A directory where a file is read or written, a file where a directory is needed,
@@ -281,6 +343,51 @@ def test_unusable_paths_exit_2(tmp_path, pruned_run, capsys, argv, message):
     args = [arg.format(**names) for arg in argv]
     assert cli.main(args + ["--config", str(pruned_run / "config.json")]) == 2
     assert message.format(**names) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+@pytest.mark.parametrize("out", ["{file}", "{file}/x/y"], ids=["file", "under_file"])
+def test_an_out_that_cannot_be_a_directory_exits_2_before_training(tmp_path, config, capsys, monkeypatch,
+                                                                   command, out):
+    """train and compare reject an --out at or under a file before any data is built or network trained,
+    and create nothing."""
+    from xbarnet import experiment
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained a network")
+
+    monkeypatch.setattr(experiment, "_train", no_training)
+    monkeypatch.setattr(experiment, "build_dataset", no_training)
+    (tmp_path / "file").write_text("")
+    before = tree(tmp_path)
+    assert cli.main([command, "--config", config, "--out", out.format(file=tmp_path / "file")]) == 2
+    assert f"{tmp_path / 'file'}: a file stands where the path needs a directory" in capsys.readouterr().err
+    assert tree(tmp_path) == before and sorted(tmp_path.rglob("*")) == [tmp_path / "config.json", tmp_path / "file"]
+
+
+def test_a_crossbar_side_of_2_63_minus_1_runs_every_command(tmp_path, capsys):
+    """The largest crossbar the config accepts maps, reports and clusters without overflow."""
+    side = 2**63 - 1
+    raw = {"dataset": {"kind": "planted", "in_dim": 8, "hidden": 8, "block": 4, "n_train": 40, "n_test": 20},
+           "topology": [8, 8, 2], "transform": {"max_epochs": 2},
+           "tech": {"crossbar_rows": side, "crossbar_cols": side}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    run, out = tmp_path / "run", tmp_path / "out"
+    common = ["--config", str(config), "--out"]
+    assert cli.main(["compare", *common, str(run)]) == 0
+    assert cli.main(["map", *common, str(out / "mapping.json"), "--checkpoint", str(run / "transform" / "checkpoint"),
+                     "--clusters", str(run / "transform" / "clusters.json")]) == 0
+    assert (out / "mapping.json").read_bytes() == (run / "transform" / "mapping.json").read_bytes()
+    assert cli.main(["report", *common, str(out / "energy.json"), "--mapping", str(out / "mapping.json")]) == 0
+    assert cli.main(["cluster", *common, str(out / "clusters.json"),
+                     "--checkpoint", str(run / "prune" / "checkpoint")]) == 0
+    assert (out / "clusters.json").read_bytes() == (run / "offline_cluster" / "clusters.json").read_bytes()
+    raw["tech"]["crossbar_rows"] = side + 1
+    config.write_text(json.dumps(raw))
+    assert cli.main(["compare", *common, str(tmp_path / "too_big")]) == 2
+    assert "tech: crossbar dimensions must be below 2**63" in capsys.readouterr().err
+    assert not (tmp_path / "too_big").exists()
 
 
 def deny(monkeypatch, method, path):

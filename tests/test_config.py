@@ -153,6 +153,8 @@ class TestConfigErrors:
             ({"tech": {"cores_k": 4}}, "tech.cores_k: unknown field"),
             # range checks of each section's constructor
             ({"tech": {"crossbar_rows": 0}}, "tech: crossbar dimensions must be positive"),
+            # the bound mapping_from_json puts on every count; the mapper's tile grid would overflow int64 past it
+            ({"tech": {"crossbar_cols": 2**63}}, "tech: crossbar dimensions must be below 2**63"),
             ({"tech": {"mca_energy_per_active_crosspoint_j": -1e-12}}, "tech: energies must be non-negative"),
             ({"train": {"learning_rate": 0}}, "train: learning_rate must be positive"),
             ({"train": {"batch_size": 0}}, "train: batch_size must be at least 1"),
@@ -174,7 +176,8 @@ class TestConfigErrors:
              "negative_noise_density", "planted_no_hidden", "kind_list", "retired_kind", "scic_crossbar",
              "digits_n_train_str", "digits_unknown", "digits_no_test", "mnist_n_train", "evals_per_inference",
              "nan_dataset", "nan_train", "inf_train", "inf_scic", "inf_transform", "nan_tech", "inf_tech",
-             "cmos_section", "clusters_pruned_per_event", "cluster_prune_alpha", "cores_k", "crossbar_rows_zero", "negative_energy",
+             "cmos_section", "clusters_pruned_per_event", "cluster_prune_alpha", "cores_k", "crossbar_rows_zero", "crossbar_cols_2_63",
+             "negative_energy",
              "zero_learning_rate", "zero_batch_size", "negative_prune_quality", "zero_base_util",
              "min_util_above_base", "decay_rate_one", "zero_max_rounds", "unclustered_threshold_one",
              "negative_max_epochs", "top_level_list", "out_dir_int"],

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from xbarnet.connectivity import ClusterSet, ShapeError
+from xbarnet.connectivity import ShapeError
 from xbarnet.hardware import (
     CMOS_BITS_PER_WEIGHT,
     CMOS_LEAK_PER_BIT_J,
@@ -24,18 +24,18 @@ from xbarnet.hardware import (
 
 
 def full_cluster_set(shape, blocks, residual_bits=None):
-    """Helper: clusters over all-ones blocks plus an explicit residual; (cluster set, weights)."""
+    """Helper: clusters over all-ones blocks plus an explicit residual; (owner matrix, weights)."""
     weights = residual_bits.astype(float) if residual_bits is not None else np.zeros(shape)
     owner = np.full(shape, -1)
     for k, (rows, cols) in enumerate(blocks):
         weights[np.ix_(rows, cols)] = 1.0
         owner[np.ix_(rows, cols)] = k
-    return ClusterSet(owner), weights
+    return owner, weights
 
 
 def no_clusters(weights):
-    """Helper: a cluster set shaped like ``weights`` that owns no cell."""
-    return ClusterSet(np.full(np.shape(weights), -1))
+    """Helper: an owner matrix shaped like ``weights`` that owns no cell."""
+    return np.full(np.shape(weights), -1, dtype=np.int32)
 
 
 def map_unclustered(weights, tech):
@@ -96,7 +96,7 @@ class TestMapToMcas:
         owner = np.full(bits.shape, -1)
         owner[:4, :4] = 0
         tech = TechConfig(crossbar_rows=4, crossbar_cols=4)
-        layer = map_to_mcas([ClusterSet(owner)], [bits * 0.5], tech)["layers"][0]
+        layer = map_to_mcas([owner], [bits * 0.5], tech)["layers"][0]
         mapped = sum(layer["cluster_active"]) + sum(layer["residual_active"])
         assert mapped == int(bits.sum())
 
@@ -131,6 +131,15 @@ class TestMapToMcas:
             tracemalloc.stop()
         assert counts == [64]
         assert peak < 2**20
+
+
+@pytest.mark.parametrize("side", ["crossbar_rows", "crossbar_cols"])
+def test_crossbar_sides_below_2_63_accepted_and_from_2_63_rejected(side):
+    """2**63 is the bound mapping_from_json puts on every count; below it the grid tiler still counts in int64."""
+    tech = TechConfig(**{side: 2**63 - 1})
+    assert map_unclustered(np.ones((3, 5)), tech)["layers"][0]["residual_active"] == [15]
+    with pytest.raises(ValueError, match="^crossbar dimensions must be below 2\\*\\*63$"):
+        TechConfig(**{side: 2**63})
 
 
 class TestMcaEnergy:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from xbarnet import sizecluster
-from xbarnet.connectivity import ClusterSet, ConnectivityMatrix
+from xbarnet.connectivity import ConnectivityMatrix, check_owner, footprints
 from xbarnet.sizecluster import SizeClusterConfig, _derived_k, _second_vector, size_constrained_cluster, split_oversized
 from xbarnet.spectral import build_similarity, eig_smallest, kmeans, row_normalize, spectral_cluster
 from xbarnet.util import seed_for
@@ -27,13 +27,15 @@ def unowned(cs, c):
 
 def check_contract(cs, original, cfg):
     """Threshold soundness, crossbar fit, and exact disjointness/coverage."""
-    assert cs.owner.shape == original.bits.shape
-    assert original.bits[cs.owner >= 0].all()  # every owned cell is a synapse
-    ClusterSet(cs.owner)  # indices have no gaps
-    for (rows, cols), n_cells in zip(cs.footprints(), cs.cell_counts()):
-        assert len(rows) <= cfg.crossbar_rows and len(cols) <= cfg.crossbar_cols
-        util = n_cells / cfg.crossbar_area
-        assert util >= cfg.min_util_factor
+    # shape, no gaps, every owned cell a synapse, every footprint within the crossbar
+    check_owner(cs.owner, original.bits, (cfg.crossbar_rows, cfg.crossbar_cols))
+    for n_cells in cell_counts(cs):
+        assert n_cells / cfg.crossbar_area >= cfg.min_util_factor
+
+
+def cell_counts(cs):
+    """Number of cells each cluster of ``cs`` owns."""
+    return np.bincount(cs.owner[cs.owner >= 0], minlength=cs.n_clusters)
 
 
 @pytest.mark.parametrize("side", [{"crossbar_rows": 0}, {"crossbar_cols": 0}], ids=["rows", "cols"])
@@ -159,10 +161,10 @@ class TestSizeConstrainedCluster:
         cfg = SizeClusterConfig(crossbar_rows=4, crossbar_cols=4, base_util_factor=0.8)
         cs = size_constrained_cluster(c, cfg, seed=0)
         assert cs.n_clusters == 2
-        assert cs.cell_counts().tolist() == [16, 16]
+        assert cell_counts(cs).tolist() == [16, 16]
         assert unowned(cs, c) == 0
         check_contract(cs, c, cfg)
-        groups = {(tuple(rows.tolist()), tuple(cols.tolist())) for rows, cols in cs.footprints()}
+        groups = {(tuple(rows.tolist()), tuple(cols.tolist())) for rows, cols in footprints(cs.owner)}
         assert groups == {
             ((0, 1, 2, 3), (0, 1, 2, 3)),
             ((4, 5, 6, 7), (4, 5, 6, 7)),
@@ -176,7 +178,7 @@ class TestSizeConstrainedCluster:
         trace: list = []
         cs = size_constrained_cluster(c, cfg, seed=seed, trace=trace)
         assert unowned(cs, c) == 0
-        assert cs.cell_counts().tolist() == [cfg.crossbar_area] * 64
+        assert cell_counts(cs).tolist() == [cfg.crossbar_area] * 64
         assert len(trace) == 1
         check_contract(cs, c, cfg)
 

@@ -11,7 +11,6 @@ import pytest
 from xbarnet.spectral import (
     KMEANS_MAX_ITER,
     KMEANS_TOL,
-    SimilarityMatrix,
     _nearest,
     build_similarity,
     eig_smallest,
@@ -123,22 +122,22 @@ class TestSimilarity:
         assert b.tobytes() == build_similarity(live.astype(np.uint8)).values.tobytes()
         assert np.array_equal(b != 0, live)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_in_place_scaling_equals_the_two_sided_product_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        bits = (rng.random(tuple(rng.integers(1, 60, size=2))) < rng.uniform(0.05, 0.9)).astype(np.float64)
+        d_r, d_c = bits.sum(axis=1), bits.sum(axis=0)
+        inv_r = np.divide(1.0, np.sqrt(d_r), out=np.zeros_like(d_r), where=d_r > 0)
+        inv_c = np.divide(1.0, np.sqrt(d_c), out=np.zeros_like(d_c), where=d_c > 0)
+        expected = (inv_r[:, None] * bits) * inv_c[None, :]
+        assert build_similarity(bits).values.tobytes() == expected.tobytes()
+
     def test_degree_scaling_matches_full_graph(self):
         rng = np.random.default_rng(3)
         bits = (rng.random((7, 5)) < 0.5).astype(np.uint8)
         bits[1] = 0
         b = build_similarity(bits).values
         assert np.array_equal(np.eye(12) - explicit_laplacian(bits), bipartite_adjacency(b))
-
-    @pytest.mark.parametrize(
-        "values, message",
-        [([[0.5, -0.1]], "non-negative"), ([[np.nan]], "finite"), ([[np.inf, 0.0]], "finite"),
-         (np.zeros((0, 3)), "non-empty"), (np.ones(3), "2-d")],
-        ids=["negative", "nan", "inf", "empty", "one_d"],
-    )
-    def test_rejects_negative_non_finite_and_bad_shapes(self, values, message):
-        with pytest.raises(ValueError, match=message):
-            SimilarityMatrix(values)
 
 
 class TestDegreeAndLaplacian:

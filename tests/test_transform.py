@@ -378,7 +378,7 @@ class TestRunLoop:
         x, y = tiny_data(n=200)
         cfg = small_config(max_epochs=3)
         state = run(cfg, [6, 8, 3], x, y, x, y, 0)
-        counts = np.concatenate([cs.cell_counts() for cs in final_cluster_sets(state)])
+        counts = np.concatenate([np.bincount(owner[owner >= 0]) for owner in final_cluster_sets(state)])
         assert len(counts) > 1
         assert state.log[-1]["mean_util"] == float(np.mean(counts / cfg.scic.crossbar_area))
 
@@ -450,7 +450,7 @@ class TestOfflineCluster:
         for layer in state.model.layers:
             layer.weights[:] = 0
         sets = offline_cluster(state.model, SizeClusterConfig(crossbar_rows=4, crossbar_cols=4), seed=0)
-        assert all(cs.n_clusters == 0 for cs in sets)
+        assert all((owner == -1).all() for owner in sets)
         assert mapped(state, sets)["num_mca"] == 0
 
     def test_reads_the_model_and_clusters_each_layer_once(self):
@@ -461,12 +461,12 @@ class TestOfflineCluster:
         cfg = SizeClusterConfig(crossbar_rows=4, crossbar_cols=4, min_util_factor=0.3)
         sets = offline_cluster(model, cfg, seed=2)
         assert [(layer.weights.tobytes(), layer.bias.tobytes()) for layer in model.layers] == before
-        assert sum(cs.n_clusters for cs in sets) > 0
+        assert any((owner >= 0).any() for owner in sets)
         # one clustering pass per layer over its live synapses, seeded as the loop seeds epoch 0
-        for i, (layer, cs) in enumerate(zip(model.layers, sets)):
+        for i, (layer, owner) in enumerate(zip(model.layers, sets)):
             live = ConnectivityMatrix(layer.weights != 0)
             alone = size_constrained_cluster(live, cfg, seed_for(2, STREAM_CLUSTER, 0, i))
-            assert np.array_equal(cs.owner, alone.owner)
+            assert np.array_equal(owner, alone.owner)
 
     def test_planted_blocks_found_posthoc(self):
         state = TransformState.fresh(init_model([16, 16, 2], seed=1), seed=1)
@@ -477,7 +477,7 @@ class TestOfflineCluster:
         sets = offline_cluster(
             state.model, SizeClusterConfig(crossbar_rows=4, crossbar_cols=4), seed=1
         )
-        assert sets[0].n_clusters == 4
+        assert sets[0].max() + 1 == 4
         assert mapped(state, sets)["layers"][0]["residual_active"] == []
 
     def test_final_cluster_sets_consistent(self):
@@ -486,15 +486,21 @@ class TestOfflineCluster:
         state = run(cfg, [6, 8, 3], x, y, x, y, 0)
         sets = final_cluster_sets(state)
         live = state.model.n_live()
-        covered = sum(int((cs.owner >= 0).sum()) for cs in sets)
+        covered = sum(int((owner >= 0).sum()) for owner in sets)
         layers = mapped(state, sets)["layers"]
         assert covered == sum(sum(layer["cluster_active"]) for layer in layers)
         assert covered + sum(sum(layer["residual_active"]) for layer in layers) == live
+
+    def test_final_cluster_sets_are_the_states_own_owner_matrices(self):
+        state = TransformState.fresh(init_model([6, 8, 3], seed=0), seed=0)
+        add_cluster(state, 0, range(4), range(4))
+        sets = final_cluster_sets(state)
+        assert len(sets) == 2 and all(a is b for a, b in zip(sets, state.owner))
 
     def test_mapping_rejects_an_owned_dead_weight(self):
         state = TransformState.fresh(init_model([6, 8, 3], seed=0), seed=0)
         add_cluster(state, 0, range(4), range(4))
         state.model.layers[0].weights[1, 1] = 0.0  # owned by cluster 0, no longer a synapse
-        sets = final_cluster_sets(state)  # the sets hold owners only
+        sets = final_cluster_sets(state)  # owner matrices only
         with pytest.raises(ValueError, match="a covered cell is not a synapse"):
             mapped(state, sets)
