@@ -75,13 +75,15 @@ def cmd_map(args) -> int:
     cfg = _load(args)
     model, _ = load_checkpoint(args.checkpoint)
     weights = [layer.weights for layer in model.layers]
-    crossbar = (cfg.tech.crossbar_rows, cfg.tech.crossbar_cols)
     try:
         text = Path(args.clusters).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ClusterFormatError(f"{args.clusters}: not UTF-8 text ({exc})") from None
-    owners = cluster_sets_from_json(text, weights, crossbar)
-    mapping = map_to_mcas(owners, weights, cfg.tech)
+    owners = cluster_sets_from_json(text, [w.shape for w in weights])
+    try:
+        mapping = map_to_mcas(owners, weights, cfg.tech)
+    except ValueError as exc:  # the decoded owners fit the weights, so only the owner check can fail
+        raise ClusterFormatError(str(exc)) from None
     out = _out_file(cfg, args, "mapping.json")
     write_json(out, mapping)
     print(f"wrote {out}: num_mca={mapping['num_mca']}")

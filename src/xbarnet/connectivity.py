@@ -11,12 +11,14 @@ and columns its crossbar spans, is derived from the cells it owns
 (:func:`footprints`). Owner matrices travel between modules as plain
 arrays; :class:`ClusterSet` only wraps the one the clusterer returns.
 :func:`check_owner` is the one check of an owner matrix against its layer's
-weights and the crossbar, for the matrices a run builds and for those a file
-holds alike.
+weights and the crossbar, and :func:`~xbarnet.hardware.map_to_mcas` its one
+caller, for the matrices a run builds and for those a file holds alike.
 
 A run writes its clusters to ``clusters.json``, one record per cluster
 (:func:`cluster_sets_to_json`), and :func:`cluster_sets_from_json` rebuilds
-the owner matrices from each record's covered cells.
+the owner matrices from each record's covered cells. It only decodes: it
+rejects what no owner matrix can hold, and leaves the check of each matrix
+to the mapper.
 """
 
 from __future__ import annotations
@@ -37,7 +39,14 @@ class InputFormatError(ValueError):
 
 
 class ClusterFormatError(InputFormatError):
-    """Raised on a ``clusters.json`` that is not a JSON list of records fitting the layers they name."""
+    """Raised on a ``clusters.json`` that does not decode into one owner matrix per layer.
+
+    :func:`cluster_sets_from_json` raises it on text that is not a JSON list
+    of records whose covered cells lie inside the layers they name, each
+    cell at most once and each record with a cell; ``xbarnet map`` also
+    raises it, with the same ``layer N: ...`` message, when
+    :func:`~xbarnet.hardware.map_to_mcas` rejects a decoded matrix.
+    """
 
 
 def _as_bits(values) -> np.ndarray:
@@ -78,15 +87,17 @@ class ClusterSet:
         return int(self.owner.max()) + 1
 
 
-def check_owner(owner: np.ndarray, weights: np.ndarray, crossbar: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Per cluster of ``owner``, the number of rows and of cols its footprint spans.
+def check_owner(owner: np.ndarray, weights: np.ndarray, crossbar: tuple[int, int]) -> tuple[np.ndarray, ...]:
+    """Per cluster of ``owner``, the number of rows and of cols its footprint spans, and of cells it owns.
 
     Raises ValueError (a :class:`ShapeError` for the shape) unless ``owner``
     is shaped like ``weights``, every entry is -1 or a cluster index, the
     clusters are numbered 0..n_clusters-1 without gaps, every owned cell is
     a synapse (a non-zero weight), and every footprint fits the ``(rows,
-    cols)`` crossbar. The counts come from one (clusters x lines) boolean
-    table per axis.
+    cols)`` crossbar. The line counts come from one (clusters x lines)
+    boolean table per axis; the cell counts are those of the gap check.
+    :func:`~xbarnet.hardware.map_to_mcas` is its one caller, so every owner
+    matrix is checked once, whether a run built it or a file held it.
     """
     if owner.shape != weights.shape:
         raise ShapeError(f"owner {owner.shape} does not match weights {weights.shape}")
@@ -107,7 +118,7 @@ def check_owner(owner: np.ndarray, weights: np.ndarray, crossbar: tuple[int, int
     big = np.flatnonzero((rows > crossbar[0]) | (cols > crossbar[1]))
     if len(big):
         raise ValueError("cluster %dx%d exceeds crossbar %dx%d" % (rows[big[0]], cols[big[0]], *crossbar))
-    return rows, cols
+    return rows, cols, cell_counts
 
 
 def footprints(owner: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -206,18 +217,24 @@ def cluster_sets_to_json(owners: list[np.ndarray]) -> str:
     return "[\n" + ",\n".join(records) + "\n]" if records else "[]"
 
 
-def cluster_sets_from_json(text: str, weights: list[np.ndarray], crossbar: tuple[int, int]) -> list[np.ndarray]:
-    """Per-layer int32 owner matrices of ``clusters.json`` text, checked against each layer's weights.
+def cluster_sets_from_json(text: str, shapes: list[tuple[int, int]]) -> list[np.ndarray]:
+    """Per-layer int32 owner matrices of ``clusters.json`` text, one of each of ``shapes``; decoded, not checked.
 
     The file is outside input. It must be a JSON list of record objects. Each
     record must name a layer and list its covered cells as [row, col] pairs
     of JSON integers; a layer's records are its clusters 0, 1, ... in file
     order. ``rows`` and ``cols`` are derived from the covered cells, so they
     are ignored, as :func:`~xbarnet.hardware.mapping_from_json` ignores the
-    derived keys of ``mapping.json``. Each layer's cells must build an owner
-    matrix (:func:`_owner_of`) that passes :func:`check_owner`: the covered
-    cells are synapses and each footprint they span fits the ``(rows, cols)``
-    crossbar. A violation raises :class:`ClusterFormatError` naming the layer.
+    derived keys of ``mapping.json``. Only what an owner matrix cannot
+    express is rejected, with a :class:`ClusterFormatError`: text that is
+    not JSON, a malformed record or an unknown layer (naming the record),
+    and a cell outside the matrix, a cell covered twice or an empty record
+    (naming the layer). Whether the covered cells are synapses and each
+    footprint fits the crossbar is checked by
+    :func:`~xbarnet.hardware.map_to_mcas`, which maps the matrices. Every
+    layer is decoded before any is checked, so in a file with a checking
+    fault in one layer and a decoding fault in a later one, the decoding
+    fault is the one reported.
 
     The cyclic garbage collector is paused while the text is parsed and its
     records are read, until the parsed document is freed. The parse builds
@@ -232,18 +249,16 @@ def cluster_sets_from_json(text: str, weights: list[np.ndarray], crossbar: tuple
     enabled = gc.isenabled()
     gc.disable()
     try:
-        cells = _read_records(text, len(weights))
+        cells = _read_records(text, len(shapes))
     finally:
         if enabled:
             gc.enable()
     owners = []
-    for layer, (w, layer_cells) in enumerate(zip(weights, cells)):
+    for layer, (shape, layer_cells) in enumerate(zip(shapes, cells)):
         try:
-            owner = _owner_of(w.shape, layer_cells)
-            check_owner(owner, w, crossbar)
+            owners.append(_owner_of(shape, layer_cells))
         except ValueError as exc:
             raise ClusterFormatError(f"layer {layer}: {exc}") from None
-        owners.append(owner)
     return owners
 
 
@@ -293,8 +308,9 @@ def _owner_of(shape: tuple[int, int], layer_cells: list[np.ndarray]) -> np.ndarr
     Raises ValueError unless every cell lies inside the matrix and is owned
     once, and each cluster owns a cell: a trailing empty record would leave
     no trace in the owner matrix that :func:`check_owner` checks. The index
-    arrays are freed on return, before the check runs: held through it, they
-    raised the peak RSS of repeated digits reloads by 3-4 MB.
+    arrays are freed on return, before the matrix is checked and mapped:
+    held through the check, they raised the peak RSS of repeated digits
+    reloads by 3-4 MB.
     """
     ii, jj = np.concatenate(layer_cells or [np.empty((0, 2), dtype=np.int64)]).T
     kk = np.repeat(np.arange(len(layer_cells)), [len(c) for c in layer_cells])

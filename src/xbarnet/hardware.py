@@ -2,13 +2,15 @@
 
 Accepted clusters occupy one crossbar array each. A layer's clusters come as
 its int32 owner matrix, and a cluster's footprint, the rows and columns its
-array spans, is counted from the cells it owns by
+array spans, and its cell count are counted from the cells it owns by
 :func:`~xbarnet.connectivity.check_owner`, which also checks the matrix
-against the weights and the crossbar. Whatever stays unclustered is tiled onto
-the fixed ceil(m/rows) x ceil(n/cols) grid of the layer matrix, and only
-non-empty tiles count. That tiler is deliberately pessimistic:
-irregular sparsity should map poorly, which is the effect the cost models are
-meant to expose. Energy per inference splits into an array component that
+against the weights and the crossbar. :func:`map_to_mcas` is the only
+caller of that check, so each owner matrix, whether a run built it or
+``xbarnet map`` decoded it from a file, is checked once. Whatever stays
+unclustered is tiled onto the fixed ceil(m/rows) x ceil(n/cols) grid of the
+layer matrix, and only non-empty tiles count. That tiler is deliberately
+pessimistic: irregular sparsity should map poorly, which is the effect the
+cost models are meant to expose. Energy per inference splits into an array component that
 scales with active cross-points and a peripheral component that scales with
 the number of arrays (buffers, communication, control). The CMOS baseline
 charges compute and memory access per live synapse, leakage per stored bit,
@@ -171,22 +173,25 @@ def grid_tiles(bits: np.ndarray, rows: int, cols: int) -> list[int]:
 def map_to_mcas(owners: list[np.ndarray], weights: list[np.ndarray], tech: TechConfig) -> dict:
     """The ``mapping.json`` document: each cluster on one crossbar, the residual synapses grid-tiled.
 
-    ``owners`` holds each layer's owner matrix. A synapse is a non-zero
-    weight, and it lands in exactly one crossbar: its cluster's, or the grid
-    tile of the residual, the synapses no cluster owns. Raises ValueError on
-    an owner matrix that :func:`~xbarnet.connectivity.check_owner` rejects.
+    ``owners`` holds each layer's owner matrix, built by a run or decoded
+    from a file by :func:`~xbarnet.connectivity.cluster_sets_from_json`. A
+    synapse is a non-zero weight, and it lands in exactly one crossbar: its
+    cluster's, or the grid tile of the residual, the synapses no cluster
+    owns. Each owner matrix passes :func:`~xbarnet.connectivity.check_owner`
+    once, here, which also counts its clusters' footprints and cells; a
+    rejection is re-raised as the same ValueError type
+    (:class:`~xbarnet.connectivity.ShapeError` for a shape), prefixed
+    ``layer N: ``.
     """
     crossbar = (tech.crossbar_rows, tech.crossbar_cols)
     layers = []
-    for owner, w in zip(owners, weights, strict=True):
-        rows, cols = check_owner(owner, w, crossbar)
-        owned = owner >= 0
-        layers.append((
-            np.bincount(owner[owned], minlength=len(rows)).tolist(),
-            grid_tiles((w != 0) & ~owned, *crossbar),
-            (rows * cols).tolist(),
-            w.shape,
-        ))
+    for layer, (owner, w) in enumerate(zip(owners, weights, strict=True)):
+        try:
+            rows, cols, cells = check_owner(owner, w, crossbar)
+        except ValueError as exc:
+            raise type(exc)(f"layer {layer}: {exc}") from None
+        residual = grid_tiles((w != 0) & (owner < 0), *crossbar)
+        layers.append((cells.tolist(), residual, (rows * cols).tolist(), w.shape))
     return _mapping_document(layers, *crossbar)
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xbarnet import cli
+from xbarnet import cli, connectivity, hardware
 from xbarnet.datasets import write_surrogate_digits
 from xbarnet.mlp import load_checkpoint, save_checkpoint
 
@@ -118,6 +118,55 @@ def test_map_reads_clusters_by_their_covered_cells(tmp_path, transform_run, edit
     assert cli.main(["map", "--config", str(transform_run / "config.json"), "--checkpoint", str(run / "checkpoint"),
                      "--clusters", str(tmp_path / "clusters.json"), "--out", str(tmp_path / "mapping.json")]) == 0
     assert (tmp_path / "mapping.json").read_bytes() == (run / "mapping.json").read_bytes()
+
+
+def test_map_checks_each_owner_matrix_once(tmp_path, transform_run, monkeypatch):
+    """One ``xbarnet map`` of a two-layer arm runs check_owner once per layer. The binding in connectivity is
+    counted too, so a second check of the same matrices by the clusters.json reader would show."""
+    calls, check_owner = [], connectivity.check_owner
+
+    def counted(owner, weights, crossbar):
+        calls.append(owner.shape)
+        return check_owner(owner, weights, crossbar)
+
+    monkeypatch.setattr(hardware, "check_owner", counted)
+    monkeypatch.setattr(connectivity, "check_owner", counted)
+    run = transform_run / "run"
+    assert cli.main(["map", "--config", str(transform_run / "config.json"), "--checkpoint", str(run / "checkpoint"),
+                     "--clusters", str(run / "clusters.json"), "--out", str(tmp_path / "mapping.json")]) == 0
+    assert calls == [(32, 32), (32, 2)]
+    assert (tmp_path / "mapping.json").read_bytes() == (run / "mapping.json").read_bytes()
+
+
+def dead_cell(w):
+    return [int(v) for v in np.argwhere(w == 0)[0]]
+
+
+def nine_of_a_column(w):
+    """Nine live cells of the first column of ``w`` that holds nine: a 9x1 footprint, over an 8x8 crossbar."""
+    j = int(np.flatnonzero(np.count_nonzero(w, axis=0) >= 9)[0])
+    return [[int(i), j] for i in np.flatnonzero(w[:, j])[:9]]
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [(lambda ws: [{"layer": 1, "covered": [dead_cell(ws[1])]}], "layer 1: a covered cell is not a synapse"),
+     (lambda ws: [{"layer": 1, "covered": nine_of_a_column(ws[1])}], "layer 1: cluster 9x1 exceeds crossbar 8x8"),
+     (lambda ws: [{"layer": 0, "covered": [dead_cell(ws[0])]}, {"layer": 1, "covered": [[0, 2]]}],
+      "layer 1: a covered cell lies outside the 32x2 matrix")],
+    ids=["dead_cell", "over_the_crossbar", "decoding_fault_after_a_checking_fault"],
+)
+def test_map_names_the_layer_the_owner_check_or_the_reader_rejects(tmp_path, pruned_run, capsys, make, message):
+    """The reader decodes a covered dead cell or a footprint over the crossbar, and the mapper's owner check
+    rejects it; ``xbarnet map`` exits 2 with that one line. Every layer is decoded before any is checked, so a
+    decoding fault in layer 1 is reported over a checking fault in layer 0."""
+    run = pruned_run / "run"
+    weights = [layer.weights for layer in load_checkpoint(run / "checkpoint")[0].layers]
+    (tmp_path / "clusters.json").write_text(json.dumps(make(weights)))
+    assert cli.main(["map", "--config", str(pruned_run / "config.json"), "--checkpoint", str(run / "checkpoint"),
+                     "--clusters", str(tmp_path / "clusters.json"), "--out", str(tmp_path / "out.json")]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not (tmp_path / "out.json").exists()
 
 
 def damage_clusters(run, bad):
@@ -249,7 +298,7 @@ def earlier_checkpoint(version, parts):
 
 @pytest.mark.parametrize(
     "damage, message",
-    [(damage_clusters, "cluster 9x1 exceeds crossbar 8x8"),
+    [(damage_clusters, "layer 0: cluster 9x1 exceeds crossbar 8x8"),
      (clusters_float_cell, "record 0: TypeError: covered must be a list of [row, col] integer pairs"),
      (clusters_not_utf8, "clusters.json: not UTF-8 text"),
      (clusters_object, "the top level must be a JSON list of cluster records, got {}"),

@@ -64,31 +64,35 @@ ZERO_WEIGHT[2, 3] = 0.0
     ids=["wrong_shape", "minus_two", "index_gap", "owned_zero_weight", "footprint_3x1", "all_unowned"],
 )
 def test_every_owner_matrix_goes_through_one_check(owner, weights, message, in_a_file):
-    """check_owner, map_to_mcas and the clusters.json reader accept and reject the same owner matrices with
-    the same message; the reader names the layer. A file cannot hold an owner matrix of another shape or an
-    entry below -1: it lists covered cells against the layer's weights, and a record's index is its place."""
+    """check_owner and map_to_mcas, its one caller, accept and reject the same owner matrices with the same
+    message and error type, and map_to_mcas names the layer. A matrix a file can hold, decoded by the
+    clusters.json reader and then mapped, gives that same line. A file cannot hold an owner matrix of another
+    shape or an entry below -1: the reader builds each matrix in its layer's shape, and a record's index is its
+    place; so a shape mismatch, still a ShapeError, reaches map_to_mcas only from a caller's own matrices."""
     tech = TechConfig(crossbar_rows=2, crossbar_cols=2)
     text = json.dumps(records_of(owner))
     if message is None:
-        assert [c.tolist() for c in check_owner(owner, weights, (2, 2))] == [[], []]
+        assert [c.tolist() for c in check_owner(owner, weights, (2, 2))] == [[], [], []]
         assert map_to_mcas([owner], [weights], tech)["n_clusters"] == 0
-        assert np.array_equal(cluster_sets_from_json(text, [weights], (2, 2))[0], owner)
+        assert np.array_equal(cluster_sets_from_json(text, [weights.shape])[0], owner)
         return
-    exact = f"^{re.escape(message)}$"
-    with pytest.raises(ValueError, match=exact):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as checked:
         check_owner(owner, weights, (2, 2))
-    with pytest.raises(ValueError, match=exact):
+    layer_0 = f"^layer 0: {re.escape(message)}$"
+    with pytest.raises(ValueError, match=layer_0) as mapped:
         map_to_mcas([owner], [weights], tech)
+    assert type(mapped.value) is type(checked.value)
     if in_a_file:
-        with pytest.raises(ClusterFormatError, match=f"^layer 0: {re.escape(message)}$"):
-            cluster_sets_from_json(text, [weights], (2, 2))
+        with pytest.raises(ValueError, match=layer_0):
+            map_to_mcas(cluster_sets_from_json(text, [weights.shape]), [weights], tech)
 
 
 def test_check_owner_counts_each_footprint():
-    """Per cluster, the distinct rows and cols its cells span, and the fit is checked on those counts."""
+    """Per cluster, the distinct rows and cols its cells span and the cells it owns; the fit is checked on the
+    line counts."""
     owner = owner_of((5, 6), [(0, 0), (0, 5), (4, 0)], [(2, 2), (3, 2)], [(1, 4)])
-    rows, cols = check_owner(owner, np.ones((5, 6)), (2, 2))
-    assert rows.tolist() == [2, 2, 1] and cols.tolist() == [2, 1, 1]
+    rows, cols, cells = check_owner(owner, np.ones((5, 6)), (2, 2))
+    assert rows.tolist() == [2, 2, 1] and cols.tolist() == [2, 1, 1] and cells.tolist() == [3, 2, 1]
     with pytest.raises(ValueError, match="^cluster 2x2 exceeds crossbar 1x2$"):
         check_owner(owner, np.ones((5, 6)), (1, 2))
 
@@ -100,15 +104,19 @@ class TestSynapsesFromWeights:
         mapping = map_to_mcas([unowned((2, 2))], [w], TechConfig(crossbar_rows=1, crossbar_cols=1))
         assert mapping["layers"][0]["residual_active"] == [1, 1] and mapping["n_live"] == 2
 
-    def test_reader_names_the_layer_of_a_covered_dead_cell(self):
+    def test_mapper_names_the_layer_of_a_covered_dead_cell(self):
+        """The reader decodes a cell on a -0.0 weight; mapping the decoded owners names its layer."""
         weights = [np.ones((4, 4)), np.ones((3, 5))]
         weights[1][2, 4] = -0.0
         records = [{"layer": 0, "rows": [0], "cols": [0], "covered": [[0, 0]]},
                    {"layer": 1, "rows": [1, 2], "cols": [4], "covered": [[1, 4], [2, 4]]}]
-        with pytest.raises(ClusterFormatError, match="^layer 1: a covered cell is not a synapse$"):
-            cluster_sets_from_json(json.dumps(records), weights, (2, 2))
+        owners = cluster_sets_from_json(json.dumps(records), [w.shape for w in weights])
+        assert [owner.max() + 1 for owner in owners] == [1, 1]
+        tech = TechConfig(crossbar_rows=2, crossbar_cols=2)
+        with pytest.raises(ValueError, match="^layer 1: a covered cell is not a synapse$"):
+            map_to_mcas(owners, weights, tech)
         weights[1][2, 4] = 1.0
-        assert [owner.max() + 1 for owner in cluster_sets_from_json(json.dumps(records), weights, (2, 2))] == [1, 1]
+        assert map_to_mcas(owners, weights, tech)["n_clusters"] == 2
 
 
 class TestBits:
@@ -164,8 +172,9 @@ class TestOwnerMatrices:
             ii, jj = np.nonzero(owner == k)
             assert rows.tolist() == sorted(set(ii.tolist()))
             assert cols.tolist() == sorted(set(jj.tolist()))
-        counts = check_owner(owner, np.ones(owner.shape), owner.shape)
-        assert [c.tolist() for c in counts] == [[len(r) for r, _ in spans], [len(c) for _, c in spans]]
+        rows, cols, cells = check_owner(owner, np.ones(owner.shape), owner.shape)
+        assert rows.tolist() == [len(r) for r, _ in spans] and cols.tolist() == [len(c) for _, c in spans]
+        assert cells.tolist() == [int((owner == k).sum()) for k in range(6)]
 
     def test_no_owned_cell_means_no_clusters(self):
         owner = unowned((3, 2))
@@ -178,7 +187,7 @@ class TestOwnerMatrices:
         text = cluster_sets_to_json([owner])
         record = json.loads(text)[0]
         assert (record["rows"], record["cols"], record["covered"]) == ([0, 1], [0, 1], [[0, 0], [1, 1]])
-        back = cluster_sets_from_json(text, [bits], (2, 2))[0]
+        back = cluster_sets_from_json(text, [bits.shape])[0]
         assert back.dtype == np.int32 and np.array_equal(back, owner)
 
     @pytest.mark.parametrize(
@@ -189,7 +198,7 @@ class TestOwnerMatrices:
     def test_json_rows_and_cols_are_not_read(self, edit):
         """rows and cols are derived from the covered cells, so the reader ignores them."""
         record = {"layer": 0, "covered": [[2, 2], [0, 0]], **edit}
-        owner = cluster_sets_from_json(json.dumps([record]), [np.eye(4)], (2, 2))[0]
+        owner = cluster_sets_from_json(json.dumps([record]), [(4, 4)])[0]
         assert np.array_equal(owner, owner_of((4, 4), [(2, 2), (0, 0)]))
 
     @pytest.mark.parametrize(
@@ -217,11 +226,38 @@ class TestOwnerMatrices:
              "covered_huge_int", "covered_string", "covered_triple", "covered_not_list"],
     )
     def test_json_malformed_record_rejected(self, record, message):
-        """A second record is checked on a 2x2 crossbar against a 4x4 identity whose (1, 1) the first owns."""
+        """A second record is decoded into a 4x4 owner matrix whose (1, 1) the first owns, then mapped on a 2x2
+        crossbar against a 4x4 identity; the reader or the mapper rejects it with one line."""
         first = {"layer": 0, "covered": [[1, 1]]}
         text = json.dumps([first, {"layer": 0, **record}])
-        with pytest.raises(ClusterFormatError, match=message):
-            cluster_sets_from_json(text, [np.eye(4)], (2, 2))
+        tech = TechConfig(crossbar_rows=2, crossbar_cols=2)
+        with pytest.raises(ValueError, match=message):
+            map_to_mcas(cluster_sets_from_json(text, [(4, 4)]), [np.eye(4)], tech)
+
+    @pytest.mark.parametrize(
+        "covered, message",
+        [([[0, 0], [0, 1]], "a covered cell is not a synapse"),
+         ([[0, 0], [2, 2], [3, 3]], "cluster 3x3 exceeds crossbar 2x2")],
+        ids=["dead_synapse", "beyond_crossbar"],
+    )
+    def test_json_reader_leaves_synapses_and_fit_to_the_mapper(self, covered, message):
+        """The reader only decodes: a covered dead cell or a footprint over the crossbar reads back as the owner
+        matrix the file lists, and map_to_mcas rejects it naming the layer."""
+        owner = cluster_sets_from_json(json.dumps([{"layer": 0, "covered": covered}]), [(4, 4)])[0]
+        assert np.array_equal(owner, owner_of((4, 4), covered))
+        with pytest.raises(ValueError, match=f"^layer 0: {message}$") as info:
+            map_to_mcas([owner], [np.eye(4)], TechConfig(crossbar_rows=2, crossbar_cols=2))
+        assert not isinstance(info.value, ClusterFormatError)
+
+    def test_json_reader_reports_a_decoding_fault_before_any_checking_fault(self):
+        """Every layer is decoded before any is checked: layer 0 covers a dead cell, which only the mapper
+        rejects, and layer 1 a cell outside its matrix, which the reader rejects first."""
+        records = [{"layer": 0, "covered": [[0, 1]]}, {"layer": 1, "covered": [[0, 9]]}]
+        with pytest.raises(ClusterFormatError, match="^layer 1: a covered cell lies outside the 4x4 matrix$"):
+            cluster_sets_from_json(json.dumps(records), [(4, 4), (4, 4)])
+        owners = cluster_sets_from_json(json.dumps(records[:1]), [(4, 4), (4, 4)])
+        with pytest.raises(ValueError, match="^layer 0: a covered cell is not a synapse$"):
+            map_to_mcas(owners, [np.eye(4), np.eye(4)], TechConfig(crossbar_rows=2, crossbar_cols=2))
 
     @pytest.mark.parametrize(
         "text, message",
@@ -245,12 +281,12 @@ class TestOwnerMatrices:
         """Only a JSON list of objects reads as records: any other top level, record or unparseable text is
         rejected, and a parse failure names no record."""
         with pytest.raises(ClusterFormatError) as info:
-            cluster_sets_from_json(text, [np.eye(4)], (2, 2))
+            cluster_sets_from_json(text, [(4, 4)])
         assert str(info.value).startswith(message)
         assert message.startswith("record") or "record 0" not in str(info.value)
 
     def test_json_empty_list_means_no_clusters(self):
-        owner = cluster_sets_from_json("[]", [np.eye(4)], (2, 2))[0]
+        owner = cluster_sets_from_json("[]", [(4, 4)])[0]
         assert np.array_equal(owner, unowned((4, 4)))
 
 
@@ -273,7 +309,7 @@ def test_json_reload_leaves_the_gc_as_the_caller_had_it(monkeypatch, text, enabl
     (gc.enable if enabled else gc.disable)()
     try:
         try:
-            cluster_sets_from_json(text, [np.eye(4)], (2, 2))
+            cluster_sets_from_json(text, [(4, 4)])
         except ClusterFormatError:
             assert text != TEXT_OK
         after = gc.isenabled()
@@ -324,8 +360,7 @@ def test_perturbed_rows_and_cols_read_back_the_same_owners(seed):
                 del rec[key]
             elif rng.random() < 0.5:
                 rec[key] = perturb_lines(rec[key], sources[rec["layer"]].bits.shape[key == "cols"], rng)
-    back = cluster_sets_from_json(json.dumps(records), [c.bits for c in sources],
-                                  (cfg.crossbar_rows, cfg.crossbar_cols))
+    back = cluster_sets_from_json(json.dumps(records), shapes)
     assert all(np.array_equal(a, owner) for a, owner in zip(back, owners))
 
 
@@ -344,7 +379,7 @@ def test_clustering_round_trips_through_json_and_mapping(seed):
     owners = [size_constrained_cluster(c, cfg, seed=seed).owner for c in sources]
     text = cluster_sets_to_json(owners)
     weights = [c.bits for c in sources]
-    back = cluster_sets_from_json(text, weights, (cfg.crossbar_rows, cfg.crossbar_cols))
+    back = cluster_sets_from_json(text, shapes)
     for owner, again in zip(owners, back):
         assert np.array_equal(again, owner)
         for k, (rows, cols) in enumerate(footprints(again)):
@@ -407,7 +442,7 @@ def test_cluster_json_beyond_three_digit_indices():
     assert owner.max() + 1 == 7 and max(r.max() for r, _ in footprints(owner)) >= 1000
     text = cluster_sets_to_json(owners)
     assert text == reference_cluster_json(owners)
-    back = cluster_sets_from_json(text, weights, (8, 8))
+    back = cluster_sets_from_json(text, [w.shape for w in weights])
     assert (back[0] == -1).all()
     assert np.array_equal(back[1], owner)
     assert cluster_sets_to_json(back) == text
