@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .config import MODES, ConfigError, ExperimentConfig, load_config
-from .connectivity import ClusterFormatError, InputFormatError, cluster_sets_from_json, cluster_sets_to_json
+from .connectivity import InputFormatError, cluster_sets_from_json, cluster_sets_to_json
 from .experiment import compare, run_experiment, write_json
 from .hardware import energy_document, map_to_mcas, mapping_from_json
 from .mlp import load_checkpoint
@@ -78,12 +78,12 @@ def cmd_map(args) -> int:
     try:
         text = Path(args.clusters).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise ClusterFormatError(f"{args.clusters}: not UTF-8 text ({exc})") from None
+        raise InputFormatError(f"{args.clusters}: not UTF-8 text ({exc})") from None
     owners = cluster_sets_from_json(text, [w.shape for w in weights])
     try:
         mapping = map_to_mcas(owners, weights, cfg.tech)
     except ValueError as exc:  # the decoded owners fit the weights, so only the owner check can fail
-        raise ClusterFormatError(str(exc)) from None
+        raise InputFormatError(str(exc)) from None
     out = _out_file(cfg, args, "mapping.json")
     write_json(out, mapping)
     print(f"wrote {out}: num_mca={mapping['num_mca']}")

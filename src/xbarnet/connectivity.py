@@ -18,7 +18,8 @@ A run writes its clusters to ``clusters.json``, one record per cluster
 (:func:`cluster_sets_to_json`), and :func:`cluster_sets_from_json` rebuilds
 the owner matrices from each record's covered cells. It only decodes: it
 rejects what no owner matrix can hold, and leaves the check of each matrix
-to the mapper.
+to the mapper. :class:`InputFormatError` is the one error of every reader
+of an outside file, this one included.
 """
 
 from __future__ import annotations
@@ -30,29 +31,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-class ShapeError(ValueError):
-    """Raised when matrix shapes are degenerate or do not line up."""
-
-
 class InputFormatError(ValueError):
-    """Base of the errors raised on a malformed input file."""
+    """The one error for a malformed input file; ``xbarnet`` prints its message and exits 2.
 
-
-class ClusterFormatError(InputFormatError):
-    """Raised on a ``clusters.json`` that does not decode into one owner matrix per layer.
-
-    :func:`cluster_sets_from_json` raises it on text that is not a JSON list
-    of records whose covered cells lie inside the layers they name, each
-    cell at most once and each record with a cell; ``xbarnet map`` also
+    The readers of ``clusters.json`` (:func:`cluster_sets_from_json`),
+    ``mapping.json`` (:func:`~xbarnet.hardware.mapping_from_json`), a
+    checkpoint (:func:`~xbarnet.mlp.load_checkpoint`) and the IDX digit files
+    (:func:`~xbarnet.datasets.load_mnist`) raise it, and ``xbarnet map`` also
     raises it, with the same ``layer N: ...`` message, when
-    :func:`~xbarnet.hardware.map_to_mcas` rejects a decoded matrix.
+    :func:`~xbarnet.hardware.map_to_mcas` rejects a decoded owner matrix.
+    No caller tells the files apart by the error's type; the message names
+    the file or the record.
     """
 
 
 def _as_bits(values) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 2 or arr.size == 0:
-        raise ShapeError(f"degenerate shape {arr.shape}; need a non-empty 2-d matrix")
+        raise ValueError(f"degenerate shape {arr.shape}; need a non-empty 2-d matrix")
     if not ((arr == 0) | (arr == 1)).all():
         raise ValueError("entries must be exactly 0 or 1")
     bits = arr.astype(np.uint8)
@@ -90,17 +86,16 @@ class ClusterSet:
 def check_owner(owner: np.ndarray, weights: np.ndarray, crossbar: tuple[int, int]) -> tuple[np.ndarray, ...]:
     """Per cluster of ``owner``, the number of rows and of cols its footprint spans, and of cells it owns.
 
-    Raises ValueError (a :class:`ShapeError` for the shape) unless ``owner``
-    is shaped like ``weights``, every entry is -1 or a cluster index, the
-    clusters are numbered 0..n_clusters-1 without gaps, every owned cell is
-    a synapse (a non-zero weight), and every footprint fits the ``(rows,
-    cols)`` crossbar. The line counts come from one (clusters x lines)
+    Raises ValueError unless ``owner`` is shaped like ``weights``, every
+    entry is -1 or a cluster index, the clusters are numbered
+    0..n_clusters-1 without gaps, every owned cell is a synapse (a non-zero
+    weight), and every footprint fits the ``(rows, cols)`` crossbar. The line counts come from one (clusters x lines)
     boolean table per axis; the cell counts are those of the gap check.
     :func:`~xbarnet.hardware.map_to_mcas` is its one caller, so every owner
     matrix is checked once, whether a run built it or a file held it.
     """
     if owner.shape != weights.shape:
-        raise ShapeError(f"owner {owner.shape} does not match weights {weights.shape}")
+        raise ValueError(f"owner {owner.shape} does not match weights {weights.shape}")
     if (owner < -1).any():
         raise ValueError("owner entries must be -1 or a cluster index")
     m, n = owner.shape
@@ -226,7 +221,7 @@ def cluster_sets_from_json(text: str, shapes: list[tuple[int, int]]) -> list[np.
     order. ``rows`` and ``cols`` are derived from the covered cells, so they
     are ignored, as :func:`~xbarnet.hardware.mapping_from_json` ignores the
     derived keys of ``mapping.json``. Only what an owner matrix cannot
-    express is rejected, with a :class:`ClusterFormatError`: text that is
+    express is rejected, with an :class:`InputFormatError`: text that is
     not JSON, a malformed record or an unknown layer (naming the record),
     and a cell outside the matrix, a cell covered twice or an empty record
     (naming the layer). Whether the covered cells are synapses and each
@@ -258,23 +253,23 @@ def cluster_sets_from_json(text: str, shapes: list[tuple[int, int]]) -> list[np.
         try:
             owners.append(_owner_of(shape, layer_cells))
         except ValueError as exc:
-            raise ClusterFormatError(f"layer {layer}: {exc}") from None
+            raise InputFormatError(f"layer {layer}: {exc}") from None
     return owners
 
 
 def _read_records(text: str, n_layers: int) -> list[list[np.ndarray]]:
     """Per layer of ``n_layers``, the covered cells of each of its records as an (n, 2) array.
 
-    Raises :class:`ClusterFormatError` on text that is not JSON, a top level
+    Raises :class:`InputFormatError` on text that is not JSON, a top level
     that is not a list, or a record that is not an object with a known
     ``layer`` and a well-typed ``covered``.
     """
     try:
         data = json.loads(text)
     except (RecursionError, ValueError) as exc:
-        raise ClusterFormatError(f"not JSON ({type(exc).__name__}: {exc})") from None
+        raise InputFormatError(f"not JSON ({type(exc).__name__}: {exc})") from None
     if type(data) is not list:
-        raise ClusterFormatError(f"the top level must be a JSON list of cluster records, got {data!r:.40}")
+        raise InputFormatError(f"the top level must be a JSON list of cluster records, got {data!r:.40}")
     cells: list[list[np.ndarray]] = [[] for _ in range(n_layers)]
     for n, rec in enumerate(data):
         try:
@@ -285,7 +280,7 @@ def _read_records(text: str, n_layers: int) -> list[list[np.ndarray]]:
                 raise ValueError(f"unknown layer {layer!r}")
             cells[layer].append(_json_cells(rec["covered"]))
         except (KeyError, OverflowError, TypeError, ValueError) as exc:
-            raise ClusterFormatError(f"record {n}: {type(exc).__name__}: {exc}") from None
+            raise InputFormatError(f"record {n}: {type(exc).__name__}: {exc}") from None
     return cells
 
 

@@ -56,10 +56,6 @@ class Dataset:
         return int(max(self.y_train.max(), self.y_test.max())) + 1
 
 
-class IdxFormatError(InputFormatError):
-    pass
-
-
 def _open_maybe_gzip(path: Path):
     """A gzip reader for a gzipped file, else the plain file unbuffered, whose ``read()`` is one allocation."""
     with open(path, "rb") as fh:
@@ -81,15 +77,15 @@ def _read_idx(path, magic: int, n_dims: int) -> tuple[list[int], bytes]:
         with _open_maybe_gzip(path) as fh:
             header = fh.read(4 * (n_dims + 1))
             if len(header) != 4 * (n_dims + 1):
-                raise IdxFormatError(f"{path.name}: truncated header, got {len(header)} bytes")
+                raise InputFormatError(f"{path.name}: truncated header, got {len(header)} bytes")
             got, *dims = struct.unpack(f">{n_dims + 1}I", header)
             if got != magic:
-                raise IdxFormatError(f"{path.name}: magic {got}, expected {magic}")
+                raise InputFormatError(f"{path.name}: magic {got}, expected {magic}")
             data = fh.read()
     except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
-        raise IdxFormatError(f"{path.name}: damaged gzip stream ({type(exc).__name__}: {exc})") from None
+        raise InputFormatError(f"{path.name}: damaged gzip stream ({type(exc).__name__}: {exc})") from None
     if len(data) != math.prod(dims):
-        raise IdxFormatError(
+        raise InputFormatError(
             f"{path.name}: truncated data, expected {math.prod(dims)} bytes, got {len(data)}"
         )
     return dims, data
@@ -98,7 +94,7 @@ def _read_idx(path, magic: int, n_dims: int) -> tuple[list[int], bytes]:
 def read_idx_images(path) -> np.ndarray:
     (count, rows, cols), data = _read_idx(path, IDX_IMAGES_MAGIC, 3)
     if not count:
-        raise IdxFormatError(f"{Path(path).name}: no images")
+        raise InputFormatError(f"{Path(path).name}: no images")
     return np.frombuffer(data, dtype=np.uint8).reshape(count, rows, cols)
 
 
@@ -146,12 +142,12 @@ def load_mnist(directory) -> Dataset:
     y_test = read_idx_labels(_find_idx_file(directory, _IDX_NAMES["test_labels"]))
     for split, x, y in (("train", x_train, y_train), ("t10k", x_test, y_test)):
         if len(x) != len(y):
-            raise IdxFormatError(
+            raise InputFormatError(
                 f"{directory}: {split} image/label counts disagree, {len(x)} images but {len(y)} labels"
             )
     if x_train.shape[1:] != x_test.shape[1:]:
         sizes = (*x_train.shape[1:], *x_test.shape[1:])
-        raise IdxFormatError("train images are %dx%d but test images are %dx%d" % sizes)
+        raise InputFormatError("train images are %dx%d but test images are %dx%d" % sizes)
     n_pixels = x_train.shape[1] * x_train.shape[2]
     return Dataset(
         x_train=x_train.reshape(len(x_train), n_pixels),
@@ -278,8 +274,12 @@ def surrogate_record(directory) -> dict | None:
 class PlantedSpec:
     """Teacher network with block-diagonal first-layer support.
 
-    ``block`` divides both first-layer dimensions; ``noise_density`` adds
-    off-block synapses at ``noise_scale`` of the in-block magnitude.
+    The ``in_dim // block`` input blocks each feed their own, equal share of
+    the hidden units, so ``block`` divides both first-layer dimensions and
+    ``hidden`` is a multiple of the block count: otherwise some block would
+    plant no cell, or some hidden unit would belong to no block.
+    ``noise_density`` adds off-block synapses at ``noise_scale`` of the
+    in-block magnitude.
     """
 
     in_dim: int = 64
@@ -296,6 +296,8 @@ class PlantedSpec:
             raise ValueError("in_dim, hidden, n_classes, n_train and n_test must be positive")
         if self.block < 1 or self.in_dim % self.block or self.hidden % self.block:
             raise ValueError("block must be positive and divide both first-layer dimensions")
+        if self.hidden % (self.in_dim // self.block):
+            raise ValueError(f"hidden must be a multiple of the {self.in_dim // self.block} input blocks")
         if not 0 <= self.noise_density < 1:
             raise ValueError("noise_density must lie in [0, 1)")
 

@@ -26,7 +26,11 @@ crossbar, so derived keys in a file are ignored: per
 layer ``clustered_mca_count``, ``residual_mca_count``, ``histogram``,
 ``unclustered_fraction``, ``cluster_utils`` and ``residual_utils``; at the top
 ``num_mca``, ``n_live``, ``n_clusters``, ``clustered_storage`` and
-``dense_storage``. :func:`energy_document` reads the document.
+``dense_storage``. :func:`energy_document` reads the document. Text that
+does not read back as one raises :class:`~xbarnet.connectivity.InputFormatError`,
+the one error for a malformed input file. An owner matrix that
+:func:`map_to_mcas` rejects raises a plain ValueError naming its layer,
+which ``xbarnet map`` reports as that same error when a file held the matrix.
 """
 
 from __future__ import annotations
@@ -68,12 +72,6 @@ CMOS_BITS_PER_WEIGHT = 4
 CMOS_SYNC_PER_CLUSTER_J = 1.0e-11
 
 
-class MappingFormatError(InputFormatError):
-    """Raised on a ``mapping.json`` document that is not UTF-8 JSON, lacks a
-    well-typed measured field, or holds measured fields that contradict each
-    other or the crossbar."""
-
-
 def _mapping_document(layers: list[tuple], crossbar_rows: int, crossbar_cols: int) -> dict:
     """``mapping.json`` of ``layers``, each (cluster_active, residual_active, cluster_areas, matrix_shape)."""
     area = crossbar_rows * crossbar_cols
@@ -110,10 +108,10 @@ def _mapping_document(layers: list[tuple], crossbar_rows: int, crossbar_cols: in
 def mapping_from_json(text: str | bytes) -> dict:
     """The ``mapping.json`` document of ``text``, rebuilt from its measured fields; derived keys are ignored.
 
-    Raises :class:`MappingFormatError` on text that is not UTF-8 JSON, a
-    measured field that is not a list of non-negative integers below 2**63,
-    an empty crossbar, or a layer whose counts no mapping of a
-    ``matrix_shape`` matrix onto that crossbar yields.
+    Raises :class:`~xbarnet.connectivity.InputFormatError` on text that is
+    not UTF-8 JSON, a measured field that is not a list of non-negative
+    integers below 2**63, an empty crossbar, or a layer whose counts no
+    mapping of a ``matrix_shape`` matrix onto that crossbar yields.
     """
     try:
         data = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
@@ -139,7 +137,7 @@ def mapping_from_json(text: str | bytes) -> dict:
                 raise ValueError(f"layer {i}: {live} live synapses exceed matrix_shape {m}x{n}")
         return _mapping_document(layers, rows, cols)
     except (KeyError, RecursionError, TypeError, ValueError) as exc:
-        raise MappingFormatError(f"mapping document: {type(exc).__name__}: {exc}") from None
+        raise InputFormatError(f"mapping document: {type(exc).__name__}: {exc}") from None
 
 
 def _counts(value, name: str, length: int | None = None) -> list[int]:
@@ -179,9 +177,7 @@ def map_to_mcas(owners: list[np.ndarray], weights: list[np.ndarray], tech: TechC
     cluster's, or the grid tile of the residual, the synapses no cluster
     owns. Each owner matrix passes :func:`~xbarnet.connectivity.check_owner`
     once, here, which also counts its clusters' footprints and cells; a
-    rejection is re-raised as the same ValueError type
-    (:class:`~xbarnet.connectivity.ShapeError` for a shape), prefixed
-    ``layer N: ``.
+    rejection is re-raised as a ValueError prefixed ``layer N: ``.
     """
     crossbar = (tech.crossbar_rows, tech.crossbar_cols)
     layers = []
@@ -189,7 +185,7 @@ def map_to_mcas(owners: list[np.ndarray], weights: list[np.ndarray], tech: TechC
         try:
             rows, cols, cells = check_owner(owner, w, crossbar)
         except ValueError as exc:
-            raise type(exc)(f"layer {layer}: {exc}") from None
+            raise ValueError(f"layer {layer}: {exc}") from None
         residual = grid_tiles((w != 0) & (owner < 0), *crossbar)
         layers.append((cells.tolist(), residual, (rows * cols).tolist(), w.shape))
     return _mapping_document(layers, *crossbar)

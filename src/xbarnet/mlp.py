@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .connectivity import InputFormatError, ShapeError
+from .connectivity import InputFormatError
 from .util import STREAM_INIT, STREAM_SHUFFLE, rng_for
 
 
@@ -38,9 +38,9 @@ class Layer:
 
     def __post_init__(self):
         if self.weights.ndim != 2 or self.weights.size == 0:
-            raise ShapeError(f"degenerate weights shape {self.weights.shape}; need a non-empty 2-d matrix")
+            raise ValueError(f"degenerate weights shape {self.weights.shape}; need a non-empty 2-d matrix")
         if self.bias.shape != (self.weights.shape[1],):
-            raise ShapeError("bias length must equal the layer fan-out")
+            raise ValueError("bias length must equal the layer fan-out")
 
 
 @dataclass
@@ -112,7 +112,7 @@ def forward(model: MlpModel, batch: np.ndarray) -> tuple[list[np.ndarray], np.nd
     x = np.asarray(batch)
     x = np.divide(x, 255, dtype=dtype) if x.dtype == np.uint8 else np.asarray(x, dtype=dtype)
     if x.ndim != 2 or x.shape[1] != model.layers[0].weights.shape[0]:
-        raise ShapeError(
+        raise ValueError(
             f"batch width {x.shape} does not match first-layer fan-in "
             f"{model.layers[0].weights.shape[0]}"
         )
@@ -257,10 +257,6 @@ def magnitude_prune(model: MlpModel, prune_quality: float, protect: list[np.ndar
 _CHECKPOINT_FORMAT = "xbarnet-checkpoint-v3"
 
 
-class CheckpointFormatError(InputFormatError):
-    """Raised on a checkpoint pair that does not read back as a model."""
-
-
 def save_checkpoint(path, model: MlpModel, seed: int, config: dict | None = None) -> None:
     """Write a <path>.json manifest and the <path>.bin blocks of a float32 model.
 
@@ -290,7 +286,9 @@ def load_checkpoint(path) -> tuple[MlpModel, dict]:
     The manifest is read as UTF-8, and its ``topology`` must be a list of at
     least two positive integers. The ``.bin`` must hold exactly 4 bytes per
     weight and bias of that topology; its size is checked before it is read,
-    so no size that a topology claims is allocated.
+    so no size that a topology claims is allocated. A pair that does not read
+    back as a model raises :class:`~xbarnet.connectivity.InputFormatError`
+    naming the checkpoint.
     """
     path = Path(path)
     try:
@@ -313,5 +311,5 @@ def load_checkpoint(path) -> tuple[MlpModel, dict]:
                 for fan_in, fan_out in shapes
             ]
     except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
-        raise CheckpointFormatError(f"checkpoint {path}: {exc}") from None
+        raise InputFormatError(f"checkpoint {path}: {exc}") from None
     return MlpModel(layers), manifest

@@ -1,11 +1,17 @@
 """End-to-end CLI runs on a tiny planted config: artifact round trips and reruns."""
 
+import contextlib
+import io
 import json
+import shutil
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xbarnet import cli, connectivity, hardware
 from xbarnet.datasets import write_surrogate_digits
@@ -350,6 +356,80 @@ def test_damaged_input_files_exit_2(tmp_path, pruned_run, capsys, damage, messag
     assert cli.main(args + ["--config", str(pruned_run / "config.json"), "--out", str(tmp_path / "out.json")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
+
+
+# what a damaged artifact holds in place of a value: every JSON type, NaN, and ints past int64 at both ends
+DAMAGE_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), -1),
+    st.integers(2**63, 2**70),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.just(float("nan")),
+    st.text(max_size=4),
+    st.lists(st.integers(-1, 40), max_size=3),
+    st.dictionaries(st.sampled_from(["layer", "covered", "topology", "x"]), st.integers(-1, 40), max_size=2),
+)
+
+
+def damaged(data, doc):
+    """``doc`` with one value changed, dropped or replaced, or replaced whole.
+
+    Half the time one of its numbers, drawn from all of them alike, becomes an int in a tiny arm's range: that
+    mostly moves a covered cell or a count deep in the document. Else a value found by descending from the top,
+    one drawn key or index at a time, which mostly stops at a shallow one, is dropped or replaced by one of
+    :data:`DAMAGE_VALUES`.
+    """
+    if data.draw(st.booleans()):
+        numbers, stack = [], [doc]  # numbers: (container, key) of every number in the document
+        while stack:
+            node = stack.pop()
+            items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+            for key, value in items:
+                stack.append(value)
+                if type(value) in (int, float):
+                    numbers.append((node, key))
+        parent, key = data.draw(st.sampled_from(numbers))
+        parent[key] = data.draw(st.integers(-1, 40))
+        return doc
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node and data.draw(st.booleans()):
+        parent, key = node, data.draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        node = node[key]
+    if parent is None:
+        return data.draw(DAMAGE_VALUES)
+    if data.draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = data.draw(DAMAGE_VALUES)
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_damaged_artifacts_exit_0_or_2_with_one_line(transform_run, data):
+    """``map`` reads a transform arm's clusters.json or checkpoint, ``report`` its mapping.json, with one value
+    damaged: each exits 0, or exits 2 with one stderr line, no traceback and no output file."""
+    name = data.draw(st.sampled_from(["clusters.json", "mapping.json", "checkpoint.json"]))
+    run = transform_run / "run"
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = Path(tmp)
+        (bad / name).write_text(json.dumps(damaged(data, json.loads((run / name).read_text()))))
+        if name == "mapping.json":
+            args = ["report", "--mapping", str(bad / name)]
+        elif name == "clusters.json":
+            args = ["map", "--checkpoint", str(run / "checkpoint"), "--clusters", str(bad / name)]
+        else:
+            shutil.copy(run / "checkpoint.bin", bad)
+            args = ["map", "--checkpoint", str(bad / "checkpoint"), "--clusters", str(run / "clusters.json")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            status = cli.main(args + ["--config", str(transform_run / "config.json"), "--out", str(bad / "out.json")])
+        assert status in (0, 2)
+        if status == 2:
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), err.getvalue()
+            assert "Traceback" not in err.getvalue()
+            assert not (bad / "out.json").exists()
 
 
 def test_report_with_evals_per_inference_exits_2(tmp_path, pruned_run, capsys):

@@ -121,6 +121,12 @@ class TestConfigErrors:
             ({"seed": -1}, "seed: must be a non-negative integer"),
             ({"dataset": {**PLANTED, "noise_density": -0.1}}, "dataset: noise_density must lie in [0, 1)"),
             ({"dataset": {"kind": "planted", "in_dim": 4, "hidden": 0, "block": 2}}, "dataset: in_dim, hidden"),
+            # each of the in_dim // block input blocks plants the same number of hidden units, at least one:
+            # 32 blocks share 16 units, so none gets a unit; 3 blocks share 32, so 2 units get no block
+            ({"dataset": {**PLANTED, "in_dim": 512, "hidden": 16, "block": 16}, "topology": [512, 16, 2]},
+             "dataset: hidden must be a multiple of the 32 input blocks"),
+            ({"dataset": {**PLANTED, "in_dim": 48, "hidden": 32, "block": 16}, "topology": [48, 32, 2]},
+             "dataset: hidden must be a multiple of the 3 input blocks"),
             ({"dataset": {"kind": ["planted"]}}, "dataset.kind: ['planted'] not one of"),
             # a retired dataset kind
             ({"dataset": {"kind": "blobs", "n_classes": 2, "dim": 4}}, "dataset.kind: 'blobs' not one of"),
@@ -173,7 +179,8 @@ class TestConfigErrors:
         ids=["planted_block", "in_dim_type", "no_classes", "input_width", "label_range", "k_per_round",
              "threshold_anneal", "max_rounds_float", "batch_size_float", "max_epochs_float", "crossbar_rows_float",
              "topology_bool", "n_train_bool", "train_seed", "transform_seed", "transform_scic", "negative_seed",
-             "negative_noise_density", "planted_no_hidden", "kind_list", "retired_kind", "scic_crossbar",
+             "negative_noise_density", "planted_no_hidden",
+             "planted_blocks_without_units", "planted_units_without_block", "kind_list", "retired_kind", "scic_crossbar",
              "digits_n_train_str", "digits_unknown", "digits_no_test", "mnist_n_train", "evals_per_inference",
              "nan_dataset", "nan_train", "inf_train", "inf_scic", "inf_transform", "nan_tech", "inf_tech",
              "cmos_section", "clusters_pruned_per_event", "cluster_prune_alpha", "cores_k", "crossbar_rows_zero", "crossbar_cols_2_63",

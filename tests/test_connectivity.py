@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 
 from xbarnet import connectivity
 from xbarnet.connectivity import (
-    ClusterFormatError,
     ConnectivityMatrix,
-    ShapeError,
+    InputFormatError,
     check_owner,
     cluster_sets_from_json,
     cluster_sets_to_json,
@@ -65,10 +64,10 @@ ZERO_WEIGHT[2, 3] = 0.0
 )
 def test_every_owner_matrix_goes_through_one_check(owner, weights, message, in_a_file):
     """check_owner and map_to_mcas, its one caller, accept and reject the same owner matrices with the same
-    message and error type, and map_to_mcas names the layer. A matrix a file can hold, decoded by the
-    clusters.json reader and then mapped, gives that same line. A file cannot hold an owner matrix of another
+    message, both as a plain ValueError, and map_to_mcas names the layer. A matrix a file can hold, decoded by
+    the clusters.json reader and then mapped, gives that same line. A file cannot hold an owner matrix of another
     shape or an entry below -1: the reader builds each matrix in its layer's shape, and a record's index is its
-    place; so a shape mismatch, still a ShapeError, reaches map_to_mcas only from a caller's own matrices."""
+    place; so a shape mismatch reaches map_to_mcas only from a caller's own matrices."""
     tech = TechConfig(crossbar_rows=2, crossbar_cols=2)
     text = json.dumps(records_of(owner))
     if message is None:
@@ -81,7 +80,7 @@ def test_every_owner_matrix_goes_through_one_check(owner, weights, message, in_a
     layer_0 = f"^layer 0: {re.escape(message)}$"
     with pytest.raises(ValueError, match=layer_0) as mapped:
         map_to_mcas([owner], [weights], tech)
-    assert type(mapped.value) is type(checked.value)
+    assert type(mapped.value) is type(checked.value) is ValueError
     if in_a_file:
         with pytest.raises(ValueError, match=layer_0):
             map_to_mcas(cluster_sets_from_json(text, [weights.shape]), [weights], tech)
@@ -121,7 +120,7 @@ class TestSynapsesFromWeights:
 
 class TestBits:
     def test_empty_matrix_rejected(self):
-        with pytest.raises(ShapeError, match="degenerate"):
+        with pytest.raises(ValueError, match=re.escape("degenerate shape (0, 3); need a non-empty 2-d matrix")):
             ConnectivityMatrix(np.zeros((0, 3)))
 
     @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan], ids=["two", "minus_one", "half", "nan"])
@@ -247,13 +246,13 @@ class TestOwnerMatrices:
         assert np.array_equal(owner, owner_of((4, 4), covered))
         with pytest.raises(ValueError, match=f"^layer 0: {message}$") as info:
             map_to_mcas([owner], [np.eye(4)], TechConfig(crossbar_rows=2, crossbar_cols=2))
-        assert not isinstance(info.value, ClusterFormatError)
+        assert type(info.value) is ValueError
 
     def test_json_reader_reports_a_decoding_fault_before_any_checking_fault(self):
         """Every layer is decoded before any is checked: layer 0 covers a dead cell, which only the mapper
         rejects, and layer 1 a cell outside its matrix, which the reader rejects first."""
         records = [{"layer": 0, "covered": [[0, 1]]}, {"layer": 1, "covered": [[0, 9]]}]
-        with pytest.raises(ClusterFormatError, match="^layer 1: a covered cell lies outside the 4x4 matrix$"):
+        with pytest.raises(InputFormatError, match="^layer 1: a covered cell lies outside the 4x4 matrix$"):
             cluster_sets_from_json(json.dumps(records), [(4, 4), (4, 4)])
         owners = cluster_sets_from_json(json.dumps(records[:1]), [(4, 4), (4, 4)])
         with pytest.raises(ValueError, match="^layer 0: a covered cell is not a synapse$"):
@@ -280,9 +279,8 @@ class TestOwnerMatrices:
     def test_json_not_a_list_of_records_rejected(self, text, message):
         """Only a JSON list of objects reads as records: any other top level, record or unparseable text is
         rejected, and a parse failure names no record."""
-        with pytest.raises(ClusterFormatError) as info:
+        with pytest.raises(InputFormatError, match=f"^{re.escape(message)}") as info:
             cluster_sets_from_json(text, [(4, 4)])
-        assert str(info.value).startswith(message)
         assert message.startswith("record") or "record 0" not in str(info.value)
 
     def test_json_empty_list_means_no_clusters(self):
@@ -310,8 +308,9 @@ def test_json_reload_leaves_the_gc_as_the_caller_had_it(monkeypatch, text, enabl
     try:
         try:
             cluster_sets_from_json(text, [(4, 4)])
-        except ClusterFormatError:
+        except InputFormatError as exc:
             assert text != TEXT_OK
+            assert str(exc).startswith("not JSON" if text == TEXT_OK[:-3] else "record 0: TypeError: a record")
         after = gc.isenabled()
     finally:
         (gc.enable if was else gc.disable)()

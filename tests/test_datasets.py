@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from xbarnet import cli, datasets, mlp
-from xbarnet.datasets import IdxFormatError, PlantedSpec, gen_planted, load_mnist, write_surrogate_digits
+from xbarnet.connectivity import InputFormatError
+from xbarnet.datasets import PlantedSpec, gen_planted, load_mnist, write_surrogate_digits
 from xbarnet.util import STREAM_DATA, rng_for
 
 # the undotted names the surrogate writes, and the dotted names some distributions use
@@ -283,7 +284,7 @@ def test_an_idx_header_claiming_2_31_images_is_rejected_in_bounded_peak_memory(t
     datasets.read_idx_images(plain_dir / "train-images-idx3-ubyte")
     tracemalloc.start()
     try:
-        with pytest.raises(IdxFormatError, match=f"truncated data, expected {2**31 * 28 * 28} bytes, got 784"):
+        with pytest.raises(InputFormatError, match=f"truncated data, expected {2**31 * 28 * 28} bytes, got 784"):
             datasets.read_idx_images(path)
         _, peak = tracemalloc.get_traced_memory()
     finally:

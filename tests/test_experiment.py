@@ -11,7 +11,7 @@ import pytest
 
 from xbarnet import cli, experiment
 from xbarnet.config import MODES, ConfigError, build_config
-from xbarnet.connectivity import ClusterFormatError
+from xbarnet.connectivity import InputFormatError
 from xbarnet.mlp import evaluate, load_checkpoint
 
 RAW = {
@@ -102,7 +102,7 @@ def test_usable_cpus_fall_back_to_the_cpu_count(monkeypatch, count, usable):
 
 @pytest.mark.parametrize(
     "error",
-    [ClusterFormatError("clusters.json: layer 0 does not fit"), ConfigError(["scic: one", "tech: two"])],
+    [InputFormatError("clusters.json: layer 0 does not fit"), ConfigError(["scic: one", "tech: two"])],
     ids=["input_format", "config"],
 )
 def test_an_error_in_one_worker_exits_2_with_its_message(tmp_path, monkeypatch, capsys, error):
@@ -187,23 +187,26 @@ def test_summary_accuracy_is_the_saved_networks_test_accuracy(cfg, data, tmp_pat
         assert len((arm / "log.jsonl").read_text().splitlines()) == max_epochs
 
 
+@pytest.mark.parametrize("topology", [[128, 128, 2], [128, 128, 128, 2]], ids=["one_hidden", "two_hidden"])
 @pytest.mark.parametrize("teacher", range(8))
-def test_transform_beats_the_baselines_on_area_and_keeps_accuracy(tmp_path, teacher):
+def test_transform_beats_the_baselines_on_area_and_keeps_accuracy(tmp_path, teacher, topology):
     """The area-and-accuracy half of the headline gate, per teacher of the benchmark's planted workload.
 
-    Each teacher runs ``compare`` on the 128-128-2 planted task (block 16, 4000 training samples, 8 epochs),
-    with data seed = program seed = teacher. The test set holds 10 000 samples, not the benchmark's 1000: one
-    arm's accuracy then has a standard error of about 0.4 points, so a 1-point margin can be told from noise.
-    Transform must map onto fewer crossbars than prune, prune onto no more than the original, and transform
-    must lose at most one point of accuracy against the original. Energy is not asserted: the transform arm
-    keeps every synapse of every cluster it owns, so it has about 2.3 times the prune arm's active
-    cross-points, and its total energy is 1.11-1.12 times prune's on every teacher. That ordering waits on the
-    paper's prune-first loop, which drops what clustering does not need.
+    Each teacher runs ``compare`` on the 128-input planted task (block 16, 4000 training samples, 8 epochs),
+    with data seed = program seed = teacher, for a student with one hidden layer of 128 (the benchmark's
+    128-128-2) and with two. The test set holds 10 000 samples, not the benchmark's 1000: one arm's accuracy
+    then has a standard error of about 0.4 points, so a 1-point margin can be told from noise. Transform must
+    map onto fewer crossbars than prune, prune onto no more than the original, and transform must lose at most
+    one point of accuracy against the original. Energy is not asserted: the transform arm keeps every synapse
+    of every cluster it owns, so it has about 2.3 times the prune arm's active cross-points on 128-128-2, and
+    its total energy is 1.11-1.12 times prune's on every teacher; on 128-128-128-2 it reads 9.56e-8 J against
+    prune's 8.09-8.13e-8 J. That ordering waits on the paper's prune-first loop, which drops what clustering
+    does not need.
     """
     raw = {
         "dataset": {"kind": "planted", "in_dim": 128, "hidden": 128, "n_classes": 2, "block": 16,
                     "n_train": 4000, "n_test": 10_000},
-        "topology": [128, 128, 2],
+        "topology": topology,
         "seed": teacher,
         "transform": {"max_epochs": 8},
     }

@@ -6,12 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from xbarnet.connectivity import ShapeError
+from xbarnet.connectivity import InputFormatError
 from xbarnet.hardware import (
     CMOS_BITS_PER_WEIGHT,
     CMOS_LEAK_PER_BIT_J,
     CMOS_SYNC_PER_CLUSTER_J,
-    MappingFormatError,
     TechConfig,
     cmos_energy,
     energy_document,
@@ -81,7 +80,8 @@ class TestMapToMcas:
     @pytest.mark.parametrize("shape", [(8, 7), (7, 8), (64, 1)], ids=["fewer_cols", "fewer_rows", "same_size"])
     def test_owner_shaped_unlike_the_weights_rejected(self, shape):
         cs, _ = full_cluster_set((8, 8), [(range(4), range(4))])
-        with pytest.raises(ShapeError, match=rf"owner \(8, 8\) does not match weights \({shape[0]}, {shape[1]}\)"):
+        message = rf"^layer 0: owner \(8, 8\) does not match weights \({shape[0]}, {shape[1]}\)$"
+        with pytest.raises(ValueError, match=message):
             map_to_mcas([cs], [np.ones(shape)], TechConfig(crossbar_rows=4, crossbar_cols=4))
 
     def test_a_layer_without_weights_rejected(self):
@@ -263,7 +263,7 @@ class TestDocuments:
     def test_reader_rejects_mistyped_fields(self, edit, message):
         doc = self.mixed_mapping()
         edit(doc)
-        with pytest.raises(MappingFormatError, match=message):
+        with pytest.raises(InputFormatError, match=message):
             mapping_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Training-core tests: forward/backward oracles, pruning, checkpoints."""
 
 import json
+import re
 import tracemalloc
 import warnings
 
@@ -10,10 +11,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from xbarnet.connectivity import ShapeError
+from xbarnet.connectivity import InputFormatError
 from xbarnet.datasets import PlantedSpec, gen_planted
 from xbarnet.mlp import (
-    CheckpointFormatError,
     Layer,
     MlpModel,
     TrainConfig,
@@ -298,7 +298,7 @@ class TestForward:
 
     def test_shape_mismatch(self):
         model = init_model([4, 3], seed=0)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValueError, match=re.escape("batch width (2, 5) does not match first-layer fan-in 4")):
             forward(model, np.zeros((2, 5)))
 
     @pytest.mark.parametrize(
@@ -308,7 +308,7 @@ class TestForward:
         ids=["one_d", "empty", "bias_length"],
     )
     def test_degenerate_layer_rejected(self, shape, fan_out, message):
-        with pytest.raises(ShapeError, match=message):
+        with pytest.raises(ValueError, match=message):
             Layer(np.zeros(shape), np.zeros(fan_out))
 
     @pytest.mark.parametrize("topology", [[5], [4, 0]], ids=["one_width", "zero_width"])
@@ -594,14 +594,14 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "ck", model, seed=0)
         blob = (tmp_path / "ck.bin").read_bytes()
         (tmp_path / "ck.bin").write_bytes(blob[:-4])
-        with pytest.raises(CheckpointFormatError, match=".bin holds 28 bytes where the topology needs 32"):
+        with pytest.raises(InputFormatError, match=".bin holds 28 bytes where the topology needs 32"):
             load_checkpoint(tmp_path / "ck")
 
     def test_appended_bytes_rejected(self, tmp_path):
         save_checkpoint(tmp_path / "ck", init_model([3, 2], seed=0), seed=0)
         with open(tmp_path / "ck.bin", "ab") as fh:
             fh.write(b"\0")
-        with pytest.raises(CheckpointFormatError, match=".bin holds 33 bytes where the topology needs 32"):
+        with pytest.raises(InputFormatError, match=".bin holds 33 bytes where the topology needs 32"):
             load_checkpoint(tmp_path / "ck")
 
     @pytest.mark.parametrize(
@@ -612,14 +612,14 @@ class TestCheckpoint:
     def test_malformed_topology_rejected(self, tmp_path, topology):
         save_checkpoint(tmp_path / "ck", init_model([3, 2], seed=0), seed=0)
         write_manifest(tmp_path / "ck", topology=topology)
-        with pytest.raises(CheckpointFormatError, match="topology must be a list of at least two positive integers"):
+        with pytest.raises(InputFormatError, match="topology must be a list of at least two positive integers"):
             load_checkpoint(tmp_path / "ck")
 
     def test_manifest_not_utf8_rejected(self, tmp_path):
         save_checkpoint(tmp_path / "ck", init_model([3, 2], seed=0), seed=0)
         manifest = (tmp_path / "ck.json").read_bytes()
         (tmp_path / "ck.json").write_bytes(manifest.replace(b'"config": {}', b'"config": {"note": "\xe9"}'))
-        with pytest.raises(CheckpointFormatError, match="codec can't decode byte 0xe9"):
+        with pytest.raises(InputFormatError, match="codec can't decode byte 0xe9"):
             load_checkpoint(tmp_path / "ck")
 
     def test_huge_topology_rejected_without_allocating_it(self, tmp_path):
@@ -631,7 +631,7 @@ class TestCheckpoint:
         tracemalloc.start()
         try:
             need = 4 * (2**60 + 2**29)
-            with pytest.raises(CheckpointFormatError, match=f".bin holds 4 bytes where the topology needs {need}"):
+            with pytest.raises(InputFormatError, match=f".bin holds 4 bytes where the topology needs {need}"):
                 load_checkpoint(tmp_path / "ck")
             _, peak = tracemalloc.get_traced_memory()
         finally:
