@@ -275,9 +275,9 @@ class PlantedSpec:
     """Teacher network with block-diagonal first-layer support.
 
     The ``in_dim // block`` input blocks each feed their own, equal share of
-    the hidden units, so ``block`` divides both first-layer dimensions and
-    ``hidden`` is a multiple of the block count: otherwise some block would
-    plant no cell, or some hidden unit would belong to no block.
+    the hidden units, so ``block`` divides ``in_dim`` and ``hidden`` is a
+    multiple of the block count: otherwise some block would plant no cell, or
+    some hidden unit would belong to no block.
     ``noise_density`` adds off-block synapses at ``noise_scale`` of the
     in-block magnitude.
     """
@@ -294,8 +294,8 @@ class PlantedSpec:
     def __post_init__(self):
         if min(self.in_dim, self.hidden, self.n_classes, self.n_train, self.n_test) < 1:
             raise ValueError("in_dim, hidden, n_classes, n_train and n_test must be positive")
-        if self.block < 1 or self.in_dim % self.block or self.hidden % self.block:
-            raise ValueError("block must be positive and divide both first-layer dimensions")
+        if self.block < 1 or self.in_dim % self.block:
+            raise ValueError("block must be positive and divide in_dim")
         if self.hidden % (self.in_dim // self.block):
             raise ValueError(f"hidden must be a multiple of the {self.in_dim // self.block} input blocks")
         if not 0 <= self.noise_density < 1:

@@ -21,9 +21,10 @@ ordered, so it costs no eigensolve.
 
 Every candidate takes one path: ``split_oversized`` drops its synapse-free
 rows and cols and, unless the rest fits the crossbar, splits it; each piece
-then faces only the utilization test. The split returns every piece with
-its synapse count, counted from one gather of the ordered block, so only an
-accepted piece is gathered again.
+then faces only the utilization test, inside the split, on its synapse count
+from one gather of the ordered block. The split returns only the pieces that
+pass, and the loop accepts each of them, so only an accepted piece is
+gathered again.
 Finding groups and ordering a group for splitting use one graph path,
 ``_eigenvectors``: the active block, sliced from the 0/1 residual, goes as
 a plain array through ``build_similarity`` and ``eig_smallest``, which
@@ -130,9 +131,9 @@ def _best_fill(row_counts: np.ndarray, col_counts: np.ndarray, cfg: SizeClusterC
     A piece takes at most crossbar_rows of the block's rows and crossbar_cols
     of its cols, so it holds at most the sum of the crossbar_rows largest row
     counts, the sum of the crossbar_cols largest col counts and
-    crossbar_area synapses. The bound faces the test ``try_accept`` applies
-    to a piece's own count, so a block whose bound is below a threshold has
-    no piece to accept at it.
+    crossbar_area synapses. The bound faces the test ``split_oversized``
+    applies to a piece's own count, so a block whose bound is below a
+    threshold has no piece to accept at it.
     """
     bound = min(
         int(np.sort(row_counts)[::-1][: cfg.crossbar_rows].sum()),
@@ -150,17 +151,21 @@ def split_oversized(
     second_vector,
     util_factor: float = 0.0,
 ) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    """Split the block ``bits[rows][:, cols]`` into crossbar-sized (rows, cols, n_synapses) children.
+    """The crossbar-sized (rows, cols, n_synapses) children of the block ``bits[rows][:, cols]`` that reach ``util_factor``.
 
-    Synapse-free rows and cols are dropped; a block whose remaining rows and
-    cols fit the crossbar is its own only child, and one without a synapse
-    has none, and so has a block no piece of which can reach
-    ``util_factor`` (see ``_best_fill``): it is neither ordered nor cut.
+    Each child faces only the utilization test n_synapses / crossbar_area >=
+    ``util_factor``, and a child that fails it is not returned, so a caller
+    may accept every child it gets; at ``util_factor`` 0 every non-empty
+    piece is returned. Synapse-free rows and cols are dropped; a block whose
+    remaining rows and cols fit the crossbar is its own only candidate, and
+    one without a synapse has none, and so has a block no piece of which can
+    reach ``util_factor`` (see ``_best_fill``): it is neither ordered nor cut.
     Otherwise rows and columns are ordered by the subgraph's second
     Laplacian eigenvector and cut into consecutive crossbar-sized chunks
     whose pairings become the children, so the ceil(rows/crossbar_rows) *
     ceil(cols/crossbar_cols) pieces partition the block and each fits the
-    crossbar. Empty pairings are dropped. The split is deterministic.
+    crossbar. Empty pairings are dropped, and the rest keep row-major grid
+    order. The split is deterministic.
     ``second_vector`` maps the live block to that eigenvector; a caller may
     answer it from what it has solved already. A complete live block is
     ordered by index and ``second_vector`` is not called: every piece of it
@@ -177,7 +182,8 @@ def split_oversized(
     if len(live_rows) == 0 or len(live_cols) == 0 or _best_fill(row_counts, col_counts, cfg) < util_factor:
         return []
     if len(live_rows) <= cfg.crossbar_rows and len(live_cols) <= cfg.crossbar_cols:
-        return [(live_rows, live_cols, int(row_counts.sum()))]
+        n_synapses = int(row_counts.sum())
+        return [(live_rows, live_cols, n_synapses)] if n_synapses / cfg.crossbar_area >= util_factor else []
     live = sub[np.ix_(live_row, live_col)]
     # a complete block has no cut to find, so all its entries tie
     v = np.zeros(len(live_rows) + len(live_cols)) if live.all() else second_vector(live)
@@ -187,10 +193,10 @@ def split_oversized(
     ordered_rows, ordered_cols = live_rows[row_order], live_cols[col_order]
     r, c = cfg.crossbar_rows, cfg.crossbar_cols
     counts = tile_counts(live[np.ix_(row_order, col_order)], r, c)
+    kept = (counts > 0) & (counts / cfg.crossbar_area >= util_factor)
     return [
-        (ordered_rows[i * r : (i + 1) * r], ordered_cols[j * c : (j + 1) * c], int(n))
-        for (i, j), n in np.ndenumerate(counts)
-        if n
+        (ordered_rows[i * r : (i + 1) * r], ordered_cols[j * c : (j + 1) * c], int(counts[i, j]))
+        for i, j in zip(*np.nonzero(kept))
     ]
 
 
@@ -219,18 +225,13 @@ def size_constrained_cluster(
     util_factor = cfg.base_util_factor
     vectors = None  # eigenvectors of the residual's active block; dropped when an acceptance changes the residual
 
-    def try_accept(rows: np.ndarray, cols: np.ndarray, n_synapses: int) -> bool:
-        # n_synapses was counted when the candidate was split; it is still residual[block].sum(),
-        # because only accepted pieces change the residual and the pieces of one split are disjoint
+    def accept(rows: np.ndarray, cols: np.ndarray) -> None:
         nonlocal n_accepted, vectors
-        if n_synapses / cfg.crossbar_area < util_factor:
-            return False
         block = np.ix_(rows, cols)
         owner[block] = np.where(residual[block] == 1, n_accepted, owner[block])
         n_accepted += 1
         residual[block] = 0
         vectors = None
-        return True
 
     def residual_vector(live: np.ndarray) -> np.ndarray:
         # live is the residual's active block, which vectors solve; where they come from the thin SVD,
@@ -238,8 +239,12 @@ def size_constrained_cluster(
         return vectors[:, 1] if vectors.shape[1] <= min(live.shape) else _second_vector(live)
 
     def handle(rows: np.ndarray, cols: np.ndarray, second_vector) -> int:
+        # every piece clears util_factor by its count from the split; the pieces of one split are
+        # disjoint, so accepting one leaves the others' cells, and counts, as they were
         pieces = split_oversized(residual, rows, cols, cfg, second_vector, util_factor)
-        return sum(try_accept(*piece) for piece in pieces)
+        for piece_rows, piece_cols, _ in pieces:
+            accept(piece_rows, piece_cols)
+        return len(pieces)
 
     for round_no in range(1, cfg.max_rounds + 1):
         row_counts, col_counts = residual.sum(axis=1, dtype=np.int64), residual.sum(axis=0, dtype=np.int64)

@@ -17,11 +17,16 @@ on it, so one solve serves every seed. Each Lloyd step ranks the centroids
 by the Gram form of the squared distance, one matrix product, and
 recomputes near ties directly, so the labels are bit-equal to those of the
 direct (points x k x dims) form. That array is built only for the near-tie
-rows, for a reseed of an empty cluster, or for an objective trace.
+rows, for a reseed of an empty cluster, or for an objective trace. All
+centroids are summed in point order by one weighted ``bincount``.
 
 Determinism: all randomness flows from the seed argument; a fixed seed gives
 bit-stable assignments, and k-means is invariant to the ordering of its input
-points (up to label renaming) via an internal canonical sort.
+points (up to label renaming) via a canonical sort: the order of
+``np.lexsort`` over all columns, from one stable sort of column 0 and a
+lexsort of only the points that tie there. Its k-means++ draws take the
+steps of ``Generator.choice(n, p=...)`` without re-checking ``p``, so they
+pick the same points and leave the generator as ``choice`` leaves it.
 """
 
 from __future__ import annotations
@@ -93,43 +98,47 @@ def row_normalize(vectors: np.ndarray) -> np.ndarray:
 
 
 def kmeans(points: np.ndarray, k: int, seed: int, objective_trace: list | None = None) -> np.ndarray:
-    """Seeded k-means++ with Lloyd iterations; returns a label per point.
+    """Seeded k-means++ with Lloyd iterations; returns a label per point. Points must be finite.
 
     Deterministic for a fixed seed and invariant (up to label renaming) to the
-    ordering of the points: initialization runs over a canonical lexicographic
-    ordering and assignment ties break toward the lowest centroid index.
-    Assignment takes squared distances in the Gram form
-    ||x||^2 + ||c||^2 - 2 x.c, one matrix product per iteration, and
-    recomputes them directly as sum((x - c)^2) for every point whose two
-    nearest centroids lie within the Gram form's rounding error; so the labels
-    are bit-equal to the argmin of the direct form. An empty cluster is
-    reseeded to the point farthest from its centroid among clusters of two or
-    more points, so a reseed never empties another cluster.
+    ordering of the points: initialization runs over the canonical
+    lexicographic order of :func:`_canonical_order`, and assignment ties break
+    toward the lowest centroid index. Each k-means++ centre after the first is
+    drawn by :func:`_draw`, which picks the point ``Generator.choice`` would.
+    Assignment is :func:`_nearest`, bit-equal to the argmin of the direct form
+    sum((x - c)^2). An empty cluster is reseeded to the point farthest from
+    its centroid among clusters of two or more points, so a reseed never
+    empties another cluster. Each Lloyd step moves every centroid to the
+    mean of its members, by :func:`_centroids`.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise ValueError("points must be 2-d")
-    n = pts.shape[0]
+    n, d = pts.shape
     if k > n:
         raise ValueError(f"k={k} exceeds the {n} available points")
     if k < 1:
         raise ValueError("k must be positive")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
 
-    order = np.lexsort(pts.T[::-1])
+    order = _canonical_order(pts)
     sorted_pts = pts[order]
     rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed)))
 
-    centers = np.empty((k, pts.shape[1]))
+    centers = np.empty((k, d))
     centers[0] = sorted_pts[int(rng.integers(n))]
-    d2 = ((sorted_pts - centers[0]) ** 2).sum(axis=1)
+    diff, d2, new_d2, cdf = np.empty((n, d)), np.empty(n), np.empty(n), np.empty(n)  # reused by every centre
+    np.square(np.subtract(sorted_pts, centers[0], out=diff), out=diff).sum(axis=1, out=d2)
     for c in range(1, k):
         total = d2.sum()
         if total <= 0:
             # all remaining points coincide with a chosen center
             centers[c] = sorted_pts[int(rng.integers(n))]
         else:
-            centers[c] = sorted_pts[int(rng.choice(n, p=d2 / total))]
-        d2 = np.minimum(d2, ((sorted_pts - centers[c]) ** 2).sum(axis=1))
+            centers[c] = sorted_pts[_draw(rng, d2, total, cdf)]
+        np.square(np.subtract(sorted_pts, centers[c], out=diff), out=diff).sum(axis=1, out=new_d2)
+        np.minimum(d2, new_d2, out=d2)
 
     norms = np.sqrt((sorted_pts**2).sum(axis=1))
     for _ in range(KMEANS_MAX_ITER):
@@ -147,13 +156,7 @@ def kmeans(points: np.ndarray, k: int, seed: int, objective_trace: list | None =
                 centers[c] = sorted_pts[farthest]
                 labels_sorted[farthest] = c
                 own[farthest] = dists[farthest, c]
-        # each cluster's points in index order form one slice, laid out as the
-        # mask selection sorted_pts[labels_sorted == c] is; add.reduce over it
-        # divided by the count is what .mean(axis=0) computes, bit for bit
-        grouped = sorted_pts[np.argsort(labels_sorted, kind="stable")]
-        ends = np.cumsum(counts)
-        sums = [np.add.reduce(grouped[end - size : end], axis=0) for end, size in zip(ends, counts)]
-        new_centers = np.stack(sums) / counts[:, None]
+        new_centers = _centroids(sorted_pts, labels_sorted, counts)
         shift = ((new_centers - centers) ** 2).sum(axis=1).max()
         centers = new_centers
         if shift <= KMEANS_TOL:
@@ -162,6 +165,61 @@ def kmeans(points: np.ndarray, k: int, seed: int, objective_trace: list | None =
     labels = np.empty(n, dtype=np.int64)
     labels[order] = labels_sorted
     return labels
+
+
+def _centroids(pts: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Each cluster's mean, with the bits of ``pts[labels == c].mean(axis=0)``; every ``counts[c]`` is positive.
+
+    A mean is its members' sum in point order over their count. One weighted
+    ``bincount`` adds every cluster's columns at once, each point after the
+    one before, as ``add.reduce(axis=0)`` adds the rows of a block of two or
+    more columns; only a cluster whose members all hold -0.0 in a column gets
+    0.0 there, which moves no distance. numpy sums a single column pairwise,
+    so for one-column points each cluster's slice is reduced on its own.
+    """
+    d, k = pts.shape[1], len(counts)
+    if d > 1:
+        bins = (labels * d)[:, None] + np.arange(d)
+        sums = np.bincount(bins.ravel(), weights=pts.ravel(), minlength=k * d).reshape(k, d)
+    else:
+        grouped = pts[np.argsort(labels, kind="stable")]
+        ends = np.cumsum(counts)
+        sums = np.stack([np.add.reduce(grouped[end - size : end], axis=0) for end, size in zip(ends, counts)])
+    return sums / counts[:, None]
+
+
+def _draw(rng: np.random.Generator, d2: np.ndarray, total: float, cdf: np.ndarray) -> int:
+    """The index ``rng.choice(len(d2), p=d2 / total)`` picks, with the generator left as it leaves it.
+
+    These are the steps ``Generator.choice`` takes once it has checked ``p``:
+    the cumulative sum of ``p`` rescaled to end at 1, and one ``random()``
+    placed on it. ``total`` is ``d2.sum()`` and positive; ``cdf`` is a
+    buffer of ``d2``'s length that the draw overwrites.
+    """
+    np.cumsum(np.divide(d2, total, out=cdf), out=cdf)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def _canonical_order(pts: np.ndarray) -> np.ndarray:
+    """The permutation ``np.lexsort(pts.T[::-1])``: by column 0, ties by the later columns in turn, then by index.
+
+    One stable sort of column 0 orders every point whose column-0 value is
+    unique; only the points that share theirs with another are lexsorted
+    again, by all their columns, and put back into the places that column 0
+    gave their runs. -0.0 and 0.0 compare equal, as they do in ``lexsort``.
+    """
+    order = np.argsort(pts[:, 0], kind="stable")
+    if pts.shape[1] > 1:
+        first = pts[order, 0]
+        repeats = first[1:] == first[:-1]
+        tied = np.zeros(len(order), dtype=bool)
+        tied[1:] |= repeats
+        tied[:-1] |= repeats
+        if tied.any():
+            run_points = order[tied]
+            order[tied] = run_points[np.lexsort(pts[run_points].T[::-1])]
+    return order
 
 
 def _sq_dists(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -195,9 +253,11 @@ def _nearest(pts: np.ndarray, norms: np.ndarray, centers: np.ndarray) -> np.ndar
     every = np.arange(len(pts))
     best = gram[every, labels]
     gram[every, labels] = np.inf
+    runner_up = gram[every, gram.argmin(axis=1)]
     slack = 8.0 * (pts.shape[1] + 2) * np.finfo(np.float64).eps * (norms + np.sqrt(c2.max())) ** 2
-    near = np.flatnonzero(gram.min(axis=1) - best <= slack)
-    labels[near] = _sq_dists(pts[near], centers).argmin(axis=1)
+    near = np.flatnonzero(runner_up - best <= slack)
+    if len(near):
+        labels[near] = _sq_dists(pts[near], centers).argmin(axis=1)
     return labels
 
 

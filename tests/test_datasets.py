@@ -168,6 +168,22 @@ def test_planted_data_are_pinned():
     )
 
 
+def test_planted_block_need_not_divide_hidden():
+    # 8 // 4 = 2 input blocks share 2 hidden units, one each, though block 4 does not divide hidden 2
+    _, _, info = gen_planted(PlantedSpec(in_dim=8, hidden=2, block=4, n_train=20, n_test=10), 0)
+    want = np.zeros((8, 2), dtype=np.uint8)
+    want[:4, 0] = want[4:, 1] = 1
+    assert info["n_blocks"] == 2 and np.array_equal(info["support"], want)
+
+
+def test_planted_teacher_narrower_than_its_block_trains(tmp_path):
+    config = {"dataset": {"kind": "planted", "in_dim": 8, "hidden": 2, "block": 4, "n_train": 40, "n_test": 20},
+              "topology": [8, 2, 2], "transform": {"max_epochs": 1}, "tech": {"crossbar_rows": 4, "crossbar_cols": 4}}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert cli.main(["train", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "summary.csv").is_file()
+
+
 # -- reference: the planted generator as it was, holding and labelling each split whole in float64 --------
 
 

@@ -477,6 +477,42 @@ class TestMatchesReference:
             assert [(r.tolist(), c.tolist()) for r, c, _ in got] == [(r.tolist(), c.tolist()) for r, c in want]
 
 
+def random_split_case(rng):
+    """(bits, rows, cols, cfg) of a random block of a random matrix, as the split tests draw them."""
+    shape = tuple(int(v) for v in rng.integers(1, 30, size=2))
+    bits = (rng.random(shape) < rng.uniform(0.05, 1.0)).astype(np.uint8)
+    rows = np.flatnonzero(rng.random(shape[0]) < 0.8)
+    cols = np.flatnonzero(rng.random(shape[1]) < 0.8)
+    return bits, rows, cols, SizeClusterConfig(*(int(v) for v in rng.integers(1, 8, size=2)))
+
+
+def as_lists(pieces):
+    return [(r.tolist(), c.tolist(), n) for r, c, n in pieces]
+
+
+def test_pieces_at_util_factor_zero_are_every_non_empty_tile_with_its_count():
+    rng = np.random.default_rng(16)
+    for _ in range(50):
+        bits, rows, cols, cfg = random_split_case(rng)
+        want = [(rc, cc, int(bits[np.ix_(rc, cc)].sum())) for rc, cc in reference_split_oversized(bits, rows, cols, cfg)]
+        assert as_lists(split_oversized(bits, rows, cols, cfg, _second_vector, 0.0)) == as_lists(want)
+
+
+def test_every_returned_piece_clears_util_factor():
+    # the split keeps exactly the pieces whose n / crossbar_area reaches the threshold, in grid order;
+    # a threshold equal to one piece's own utilization keeps that piece
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        bits, rows, cols, cfg = random_split_case(rng)
+        every = split_oversized(bits, rows, cols, cfg, _second_vector)
+        fills = [n / cfg.crossbar_area for _, _, n in every]
+        for util_factor in [float(rng.uniform(0.0, 1.0)), *fills[:3]]:
+            got = split_oversized(bits, rows, cols, cfg, _second_vector, util_factor)
+            assert all(n / cfg.crossbar_area >= util_factor for _, _, n in got)
+            kept = [piece for piece, fill in zip(every, fills) if fill >= util_factor]
+            assert as_lists(got) == as_lists(kept)
+
+
 def block_key(block):
     return block.shape, np.ascontiguousarray(block).tobytes()
 

@@ -7,10 +7,16 @@ builds either.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from xbarnet.spectral import (
     KMEANS_MAX_ITER,
     KMEANS_TOL,
+    _canonical_order,
+    _centroids,
+    _draw,
     _nearest,
     build_similarity,
     eig_smallest,
@@ -343,6 +349,15 @@ class TestKmeans:
         with pytest.raises(ValueError, match=message):
             kmeans(points, k, seed=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_rejects_non_finite_points(self, bad, k):
+        # checked before any draw: with k = 1 no probability vector is ever built
+        pts = np.arange(12, dtype=np.float64).reshape(6, 2)
+        pts[4, 1] = bad
+        with pytest.raises(ValueError, match="points must be finite"):
+            kmeans(pts, k, seed=0)
+
     def test_permutation_invariance_oracle(self):
         # oracle: run on two orderings, compare partitions as sets of point ids
         rng = np.random.default_rng(17)
@@ -396,6 +411,19 @@ class TestKmeans:
             k = min(k, len(np.unique(pts, axis=0)) // 2 or 1)
             assert_matches_reference(pts, k, seed=trial)
 
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_matches_reference_on_duplicated_rows(self, d):
+        # repeated rows, and distinct rows that share their first coordinate, put points into the
+        # column-0 runs that the canonical order lexsorts again
+        rng = np.random.default_rng(50 + d)
+        for trial in range(20):
+            base = rng.normal(size=(int(rng.integers(4, 12)), d))
+            base[:, 0] = rng.integers(0, 3, size=len(base))
+            pts = base[rng.integers(len(base), size=int(rng.integers(20, 80)))]
+            assert len(np.unique(pts[:, 0])) < len(np.unique(pts, axis=0))
+            k = min(int(rng.integers(2, 6)), len(np.unique(pts, axis=0)) // 2 or 1)
+            assert_matches_reference(pts, k, seed=trial)
+
     def test_equidistant_point_goes_to_lowest_index(self):
         # the point is 24 from both centroids; at this magnitude the Gram
         # form's rounding ranks centroid 1 first, so only the direct
@@ -420,6 +448,45 @@ class TestKmeans:
         labels = kmeans(np.array(pts, dtype=np.float64), k, seed=seed, objective_trace=trace)
         assert np.isfinite(trace).all()
         assert sorted(set(labels.tolist())) == list(range(k))
+
+
+TIED = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]), st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 4)), elements=TIED))
+def test_canonical_order_is_the_lexsort_of_every_column(pts):
+    # few distinct values make long column-0 runs; -0.0 and 0.0 tie, as lexsort has them
+    assert np.array_equal(_canonical_order(pts), np.lexsort(pts.T[::-1]))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_draw_picks_what_generator_choice_picks_and_leaves_the_same_state(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 400))
+    d2 = rng.random(n) ** 2 * 10.0 ** rng.integers(-12, 6)
+    d2[rng.random(n) < rng.uniform(0.0, 0.95)] = 0.0
+    d2[rng.integers(n)] = rng.random() + 1e-3  # a positive total
+    total = d2.sum()
+    want_rng, got_rng = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
+    cdf = np.empty(n)
+    for _ in range(5):
+        want = want_rng.choice(n, p=d2 / total)
+        got = _draw(got_rng, d2, total, cdf)
+        assert got == want and d2[got] > 0
+    assert got_rng.random() == want_rng.random()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 33])
+def test_centroids_are_the_masked_means_bit_for_bit(d):
+    rng = np.random.default_rng(60 + d)
+    for _ in range(20):
+        n = int(rng.integers(1, 300))
+        k = int(rng.integers(1, min(n, 40) + 1))
+        pts = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4)
+        labels = rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)]))
+        want = np.stack([pts[labels == c].mean(axis=0) for c in range(k)])
+        assert _centroids(pts, labels, np.bincount(labels, minlength=k)).tobytes() == want.tobytes()
 
 
 def as_sets(groups):
