@@ -28,9 +28,11 @@ gathered again.
 Finding groups and ordering a group for splitting use one graph path,
 ``_eigenvectors``: the active block, sliced from the 0/1 residual, goes as
 a plain array through ``build_similarity`` and ``eig_smallest``, which
-solves the bipartite Laplacian by one SVD of the degree-scaled biadjacency
-(see ``spectral``). The input ``ConnectivityMatrix`` is checked once, by
-its constructor, before the residual is copied from it. Splitting orders
+solves the bipartite Laplacian from one ``eigh`` of the degree-scaled
+biadjacency's smaller Gram matrix, or from one full SVD when more vectors
+are asked for than the block's smaller side (see ``spectral``). The input
+``ConnectivityMatrix`` is checked once, by its constructor, before the
+residual is copied from it. Splitting orders
 each side by the second Laplacian eigenvector of the candidate's bipartite
 graph; consecutive chunks of crossbar size pair up in a grid, so child
 footprints partition the parent's footprint even when the graph has no cut
@@ -48,8 +50,8 @@ that accepts nothing leaves the residual unchanged, and the next round runs
 k-means on the same vectors under its own seed. Only an acceptance changes
 the residual and drops them. The whole residual needs an order only in a
 round whose structure stage ran on it and accepted nothing, so its order is
-column 1 of those vectors when they came from the thin SVD; a group's split
-solves the group's own block.
+column 1 of those vectors when they came from the Gram route, whose columns
+do not depend on their count; a group's split solves the group's own block.
 
 Utilization is counted against the full crossbar the cluster will occupy
 (crossbar_rows x crossbar_cols), not against the submatrix size, so a small
@@ -234,8 +236,8 @@ def size_constrained_cluster(
         vectors = None
 
     def residual_vector(live: np.ndarray) -> np.ndarray:
-        # live is the residual's active block, which vectors solve; where they come from the thin SVD,
-        # column 1 is _second_vector's bit for bit: the sign rule and the eigenvalue sort act per column
+        # live is the residual's active block, which vectors solve; where they come from the Gram route
+        # (k <= min(live.shape)), column 1 is _second_vector's bit for bit: no column depends on k
         return vectors[:, 1] if vectors.shape[1] <= min(live.shape) else _second_vector(live)
 
     def handle(rows: np.ndarray, cols: np.ndarray, second_vector) -> int:

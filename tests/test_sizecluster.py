@@ -433,7 +433,7 @@ class TestMatchesReference:
 
     def test_loop_basis_seeds_the_second_vector_bit_for_bit(self, monkeypatch):
         # each basis is the eigenvectors of the block the loop gathered; where that is the
-        # thin SVD, its column 1 is what _second_vector would solve the same block for
+        # Gram route (k <= min(m, n)), its column 1 is what _second_vector would solve the same block for
         gathered, bases = [], []
 
         def recording_similarity(c):
@@ -567,8 +567,8 @@ def test_each_residual_state_is_solved_once_within_one_call(monkeypatch, case):
 
 
 def test_narrow_residual_fallback_solves_its_own_second_vector(monkeypatch):
-    # two rows on a 1x8 crossbar: k exceeds the residual's two rows, so its vectors come from the full SVD
-    # and their column 1 need not be the second vector; the fallback orders the residual by its own solve
+    # two rows on a 1x8 crossbar: k exceeds the residual's two rows, so its vectors come from the full SVD,
+    # not the Gram route, and their column 1 need not be the second vector; the fallback solves its own
     rng = np.random.default_rng(0)
     bits = (rng.random((2, 24)) < 0.6).astype(np.uint8)
     residuals, splits, _ = record_solves(monkeypatch)

@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 from xbarnet.spectral import (
     KMEANS_MAX_ITER,
     KMEANS_TOL,
+    NULL_PAIR_TOL,
     _canonical_order,
     _centroids,
     _draw,
@@ -191,6 +192,25 @@ class TestDegreeAndLaplacian:
         assert np.array_equal(build_similarity(bits.T).values, b.T)
 
 
+def gram_route_blocks() -> dict[str, np.ndarray]:
+    """Tall, wide and square 0/1 blocks, each also with copied rows (rank <= 3) and with empty rows and cols."""
+    rng = np.random.default_rng(23)
+    blocks = {}
+    for shape in [(40, 12), (12, 40), (20, 20)]:
+        name = "x".join(map(str, shape))
+        bits = (rng.random(shape) < 0.3).astype(np.uint8)
+        blocks[name] = bits
+        blocks[name + "_rank3"] = bits[rng.integers(3, size=shape[0])]
+        emptied = bits.copy()
+        emptied[[0, 5]] = 0
+        emptied[:, [1, 3]] = 0
+        blocks[name + "_empty"] = emptied
+    return blocks
+
+
+GRAM_ROUTE_BLOCKS = gram_route_blocks()
+
+
 class TestEigSmallest:
     def test_identity_eigenvalues(self):
         # B = I: five disjoint edges, each with eigenvalues 0 and 2
@@ -227,7 +247,7 @@ class TestEigSmallest:
         ids=["300x3", "3x300", "square_all", "tall_all", "wide"],
     )
     def test_k_beyond_min_side(self, shape, k):
-        # the full SVD path: null-space pairs and the 1 + s pairs join the sort
+        # k > min(m, n) takes the full SVD: the taller side's null-space pairs and the 1 + s pairs join the sort
         rng = np.random.default_rng(sum(shape) + k)
         bits = (rng.random(shape) < 0.5).astype(np.uint8)
         lap = explicit_laplacian(bits)
@@ -252,6 +272,56 @@ class TestEigSmallest:
             assert np.allclose(vals, np.linalg.eigvalsh(lap)[:k], atol=1e-10)
             assert np.abs(lap @ vecs - vecs * vals).max() < 1e-12
             assert np.abs(vecs.T @ vecs - np.eye(k)).max() < 1e-12
+
+    @pytest.mark.parametrize("name", sorted(GRAM_ROUTE_BLOCKS))
+    def test_gram_route_makes_no_svd_and_its_columns_do_not_depend_on_k(self, monkeypatch, name):
+        bits = GRAM_ROUTE_BLOCKS[name]
+        b, p = build_similarity(bits).values, min(bits.shape)
+        calls, svd = [], np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        full_vals, full_vecs = eig_smallest(b, p)
+        for j in range(1, p + 1):
+            vals, vecs = eig_smallest(b, j)
+            # every k-solve's first j columns equal this j-solve's, as both equal the p-solve's
+            assert vals.tobytes() == full_vals[:j].tobytes(), (name, j)
+            assert vecs.tobytes() == full_vecs[:, :j].tobytes(), (name, j)
+        assert calls == []
+        eig_smallest(b, p + 1)
+        assert calls
+
+    @pytest.mark.parametrize("tall", [True, False], ids=["tall", "wide"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_null_pairs_against_the_explicit_laplacian(self, tall, seed):
+        # rows copy a few distinct rows (some empty), so rank < k <= min(m, n) and the smaller
+        # side's Gram matrix is singular; transposed, the copies are columns
+        rng = np.random.default_rng(seed)
+        m, n = int(rng.integers(12, 40)), int(rng.integers(6, 12))
+        distinct = (rng.random((int(rng.integers(1, 5)), n)) < 0.5).astype(np.uint8)
+        bits = distinct[rng.integers(len(distinct), size=m)]
+        bits[rng.random(m) < 0.2] = 0
+        bits = bits if tall else bits.T
+        b = build_similarity(bits).values
+        rank = np.linalg.matrix_rank(b)
+        lap, p = explicit_laplacian(bits), min(bits.shape)
+        tau = NULL_PAIR_TOL * max(bits.shape) * np.finfo(np.float64).eps * np.linalg.norm(b, 2) ** 2
+        smaller = slice(bits.shape[0], None) if tall else slice(None, bits.shape[0])
+        for k in {rank + 1, (rank + 1 + p) // 2, p}:
+            vals, vecs = solve(bits, k)
+            assert np.abs(vals - np.linalg.eigvalsh(lap)[:k]).max() <= 1e-13
+            assert np.abs(vecs.T @ vecs - np.eye(k)).max() <= 1e-12
+            null = vals == 1.0
+            assert null.sum() == k - rank and (vals[~null] < 1.0).all()
+            outside = np.ones(sum(bits.shape), dtype=bool)
+            outside[smaller] = False
+            assert (vecs[np.ix_(outside, null)] == 0.0).all()
+            residuals = np.linalg.norm(lap @ vecs - vecs * vals, axis=0)
+            assert (residuals[~null] <= tau / (1.0 - vals[~null])).all()
+            assert (residuals[null] <= np.sqrt(2.0 * tau)).all()
 
     def test_sign_rule(self):
         rng = np.random.default_rng(21)
