@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import sys
 from pathlib import Path
 
@@ -113,7 +114,13 @@ def cmd_compare(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``xbarnet`` parser; it and the command functions its subcommands bind are built once per process.
+
+    Every ``parse_args`` call returns a fresh namespace, so one call's
+    options never reach the next.
+    """
     parser = argparse.ArgumentParser(prog="xbarnet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -152,8 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, InputFormatError) as exc:

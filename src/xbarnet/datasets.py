@@ -157,20 +157,38 @@ def load_mnist(directory) -> Dataset:
     )
 
 
+def _smooth(x: np.ndarray, axis: int) -> np.ndarray:
+    """One pass of the [1/4, 1/2, 1/4] filter along ``axis`` of ``x``, over every line at once.
+
+    Each line is zero-padded by one value at either end, and output ``i`` is
+    ``(k0 * x[i - 1] + k1 * x[i]) + k2 * x[i + 1]``, summed in that order.
+    The taps are powers of two, so the products are exact, and this order
+    equals ``np.convolve(line, kernel, "same")`` bit for bit, edges
+    included.
+    """
+    k0, k1, k2 = 0.25, 0.5, 0.25
+    lines = np.moveaxis(x, axis, -1)
+    padded = np.zeros((*lines.shape[:-1], lines.shape[-1] + 2))
+    padded[..., 1:-1] = lines
+    return np.moveaxis((k0 * padded[..., :-2] + k1 * lines) + k2 * padded[..., 2:], -1, axis)
+
+
 def _render_prototypes(rng: np.random.Generator, n_classes: int, side: int) -> np.ndarray:
-    """Stroke-like class prototypes: smoothed noise thresholded at its high tail."""
-    protos = np.zeros((n_classes, side, side))
-    kernel = np.array([0.25, 0.5, 0.25])
-    for c in range(n_classes):
-        img = rng.normal(size=(side, side))
-        for _ in range(3):
-            img = np.apply_along_axis(lambda r: np.convolve(r, kernel, mode="same"), 0, img)
-            img = np.apply_along_axis(lambda r: np.convolve(r, kernel, mode="same"), 1, img)
-        cut = np.quantile(img, 0.80)
-        proto = np.where(img > cut, 1.0, 0.0)
-        proto[:2, :] = proto[-2:, :] = 0.0
-        proto[:, :2] = proto[:, -2:] = 0.0
-        protos[c] = proto
+    """Stroke-like class prototypes: smoothed noise thresholded at its high tail.
+
+    One call draws the classes' ``(side, side)`` noise fields in class
+    order, the same values as one call per class. All of them are then
+    smoothed three times along columns and then rows with :func:`_smooth`.
+    A prototype is 1.0 where its smoothed noise exceeds its own 0.8
+    quantile, with a dead two-pixel border.
+    """
+    img = rng.normal(size=(n_classes, side, side))
+    for _ in range(3):
+        img = _smooth(_smooth(img, 1), 2)
+    cut = np.quantile(img.reshape(n_classes, -1), 0.80, axis=1)
+    protos = (img > cut[:, None, None]).astype(np.float64)
+    protos[:, :2, :] = protos[:, -2:, :] = 0.0
+    protos[:, :, :2] = protos[:, :, -2:] = 0.0
     return protos
 
 
@@ -212,12 +230,19 @@ def write_surrogate_digits(directory, seed: int, n_train: int, n_test: int, side
     stream: the prototypes, then per split (train, then test) all labels,
     then all (row, col) shifts, then per sample its dropout field
     ``random((side, side))``, its gain ``uniform(0.6, 1.0)`` and its noise
-    ``normal(0, 0.08, (side, side))``. Samples are drawn one at a time but
-    rendered a chunk at a time, and each chunk's pixels go straight into the
-    open image file, after its header; a split's labels are written after
-    its images. So besides one split's labels and shifts it holds the table
-    of every shifted prototype and one chunk's float and uint8 buffers,
-    whatever the sample counts.
+    ``normal(0, 0.08, (side, side))``. Each sample takes two calls:
+    ``random`` fills side² + 1 values, the dropout field and then the gain's
+    draw, and ``standard_normal`` fills the noise. That is the same stream:
+    numpy's ``uniform(low, high)`` is ``low + (high - low) * u`` of one
+    ``random()`` draw ``u``, which the chunk computes with the same bounds,
+    and ``normal(0, s)`` is ``0 + s * z``, which differs from the chunk's
+    ``s * z`` only in the sign of an exact zero. Adding that noise to a
+    pixel, which is at least +0, cannot show the sign. Samples are drawn
+    one at a time but rendered a chunk at a time, and each chunk's pixels go
+    straight into the open image file, after its header; a split's labels
+    are written after its images. So besides one split's labels and shifts
+    it holds the table of every shifted prototype and one chunk's float and
+    uint8 buffers, whatever the sample counts.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -228,8 +253,7 @@ def write_surrogate_digits(directory, seed: int, n_train: int, n_test: int, side
     n_shifts = len(moved)
     rolled = protos[:, moved[:, None, :, None], moved[None, :, None, :]].reshape(-1, side, side)
     chunk = min(_SURROGATE_CHUNK, max(n_train, n_test))
-    dropout = np.empty((chunk, side, side))
-    gain = np.empty((chunk, 1, 1))
+    uniforms = np.empty((chunk, side * side + 1))  # per sample its dropout field, then its gain's draw
     noise = np.empty((chunk, side, side))
     pixels = np.empty((chunk, side, side), dtype=np.uint8)
 
@@ -242,12 +266,13 @@ def write_surrogate_digits(directory, seed: int, n_train: int, n_test: int, side
             for start in range(0, n, chunk):
                 m = min(chunk, n - start)
                 for j in range(m):
-                    rng.random(out=dropout[j])
-                    gain[j] = rng.uniform(0.6, 1.0)
-                    noise[j] = rng.normal(0, 0.08, size=(side, side))
+                    rng.random(out=uniforms[j])
+                    rng.standard_normal(out=noise[j])
                 img = rolled[renderings[start : start + m]]
-                img *= dropout[:m] > 0.15
-                img *= gain[:m]
+                # compare, then reshape: a reshape of the strided slice itself would copy it
+                img *= (uniforms[:m, :-1] > 0.15).reshape(m, side, side)
+                img *= (0.6 + (1.0 - 0.6) * uniforms[:m, -1])[:, None, None]  # uniform(0.6, 1.0)
+                noise[:m] *= 0.08  # normal(0, 0.08)
                 img += noise[:m]
                 np.clip(img, 0, 1, out=img)
                 img *= 255

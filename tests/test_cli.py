@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xbarnet import cli, connectivity, hardware
+from xbarnet.config import load_config
 from xbarnet.datasets import write_surrogate_digits
 from xbarnet.mlp import load_checkpoint, save_checkpoint
 
@@ -574,6 +575,34 @@ def test_mode_flag_is_only_on_train(config, capsys, argv):
         cli.main(argv + ["--config", config, "--mode", "prune"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --mode prune" in capsys.readouterr().err
+
+
+def test_the_parser_is_built_once_and_each_parse_starts_fresh():
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    mapped = parser.parse_args(["map", "--config", "c.json", "--checkpoint", "ck", "--clusters", "cl.json"])
+    reported = parser.parse_args(["report", "--config", "c.json", "--mapping", "m.json"])
+    assert mapped is not reported
+    assert (mapped.command, mapped.func, mapped.checkpoint, mapped.clusters) == ("map", cli.cmd_map, "ck", "cl.json")
+    assert (reported.command, reported.func, reported.mapping, reported.storage) == (
+        "report", cli.cmd_report, "m.json", "auto")
+    assert not {"checkpoint", "clusters"} & vars(reported).keys()
+    assert not {"mapping", "storage"} & vars(mapped).keys()
+
+
+def test_a_seed_given_to_one_main_call_does_not_reach_the_next(tmp_path, pruned_run, monkeypatch):
+    seeds = []
+
+    def recording_load_config(path, overrides):
+        seeds.append(overrides["seed"])
+        return load_config(path, overrides)
+
+    monkeypatch.setattr(cli, "load_config", recording_load_config)
+    config, mapping = str(pruned_run / "config.json"), str(pruned_run / "run" / "mapping.json")
+    for extra in (["--seed", "11"], []):
+        assert cli.main(["report", "--config", config, "--mapping", mapping, "--out", str(tmp_path / "e.json"),
+                         *extra]) == 0
+    assert seeds == [11, None]
 
 
 class TestClusterCommand:

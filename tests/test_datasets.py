@@ -3,7 +3,10 @@
 import gzip
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 import zlib
 from pathlib import Path
@@ -23,6 +26,7 @@ NAMES = {
     "t10k-images-idx3-ubyte": "t10k-images.idx3-ubyte",
     "t10k-labels-idx1-ubyte": "t10k-labels.idx1-ubyte",
 }
+SRC = Path(datasets.__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -94,12 +98,52 @@ def test_damaged_gzip_file_exits_2(tmp_path, capsys, plain_dir, damage, cause):
 
 # -- reference: the surrogate generator as it was, rendering one sample at a time --------
 
+KERNEL = np.array([0.25, 0.5, 0.25])
+
+
+def reference_smooth(img, axis):
+    return np.apply_along_axis(lambda r: np.convolve(r, KERNEL, mode="same"), axis, img)
+
+
+def reference_prototypes(rng, n_classes, side):
+    """The class prototypes as first written: each class drawn and smoothed line by line with np.convolve."""
+    protos = np.zeros((n_classes, side, side))
+    for c in range(n_classes):
+        img = rng.normal(size=(side, side))
+        for _ in range(3):
+            img = reference_smooth(reference_smooth(img, 0), 1)
+        cut = np.quantile(img, 0.80)
+        proto = np.where(img > cut, 1.0, 0.0)
+        proto[:2, :] = proto[-2:, :] = 0.0
+        proto[:, :2] = proto[:, -2:] = 0.0
+        protos[c] = proto
+    return protos
+
+
+@pytest.mark.parametrize("side", [5, 9, 28])
+def test_prototypes_equal_the_line_by_line_reference(side):
+    for seed in range(10):
+        got = datasets._render_prototypes(rng_for(seed, STREAM_DATA), 10, side)
+        want = reference_prototypes(rng_for(seed, STREAM_DATA), 10, side)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (seed, side)
+
+
+def test_one_smoothing_pass_equals_np_convolve_on_every_line():
+    # whole arrays, their edge lines included, at magnitudes from 1e-6 to 1e6 and line lengths from 3
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        shape = tuple(int(n) for n in rng.integers(3, 40, size=3))
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 7)
+        for axis in (1, 2):
+            want = np.stack([reference_smooth(plane, axis - 1) for plane in x])
+            assert datasets._smooth(x, axis).tobytes() == want.tobytes(), (shape, axis)
+
 
 def reference_surrogate_digits(directory, seed, n_train, n_test, side=28):
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     rng = rng_for(seed, STREAM_DATA)
-    protos = datasets._render_prototypes(rng, 10, side)
+    protos = reference_prototypes(rng, 10, side)
 
     def batch(n: int) -> tuple[np.ndarray, np.ndarray]:
         labels = rng.integers(0, 10, size=n)
@@ -153,6 +197,33 @@ def test_surrogate_bytes_are_pinned(tmp_path):
     }
     digits = write_surrogate_digits(tmp_path / "digits", seed=5, n_train=300, n_test=40)
     assert {name: hashlib.sha256((digits / name).read_bytes()).hexdigest() for name in pinned} == pinned
+
+
+THREADS_CODE = """
+import hashlib, sys
+from xbarnet.datasets import PlantedSpec, gen_planted, write_surrogate_digits
+digits = write_surrogate_digits(sys.argv[1], seed=5, n_train=300, n_test=40)
+for name in sorted(p.name for p in digits.iterdir()):
+    print(name, hashlib.sha256((digits / name).read_bytes()).hexdigest())
+data, _, _ = gen_planted(PlantedSpec(in_dim=128, hidden=128, n_classes=2, block=16, n_train=300, n_test=50), 5)
+for name in ("x_train", "y_train", "x_test", "y_test"):
+    print(name, hashlib.sha256(getattr(data, name).tobytes()).hexdigest())
+"""
+
+
+def test_data_producers_write_the_same_bytes_at_two_blas_threads(tmp_path):
+    """Surrogate digits and a 128-128-2 planted set in a process with two BLAS threads equal the bytes
+    produced with one thread."""
+    def digests(threads, directory):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        run = subprocess.run([sys.executable, "-c", THREADS_CODE, str(directory)], env=env,
+                             capture_output=True, text=True, check=True)
+        return run.stdout
+
+    one, two = digests("1", tmp_path / "one"), digests("2", tmp_path / "two")
+    assert len(one.splitlines()) == 9  # the four IDX files, the surrogate record and the four planted arrays
+    assert one == two
 
 
 def test_planted_data_are_pinned():
