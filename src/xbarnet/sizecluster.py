@@ -29,8 +29,7 @@ Finding groups and ordering a group for splitting use one graph path,
 ``_eigenvectors``: the active block, sliced from the 0/1 residual, goes as
 a plain array through ``build_similarity`` and ``eig_smallest``, which
 solves the bipartite Laplacian from one ``eigh`` of the degree-scaled
-biadjacency's smaller Gram matrix, or from one full SVD when more vectors
-are asked for than the block's smaller side (see ``spectral``). The input
+biadjacency's smaller Gram matrix (see ``spectral``). The input
 ``ConnectivityMatrix`` is checked once, by its constructor, before the
 residual is copied from it. Splitting orders
 each side by the second Laplacian eigenvector of the candidate's bipartite
@@ -50,8 +49,8 @@ that accepts nothing leaves the residual unchanged, and the next round runs
 k-means on the same vectors under its own seed. Only an acceptance changes
 the residual and drops them. The whole residual needs an order only in a
 round whose structure stage ran on it and accepted nothing, so its order is
-column 1 of those vectors when they came from the Gram route, whose columns
-do not depend on their count; a group's split solves the group's own block.
+column 1 of those vectors, whose columns do not depend on their count; a
+group's split solves the group's own block.
 
 Utilization is counted against the full crossbar the cluster will occupy
 (crossbar_rows x crossbar_cols), not against the submatrix size, so a small
@@ -77,7 +76,8 @@ class SizeClusterConfig:
 
     The spectral group count per round is derived, not set: the smaller of
     nnz / (crossbar area * base threshold) and node count /
-    (crossbar_rows + crossbar_cols), clamped to [2, active nodes]. The first
+    (crossbar_rows + crossbar_cols), clamped to [2, the active block's
+    smaller side], as the block has no more eigenpairs to embed. The first
     term aims each cluster at one well-filled crossbar; the second keeps
     groups large enough to span a full block on matrices with many more
     synapses than nodes.
@@ -107,10 +107,11 @@ class SizeClusterConfig:
         return self.crossbar_rows * self.crossbar_cols
 
 
-def _derived_k(nnz: int, n_active: int, cfg: SizeClusterConfig) -> int:
+def _derived_k(nnz: int, m: int, n: int, cfg: SizeClusterConfig) -> int:
     k_nnz = math.ceil(nnz / (cfg.crossbar_area * cfg.base_util_factor))
-    k_nodes = math.ceil(n_active / (cfg.crossbar_rows + cfg.crossbar_cols))
-    return max(2, min(k_nnz, k_nodes, n_active))
+    k_nodes = math.ceil((m + n) / (cfg.crossbar_rows + cfg.crossbar_cols))
+    # only a block that is not complete is solved, and a block one line wide is complete, so 2 <= min(m, n)
+    return max(2, min(k_nnz, k_nodes, m, n))
 
 
 def _eigenvectors(block: np.ndarray, k: int) -> np.ndarray:
@@ -236,9 +237,9 @@ def size_constrained_cluster(
         vectors = None
 
     def residual_vector(live: np.ndarray) -> np.ndarray:
-        # live is the residual's active block, which vectors solve; where they come from the Gram route
-        # (k <= min(live.shape)), column 1 is _second_vector's bit for bit: no column depends on k
-        return vectors[:, 1] if vectors.shape[1] <= min(live.shape) else _second_vector(live)
+        # live is the residual's active block, which vectors solve at k >= 2; column 1 is
+        # _second_vector's bit for bit, as no column of eig_smallest depends on k
+        return vectors[:, 1]
 
     def handle(rows: np.ndarray, cols: np.ndarray, second_vector) -> int:
         # every piece clears util_factor by its count from the split; the pieces of one split are
@@ -265,7 +266,7 @@ def size_constrained_cluster(
             # structure stage: spectral groups over the residual graph; k is
             # fixed by the residual, so an unchanged residual reuses its vectors
             if vectors is None:
-                k = _derived_k(nnz_before, len(active_rows) + len(active_cols), cfg)
+                k = _derived_k(nnz_before, len(active_rows), len(active_cols), cfg)
                 vectors = _eigenvectors(residual[np.ix_(active_rows, active_cols)], k)
             groups = spectral_cluster(active_rows, active_cols, vectors, seed_for(seed, round_no))
             accepted_this_round = sum(handle(g_rows, g_cols, _second_vector) for g_rows, g_cols in groups)

@@ -8,9 +8,10 @@ and columns, a plain array whose non-zero entries are the edges ->
 :func:`build_similarity`, the degree-scaled biadjacency
 B = D_r^{-1/2} C D_c^{-1/2} -> :func:`eig_smallest`. The graph's normalized
 Laplacian is L = I - [[0, B], [B^T, 0]], and its eigenpairs come from the
-singular triplets of the m x n matrix B (Dhillon, KDD 2001): one ``eigh`` of
-B's smaller Gram matrix for K <= min(m, n), one full SVD beyond; the
-(m+n) x (m+n) graph is never built. A caller solves a graph for its K
+singular triplets of the m x n matrix B (Dhillon, KDD 2001), from one
+``eigh`` of B's smaller Gram matrix; the (m+n) x (m+n) graph is never built.
+K is at most min(m, n), the number of B's singular triplets: the eigenvalue-1
+space past them has no cut structure. A caller solves a graph for its K
 smallest eigenvectors and keeps the (rows + cols) x K array with the rows
 and cols it embeds (``sizecluster`` solves one per residual state, from the
 block it gathers); :func:`spectral_cluster` row-normalizes the array and
@@ -72,47 +73,36 @@ def eig_smallest(b: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     triplet (s, u, v) of B gives the pairs (1 - s, [u; v]/sqrt2) and
     (1 + s, [u; -v]/sqrt2); the rest of L's spectrum is eigenvalue 1.
 
-    For k <= p = min(m, n) the k smallest are the pairs of the k largest s,
-    in order. One ``eigh`` of the p x p Gram matrix of B's smaller side (B^T B
-    when m >= n, else B B^T) gives w_i = s_i^2, descending, with unit z_i on
-    that side; the other side is B z_i / s_i (or B^T z_i / s_i). It is formed
-    for all p columns by one product before the cut to k, so column j has
-    the same bits for every k > j. A pair with w_i <= tau =
+    k is at most p = min(m, n), and the k smallest are the pairs of the k
+    largest s, in order. B has only p singular triplets: past them, L's next
+    eigenvalues are 1 on the taller side's null space, a degenerate space
+    with no cut structure whose basis is whatever LAPACK returns, so no
+    caller asks for it. One ``eigh`` of the p x p Gram matrix of B's smaller
+    side (B^T B when m >= n, else B B^T) gives w_i = s_i^2, descending, with
+    unit z_i on that side; the other side is B z_i / s_i (or B^T z_i / s_i).
+    It is formed for all p columns by one product before the cut to k, so
+    column j has the same bits for every k > j. A pair with w_i <= tau =
     NULL_PAIR_TOL * max(m, n) * eps * w_max is a null pair: the Gram entries
     sum max(m, n) products, so such a w_i is rounding, and the column is the
     exact eigenvalue-1 vector [0; z_i] (or [z_i; 0]). For B >= 0, as every
     :func:`build_similarity` output is, a column x with eigenvalue lam has
     ||L x - lam x|| <= tau / s_i on a pair, and <= sqrt(2 tau) on a null pair;
-    paired columns are orthogonal to about tau / (s_i s_j).
-
-    For k > p, which needs the taller side's null space, one full SVD
-    B = U S V^T gives every pair, then eigenvalue 1 on [u_j; 0] and [0; v_j]
-    for j >= p, sorted stably. Each column's largest-magnitude entry (the
-    first on ties) is made positive.
+    paired columns are orthogonal to about tau / (s_i s_j). Each column's
+    largest-magnitude entry (the first on ties) is made positive.
     """
     b = np.asarray(b, dtype=np.float64)
-    if b.ndim != 2 or not 1 <= k <= sum(b.shape):
-        raise ValueError(f"need a 2-d matrix and 1 <= k <= m+n, got shape {b.shape} and k={k}")
+    if b.ndim != 2 or not 1 <= k <= min(b.shape):
+        raise ValueError(f"need a 2-d matrix and 1 <= k <= min(m, n), got shape {b.shape} and k={k}")
     (m, n), p = b.shape, min(b.shape)
-    if k <= p:
-        tall = m >= n
-        w, z = np.linalg.eigh(b.T @ b if tall else b @ b.T)
-        w, z = w[::-1], z[:, ::-1]  # s_i^2 descending, z_i on the smaller side
-        null = w <= NULL_PAIR_TOL * max(m, n) * np.finfo(np.float64).eps * w[0]
-        s = np.sqrt(np.where(null, 0.0, w))
-        # the other side of every pair, cut to k only after the product; a null pair's stays 0
-        other = np.divide(b @ z if tall else b.T @ z, s, out=np.zeros((max(m, n), p)), where=~null)
-        halves = (other[:, :k], z[:, :k]) if tall else (z[:, :k], other[:, :k])
-        vals, vecs = 1.0 - s[:k], np.vstack(halves) / np.where(null[:k], 1.0, np.sqrt(2.0))
-    else:
-        u, s, vt = np.linalg.svd(b, full_matrices=True)
-        left = np.vstack([u, np.zeros((n, m))])
-        right = np.vstack([np.zeros((m, n)), vt.T])
-        paired = (left[:, :p] + right[:, :p]) / np.sqrt(2.0)
-        flipped = (left[:, :p] - right[:, :p]) / np.sqrt(2.0)
-        vals = np.concatenate([1.0 - s, np.ones(m + n - 2 * p), 1.0 + s])
-        order = np.argsort(vals, kind="stable")[:k]
-        vals, vecs = vals[order], np.hstack([paired, left[:, p:], right[:, p:], flipped])[:, order]
+    tall = m >= n
+    w, z = np.linalg.eigh(b.T @ b if tall else b @ b.T)
+    w, z = w[::-1], z[:, ::-1]  # s_i^2 descending, z_i on the smaller side
+    null = w <= NULL_PAIR_TOL * max(m, n) * np.finfo(np.float64).eps * w[0]
+    s = np.sqrt(np.where(null, 0.0, w))
+    # the other side of every pair, cut to k only after the product; a null pair's stays 0
+    other = np.divide(b @ z if tall else b.T @ z, s, out=np.zeros((max(m, n), p)), where=~null)
+    halves = (other[:, :k], z[:, :k]) if tall else (z[:, :k], other[:, :k])
+    vals, vecs = 1.0 - s[:k], np.vstack(halves) / np.where(null[:k], 1.0, np.sqrt(2.0))
     anchors = np.abs(vecs).argmax(axis=0)
     return vals, vecs * np.where(vecs[anchors, np.arange(k)] < 0, -1.0, 1.0)
 

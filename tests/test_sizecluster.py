@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xbarnet import sizecluster
 from xbarnet.connectivity import ConnectivityMatrix, check_owner, footprints
@@ -338,7 +340,7 @@ def reference_size_constrained_cluster(c, cfg, seed, trace):
         accepted_this_round = 0
         fits = len(active_rows) <= cfg.crossbar_rows and len(active_cols) <= cfg.crossbar_cols
         if not fits and nnz_before < len(active_rows) * len(active_cols):
-            k = _derived_k(nnz_before, len(active_rows) + len(active_cols), cfg)
+            k = _derived_k(nnz_before, len(active_rows), len(active_cols), cfg)
             groups = reference_spectral_cluster(residual, k, seed_for(seed, round_no))
             accepted_this_round = sum(handle(g_rows, g_cols) for g_rows, g_cols in groups)
         if accepted_this_round == 0:
@@ -383,7 +385,7 @@ def oracle_cases():
         shape = tuple(int(v) for v in rng.integers(17, 56, size=2))
         bits = (rng.random(shape) < rng.uniform(0.05, 1.0)).astype(np.uint8)
         cases.append((bits, random_config(rng, (16, 16))))
-    for _ in range(40):  # two or three rows or cols: k exceeds min(m, n) on small crossbars
+    for _ in range(40):  # two or three rows or cols on small crossbars: the cap at min(m, n) sets k
         shape = (int(rng.integers(2, 4)), int(rng.integers(20, 60)))
         bits = (rng.random(shape) < rng.uniform(0.3, 0.9)).astype(np.uint8)
         crossbar = (1, int(rng.integers(1, 4)))
@@ -418,8 +420,8 @@ class TestMatchesReference:
             assert trace == want_trace[: len(trace)], (seed, bits.shape, cfg)
             assert all(r["accepted"] == 0 for r in want_trace[len(trace):]), (seed, bits.shape, cfg)
 
-    def test_narrow_cases_take_the_full_svd_path(self, monkeypatch):
-        # the oracle cases above must reach k > min(m, n) in the structure stage
+    def test_narrow_cases_never_ask_beyond_the_smaller_side(self, monkeypatch):
+        # k is capped at the block's smaller side, so no solve asks for more pairs than B has
         widths = []
 
         def recording(b, k):
@@ -429,11 +431,11 @@ class TestMatchesReference:
         monkeypatch.setattr(sizecluster, "eig_smallest", recording)
         for bits, cfg, seed in oracle_cases()[140:180]:
             size_constrained_cluster(ConnectivityMatrix(bits), cfg, seed)
-        assert any(widths)
+        assert widths and not any(widths)
 
     def test_loop_basis_seeds_the_second_vector_bit_for_bit(self, monkeypatch):
-        # each basis is the eigenvectors of the block the loop gathered; where that is the
-        # Gram route (k <= min(m, n)), its column 1 is what _second_vector would solve the same block for
+        # each basis is the eigenvectors of the block the loop gathered, and its
+        # column 1 is what _second_vector would solve the same block for
         gathered, bases = [], []
 
         def recording_similarity(c):
@@ -458,10 +460,10 @@ class TestMatchesReference:
                     assert np.array_equal(block, bits[np.ix_(rows, cols)])
                 assert block.shape == (len(rows), len(cols)) and block.any(axis=0).all() and block.any(axis=1).all()
                 k = vectors.shape[1]
+                assert 2 <= k <= min(block.shape)
                 assert vectors.tobytes() == eig_smallest(build_similarity(block).values, k)[1].tobytes()
-                if k <= min(block.shape):
-                    seeded += 1
-                    assert vectors[:, 1].tobytes() == _second_vector(block).tobytes(), (seed, block.shape)
+                seeded += 1
+                assert vectors[:, 1].tobytes() == _second_vector(block).tobytes(), (seed, block.shape)
         assert seeded >= 20
 
     def test_split_oversized_matches_reference(self):
@@ -562,19 +564,45 @@ def test_each_residual_state_is_solved_once_within_one_call(monkeypatch, case):
     assert len(set(solved)) == len(solved)
     assert counts["kmeans"] > len(residuals)  # so some round reused the vectors of an earlier one
     assert counts["solves"] == len(residuals) + len(splits)
-    thin = {block_key(block) for block, vectors in residuals if vectors.shape[1] <= min(block.shape)}
-    assert thin and not thin & set(splits)
+    assert not set(solved) & set(splits)
 
 
-def test_narrow_residual_fallback_solves_its_own_second_vector(monkeypatch):
-    # two rows on a 1x8 crossbar: k exceeds the residual's two rows, so its vectors come from the full SVD,
-    # not the Gram route, and their column 1 need not be the second vector; the fallback solves its own
-    rng = np.random.default_rng(0)
-    bits = (rng.random((2, 24)) < 0.6).astype(np.uint8)
-    residuals, splits, _ = record_solves(monkeypatch)
-    size_constrained_cluster(ConnectivityMatrix(bits), SizeClusterConfig(1, 8), seed=0)
-    narrow = [block_key(block) for block, vectors in residuals if vectors.shape[1] > min(block.shape)]
-    assert narrow and set(narrow) & set(splits)
+@settings(max_examples=200, deadline=None)
+@given(
+    line=st.lists(st.booleans(), min_size=1, max_size=40).filter(any),
+    at=st.integers(0, 5),
+    n_lines=st.integers(1, 6),
+    transpose=st.booleans(),
+    crossbar=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    seed=st.integers(0, 3),
+)
+def test_a_one_line_active_block_is_complete_and_never_solved(line, at, n_lines, transpose, crossbar, seed):
+    # the premise that keeps _derived_k's floor of 2 within the smaller side: a block with one active row
+    # (or col) holds a synapse in every active col (or row) it has, so it is complete, and neither the
+    # structure stage nor a split ordering solves it
+    bits = np.zeros((max(n_lines, at + 1), len(line)), dtype=np.uint8)
+    bits[at] = line
+    bits = bits.T.copy() if transpose else bits
+    active = bits[np.ix_(bits.any(axis=1), bits.any(axis=0))]
+    assert 1 in active.shape and active.all()
+
+    def refuse(*args):
+        raise AssertionError("a one-line block was solved")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sizecluster, "eig_smallest", refuse)
+        cfg = SizeClusterConfig(*crossbar, min_util_factor=0.1)
+        cs = size_constrained_cluster(ConnectivityMatrix(bits), cfg, seed)
+        pieces = split_oversized(bits, np.arange(bits.shape[0]), np.arange(bits.shape[1]), cfg, refuse)
+    check_contract(cs, ConnectivityMatrix(bits), cfg)
+    assert sum(n for _, _, n in pieces) == int(bits.sum())
+
+
+@given(nnz=st.integers(0, 10**6), m=st.integers(2, 2000), n=st.integers(2, 2000),
+       crossbar=st.tuples(st.integers(1, 64), st.integers(1, 64)))
+def test_derived_k_stays_within_the_smaller_side(nnz, m, n, crossbar):
+    # the structure stage solves only blocks that are not complete, whose sides are both at least 2
+    assert 2 <= _derived_k(nnz, m, n, SizeClusterConfig(*crossbar)) <= min(m, n)
 
 
 def test_complete_matrix_clusters_into_index_tiles_without_a_solve(monkeypatch):

@@ -149,38 +149,46 @@ class TestSimilarity:
 
 class TestDegreeAndLaplacian:
     def test_two_node_path(self):
-        vals, _ = solve(np.ones((1, 1), dtype=np.uint8), 2)
-        assert np.allclose(vals, [0.0, 2.0])
+        # one singular triplet, s = 1: L has eigenvalues 1 - s = 0 and 1 + s = 2, and k <= 1 reaches the first
+        vals, _ = solve(np.ones((1, 1), dtype=np.uint8), 1)
+        assert np.allclose(vals, [0.0])
         assert np.allclose(np.linalg.eigvalsh(explicit_laplacian(np.ones((1, 1)))), [0.0, 2.0])
 
     def test_zero_graph_gives_identity(self):
         # L = I: every eigenvalue is exactly 1 and any orthonormal basis is an eigenbasis
-        vals, vecs = solve(np.zeros((1, 3), dtype=np.uint8), 4)
-        assert np.array_equal(vals, np.ones(4))
-        assert np.allclose(vecs.T @ vecs, np.eye(4))
+        vals, vecs = solve(np.zeros((3, 5), dtype=np.uint8), 3)
+        assert np.array_equal(vals, np.ones(3))
+        assert np.allclose(vecs.T @ vecs, np.eye(3))
 
     def test_complete_bipartite_eigenvalues(self):
         # oracle: K(p, q) has B = J / sqrt(pq) of rank 1 with singular value 1,
-        # so L has eigenvalues 0, 1 (p + q - 2 times) and 2
+        # so L has eigenvalues 0, 1 (p + q - 2 times) and 2; k <= min(p, q) reaches 0 and min(p, q) - 1 ones
         for p, q in [(2, 3), (4, 4), (1, 6), (5, 2)]:
-            vals, _ = solve(np.ones((p, q), dtype=np.uint8), p + q)
-            assert np.allclose(vals, [0.0] + [1.0] * (p + q - 2) + [2.0], atol=1e-12)
+            k = min(p, q)
+            lap_vals = np.linalg.eigvalsh(explicit_laplacian(np.ones((p, q))))
+            assert np.allclose(lap_vals, [0.0] + [1.0] * (p + q - 2) + [2.0], atol=1e-12)
+            vals, _ = solve(np.ones((p, q), dtype=np.uint8), k)
+            assert np.allclose(vals, lap_vals[:k], atol=1e-12)
 
     def test_psd_and_upper_bound_on_random_graphs(self):
-        # bipartite graphs reach the upper bound 2 exactly, once per component
+        # a bipartite spectrum mirrors about 1, so the min(m, n) smallest eigenvalues lie in [0, 1] and
+        # their mirrors 2 - lam are the largest; the upper bound 2 is reached exactly, once per component
         rng = np.random.default_rng(5)
         for _ in range(20):
             bits = random_block_bits(rng, rng.integers(2, 6, size=(rng.integers(1, 4), 2)))
-            vals, _ = solve(bits, sum(bits.shape))
+            k = min(bits.shape)
+            vals, _ = solve(bits, k)
             assert vals.min() >= -1e-9
-            assert vals.max() <= 2 + 1e-9
-            assert int((vals > 2 - 1e-9).sum()) == len(union_find_components(bipartite_adjacency(bits)))
+            assert vals.max() <= 1 + 1e-9
+            assert np.allclose(2.0 - vals, np.linalg.eigvalsh(explicit_laplacian(bits))[::-1][:k], atol=1e-10)
+            assert int((2.0 - vals > 2 - 1e-9).sum()) == len(union_find_components(bipartite_adjacency(bits)))
 
     def test_zero_eigenvalue_multiplicity_counts_components(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
             bits = random_block_bits(rng, rng.integers(2, 7, size=(rng.integers(2, 5), 2)))
-            vals, _ = solve(bits, sum(bits.shape))
+            vals, _ = solve(bits, min(bits.shape))
+            assert np.allclose(vals, np.linalg.eigvalsh(explicit_laplacian(bits))[: min(bits.shape)], atol=1e-10)
             assert int((vals < 1e-10).sum()) == len(union_find_components(bipartite_adjacency(bits)))
 
     def test_exactly_symmetric(self):
@@ -213,9 +221,10 @@ GRAM_ROUTE_BLOCKS = gram_route_blocks()
 
 class TestEigSmallest:
     def test_identity_eigenvalues(self):
-        # B = I: five disjoint edges, each with eigenvalues 0 and 2
-        vals, _ = eig_smallest(np.eye(5), 7)
-        assert np.allclose(vals, [0.0] * 5 + [2.0] * 2)
+        # B = I: five disjoint edges, each with eigenvalues 0 and 2; the five smallest are the zeros
+        vals, _ = eig_smallest(np.eye(5), 5)
+        assert np.allclose(vals, [0.0] * 5)
+        assert np.allclose(np.linalg.eigvalsh(np.eye(10) - bipartite_adjacency(np.eye(5))), [0.0] * 5 + [2.0] * 5)
 
     def test_two_node_path_ground_vector(self):
         vals, vecs = eig_smallest(np.ones((1, 1)), 1)
@@ -225,20 +234,22 @@ class TestEigSmallest:
     def test_reconstruction_oracle(self):
         rng = np.random.default_rng(9)
         b = rng.random((5, 3))
-        vals, vecs = eig_smallest(b, 8)
-        rebuilt = vecs @ np.diag(vals) @ vecs.T
-        assert np.abs(rebuilt - (np.eye(8) - bipartite_adjacency(b))).max() < 1e-12
+        vals, vecs = eig_smallest(b, 3)
+        # the columns diagonalize L on the space they span
+        projected = vecs.T @ (np.eye(8) - bipartite_adjacency(b)) @ vecs
+        assert np.abs(projected - np.diag(vals)).max() < 1e-12
 
     def test_orthonormal_and_residuals(self):
         rng = np.random.default_rng(10)
         b = rng.random((7, 5))
         lap = np.eye(12) - bipartite_adjacency(b)
-        vals, vecs = eig_smallest(b, 6)
+        vals, vecs = eig_smallest(b, 5)
+        assert np.allclose(vals, np.linalg.eigvalsh(lap)[:5], atol=1e-10)
         assert np.all(np.diff(vals) >= 0)
         gram = vecs.T @ vecs
-        assert np.abs(gram - np.eye(6)).max() <= 1e-8
+        assert np.abs(gram - np.eye(5)).max() <= 1e-8
         norm = np.linalg.norm(lap)
-        for i in range(6):
+        for i in range(5):
             r = lap @ vecs[:, i] - vals[i] * vecs[:, i]
             assert np.linalg.norm(r) <= 1e-8 * norm
 
@@ -247,14 +258,17 @@ class TestEigSmallest:
         ids=["300x3", "3x300", "square_all", "tall_all", "wide"],
     )
     def test_k_beyond_min_side(self, shape, k):
-        # k > min(m, n) takes the full SVD: the taller side's null-space pairs and the 1 + s pairs join the sort
+        # B has min(m, n) singular triplets: a k past them is refused, and k = min(m, n) solves every triplet's pair
         rng = np.random.default_rng(sum(shape) + k)
         bits = (rng.random(shape) < 0.5).astype(np.uint8)
+        with pytest.raises(ValueError, match=r"1 <= k <= min\(m, n\)"):
+            solve(bits, k)
+        p = min(shape)
         lap = explicit_laplacian(bits)
-        vals, vecs = solve(bits, k)
-        assert np.allclose(vals, np.linalg.eigvalsh(lap)[:k], atol=1e-10)
+        vals, vecs = solve(bits, p)
+        assert np.allclose(vals, np.linalg.eigvalsh(lap)[:p], atol=1e-10)
         assert np.abs(lap @ vecs - vecs * vals).max() < 1e-12
-        assert np.abs(vecs.T @ vecs - np.eye(k)).max() < 1e-12
+        assert np.abs(vecs.T @ vecs - np.eye(p)).max() < 1e-12
 
     def test_matches_full_graph_eigh(self):
         # seeded blocks, rank-deficient ones included (repeated and empty
@@ -267,7 +281,7 @@ class TestEigSmallest:
                 bits = bits[rng.integers(min(2, m), size=m)]  # every row copies row 0 or 1: rank <= 2
                 bits[rng.random(m) < 0.3] = 0
             lap = explicit_laplacian(bits)
-            k = int(rng.integers(1, m + n + 1))
+            k = int(rng.integers(1, min(m, n) + 1))
             vals, vecs = solve(bits, k)
             assert np.allclose(vals, np.linalg.eigvalsh(lap)[:k], atol=1e-10)
             assert np.abs(lap @ vecs - vecs * vals).max() < 1e-12
@@ -291,8 +305,6 @@ class TestEigSmallest:
             assert vals.tobytes() == full_vals[:j].tobytes(), (name, j)
             assert vecs.tobytes() == full_vecs[:, :j].tobytes(), (name, j)
         assert calls == []
-        eig_smallest(b, p + 1)
-        assert calls
 
     @pytest.mark.parametrize("tall", [True, False], ids=["tall", "wide"])
     @pytest.mark.parametrize("seed", range(6))
@@ -325,17 +337,20 @@ class TestEigSmallest:
 
     def test_sign_rule(self):
         rng = np.random.default_rng(21)
-        for shape, k in [((8, 5), 4), ((5, 8), 13), ((1, 1), 2)]:
+        for shape, k in [((8, 5), 4), ((5, 8), 5), ((1, 1), 1)]:
             _, vecs = eig_smallest(rng.random(shape), k)
             assert np.array_equal(vecs, signed(vecs))
             anchors = np.abs(vecs).argmax(axis=0)
             assert (vecs[anchors, np.arange(k)] > 0).all()
 
     @pytest.mark.parametrize(
-        "b, k", [(np.ones((2, 3)), 0), (np.ones((2, 3)), 6), (np.ones(3), 1)], ids=["k_0", "k_above_m_n", "one_d"]
+        "b, k",
+        [(np.ones((2, 3)), 0), (np.ones((2, 3)), 6), (np.ones((2, 3)), 3), (np.ones((0, 3)), 1), (np.ones(3), 1)],
+        ids=["k_0", "k_above_m_n", "k_above_min_side", "empty", "one_d"],
     )
     def test_rejects_k_out_of_range_and_bad_shape(self, b, k):
-        with pytest.raises(ValueError, match="need a 2-d matrix and 1 <= k <= m"):
+        # B has min(m, n) singular triplets, and an empty block has none
+        with pytest.raises(ValueError, match=r"need a 2-d matrix and 1 <= k <= min\(m, n\)"):
             eig_smallest(b, k)
 
 
@@ -635,19 +650,19 @@ class TestSpectralCluster:
             bits[rng.random(m) < 0.25] = 0
             bits[:, rng.random(n) < 0.25] = 0
             bits[0, 0] = bits[-1, -1] = 1
-            n_active = int(bits.any(axis=1).sum() + bits.any(axis=0).sum())
-            k = int(rng.integers(2, min(8, n_active) + 1))
+            p = int(min(bits.any(axis=1).sum(), bits.any(axis=0).sum()))
+            k = int(rng.integers(2, min(8, p) + 1))
             got = spectral_cluster(*basis_of(bits, k), seed=trial)
             want, ref_vals = reference_spectral_groups(bits, k, seed=trial)
             block = bits[np.ix_(bits.any(axis=1), bits.any(axis=0))]
-            vals, _ = solve(block, min(k + 1, n_active))
+            vals, _ = solve(block, min(k + 1, p))
             assert np.allclose(vals, ref_vals[: len(vals)], atol=1e-10)
             assert len(got) == len(want) == k
             if len(vals) == k + 1 and np.diff(ref_vals[: k + 1]).min() > 1e-8:
                 exact += 1
                 for (gr, gc), (wr, wc) in zip(got, want):
                     assert np.array_equal(gr, wr) and np.array_equal(gc, wc)
-        assert exact >= 15  # 17 of the 30 seeded trials qualify
+        assert exact >= 15  # 18 of the 30 seeded trials qualify
 
     def test_row_normalize_keeps_zero_rows(self):
         v = np.array([[3.0, 4.0], [0.0, 0.0]])
